@@ -4,18 +4,20 @@ The paper's candidate generation (Sec. 2) and pretests need, per attribute:
 row/null counts, the number of distinct values (cardinality pretest), whether
 the column is unique over its non-NULL values (referenced attributes must be),
 and the minimum/maximum *rendered* value (max-value pretest, Sec. 4.1).
-Everything is computed in one pass per column.
+Everything is computed from one rendered distinct set per column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import xor
 from zlib import crc32
 
 from repro.db.database import Database
 from repro.db.schema import AttributeRef
 from repro.db.types import DataType
-from repro.storage.codec import render_value
+from repro.storage.codec import render_distinct
 
 
 @dataclass(frozen=True)
@@ -65,52 +67,44 @@ class ColumnStats:
 
 
 def profile_column(db: Database, ref: AttributeRef) -> ColumnStats:
-    """Compute :class:`ColumnStats` for one attribute."""
+    """Compute :class:`ColumnStats` for one attribute.
+
+    Column-at-a-time: NULLs are dropped once, the rendered distinct set
+    comes from :func:`~repro.storage.codec.render_distinct` (which renders
+    each distinct raw value once), and every statistic is a C-level
+    reduction over that set.  The numeric bounds scan the non-NULL values
+    in column order, so ``min``/``max`` meet a NaN exactly where a
+    value-by-value scan would; ``float`` is monotone, so converting the
+    extreme equals taking the extreme of the converted values.
+    """
     table = db.table(ref.table)
     column = table.column_def(ref.column)
     values = table.column_values(ref.column)
-    null_count = 0
-    distinct: set[str] = set()
-    min_len: int | None = None
-    max_len: int | None = None
-    numeric_min: float | None = None
-    numeric_max: float | None = None
-    all_numeric = True
-    for value in values:
-        if value is None:
-            null_count += 1
-            continue
-        rendered = render_value(value)
-        distinct.add(rendered)
-        length = len(rendered)
-        if min_len is None or length < min_len:
-            min_len = length
-        if max_len is None or length > max_len:
-            max_len = length
-        if all_numeric and isinstance(value, (int, float)):
-            numeric = float(value)
-            if numeric_min is None or numeric < numeric_min:
-                numeric_min = numeric
-            if numeric_max is None or numeric > numeric_max:
-                numeric_max = numeric
-        else:
-            all_numeric = False
-    checksum = 0
-    for rendered in distinct:
-        checksum ^= crc32(rendered.encode("utf-8"))
+    present = (
+        [value for value in values if value is not None]
+        if None in values
+        else values
+    )
+    distinct = render_distinct(present)
+    numeric = bool(present) and (
+        set(map(type, present)) <= {int, float}
+        or all(isinstance(value, (int, float)) for value in present)
+    )
+    lengths = list(map(len, distinct))
     return ColumnStats(
         ref=ref,
         dtype=column.dtype,
         row_count=len(values),
-        null_count=null_count,
+        null_count=len(values) - len(present),
         distinct_count=len(distinct),
         min_value=min(distinct) if distinct else None,
         max_value=max(distinct) if distinct else None,
-        min_length=min_len,
-        max_length=max_len,
-        numeric_min=numeric_min if all_numeric else None,
-        numeric_max=numeric_max if all_numeric else None,
-        value_checksum=checksum,
+        min_length=min(lengths) if lengths else None,
+        max_length=max(lengths) if lengths else None,
+        numeric_min=float(min(present)) if numeric else None,
+        numeric_max=float(max(present)) if numeric else None,
+        # str.encode defaults to strict UTF-8.
+        value_checksum=reduce(xor, map(crc32, map(str.encode, distinct)), 0),
     )
 
 

@@ -1,9 +1,9 @@
 """Pool-backed spool export: the export phase as ``spool-export`` tasks.
 
 The export phase is the most I/O-bound stage of an external discovery run
-and embarrassingly parallel per attribute (render → external sort → write,
-nothing shared).  PR 1 fanned it out over *threads*; this module dispatches
-it over the same warm :class:`~repro.parallel.pool.WorkerPool` that runs
+and embarrassingly parallel per attribute (render → sort → write, nothing
+shared).  ``export_workers`` fans it out over *threads*; this module
+dispatches it over the same warm :class:`~repro.parallel.pool.WorkerPool` that runs
 validation, so a :class:`~repro.core.runner.DiscoverySession` keeps one
 fleet busy through the whole pipeline instead of idling it until the
 validate phase.

@@ -380,17 +380,18 @@ class ShardPlanner:
         """Sampling-pretest chunks: grouped by dependent attribute, budgeted.
 
         A pretest of ``dep ⊆ ref`` draws a reservoir sample of ``dep``'s
-        spool file once (cached per sampler) and merges it against
-        ``ref``'s file.  Keeping every candidate of one dependent
-        attribute in the same chunk lets the chunk's worker-side sampler
-        reuse the sample across all of them — splitting a dependent group
-        would only duplicate the sampling scan, never change a decision,
-        because each candidate's pretest is a pure function of the spool
-        and the seed.  Groups are costed by the dependent's spooled value
-        count (the sample scan) plus the referenced counts of its
-        candidates (the merges) and packed with :func:`pack_cost_groups`;
-        within a chunk candidates keep their original order.  Every
-        candidate lands in exactly one chunk; output is deterministic.
+        spool file and decodes ``ref``'s file into a set, each once per
+        sampler, then tests the sample by set containment.  Keeping every
+        candidate of one dependent attribute in the same chunk lets the
+        chunk's worker-side sampler reuse the sample across all of them —
+        splitting a dependent group would only duplicate the sampling
+        scan, never change a decision, because each candidate's pretest is
+        a pure function of the spool and the seed.  Groups are costed by
+        the dependent's spooled value count (the sample scan) plus the
+        count of each *distinct* referenced attribute of its candidates
+        (the set loads) and packed with :func:`pack_cost_groups`; within a
+        chunk candidates keep their original order.  Every candidate lands
+        in exactly one chunk; output is deterministic.
         """
         ordered = list(dict.fromkeys(candidates))
         if not ordered:
@@ -401,6 +402,8 @@ class ShardPlanner:
         costed_groups = []
         for dependent, members in by_dependent.items():
             cost = self._count(dependent) + 1
+            # Members share the dependent, so their referenced attributes
+            # are distinct: each is counted (and loaded) once per group.
             cost += sum(self._count(c.referenced) for c in members)
             costed_groups.append((cost, (cost, members)))
         packed = pack_cost_groups(costed_groups, workers)

@@ -16,11 +16,12 @@ makes the pool a *substrate* instead:
   :class:`~repro.core.brute_force.BruteForceValidator`),
   :data:`KIND_MERGE_PARTITION` (a complete heap merge over a candidate
   group, optionally restricted to a first-byte range of the value space),
-  :data:`KIND_SPOOL_EXPORT` (a group of export units: render → external
-  sort → atomic value-file write, metadata shipped back for the parent to
+  :data:`KIND_SPOOL_EXPORT` (a group of export units: render → sort →
+  atomic value-file write, metadata shipped back for the parent to
   assemble the index), and :data:`KIND_SAMPLE_PRETEST` (the Sec. 4.1
-  sampling pretest over a candidate chunk — a cheap first-k-values
-  inclusion check that prunes candidates before full validation).
+  sampling pretest over a candidate chunk — a seeded reservoir sample per
+  dependent attribute, tested by set containment, that prunes candidates
+  before full validation).
 
 Executors run **in the worker process** against the worker's warm
 :class:`~repro.storage.sorted_sets.SpoolDirectory` handle and return a
@@ -316,7 +317,8 @@ def _run_sample_pretest(spool: "SpoolDirectory", task: PoolTask) -> ShardOutcome
     identical verdict.  ``decisions[c] is True`` means the candidate
     survives into full validation; ``False`` means its sample refuted it.
     The chunk shares one sampler so candidates with a common dependent
-    attribute reuse the sample (the planner groups them deliberately).
+    attribute reuse the sample (the planner groups them deliberately), and
+    each referenced attribute is decoded once per chunk.
     """
     from repro.core.pruning import SamplingPretest
 

@@ -100,10 +100,11 @@ class BlockMeta:
 class BlockFileWriter:
     """Streams sorted values into a v2 (or v3-compressed) block file.
 
-    The caller feeds values one at a time (they must already be sorted and
-    distinct — :class:`~repro.storage.sorted_sets.SpoolDirectory` verifies
-    that); the writer packs them into ``block_size``-value blocks and tracks
-    the per-block metadata.  ``compression="zlib"`` deflates every block
+    The caller feeds values one at a time with :meth:`write`, or a whole
+    block at a time with :meth:`write_block` (they must already be sorted
+    and distinct — :class:`~repro.storage.sorted_sets.SpoolDirectory`
+    verifies that); the writer packs them into ``block_size``-value blocks
+    and tracks the per-block metadata.  ``compression="zlib"`` deflates every block
     payload and writes the v3 magic; the default writes a v2 file identical
     to older builds.  Use as a context manager or call :meth:`close`.
     """
@@ -146,8 +147,29 @@ class BlockFileWriter:
         if len(self._pending) >= self.block_size:
             self._flush_block()
 
+    def write_block(self, values: list[str]) -> None:
+        """Write ``values`` as one whole block (the batched :meth:`write`).
+
+        For callers that already hold ``block_size``-value slices: only
+        the last block of a file may be short, and no single values may
+        be pending, so the file is byte-identical to writing the same
+        values one at a time.
+        """
+        if self._fh is None:
+            raise SpoolError(f"block writer {self.path} used after close")
+        if self._pending or len(values) > self.block_size:
+            raise SpoolError(
+                f"block writer {self.path}: a block of {len(values)} values "
+                f"after {len(self._pending)} pending ones breaks the "
+                f"{self.block_size}-value block layout"
+            )
+        self._write_block(values)
+
     def _flush_block(self) -> None:
-        values = self._pending
+        self._write_block(self._pending)
+        self._pending = []
+
+    def _write_block(self, values: list[str]) -> None:
         if not values:
             return
         assert self._fh is not None
@@ -175,7 +197,6 @@ class BlockFileWriter:
         if self.min_value is None:
             self.min_value = values[0]
         self.max_value = values[-1]
-        self._pending = []
 
     def close(self) -> None:
         if self._fh is not None:

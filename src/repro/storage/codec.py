@@ -68,14 +68,37 @@ def render_value(value: Any) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        if value != value or value in (float("inf"), float("-inf")):
-            return repr(value)
-        if value.is_integer():
-            return str(int(value))
-        return repr(value)
+        # is_integer() is false for NaN and the infinities: they take repr.
+        return str(int(value)) if value.is_integer() else repr(value)
     if isinstance(value, bytes):
         return value.hex()
     raise SpoolError(f"cannot render value of type {type(value).__name__}")
+
+
+def render_distinct(values: list[Any]) -> set[str]:
+    """The set of rendered strings of a bag of non-NULL values.
+
+    The column-at-a-time kernel behind profiling and export.  Columns of
+    plain ``str``, ``int`` or ``float`` values (the overwhelming majority)
+    are deduplicated *raw* first, then only the distinct values are
+    rendered: equal raw values render equally, so the result is the same
+    set :func:`render_value` would give value by value.  Any other mix of
+    types — ``bool``, ``bytes``, subclasses, unrenderable objects — takes
+    the per-value :func:`render_value` path, which is the reference
+    semantics and raises the same :class:`SpoolError` on the same value.
+    """
+    kinds = set(map(type, values))
+    if kinds <= {str}:
+        return set(values)
+    if kinds == {int}:
+        return set(map(str, set(values)))
+    if kinds == {float}:
+        distinct = set(values)
+        integral = set(filter(float.is_integer, distinct))
+        return set(map(repr, distinct - integral)).union(
+            map(str, map(int, integral))
+        )
+    return set(map(render_value, values))
 
 
 def escape_line(text: str) -> str:
@@ -127,7 +150,25 @@ def encode_block(values: list[str]) -> bytes:
     carries it, which is what disambiguates the empty payload of a zero-value
     block from a block holding one empty string.
     """
-    return "\n".join(escape_line(value) for value in values).encode("utf-8")
+    return join_escaped(values).encode("utf-8")
+
+
+def join_escaped(values: list[str]) -> str:
+    r"""The escaped values joined by ``\n`` — the text of one block.
+
+    Escaping is only needed when some value holds ``\``, ``\r`` or a
+    newline; the join is checked once and the per-value
+    :func:`escape_line` pass runs only for such a batch, so the result is
+    always ``"\n".join(map(escape_line, values))``.
+    """
+    joined = "\n".join(values)
+    if (
+        "\\" in joined
+        or "\r" in joined
+        or joined.count("\n") != len(values) - 1
+    ):
+        return "\n".join(map(escape_line, values))
+    return joined
 
 
 def decode_block(payload: bytes, count: int) -> list[str]:
@@ -175,4 +216,4 @@ def render_distinct_sorted(values: list[Any]) -> list[str]:
     This is the in-memory path; :mod:`repro.storage.external_sort` provides
     the bounded-memory path for sets that do not fit.
     """
-    return sorted({render_value(v) for v in values})
+    return sorted(render_distinct(values))

@@ -7,14 +7,15 @@ validators then only ever scan sorted files.
 
 Two extraction paths exist:
 
-* the default in-process path (render → external sort → spool file), and
+* the default in-process path (render → sort → spool file, see
+  :func:`_sorted_distinct`), and
 * an optional SQL path that issues
   ``SELECT DISTINCT TO_CHAR(col) FROM t WHERE col IS NOT NULL ORDER BY 1``
   through :mod:`repro.sql`, for parity with the paper's setup.  Both paths
   produce identical spool files; tests assert this.
 
-Export is embarrassingly parallel — every attribute's render → external sort
-→ write chain is independent — so ``workers=N`` fans the attributes out over
+Export is embarrassingly parallel — every attribute's render → sort → write
+chain is independent — so ``workers=N`` fans the attributes out over
 a thread pool.  The spool registry is the only shared state and
 :class:`~repro.storage.sorted_sets.SpoolDirectory` guards it with a lock;
 statistics are folded in submission order, so the resulting index and
@@ -32,16 +33,21 @@ safe for export exactly as it is for validation.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 from repro.db.database import Database
 from repro.db.schema import AttributeRef
 from repro.errors import SpoolError
 from repro.storage.blockio import DEFAULT_BLOCK_SIZE
-from repro.storage.codec import COMPRESSION_NONE, render_value
+from repro.storage.codec import (
+    COMPRESSION_NONE,
+    render_distinct_sorted,
+    render_value,
+)
 from repro.storage.external_sort import DEFAULT_RUN_SIZE, external_sort
 from repro.storage.sorted_sets import (
     FORMAT_BINARY,
@@ -103,6 +109,24 @@ def plan_export_units(
     return units
 
 
+def _sorted_distinct(
+    values: Sequence[Any], max_items_in_memory: int = DEFAULT_RUN_SIZE
+) -> Iterable[str]:
+    """The sorted rendered set ``s(a)`` of one attribute's raw values.
+
+    Below ``max_items_in_memory`` values this is the in-memory kernel
+    :func:`~repro.storage.codec.render_distinct_sorted`; from there on
+    :func:`~repro.storage.external_sort.external_sort` bounds memory with
+    spilled runs.  The cut is where ``external_sort`` itself would start
+    spilling, and both yield the same sequence.
+    """
+    if len(values) < max_items_in_memory:
+        return render_distinct_sorted(values)
+    return external_sort(
+        map(render_value, values), max_items_in_memory=max_items_in_memory
+    )
+
+
 def run_export_unit(
     spool_root: str,
     unit: ExportUnit,
@@ -111,7 +135,7 @@ def run_export_unit(
     max_items_in_memory: int = DEFAULT_RUN_SIZE,
     compression: str = COMPRESSION_NONE,
 ) -> SortedValueFile:
-    """Render → external-sort → write one export unit (worker-side).
+    """Render → sort → write one export unit (worker-side).
 
     A pure function of the unit: deterministic output, no shared state, an
     atomic rename at the end — so the pool may re-execute it after a
@@ -119,14 +143,10 @@ def run_export_unit(
     exposing a torn file or a divergent result.
     """
     ref = AttributeRef(unit.table, unit.column)
-    sorted_values = external_sort(
-        (render_value(v) for v in unit.values),
-        max_items_in_memory=max_items_in_memory,
-    )
     return write_value_file(
         ref,
         str(Path(spool_root) / unit.file_name),
-        sorted_values,
+        _sorted_distinct(unit.values, max_items_in_memory),
         dtype=unit.dtype,
         format=spool_format,
         block_size=block_size,
@@ -272,10 +292,7 @@ def _export_one(
     else:
         values = db.attribute_values(ref)
         scanned = len(values)
-        sorted_values = external_sort(
-            (render_value(v) for v in values),
-            max_items_in_memory=max_items_in_memory,
-        )
+        sorted_values = _sorted_distinct(values, max_items_in_memory)
     svf = spool.add_values(ref, sorted_values, dtype=dtype)
     return ref, svf, scanned
 

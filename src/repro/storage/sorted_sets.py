@@ -31,8 +31,11 @@ import json
 import os
 import re
 import threading
-from collections.abc import Iterable
+from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import lt
 from pathlib import Path
 
 from repro.db.schema import AttributeRef
@@ -41,7 +44,7 @@ from repro.storage.blockio import DEFAULT_BLOCK_SIZE, BlockFileWriter, BlockMeta
 from repro.storage.codec import (
     COMPRESSION_NONE,
     SPOOL_COMPRESSIONS,
-    escape_line,
+    join_escaped,
 )
 from repro.storage.cursors import (
     BlockFileValueCursor,
@@ -86,8 +89,10 @@ def write_value_file(
     byte-identical content because the input is deterministic.
 
     The input **must already be sorted and duplicate-free**; this is
-    verified while writing (one comparison per value) because a mis-sorted
-    spool file silently breaks every validator.
+    verified while writing because a mis-sorted spool file silently breaks
+    every validator.  Values are written ``block_size`` at a time: each
+    slice is checked for strict ascent in one C-level pass and lands as
+    one block (a batch of lines in the text format).
     """
     final_path = Path(file_path)
     tmp_path = final_path.with_name(f"{final_path.name}.tmp-{os.getpid()}")
@@ -96,13 +101,18 @@ def write_value_file(
             f"spool compression {compression!r} requires the binary format, "
             f"not {format!r}"
         )
+    chunks = _checked_chunks(
+        ref,
+        sorted_distinct_values,
+        block_size if format == FORMAT_BINARY else DEFAULT_BLOCK_SIZE,
+    )
     try:
         if format == FORMAT_BINARY:
             with BlockFileWriter(
                 str(tmp_path), block_size=block_size, compression=compression
             ) as writer:
-                for value in _checked_ascending(ref, sorted_distinct_values):
-                    writer.write(value)
+                for chunk in chunks:
+                    writer.write_block(chunk)
             svf = SortedValueFile(
                 ref=ref,
                 path=str(final_path),
@@ -118,13 +128,13 @@ def write_value_file(
             first: str | None = None
             last: str | None = None
             with open(tmp_path, "w", encoding="utf-8") as fh:
-                for value in _checked_ascending(ref, sorted_distinct_values):
+                for chunk in chunks:
                     if first is None:
-                        first = value
-                    last = value
-                    fh.write(escape_line(value))
+                        first = chunk[0]
+                    last = chunk[-1]
+                    fh.write(join_escaped(chunk))
                     fh.write("\n")
-                    count += 1
+                    count += len(chunk)
             svf = SortedValueFile(
                 ref=ref,
                 path=str(final_path),
@@ -145,17 +155,36 @@ def write_value_file(
     return svf
 
 
-def _checked_ascending(ref: AttributeRef, values: Iterable[str]):
-    """Yield ``values`` verifying strict ascent; loud on the first violation."""
+def _checked_chunks(
+    ref: AttributeRef, values: Iterable[str], size: int
+) -> Iterator[list[str]]:
+    """Yield ``values`` in lists of ``size``, verifying strict ascent.
+
+    Each slice is checked pairwise with ``operator.lt`` in one pass, plus
+    the pair across the boundary with the previous slice; only a failing
+    slice is rescanned, to name its first violation.
+    """
+    source = iter(values)
     last: str | None = None
-    for value in values:
+    while chunk := list(islice(source, size)):
+        if (last is not None and not last < chunk[0]) or not all(
+            map(lt, chunk, islice(chunk, 1, None))
+        ):
+            _raise_first_descent(ref, chunk, last)
+        last = chunk[-1]
+        yield chunk
+
+
+def _raise_first_descent(
+    ref: AttributeRef, chunk: list[str], last: str | None
+) -> None:
+    for value in chunk:
         if last is not None and value <= last:
             raise SpoolError(
                 f"values for {ref} are not strictly ascending: "
                 f"{value!r} after {last!r}"
             )
         last = value
-        yield value
 
 
 @dataclass(frozen=True)
@@ -261,6 +290,9 @@ class SpoolDirectory:
         self.attribute_fingerprints: dict[str, str] | None = None
         self._files: dict[AttributeRef, SortedValueFile] = {}
         self._reserved: dict[AttributeRef, str] = {}
+        #: How many registered files and reservations hold each file name,
+        #: kept in step with both so naming a new attribute is O(1).
+        self._used_names: Counter[str] = Counter()
         self._lock = threading.Lock()
 
     # ---------------------------------------------------------- construction
@@ -350,6 +382,7 @@ class SpoolDirectory:
                 format=format,
                 blocks=blocks,
             )
+            spool._used_names[file_path.name] += 1
         return spool
 
     def add_values(
@@ -377,8 +410,7 @@ class SpoolDirectory:
                 compression=self.compression,
             )
         except BaseException:
-            with self._lock:
-                self._reserved.pop(ref, None)
+            self.release(ref)
             file_path.unlink(missing_ok=True)
             raise
         self.register(svf)
@@ -399,6 +431,7 @@ class SpoolDirectory:
                 raise SpoolError(f"attribute {ref} already spooled")
             file_name = self._file_name(ref)
             self._reserved[ref] = file_name
+            self._used_names[file_name] += 1
             return file_name
 
     def register(self, svf: SortedValueFile) -> SortedValueFile:
@@ -413,15 +446,22 @@ class SpoolDirectory:
         with self._lock:
             if svf.ref in self._files:
                 raise SpoolError(f"attribute {svf.ref} already spooled")
-            self._reserved.pop(svf.ref, None)
+            self._release_name(self._reserved.pop(svf.ref, None))
             self._files[svf.ref] = svf
+            self._used_names[Path(svf.path).name] += 1
         return svf
 
     def release(self, ref: AttributeRef) -> None:
         """Drop the name reservation of ``ref`` (an export unit that failed
         or produced an empty attribute the caller decided not to keep)."""
         with self._lock:
-            self._reserved.pop(ref, None)
+            self._release_name(self._reserved.pop(ref, None))
+
+    def _release_name(self, name: str | None) -> None:
+        if name is not None:
+            self._used_names[name] -= 1
+            if not self._used_names[name]:
+                del self._used_names[name]
 
     def save_index(self) -> None:
         compressed = self.compression != COMPRESSION_NONE
@@ -471,10 +511,8 @@ class SpoolDirectory:
         base = _SAFE_NAME.sub("_", f"{ref.table}__{ref.column}")
         extension = _EXTENSIONS[self.format]
         candidate = f"{base}{extension}"
-        existing = {Path(f.path).name for f in self._files.values()}
-        existing.update(self._reserved.values())
         suffix = 1
-        while candidate in existing:
+        while candidate in self._used_names:
             suffix += 1
             candidate = f"{base}__{suffix}{extension}"
         return candidate
@@ -503,6 +541,8 @@ class SpoolDirectory:
         """Remove an attribute's spool file (used to drop empty attributes)."""
         with self._lock:
             svf = self._files.pop(ref, None)
+            if svf is not None:
+                self._release_name(Path(svf.path).name)
         if svf is not None:
             Path(svf.path).unlink(missing_ok=True)
 

@@ -154,10 +154,32 @@ class TestSamplingPretest:
             SamplingPretest(spool, sample_size=0)
 
     def test_io_counted(self, spool):
+        """``io`` pays for loading the referenced set, once."""
         pretest = SamplingPretest(spool, sample_size=5)
         io = IOStats()
         pretest.pretest(Candidate(A, C), io)
-        assert io.items_read > 0
+        assert io.files_opened == 1
+        assert io.items_read == spool.get(C).count
+        assert io.open_files == 0
+        pretest.pretest(Candidate(B, C), io)
+        assert io.files_opened == 1
+        assert io.items_read == spool.get(C).count
+
+    def test_shared_referenced_file_opened_once(self, tmp_path):
+        """Many candidates, one referenced attribute: one open, one scan."""
+        spool = SpoolDirectory.create(tmp_path / "wide")
+        target = AttributeRef("r", "id")
+        spool.add_values(target, [f"{i:04d}" for i in range(2000)])
+        dependents = [AttributeRef("d", f"c{i}") for i in range(40)]
+        for i, dep in enumerate(dependents):
+            spool.add_values(dep, [f"{j:04d}" for j in range(i, 3000, 37)])
+        pretest = SamplingPretest(spool, sample_size=4, seed=1)
+        io = IOStats()
+        verdicts = [pretest.pretest(Candidate(dep, target), io) for dep in dependents]
+        assert io.files_opened == 1
+        assert io.items_read == 2000
+        assert pretest.passed + pretest.refuted == len(dependents)
+        assert True in verdicts and False in verdicts
 
     def test_never_refutes_true_ind(self, spool):
         """Soundness: a satisfied IND can never be sample-refuted."""
