@@ -10,6 +10,7 @@ records).
 
 from __future__ import annotations
 
+import random
 import tempfile
 import time
 from dataclasses import dataclass
@@ -369,8 +370,9 @@ def run_overlap_comparison(
 def run_calibration(rows: int = 20000, workers: int = 2) -> "CalibrationProfile":
     """Measure this machine's adaptive-model constants on a synthetic spool.
 
-    Builds a throwaway binary spool of four ``rows``-value attributes,
-    then times the same accounting units the cost model multiplies:
+    Builds a throwaway binary spool of four attributes — a seeded chain of
+    foreign keys, the first holding ``rows`` values — then times the same
+    accounting units the cost model multiplies:
 
     * ``seq_item_seconds`` — one in-process brute-force validation over
       all ordered attribute pairs, divided by the planner's summed
@@ -401,14 +403,20 @@ def run_calibration(rows: int = 20000, workers: int = 2) -> "CalibrationProfile"
     with tempfile.TemporaryDirectory(prefix="repro-calibrate-") as tmp:
         spool = SpoolDirectory.create(f"{tmp}/spool", format="binary")
         names = ("a", "b", "c", "d")
-        for offset, name in enumerate(names):
+        # A chain of foreign keys over one common range: each attribute
+        # keeps a seeded three quarters of the one before.  Every downward
+        # pair holds, so the merge walks every file whole and brute force
+        # walks both files of half the pairs — the steady-state cost the
+        # model predicts, not early exits.  The set of attributes holding a
+        # value changes from value to value, as on real inputs; long runs
+        # held by every attribute would let the merge skip them and price
+        # merge far below real inputs.
+        rng = random.Random(0)
+        kept = list(range(rows))
+        for name in names:
             ref = AttributeRef("calib", name)
-            # Overlapping shifted ranges: every pair is a near-miss, so
-            # both validators walk essentially the whole files — the
-            # steady-state cost the model predicts, not an early exit.
-            spool.add_values(
-                ref, [f"v{offset * 7 + i:09d}" for i in range(rows)]
-            )
+            spool.add_values(ref, [f"v{i:09d}" for i in kept])
+            kept = sorted(rng.sample(kept, len(kept) * 3 // 4))
         spool.save_index()
         refs = [AttributeRef("calib", name) for name in names]
         candidates = [

@@ -17,49 +17,48 @@ has every one of its values matched: those candidates are satisfied.
 The semantics and decisions are *identical* to the observer implementation
 (property tests assert agreement); only the synchronisation differs — there
 is none.  Attributes whose candidates are all decided close their cursors
-early, matching the observer protocol's I/O behaviour.  Values are pulled
-through the cursors' batched protocol (:class:`repro.storage.cursors.BatchReader`),
-so per-value cost on the hot path is a list index, not a file read — while
-the lazy, exact commit keeps ``items_read`` identical to the per-value loop.
+early, matching the observer protocol's I/O behaviour.
+
+The kernel does the same per-group work without per-value interpreter
+overhead:
+
+* **Bucket queue.**  The heap holds each distinct head value once; a dict
+  maps it to the ids of the attributes positioned there.  A group's members
+  are sorted by id, so decisions are recorded in the order a heap of
+  ``(value, id)`` entries gives.
+* **Inlined reader.**  Each attribute keeps a buffer and an index.
+  Consumption is committed to the cursor exactly where
+  :class:`~repro.storage.cursors.BatchReader` commits it — ``advance`` plus
+  ``peek_batch`` when a buffer runs dry, a flush before a skip-scan and on
+  close — so ``items_read``, ``bytes_read`` and ``bytes_stored`` equal the
+  per-value loop's.
+* **No-op singleton runs.**  A one-member group whose attribute has no live
+  references decides nothing, and neither do its following values below the
+  next head: they are consumed with one ``bisect_left`` per buffer.
+* **Same-membership runs.**  When every member of a group continues and all
+  fetch the same value below every other head, the next group has the same
+  members and decides nothing (every live reference is a member).  Such
+  groups are skipped while the members' buffered slices are equal, stay
+  below the next head and end inside every buffer; ``comparisons`` grows by
+  the skipped groups × the members' live references.
+
+``tests/core/test_merge_kernel_oracle.py`` checks decisions, their order and
+every counter against the per-value heap loop this kernel replaced.
 """
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_left
+from heapq import heappop, heappush
+from itertools import compress, count
+from operator import ne
 
 from repro._util import Stopwatch
 from repro.core.candidates import Candidate
 from repro.core.stats import DecisionCollector, ValidationResult
-from repro.db.schema import AttributeRef
-from repro.errors import ValidatorError
-from repro.storage.cursors import DEFAULT_BATCH_SIZE, BatchReader, IOStats
+from repro.errors import SpoolError, ValidatorError
+from repro.storage.cursors import DEFAULT_BATCH_SIZE, IOStats
 from repro.storage.sorted_sets import SpoolDirectory
-
-
-class _AttributeCursor:
-    """One attribute's position in the global merge (batched reads)."""
-
-    __slots__ = ("ref", "reader", "live_refs", "ref_usage", "closed")
-
-    def __init__(
-        self, ref: AttributeRef, cursor, batch_size: int = DEFAULT_BATCH_SIZE
-    ) -> None:
-        self.ref = ref
-        self.reader = BatchReader(cursor, batch_size=batch_size)
-        # Ids of surviving referenced attributes of this dependent side.
-        self.live_refs: set[int] = set()
-        # Number of undecided candidates where this attribute is referenced.
-        self.ref_usage = 0
-        self.closed = False
-
-    @property
-    def is_needed(self) -> bool:
-        return bool(self.live_refs) or self.ref_usage > 0
-
-    def close(self) -> None:
-        if not self.closed:
-            self.closed = True
-            self.reader.close()
 
 
 class MergeSinglePassValidator:
@@ -68,7 +67,7 @@ class MergeSinglePassValidator:
     ``skip_scan=True`` enables the merge-side frontier skip: a *purely
     referenced* attribute (one that is no candidate's dependent side) only
     matters where some dependent still holding it could match, and every such
-    dependent's future values are at or above its current heap value.  Before
+    dependent's future values are at or above its current head value.  Before
     refilling a purely referenced cursor, the validator therefore seeks it
     past whole on-disk blocks whose recorded ``max`` is below the minimum
     current value of its live dependents (the *frontier*).  Decisions,
@@ -86,6 +85,8 @@ class MergeSinglePassValidator:
         skip_scan: bool = False,
         batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
+        if batch_size < 1:
+            raise SpoolError(f"batch_size must be >= 1, got {batch_size!r}")
         self._spool = spool
         self._skip_scan = bool(skip_scan)
         self._batch_size = batch_size
@@ -100,172 +101,263 @@ class MergeSinglePassValidator:
         return collector.result()
 
     def _run(self, collector: DecisionCollector, io: IOStats) -> None:
-        # Attributes are interned as dense integer ids for the duration of
-        # the pass: heap entries, membership sets and usage counters all work
-        # on ints, which keeps hashing and tuple tie-breaks off the per-value
-        # hot path.  Ids follow the sorted attribute order, so every
-        # tie-break and record sequence matches the AttributeRef-keyed
-        # formulation exactly.
-        involved: set[AttributeRef] = set()
+        # Attributes are interned as dense integer ids, in sorted attribute
+        # order, for the duration of the pass.
+        involved: set = set()
         for candidate in collector.candidates:
-            if candidate.dependent == candidate.referenced:
-                raise ValidatorError(
-                    f"trivial candidate {candidate} must not reach the validator"
-                )
             involved.add(candidate.dependent)
             involved.add(candidate.referenced)
         order = sorted(involved)
         index = {ref: aid for aid, ref in enumerate(order)}
-        states = [
-            _AttributeCursor(
-                ref, self._spool.open_cursor(ref, io), self._batch_size
-            )
-            for ref in order
-        ]
-        # holders[rid] = dependent ids still holding rid in live_refs; the
-        # reverse of live_refs, kept in sync at every mutation so the frontier
-        # of a referenced attribute is one min() over its live dependents.
-        holders: list[set[int]] = [set() for _ in states]
+        # live[dep] = ids of dep's surviving referenced attributes;
+        # holders[rid] = the dependents whose live set holds rid (its
+        # reverse).  An attribute is needed while either is non-empty.
+        live: list[set[int]] = [set() for _ in order]
+        holders: list[set[int]] = [set() for _ in order]
+        pairs: list[dict[int, Candidate]] = [{} for _ in order]
         for candidate in collector.candidates:
             dep = index[candidate.dependent]
             rid = index[candidate.referenced]
-            states[dep].live_refs.add(rid)
-            states[rid].ref_usage += 1
+            if dep == rid:
+                raise ValidatorError(
+                    f"trivial candidate {candidate} must not reach the validator"
+                )
+            live[dep].add(rid)
             holders[rid].add(dep)
+            pairs[dep][rid] = candidate
+        cursors = [self._spool.open_cursor(ref, io) for ref in order]
+        batch_size = self._batch_size
+        bufs: list[list[str]] = [[] for _ in order]
+        idxs = [0] * len(order)  # values of bufs[aid] handed out so far
+        closed = [False] * len(order)
+        record = collector.record
+        # The bucket queue: each distinct head value once in the heap, and
+        # the attributes positioned at it.  current[] holds every
+        # attribute's head — a dependent's future values are always >= it,
+        # which is what makes the frontier a sound skip bound.
+        heap: list[str] = []
+        at: dict[str, list[int]] = {}
+        current = [""] * len(order)
+
+        def push(aid: int, head: str) -> None:
+            if head in at:
+                at[head].append(aid)
+            else:
+                at[head] = [aid]
+                heappush(heap, head)
+
+        def refill(aid: int) -> list[str]:
+            if idxs[aid]:
+                cursors[aid].advance(idxs[aid])
+                idxs[aid] = 0
+            buf = bufs[aid] = cursors[aid].peek_batch(batch_size)
+            return buf
+
+        def flush(aid: int) -> None:
+            if idxs[aid]:
+                cursors[aid].advance(idxs[aid])
+                bufs[aid] = bufs[aid][idxs[aid] :]
+                idxs[aid] = 0
+
+        def close(aid: int) -> None:
+            if not closed[aid]:
+                closed[aid] = True
+                flush(aid)
+                cursors[aid].close()
+
+        def release(rid: int) -> None:
+            if not holders[rid] and not live[rid]:
+                close(rid)
+
+        def exhaust(aid: int) -> None:
+            """A dependent ran out of values: its surviving candidates hold."""
+            row = pairs[aid]
+            for rid in sorted(live[aid]):
+                record(row[rid], True)
+                holders[rid].discard(aid)
+                release(rid)
+            live[aid].clear()
+            release(aid)
 
         # Decide empty-dependent candidates up front (vacuously satisfied),
         # exactly as the observer implementation does.
-        for aid, state in enumerate(states):
-            if state.live_refs and not state.reader.has_more():
-                for rid in sorted(state.live_refs):
-                    collector.record(
-                        Candidate(state.ref, states[rid].ref), True, vacuous=True
-                    )
-                    states[rid].ref_usage -= 1
+        for aid in range(len(order)):
+            if live[aid] and not refill(aid):
+                for rid in sorted(live[aid]):
+                    record(pairs[aid][rid], True, vacuous=True)
                     holders[rid].discard(aid)
-                state.live_refs.clear()
-        for state in states:
-            if not state.is_needed:
-                state.close()
+                live[aid].clear()
+        for aid in range(len(order)):
+            release(aid)
 
-        # Seed the heap with each needed attribute's first value.  current[]
-        # mirrors the value each live attribute last pushed — a dependent's
-        # future values are always >= its current entry, which is what makes
-        # the frontier a sound skip bound.
-        heap: list[tuple[str, int]] = []
-        current: list[str] = [""] * len(states)
-        for aid, state in enumerate(states):
-            if state.closed:
+        # Seed the queue with each needed attribute's first value.
+        for aid in range(len(order)):
+            if closed[aid]:
                 continue
-            if state.reader.has_more():
-                first = state.reader.next()
-                current[aid] = first
-                heapq.heappush(heap, (first, aid))
-            else:
-                # Empty attribute that is only referenced: every dependent
-                # with a value will drop it at its first merge step; an empty
-                # referenced set can also be decided immediately.
-                self._refute_all_into(aid, states, holders, collector)
-                state.close()
+            # As BatchReader.has_more: an untouched buffer holds the first
+            # batch already; only an empty one is refilled.
+            buf = bufs[aid] or refill(aid)
+            if buf:
+                idxs[aid] = 1
+                current[aid] = buf[0]
+                push(aid, buf[0])
+                continue
+            # Empty attribute that is only referenced: every candidate into
+            # it is refuted.
+            for dep in sorted(holders[aid]):
+                live[dep].discard(aid)
+                record(pairs[dep][aid], False)
+                holders[aid].discard(dep)
+                release(dep)
+            close(aid)
 
         skip = self._skip_scan
-        group: list[int] = []
-        while heap:
-            value, aid = heapq.heappop(heap)
-            group.clear()
-            group.append(aid)
-            while heap and heap[0][0] == value:
-                group.append(heapq.heappop(heap)[1])
-            self._process_group(group, states, holders, collector)
-            for member in group:
-                state = states[member]
-                if state.closed or not state.is_needed:
-                    state.close()
-                    continue
-                if skip and not state.live_refs and holders[member]:
-                    # Purely referenced here: seek past whole blocks no live
-                    # dependent can reach any more.  Conservative by design —
-                    # a dependent in this very group may still show its old
-                    # (= this group's) value, which only lowers the frontier.
-                    frontier = min(current[dep] for dep in holders[member])
-                    if frontier > value:
-                        state.reader.skip_below(frontier)
-                if state.reader.has_more():
-                    nxt = state.reader.next()
-                    current[member] = nxt
-                    heapq.heappush(heap, (nxt, member))
-                else:
-                    self._exhaust(state, member, states, holders, collector)
 
-        undecided = collector.undecided
-        if undecided:
+        def skip_below_frontier(aid: int, value: str) -> None:
+            # Purely referenced here: seek past whole blocks no live
+            # dependent can reach any more.  Conservative by design — a
+            # dependent in this very group may still show its old (= this
+            # group's) value, which only lowers the frontier.
+            frontier = min(current[dep] for dep in holders[aid])
+            if frontier > value:
+                flush(aid)
+                cursors[aid].skip_blocks_below(frontier)
+
+        def noop_run(aid: int, value: str) -> None:
+            """Consume a purely referenced attribute's values below the next head.
+
+            Each such value would form a one-member group that decides
+            nothing.  No other attribute moves during the run, so the
+            frontier is fixed: the skip-scan before the first value is the
+            only one that can seek, and the per-value loop's later skips
+            find nothing left to skip.
+            """
+            if skip:
+                skip_below_frontier(aid, value)
+            bound = heap[0] if heap else None
+            buf = bufs[aid]
+            i = idxs[aid]
+            while True:
+                if i == len(buf):
+                    buf = refill(aid)
+                    if not buf:
+                        exhaust(aid)
+                        return
+                    i = 0
+                i = len(buf) if bound is None else bisect_left(buf, bound, i)
+                if i < len(buf):
+                    break
+                idxs[aid] = i
+            idxs[aid] = i + 1
+            current[aid] = buf[i]
+            push(aid, buf[i])
+
+        def same_run(group: list[int]) -> int:
+            """Skip the decision-free groups a same-membership run would form.
+
+            Every member continued and sits at its new head.  If all heads
+            are one value below every other head, that value's group is this
+            group again, and so is each following value the members' buffers
+            share.  Advances the members past those groups — stopping inside
+            every buffer, with the last shared value as the new head — and
+            returns the comparisons the skipped groups make.
+            """
+            head = current[group[0]]
+            if heap and not head < heap[0]:
+                return 0
+            for member in group:
+                if current[member] != head:
+                    return 0
+            lead_buf = bufs[group[0]]
+            start = idxs[group[0]]
+            room = min(len(bufs[member]) - idxs[member] for member in group)
+            if heap and room:
+                # Values skipped past stay below the next head; the new head
+                # may reach it.
+                below = bisect_left(lead_buf, heap[0], start, start + room)
+                room = min(room, below - start + 1)
+            lead = lead_buf[start : start + room]
+            run = room
+            for member in group[1:]:
+                if not run:
+                    return 0
+                pos = idxs[member]
+                run = next(
+                    compress(count(), map(ne, lead, bufs[member][pos : pos + run])),
+                    run,
+                )
+            if not run:
+                return 0
+            for member in group:
+                idxs[member] += run
+                current[member] = lead[run - 1]
+            return run * sum(len(live[member]) for member in group)
+
+        comparisons = 0
+        while heap:
+            value = heappop(heap)
+            group = at.pop(value)
+            if len(group) == 1 and not live[group[0]]:
+                if not closed[group[0]]:
+                    noop_run(group[0], value)
+                continue
+            group.sort()
+
+            # Intersect every dependent's surviving references with the group.
+            present = None
+            for member in group:
+                refs = live[member]
+                if not refs:
+                    continue
+                comparisons += len(refs)
+                if present is None:
+                    present = set(group)
+                if refs <= present:
+                    continue
+                row = pairs[member]
+                for rid in sorted(refs - present):
+                    refs.discard(rid)
+                    holders[rid].discard(member)
+                    record(row[rid], False)
+                    release(rid)
+
+            # Move every member that is still needed to its next value.
+            moved: list[int] = []
+            for member in group:
+                if closed[member] or not (live[member] or holders[member]):
+                    close(member)
+                    continue
+                if skip and not live[member]:
+                    skip_below_frontier(member, value)
+                buf = bufs[member]
+                i = idxs[member]
+                if i == len(buf):
+                    buf = refill(member)
+                    if not buf:
+                        exhaust(member)
+                        continue
+                    i = 0
+                idxs[member] = i + 1
+                current[member] = buf[i]
+                moved.append(member)
+
+            if len(moved) == len(group) > 1 and (
+                not skip or all(live[member] for member in group)
+            ):
+                comparisons += same_run(group)
+            for member in moved:  # push(), inlined on the per-member path
+                head = current[member]
+                if head in at:
+                    at[head].append(member)
+                else:
+                    at[head] = [member]
+                    heappush(heap, head)
+
+        collector.stats.comparisons += comparisons
+        if not collector.all_decided:
             raise ValidatorError(
                 "merge single-pass finished with undecided candidates: "
-                + ", ".join(str(c) for c in undecided[:5])
+                + ", ".join(str(c) for c in collector.undecided[:5])
             )
-        for state in states:
-            state.close()
-
-    def _process_group(
-        self,
-        group: list[int],
-        states: list[_AttributeCursor],
-        holders: list[set[int]],
-        collector: DecisionCollector,
-    ) -> None:
-        """Intersect every dependent's surviving references with the group."""
-        present = set(group)
-        for member in group:
-            state = states[member]
-            if not state.live_refs:
-                continue
-            collector.stats.comparisons += len(state.live_refs)
-            dropped = state.live_refs - present
-            for rid in sorted(dropped):
-                state.live_refs.discard(rid)
-                holders[rid].discard(member)
-                collector.record(Candidate(state.ref, states[rid].ref), False)
-                self._release_ref(states[rid])
-
-    def _exhaust(
-        self,
-        state: _AttributeCursor,
-        aid: int,
-        states: list[_AttributeCursor],
-        holders: list[set[int]],
-        collector: DecisionCollector,
-    ) -> None:
-        """A dependent ran out of values: its surviving candidates hold."""
-        for rid in sorted(state.live_refs):
-            collector.record(Candidate(state.ref, states[rid].ref), True)
-            holders[rid].discard(aid)
-            self._release_ref(states[rid])
-        state.live_refs.clear()
-        if not state.is_needed:
-            state.close()
-
-    @staticmethod
-    def _release_ref(ref_state: _AttributeCursor) -> None:
-        ref_state.ref_usage -= 1
-        if not ref_state.is_needed:
-            ref_state.close()
-
-    def _refute_all_into(
-        self,
-        empty_rid: int,
-        states: list[_AttributeCursor],
-        holders: list[set[int]],
-        collector: DecisionCollector,
-    ) -> None:
-        """An empty referenced attribute refutes all non-vacuous candidates."""
-        empty_state = states[empty_rid]
-        for aid, state in enumerate(states):
-            if empty_rid in state.live_refs:
-                state.live_refs.discard(empty_rid)
-                holders[empty_rid].discard(aid)
-                collector.record(
-                    Candidate(state.ref, empty_state.ref), False
-                )
-                empty_state.ref_usage -= 1
-                if not state.is_needed:
-                    state.close()
+        for aid in range(len(order)):
+            close(aid)

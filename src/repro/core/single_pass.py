@@ -285,11 +285,10 @@ class SinglePassValidator:
             dep_objects[dep].start(refs_per_dep[dep])
         # Phase 3: let the monitor drain the delivery queue.
         monitor.run()
-        undecided = collector.undecided
-        if undecided:
+        if not collector.all_decided:
             raise ValidatorError(
                 "single-pass protocol stalled with undecided candidates: "
-                + ", ".join(str(c) for c in undecided[:5])
+                + ", ".join(str(c) for c in collector.undecided[:5])
             )
         # All cursors are closed by the protocol itself (refuted/satisfied
         # candidates detach; finished dependents close), but double-check so

@@ -107,6 +107,15 @@ class DecisionCollector:
             self.stats.candidates_tested += 1
 
     @property
+    def all_decided(self) -> bool:
+        """Whether every candidate is recorded — O(1), by count.
+
+        Exact because validators only record candidates they were handed;
+        list :attr:`undecided` only when this is false.
+        """
+        return len(self.decisions) == len(self.candidates)
+
+    @property
     def undecided(self) -> list[Candidate]:
         """Candidates not yet recorded, in their original order."""
         return [c for c in self.candidates if c not in self.decisions]

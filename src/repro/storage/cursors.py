@@ -624,17 +624,6 @@ class BatchReader:
             self._buf = self._buf[self._idx :]
             self._idx = 0
 
-    def skip_below(self, value: str) -> int:
-        """Seek the cursor past whole undecoded blocks below ``value``.
-
-        Flushes pending consumption first, then delegates to the cursor's
-        ``skip_blocks_below``.  Values already buffered — here or inside the
-        cursor — are unaffected, so the caller still sees them; only frames
-        not yet decoded are skipped.  Returns the number of blocks skipped.
-        """
-        self.flush()
-        return self._cursor.skip_blocks_below(value)
-
     def close(self) -> None:
         self.flush()
         self._cursor.close()

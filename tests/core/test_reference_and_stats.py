@@ -82,8 +82,15 @@ class TestDecisionCollector:
     def test_undecided_tracking(self):
         c1, c2 = Candidate(SMALL, BIG), Candidate(BIG, SMALL)
         collector = DecisionCollector([c1, c2], "test")
+        assert not collector.all_decided
         collector.record(c1, True)
         assert collector.undecided == [c2]
+        assert not collector.all_decided
+        collector.record(c1, False)  # a repeat decides nothing new
+        assert not collector.all_decided
+        collector.record(c2, False)
+        assert collector.all_decided
+        assert collector.undecided == []
 
     def test_vacuous_not_counted_as_tested(self):
         collector = DecisionCollector([Candidate(VOID, BIG)], "test")
