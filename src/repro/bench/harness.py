@@ -408,9 +408,9 @@ def run_calibration(rows: int = 20000, workers: int = 2) -> "CalibrationProfile"
         # pair holds, so the merge walks every file whole and brute force
         # walks both files of half the pairs — the steady-state cost the
         # model predicts, not early exits.  The set of attributes holding a
-        # value changes from value to value, as on real inputs; long runs
-        # held by every attribute would let the merge skip them and price
-        # merge far below real inputs.
+        # value changes from value to value, as for OpenMMS foreign keys; a
+        # long run held by every attribute would let the merge skip it and
+        # price merge far below any real input.
         rng = random.Random(0)
         kept = list(range(rows))
         for name in names:
