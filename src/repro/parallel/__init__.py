@@ -22,8 +22,9 @@ different axes, both dispatched through one shared task substrate:
                      predicts sequential vs pooled vs range-split cost per
                      request from the same stats, tuned by a persisted
                      :class:`CalibrationProfile`.
-``pool``             :class:`WorkerPool` — persistent worker processes
-                     behind one shared task queue; survives across
+``pool``             :class:`WorkerPool` — persistent worker processes,
+                     each fed one task at a time over its own pipe by
+                     the parent; survives across
                      ``validate()`` and ``discover_inds`` calls, runs any
                      registered task kind, serves concurrent jobs from
                      multiple caller threads, requeues the tasks of dead

@@ -66,7 +66,11 @@ from repro.parallel.tasks import (
 )
 from repro.storage.exporter import ExportStats, plan_export_units
 from repro.storage.sorted_sets import SpoolDirectory
-from repro.storage.spool_cache import SpoolCache, catalog_fingerprint
+from repro.storage.spool_cache import (
+    SpoolCache,
+    attribute_fingerprints,
+    catalog_fingerprint,
+)
 
 __all__ = ["OverlapRun", "run_overlapped"]
 
@@ -427,8 +431,15 @@ def run_overlapped(
         spool.save_index()
     if cache is not None and not cache_hit:
         # Tasks all completed against the staging path; publishing renames
-        # it atomically into the cache and reopens the spool there.
-        spool = cache.publish(fingerprint, spool)
+        # it atomically into the cache and reopens the spool there.  The
+        # stamps make the entry a donor for later partial reuse, exactly
+        # like an in-process miss's.
+        spool = cache.publish(
+            fingerprint,
+            spool,
+            database=db.name,
+            fingerprints=attribute_fingerprints(column_stats),
+        )
 
     # -- survivors ---------------------------------------------------------
     survivors: list[Candidate] = ordered

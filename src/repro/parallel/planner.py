@@ -22,8 +22,8 @@ offers two packings:
   work-stealing queue of :class:`repro.parallel.pool.WorkerPool`.  The cost
   *estimates* ignore early stops, which can shrink a candidate's real cost
   by up to its full size, so any static plan is wrong in practice; small
-  chunks pulled from a shared queue absorb the misestimates because a
-  worker whose chunks turned out cheap simply pulls more.
+  chunks handed out one at a time absorb the misestimates because a
+  worker whose chunks turned out cheap simply receives more.
 
 * :meth:`ShardPlanner.plan_merge_groups` — cost-budgeted groups of whole
   candidate-graph *components* for the pool-backed partitioned merge.

@@ -1,56 +1,62 @@
 """Persistent worker pool: a generic task-execution substrate.
 
-PR 2 parallelised brute-force validation by forking a fresh
-``ProcessPoolExecutor`` inside every ``validate()`` call; PR 3 replaced that
-with a persistent fleet behind one work-stealing queue, but the fleet could
-run exactly one shape of work (brute-force chunks) for exactly one caller at
-a time.  This revision generalises both axes:
+One :class:`WorkerPool` keeps a fleet of worker processes warm across jobs
+and runs typed tasks on it:
 
-* **Typed tasks.**  Every queued task carries a ``kind`` resolved through
-  the registry in :mod:`repro.parallel.tasks`; the worker loop no longer
-  knows what a task *does*, only how to open the spool it runs against.
-  Brute-force chunks and merge byte-range partitions ship as built-in
-  kinds, and one job may mix kinds freely.
+* **Typed tasks.**  Every task carries a ``kind`` resolved through the
+  registry in :mod:`repro.parallel.tasks`; the worker loop does not know
+  what a task *does*, only how to open the spool it runs against.
+  Brute-force chunks, merge partitions, spool-export units and sampling
+  pretest chunks ship as built-in kinds, and one job may mix kinds freely.
 
-* **Concurrent jobs.**  A dedicated dispatcher thread owns the result queue
-  and routes messages to per-job states, so any number of caller threads
-  can :meth:`WorkerPool.run_job` simultaneously — the shape ``repro-ind
-  serve`` needs to multiplex overlapping requests over one warm fleet.
-  Each ``run_job`` returns its own per-job :class:`PoolStats` delta next to
-  the outcomes, so callers can surface pool behaviour per request.
+* **Concurrent jobs.**  Any number of caller threads may have a
+  :meth:`WorkerPool.run_job` or :meth:`WorkerPool.run_graph` in flight at
+  once over the same fleet — the shape ``repro-ind serve`` needs to
+  multiplex overlapping requests.  Each job returns its own outcomes and
+  its own :class:`PoolStats` delta, so callers can surface pool behaviour
+  per request.
 
-The warm-handle story is unchanged and now shared across kinds: workers
-keep an LRU of parsed :class:`~repro.storage.sorted_sets.SpoolDirectory`
-indexes, so a merge partition scheduled after a brute-force chunk over the
-same spool reuses the same warm handle
-(``PoolStats.spool_handle_reuses`` counts those wins, per kind in
-``tasks_by_kind``).
+* **Parent-side assignment.**  Each worker talks to the parent over its own
+  pipe, and no lock is shared between processes.  Pending tasks of every
+  job wait in one parent-side FIFO, and the parent sends a task to a
+  worker only while that worker is idle — one task at a time, no prefetch
+  — so it always knows which task each worker holds.  Whichever thread
+  adds work or frees a worker assigns, under the pool lock.  One
+  dispatcher thread waits on every worker's pipe and process sentinel at
+  once: a reply frees its worker, and a death requeues exactly the task
+  that worker held and spawns a replacement.
+
+Workers keep an LRU of parsed
+:class:`~repro.storage.sorted_sets.SpoolDirectory` indexes shared across
+kinds, so a merge partition scheduled after a brute-force chunk over the
+same spool reuses the same warm handle (``PoolStats.spool_handle_reuses``
+counts those wins, per kind in ``tasks_by_kind``).
 
 Correctness is inherited, not re-proven: every task is executed by an
 unchanged sequential validator, and each task's result is a deterministic
 function of the spool contents and the task itself, so decisions and summed
 counters are identical to the sequential run no matter which worker ran it
-or in what order — the agreement suite asserts this per seed for both
-built-in kinds.
+or in what order — the agreement suite asserts this per seed for every
+built-in kind.
 
-Fault tolerance uses an at-least-once/idempotent scheme: workers announce
-``claim`` before executing and ``done`` after; the dispatcher requeues the
-claimed-but-unfinished tasks of any worker that died and spawns a
-replacement, and duplicate ``done`` messages (possible only after a requeue
-race) are dropped by task id.  Requeuing is therefore always safe, and a
-worker crash costs one task's worth of repeated work, never a wrong or
-missing decision.
+Fault tolerance follows from the assignment: a worker that dies costs one
+repeated task, never a wrong or missing decision, because the task it held
+goes back to the front of the FIFO and re-executes on another worker.  A
+process-shared lock (such as a shared queue's read or write lock) held by
+a worker that dies would stay held forever and wedge every survivor;
+per-worker pipes leave nothing for a dying worker to hold.  A task that
+keeps killing its workers fails its job after :data:`MAX_TASK_REQUEUES`.
 """
 
 from __future__ import annotations
 
 import logging
 import multiprocessing
+import multiprocessing.connection
 import os
-import queue
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 
 from repro.core.candidates import Candidate
@@ -88,26 +94,12 @@ __all__ = [
 #: brute-force chunk warmed, and vice versa.
 WARM_SPOOL_LIMIT = 8
 
-#: Seconds without any queue message for a job before the dispatcher
-#: suspects a task was lost in the tiny window between a worker dequeuing it
-#: and announcing the claim (only possible if the worker died exactly there)
-#: and requeues the unclaimed remainder.  Duplicate execution is harmless —
-#: ``done`` messages are deduplicated by task id — so this can err toward
-#: firing; it only fires at all after a worker death was actually observed
-#: during the job's lifetime.
-STALL_TIMEOUT_SECONDS = 2.0
-
 #: Give up on a task after this many requeues.  Requeues happen only after
 #: worker deaths, so hitting the cap means the task *reliably* kills its
 #: worker (OOM, native crash in decoding) — respawning forever would hang
 #: the job and leak a process every cycle.  Failing the job loudly is the
 #: only honest outcome.
 MAX_TASK_REQUEUES = 3
-
-#: How often (seconds) the dispatcher reaps dead workers and checks stalls
-#: even while result messages keep arriving — a busy queue must not starve
-#: crash recovery for the job whose worker just died.
-_MAINTENANCE_INTERVAL = 0.25
 
 _FAULT_ATTR_ENV = "REPRO_POOL_FAULT_ATTR"
 _FAULT_ONCE_DIR_ENV = "REPRO_POOL_FAULT_ONCE_DIR"
@@ -269,7 +261,7 @@ def _maybe_inject_fault(task: PoolTask) -> None:
     ``O_EXCL`` marker file limits the crash to exactly one worker, so the
     requeued task succeeds on the replacement — the shape the lifecycle
     tests need.  ``os._exit`` deliberately skips all cleanup: a real worker
-    death (OOM kill, segfault) does not flush queues either.
+    death (OOM kill, segfault) does not flush its pipe either.
     """
     attr = os.environ.get(_FAULT_ATTR_ENV)
     if not attr:
@@ -325,16 +317,15 @@ def _open_warm(
     return spool, False
 
 
-def _worker_loop(task_queue, result_queue) -> None:
-    """Long-lived worker: pull tasks until the ``None`` shutdown sentinel.
+def _worker_loop(conn) -> None:
+    """Long-lived worker: run the tasks ``conn`` brings until ``None`` or EOF.
 
     The loop is kind-agnostic: it resolves every task's executor through the
     registry in :mod:`repro.parallel.tasks` and only owns the two concerns
-    shared by all kinds — warm spool handles and the claim/done protocol.
-    Every message is tagged with this worker's pid so the dispatcher can map
-    claims to processes; ``claim`` strictly precedes ``done``/``error`` for
-    a given task (one queue, one producer — order is preserved), which is
-    what makes dead-worker requeuing sound.
+    shared by all kinds — warm spool handles and one reply per task.  The
+    parent sends a task only to an idle worker and remembers which task it
+    sent, so a reply names no task: it is ``("done", outcome, warm)`` or
+    ``("error", detail)``.
 
     Every completed task carries a worker-stamped timing span
     (:func:`repro.obs.trace.stamp`) on its outcome — two monotonic clock
@@ -342,13 +333,14 @@ def _worker_loop(task_queue, result_queue) -> None:
     ``CLOCK_MONOTONIC`` is system-wide so the parent can place it directly
     on the request's timeline.
     """
-    pid = os.getpid()
     handles: OrderedDict[str, tuple[tuple, SpoolDirectory]] = OrderedDict()
     while True:
-        task = task_queue.get()
+        try:
+            task = conn.recv()
+        except EOFError:  # the parent closed its end
+            break
         if task is None:
             break
-        result_queue.put(("claim", pid, task.job_id, task.task_id))
         try:
             _maybe_inject_fault(task)
             executor = resolve_task_kind(task.kind)
@@ -371,13 +363,9 @@ def _worker_loop(task_queue, result_queue) -> None:
                 chunk_size=len(task.candidates),
                 warm=warm,
             )
-            result_queue.put(
-                ("done", pid, task.job_id, task.task_id, outcome, warm)
-            )
+            conn.send(("done", outcome, warm))
         except Exception as exc:  # ship the failure, keep the worker alive
-            result_queue.put(
-                ("error", pid, task.job_id, task.task_id, repr(exc))
-            )
+            conn.send(("error", repr(exc)))
 
 
 # ------------------------------------------------------------------- the pool
@@ -387,23 +375,17 @@ class _JobState:
 
     job_id: int
     tasks: dict[int, PoolTask]
-    #: The pool-wide death generation when this job started; the stall
-    #: fallback only acts on deaths observed *after* that point.
-    birth_generation: int
     outcomes: dict[int, ShardOutcome] = field(default_factory=dict)
     task_spans: dict[int, dict] = field(default_factory=dict)  # by task_id
-    claims: dict[int, int] = field(default_factory=dict)  # task_id -> pid
     requeues: dict[int, int] = field(default_factory=dict)  # task_id -> count
-    stall_requeue_generation: dict[int, int] = field(default_factory=dict)
-    last_progress: float = field(default_factory=time.monotonic)
     stats: PoolStats = field(default_factory=PoolStats)
     error: DiscoveryError | None = None
     done: threading.Event = field(default_factory=threading.Event)
     # -- graph jobs only (run_graph); defaults keep run_job untouched ------
     #: Graph jobs hold back dependent nodes: ``tasks`` then contains only
-    #: the *released* nodes (so requeue/stall/sweep machinery sees exactly
-    #: the work that is actually in flight), while ``node_specs`` keeps the
-    #: full plan and ``remaining``/``dependents`` drive the release cascade.
+    #: the *released* nodes (so the tasks without an outcome are exactly
+    #: the ones pending or assigned), while ``node_specs`` keeps the full
+    #: plan and ``remaining``/``dependents`` drive the release cascade.
     is_graph: bool = False
     node_specs: dict[int, TaskSpec] | None = None
     dependents: dict[int, list[int]] = field(default_factory=dict)
@@ -427,12 +409,22 @@ class _JobState:
         return len(self.outcomes) == len(self.tasks)
 
 
+@dataclass(eq=False)
+class _Worker:
+    """One worker process and the parent's end of its pipe."""
+
+    proc: multiprocessing.process.BaseProcess
+    conn: multiprocessing.connection.Connection
+    #: The task this worker is executing; ``None`` while it is idle.
+    task: PoolTask | None = None
+
+
 class WorkerPool:
-    """Long-lived task-execution workers behind one shared work queue.
+    """Long-lived task-execution workers, each fed over its own pipe.
 
     The pool is created cheaply (no processes yet) and spawns its workers —
-    plus one parent-side dispatcher thread that owns the result queue — on
-    the first :meth:`run_job`; it then survives any number of jobs until
+    plus one parent-side dispatcher thread that waits on their pipes — on
+    the first job; it then survives any number of jobs until
     :meth:`shutdown` drains it.  One pool instance serves one parent
     process; it is not itself picklable and must not be shared across forks.
 
@@ -458,10 +450,10 @@ class WorkerPool:
         ``start_method`` overrides the platform's multiprocessing start
         method (``fork``/``spawn``/``forkserver``); the protocol works
         identically under all of them because tasks carry only picklable
-        paths, candidates and payloads, never handles.  (Task kinds
-        registered dynamically at runtime — rather than at import time of a
-        module workers also import — are visible to workers only under
-        ``fork``.)
+        paths, candidates and payloads, never handles, and each worker's
+        pipe end travels as a process argument.  (Task kinds registered
+        dynamically at runtime — rather than at import time of a module
+        workers also import — are visible to workers only under ``fork``.)
         """
         if workers < 1:
             raise DiscoveryError(f"workers must be >= 1, got {workers!r}")
@@ -471,18 +463,17 @@ class WorkerPool:
             if start_method
             else multiprocessing.get_context()
         )
-        self._task_queue = None
-        self._result_queue = None
-        self._procs: list = []
-        self._ever_dead_pids: set[int] = set()
-        self._started = False
+        self._workers: list[_Worker] = []
+        #: Tasks no worker holds yet, across all jobs, oldest first.
+        self._pending: deque[PoolTask] = deque()
+        #: Written to wake the dispatcher when a worker joins the fleet or
+        #: the pool shuts down; the workers' pipes cover everything else.
+        self._wake_r = self._wake_w = None
         self._closed = False
         self._job_counter = 0
         self._jobs: dict[int, _JobState] = {}
         self._lock = threading.Lock()
         self._dispatcher: threading.Thread | None = None
-        self._dispatcher_stop = threading.Event()
-        self._death_generation = 0
         self._last_activity = time.monotonic()
         self.stats = PoolStats()
 
@@ -499,12 +490,12 @@ class WorkerPool:
 
     @property
     def started(self) -> bool:
-        """True once the first job spawned the fleet (queues/dispatcher live).
+        """True once the first job spawned the fleet (dispatcher live).
 
         Stays true after :meth:`reap_idle` drains the worker processes —
         the next job simply respawns them.
         """
-        return self._started
+        return self._dispatcher is not None
 
     @property
     def alive_workers(self) -> int:
@@ -515,7 +506,7 @@ class WorkerPool:
         should only drop its startup term when this is positive.
         """
         with self._lock:
-            return sum(1 for proc in self._procs if proc.is_alive())
+            return sum(1 for worker in self._workers if worker.proc.is_alive())
 
     def __enter__(self) -> "WorkerPool":
         """Context-manager entry: the pool itself (workers still lazy)."""
@@ -525,34 +516,55 @@ class WorkerPool:
         """Context-manager exit: drain the fleet."""
         self.shutdown()
 
-    def _ensure_started(self) -> None:
-        with self._lock:
-            if self._closed:
-                raise DiscoveryError("worker pool is shut down")
-            if self._started:
-                return
-            self._task_queue = self._ctx.Queue()
-            self._result_queue = self._ctx.Queue()
-            for _ in range(self._workers_target):
-                self._spawn_worker()
+    def _admit(self) -> int:
+        """Start or refill the fleet and allot a new job id (lock held)."""
+        if self._closed:
+            raise DiscoveryError("worker pool is shut down")
+        if self._dispatcher is None:
+            self._wake_r, self._wake_w = multiprocessing.Pipe(duplex=False)
             self._dispatcher = threading.Thread(
                 target=self._dispatch_loop, name="pool-dispatcher", daemon=True
             )
             self._dispatcher.start()
-            self._started = True
-            self._last_activity = time.monotonic()
+        # Respawn a fleet reap_idle released; a no-op on the hot path
+        # (the fleet is already at target size).
+        while len(self._workers) < self._workers_target:
+            self._spawn_worker()
+        self._job_counter += 1
+        return self._job_counter
 
     def _spawn_worker(self) -> None:
+        """Start one worker on a fresh pipe (lock held)."""
+        conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
-            target=_worker_loop,
-            args=(self._task_queue, self._result_queue),
-            daemon=True,
+            target=_worker_loop, args=(child_conn,), daemon=True
         )
         proc.start()
-        self._procs.append(proc)
+        # Only the worker may hold its end, so that the pipe breaks when
+        # the worker dies; a later fork must not inherit it.
+        child_conn.close()
+        self._workers.append(_Worker(proc, conn))
+        self._wake_w.send_bytes(b"")  # watch the new worker's pipe too
         self.stats.workers_spawned += 1
         get_registry().inc("pool_workers_spawned_total")
         logger.debug("spawned pool worker pid=%s", proc.pid)
+
+    @staticmethod
+    def _stop_workers(workers: list[_Worker], timeout: float) -> None:
+        """Send each worker the ``None`` sentinel, join, kill stragglers."""
+        for worker in workers:
+            try:
+                worker.conn.send(None)
+            except OSError:
+                pass  # already dead
+        deadline = time.monotonic() + timeout
+        for worker in workers:
+            worker.proc.join(timeout=max(0.0, deadline - time.monotonic()))
+        for worker in workers:
+            if worker.proc.is_alive():
+                worker.proc.terminate()
+                worker.proc.join(timeout=1.0)
+            worker.conn.close()
 
     def shutdown(self, timeout: float = 5.0) -> None:
         """Drain the fleet: sentinel every worker, join, terminate stragglers.
@@ -567,28 +579,18 @@ class WorkerPool:
             if self._closed:
                 return
             self._closed = True
-            started = self._started
             for state in self._jobs.values():
                 state.fail(DiscoveryError("worker pool is shut down"))
             self._jobs.clear()
-        if not started:
-            return
-        self._dispatcher_stop.set()
-        if self._dispatcher is not None:
-            self._dispatcher.join(timeout=timeout)
-        for _ in self._procs:
-            self._task_queue.put(None)
-        deadline = time.monotonic() + timeout
-        for proc in self._procs:
-            proc.join(timeout=max(0.0, deadline - time.monotonic()))
-        for proc in self._procs:
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=1.0)
-        self._procs.clear()
-        for q in (self._task_queue, self._result_queue):
-            q.close()
-            q.cancel_join_thread()
+            self._pending.clear()
+            workers, self._workers = self._workers, []
+            if self._dispatcher is None:
+                return
+            self._wake_w.send_bytes(b"")
+        self._dispatcher.join(timeout=timeout)
+        self._stop_workers(workers, timeout)
+        self._wake_r.close()
+        self._wake_w.close()
 
     def reap_idle(
         self, max_idle_seconds: float = 0.0, timeout: float = 5.0
@@ -606,40 +608,27 @@ class WorkerPool:
         nothing and returns 0.
 
         The whole drain runs under the pool lock, so a concurrent
-        ``run_job`` blocks until the victims consumed their shutdown
-        sentinels — sentinels can therefore never poison the workers that
-        job respawns.
+        ``run_job`` blocks until the victims exited and respawns a fresh
+        fleet only then.
         """
         with self._lock:
             if (
-                not self._started
+                self._dispatcher is None
                 or self._closed
                 or self._jobs
-                or not self._procs
+                or not self._workers
             ):
                 return 0
             if time.monotonic() - self._last_activity < max_idle_seconds:
                 return 0
-            victims = list(self._procs)
-            self._procs.clear()
-            for _ in victims:
-                self._task_queue.put(None)
-            deadline = time.monotonic() + timeout
-            for proc in victims:
-                proc.join(timeout=max(0.0, deadline - time.monotonic()))
-            for proc in victims:
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=1.0)
-                # Reaped pids must not be mistaken for crashes by the claim
-                # router if a stale claim message ever surfaces later.
-                self._ever_dead_pids.add(proc.pid)
+            victims, self._workers = self._workers, []
+            self._stop_workers(victims, timeout)
             self.stats.workers_reaped += len(victims)
             get_registry().inc("pool_workers_reaped_total", len(victims))
             logger.info(
                 "reaped %s idle pool worker(s): %s",
                 len(victims),
-                [proc.pid for proc in victims],
+                [worker.proc.pid for worker in victims],
             )
             return len(victims)
 
@@ -647,14 +636,15 @@ class WorkerPool:
     def run_job(self, spool_root: str, specs: list[TaskSpec]) -> JobResult:
         """Execute every spec against ``spool_root``; return outcomes + stats.
 
-        Specs are enqueued in order (callers put the heaviest first) and
-        workers pull them as they finish — the work-stealing hand-out.  The
-        call blocks until every task has exactly one outcome, requeuing the
-        tasks of any worker that died mid-task and replacing the worker.  A
-        task that fails *in* its executor (not by worker death) raises
-        :class:`~repro.errors.DiscoveryError` after one cold retry inside
-        the worker.  Thread-safe: concurrent ``run_job`` calls interleave
-        over the same fleet, each getting its own results and stats delta.
+        Specs join the pool's FIFO in order (callers put the heaviest
+        first) and each goes to the next idle worker — the work-stealing
+        hand-out.  The call blocks until every task has exactly one
+        outcome, requeuing the task of any worker that died mid-task and
+        replacing the worker.  A task that fails *in* its executor (not by
+        worker death) raises :class:`~repro.errors.DiscoveryError` after one
+        cold retry inside the worker.  Thread-safe: concurrent ``run_job``
+        calls interleave over the same fleet, each getting its own results
+        and stats delta.
         """
         for spec in specs:
             resolve_task_kind(spec.kind)  # unknown kinds fail in the caller
@@ -662,16 +652,8 @@ class WorkerPool:
             if self._closed:
                 raise DiscoveryError("worker pool is shut down")
             return JobResult(outcomes=[], stats=PoolStats())
-        self._ensure_started()
         with self._lock:
-            if self._closed:
-                raise DiscoveryError("worker pool is shut down")
-            # Respawn a fleet reap_idle released; a no-op on the hot path
-            # (the fleet is already at target size).
-            while len(self._procs) < self._workers_target:
-                self._spawn_worker()
-            self._job_counter += 1
-            job_id = self._job_counter
+            job_id = self._admit()
             tasks = {
                 index: PoolTask(
                     job_id=job_id,
@@ -683,55 +665,24 @@ class WorkerPool:
                 )
                 for index, spec in enumerate(specs)
             }
-            state = _JobState(
-                job_id=job_id,
-                tasks=tasks,
-                birth_generation=self._death_generation,
-            )
+            state = _JobState(job_id=job_id, tasks=tasks)
             state.stats.jobs = 1
             state.stats.tasks_dispatched = len(tasks)
             self._jobs[job_id] = state
             self.stats.jobs += 1
             self.stats.tasks_dispatched += len(tasks)
-        try:
-            for task in tasks.values():
-                self._task_queue.put(task)
-        except (OSError, ValueError):  # shutdown closed the queue mid-put
-            raise DiscoveryError("worker pool is shut down") from None
-        try:
-            while not state.done.wait(timeout=0.1):
-                if self._closed:
-                    raise DiscoveryError("worker pool is shut down")
-                if (
-                    self._dispatcher is not None
-                    and not self._dispatcher.is_alive()
-                ):
-                    # Belt and braces under the dispatcher's own exception
-                    # guard: should the thread die anyway (MemoryError,
-                    # interpreter teardown), waiting would hang forever.
-                    raise DiscoveryError("pool dispatcher thread died")
-            if state.error is not None:
-                raise state.error
-            return JobResult(
-                outcomes=[
-                    state.outcomes[index] for index in sorted(state.outcomes)
-                ],
-                stats=state.stats,
-                task_spans=[
-                    state.task_spans[index]
-                    for index in sorted(state.task_spans)
-                ],
-            )
-        finally:
-            with self._lock:
-                self._jobs.pop(job_id, None)
-                self._last_activity = time.monotonic()
-            # Requeued tasks leave duplicates behind, and a failed job
-            # leaves its pending tasks; sweep the shared queue so neither
-            # wastes the next jobs' worker time (live jobs' tasks are
-            # re-queued untouched).
-            if state.requeues or len(state.outcomes) < len(tasks):
-                self._sweep_stale_tasks()
+            self._pending.extend(tasks.values())
+            self._assign()
+        self._await(state)
+        return JobResult(
+            outcomes=[
+                state.outcomes[index] for index in sorted(state.outcomes)
+            ],
+            stats=state.stats,
+            task_spans=[
+                state.task_spans[index] for index in sorted(state.task_spans)
+            ],
+        )
 
     def run_graph(
         self,
@@ -747,8 +698,8 @@ class WorkerPool:
         job holds each node back until all of its ``deps`` have reached a
         terminal state (outcome landed, or cancelled); the dispatcher thread
         releases newly-eligible nodes the moment their last prerequisite's
-        ``done`` message is handled, so different "phases" of a pipeline
-        overlap freely on the same fleet with no inter-phase join.
+        reply is handled, so different "phases" of a pipeline overlap
+        freely on the same fleet with no inter-phase join.
 
         ``on_complete(node_id, outcome)`` runs on the dispatcher thread
         (serially, pool lock held) right after a node's outcome is recorded
@@ -809,18 +760,11 @@ class WorkerPool:
                 f"task graph has a dependency cycle "
                 f"({len(nodes) - visited} node(s) unreachable)"
             )
-        self._ensure_started()
         with self._lock:
-            if self._closed:
-                raise DiscoveryError("worker pool is shut down")
-            while len(self._procs) < self._workers_target:
-                self._spawn_worker()
-            self._job_counter += 1
-            job_id = self._job_counter
+            job_id = self._admit()
             state = _JobState(
                 job_id=job_id,
                 tasks={},
-                birth_generation=self._death_generation,
                 is_graph=True,
                 node_specs={
                     nid: node.spec for nid, node in enumerate(nodes)
@@ -835,7 +779,7 @@ class WorkerPool:
             state.stats.jobs = 1
             self._jobs[job_id] = state
             self.stats.jobs += 1
-            # Registration and root release under one lock hold: no message
+            # Registration and root release under one lock hold: no reply
             # can interleave, so a graph is never observable half-released.
             for nid in range(len(nodes)):
                 if state.error is not None:
@@ -844,32 +788,34 @@ class WorkerPool:
                     self._release_graph_node(state, nid)
             if state.error is None and state.finished():
                 state.done.set()  # every root cancelled, cascade drained all
+            self._assign()
+            self._fail_wedged_graph_jobs()
+        self._await(state)
+        return GraphResult(
+            outcomes=dict(state.outcomes),
+            stats=state.stats,
+            task_spans=dict(state.task_spans),
+            cancelled=set(state.cancelled),
+        )
+
+    def _await(self, state: _JobState) -> None:
+        """Block until ``state`` is done, raise its error, then forget it."""
         try:
             while not state.done.wait(timeout=0.1):
-                if self._closed:
-                    raise DiscoveryError("worker pool is shut down")
-                if (
-                    self._dispatcher is not None
-                    and not self._dispatcher.is_alive()
-                ):
+                if not self._dispatcher.is_alive():
+                    # Belt and braces under the dispatcher's own exception
+                    # guard: should the thread die anyway (MemoryError,
+                    # interpreter teardown), waiting would hang forever.
                     raise DiscoveryError("pool dispatcher thread died")
             if state.error is not None:
                 raise state.error
-            return GraphResult(
-                outcomes=dict(state.outcomes),
-                stats=state.stats,
-                task_spans=dict(state.task_spans),
-                cancelled=set(state.cancelled),
-            )
         finally:
             with self._lock:
-                self._jobs.pop(job_id, None)
+                self._jobs.pop(state.job_id, None)
                 self._last_activity = time.monotonic()
-            if state.requeues or len(state.outcomes) < len(state.tasks):
-                self._sweep_stale_tasks()
 
     def _release_graph_node(self, state: _JobState, node_id: int) -> None:
-        """Gate and dispatch one graph node whose deps all landed (lock held)."""
+        """Gate one graph node whose deps all landed; queue it (lock held)."""
         spec = state.node_specs[node_id]
         if state.gate is not None:
             try:
@@ -896,12 +842,7 @@ class WorkerPool:
         state.tasks[node_id] = task
         state.stats.tasks_dispatched += 1
         self.stats.tasks_dispatched += 1
-        try:
-            # Putting under the lock is fine: mp.Queue.put only hands the
-            # item to the feeder thread, it never blocks on consumers.
-            self._task_queue.put(task)
-        except (OSError, ValueError):  # shutdown closed the queue mid-put
-            state.fail(DiscoveryError("worker pool is shut down"))
+        self._pending.append(task)
 
     def _satisfy_dependents(self, state: _JobState, node_id: int) -> None:
         """Count ``node_id`` terminal for its dependents; release the ready
@@ -912,252 +853,208 @@ class WorkerPool:
             if state.remaining[child] == 0 and state.error is None:
                 self._release_graph_node(state, child)
 
+    def _assign(self) -> None:
+        """Send pending tasks to idle workers, oldest first (lock held).
+
+        A task whose job already finished or failed is dropped here.  The
+        send cannot block for long: an idle worker is waiting in ``recv``.
+        """
+        for worker in self._workers:
+            while worker.task is None and self._pending:
+                task = self._pending.popleft()
+                state = self._jobs.get(task.job_id)
+                if state is None or state.error is not None:
+                    continue
+                try:
+                    worker.conn.send(task)
+                except OSError:
+                    pass  # the worker died; its sentinel requeues the task
+                worker.task = task
+
     # -- dispatcher thread -------------------------------------------------
     def _dispatch_loop(self) -> None:
-        """Own the result queue: route messages, reap deaths, requeue stalls.
+        """Wait on every worker's pipe and sentinel; apply what arrives.
 
-        Worker reaping runs both on queue idleness *and* on a fixed cadence
-        while messages keep flowing — under a sustained multi-job load the
-        queue may never go quiet, and a crashed worker's claimed task must
-        still be requeued promptly.
+        A reply frees its worker; a death — the sentinel, or EOF or an
+        error on the pipe — requeues the one task the worker held.  Either
+        way the freed or replacement worker takes the next pending task
+        before the loop waits again.
         """
-        last_maintenance = time.monotonic()
-        while not self._dispatcher_stop.is_set():
+        while True:
+            with self._lock:
+                if self._closed:
+                    return
+                watched: dict[object, _Worker | None] = {self._wake_r: None}
+                for worker in self._workers:
+                    watched[worker.conn] = worker
+                    watched[worker.proc.sentinel] = worker
             try:
-                message = self._result_queue.get(timeout=0.05)
-            except queue.Empty:
-                message = None
-            except (OSError, ValueError):  # queue closed mid-shutdown
-                return
-            try:
-                if message is not None:
-                    with self._lock:
-                        self._handle_message(message)
-                now = time.monotonic()
-                if (
-                    message is None
-                    or now - last_maintenance > _MAINTENANCE_INTERVAL
-                ):
-                    last_maintenance = now
-                    with self._lock:
-                        self._reap_dead_workers()
-                        self._requeue_stalled_unclaimed()
-                        self._fail_wedged_graph_jobs()
-            except Exception as exc:
-                # The dispatcher is the only thread driving jobs forward; if
-                # it died silently (respawn failing under memory pressure, a
-                # queue racing shutdown) every in-flight run_job would hang
-                # forever.  Fail the current jobs loudly and keep serving —
-                # a persistent fault simply keeps failing jobs, which is
-                # observable, unlike a dead thread.
-                with self._lock:
+                ready = multiprocessing.connection.wait(list(watched))
+            except OSError:  # a watched pipe was closed meanwhile; rebuild
+                continue
+            with self._lock:
+                if self._closed:
+                    return
+                try:
+                    self._apply(ready, {watched[obj] for obj in ready})
+                except Exception as exc:
+                    # The dispatcher is the only thread driving jobs
+                    # forward; if it died silently (respawn failing under
+                    # memory pressure) every in-flight run_job would hang
+                    # forever.  Fail the current jobs loudly and keep
+                    # serving — a persistent fault simply keeps failing
+                    # jobs, which is observable, unlike a dead thread.
                     for state in self._jobs.values():
                         state.fail(
                             DiscoveryError(f"pool dispatcher failed: {exc!r}")
                         )
 
-    def _handle_message(self, message: tuple) -> None:
-        """Apply one worker message to its job's state (lock held)."""
-        kind = message[0]
-        job_id, task_id = message[2], message[3]
-        state = self._jobs.get(job_id)
-        if state is None or task_id in state.outcomes:
-            return  # stale job, or the duplicate of a requeue
-        state.last_progress = time.monotonic()
-        if kind == "claim":
-            pid = message[1]
-            if pid in self._ever_dead_pids:
-                # The claimer was already reaped before its claim became
-                # readable; recording it would strand the task (no future
-                # reap will see this pid again).
-                self._requeue(state, task_id)
-            else:
-                state.claims[task_id] = pid
-        elif kind == "done":
-            _, _, _, _, outcome, warm = message
-            task_kind = state.tasks[task_id].kind
-            state.outcomes[task_id] = outcome
-            state.claims.pop(task_id, None)
-            if outcome.span is not None:
-                # One span per task, guaranteed by the dedup guard above:
-                # the duplicate done of a requeued task never reaches here.
-                span = dict(outcome.span)
-                span["attrs"] = dict(
-                    span.get("attrs", {}),
-                    task_id=task_id,
-                    requeues=state.requeues.get(task_id, 0),
-                )
-                state.task_spans[task_id] = span
-            for stats in (self.stats, state.stats):
-                stats.tasks_completed += 1
-                stats.count_kind(task_kind)
-                if warm:
-                    stats.spool_handle_reuses += 1
-            registry = get_registry()
-            registry.inc("pool_tasks_total", kind=task_kind)
-            if warm:
-                registry.inc("spool_handle_reuses_total")
-            if state.is_graph:
-                # Publish-then-release ordering: on_complete runs before any
-                # dependent can be dispatched, so whatever state it installs
-                # (registered spool files, pretest verdicts) is visible to
-                # every task that depends on this node.
-                if state.on_complete is not None:
-                    try:
-                        state.on_complete(task_id, outcome)
-                    except Exception as exc:
-                        state.fail(
-                            DiscoveryError(
-                                f"graph on_complete callback failed for "
-                                f"task {task_id}: {exc!r}"
-                            )
-                        )
-                        return
-                self._satisfy_dependents(state, task_id)
-            if state.finished():
-                state.done.set()
-        elif kind == "error":
-            pid, detail = message[1], message[4]
+    def _apply(self, ready: list, woken: set) -> None:
+        """Handle one ``wait`` result (lock held).
+
+        ``woken`` holds the workers ``ready`` belongs to, resolved from the
+        watch list ``wait`` ran on: a worker reaped meanwhile is no longer
+        in the fleet and is skipped, and its sentinel's file descriptor,
+        should it be reused, can never be mistaken for a new worker's.
+        """
+        if self._wake_r in ready:
+            while self._wake_r.poll():
+                self._wake_r.recv_bytes()
+        for worker in list(self._workers):
+            if worker not in woken:
+                continue
+            if worker.conn in ready:
+                try:
+                    message = worker.conn.recv()
+                except (EOFError, OSError):
+                    self._replace_dead(worker)
+                    continue
+                self._handle_message(worker, message)
+            if worker.proc.sentinel in ready:
+                self._replace_dead(worker)
+        self._assign()
+        self._fail_wedged_graph_jobs()
+
+    def _handle_message(self, worker: _Worker, message: tuple) -> None:
+        """Apply a worker's reply to the job of its task (lock held)."""
+        task, worker.task = worker.task, None
+        state = self._jobs.get(task.job_id)
+        if state is None or state.error is not None:
+            return  # the job finished or failed while the task ran
+        task_id = task.task_id
+        if message[0] == "error":
             state.fail(
                 DiscoveryError(
-                    f"pool worker {pid} failed executing "
-                    f"{state.tasks[task_id].kind!r} task {task_id}: {detail}"
+                    f"pool worker {worker.proc.pid} failed executing "
+                    f"{task.kind!r} task {task_id}: {message[1]}"
                 )
             )
+            return
+        _, outcome, warm = message
+        state.outcomes[task_id] = outcome
+        if outcome.span is not None:
+            span = dict(outcome.span)
+            span["attrs"] = dict(
+                span.get("attrs", {}),
+                task_id=task_id,
+                requeues=state.requeues.get(task_id, 0),
+            )
+            state.task_spans[task_id] = span
+        for stats in (self.stats, state.stats):
+            stats.tasks_completed += 1
+            stats.count_kind(task.kind)
+            if warm:
+                stats.spool_handle_reuses += 1
+        registry = get_registry()
+        registry.inc("pool_tasks_total", kind=task.kind)
+        if warm:
+            registry.inc("spool_handle_reuses_total")
+        if state.is_graph:
+            # Publish-then-release ordering: on_complete runs before any
+            # dependent can be dispatched, so whatever state it installs
+            # (registered spool files, pretest verdicts) is visible to
+            # every task that depends on this node.
+            if state.on_complete is not None:
+                try:
+                    state.on_complete(task_id, outcome)
+                except Exception as exc:
+                    state.fail(
+                        DiscoveryError(
+                            f"graph on_complete callback failed for "
+                            f"task {task_id}: {exc!r}"
+                        )
+                    )
+                    return
+            self._satisfy_dependents(state, task_id)
+        if state.finished():
+            state.done.set()
 
-    def _requeue(self, state: _JobState, task_id: int) -> None:
-        """Requeue one task, failing its job at :data:`MAX_TASK_REQUEUES`."""
-        attempts = state.requeues.get(task_id, 0) + 1
+    def _replace_dead(self, worker: _Worker) -> None:
+        """Requeue a dead worker's task and spawn a replacement (lock held)."""
+        self._workers.remove(worker)
+        worker.conn.close()
+        worker.proc.join(timeout=1.0)
+        get_registry().inc("pool_workers_died_total")
+        logger.warning(
+            "pool worker pid=%s died (exitcode=%s)",
+            worker.proc.pid,
+            worker.proc.exitcode,
+        )
+        if worker.task is not None:
+            self._requeue(worker.task)
+        while len(self._workers) < self._workers_target:
+            self._spawn_worker()
+            self.stats.workers_replaced += 1
+            get_registry().inc("pool_workers_replaced_total")
+
+    def _requeue(self, task: PoolTask) -> None:
+        """Put a dead worker's task back at the front of the FIFO (lock
+        held), failing its job instead at :data:`MAX_TASK_REQUEUES`."""
+        state = self._jobs.get(task.job_id)
+        if state is None or state.error is not None:
+            return  # the job finished or failed while the task ran
+        attempts = state.requeues.get(task.task_id, 0) + 1
         if attempts > MAX_TASK_REQUEUES:
             state.fail(
                 DiscoveryError(
-                    f"task {task_id} killed its worker {attempts} times "
-                    f"(candidates "
-                    f"{[str(c) for c in state.tasks[task_id].candidates]}); "
+                    f"task {task.task_id} killed its worker {attempts} times "
+                    f"(candidates {[str(c) for c in task.candidates]}); "
                     "giving up instead of respawning forever"
                 )
             )
             return
-        state.requeues[task_id] = attempts
-        self._task_queue.put(state.tasks[task_id])
+        state.requeues[task.task_id] = attempts
+        self._pending.appendleft(task)
         self.stats.tasks_requeued += 1
         state.stats.tasks_requeued += 1
         get_registry().inc("pool_tasks_requeued_total")
         logger.warning(
             "requeued %r task %s of job %s (attempt %s of %s)",
-            state.tasks[task_id].kind,
-            task_id,
+            task.kind,
+            task.task_id,
             state.job_id,
             attempts,
             MAX_TASK_REQUEUES,
         )
 
-    def _reap_dead_workers(self) -> None:
-        """Requeue dead workers' claims; respawn toward fleet size (lock held)."""
-        dead = [proc for proc in self._procs if not proc.is_alive()]
-        if not dead:
-            return
-        dead_pids = set()
-        for proc in dead:
-            proc.join(timeout=0)
-            dead_pids.add(proc.pid)
-            self._ever_dead_pids.add(proc.pid)
-            self._procs.remove(proc)
-            get_registry().inc("pool_workers_died_total")
-            logger.warning(
-                "pool worker pid=%s died (exitcode=%s)",
-                proc.pid,
-                proc.exitcode,
-            )
-        self._death_generation += 1
-        for state in self._jobs.values():
-            for task_id, pid in list(state.claims.items()):
-                if pid in dead_pids and task_id not in state.outcomes:
-                    del state.claims[task_id]
-                    self._requeue(state, task_id)
-        while len(self._procs) < self._workers_target:
-            self._spawn_worker()
-            self.stats.workers_replaced += 1
-            get_registry().inc("pool_workers_replaced_total")
-
-    def _requeue_stalled_unclaimed(self) -> None:
-        """Stall fallback: requeue tasks nobody finished and nobody claims.
-
-        Covers the one unobservable failure window — a worker dying between
-        dequeuing a task and announcing its claim (the claim message can die
-        unflushed with the worker).  Three gates keep it honest:
-
-        * a worker death must have been observed *during the job* — without
-          one, nothing can have been consumed-but-lost;
-        * the shared **task queue must look empty** — while any task is
-          still queued, an unclaimed pending task is most likely simply
-          waiting its turn (typically behind *another* job's work during a
-          crash storm), and requeuing it would both flood the queue and
-          charge an innocent job's kill cap;
-        * at most once per task per observed death generation.
-
-        With the queue drained and the job quiet for
-        :data:`STALL_TIMEOUT_SECONDS`, an unclaimed pending task really was
-        consumed by a worker that died before its claim surfaced, so the
-        requeue rightly counts toward :data:`MAX_TASK_REQUEUES` — this is
-        exactly how a poison task whose claims always die with it is caught
-        instead of being respawned forever.  Double execution stays
-        harmless because ``done`` is deduplicated by task id.
-        """
-        if not self._jobs:
-            return
-        try:
-            if not self._task_queue.empty():
-                return
-        except (OSError, ValueError):  # closed mid-shutdown
-            return
-        now = time.monotonic()
-        for state in self._jobs.values():
-            if self._death_generation <= state.birth_generation:
-                continue
-            if now - state.last_progress <= STALL_TIMEOUT_SECONDS:
-                continue
-            state.last_progress = now
-            for task_id in state.tasks:
-                if (
-                    task_id not in state.outcomes
-                    and task_id not in state.claims
-                    and state.stall_requeue_generation.get(
-                        task_id, state.birth_generation
-                    )
-                    < self._death_generation
-                ):
-                    state.stall_requeue_generation[task_id] = (
-                        self._death_generation
-                    )
-                    self._requeue(state, task_id)
-
     def _fail_wedged_graph_jobs(self) -> None:
         """Fail graph jobs whose held nodes can never be released (lock held).
 
         A correct graph always makes progress: registration-plus-root-release
-        and done-plus-dependent-release each happen atomically under the
+        and reply-plus-dependent-release each happen atomically under the
         lock, so whenever the lock is free either some released task is
-        still outstanding (in flight, queued, or awaiting requeue — then
-        ``outcomes < tasks``) or every releasable node has been released.
-        If all released work completed, yet terminal nodes don't cover the
-        graph, the held remainder is unreachable — a scheduler or
-        graph-construction bug.  Waiting would hang the caller forever;
-        failing loudly after the stall window is the only honest outcome.
+        still pending or assigned (``outcomes < tasks``) or every
+        releasable node has been released.  If no released task is pending
+        or assigned, yet terminal nodes don't cover the graph, the held
+        remainder is unreachable — a scheduler or graph-construction bug.
+        Nothing would ever wake such a job again, so it fails at once.
         """
-        now = time.monotonic()
         for state in self._jobs.values():
             if (
                 not state.is_graph
                 or state.done.is_set()
-                or state.error is not None
+                or len(state.outcomes) < len(state.tasks)
             ):
-                continue
-            if len(state.outcomes) < len(state.tasks):
-                continue  # released work still outstanding: normal progress
-            if state.finished():
-                continue
-            if now - state.last_progress <= STALL_TIMEOUT_SECONDS:
                 continue
             held = (
                 state.node_count
@@ -1171,34 +1068,3 @@ class WorkerPool:
                     f"this is a scheduler bug"
                 )
             )
-
-    def _sweep_stale_tasks(self) -> None:
-        """Best-effort queue sweep: drop finished/failed jobs' leftover tasks.
-
-        Pops everything currently readable and re-enqueues only tasks whose
-        job is still live and still waiting on that task — concurrent jobs
-        keep their work, dead jobs stop wasting workers.  Racing workers are
-        harmless: a task they grab mid-sweep is either live (normal) or
-        stale (its result is dropped by the job-id check).
-        """
-        keep = []
-        while True:
-            try:
-                task = self._task_queue.get_nowait()
-            except queue.Empty:
-                break
-            except (OSError, ValueError):  # closed mid-shutdown
-                return
-            with self._lock:
-                state = self._jobs.get(task.job_id)
-                live = state is not None and task.task_id not in state.outcomes
-            if live:
-                keep.append(task)
-        try:
-            for task in keep:
-                self._task_queue.put(task)
-        except (OSError, ValueError):
-            # Shutdown closed the queue between the sweep's get and put;
-            # swallowing here keeps run_job's finally from masking the
-            # job's real error with a queue-closed complaint.
-            return

@@ -139,8 +139,7 @@ def run_export_unit(
 
     A pure function of the unit: deterministic output, no shared state, an
     atomic rename at the end — so the pool may re-execute it after a
-    worker death (even concurrently, after a stall requeue) without ever
-    exposing a torn file or a divergent result.
+    worker death without ever exposing a torn file or a divergent result.
     """
     ref = AttributeRef(unit.table, unit.column)
     return write_value_file(

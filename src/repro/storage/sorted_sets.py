@@ -83,9 +83,9 @@ def write_value_file(
     The shared writing primitive behind :meth:`SpoolDirectory.add_values`
     and the pool's ``spool-export`` tasks.  The payload is written to a
     process-unique temporary name and renamed onto ``file_path`` only once
-    complete, so a reader (or a concurrent duplicate execution of the same
-    export task after a stall requeue) can never observe a half-written
-    file — the last complete writer wins, and both writers produce
+    complete, so a reader (or the re-execution of the same export task
+    after its worker died mid-write) can never observe a half-written
+    file — the last complete writer wins, and every writer produces
     byte-identical content because the input is deterministic.
 
     The input **must already be sorted and duplicate-free**; this is

@@ -8,6 +8,11 @@ spool-handle reuse, and the work-stealing chunk plan it dispatches.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+import threading
+
 import pytest
 
 from repro.core.brute_force import BruteForceValidator
@@ -35,6 +40,29 @@ def _brute_specs(chunks, skip_scan: bool = False) -> list[TaskSpec]:
         )
         for chunk in chunks
     ]
+
+
+def _within_watchdog(fn, seconds: float = 20.0):
+    """Run ``fn`` on a thread; fail if it has not returned after ``seconds``.
+
+    A wedged pool blocks its caller forever, so the test thread never waits
+    on the job directly.
+    """
+    box: dict[str, object] = {}
+
+    def target() -> None:
+        try:
+            box["result"] = fn()
+        except Exception as exc:  # re-raised on the test thread
+            box["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"pool job still running after {seconds} s"
+    if "error" in box:
+        raise box["error"]
+    return box["result"]
 
 
 @pytest.fixture()
@@ -279,6 +307,53 @@ class TestPoolLifecycle:
         spool, warm = _open_warm(handles, str(root))
         assert not warm, "stale handle must be dropped after a rewrite"
         assert spool.get(AttributeRef("t", "a")).count == 3
+
+
+class TestWorkerDeathNeverWedges:
+    """A dead worker costs its one task, on any round of a warm pool.
+
+    Each job runs under a watchdog: no per-process lock may outlive a
+    worker that dies holding it, and no lost task may wait out a timer.
+    """
+
+    @pytest.mark.parametrize(
+        "start_method, rounds", [("fork", 50), ("spawn", 3)]
+    )
+    def test_one_worker_death_per_round(
+        self, spool, candidates, tmp_path, monkeypatch, start_method, rounds
+    ):
+        sequential = BruteForceValidator(spool).validate(candidates)
+        monkeypatch.setenv("REPRO_POOL_FAULT_ATTR", "t.e")
+        monkeypatch.setenv("REPRO_POOL_FAULT_ONCE_DIR", str(tmp_path))
+        marker = tmp_path / "pool-fault-fired"
+        with WorkerPool(2, start_method=start_method) as pool:
+            engine = ProcessPoolValidationEngine(spool, workers=2, pool=pool)
+            for _ in range(rounds):
+                marker.unlink(missing_ok=True)  # re-arm the one-shot fault
+                got = _within_watchdog(lambda: engine.validate(candidates))
+                assert marker.exists()
+                assert got.decisions == sequential.decisions
+                assert got.stats.items_read == sequential.stats.items_read
+            # Exactly the task each dead worker held was run again.
+            assert pool.stats.tasks_requeued == rounds
+            assert pool.stats.workers_replaced == rounds
+
+    def test_sigkilled_idle_worker(self, spool, candidates):
+        sequential = BruteForceValidator(spool).validate(candidates)
+        others = {proc.pid for proc in multiprocessing.active_children()}
+        with WorkerPool(2) as pool:
+            engine = ProcessPoolValidationEngine(spool, workers=2, pool=pool)
+            engine.validate(candidates)  # warm: both workers idle
+            for _ in range(5):
+                ours = [
+                    proc
+                    for proc in multiprocessing.active_children()
+                    if proc.pid not in others
+                ]
+                os.kill(ours[0].pid, signal.SIGKILL)
+                got = _within_watchdog(lambda: engine.validate(candidates))
+                assert got.decisions == sequential.decisions
+            assert pool.stats.workers_replaced == 5
 
 
 class TestChunkPlanning:

@@ -10,11 +10,14 @@ into staging, vanished donor files skipped, never mutating the donor).
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
+import pytest
 from seeded_dbs import build_db
 
+from repro.core.runner import DiscoveryConfig, discover_inds
 from repro.db.schema import AttributeRef
 from repro.db.stats import collect_column_stats
 from repro.storage.exporter import export_database
@@ -143,6 +146,40 @@ class TestFindPartial:
         assert len(reusable) == len(needed) - 1  # donor B's full offer
         stamped = donor.attribute_fingerprints
         assert stamped["t0.c0"] == fingerprints[AttributeRef("t0", "c0")]
+
+
+class TestDiscoveryPublishesDonors:
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_cache_miss_stamps_its_entry_as_a_donor(self, tmp_path, overlap):
+        """In-process and overlapped misses publish equally stamped entries."""
+        db = build_db(0)
+        config = DiscoveryConfig(
+            reuse_spool=True,
+            cache_dir=str(tmp_path),
+            validation_workers=2,
+            overlap=overlap,
+        )
+        assert discover_inds(db, config).spool_cache_hit is False
+        cache = SpoolCache(tmp_path)
+        (entry,) = cache.entries()
+        doc = json.loads((entry / "index.json").read_text())
+        assert doc["database"] == db.name
+        assert "attribute_fingerprints" in doc
+        changed_db = _mutated()
+        stats = collect_column_stats(changed_db)
+        fingerprints = attribute_fingerprints(stats)
+        spool = SpoolDirectory.open(entry)
+        spooled = [ref for ref in sorted(fingerprints) if ref in spool]
+        edited = AttributeRef("t1", "c0")
+        assert edited in spooled
+        donor, reusable = cache.find_partial(
+            catalog_fingerprint(changed_db.name, stats),
+            changed_db.name,
+            fingerprints,
+            spooled,
+        )
+        assert donor.root == entry
+        assert reusable == [ref for ref in spooled if ref != edited]
 
 
 class TestAdopt:
