@@ -692,12 +692,9 @@ def test_table2_adaptive_engine(workloads, report):
             choice = outcome.result.engine_choice
             choices.append(choice)
             expected_items = fixed_items[choice["strategy"]]
-            if choice["engine"] == "range-split-merge":
-                assert outcome.items_read >= expected_items
-            else:
-                assert outcome.items_read == expected_items, (
-                    f"{choice['engine']} drifted on items_read"
-                )
+            assert outcome.items_read == expected_items, (
+                f"{choice['engine']} drifted on items_read"
+            )
         claim(f"{dataset_name}: adaptive items_read matches chosen engine",
               True, ",".join(c["engine"] for c in choices))
         medians = {

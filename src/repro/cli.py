@@ -144,21 +144,10 @@ def _add_validation_flags(parser: argparse.ArgumentParser) -> None:
         "validation: plan the phases as one dependency-scheduled task "
         "graph and drain it on a single worker fleet, releasing each task "
         "the moment its prerequisites land (fixed brute-force/merge runs "
-        "overlap all three phases; adaptive or range-split runs overlap "
-        "export+pretest and validate afterwards on the same pool); "
+        "overlap all three phases; adaptive runs overlap export+pretest "
+        "and validate afterwards on the same pool); "
         "results are byte-identical to the barriered pipeline "
         "(default: off)",
-    )
-    parser.add_argument(
-        "--range-split",
-        type=int,
-        default=0,
-        metavar="N",
-        help="force merge validation into N first-byte ranges instead of "
-        "candidate-graph components; merge-single-pass and adaptive only, "
-        "needs --validation-workers > 1 (default: 0 — component split, "
-        "with adaptive cutting one-giant-component graphs automatically "
-        "from the spool's block histogram)",
     )
     parser.add_argument(
         "--skip-scans",
@@ -236,7 +225,6 @@ def _validation_config_kwargs(args: argparse.Namespace) -> dict:
         "parallel_pretest": args.parallel_pretest,
         "overlap": args.overlap,
         "validation_workers": args.validation_workers,
-        "range_split": args.range_split,
         "skip_scans": args.skip_scans,
         "reuse_spool": args.reuse_spool,
         "cache_dir": args.cache_dir,

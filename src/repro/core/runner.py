@@ -78,8 +78,8 @@ if TYPE_CHECKING:  # imported lazily at runtime; see _build_validator
     from repro.parallel.pool import PoolStats, WorkerPool
 
 #: The cost-model strategy: route each request to the predicted-cheapest
-#: of the brute-force and merge engines (sequential, pooled, or range-split
-#: merge) instead of fixing one up front.
+#: of the brute-force and merge engines (sequential or pooled) instead of
+#: fixing one up front.
 ADAPTIVE_STRATEGY = "adaptive"
 EXTERNAL_STRATEGIES = frozenset(
     {
@@ -147,11 +147,8 @@ class DiscoveryConfig:
       spools: brute-force seeks past blocks below its probe, and the
       merge engines seek purely referenced cursors past blocks below the
       dependent frontier — decisions stay exact, ``items_read`` may
-      legitimately drop), ``range_split`` (byte-range split of merge validation; 0 =
-      off, and the adaptive router engages it automatically for
-      one-component merge graphs), ``max_open_files``/
-      ``blockwise_engine`` (blockwise strategy), ``sql_null_safe`` (SQL
-      strategies).
+      legitimately drop), ``max_open_files`` (blockwise strategy),
+      ``sql_null_safe`` (SQL strategies).
     * **Caching** — ``reuse_spool`` (content-addressed spool cache keyed by
       the catalog fingerprint), ``cache_dir`` (cache root; defaults to
       :data:`DEFAULT_CACHE_DIR`), ``cache_max_bytes`` (LRU size budget for
@@ -196,14 +193,12 @@ class DiscoveryConfig:
     overlap: bool = False  # dependency-scheduled graph, no phase barriers
     validation_workers: int = 1  # worker processes (brute-force / merge-s-p)
     adaptive: bool = False  # cost-model routing pinned to this strategy
-    range_split: int = 0  # byte-range merge split (0 = off; needs workers > 1)
     skip_scans: bool = False  # per-block skip-scans (brute-force + merge)
     reuse_spool: bool = False  # content-addressed spool cache across runs
     cache_dir: str | None = None  # spool cache root (default: user cache dir)
     cache_max_bytes: int | None = None  # LRU size budget for the spool cache
     max_items_in_memory: int = DEFAULT_RUN_SIZE
     max_open_files: int = 64  # blockwise strategy only
-    blockwise_engine: str = "merge"
     sql_null_safe: bool = True
     trace: bool = False  # record a span tree on DiscoveryResult.trace
     incremental: bool = False  # delta-plan against a prior DiscoveryResult
@@ -258,25 +253,6 @@ class DiscoveryConfig:
             raise DiscoveryError(
                 "transitivity pruning is order-dependent; adaptive routing "
                 "may pick a pooled engine, so the two cannot combine"
-            )
-        if self.range_split < 0 or self.range_split == 1:
-            raise DiscoveryError(
-                "range_split must be 0 (off) or >= 2 partitions, got "
-                f"{self.range_split!r}"
-            )
-        if self.range_split and self.strategy not in (
-            "merge-single-pass",
-            ADAPTIVE_STRATEGY,
-        ):
-            raise DiscoveryError(
-                "range_split cuts merge validation into byte ranges and "
-                "therefore requires the merge-single-pass or adaptive "
-                f"strategy, not {self.strategy!r}"
-            )
-        if self.range_split and self.validation_workers == 1:
-            raise DiscoveryError(
-                "range_split only adds boundary re-reads without parallel "
-                "workers; raise validation_workers or drop the split"
             )
         if self.sampling_size and self.strategy not in EXTERNAL_STRATEGIES:
             raise DiscoveryError(
@@ -1118,7 +1094,6 @@ def _route_adaptive(cfg, spool, candidates, pool):
         workers=cfg.validation_workers,
         calibration=calibration,
         warm_pool=pool is not None and pool.alive_workers > 0,
-        range_split=cfg.range_split,
         skip_scan=cfg.skip_scans,
     )
     if decision.strategy == "brute-force":
@@ -1144,7 +1119,6 @@ def _route_adaptive(cfg, spool, candidates, pool):
         spool,
         workers=decision.workers,
         pool=pool,
-        range_split=decision.range_split,
         skip_scan=cfg.skip_scans,
     )
 
@@ -1178,14 +1152,11 @@ def _build_validator(db, cfg, spool, column_stats, pool=None):
                 spool,
                 workers=cfg.validation_workers,
                 pool=pool,
-                range_split=cfg.range_split,
                 skip_scan=cfg.skip_scans,
             )
         return MergeSinglePassValidator(spool, skip_scan=cfg.skip_scans)
     if cfg.strategy == "blockwise":
-        return BlockwiseValidator(
-            spool, max_open_files=cfg.max_open_files, engine=cfg.blockwise_engine
-        )
+        return BlockwiseValidator(spool, max_open_files=cfg.max_open_files)
     if cfg.strategy == "sql-join":
         return SqlJoinValidator(db, column_stats)
     if cfg.strategy == "sql-minus":

@@ -15,13 +15,12 @@ different axes, both dispatched through one shared task substrate:
                      parent assembles the index.  Byte-identical output
                      to the sequential exporter.
 ``planner``          :class:`ShardPlanner` — cost-balanced partitions of
-                     the candidate set, sized by spool value counts: whole
-                     shards (LPT), small work-stealing chunks, or merge
-                     groups cut along candidate-graph components.  Also
-                     hosts the adaptive cost model: :func:`choose_engine`
-                     predicts sequential vs pooled vs range-split cost per
-                     request from the same stats, tuned by a persisted
-                     :class:`CalibrationProfile`.
+                     the candidate set, sized by spool value counts: small
+                     work-stealing chunks, or merge groups cut along
+                     candidate-graph components.  Also hosts the adaptive
+                     cost model: :func:`choose_engine` predicts sequential
+                     vs pooled cost per request from the same stats, tuned
+                     by a persisted :class:`CalibrationProfile`.
 ``pool``             :class:`WorkerPool` — persistent worker processes,
                      each fed one task at a time over its own pipe by
                      the parent; survives across
@@ -41,8 +40,7 @@ different axes, both dispatched through one shared task substrate:
                      the sequential validator.
 ``merge``            :class:`PartitionedMergeValidator` — the heap merge
                      split along candidate-graph components (decisions
-                     *and* I/O counters identical to the sequential pass)
-                     with first-byte ranges as an explicit escape hatch,
+                     *and* I/O counters identical to the sequential pass),
                      dispatched through the same pool.
 ===================  =====================================================
 
@@ -53,21 +51,12 @@ file), never inherit handles — see the picklability contract on
 
 from repro.parallel.engine import ProcessPoolValidationEngine
 from repro.parallel.export import pooled_export
-from repro.parallel.merge import (
-    ByteRangeCursor,
-    PartitionSpoolView,
-    PartitionedMergeValidator,
-    boundary_string,
-    first_byte,
-    make_partition_view,
-    partition_bounds,
-)
+from repro.parallel.merge import PartitionedMergeValidator
 from repro.parallel.planner import (
     CalibrationProfile,
     Chunk,
     EngineDecision,
     MergeGroup,
-    Shard,
     ShardPlanner,
     calibration_path,
     choose_engine,
@@ -98,7 +87,6 @@ from repro.parallel.tasks import (
 )
 
 __all__ = [
-    "ByteRangeCursor",
     "CalibrationProfile",
     "Chunk",
     "EngineDecision",
@@ -109,24 +97,18 @@ __all__ = [
     "KIND_MERGE_PARTITION",
     "MergeGroup",
     "OverlapRun",
-    "PartitionSpoolView",
     "PartitionedMergeValidator",
     "PoolStats",
     "PoolTask",
     "ProcessPoolValidationEngine",
-    "Shard",
     "ShardOutcome",
     "ShardPlanner",
     "TaskSpec",
     "WorkerPool",
-    "boundary_string",
     "calibration_path",
     "choose_engine",
-    "first_byte",
     "load_calibration",
-    "make_partition_view",
     "merge_shard_outcomes",
-    "partition_bounds",
     "register_task_kind",
     "resolve_task_kind",
     "run_overlapped",

@@ -42,7 +42,7 @@ from repro.core.brute_force import BruteForceValidator
 from repro.core.candidates import Candidate
 from repro.core.stats import ValidationResult
 from repro.errors import DiscoveryError, SpoolError
-from repro.parallel.planner import Chunk, Shard, ShardPlanner
+from repro.parallel.planner import Chunk, ShardPlanner
 from repro.parallel.pool import WorkerPool, run_specs
 from repro.parallel.tasks import (
     KIND_BRUTE_FORCE,
@@ -102,10 +102,6 @@ class ProcessPoolValidationEngine:
         self._planner = planner or ShardPlanner(spool)
         self._pool = pool
         self._chunk_size = chunk_size
-
-    def plan(self, candidates: list[Candidate]) -> list[Shard]:
-        """Static LPT plan (one shard per worker) — kept for diagnostics."""
-        return self._planner.plan(candidates, self._workers)
 
     def plan_chunks(self, candidates: list[Candidate]) -> list[Chunk]:
         """The work-stealing chunk plan this engine would dispatch."""

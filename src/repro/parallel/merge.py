@@ -1,184 +1,50 @@
 """Pool-backed partitioned merge: the heap merge split along exact seams.
 
 The heap-merge validator (:mod:`repro.core.merge_single_pass`) is one global
-pass over every attribute cursor — inherently sequential as formulated.  Two
-independent ways of splitting it live here:
+pass over every attribute cursor.  The merge reads an attribute until every
+candidate *touching* it is decided, so an attribute's consumption depends
+only on its connected component in the candidate graph.
+:meth:`~repro.parallel.planner.ShardPlanner.plan_merge_groups` packs whole
+components into cost-budgeted groups, each group runs one complete heap
+merge in a pool worker, and the summed result — decisions, satisfied set,
+``items_read``, ``comparisons`` — is **byte-identical** to the sequential
+pass.  A graph that is one component is one group, so its merge runs as one
+pool task: the sequential pass plus dispatch.
 
-* **Candidate-graph components** (the default production path).  The merge
-  reads an attribute until every candidate *touching* it is decided, so an
-  attribute's consumption depends only on its connected component in the
-  candidate graph.  :meth:`~repro.parallel.planner.ShardPlanner.plan_merge_groups`
-  packs whole components into cost-budgeted groups, each group runs one
-  complete heap merge in a pool worker, and the summed result — decisions,
-  satisfied set, ``items_read``, ``comparisons`` — is **byte-identical** to
-  the sequential pass.  This is the seam PR 2's byte-range split could not
-  offer: ranges tile the *values*, so every partition had to re-read
-  attributes the global pass had already closed, and the summed I/O
-  honestly exceeded the sequential run.
-
-* **First-byte ranges** (the explicit ``range_split`` escape hatch, and the
-  payload the :data:`~repro.parallel.tasks.KIND_MERGE_PARTITION` task kind
-  understands).  Because every spool file is sorted and UTF-8 byte order
-  equals code-point order, the values whose encoding starts with a byte in
-  ``[lo, hi)`` form one contiguous run in every file; a worker can run a
-  complete, independent merge restricted to that run and decide every
-  candidate *for that range*.  An IND holds iff it holds on every range, so
-  the parent unions the partial refutations.  Ranges parallelise even a
-  single giant component — the one shape components cannot cut — at the
-  documented price: ``items_read`` sums what the workers physically
-  consumed, which can exceed the sequential pass (boundary blocks are
-  decoded by two neighbours; a range cannot know another range refuted its
-  candidate).  Decisions and satisfied sets remain exact either way.
-
-Both shapes dispatch through the shared
+Groups dispatch through the shared
 :class:`~repro.parallel.pool.WorkerPool` as ``merge-partition`` tasks —
-there is no private executor here any more — so merge partitions ride the
-same warm fleet, warm spool handles, work stealing and crash requeues as
-brute-force chunks, and ``repro-ind serve`` multiplexes them alike.
+there is no private executor here — so merge partitions ride the same warm
+fleet, warm spool handles, work stealing and crash requeues as brute-force
+chunks, and ``repro-ind serve`` multiplexes them alike.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
 from repro._util import Stopwatch
 from repro.core.candidates import Candidate
 from repro.core.merge_single_pass import MergeSinglePassValidator
-from repro.core.stats import ValidationResult, ValidatorStats
+from repro.core.stats import ValidationResult
 from repro.errors import DiscoveryError, SpoolError
-from repro.parallel.planner import (
-    _MAX_LEAD_BYTE,
-    MergeGroup,
-    ShardPlanner,
-    boundary_string,
-    first_byte,
-    partition_bounds,
-)
+from repro.parallel.planner import MergeGroup, ShardPlanner
 from repro.parallel.pool import WorkerPool, run_specs
 from repro.parallel.tasks import (
     KIND_MERGE_PARTITION,
-    ShardOutcome,
     TaskSpec,
     merge_shard_outcomes,
 )
-from repro.storage.cursors import DEFAULT_BATCH_SIZE, BufferedValueCursor, IOStats
 from repro.storage.sorted_sets import SpoolDirectory
 
-__all__ = [
-    "ByteRangeCursor",
-    "PartitionSpoolView",
-    "PartitionedMergeValidator",
-    "boundary_string",
-    "first_byte",
-    "make_partition_view",
-    "partition_bounds",
-]
-
-
-class ByteRangeCursor(BufferedValueCursor):
-    """View of a sorted cursor restricted to values in ``[start, end)``.
-
-    Positions itself with the inner cursor's skip-scan, trims the head below
-    ``start``, and stops pulling once a value at or past ``end`` shows up.
-    Accounting stays on the *inner* cursor: every value physically consumed
-    is charged there, whether or not it survives the trim — partition
-    workers report real I/O, not the subset they kept.
-    """
-
-    def __init__(
-        self,
-        inner,
-        start: str,
-        end: str | None,
-        label: str | None = None,
-    ) -> None:
-        self._inner = inner
-        self._start = start
-        self._end = end
-        self._positioned = False
-        self._done = False
-        super().__init__(None, label or getattr(inner, "_label", "<range>"))
-
-    def _load(self) -> list[str]:
-        if self._done:
-            return []
-        if not self._positioned:
-            self._positioned = True
-            if self._start:
-                self._inner.skip_blocks_below(self._start)
-        while True:
-            batch = self._inner.read_batch(DEFAULT_BATCH_SIZE)
-            if not batch:
-                self._done = True
-                return []
-            if self._start and batch[-1] < self._start:
-                continue  # still entirely below the range
-            if self._start and batch[0] < self._start:
-                batch = batch[bisect_left(batch, self._start):]
-            if self._end is not None and batch and batch[-1] >= self._end:
-                batch = batch[: bisect_left(batch, self._end)]
-                self._done = True
-                if not batch:
-                    return []
-            if batch:
-                return batch
-
-    def _do_close(self) -> None:
-        self._inner.close()
-
-
-class PartitionSpoolView:
-    """Duck-typed spool whose cursors only see one byte range."""
-
-    def __init__(self, spool: SpoolDirectory, start: str, end: str | None) -> None:
-        """Wrap ``spool`` so every cursor is clipped to ``[start, end)``."""
-        self._spool = spool
-        self._start = start
-        self._end = end
-
-    def open_cursor(self, ref, stats: IOStats | None = None) -> ByteRangeCursor:
-        """Open a range-restricted cursor over ``ref`` (I/O charged inward)."""
-        inner = self._spool.open_cursor(ref, stats)
-        return ByteRangeCursor(
-            inner, self._start, self._end, label=ref.qualified
-        )
-
-
-def make_partition_view(spool: SpoolDirectory, lo: int, hi: int):
-    """The spool view a ``merge-partition`` task payload ``(lo, hi)`` names.
-
-    The full range ``(0, 256)`` returns the spool itself — a whole-group
-    merge runs with no range machinery at all, which is what keeps the
-    component-planned path's accounting identical to the sequential
-    validator.  Restricted ranges return a :class:`PartitionSpoolView`.
-    """
-    if lo <= 0 and hi > _MAX_LEAD_BYTE:
-        return spool
-    start = boundary_string(lo)
-    if start is None:
-        raise DiscoveryError(
-            f"merge partition starts past every UTF-8 lead byte: {lo:#x}"
-        )
-    end = boundary_string(hi) if hi <= _MAX_LEAD_BYTE else None
-    return PartitionSpoolView(spool, start, end)
+__all__ = ["PartitionedMergeValidator"]
 
 
 class PartitionedMergeValidator:
     """Merge-single-pass dispatched through the shared worker pool.
 
-    The default plan splits candidates into whole candidate-graph
-    components (:meth:`ShardPlanner.plan_merge_groups`), which keeps
-    decisions, the satisfied set, ``items_read`` and ``comparisons``
-    byte-identical to the sequential merge validator at every worker count
-    — asserted per seed in the agreement suite.  ``range_split=N`` (N > 1)
-    additionally splits every group into up to N first-byte ranges, cut at
-    the value-count quantiles of the block-index histogram
-    (:meth:`ShardPlanner.range_bounds`): decisions stay exact, parallelism
-    survives even one giant component, but summed I/O counters may exceed
-    the sequential pass (reported honestly, never hidden).  The adaptive
-    router engages this engine automatically when a one-component merge
-    graph would otherwise serialise — the manual flag remains as an
-    explicit override.
+    The plan splits candidates into whole candidate-graph components
+    (:meth:`ShardPlanner.plan_merge_groups`), which keeps decisions, the
+    satisfied set, ``items_read`` and ``comparisons`` byte-identical to the
+    sequential merge validator at every worker count — asserted per seed in
+    the agreement suite.
 
     ``workers=1`` short-circuits to the sequential validator.  With a
     borrowed ``pool`` the validator reuses the warm fleet (and never shuts
@@ -194,31 +60,24 @@ class PartitionedMergeValidator:
         workers: int,
         pool: WorkerPool | None = None,
         planner: ShardPlanner | None = None,
-        range_split: int = 0,
         skip_scan: bool = False,
     ) -> None:
         """Wire the validator to ``spool``; spawn nothing yet.
 
         ``workers`` sizes the per-call pool and the group plan; when a
         persistent ``pool`` is supplied its fleet size wins at execution
-        time and ``workers`` only shapes the planning.  ``range_split``
-        (0 or 1 = off) turns on the byte-range escape hatch described on
-        the class.  ``skip_scan`` forwards the merge-side frontier skip to
-        every partition's validator (decisions stay exact; ``items_read``
-        may legitimately drop — see
+        time and ``workers`` only shapes the planning.  ``skip_scan``
+        forwards the merge-side frontier skip to every partition's
+        validator (decisions stay exact; ``items_read`` may legitimately
+        drop — see
         :class:`~repro.core.merge_single_pass.MergeSinglePassValidator`).
         """
         if workers < 1:
             raise DiscoveryError(f"workers must be >= 1, got {workers!r}")
-        if range_split < 0:
-            raise DiscoveryError(
-                f"range_split must be >= 0, got {range_split!r}"
-            )
         self._spool = spool
         self._workers = workers
         self._pool = pool
         self._planner = planner or ShardPlanner(spool)
-        self._range_split = range_split
         self._skip_scan = bool(skip_scan)
 
     def plan(self, candidates: list[Candidate]) -> list[MergeGroup]:
@@ -240,32 +99,18 @@ class PartitionedMergeValidator:
         with Stopwatch() as clock:
             ordered = list(dict.fromkeys(candidates))
             groups = self.plan(ordered)
-            specs: list[TaskSpec] = []
-            spec_group: list[int] = []
-            # Histogram-balanced cuts from the block index replace the old
-            # uniform split: each range carries roughly equal estimated
-            # work.  Any tiling keeps decisions exact, so this only moves
-            # the balance, never the answers.
-            ranges = (
-                self._planner.range_bounds(ordered, self._range_split)
-                if self._range_split > 1
-                else [(0, 256)]
-            )
-            for group in groups:
-                for lo, hi in ranges:
-                    specs.append(
-                        TaskSpec(
-                            kind=KIND_MERGE_PARTITION,
-                            candidates=group.candidates,
-                            payload=(lo, hi, self._skip_scan),
-                        )
-                    )
-                    spec_group.append(group.index)
+            specs = [
+                TaskSpec(
+                    kind=KIND_MERGE_PARTITION,
+                    candidates=group.candidates,
+                    payload=(self._skip_scan,),
+                )
+                for group in groups
+            ]
             job, ephemeral = run_specs(
                 self._pool, self._workers, spool_root, specs
             )
-            group_outcomes = self._fold_ranges(groups, spec_group, job.outcomes)
-        result = merge_shard_outcomes(candidates, group_outcomes, self.name)
+        result = merge_shard_outcomes(candidates, job.outcomes, self.name)
         result.pool = job.stats.as_dict()
         result.task_spans = job.task_spans
         result.stats.elapsed_seconds = clock.elapsed
@@ -278,68 +123,3 @@ class PartitionedMergeValidator:
                 o.stats.elapsed_seconds for o in job.outcomes
             )
         return result
-
-    @staticmethod
-    def _fold_ranges(
-        groups: list[MergeGroup],
-        spec_group: list[int],
-        outcomes: list[ShardOutcome],
-    ) -> list[ShardOutcome]:
-        """Union each group's range outcomes into one outcome per group.
-
-        A candidate is satisfied iff no range refuted it (the ranges tile
-        the value space, so a missing value is missing in exactly one
-        range) and vacuous iff it was vacuous in every range (i.e. its
-        dependent is empty overall — the same set the sequential pass
-        flags).  Counters sum; elapsed takes the slowest range.  With one
-        full-range task per group (the default plan) this is the identity.
-        """
-        by_group: dict[int, list[ShardOutcome]] = {}
-        for outcome in outcomes:
-            by_group.setdefault(spec_group[outcome.shard_index], []).append(
-                outcome
-            )
-        folded: list[ShardOutcome] = []
-        for group in groups:
-            parts = by_group.get(group.index)
-            if not parts:
-                raise DiscoveryError(
-                    f"merge group {group.index} produced no outcomes"
-                )
-            if len(parts) == 1:
-                folded.append(
-                    ShardOutcome(
-                        shard_index=group.index,
-                        decisions=parts[0].decisions,
-                        vacuous=parts[0].vacuous,
-                        stats=parts[0].stats,
-                    )
-                )
-                continue
-            decisions = {
-                candidate: all(part.decisions[candidate] for part in parts)
-                for candidate in parts[0].decisions
-            }
-            vacuous = set.intersection(*(part.vacuous for part in parts))
-            stats = ValidatorStats(validator=parts[0].stats.validator)
-            for part in parts:
-                stats.comparisons += part.stats.comparisons
-                stats.items_read += part.stats.items_read
-                stats.files_opened += part.stats.files_opened
-                stats.peak_open_files += part.stats.peak_open_files
-                stats.blocks_skipped += part.stats.blocks_skipped
-                stats.values_skipped += part.stats.values_skipped
-                stats.bytes_read += part.stats.bytes_read
-                stats.bytes_stored += part.stats.bytes_stored
-                stats.elapsed_seconds = max(
-                    stats.elapsed_seconds, part.stats.elapsed_seconds
-                )
-            folded.append(
-                ShardOutcome(
-                    shard_index=group.index,
-                    decisions=decisions,
-                    vacuous=vacuous,
-                    stats=stats,
-                )
-            )
-        return folded

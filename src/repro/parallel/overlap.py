@@ -31,13 +31,12 @@ counts, formats and fault injections.
 
 Two modes fall out of the engine matrix:
 
-* **full** — fixed ``brute-force`` / ``merge-single-pass`` with no range
-  split: validation rides the graph, no join anywhere.
-* **staged** — adaptive routing or ``range_split``: the cost model needs
-  the surviving candidate set (and real spool) before it can price
-  engines, so the graph carries export + pretest only and the runner
-  validates the survivors afterwards on the same warm pool.  Export and
-  pretest still overlap.
+* **full** — fixed ``brute-force`` / ``merge-single-pass``: validation
+  rides the graph, no join anywhere.
+* **staged** — adaptive routing: the cost model needs the surviving
+  candidate set (and real spool) before it can price engines, so the graph
+  carries export + pretest only and the runner validates the survivors
+  afterwards on the same warm pool.  Export and pretest still overlap.
 """
 
 from __future__ import annotations
@@ -77,8 +76,8 @@ __all__ = ["OverlapRun", "run_overlapped"]
 _PHASE_EXPORT = "export"
 _PHASE_PRETEST = "pretest"
 _PHASE_VALIDATE = "validate"
-#: Strategies whose validation can ride the graph directly (fixed engine,
-#: no range split): the per-task plan is known before the pretest verdicts.
+#: Strategies whose validation can ride the graph directly (fixed engine):
+#: the per-task plan is known before the pretest verdicts.
 _FULL_OVERLAP_STRATEGIES = frozenset({"brute-force", "merge-single-pass"})
 
 
@@ -87,8 +86,8 @@ class OverlapRun:
     """Everything one overlapped graph drain produced for the runner.
 
     ``validation`` is ``None`` in staged mode — the runner routes and
-    validates the ``survivors`` itself (adaptive / range-split engines
-    need the post-pretest candidate set).  ``pool_stats`` is the whole
+    validates the ``survivors`` itself (adaptive routing needs the
+    post-pretest candidate set).  ``pool_stats`` is the whole
     graph's single-job delta; ``export_seconds`` / ``graph_seconds`` give
     the runner its phase-timing attribution (the export *window*, and the
     wall clock of the whole overlapped section — spool setup, planning,
@@ -112,11 +111,7 @@ class OverlapRun:
 
 def _full_overlap(cfg) -> bool:
     """Can validation ride the graph, or must the runner stage it?"""
-    return (
-        cfg.strategy in _FULL_OVERLAP_STRATEGIES
-        and not cfg.is_adaptive
-        and cfg.range_split == 0
-    )
+    return cfg.strategy in _FULL_OVERLAP_STRATEGIES and not cfg.is_adaptive
 
 
 def _window(spans: list[dict]) -> tuple[float, float]:
@@ -334,7 +329,7 @@ def run_overlapped(
             merge_groups = planner.plan_merge_groups(ordered, workers)
             merge_group_count = len(merge_groups)
             plans = [
-                (group.candidates, KIND_MERGE_PARTITION, (0, 256, cfg.skip_scans))
+                (group.candidates, KIND_MERGE_PARTITION, (cfg.skip_scans,))
                 for group in merge_groups
             ]
         for group_candidates, kind, payload in plans:

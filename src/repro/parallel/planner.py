@@ -10,13 +10,7 @@ lookup table), so round-robin dealing is not good enough.
 The planner estimates each candidate's cost from the spool index — the
 distinct-value counts of the attributes the test scans, dominated by the
 referenced side, at zero I/O since the index is already in memory — and
-offers two packings:
-
-* :meth:`ShardPlanner.plan` — exactly one shard per worker, packed with the
-  classic LPT greedy (sort by descending cost, always hand the next
-  candidate to the lightest shard; within 4/3 of the optimal makespan,
-  deterministic because ties break on candidate order).  Right when the
-  hand-out is static and each worker receives its whole share up front.
+offers these plans:
 
 * :meth:`ShardPlanner.plan_chunks` — many small cost-bounded chunks for the
   work-stealing queue of :class:`repro.parallel.pool.WorkerPool`.  The cost
@@ -42,8 +36,8 @@ The same spool statistics also feed the **adaptive cost model**
 (:func:`choose_engine`): given the candidate set, the worker count and a
 :class:`CalibrationProfile` of machine constants, it predicts the
 wall-clock cost of every execution engine the configured strategy allows —
-sequential, pooled chunks, component-planned pooled merge, byte-range
-split merge — and returns the cheapest as an :class:`EngineDecision`.
+sequential, pooled chunks, component-planned pooled merge — and returns the
+cheapest as an :class:`EngineDecision`.
 :func:`repro.core.runner.discover_inds` consults it under
 ``strategy="adaptive"`` so small requests stop paying the pool tax the
 benchmarks documented.
@@ -51,8 +45,8 @@ benchmarks documented.
 
 from __future__ import annotations
 
-import heapq
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -71,16 +65,6 @@ DEFAULT_CHUNKS_PER_WORKER = 4
 #: candidate tests on a replacement worker is wasted work we refuse to risk.
 MAX_CHUNK_CANDIDATES = 32
 
-#: Highest byte that can open a UTF-8 encoded code point (0xF5..0xFF never do).
-_MAX_LEAD_BYTE = 0xF4
-
-#: Predicted I/O inflation of a byte-range merge split relative to the
-#: sequential pass: neighbouring ranges re-decode boundary blocks and a
-#: range cannot learn another range already refuted its candidate.  The
-#: factor is deliberately pessimistic so the model only picks the range
-#: split when the parallel win clearly survives the over-read.
-RANGE_SPLIT_OVERREAD = 1.15
-
 #: Predicted fraction of merge work that remains when the merge-side
 #: frontier skip (``skip_scans`` on a block-indexed spool) is enabled: the
 #: purely referenced side seeks past whole blocks below the dependent
@@ -92,64 +76,6 @@ MERGE_SKIP_FACTOR = 0.75
 #: File name of the persisted calibration profile, stored next to the spool
 #: cache (``<cache_dir>/calibration.json``) by ``repro-ind calibrate``.
 CALIBRATION_FILENAME = "calibration.json"
-
-
-def _lead_byte(codepoint: int) -> int:
-    """First byte of the UTF-8 encoding of ``codepoint`` (monotonic in it)."""
-    if codepoint < 0x80:
-        return codepoint
-    if codepoint < 0x800:
-        return 0xC0 | (codepoint >> 6)
-    if codepoint < 0x10000:
-        return 0xE0 | (codepoint >> 12)
-    return 0xF0 | (codepoint >> 18)
-
-
-def first_byte(value: str) -> int:
-    """Partition key: first UTF-8 byte of ``value`` (0 for the empty string)."""
-    return _lead_byte(ord(value[0])) if value else 0
-
-
-def boundary_string(first: int) -> str | None:
-    """Smallest string whose first UTF-8 byte is >= ``first``.
-
-    ``""`` for 0 (every string qualifies), ``None`` when no string can
-    qualify (``first`` above every possible lead byte).  Because the lead
-    byte is monotonic in the code point, a binary search over code points
-    finds the cut; the result never lands on a surrogate (the surrogate
-    block shares its lead byte 0xED with U+D000, which precedes it).
-    """
-    if first <= 0:
-        return ""
-    if first > _MAX_LEAD_BYTE:
-        return None
-    lo, hi = 0, 0x110000
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _lead_byte(mid) >= first:
-            hi = mid
-        else:
-            lo = mid + 1
-    return chr(lo)
-
-
-def partition_bounds(partitions: int) -> list[tuple[int, int]]:
-    """Contiguous first-byte ranges ``[lo, hi)`` covering 0..255, uniformly.
-
-    At most 256 partitions are meaningful; ranges that would be empty are
-    dropped, and ranges starting above the highest possible lead byte are
-    dropped too (no UTF-8 value can land there).  This is the blind cut —
-    :meth:`ShardPlanner.range_bounds` produces the histogram-balanced one.
-    """
-    if partitions < 1:
-        raise DiscoveryError(f"partitions must be >= 1, got {partitions!r}")
-    count = min(partitions, 256)
-    cuts = [(p * 256) // count for p in range(count + 1)]
-    return [
-        (lo, hi)
-        for lo, hi in zip(cuts, cuts[1:])
-        if lo < hi and lo <= _MAX_LEAD_BYTE
-    ]
 
 
 def pack_cost_groups(
@@ -204,15 +130,6 @@ def pack_cost_groups(
 
 
 @dataclass(frozen=True)
-class Shard:
-    """One worker's slice of the candidate set."""
-
-    index: int
-    candidates: tuple[Candidate, ...]
-    estimated_cost: int
-
-
-@dataclass(frozen=True)
 class Chunk:
     """One work-stealing unit: a small slice any worker may pull and run."""
 
@@ -242,7 +159,7 @@ class MergeGroup:
 
 
 class ShardPlanner:
-    """Packs candidates into ``shards`` cost-balanced buckets.
+    """Packs candidates into cost-budgeted chunks and merge groups.
 
     Costs normally come from the spool index (exact spooled value counts);
     a ``counts`` override maps attributes to counts known *before* the
@@ -276,55 +193,12 @@ class ShardPlanner:
         The referenced spool size dominates (the scan walks it looking for
         each dependent value); the dependent side contributes its own full
         size in the satisfied case.  ``+1`` keeps empty attributes from
-        producing zero-cost candidates, which would let LPT stack an
-        unbounded number of them on one shard.
+        producing zero-cost candidates, which would never fill a chunk's
+        cost budget.
         """
         dep = self._count(candidate.dependent)
         ref = self._count(candidate.referenced)
         return dep + ref + 1
-
-    def plan(self, candidates: list[Candidate], shards: int) -> list[Shard]:
-        """Partition ``candidates`` into at most ``shards`` balanced shards.
-
-        Every candidate lands in exactly one shard; empty shards are dropped
-        (fewer candidates than shards).  Output is deterministic for a given
-        spool and candidate list.
-        """
-        if shards < 1:
-            raise DiscoveryError(f"shard count must be >= 1, got {shards!r}")
-        if not candidates:
-            return []
-        shards = min(shards, len(candidates))
-        costed = sorted(
-            ((self.candidate_cost(c), seq, c) for seq, c in enumerate(candidates)),
-            key=lambda item: (-item[0], item[1]),
-        )
-        # Min-heap of (load, shard_index): pop the lightest shard, add the
-        # next-heaviest candidate, push it back.  Ties pick the lowest index.
-        loads = [(0, index) for index in range(shards)]
-        heapq.heapify(loads)
-        buckets: list[list[tuple[int, Candidate]]] = [[] for _ in range(shards)]
-        totals = [0] * shards
-        for cost, seq, candidate in costed:
-            load, index = heapq.heappop(loads)
-            buckets[index].append((seq, candidate))
-            totals[index] = load + cost
-            heapq.heappush(loads, (load + cost, index))
-        out: list[Shard] = []
-        for index, bucket in enumerate(buckets):
-            if not bucket:
-                continue
-            # Validate in original candidate order within the shard, so a
-            # one-shard plan replays the sequential run exactly.
-            bucket.sort()
-            out.append(
-                Shard(
-                    index=index,
-                    candidates=tuple(c for _, c in bucket),
-                    estimated_cost=totals[index],
-                )
-            )
-        return out
 
     def plan_chunks(
         self,
@@ -502,70 +376,6 @@ class ShardPlanner:
             )
         return groups
 
-    def first_byte_histogram(self, candidates: list[Candidate]) -> list[int]:
-        """Estimated value count per first UTF-8 byte, over touched attributes.
-
-        Built from the v2 block index: every block contributes its value
-        count to the bucket of its ``min_value``'s lead byte — per-block
-        min/max is exactly the histogram the index already stores, so this
-        costs zero I/O.  Text spools carry no block metadata; their whole
-        attribute lands on its ``min_value``'s bucket, which degrades the
-        estimate but never its safety (the bounds built from it always tile
-        the full byte space).
-        """
-        attrs = {c.dependent for c in candidates}
-        attrs |= {c.referenced for c in candidates}
-        hist = [0] * 256
-        for attr in sorted(attrs):
-            svf = self._spool.get(attr)
-            blocks = getattr(svf, "blocks", ()) or ()
-            if blocks:
-                for block in blocks:
-                    hist[first_byte(block.min_value)] += block.count
-            elif svf.count and svf.min_value is not None:
-                hist[first_byte(svf.min_value)] += svf.count
-        return hist
-
-    def range_bounds(
-        self, candidates: list[Candidate], splits: int
-    ) -> list[tuple[int, int]]:
-        """Histogram-balanced first-byte ranges tiling the whole byte space.
-
-        Cuts are placed at the value-count quantiles of
-        :meth:`first_byte_histogram`, so each range carries roughly equal
-        estimated work — the balance a uniform :func:`partition_bounds`
-        cut cannot promise on skewed data (most real values share a few
-        lead bytes).  Heavily skewed histograms collapse coinciding cuts,
-        so fewer than ``splits`` ranges may come back; with no histogram
-        mass at all the uniform cut is the fallback.  The ranges always
-        tile 0..255 completely (minus the impossible >0xF4 tail): tiling,
-        not balance, is what the range-merge's correctness rests on.
-        """
-        if splits < 1:
-            raise DiscoveryError(f"splits must be >= 1, got {splits!r}")
-        hist = self.first_byte_histogram(candidates)
-        total = sum(hist)
-        if total == 0:
-            return partition_bounds(splits)
-        targets = [total * k / splits for k in range(1, min(splits, 256))]
-        boundaries: list[int] = []
-        cumulative = 0
-        next_target = 0
-        for byte in range(256):
-            cumulative += hist[byte]
-            while (
-                next_target < len(targets)
-                and cumulative >= targets[next_target]
-            ):
-                boundaries.append(byte + 1)
-                next_target += 1
-        cuts = [0, *sorted(set(boundaries)), 256]
-        return [
-            (lo, hi)
-            for lo, hi in zip(cuts, cuts[1:])
-            if lo < hi and lo <= _MAX_LEAD_BYTE
-        ]
-
 
 # --------------------------------------------------------------- cost model
 @dataclass(frozen=True)
@@ -640,15 +450,26 @@ def load_calibration(cache_dir: str | Path) -> CalibrationProfile:
 
     A missing, unreadable or corrupt file silently falls back to the
     built-in defaults — the cost model must never fail a discovery run
-    over a stale side file.
+    over a stale side file.  A constant that is not a finite number >= 0
+    (``null``, a list, ``"nan"``, a negative) makes the file corrupt: it
+    would price engines at NaN or below zero.
     """
     try:
         doc = json.loads(calibration_path(cache_dir).read_text("utf-8"))
         if not isinstance(doc, dict):
             return CalibrationProfile()
-        return CalibrationProfile.from_dict(doc)
-    except (OSError, ValueError):
+        profile = CalibrationProfile.from_dict(doc)
+    except (OSError, ValueError, TypeError, OverflowError):
         return CalibrationProfile()
+    constants = (
+        profile.seq_item_seconds,
+        profile.merge_item_seconds,
+        profile.pool_startup_seconds,
+        profile.task_overhead_seconds,
+    )
+    if not all(math.isfinite(value) and value >= 0 for value in constants):
+        return CalibrationProfile()
+    return profile
 
 
 @dataclass(frozen=True)
@@ -656,9 +477,9 @@ class EngineDecision:
     """The adaptive router's verdict for one validation request.
 
     ``engine`` names the winner (one of ``sequential-brute-force``,
-    ``pooled-brute-force``, ``sequential-merge``, ``pooled-merge``,
-    ``range-split-merge``); ``strategy`` is its underlying fixed strategy
-    and ``workers`` / ``range_split`` how to instantiate it.
+    ``pooled-brute-force``, ``sequential-merge``, ``pooled-merge``);
+    ``strategy`` is its underlying fixed strategy and ``workers`` how to
+    instantiate it.
     ``predicted_seconds`` keeps every considered engine's predicted cost so
     the choice is auditable, and ``calibration`` says whether measured or
     default constants priced it.
@@ -667,7 +488,6 @@ class EngineDecision:
     engine: str
     strategy: str
     workers: int
-    range_split: int
     predicted_seconds: dict[str, float] = field(default_factory=dict)
     calibration: str = "default"
 
@@ -677,7 +497,6 @@ class EngineDecision:
             "engine": self.engine,
             "strategy": self.strategy,
             "workers": self.workers,
-            "range_split": self.range_split,
             "predicted_seconds": {
                 name: round(cost, 6)
                 for name, cost in sorted(self.predicted_seconds.items())
@@ -693,7 +512,6 @@ def choose_engine(
     workers: int,
     calibration: CalibrationProfile | None = None,
     warm_pool: bool = False,
-    range_split: int = 0,
     cpu_count: int | None = None,
     skip_scan: bool = False,
 ) -> EngineDecision:
@@ -705,16 +523,17 @@ def choose_engine(
     machine constants of ``calibration``.  ``strategies`` restricts the
     engines considered (``("brute-force",)``, ``("merge-single-pass",)``
     or both for ``strategy="adaptive"``); ``warm_pool`` drops the pool
-    startup term (a session fleet is already running); ``range_split > 1``
-    forces that split count onto the range-merge engine instead of the
-    automatic one-giant-component selection; ``cpu_count`` overrides
-    :func:`os.cpu_count` (tests); ``skip_scan`` discounts the merge
+    startup term (a session fleet is already running); ``cpu_count``
+    overrides :func:`os.cpu_count` (tests); ``skip_scan`` discounts the merge
     engines by :data:`MERGE_SKIP_FACTOR` on block-indexed spools, where
     the frontier skip seeks purely referenced cursors past whole blocks.
 
     Deterministic: ties break toward the engine listed first, and
     sequential engines are priced before pooled ones — when the model
-    cannot tell them apart, not paying the pool tax wins.
+    cannot tell them apart, not paying the pool tax wins.  A merge graph
+    that is one candidate-graph component prices ``sequential-merge``
+    only: the component plan cannot split it, and a one-group pooled
+    merge is the sequential pass plus dispatch.
     """
     if workers < 1:
         raise DiscoveryError(f"workers must be >= 1, got {workers!r}")
@@ -725,11 +544,11 @@ def choose_engine(
     planner = ShardPlanner(spool)
     ordered = list(dict.fromkeys(candidates))
     predicted: dict[str, float] = {}
-    builders: dict[str, tuple[str, int, int]] = {}
+    builders: dict[str, tuple[str, int]] = {}
 
-    def consider(engine: str, strategy: str, n: int, split: int, cost: float):
+    def consider(engine: str, strategy: str, n: int, cost: float):
         predicted[engine] = cost
-        builders[engine] = (strategy, n, split)
+        builders[engine] = (strategy, n)
 
     def startup(units: int) -> float:
         if warm_pool:
@@ -742,7 +561,6 @@ def choose_engine(
             "sequential-brute-force",
             "brute-force",
             1,
-            0,
             bf_work * cal.seq_item_seconds,
         )
         if workers > 1 and len(ordered) > 1:
@@ -754,7 +572,6 @@ def choose_engine(
                 "pooled-brute-force",
                 "brute-force",
                 workers,
-                0,
                 startup(len(chunks))
                 + cal.task_overhead_seconds * len(chunks)
                 + makespan,
@@ -769,7 +586,6 @@ def choose_engine(
             "sequential-merge",
             "merge-single-pass",
             1,
-            0,
             merge_work * cal.merge_item_seconds,
         )
         if workers > 1 and ordered:
@@ -784,40 +600,16 @@ def choose_engine(
                     "pooled-merge",
                     "merge-single-pass",
                     workers,
-                    0,
                     startup(len(groups))
                     + cal.task_overhead_seconds * len(groups)
                     + makespan,
                 )
-            splits = range_split if range_split > 1 else workers
-            if range_split > 1 or len(groups) == 1:
-                bounds = planner.range_bounds(ordered, splits)
-                if len(bounds) > 1:
-                    hist = planner.first_byte_histogram(ordered)
-                    weights = [sum(hist[lo:hi]) for lo, hi in bounds]
-                    tasks = len(bounds) * len(groups)
-                    lanes = max(1, min(workers, cpus, tasks))
-                    inflated = merge_work * RANGE_SPLIT_OVERREAD
-                    makespan = (
-                        max(inflated / lanes, max(weights) * RANGE_SPLIT_OVERREAD)
-                        * cal.merge_item_seconds
-                    )
-                    consider(
-                        "range-split-merge",
-                        "merge-single-pass",
-                        workers,
-                        splits,
-                        startup(tasks)
-                        + cal.task_overhead_seconds * tasks
-                        + makespan,
-                    )
     winner = min(predicted, key=lambda name: (predicted[name], _rank(name)))
-    strategy, n, split = builders[winner]
+    strategy, n = builders[winner]
     return EngineDecision(
         engine=winner,
         strategy=strategy,
         workers=n,
-        range_split=split,
         predicted_seconds=predicted,
         calibration=cal.source,
     )
@@ -830,6 +622,5 @@ def _rank(engine: str) -> int:
         "sequential-merge",
         "pooled-brute-force",
         "pooled-merge",
-        "range-split-merge",
     )
     return order.index(engine) if engine in order else len(order)

@@ -14,8 +14,8 @@ makes the pool a *substrate* instead:
 * four kinds ship built in: :data:`KIND_BRUTE_FORCE` (a cost-bounded chunk of
   candidates through the sequential
   :class:`~repro.core.brute_force.BruteForceValidator`),
-  :data:`KIND_MERGE_PARTITION` (a complete heap merge over a candidate
-  group, optionally restricted to a first-byte range of the value space),
+  :data:`KIND_MERGE_PARTITION` (a complete heap merge over a group of
+  whole candidate-graph components),
   :data:`KIND_SPOOL_EXPORT` (a group of export units: render → sort →
   atomic value-file write, metadata shipped back for the parent to
   assemble the index), and :data:`KIND_SAMPLE_PRETEST` (the Sec. 4.1
@@ -50,10 +50,8 @@ if TYPE_CHECKING:  # circular-import guard: pool builds on this module
 KIND_BRUTE_FORCE = "brute-force"
 
 #: Registry key of the built-in merge-partition executor.  Payload:
-#: ``(lo, hi)`` or ``(lo, hi, skip_scan)`` — the first-byte range
-#: ``[lo, hi)`` of the value space this partition merges (``(0, 256)``
-#: means the whole space, no range cursors) plus the optional frontier
-#: skip-scan flag forwarded to the merge validator.
+#: ``(skip_scan,)`` — the frontier skip-scan flag forwarded to the merge
+#: validator.
 KIND_MERGE_PARTITION = "merge-partition"
 
 #: Registry key of the built-in spool-export executor.  Payload:
@@ -245,20 +243,13 @@ def _run_brute_force_chunk(spool: "SpoolDirectory", task: PoolTask) -> ShardOutc
 def _run_merge_partition(spool: "SpoolDirectory", task: PoolTask) -> ShardOutcome:
     """Built-in executor: one heap merge over a candidate group.
 
-    With a restricted payload range the merge runs behind
-    :class:`~repro.parallel.merge.ByteRangeCursor` views — a complete,
-    independent pass over the values whose first UTF-8 byte falls in
-    ``[lo, hi)``; with the full ``(0, 256)`` range it runs straight on the
-    spool, so a whole-group task is byte-for-byte the sequential validator
-    on that group.
+    The merge runs straight on the spool, so a task is byte-for-byte the
+    sequential validator on its group.
     """
     from repro.core.merge_single_pass import MergeSinglePassValidator
-    from repro.parallel.merge import make_partition_view
 
-    lo, hi, *rest = task.payload or (0, 256)
-    skip_scan = bool(rest[0]) if rest else False
-    view = make_partition_view(spool, lo, hi)
-    result = MergeSinglePassValidator(view, skip_scan=skip_scan).validate(
+    (skip_scan,) = task.payload or (False,)
+    result = MergeSinglePassValidator(spool, skip_scan=skip_scan).validate(
         list(task.candidates)
     )
     return ShardOutcome(

@@ -9,9 +9,8 @@ the decisions and the order they were recorded in, ``vacuous``,
 ``satisfied``, every :class:`ValidatorStats` field but ``elapsed_seconds``,
 and the full :class:`IOStats` including ``reads_per_attribute`` — over
 seeded and generated databases in both candidate modes, the five spool
-variants, a grid of block and batch sizes with skip-scans on and off, the
-byte-range views ``merge-partition`` tasks read through, and hand-built
-spools aimed at each fast path.
+variants, a grid of block and batch sizes with skip-scans on and off, and
+hand-built spools aimed at each fast path.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from repro.datagen.scop import generate_scop
 from repro.db.schema import AttributeRef
 from repro.db.stats import collect_column_stats
 from repro.errors import SpoolError, ValidatorError
-from repro.parallel.merge import make_partition_view
 from repro.storage.cursors import DEFAULT_BATCH_SIZE, BatchReader, IOStats
 from repro.storage.exporter import export_database
 from repro.storage.sorted_sets import SpoolDirectory
@@ -337,21 +335,6 @@ class TestSeededDatabases:
         spool = export(db, tmp_path / "s")
         result = assert_matches_oracle(spool, candidates_for(db, spool, "unique-ref"))
         assert 0 < result.stats.satisfied_count < result.stats.candidates_total
-
-
-class TestPartitionViews:
-    @pytest.mark.parametrize("index", [5, 7, 9])
-    def test_byte_range_partitions(self, tmp_path, index):
-        # merge-partition tasks run the kernel behind byte-range cursors.
-        db = seeded_db(index)
-        spool = export(db, tmp_path / "s")
-        candidates = candidates_for(db, spool, "unique-ref")
-        for lo, hi in ((0, 0x35), (0x35, 0x61), (0x61, 256)):
-            view = make_partition_view(spool, lo, hi)
-            for skip_scan in (False, True):
-                assert_matches_oracle(
-                    view, candidates, skip_scan=skip_scan, batch_size=5
-                )
 
 
 GRID_DBS = (5, 7, 9)

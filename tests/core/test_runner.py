@@ -76,39 +76,6 @@ class TestConfigValidation:
                 strategy="adaptive", use_transitivity=True
             ).validated()
 
-    def test_range_split_of_one_rejected(self):
-        with pytest.raises(DiscoveryError, match=">= 2 partitions"):
-            DiscoveryConfig(
-                strategy="merge-single-pass",
-                range_split=1,
-                validation_workers=2,
-            ).validated()
-
-    def test_negative_range_split_rejected(self):
-        with pytest.raises(DiscoveryError, match=">= 2 partitions"):
-            DiscoveryConfig(
-                strategy="merge-single-pass",
-                range_split=-2,
-                validation_workers=2,
-            ).validated()
-
-    def test_range_split_needs_merge_or_adaptive_strategy(self):
-        with pytest.raises(DiscoveryError, match="merge-single-pass or adaptive"):
-            DiscoveryConfig(
-                strategy="brute-force", range_split=2, validation_workers=2
-            ).validated()
-
-    def test_range_split_needs_parallel_workers(self):
-        with pytest.raises(DiscoveryError, match="without parallel workers"):
-            DiscoveryConfig(
-                strategy="merge-single-pass", range_split=2
-            ).validated()
-
-    def test_range_split_with_adaptive_strategy_ok(self):
-        DiscoveryConfig(
-            strategy="adaptive", range_split=4, validation_workers=2
-        ).validated()
-
     def test_skip_scans_with_adaptive_strategy_ok(self):
         # Both engine families understand skip-scans now (brute-force probes
         # and the merge frontier), so adaptive routing may carry the flag.

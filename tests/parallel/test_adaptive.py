@@ -2,10 +2,9 @@
 
 The contract under test (ISSUE 6 / ROADMAP open item 3): the router must
 *price* the pool tax before paying it — small workloads route sequential,
-large parallel-friendly ones route pooled, one-giant-component merge
-graphs get a histogram-balanced byte-range split — and whichever engine
-wins, the answers stay byte-identical to the sequential run of the chosen
-strategy.  Forced decisions are produced by planting extreme calibration
+large parallel-friendly ones route pooled, one-component merge graphs stay
+in process — and whichever engine wins, the answers stay byte-identical to
+the sequential run of the chosen strategy.  Forced decisions are produced by planting extreme calibration
 constants, never by timing, so the suite is deterministic on any box.
 """
 
@@ -17,20 +16,16 @@ import pytest
 
 from repro.core.brute_force import BruteForceValidator
 from repro.core.candidates import Candidate
-from repro.core.merge_single_pass import MergeSinglePassValidator
 from repro.core.runner import DiscoveryConfig, DiscoverySession, discover_inds
 from repro.db.schema import AttributeRef
 from repro.errors import DiscoveryError
 from repro.parallel.planner import (
     CalibrationProfile,
-    ShardPlanner,
     calibration_path,
     choose_engine,
     load_calibration,
-    partition_bounds,
 )
 from repro.parallel.pool import WorkerPool
-from repro.storage.sorted_sets import SpoolDirectory
 
 
 from seeded_dbs import spool_with as _spool_with
@@ -144,33 +139,28 @@ class TestChooseEngine:
         )
         assert warm.engine == "pooled-brute-force"
 
-    def test_one_giant_component_offers_range_split_not_pooled_merge(
-        self, tmp_path
-    ):
-        # A star graph is one connected component: the component planner
-        # cannot split it, so pooled-merge is off the table and the
-        # histogram range split is the only parallel merge engine priced.
-        # Distinct attribute-name lead bytes give the histogram real cuts.
+    def test_one_component_merge_routes_sequential(self, tmp_path):
+        # A star graph is one connected component: the component plan is
+        # one group, and a one-group pooled merge is the sequential pass
+        # plus dispatch, so even a warm pool prices nothing but the
+        # in-process merge.
         spool = _spool_with(tmp_path, {name: 400 for name in "aemsz"})
         candidates = [_cand(name, "a") for name in "emsz"]
         decision = choose_engine(
             spool,
             candidates,
             ("merge-single-pass",),
-            workers=4,
-            calibration=FREE_POOL,
+            workers=2,
+            warm_pool=True,
             cpu_count=8,
         )
-        assert "pooled-merge" not in decision.predicted_seconds
-        assert "range-split-merge" in decision.predicted_seconds
-        assert decision.engine == "range-split-merge"
-        assert decision.range_split > 1
+        assert decision.engine == "sequential-merge"
+        assert set(decision.predicted_seconds) == {"sequential-merge"}
 
-    def test_range_split_pays_the_overread_penalty(self, tmp_path):
-        # Same workload, component split available: at equal lane counts
-        # the range split must price strictly above pooled-merge (the
-        # boundary re-reads are not free), so it is never preferred when
-        # components already parallelise the graph.
+    def test_free_pool_routes_a_split_merge_graph_pooled(self, tmp_path):
+        # Four independent pairs are four components: the component plan
+        # splits them, so with a free pool on a wide box the pooled merge
+        # wins.
         spool = _spool_with(tmp_path, {f"c{i}": 400 for i in range(8)})
         candidates = [_cand(f"c{i}", f"c{i + 1}") for i in range(0, 8, 2)]
         decision = choose_engine(
@@ -179,14 +169,53 @@ class TestChooseEngine:
             ("merge-single-pass",),
             workers=4,
             calibration=FREE_POOL,
-            range_split=4,
             cpu_count=8,
         )
-        assert (
-            decision.predicted_seconds["pooled-merge"]
-            < decision.predicted_seconds["range-split-merge"]
-        )
         assert decision.engine == "pooled-merge"
+        assert decision.workers == 4
+        assert set(decision.predicted_seconds) == {
+            "sequential-merge",
+            "pooled-merge",
+        }
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("shape", ["one-component", "four-components"])
+    def test_merge_family_prices_only_engines_that_can_win(
+        self, tmp_path, shape, workers
+    ):
+        # The pooled merge is priced only when the component plan splits
+        # and a second worker exists; no other merge engine is on offer.
+        spool = _spool_with(tmp_path, {f"c{i}": 400 for i in range(8)})
+        if shape == "one-component":
+            candidates = [_cand(f"c{i}", "c0") for i in range(1, 8)]
+        else:
+            candidates = [_cand(f"c{i}", f"c{i + 1}") for i in range(0, 8, 2)]
+        decision = choose_engine(
+            spool,
+            candidates,
+            ("merge-single-pass",),
+            workers=workers,
+            calibration=FREE_POOL,
+            warm_pool=True,
+            cpu_count=8,
+        )
+        expected = {"sequential-merge"}
+        if shape == "four-components" and workers > 1:
+            expected.add("pooled-merge")
+        assert set(decision.predicted_seconds) == expected
+
+    def test_decision_json_has_exactly_the_documented_keys(self, tmp_path):
+        spool = _spool_with(tmp_path, {"a": 20, "b": 30})
+        doc = choose_engine(
+            spool, [_cand("a", "b")], ("merge-single-pass",), workers=2
+        ).as_dict()
+        assert set(doc) == {
+            "engine",
+            "strategy",
+            "workers",
+            "predicted_seconds",
+            "calibration",
+        }
 
     def test_tie_breaks_toward_sequential(self, tmp_path):
         # Zero-cost calibration makes every engine predict 0.0 — the
@@ -217,67 +246,6 @@ class TestChooseEngine:
             choose_engine(spool, [_cand("a", "b")], (), workers=2)
 
 
-class TestRangeBounds:
-    def test_bounds_tile_the_byte_space_without_gaps(self, tmp_path):
-        spool = _spool_with(tmp_path, {"a": 300, "b": 200})
-        bounds = ShardPlanner(spool).range_bounds(
-            [_cand("a", "b")], splits=4
-        )
-        assert bounds[0][0] == 0
-        for (_, hi), (lo, _) in zip(bounds, bounds[1:]):
-            assert hi == lo, "ranges must abut — a gap drops values"
-        assert all(lo < hi for lo, hi in bounds)
-
-    def test_skewed_histogram_yields_fewer_but_nonempty_ranges(self, tmp_path):
-        # Every value shares the lead byte "z": a 4-way cut by count can
-        # place at most one boundary, so collapsed duplicates must be
-        # dropped rather than emitted as empty ranges.
-        spool = SpoolDirectory.create(tmp_path / "spool", format="binary")
-        spool.add_values(
-            AttributeRef("t", "a"), [f"z{i:05d}" for i in range(100)]
-        )
-        spool.add_values(
-            AttributeRef("t", "b"), [f"z{i:05d}" for i in range(0, 200, 2)]
-        )
-        spool.save_index()
-        bounds = ShardPlanner(spool).range_bounds([_cand("a", "b")], splits=4)
-        assert all(lo < hi for lo, hi in bounds)
-        assert len(bounds) <= 4
-        covered = any(lo <= ord("z") < hi for lo, hi in bounds)
-        assert covered, "the populated lead byte must fall inside a range"
-
-    def test_balanced_histogram_splits_near_evenly(self, tmp_path):
-        # Four attributes with distinct lead bytes and equal counts: the
-        # histogram cut should isolate them rather than blindly slicing
-        # 0..256 into four spans that lump all data into one.
-        spool = SpoolDirectory.create(tmp_path / "spool", format="binary")
-        for name in ("a", "m", "s", "z"):
-            spool.add_values(
-                AttributeRef("t", name),
-                [f"{name}{i:05d}" for i in range(100)],
-            )
-        spool.save_index()
-        planner = ShardPlanner(spool)
-        candidates = [_cand("a", "m"), _cand("s", "z")]
-        hist = planner.first_byte_histogram(candidates)
-        assert sum(hist) == 400
-        bounds = planner.range_bounds(candidates, splits=4)
-        weights = [sum(hist[lo:hi]) for lo, hi in bounds]
-        assert len(bounds) == 4
-        assert max(weights) == 100, f"cut must isolate the four bytes: {weights}"
-
-    def test_empty_candidates_fall_back_to_blind_cut(self, tmp_path):
-        spool = _spool_with(tmp_path, {"a": 10})
-        assert ShardPlanner(spool).range_bounds([], splits=4) == (
-            partition_bounds(4)
-        )
-
-    def test_bad_split_count_rejected(self, tmp_path):
-        spool = _spool_with(tmp_path, {"a": 10, "b": 10})
-        with pytest.raises(DiscoveryError):
-            ShardPlanner(spool).range_bounds([_cand("a", "b")], splits=0)
-
-
 class TestCalibrationPersistence:
     def test_save_load_round_trip(self, tmp_path):
         profile = CalibrationProfile(
@@ -295,10 +263,21 @@ class TestCalibrationPersistence:
         assert profile == CalibrationProfile()
         assert profile.source == "default"
 
-    def test_corrupt_file_falls_back_to_defaults(self, tmp_path):
-        calibration_path(tmp_path).write_text("{not json", "utf-8")
-        assert load_calibration(tmp_path) == CalibrationProfile()
-        (tmp_path / "calibration.json").write_text('["a list"]', "utf-8")
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{not json",
+            '["a list"]',
+            # A constant that is not a finite number >= 0 would fail the
+            # run (null, a list) or price engines at NaN or below zero.
+            '{"seq_item_seconds": null}',
+            '{"seq_item_seconds": [1]}',
+            '{"seq_item_seconds": "nan"}',
+            '{"seq_item_seconds": -1}',
+        ],
+    )
+    def test_corrupt_file_falls_back_to_defaults(self, tmp_path, text):
+        calibration_path(tmp_path).write_text(text, "utf-8")
         assert load_calibration(tmp_path) == CalibrationProfile()
 
     def test_partial_file_keeps_defaults_for_missing_keys(self, tmp_path):
@@ -405,6 +384,22 @@ class TestAdaptiveRouting:
         assert choice["routing_seconds"] >= 0
         assert result.to_dict()["engine_choice"] == choice
 
+    def test_corrupt_calibration_routes_on_the_defaults(self, fk_db, tmp_path):
+        calibration_path(tmp_path).write_text(
+            '{"seq_item_seconds": null}', "utf-8"
+        )
+        result = discover_inds(
+            fk_db, DiscoveryConfig(strategy="adaptive", cache_dir=str(tmp_path))
+        )
+        choice = result.engine_choice
+        assert choice["calibration"] == "default"
+        baseline = discover_inds(
+            fk_db, DiscoveryConfig(strategy=choice["strategy"])
+        )
+        assert {str(i) for i in result.satisfied} == {
+            str(i) for i in baseline.satisfied
+        }
+
     def test_fixed_strategy_reports_null_engine_choice(self, fk_db):
         """Non-adaptive runs emit the null choice, not a missing key.
 
@@ -469,31 +464,6 @@ class TestAdaptiveRouting:
         assert all(
             "brute-force" not in name for name in choice["predicted_seconds"]
         )
-
-    def test_forced_range_split_merge_agrees_on_decisions(self, tmp_path):
-        # One giant component + free pool + prohibitive brute-force makes
-        # range-split-merge the only rational engine; its decisions and
-        # satisfied set must match the sequential merge exactly (its
-        # items_read may legitimately exceed it at the cut boundaries).
-        spool = _spool_with(tmp_path, {name: 60 for name in "aemsz"})
-        candidates = [_cand(name, "a") for name in "emsz"]
-        decision = choose_engine(
-            spool,
-            candidates,
-            ("merge-single-pass",),
-            workers=2,
-            calibration=FREE_POOL,
-            cpu_count=8,
-        )
-        assert decision.engine == "range-split-merge"
-        from repro.parallel.merge import PartitionedMergeValidator
-
-        split = PartitionedMergeValidator(
-            spool, workers=2, range_split=decision.range_split
-        ).validate(candidates)
-        sequential = MergeSinglePassValidator(spool).validate(candidates)
-        assert split.decisions == sequential.decisions
-        assert split.stats.items_read >= sequential.stats.items_read
 
     def test_adaptive_strategy_result_keeps_requested_name(self, fk_db):
         result = discover_inds(fk_db, DiscoveryConfig(strategy="adaptive"))

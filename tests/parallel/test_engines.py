@@ -2,8 +2,8 @@
 
 The cross-validator agreement of the full engines against the sequential
 validators lives in ``tests/test_validator_agreement.py``; this file covers
-the pieces in isolation: byte-range partitioning, the range cursor, and the
-shard-outcome merge (including its must-fail paths).
+the pieces in isolation: the shard-outcome merge (including its must-fail
+paths) and the engine's guards.
 """
 
 from __future__ import annotations
@@ -19,100 +19,11 @@ from repro.parallel.engine import (
     ShardOutcome,
     merge_shard_outcomes,
 )
-from repro.parallel.merge import (
-    ByteRangeCursor,
-    boundary_string,
-    first_byte,
-    partition_bounds,
-)
-from repro.storage.cursors import IOStats, MemoryValueCursor
 from repro.storage.sorted_sets import SpoolDirectory
 
 
 def _cand(dep: str, ref: str) -> Candidate:
     return Candidate(AttributeRef("t", dep), AttributeRef("t", ref))
-
-
-class TestPartitionBounds:
-    def test_tiles_the_byte_space(self):
-        for partitions in (1, 2, 3, 4, 7, 16, 256, 1000):
-            bounds = partition_bounds(partitions)
-            assert bounds[0][0] == 0
-            for (_, hi), (lo, _) in zip(bounds, bounds[1:]):
-                assert hi == lo
-            # Every lead byte a UTF-8 value can start with is covered.
-            covered = set()
-            for lo, hi in bounds:
-                covered.update(range(lo, hi))
-            assert set(range(0xF5)) <= covered
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(DiscoveryError):
-            partition_bounds(0)
-
-
-class TestBoundaryString:
-    @pytest.mark.parametrize(
-        "value",
-        ["", "a", "\x00", "zz", "é", "߿", "￿", "\U0001f600", "nul\x00"],
-    )
-    def test_boundary_splits_exactly_at_first_byte(self, value):
-        """boundary(b) <= v  iff  first_byte(v) >= b, for every cut point."""
-        fb = first_byte(value)
-        for cut in (0, 1, fb, fb + 1, 0x7F, 0x80, 0xC2, 0xE0, 0xF0, 0xF4):
-            boundary = boundary_string(cut)
-            if boundary is None:
-                assert fb < cut
-                continue
-            assert (boundary <= value) == (fb >= cut), (value, cut, boundary)
-
-    def test_extremes(self):
-        assert boundary_string(0) == ""
-        assert boundary_string(0x100) is None
-        assert boundary_string(0xF5) is None
-
-
-class TestByteRangeCursor:
-    VALUES = ["", "0", "9", "A", "a", "z", "é", "一", "\U0001f600"]
-
-    def test_partitions_tile_the_value_set(self):
-        for partitions in (1, 2, 4, 16):
-            out: list[str] = []
-            for lo, hi in partition_bounds(partitions):
-                cursor = ByteRangeCursor(
-                    MemoryValueCursor(self.VALUES),
-                    boundary_string(lo),
-                    boundary_string(hi) if hi <= 0xF4 else None,
-                )
-                out.extend(cursor.read_batch(100))
-                cursor.close()
-            assert out == self.VALUES, f"{partitions} partitions lose values"
-
-    def test_matches_first_byte_filter(self):
-        for lo, hi in partition_bounds(8):
-            expected = [v for v in self.VALUES if lo <= first_byte(v) < hi]
-            cursor = ByteRangeCursor(
-                MemoryValueCursor(self.VALUES),
-                boundary_string(lo),
-                boundary_string(hi) if hi <= 0xF4 else None,
-            )
-            assert cursor.read_batch(100) == expected
-            cursor.close()
-
-    def test_uses_skip_scan_to_reach_range_start(self, tmp_path):
-        spool = SpoolDirectory.create(tmp_path, format="binary", block_size=4)
-        ref = AttributeRef("t", "a")
-        spool.add_values(ref, [f"{i:04d}" for i in range(64)])
-        io = IOStats()
-        inner = spool.open_cursor(ref, io)
-        cursor = ByteRangeCursor(inner, "z", None)  # empty range at the tail
-        assert cursor.read_batch(10) == []
-        cursor.close()
-        # Every block's recorded max is below "z": all 16 frames are seeked
-        # past without decoding, and nothing is ever logically read.
-        assert io.blocks_skipped == 16
-        assert io.values_skipped == 64
-        assert io.items_read == 0
 
 
 class TestMergeShardOutcomes:

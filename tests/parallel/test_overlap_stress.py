@@ -10,8 +10,7 @@ byte-identical to the barriered pipeline.  Two layers of defence:
   reference semantics;
 * a seeded random sweep: each seed derives a database **and** a config
   vector (workers, spool format, strategy incl. adaptive, sampling size,
-  ``reuse_spool``, ``range_split``), runs the same vector barriered and
-  overlapped, and diffs the full ``to_dict()`` view.  The seed is printed
+  ``reuse_spool``), runs the same vector barriered and overlapped, and diffs the full ``to_dict()`` view.  The seed is printed
   on failure so any counterexample replays with
   ``pytest -k <seed> tests/parallel/test_overlap_stress.py``.
 
@@ -75,13 +74,10 @@ def _config_vector(seed: int) -> dict:
     rng = random.Random(seed ^ 0xA5A5)
     strategy = rng.choice(("brute-force", "merge-single-pass", "adaptive"))
     workers = rng.choice(WORKER_COUNTS)
-    range_split = 0
-    if (
-        strategy == "merge-single-pass"
-        and workers > 1
-        and rng.random() < 0.4
-    ):
-        range_split = 2
+    if strategy == "merge-single-pass" and workers > 1:
+        # This draw once chose a byte-range merge split, an option since
+        # deleted.  It stays so every seed keeps the vector it always had.
+        rng.random()
     spool_format = rng.choice(SPOOL_FORMATS)
     compression = "none"
     mmap_reads: bool | str = "auto"
@@ -97,7 +93,6 @@ def _config_vector(seed: int) -> dict:
         "mmap_reads": mmap_reads,
         "sampling": rng.choice((0, 2, 3)),
         "reuse_spool": rng.random() < 0.3,
-        "range_split": range_split,
     }
 
 
@@ -120,7 +115,6 @@ def _discovery_config(vector: dict, *, overlap: bool, cache_dir) -> DiscoveryCon
         sampling_size=vector["sampling"],
         pretests=PretestConfig(cardinality=True, max_value=False),
         validation_workers=vector["workers"],
-        range_split=vector["range_split"],
         reuse_spool=vector["reuse_spool"],
         cache_dir=str(cache_dir),
         overlap=overlap,
@@ -225,10 +219,7 @@ class TestOverlapStressAgreement:
             assert barriered.overlap is None, context
             doc = overlapped.overlap
             assert doc is not None, context
-            full = (
-                vector["strategy"] in ("brute-force", "merge-single-pass")
-                and vector["range_split"] == 0
-            )
+            full = vector["strategy"] in ("brute-force", "merge-single-pass")
             assert doc["mode"] == ("full" if full else "staged"), context
             if expect_hit:
                 assert doc["tasks_by_phase"]["export"] == 0, context

@@ -1,0 +1,239 @@
+"""The pool-backed merge: one ``merge-partition`` task per component group.
+
+Every seeded database of the agreement suite forms a single candidate-graph
+component, so there the pooled merge always runs one task.  This file
+builds spools of several independent components from a seed, so the
+component plan really splits, and pins the exactness argument directly:
+the sequential merges of the plan's groups sum to the whole pass, and the
+pooled validator dispatches exactly one task per group with the same
+answers and counters.  It also covers the one-component case the seeded
+databases take, and the validator's guards.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from seeded_dbs import build_random_db
+from test_validator_agreement import _candidates
+
+from repro.core.candidates import Candidate
+from repro.core.merge_single_pass import MergeSinglePassValidator
+from repro.db.schema import AttributeRef
+from repro.errors import DiscoveryError, SpoolError
+from repro.parallel.merge import PartitionedMergeValidator
+from repro.parallel.planner import ShardPlanner
+from repro.parallel.pool import WorkerPool
+from repro.storage.exporter import export_database
+from repro.storage.sorted_sets import SpoolDirectory
+
+SEEDS = tuple(range(10))
+
+#: Summable counters that must equal the sequential pass exactly.
+COUNTERS = (
+    "candidates_total",
+    "satisfied_count",
+    "refuted_count",
+    "items_read",
+    "comparisons",
+    "files_opened",
+    "blocks_skipped",
+)
+
+
+def _counters(stats) -> dict:
+    return {name: getattr(stats, name) for name in COUNTERS}
+
+
+def _component_spool(root, seed: int, components: int = 5):
+    """A binary spool of ``components`` independent attribute clusters.
+
+    Each cluster has one attribute holding a base set and one to three
+    holding random subsets of it, so containment holds for some pairs and
+    fails for others.  All clusters draw from one shared value domain, so
+    the global merge interleaves them.  Candidates are the ordered pairs
+    inside each cluster, shuffled: the candidate graph has exactly
+    ``components`` components.
+    """
+    rng = random.Random(seed)
+    domain = [f"v{i:04d}" for i in range(400)]
+    spool = SpoolDirectory.create(root, format="binary", block_size=3)
+    candidates = []
+    for k in range(components):
+        base = rng.sample(domain, rng.randint(8, 120))
+        columns = [base] + [
+            rng.sample(base, rng.randint(1, len(base)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        refs = []
+        for index, values in enumerate(columns):
+            ref = AttributeRef(f"t{k}", f"a{index}")
+            spool.add_values(ref, sorted(values))
+            refs.append(ref)
+        candidates += [Candidate(d, r) for d in refs for r in refs if d != r]
+    rng.shuffle(candidates)
+    spool.save_index()
+    return spool, candidates
+
+
+def _skewed_spool(root):
+    """Two components, each a sparse dependent over a dense referenced side.
+
+    The referenced attributes are purely referenced and their values run
+    far past the gap between the dependent's two values: the case the
+    merge-side frontier skip seeks past whole blocks in.  The gap spans
+    more than one default read batch, which a frontier seek needs.
+    """
+    spool = SpoolDirectory.create(root, format="binary", block_size=16)
+    dense = [f"{i:05d}" for i in range(9000)]
+    candidates = []
+    for k in range(2):
+        dep, ref = AttributeRef(f"t{k}", "dep"), AttributeRef(f"t{k}", "ref")
+        spool.add_values(ref, dense)
+        spool.add_values(dep, [dense[k], dense[-1 - k]])
+        candidates.append(Candidate(dep, ref))
+    spool.save_index()
+    return spool, candidates
+
+
+@pytest.fixture(scope="module")
+def pool():
+    with WorkerPool(2) as fleet:
+        yield fleet
+
+
+class TestComponentPlan:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_group_merges_sum_to_the_sequential_pass(self, seed, tmp_path):
+        spool, candidates = _component_spool(tmp_path / "s", seed)
+        whole = MergeSinglePassValidator(spool).validate(candidates)
+        groups = PartitionedMergeValidator(spool, workers=2).plan(candidates)
+        assert len(groups) > 1, "the plan must split for this to prove much"
+        decisions: dict = {}
+        totals = dict.fromkeys(COUNTERS, 0)
+        for group in groups:
+            part = MergeSinglePassValidator(spool).validate(
+                list(group.candidates)
+            )
+            decisions.update(part.decisions)
+            for name, value in _counters(part.stats).items():
+                totals[name] += value
+        assert decisions == whole.decisions
+        assert totals == _counters(whole.stats)
+        assert 0 < whole.stats.satisfied_count < whole.stats.candidates_total
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_pooled_merge_runs_one_task_per_group(self, seed, tmp_path, pool):
+        spool, candidates = _component_spool(tmp_path / "s", seed)
+        whole = MergeSinglePassValidator(spool).validate(candidates)
+        validator = PartitionedMergeValidator(spool, workers=2, pool=pool)
+        groups = validator.plan(candidates)
+        got = validator.validate(candidates)
+        assert got.pool["tasks_by_kind"] == {"merge-partition": len(groups)}
+        assert got.stats.extra["merge_groups"] == len(groups)
+        assert got.stats.extra["partitions"] == len(groups)
+        assert got.decisions == whole.decisions
+        assert got.satisfied == whole.satisfied
+        assert _counters(got.stats) == _counters(whole.stats)
+
+    def test_plan_is_the_planner_component_plan(self, tmp_path):
+        spool, candidates = _component_spool(tmp_path / "s", 0)
+        planner = ShardPlanner(spool)
+        validator = PartitionedMergeValidator(spool, workers=2, planner=planner)
+        assert validator.plan(candidates) == planner.plan_merge_groups(
+            candidates, 2
+        )
+        assert sum(g.components for g in validator.plan(candidates)) == 5
+
+
+class TestOneComponent:
+    @pytest.mark.parametrize("seed", SEEDS[:5])
+    def test_one_component_runs_as_one_pool_task(self, seed, tmp_path, pool):
+        # The seeded databases, like every benchmark input, form one
+        # component: the pooled merge is the sequential pass in one task.
+        db = build_random_db(seed)
+        _, candidates = _candidates(db)
+        spool, _ = export_database(db, str(tmp_path / "spool"), block_size=3)
+        sequential = MergeSinglePassValidator(spool).validate(candidates)
+        got = PartitionedMergeValidator(spool, workers=2, pool=pool).validate(
+            candidates
+        )
+        assert got.pool["tasks_by_kind"] == {"merge-partition": 1}
+        assert got.stats.extra["merge_groups"] == 1
+        assert got.decisions == sequential.decisions
+        assert got.satisfied == sequential.satisfied
+        assert _counters(got.stats) == _counters(sequential.stats)
+
+
+class TestGuards:
+    def test_requires_saved_index(self, tmp_path):
+        spool = SpoolDirectory.create(tmp_path / "s", format="binary")
+        ref_a, ref_b = AttributeRef("t", "a"), AttributeRef("t", "b")
+        spool.add_values(ref_a, ["1"])
+        spool.add_values(ref_b, ["1", "2"])
+        # No save_index(): workers could never re-open this directory.
+        validator = PartitionedMergeValidator(spool, workers=2)
+        with pytest.raises(SpoolError, match="no saved index"):
+            validator.validate([Candidate(ref_a, ref_b)])
+
+    def test_rejects_nonpositive_workers(self, tmp_path):
+        spool = SpoolDirectory.create(tmp_path / "s", format="binary")
+        with pytest.raises(DiscoveryError, match="workers must be >= 1"):
+            PartitionedMergeValidator(spool, workers=0)
+
+    def test_one_worker_runs_in_process(self, tmp_path):
+        spool, candidates = _component_spool(tmp_path / "s", 1)
+        got = PartitionedMergeValidator(spool, workers=1).validate(candidates)
+        sequential = MergeSinglePassValidator(spool).validate(candidates)
+        assert got.pool is None
+        assert "merge_groups" not in got.stats.extra
+        assert got.decisions == sequential.decisions
+        assert _counters(got.stats) == _counters(sequential.stats)
+
+    def test_no_candidates_run_in_process(self, tmp_path):
+        spool, _ = _component_spool(tmp_path / "s", 2)
+        got = PartitionedMergeValidator(spool, workers=2).validate([])
+        assert got.pool is None
+        assert got.decisions == {}
+        assert got.stats.candidates_total == 0
+
+    def test_duplicate_candidates_handled_like_sequential(
+        self, tmp_path, pool
+    ):
+        spool, candidates = _component_spool(tmp_path / "s", 3)
+        doubled = candidates + candidates[::2]
+        sequential = MergeSinglePassValidator(spool).validate(doubled)
+        got = PartitionedMergeValidator(spool, workers=2, pool=pool).validate(
+            doubled
+        )
+        assert got.decisions == sequential.decisions
+        assert _counters(got.stats) == _counters(sequential.stats)
+
+    def test_borrowed_pool_keeps_running(self, tmp_path):
+        spool, candidates = _component_spool(tmp_path / "s", 4)
+        with WorkerPool(2) as fleet:
+            validator = PartitionedMergeValidator(spool, workers=2, pool=fleet)
+            first = validator.validate(candidates)
+            assert fleet.alive_workers == 2
+            second = validator.validate(candidates)
+            assert fleet.stats.jobs == 2
+            assert fleet.stats.workers_spawned == 2
+        assert first.stats.extra["pool_warm"] == 1.0
+        assert second.decisions == first.decisions
+
+    @pytest.mark.parametrize("skip_scan", [False, True])
+    def test_skip_scan_reaches_every_group(self, skip_scan, tmp_path, pool):
+        spool, candidates = _skewed_spool(tmp_path / "s")
+        sequential = MergeSinglePassValidator(
+            spool, skip_scan=skip_scan
+        ).validate(candidates)
+        validator = PartitionedMergeValidator(
+            spool, workers=2, pool=pool, skip_scan=skip_scan
+        )
+        assert len(validator.plan(candidates)) == 2
+        got = validator.validate(candidates)
+        assert got.decisions == sequential.decisions
+        assert _counters(got.stats) == _counters(sequential.stats)
+        assert (sequential.stats.blocks_skipped > 0) is skip_scan

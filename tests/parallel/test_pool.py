@@ -266,7 +266,7 @@ class TestPoolLifecycle:
             TaskSpec(
                 kind=KIND_MERGE_PARTITION,
                 candidates=tuple(merge_group),
-                payload=(0, 256),
+                payload=(False,),
             )
         ]
         sequential = BruteForceValidator(spool).validate(candidates[:8])

@@ -1,4 +1,4 @@
-"""Shard planning: coverage, balance, determinism."""
+"""Chunk and merge-group planning: coverage, balance, determinism."""
 
 from __future__ import annotations
 
@@ -7,7 +7,11 @@ import pytest
 from repro.core.candidates import Candidate
 from repro.db.schema import AttributeRef
 from repro.errors import DiscoveryError
-from repro.parallel.planner import ShardPlanner, pack_cost_groups
+from repro.parallel.planner import (
+    MAX_CHUNK_CANDIDATES,
+    ShardPlanner,
+    pack_cost_groups,
+)
 from repro.storage.sorted_sets import SpoolDirectory
 
 
@@ -24,67 +28,72 @@ def _cand(dep: str, ref: str) -> Candidate:
     return Candidate(AttributeRef("t", dep), AttributeRef("t", ref))
 
 
-class TestShardPlanner:
-    def test_every_candidate_lands_in_exactly_one_shard(self, tmp_path):
-        spool = _spool_with(tmp_path, {f"c{i}": 10 + i for i in range(6)})
-        candidates = [
-            _cand(f"c{i}", f"c{j}") for i in range(6) for j in range(6) if i != j
-        ]
-        shards = ShardPlanner(spool).plan(candidates, 4)
-        assert len(shards) == 4
-        seen = [c for shard in shards for c in shard.candidates]
-        assert sorted(map(str, seen)) == sorted(map(str, candidates))
-        assert len(seen) == len(candidates)
-
+class TestChunkPlanning:
     def test_balances_by_spool_size_not_candidate_count(self, tmp_path):
         # One giant attribute and many tiny ones: counting candidates would
-        # put the giant's candidates together; costing by size spreads them.
+        # pair each big-referencing candidate with a cheap one; costing by
+        # spool size fills each chunk's budget with two of the eight big
+        # ones and leaves the cheap ones to share the last chunk.
         sizes = {"big": 10_000} | {f"tiny{i}": 2 for i in range(8)}
         spool = _spool_with(tmp_path, sizes)
-        candidates = [_cand(f"tiny{i}", "big") for i in range(8)]
-        candidates += [_cand(f"tiny{i}", f"tiny{(i + 1) % 8}") for i in range(8)]
-        shards = ShardPlanner(spool).plan(candidates, 4)
-        loads = [s.estimated_cost for s in shards]
-        # Each of the 4 shards must carry 2 of the 8 big-referencing
-        # candidates — any other split is at least ~10000 cost out of balance.
-        assert max(loads) < 2 * min(loads)
-        for shard in shards:
-            big_refs = sum(
-                1 for c in shard.candidates if c.referenced.column == "big"
-            )
-            assert big_refs == 2
+        candidates = []
+        for i in range(8):
+            candidates += [
+                _cand(f"tiny{i}", "big"),
+                _cand(f"tiny{i}", f"tiny{(i + 1) % 8}"),
+            ]
+        chunks = ShardPlanner(spool).plan_chunks(
+            candidates, workers=2, chunk_size=16
+        )
+        big_refs = [
+            sum(1 for c in chunk.candidates if c.referenced.column == "big")
+            for chunk in chunks
+        ]
+        assert big_refs == [2, 2, 2, 2, 0]
+        assert [chunk.estimated_cost for chunk in chunks] == [20006] * 4 + [40]
 
-    def test_deterministic_and_order_preserving_within_shard(self, tmp_path):
-        spool = _spool_with(tmp_path, {f"c{i}": 5 * (i + 1) for i in range(5)})
+
+    def test_more_workers_than_candidates_emits_no_empty_chunks(
+        self, tmp_path
+    ):
+        spool = _spool_with(tmp_path, {"a": 3, "b": 5, "c": 7})
+        candidates = [_cand("a", "b"), _cand("c", "b")]
+        chunks = ShardPlanner(spool).plan_chunks(candidates, workers=16)
+        assert [len(chunk.candidates) for chunk in chunks] == [1, 1]
+        assert [chunk.index for chunk in chunks] == [0, 1]
+
+    def test_default_cap_never_exceeds_max_chunk_candidates(self, tmp_path):
+        # 132 equal-cost candidates.  At two workers the even split into
+        # eight chunks caps a chunk at 17; at one worker the even split
+        # would allow 33, and MAX_CHUNK_CANDIDATES closes it at 32.
+        spool = _spool_with(tmp_path, {f"c{i}": 4 for i in range(12)})
         candidates = [
-            _cand(f"c{i}", f"c{j}") for i in range(5) for j in range(5) if i != j
+            _cand(f"c{i}", f"c{j}")
+            for i in range(12)
+            for j in range(12)
+            if i != j
         ]
         planner = ShardPlanner(spool)
-        first = planner.plan(candidates, 3)
-        second = planner.plan(candidates, 3)
-        assert first == second
-        order = {str(c): i for i, c in enumerate(candidates)}
-        for shard in first:
-            positions = [order[str(c)] for c in shard.candidates]
-            assert positions == sorted(positions)
+        two = planner.plan_chunks(candidates, workers=2)
+        assert max(len(chunk.candidates) for chunk in two) == 17
+        one = planner.plan_chunks(candidates, workers=1)
+        assert max(len(chunk.candidates) for chunk in one) == (
+            MAX_CHUNK_CANDIDATES
+        )
 
-    def test_single_shard_plan_replays_sequential_order(self, tmp_path):
-        spool = _spool_with(tmp_path, {"a": 3, "b": 9, "c": 1})
-        candidates = [_cand("a", "b"), _cand("c", "b"), _cand("c", "a")]
-        (shard,) = ShardPlanner(spool).plan(candidates, 1)
-        assert list(shard.candidates) == candidates
-
-    def test_more_shards_than_candidates_drops_empties(self, tmp_path):
-        spool = _spool_with(tmp_path, {"a": 3, "b": 9})
-        shards = ShardPlanner(spool).plan([_cand("a", "b")], 8)
-        assert len(shards) == 1
-
-    def test_empty_candidates_and_bad_shard_count(self, tmp_path):
-        spool = _spool_with(tmp_path, {"a": 1})
+    def test_chunk_cost_is_the_sum_of_its_candidate_costs(self, tmp_path):
+        spool = _spool_with(tmp_path, {"a": 3, "b": 50, "c": 7, "d": 500})
         planner = ShardPlanner(spool)
-        assert planner.plan([], 4) == []
-        with pytest.raises(DiscoveryError):
-            planner.plan([_cand("a", "a")], 0)
+        candidates = [
+            _cand("a", "b"), _cand("c", "d"), _cand("a", "d"), _cand("b", "c"),
+        ]
+        # Both attributes' spooled sizes, plus one.
+        assert planner.candidate_cost(_cand("a", "d")) == 3 + 500 + 1
+        chunks = planner.plan_chunks(candidates, workers=2)
+        for chunk in chunks:
+            assert chunk.estimated_cost == sum(
+                planner.candidate_cost(c) for c in chunk.candidates
+            )
 
 
 class TestMergeGroupPlanning:

@@ -3,25 +3,25 @@
 The end-to-end behaviour of the two built-in kinds is covered by the
 agreement suite and the pool lifecycle tests; this file pins the registry
 contract (loud unknowns, no silent overwrites, pluggable custom kinds) and
-the byte-range semantics of the ``merge-partition`` payload.
+the ``merge-partition`` payload.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.brute_force import BruteForceValidator
 from repro.core.candidates import Candidate
+from repro.core.merge_single_pass import MergeSinglePassValidator
 from repro.core.stats import ValidatorStats
 from repro.db.schema import AttributeRef
 from repro.errors import DiscoveryError
-from repro.parallel.merge import make_partition_view, partition_bounds
 from repro.parallel.pool import WorkerPool
 from repro.parallel.tasks import (
     KIND_BRUTE_FORCE,
     KIND_MERGE_PARTITION,
     KIND_SAMPLE_PRETEST,
     KIND_SPOOL_EXPORT,
+    PoolTask,
     ShardOutcome,
     TaskSpec,
     register_task_kind,
@@ -120,48 +120,44 @@ class TestRegistry:
 
 
 class TestMergePartitionPayload:
-    def test_full_range_payload_uses_the_bare_spool(self, spool):
-        assert make_partition_view(spool, 0, 256) is spool
-
-    def test_restricted_range_clips_cursors(self, spool):
-        view = make_partition_view(spool, ord("b"), ord("q"))
-        cursor = view.open_cursor(AttributeRef("t", "b"))
-        assert cursor.read_batch(100) == ["banana", "pear"]
-        cursor.close()
-
-    def test_range_beyond_utf8_lead_bytes_is_rejected(self, spool):
-        with pytest.raises(DiscoveryError, match="past every UTF-8 lead byte"):
-            make_partition_view(spool, 0xF5, 0x100)
-
-    def test_ranged_tasks_union_to_the_sequential_decisions(self, spool):
-        """Explicit byte-range tasks through the pool tile the value space.
-
-        This is the raw ``merge-partition`` task kind the ``range_split``
-        escape hatch builds on: every range decides every candidate for its
-        slice, and a candidate holds iff no range refuted it.
-        """
+    @pytest.mark.parametrize("skip_scan", [False, True])
+    def test_task_is_the_sequential_merge_on_its_group(self, spool, skip_scan):
         candidates = (_cand("a", "b"), _cand("c", "b"), _cand("b", "a"))
-        sequential = BruteForceValidator(spool).validate(list(candidates))
-        specs = [
-            TaskSpec(
-                kind=KIND_MERGE_PARTITION,
-                candidates=candidates,
-                payload=(lo, hi),
-            )
-            for lo, hi in partition_bounds(4)
-        ]
-        with WorkerPool(2) as pool:
-            job = pool.run_job(str(spool.root), specs)
-        assert len(job.outcomes) == len(specs)
-        unioned = {
-            candidate: all(
-                outcome.decisions[candidate] for outcome in job.outcomes
-            )
-            for candidate in candidates
-        }
-        assert {str(c): ok for c, ok in unioned.items()} == {
-            str(c): ok for c, ok in sequential.decisions.items()
-        }
+        task = PoolTask(
+            job_id=0,
+            task_id=3,
+            kind=KIND_MERGE_PARTITION,
+            spool_root=str(spool.root),
+            candidates=candidates,
+            payload=(skip_scan,),
+        )
+        outcome = resolve_task_kind(KIND_MERGE_PARTITION)(spool, task)
+        sequential = MergeSinglePassValidator(
+            spool, skip_scan=skip_scan
+        ).validate(list(candidates))
+        assert outcome.shard_index == 3
+        assert outcome.decisions == sequential.decisions
+        assert outcome.vacuous == sequential.vacuous
+        for counter in ("items_read", "comparisons", "blocks_skipped"):
+            assert getattr(outcome.stats, counter) == getattr(
+                sequential.stats, counter
+            ), counter
+
+    def test_empty_payload_runs_without_skip_scan(self, spool):
+        candidates = (_cand("a", "b"), _cand("c", "b"))
+        task = PoolTask(
+            job_id=0,
+            task_id=0,
+            kind=KIND_MERGE_PARTITION,
+            spool_root=str(spool.root),
+            candidates=candidates,
+        )
+        assert task.payload == ()
+        outcome = resolve_task_kind(KIND_MERGE_PARTITION)(spool, task)
+        sequential = MergeSinglePassValidator(spool).validate(list(candidates))
+        assert outcome.decisions == sequential.decisions
+        assert outcome.stats.items_read == sequential.stats.items_read
+        assert outcome.stats.blocks_skipped == 0
 
 
 class TestSpoolExportUnit:

@@ -29,6 +29,7 @@ PUBLIC_MODULES = [
     "repro.datagen",
     "repro.db",
     "repro.discovery",
+    "repro.parallel",
     "repro.sql",
     "repro.storage",
 ]

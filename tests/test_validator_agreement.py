@@ -290,36 +290,6 @@ class TestParallelAgreement:
             assert pool.stats.spool_handle_reuses > 0
             assert pool.stats.tasks_by_kind["merge-partition"] > 0
 
-    @pytest.mark.parametrize("seed", SEEDS[:5])
-    def test_range_split_merge_keeps_decisions_exact(self, seed, tmp_path):
-        """The byte-range escape hatch trades I/O accounting, never answers.
-
-        ``range_split=N`` additionally cuts every merge group into N
-        first-byte ranges — the partitioning that parallelises even one
-        giant candidate-graph component.  Decisions and satisfied sets must
-        still match the sequential pass exactly; ``items_read`` may only
-        grow (boundary re-reads are the documented price and must never be
-        hidden by undercounting).
-        """
-        from repro.parallel import PartitionedMergeValidator
-
-        db = build_random_db(seed)
-        _, candidates = _candidates(db)
-        if not candidates:
-            pytest.skip(f"seed {seed} generated no candidates")
-        spool, _ = export_database(
-            db, str(tmp_path / "spool"), block_size=3
-        )
-        sequential = MergeSinglePassValidator(spool).validate(candidates)
-        got = PartitionedMergeValidator(
-            spool, workers=2, range_split=4
-        ).validate(candidates)
-        assert _decision_key(got.decisions) == _decision_key(
-            sequential.decisions
-        )
-        assert got.satisfied == sequential.satisfied
-        assert got.stats.items_read >= sequential.stats.items_read
-
     @pytest.mark.parametrize("seed", (1, 5))
     def test_discover_inds_parallel_equals_sequential(self, seed):
         db = build_random_db(seed)
@@ -569,11 +539,9 @@ class TestAdaptiveAgreement:
     calibration legs each — default constants (small inputs route
     sequential), a planted free-pool profile with a faked wide CPU count
     (routes pooled engines even on 1-core CI boxes), and the free-pool
-    profile pinned to the merge family (routes range-split-merge on
-    one-giant-component seeds).  Every run must reproduce the satisfied
-    set, ``items_read`` and ``comparisons`` of the *selected* strategy's
-    sequential run — except range-split-merge, whose ``items_read`` may
-    only grow (documented boundary re-reads).
+    profile pinned to the merge family.  Every run must reproduce the
+    satisfied set, ``items_read`` and ``comparisons`` of the *selected*
+    strategy's sequential run.
     """
 
     WORKER_COUNTS = (1, 2, 4)
@@ -585,20 +553,14 @@ class TestAdaptiveAgreement:
         assert {str(i) for i in result.satisfied} == {
             str(i) for i in baseline.satisfied
         }, f"{choice['engine']} changed the satisfied set"
-        if choice["engine"] == "range-split-merge":
-            assert (
-                result.validator_stats.items_read
-                >= baseline.validator_stats.items_read
-            )
-        else:
-            assert (
-                result.validator_stats.items_read
-                == baseline.validator_stats.items_read
-            ), f"{choice['engine']} drifted on items_read"
-            assert (
-                result.validator_stats.comparisons
-                == baseline.validator_stats.comparisons
-            )
+        assert (
+            result.validator_stats.items_read
+            == baseline.validator_stats.items_read
+        ), f"{choice['engine']} drifted on items_read"
+        assert (
+            result.validator_stats.comparisons
+            == baseline.validator_stats.comparisons
+        )
         return choice["engine"]
 
     @pytest.mark.parametrize("spool_format", SPOOL_FORMATS)
@@ -657,8 +619,7 @@ class TestAdaptiveAgreement:
         if seed == 3:
             assert engines <= {"sequential-brute-force", "sequential-merge"}
         else:
-            assert engines & {"pooled-brute-force", "pooled-merge",
-                              "range-split-merge"}, engines
+            assert engines & {"pooled-brute-force", "pooled-merge"}, engines
 
 
 class TestSqlStrategiesAgree:
