@@ -52,9 +52,15 @@ def _catalog() -> Database:
 
 
 def _mutate_one_column(db: Database) -> str:
-    """Push one payload column's values out of every other column's range."""
-    values = db.table("t2").column_values("c1")
-    values[:] = [v + 1000 for v in values]
+    """Push one payload column's values out of every other column's range.
+
+    The table is rebuilt, as an edit script would: ``insert`` is the only
+    way into a table.
+    """
+    table = db.table("t2")
+    rows = [{**row, "c1": row["c1"] + 1000} for row in table.rows()]
+    db.drop_table("t2")
+    db.create_table(table.schema).insert_many(rows)
     return "t2.c1"
 
 

@@ -58,7 +58,7 @@ from repro.core.sql_approaches import (
 )
 from repro.core.stats import DecisionCollector, ValidationResult
 from repro.db.database import Database
-from repro.db.stats import collect_column_stats
+from repro.db.stats import PROFILE_MEMO, collect_column_stats
 from repro.errors import DiscoveryError
 from repro.obs.metrics import get_registry
 from repro.obs.trace import Tracer, maybe_span
@@ -150,7 +150,10 @@ class DiscoveryConfig:
       legitimately drop), ``max_open_files`` (blockwise strategy),
       ``sql_null_safe`` (SQL strategies).
     * **Caching** — ``reuse_spool`` (content-addressed spool cache keyed by
-      the catalog fingerprint), ``cache_dir`` (cache root; defaults to
+      the catalog fingerprint; the run also profiles through the
+      process-wide :data:`~repro.db.stats.PROFILE_MEMO`, so only tables
+      that are new or grew since an earlier reuse-enabled call are
+      profiled again), ``cache_dir`` (cache root; defaults to
       :data:`DEFAULT_CACHE_DIR`), ``cache_max_bytes`` (LRU size budget for
       that cache; ``None`` = unbounded).
     * **Observability** — ``trace`` records a span tree for the run (one
@@ -165,9 +168,12 @@ class DiscoveryConfig:
       decision is re-derived from the prior, and the run reports its
       savings as ``DiscoveryResult.delta``.  The answer is byte-identical
       to a full re-run — see ``docs/incremental.md`` for the exactness
-      argument.  Requires an external strategy; incompatible with
-      ``use_transitivity`` (inference order spans reused decisions) and
-      ``overlap`` (the graph scheduler plans phases whole).
+      argument.  Like ``reuse_spool``, it profiles through the profile
+      memo, and with the spool cache a miss tries the prior's entry first
+      as the donor of unchanged value files.  Requires an external
+      strategy; incompatible with ``use_transitivity`` (inference order
+      spans reused decisions) and ``overlap`` (the graph scheduler plans
+      phases whole).
 
     Invalid combinations are rejected by :meth:`validated`, which every
     entry point calls first.
@@ -429,8 +435,17 @@ def discover_inds(
         maybe_span(tracer, "discover", database=db.name, strategy=cfg.strategy)
     )
 
-    with maybe_span(tracer, "profile"), Stopwatch() as clock:
-        column_stats = collect_column_stats(db)
+    with maybe_span(tracer, "profile") as profile_span, Stopwatch() as clock:
+        tables = sum(1 for _ in db.non_empty_tables())
+        if cfg.reuse_spool or cfg.incremental:
+            # Runs that keep state across calls also keep profiles: only
+            # tables that are new or grew since an earlier call re-profile.
+            column_stats, profiled = PROFILE_MEMO.collect(db)
+        else:
+            column_stats, profiled = collect_column_stats(db), tables
+        if profile_span is not None:
+            profile_span.attrs["tables_profiled"] = profiled
+            profile_span.attrs["tables_reused"] = tables - profiled
     timings.profile_seconds = clock.elapsed
 
     with maybe_span(tracer, "candidates") as cand_span, Stopwatch() as clock:
@@ -549,6 +564,9 @@ def discover_inds(
                         pool,
                         tracer,
                         fingerprints=fingerprints,
+                        prior_spool=(
+                            prior.spool_path if prior is not None else None
+                        ),
                     )
                 else:
                     (
@@ -969,6 +987,7 @@ def _cached_export(
     pool,
     tracer=None,
     fingerprints=None,
+    prior_spool=None,
 ):
     """Reuse a cached spool for an unchanged catalog, or export and cache it.
 
@@ -996,7 +1015,9 @@ def _cached_export(
     way — adopted files were written by exactly the export that a fresh
     run would repeat.  The map (re-derived from ``column_stats`` when not
     passed) is stamped into the published index so *every* cached entry
-    can act as a future donor.
+    can act as a future donor.  ``prior_spool`` (the prior result's
+    ``spool_path``) is the donor tried first, before any scan of the
+    cache; the search and adoption run in a ``donor-lookup`` span.
     """
     fingerprint = catalog_fingerprint(db.name, column_stats)
     # Adoption only engages for callers that *planned* a delta (they pass
@@ -1027,27 +1048,41 @@ def _cached_export(
         return cached, str(cached.root), ExportStats(), True, None, []
     staging = cache.prepare(fingerprint)
     staged_spool = None
-    donor = None
     if fingerprints is not None:
-        donor = cache.find_partial(
-            fingerprint,
-            db.name,
-            fingerprints,
-            needed,
-            spool_format=cfg.spool_format,
-            block_size=cfg.spool_block_size,
-            compression=cfg.spool_compression,
-        )
-    if donor is not None:
-        donor_spool, reusable = donor
-        staged_spool = SpoolDirectory.create(
-            str(staging),
-            format=cfg.spool_format,
-            block_size=cfg.spool_block_size,
-            compression=cfg.spool_compression,
-            mmap_reads=cfg.resolved_mmap_reads,
-        )
-        SpoolCache.adopt(staged_spool, donor_spool, reusable)
+        with maybe_span(tracer, "donor-lookup") as donor_span:
+            donor = cache.find_partial(
+                fingerprint,
+                db.name,
+                fingerprints,
+                needed,
+                spool_format=cfg.spool_format,
+                block_size=cfg.spool_block_size,
+                compression=cfg.spool_compression,
+                prior=prior_spool,
+            )
+            adopted = []
+            if donor is not None:
+                donor_spool, reusable = donor
+                staged_spool = SpoolDirectory.create(
+                    str(staging),
+                    format=cfg.spool_format,
+                    block_size=cfg.spool_block_size,
+                    compression=cfg.spool_compression,
+                    mmap_reads=cfg.resolved_mmap_reads,
+                )
+                adopted = SpoolCache.adopt(staged_spool, donor_spool, reusable)
+            if donor_span is not None:
+                source = None
+                if donor is not None:
+                    # The scan skips the prior entry, so a donor with its
+                    # name can only have come from trying it first.
+                    from_prior = prior_spool is not None and (
+                        donor[0].root.name == Path(prior_spool).name
+                    )
+                    source = "prior" if from_prior else "scan"
+                donor_span.attrs["donor"] = source
+                donor_span.attrs["entries_opened"] = cache.donor_entries_opened
+                donor_span.attrs["files_reused"] = len(adopted)
     spool, export_stats, pool_stats, task_spans = _export_into(
         db, cfg, str(staging), needed, pool, spool=staged_spool
     )

@@ -5,10 +5,17 @@ row/null counts, the number of distinct values (cardinality pretest), whether
 the column is unique over its non-NULL values (referenced attributes must be),
 and the minimum/maximum *rendered* value (max-value pretest, Sec. 4.1).
 Everything is computed from one rendered distinct set per column.
+
+:func:`collect_column_stats` keeps no state.  Runs that already keep state
+across calls (a spool cache or an incremental prior) profile through
+:data:`PROFILE_MEMO` instead, which re-profiles only the tables that are
+new or grew since an earlier call saw them.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 from functools import reduce
 from operator import xor
@@ -16,6 +23,7 @@ from zlib import crc32
 
 from repro.db.database import Database
 from repro.db.schema import AttributeRef
+from repro.db.table import Table
 from repro.db.types import DataType
 from repro.storage.codec import render_distinct
 
@@ -120,3 +128,63 @@ def collect_column_stats(
         ref: profile_column(db, ref)
         for ref in db.attributes(include_empty_tables=include_empty_tables)
     }
+
+
+class ProfileMemo:
+    """Each table's :class:`ColumnStats`, kept per table version.
+
+    Keyed weakly by the :class:`~repro.db.table.Table` object and valid
+    while its ``row_count`` is unchanged.  That key is exact:
+    :meth:`Table.insert` is the only way to change a table and it bumps
+    ``row_count``, and dropping and re-creating a table gives a new
+    object.  An entry dies with its table.  :class:`ColumnStats` is
+    frozen, so entries are shared as they are; each :meth:`collect` builds
+    a fresh dict.  Entries are read and written under a lock, because a
+    server profiles on several threads at once.
+    """
+
+    def __init__(self) -> None:
+        self._entries: weakref.WeakKeyDictionary[
+            Table, tuple[int, list[ColumnStats]]
+        ] = weakref.WeakKeyDictionary()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def __contains__(self, table: Table) -> bool:
+        with self._lock:
+            return table in self._entries
+
+    def collect(
+        self, db: Database
+    ) -> tuple[dict[AttributeRef, ColumnStats], int]:
+        """``collect_column_stats(db)``, re-profiling only changed tables.
+
+        Returns the stats, equal to the stateless call's and in its order,
+        and the number of tables this call profiled; every other non-empty
+        table was served from the memo.
+        """
+        stats: dict[AttributeRef, ColumnStats] = {}
+        profiled = 0
+        for table in db.non_empty_tables():
+            rows = table.row_count
+            with self._lock:
+                entry = self._entries.get(table)
+            if entry is None or entry[0] != rows:
+                entry = (
+                    rows,
+                    [profile_column(db, ref) for ref in table.schema.attributes],
+                )
+                with self._lock:
+                    self._entries[table] = entry
+                profiled += 1
+            for column_stats in entry[1]:
+                stats[column_stats.ref] = column_stats
+        return stats, profiled
+
+
+#: The process-wide memo behind the runs that opt into cross-call reuse
+#: (``reuse_spool`` or ``incremental``).
+PROFILE_MEMO = ProfileMemo()

@@ -102,14 +102,17 @@ class Table:
 
     # ----------------------------------------------------------------- reads
     def column_values(self, name: str) -> list[Any]:
-        """All values of a column, in row order, including NULLs."""
-        if name not in self._columns:
-            raise SchemaError(f"table {self.name!r} has no column {name!r}")
-        return self._columns[name]
+        """A copy of a column's values, in row order, including NULLs.
+
+        A copy, so that :meth:`insert` stays the only way to change a
+        table: it checks types and uniqueness and bumps :attr:`row_count`,
+        which is what the profile memo of :mod:`repro.db.stats` keys on.
+        """
+        return list(self._column(name))
 
     def non_null_values(self, name: str) -> list[Any]:
         """All non-NULL values of a column, in row order (the bag ``v(a)``)."""
-        return [v for v in self.column_values(name) if v is not None]
+        return [v for v in self._column(name) if v is not None]
 
     def distinct_values(self, name: str) -> set[Any]:
         """The set of distinct non-NULL values of a column (``s(a)`` unsorted)."""
@@ -117,6 +120,11 @@ class Table:
 
     def column_def(self, name: str) -> Column:
         return self.schema.column(name)
+
+    def _column(self, name: str) -> list[Any]:
+        if name not in self._columns:
+            raise SchemaError(f"table {self.name!r} has no column {name!r}")
+        return self._columns[name]
 
     def rows(self) -> Iterator[dict[str, Any]]:
         """Iterate rows as dictionaries (used by CSV export and tests)."""

@@ -21,10 +21,12 @@ Layout::
     <cache_dir>/<fingerprint-prefix>-<format>[-<block>]/index.json + value files
 
 One entry per (fingerprint, spool configuration).  The profiling statistics
-come in through :func:`catalog_fingerprint` from
-:func:`repro.db.stats.collect_column_stats` output — the runner computes
-those stats before export in any case, so cache keying adds zero extra scans
-over the database.
+come in through :func:`catalog_fingerprint` from the runner's profile, which
+it needs for candidate generation in any case, so cache keying adds zero
+extra scans over the database.  A cache-reusing run takes that profile from
+:data:`repro.db.stats.PROFILE_MEMO`, which re-profiles only the tables that
+changed since an earlier call; an unchanged database then costs no scan at
+all before the lookup.
 
 **Eviction.**  Left alone the cache grows without bound — one entry per
 database version ever profiled.  The policy is LRU by entry mtime: every
@@ -240,6 +242,9 @@ class SpoolCache:
             raise SpoolError(f"max_bytes must be >= 0, got {max_bytes!r}")
         self.root = Path(cache_dir).expanduser()
         self.max_bytes = max_bytes
+        #: Entries :meth:`find_partial` opened as donor candidates, over
+        #: this object's life.
+        self.donor_entries_opened = 0
         self.root.mkdir(parents=True, exist_ok=True)
 
     def entry_path(
@@ -343,6 +348,7 @@ class SpoolCache:
         spool_format: str = FORMAT_BINARY,
         block_size: int = DEFAULT_BLOCK_SIZE,
         compression: str = COMPRESSION_NONE,
+        prior: str | Path | None = None,
     ) -> tuple[SpoolDirectory, list[AttributeRef]] | None:
         """A donor entry whose unchanged value files a rebuild can adopt.
 
@@ -356,6 +362,18 @@ class SpoolCache:
         default: they keep serving exact hits but cannot vouch for
         individual columns.
 
+        ``prior`` is the path of the entry the caller's previous round
+        used (its prior result's ``spool_path``); only its name is read,
+        as an entry of this cache.  That entry is tried first and, if it
+        donates anything, is the donor: one ``index.json`` read instead of
+        one per entry.  The scan runs when the prior entry is missing or
+        unreadable, has another configuration or database, or donates
+        nothing.  The two can differ in one case: an older entry matches a
+        column that the prior entry does not, because the column went back
+        to older content.  That column then re-exports, and the published
+        entry is byte-identical either way.  :attr:`donor_entries_opened`
+        counts the entries opened.
+
         The donor is only *read*; the caller copies its files into a
         private staging directory (:meth:`adopt`) and publishes under the
         new ``fingerprint``, so a concurrent eviction of the donor costs
@@ -364,39 +382,55 @@ class SpoolCache:
         target = self.entry_path(
             fingerprint, spool_format, block_size, compression
         )
-        suffix = target.name[_ENTRY_NAME_LENGTH:]
-        best: tuple[SpoolDirectory, list[AttributeRef]] | None = None
-        for entry in self.entries():
-            if entry.name == target.name:
-                continue  # the exact slot already missed
-            if entry.name[_ENTRY_NAME_LENGTH:] != suffix:
-                continue  # different spool configuration
-            try:
-                spool = SpoolDirectory.open(entry)
-            except (SpoolError, OSError, ValueError, KeyError, TypeError):
-                continue  # not a trustworthy donor; lookup() handles eviction
-            if (
-                spool.database_name != database
-                or spool.attribute_fingerprints is None
-            ):
-                continue
-            stamped = spool.attribute_fingerprints
-            reusable = [
-                ref
-                for ref in needed
-                if ref in spool
-                and stamped.get(ref.qualified) == fingerprints.get(ref)
-            ]
-            if not reusable:
-                continue
-            if best is None or (len(reusable), entry.name) > (
-                len(best[1]),
-                best[0].root.name,
-            ):
-                best = (spool, reusable)
+        tried = None
+        best = None
+        if prior is not None:
+            tried = self.root / Path(prior).name
+            best = self._donation(tried, target, database, fingerprints, needed)
+        if best is None:
+            for entry in self.entries():
+                if entry == tried:
+                    continue  # already found wanting above
+                offer = self._donation(
+                    entry, target, database, fingerprints, needed
+                )
+                if offer is not None and (
+                    best is None
+                    or (len(offer[1]), entry.name)
+                    > (len(best[1]), best[0].root.name)
+                ):
+                    best = offer
         if best is not None:
             get_registry().inc("spool_cache_partial_hits_total")
         return best
+
+    def _donation(
+        self,
+        entry: Path,
+        target: Path,
+        database: str,
+        fingerprints: dict[AttributeRef, str],
+        needed: list[AttributeRef],
+    ) -> tuple[SpoolDirectory, list[AttributeRef]] | None:
+        """What ``entry`` can donate to a rebuild of ``target``, if anything."""
+        if entry.name == target.name:
+            return None  # the exact slot already missed
+        if entry.name[_ENTRY_NAME_LENGTH:] != target.name[_ENTRY_NAME_LENGTH:]:
+            return None  # different spool configuration
+        self.donor_entries_opened += 1
+        try:
+            spool = SpoolDirectory.open(entry)
+        except (SpoolError, OSError, ValueError, KeyError, TypeError):
+            return None  # not a trustworthy donor; lookup() handles eviction
+        if spool.database_name != database or spool.attribute_fingerprints is None:
+            return None
+        stamped = spool.attribute_fingerprints
+        reusable = [
+            ref
+            for ref in needed
+            if ref in spool and stamped.get(ref.qualified) == fingerprints.get(ref)
+        ]
+        return (spool, reusable) if reusable else None
 
     @staticmethod
     def adopt(

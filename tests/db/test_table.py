@@ -110,6 +110,19 @@ class TestReads:
         table.insert({"id": 3, "name": None})
         assert table.distinct_values("name") == {"x"}
 
+    def test_column_values_is_a_copy(self, table):
+        """Editing the returned list cannot bypass insert's checks."""
+        table.insert({"id": 1, "name": "a"})
+        table.column_values("id").append(1)
+        table.column_values("name").append(True)
+        assert table.row_count == 1
+        assert table.column_values("id") == [1]
+        assert table.column_values("name") == ["a"]
+        assert list(table.rows()) == [{"id": 1, "name": "a", "score": None}]
+        assert table.non_null_values("id") == [1]  # still measured unique
+        with pytest.raises(DataError, match="unique"):
+            table.insert({"id": 1})
+
     def test_unknown_column_read(self, table):
         with pytest.raises(SchemaError):
             table.column_values("nope")

@@ -11,12 +11,15 @@ feeds the process-global metrics registry.
 from __future__ import annotations
 
 import pytest
+from seeded_dbs import build_db
+from test_incremental_stress import _delta_view
 
 from repro.core.candidates import PretestConfig
-from repro.core.runner import DiscoveryConfig, discover_inds
+from repro.core.runner import DiscoveryConfig, DiscoverySession, discover_inds
 from repro.datagen import generate_biosql
 from repro.db import Column, Database, DataType, TableSchema
 from repro.obs import coverage, get_registry, phase_summary
+from repro.storage.sorted_sets import SpoolDirectory
 
 
 def _assert_no_orphans(trace: dict) -> None:
@@ -103,6 +106,44 @@ class TestCoverage:
         result = discover_inds(db, DiscoveryConfig(strategy="brute-force"))
         assert result.trace is None
         assert "trace" not in result.to_dict()
+
+
+class TestWarmCallSpans:
+    def _edited_round(self, tmp_path, trace):
+        """A session's first round, a one-table insert, and its delta round."""
+        db = build_db(0)
+        config = DiscoveryConfig(
+            incremental=True,
+            reuse_spool=True,
+            cache_dir=str(tmp_path / f"cache-{trace}"),
+            trace=trace,
+        )
+        with DiscoverySession(config) as session:
+            session.discover(db)
+            db.table("t1").insert({"id": 500, "c0": 7})
+            return session.discover(db)
+
+    def test_one_table_edit_profiles_one_table_and_opens_one_entry(
+        self, tmp_path
+    ):
+        traced = self._edited_round(tmp_path, trace=True)
+        attrs = {span["name"]: span["attrs"] for span in traced.trace["spans"]}
+        assert attrs["profile"] == {"tables_profiled": 1, "tables_reused": 1}
+        # Every unchanged attribute the new entry holds came from the prior.
+        kept = [
+            ref
+            for ref in SpoolDirectory.open(traced.spool_path).attributes()
+            if ref.table == "t0"
+        ]
+        assert kept
+        assert attrs["donor-lookup"] == {
+            "donor": "prior",
+            "entries_opened": 1,
+            "files_reused": len(kept),
+        }
+        plain = self._edited_round(tmp_path, trace=False)
+        assert plain.trace is None
+        assert _delta_view(traced.to_dict()) == _delta_view(plain.to_dict())
 
 
 class TestFaultTolerance:

@@ -252,11 +252,12 @@ def hostile_db() -> Database:
     )
     # Ints next to equal floats — only reachable by bypassing insert's
     # INTEGER → FLOAT widening, which is exactly what a kernel must not
-    # assume away.
+    # assume away.  column_values returns a copy, so the smuggled values go
+    # into the private column list.
     mixed = db.create_table(TableSchema("mixed", [Column("m", DataType.FLOAT)]))
     for value in (1.0, 2.5, float(2**53), -0.0):
         mixed.insert({"m": value})
-    mixed.column_values("m").extend([1, 2**53 + 1, 0, 3])
+    mixed._columns["m"].extend([1, 2**53 + 1, 0, 3])
     return db
 
 
@@ -319,7 +320,9 @@ class TestProfileKernel:
     @pytest.mark.parametrize("smuggled", [True, object(), ["list"]])
     def test_bad_value_still_raises(self, smuggled):
         db = hostile_db()
-        db.table("h").column_values("ints").append(smuggled)
+        # insert would reject the value, so it is smuggled into the
+        # private column list.
+        db.table("h")._columns["ints"].append(smuggled)
         ref = AttributeRef("h", "ints")
         with pytest.raises(SpoolError):
             oracle_profile_column(db, ref)
@@ -328,7 +331,8 @@ class TestProfileKernel:
 
     def test_bool_in_export_still_raises(self, tmp_path):
         db = hostile_db()
-        db.table("h").column_values("texts").append(False)
+        # insert would reject a bool in a VARCHAR column; smuggle it in.
+        db.table("h")._columns["texts"].append(False)
         with pytest.raises(SpoolError, match="boolean"):
             export_database(db, str(tmp_path / "s"), spool_format=FORMAT_BINARY)
 
