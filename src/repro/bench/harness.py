@@ -521,11 +521,14 @@ def run_merge_pool_curve(
     built and drained inside every call, the per-call-executor shape the
     merge validator had before it joined the shared pool) and ``warm`` (one
     :class:`~repro.core.runner.DiscoverySession` pool reused across all
-    ``runs``) — but with ``strategy="merge-single-pass"``, so every
-    parallel run dispatches ``merge-partition`` tasks.  Because the merge
-    plan cuts along candidate-graph components, every leg's decisions *and*
-    ``items_read`` are expected byte-identical; ``BENCH_merge_pool.json``
-    records the timings and the warm pool's counters.
+    ``runs``) — but with ``strategy="merge-single-pass"``.  A parallel run
+    dispatches one ``merge-partition`` task per candidate-graph component
+    group, except that a one-group plan merges in the calling process; on
+    a one-component input, such as every benchmark input, neither parallel
+    leg touches a pool.  Because the merge plan cuts along components,
+    every leg's decisions *and* ``items_read`` are expected byte-identical;
+    ``BENCH_merge_pool.json`` records the timings and the warm session's
+    pool counters.
     """
     return run_pool_repeat_curve(
         dataset_name,

@@ -659,6 +659,13 @@ def discover_inds(
                     validate_span.attrs["validator"] = (
                         validation.stats.validator
                     )
+                    merge_groups = validation.stats.extra.get("merge_groups")
+                    if merge_groups is not None:
+                        # A pooled merge: say where its plan ran.
+                        validate_span.attrs["placement"] = (
+                            "in-process" if validation.pool is None else "pool"
+                        )
+                        validate_span.attrs["merge_groups"] = int(merge_groups)
                     if validation.task_spans:
                         tracer.add_task_spans(
                             validate_span.span_id, validation.task_spans
@@ -1316,7 +1323,10 @@ class DiscoverySession:
     worker) and for the pooled pipeline phases (``parallel_export`` /
     ``parallel_pretest``), so a fully pooled session runs export, pretest
     and validation on one warm fleet; other configurations run exactly as
-    in :func:`discover_inds` with no pool ever created.
+    in :func:`discover_inds` with no pool ever created.  A merge whose
+    candidate graph is one component runs in the calling process (see
+    :class:`~repro.parallel.merge.PartitionedMergeValidator`), so a
+    session that only serves such merges may never spawn its fleet.
     ``reuse_spool``/``cache_dir`` pair well with a session because a cache
     hit keeps the spool *path* stable across runs, which is what lets
     workers reuse their handles.

@@ -41,7 +41,8 @@ different axes, both dispatched through one shared task substrate:
 ``merge``            :class:`PartitionedMergeValidator` — the heap merge
                      split along candidate-graph components (decisions
                      *and* I/O counters identical to the sequential pass),
-                     dispatched through the same pool.
+                     dispatched through the same pool; a one-component
+                     graph merges in the calling process instead.
 ===================  =====================================================
 
 Workers always re-open the spool by path (``index.json`` describes every

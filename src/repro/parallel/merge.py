@@ -8,8 +8,16 @@ only on its connected component in the candidate graph.
 components into cost-budgeted groups, each group runs one complete heap
 merge in a pool worker, and the summed result — decisions, satisfied set,
 ``items_read``, ``comparisons`` — is **byte-identical** to the sequential
-pass.  A graph that is one component is one group, so its merge runs as one
-pool task: the sequential pass plus dispatch.
+pass.
+
+A graph that is one component is one group, and shipping it to a worker
+would buy the sequential pass plus dispatch; so a one-group plan runs the
+sequential validator in the calling process instead.  That holds for
+concurrent ``repro-ind serve`` requests too.  Their merges share one GIL,
+but a pooled merge also spends the GIL in the caller, pickling candidates
+out and decisions back: on a 2-core box, two concurrent merges of an
+11,391-candidate OpenMMS spool finished sooner both in process than with
+one of them on the pool.
 
 Groups dispatch through the shared
 :class:`~repro.parallel.pool.WorkerPool` as ``merge-partition`` tasks —
@@ -46,10 +54,12 @@ class PartitionedMergeValidator:
     sequential merge validator at every worker count — asserted per seed in
     the agreement suite.
 
-    ``workers=1`` short-circuits to the sequential validator.  With a
-    borrowed ``pool`` the validator reuses the warm fleet (and never shuts
-    it down); without one it builds a per-call
+    ``workers=1`` short-circuits to the sequential validator, and so does a
+    one-group plan: the result then has ``pool=None`` and no worker is
+    involved.  A plan of several groups reuses a borrowed ``pool``'s warm
+    fleet (and never shuts it down); without one it builds a per-call
     :class:`~repro.parallel.pool.WorkerPool` and drains it afterwards.
+    Either way ``stats.extra["merge_groups"]`` records the plan's size.
     """
 
     name = "merge-single-pass"
@@ -87,9 +97,7 @@ class PartitionedMergeValidator:
     def validate(self, candidates: list[Candidate]) -> ValidationResult:
         """Validate ``candidates``; decisions identical to the sequential pass."""
         if self._workers == 1 or not candidates:
-            return MergeSinglePassValidator(
-                self._spool, skip_scan=self._skip_scan
-            ).validate(candidates)
+            return self._sequential(candidates)
         spool_root = str(self._spool.root)
         if not (self._spool.root / "index.json").exists():
             raise SpoolError(
@@ -97,25 +105,43 @@ class PartitionedMergeValidator:
                 "re-open it"
             )
         with Stopwatch() as clock:
-            ordered = list(dict.fromkeys(candidates))
-            groups = self.plan(ordered)
-            specs = [
-                TaskSpec(
-                    kind=KIND_MERGE_PARTITION,
-                    candidates=group.candidates,
-                    payload=(self._skip_scan,),
-                )
-                for group in groups
-            ]
-            job, ephemeral = run_specs(
-                self._pool, self._workers, spool_root, specs
-            )
-        result = merge_shard_outcomes(candidates, job.outcomes, self.name)
-        result.pool = job.stats.as_dict()
-        result.task_spans = job.task_spans
+            groups = self.plan(candidates)
+            if len(groups) == 1:
+                result = self._sequential(candidates)
+            else:
+                result = self._pooled(candidates, groups, spool_root)
         result.stats.elapsed_seconds = clock.elapsed
         result.stats.extra["validation_workers"] = float(self._workers)
         result.stats.extra["merge_groups"] = float(len(groups))
+        return result
+
+    def _sequential(self, candidates: list[Candidate]) -> ValidationResult:
+        """The sequential merge over ``candidates``, duplicates included."""
+        return MergeSinglePassValidator(
+            self._spool, skip_scan=self._skip_scan
+        ).validate(candidates)
+
+    def _pooled(
+        self,
+        candidates: list[Candidate],
+        groups: list[MergeGroup],
+        spool_root: str,
+    ) -> ValidationResult:
+        """One ``merge-partition`` task per group, summed into one result."""
+        specs = [
+            TaskSpec(
+                kind=KIND_MERGE_PARTITION,
+                candidates=group.candidates,
+                payload=(self._skip_scan,),
+            )
+            for group in groups
+        ]
+        job, ephemeral = run_specs(
+            self._pool, self._workers, spool_root, specs
+        )
+        result = merge_shard_outcomes(candidates, job.outcomes, self.name)
+        result.pool = job.stats.as_dict()
+        result.task_spans = job.task_spans
         result.stats.extra["partitions"] = float(len(specs))
         result.stats.extra["pool_warm"] = 0.0 if ephemeral else 1.0
         if job.outcomes:

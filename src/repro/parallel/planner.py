@@ -533,7 +533,9 @@ def choose_engine(
     cannot tell them apart, not paying the pool tax wins.  A merge graph
     that is one candidate-graph component prices ``sequential-merge``
     only: the component plan cannot split it, and a one-group pooled
-    merge is the sequential pass plus dispatch.
+    merge is the sequential pass plus dispatch, which is why
+    :class:`~repro.parallel.merge.PartitionedMergeValidator` itself runs
+    such a plan in process on fixed runs too.
     """
     if workers < 1:
         raise DiscoveryError(f"workers must be >= 1, got {workers!r}")

@@ -4,21 +4,24 @@ The byte-exactness matrix for traced runs lives in
 ``tests/test_validator_agreement.py::TestTracedPipelineExactness``; this
 file covers the remaining acceptance surface: the span tree accounts for
 (almost) all of the wall clock on the paper's BioSQL workload, it stays
-well-formed when a worker dies and its task is requeued, and the runner
-feeds the process-global metrics registry.
+well-formed when a worker dies and its task is requeued, the validate
+span says where a pooled merge ran, and the runner feeds the
+process-global metrics registry.
 """
 
 from __future__ import annotations
 
 import pytest
-from seeded_dbs import build_db
+from seeded_dbs import build_component_db, build_db
 from test_incremental_stress import _delta_view
+from test_validator_agreement import _pipeline_view
 
 from repro.core.candidates import PretestConfig
 from repro.core.runner import DiscoveryConfig, DiscoverySession, discover_inds
 from repro.datagen import generate_biosql
 from repro.db import Column, Database, DataType, TableSchema
 from repro.obs import coverage, get_registry, phase_summary
+from repro.parallel.pool import WorkerPool
 from repro.storage.sorted_sets import SpoolDirectory
 
 
@@ -144,6 +147,67 @@ class TestWarmCallSpans:
         plain = self._edited_round(tmp_path, trace=False)
         assert plain.trace is None
         assert _delta_view(traced.to_dict()) == _delta_view(plain.to_dict())
+
+
+class TestMergePlacement:
+    """The validate span says where a pooled merge's plan ran."""
+
+    @staticmethod
+    def _run(db, pool, trace, sampling_size=0):
+        return discover_inds(
+            db,
+            DiscoveryConfig(
+                strategy="merge-single-pass",
+                validation_workers=2,
+                sampling_size=sampling_size,
+                trace=trace,
+            ),
+            pool=pool,
+        )
+
+    @staticmethod
+    def _validate_span(result):
+        spans = result.trace["spans"]
+        (validate,) = [s for s in spans if s["name"] == "validate"]
+        tasks = [
+            s
+            for s in spans
+            if s["name"] == "task:merge-partition"
+            and s["parent"] == validate["id"]
+        ]
+        return validate["attrs"], tasks
+
+    def test_one_group_plan_runs_in_process(self):
+        # Tiny BioSQL is one candidate-graph component: a one-group plan.
+        db = generate_biosql("tiny", seed=7).db
+        with WorkerPool(2) as fleet:
+            traced = self._run(db, fleet, trace=True)
+            plain = self._run(db, fleet, trace=False)
+            assert fleet.stats.workers_spawned == 0
+        attrs, tasks = self._validate_span(traced)
+        assert attrs["placement"] == "in-process"
+        assert attrs["merge_groups"] == 1
+        assert tasks == []
+        assert traced.pool_stats is None
+        assert plain.trace is None
+        assert _pipeline_view(traced.to_dict()) == _pipeline_view(
+            plain.to_dict()
+        )
+
+    def test_multi_group_plan_runs_one_task_span_per_group(self):
+        # The sampling pretest splits build_component_db's graph.
+        db = build_component_db()
+        with WorkerPool(2) as fleet:
+            traced = self._run(db, fleet, trace=True, sampling_size=2)
+            plain = self._run(db, fleet, trace=False, sampling_size=2)
+        attrs, tasks = self._validate_span(traced)
+        assert attrs["placement"] == "pool"
+        assert attrs["merge_groups"] > 1
+        assert len(tasks) == attrs["merge_groups"]
+        assert plain.trace is None
+        assert _pipeline_view(traced.to_dict()) == _pipeline_view(
+            plain.to_dict()
+        )
 
 
 class TestFaultTolerance:

@@ -1,28 +1,31 @@
-"""The pool-backed merge: one ``merge-partition`` task per component group.
+"""The pooled merge: one ``merge-partition`` task per component group.
 
 Every seeded database of the agreement suite forms a single candidate-graph
-component, so there the pooled merge always runs one task.  This file
-builds spools of several independent components from a seed, so the
-component plan really splits, and pins the exactness argument directly:
-the sequential merges of the plan's groups sum to the whole pass, and the
-pooled validator dispatches exactly one task per group with the same
-answers and counters.  It also covers the one-component case the seeded
-databases take, and the validator's guards.
+component, so there the plan is one group, which merges in the calling
+process.  This file uses spools of several independent components built
+from a seed (``build_component_spool``), so the component plan really
+splits, and pins the exactness argument directly: the sequential merges of
+the plan's groups sum to the whole pass, and the pooled validator
+dispatches exactly one task per group with the same answers and counters.
+It also covers the one-component case the seeded databases take, which
+never reaches a worker, and the validator's guards.
 """
 
 from __future__ import annotations
 
-import random
+import sys
+import threading
 
 import pytest
 
-from seeded_dbs import build_random_db
+from seeded_dbs import build_component_spool, build_random_db
 from test_validator_agreement import _candidates
 
 from repro.core.candidates import Candidate
 from repro.core.merge_single_pass import MergeSinglePassValidator
 from repro.db.schema import AttributeRef
 from repro.errors import DiscoveryError, SpoolError
+from repro.parallel import pool as pool_module
 from repro.parallel.merge import PartitionedMergeValidator
 from repro.parallel.planner import ShardPlanner
 from repro.parallel.pool import WorkerPool
@@ -47,34 +50,11 @@ def _counters(stats) -> dict:
     return {name: getattr(stats, name) for name in COUNTERS}
 
 
-def _component_spool(root, seed: int, components: int = 5):
-    """A binary spool of ``components`` independent attribute clusters.
-
-    Each cluster has one attribute holding a base set and one to three
-    holding random subsets of it, so containment holds for some pairs and
-    fails for others.  All clusters draw from one shared value domain, so
-    the global merge interleaves them.  Candidates are the ordered pairs
-    inside each cluster, shuffled: the candidate graph has exactly
-    ``components`` components.
-    """
-    rng = random.Random(seed)
-    domain = [f"v{i:04d}" for i in range(400)]
-    spool = SpoolDirectory.create(root, format="binary", block_size=3)
-    candidates = []
-    for k in range(components):
-        base = rng.sample(domain, rng.randint(8, 120))
-        columns = [base] + [
-            rng.sample(base, rng.randint(1, len(base)))
-            for _ in range(rng.randint(1, 3))
-        ]
-        refs = []
-        for index, values in enumerate(columns):
-            ref = AttributeRef(f"t{k}", f"a{index}")
-            spool.add_values(ref, sorted(values))
-            refs.append(ref)
-        candidates += [Candidate(d, r) for d in refs for r in refs if d != r]
-    rng.shuffle(candidates)
-    spool.save_index()
+def _seeded_spool(root, seed: int):
+    """A seeded database's spool and candidates: one component, one group."""
+    db = build_random_db(seed)
+    _, candidates = _candidates(db)
+    spool, _ = export_database(db, str(root), block_size=3)
     return spool, candidates
 
 
@@ -107,7 +87,7 @@ def pool():
 class TestComponentPlan:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_group_merges_sum_to_the_sequential_pass(self, seed, tmp_path):
-        spool, candidates = _component_spool(tmp_path / "s", seed)
+        spool, candidates = build_component_spool(tmp_path / "s", seed)
         whole = MergeSinglePassValidator(spool).validate(candidates)
         groups = PartitionedMergeValidator(spool, workers=2).plan(candidates)
         assert len(groups) > 1, "the plan must split for this to prove much"
@@ -126,7 +106,7 @@ class TestComponentPlan:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_pooled_merge_runs_one_task_per_group(self, seed, tmp_path, pool):
-        spool, candidates = _component_spool(tmp_path / "s", seed)
+        spool, candidates = build_component_spool(tmp_path / "s", seed)
         whole = MergeSinglePassValidator(spool).validate(candidates)
         validator = PartitionedMergeValidator(spool, workers=2, pool=pool)
         groups = validator.plan(candidates)
@@ -139,7 +119,7 @@ class TestComponentPlan:
         assert _counters(got.stats) == _counters(whole.stats)
 
     def test_plan_is_the_planner_component_plan(self, tmp_path):
-        spool, candidates = _component_spool(tmp_path / "s", 0)
+        spool, candidates = build_component_spool(tmp_path / "s", 0)
         planner = ShardPlanner(spool)
         validator = PartitionedMergeValidator(spool, workers=2, planner=planner)
         assert validator.plan(candidates) == planner.plan_merge_groups(
@@ -149,21 +129,73 @@ class TestComponentPlan:
 
 
 class TestOneComponent:
+    """A one-group plan merges in process and never touches a pool.
+
+    The seeded databases, like every benchmark input, form one component.
+    """
+
     @pytest.mark.parametrize("seed", SEEDS[:5])
-    def test_one_component_runs_as_one_pool_task(self, seed, tmp_path, pool):
-        # The seeded databases, like every benchmark input, form one
-        # component: the pooled merge is the sequential pass in one task.
-        db = build_random_db(seed)
-        _, candidates = _candidates(db)
-        spool, _ = export_database(db, str(tmp_path / "spool"), block_size=3)
+    def test_one_component_runs_in_process(self, seed, tmp_path):
+        spool, candidates = _seeded_spool(tmp_path / "spool", seed)
         sequential = MergeSinglePassValidator(spool).validate(candidates)
-        got = PartitionedMergeValidator(spool, workers=2, pool=pool).validate(
-            candidates
-        )
-        assert got.pool["tasks_by_kind"] == {"merge-partition": 1}
+        with WorkerPool(2) as fleet:
+            validator = PartitionedMergeValidator(spool, workers=2, pool=fleet)
+            assert len(validator.plan(candidates)) == 1
+            got = validator.validate(candidates)
+            assert fleet.stats.jobs == 0
+            assert fleet.stats.workers_spawned == 0
+        assert got.pool is None
         assert got.stats.extra["merge_groups"] == 1
         assert got.decisions == sequential.decisions
         assert got.satisfied == sequential.satisfied
+        assert _counters(got.stats) == _counters(sequential.stats)
+
+    def test_concurrent_one_group_merges_all_run_in_process(self, tmp_path):
+        # Six threads share one validator and spool on a short switch
+        # interval, as ``serve --max-inflight`` request threads would: every
+        # merge runs in process and every answer and counter stays exact.
+        spool, candidates = _seeded_spool(tmp_path / "spool", 0)
+        expected = MergeSinglePassValidator(spool).validate(candidates)
+        results = []
+        with WorkerPool(2) as fleet:
+            validator = PartitionedMergeValidator(spool, workers=2, pool=fleet)
+
+            def serve():
+                for _ in range(3):
+                    results.append(validator.validate(candidates))
+
+            threads = [threading.Thread(target=serve) for _ in range(6)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert fleet.stats.jobs == 0
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 18
+        for got in results:
+            assert got.pool is None
+            assert got.decisions == expected.decisions
+            assert _counters(got.stats) == _counters(expected.stats)
+
+    def test_no_pool_is_built_without_a_borrowed_one(
+        self, tmp_path, monkeypatch
+    ):
+        spool, candidates = _seeded_spool(tmp_path / "spool", 2)
+        doubled = candidates + candidates[::2]
+        sequential = MergeSinglePassValidator(spool).validate(doubled)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-component merge built a WorkerPool")
+
+        monkeypatch.setattr(pool_module, "WorkerPool", no_pool)
+        got = PartitionedMergeValidator(spool, workers=2).validate(doubled)
+        assert got.pool is None
+        assert got.decisions == sequential.decisions
         assert _counters(got.stats) == _counters(sequential.stats)
 
 
@@ -184,7 +216,7 @@ class TestGuards:
             PartitionedMergeValidator(spool, workers=0)
 
     def test_one_worker_runs_in_process(self, tmp_path):
-        spool, candidates = _component_spool(tmp_path / "s", 1)
+        spool, candidates = build_component_spool(tmp_path / "s", 1)
         got = PartitionedMergeValidator(spool, workers=1).validate(candidates)
         sequential = MergeSinglePassValidator(spool).validate(candidates)
         assert got.pool is None
@@ -193,7 +225,7 @@ class TestGuards:
         assert _counters(got.stats) == _counters(sequential.stats)
 
     def test_no_candidates_run_in_process(self, tmp_path):
-        spool, _ = _component_spool(tmp_path / "s", 2)
+        spool, _ = build_component_spool(tmp_path / "s", 2)
         got = PartitionedMergeValidator(spool, workers=2).validate([])
         assert got.pool is None
         assert got.decisions == {}
@@ -202,7 +234,7 @@ class TestGuards:
     def test_duplicate_candidates_handled_like_sequential(
         self, tmp_path, pool
     ):
-        spool, candidates = _component_spool(tmp_path / "s", 3)
+        spool, candidates = build_component_spool(tmp_path / "s", 3)
         doubled = candidates + candidates[::2]
         sequential = MergeSinglePassValidator(spool).validate(doubled)
         got = PartitionedMergeValidator(spool, workers=2, pool=pool).validate(
@@ -212,7 +244,7 @@ class TestGuards:
         assert _counters(got.stats) == _counters(sequential.stats)
 
     def test_borrowed_pool_keeps_running(self, tmp_path):
-        spool, candidates = _component_spool(tmp_path / "s", 4)
+        spool, candidates = build_component_spool(tmp_path / "s", 4)
         with WorkerPool(2) as fleet:
             validator = PartitionedMergeValidator(spool, workers=2, pool=fleet)
             first = validator.validate(candidates)

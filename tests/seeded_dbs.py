@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 
+from repro.core.candidates import Candidate
 from repro.db import Column, Database, DataType, TableSchema
 from repro.db.schema import AttributeRef
 from repro.storage.sorted_sets import SpoolDirectory
@@ -60,6 +61,88 @@ def build_random_db(seed: int) -> Database:
                     row[col.name] = rng.choice(STRING_POOL)
             table.insert(row)
     return db
+
+
+def build_component_db(seeds: tuple[int, ...] = (5, 9)) -> Database:
+    """The seeded databases of ``seeds`` side by side, on disjoint values.
+
+    Cluster ``k`` holds the tables of ``build_random_db(seeds[k])`` as
+    ``k{k}_t*``, with every integer shifted by ``1000 * k`` and every
+    string prefixed with ``k{k}|``, so no value of one cluster equals a
+    rendered value of another.  The candidate generator still pairs
+    attributes across clusters, but the sampling pretest refutes every
+    such pair (any sampled dependent value is missing from the other
+    cluster).  After sampling, the candidate graph therefore has at least
+    one component per cluster, and a pooled merge plans several groups.
+    """
+    db = Database("components-" + "-".join(map(str, seeds)))
+    for k, seed in enumerate(seeds):
+        source = build_random_db(seed)
+        for name in source.table_names:
+            table = source.table(name)
+            columns = table.schema.columns
+            target = db.create_table(TableSchema(f"k{k}_{name}", columns))
+            for row in table.rows():
+                target.insert(
+                    {
+                        col.name: _shift(row[col.name], col.dtype, k)
+                        for col in columns
+                    }
+                )
+    return db
+
+
+def _shift(value, dtype: DataType, cluster: int):
+    """``value`` moved into cluster ``cluster``'s own value domain."""
+    if value is None:
+        return None
+    if dtype is DataType.INTEGER:
+        return value + 1000 * cluster
+    return f"k{cluster}|{value}"
+
+
+def build_component_spool(
+    root,
+    seed: int,
+    components: int = 5,
+    format: str = "binary",
+    compression: str = "none",
+    mmap_reads: bool = False,
+):
+    """A spool of ``components`` independent attribute clusters.
+
+    Each cluster has one attribute holding a base set and one to three
+    holding random subsets of it, so containment holds for some pairs and
+    fails for others.  All clusters draw from one shared value domain, so
+    the global merge interleaves them.  Candidates are the ordered pairs
+    inside each cluster, shuffled: the candidate graph has exactly
+    ``components`` components.  Returns ``(spool, candidates)``.
+    """
+    rng = random.Random(seed)
+    domain = [f"v{i:04d}" for i in range(400)]
+    spool = SpoolDirectory.create(
+        root,
+        format=format,
+        block_size=3,
+        compression=compression,
+        mmap_reads=mmap_reads,
+    )
+    candidates = []
+    for k in range(components):
+        base = rng.sample(domain, rng.randint(8, 120))
+        columns = [base] + [
+            rng.sample(base, rng.randint(1, len(base)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        refs = []
+        for index, values in enumerate(columns):
+            ref = AttributeRef(f"t{k}", f"a{index}")
+            spool.add_values(ref, sorted(values))
+            refs.append(ref)
+        candidates += [Candidate(d, r) for d in refs for r in refs if d != r]
+    rng.shuffle(candidates)
+    spool.save_index()
+    return spool, candidates
 
 
 def build_db(seed: int = 0) -> Database:

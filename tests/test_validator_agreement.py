@@ -38,7 +38,11 @@ from repro.db import Database
 from repro.db.stats import collect_column_stats
 from repro.storage.exporter import export_database
 
-from seeded_dbs import build_random_db
+from seeded_dbs import (
+    build_component_db,
+    build_component_spool,
+    build_random_db,
+)
 
 SPOOL_FORMATS = ("text", "binary")
 #: The storage matrix: (spool_format, compression, mmap_reads) legs covering
@@ -252,18 +256,16 @@ class TestParallelAgreement:
         ``merge-partition`` tasks: one pool serves several seeds twice
         each, and decisions *and* I/O counters must equal the sequential
         merge validator every time.  The second pass must find the spool
-        handles the first pass warmed.
+        handles the first pass warmed.  A seeded database plans one merge
+        group, which runs in process, so the spools here hold five
+        independent components each and plan several groups.
         """
         from repro.parallel import PartitionedMergeValidator, WorkerPool
 
         with WorkerPool(workers) as pool:
             for seed in (1, 5):
-                db = build_random_db(seed)
-                _, candidates = _candidates(db)
-                if not candidates:
-                    continue
-                spool, _ = export_database(
-                    db, str(tmp_path / f"spool{seed}"), block_size=3
+                spool, candidates = build_component_spool(
+                    tmp_path / f"spool{seed}", seed
                 )
                 sequential = MergeSinglePassValidator(spool).validate(
                     candidates
@@ -271,9 +273,9 @@ class TestParallelAgreement:
                 validator = PartitionedMergeValidator(
                     spool, workers=workers, pool=pool
                 )
-                # workers+1 passes: these tiny databases often plan a single
-                # merge group, so only the pigeonhole guarantees some worker
-                # sees the same spool twice (a warm-handle hit).
+                assert len(validator.plan(candidates)) > 1
+                # workers+1 passes: only the pigeonhole guarantees that
+                # some worker sees the same spool twice (a warm-handle hit).
                 for _ in range(workers + 1):
                     got = validator.validate(candidates)
                     assert _decision_key(got.decisions) == _decision_key(
@@ -289,6 +291,44 @@ class TestParallelAgreement:
             assert pool.stats.workers_spawned == workers
             assert pool.stats.spool_handle_reuses > 0
             assert pool.stats.tasks_by_kind["merge-partition"] > 0
+
+    @pytest.mark.parametrize("variant", SPOOL_VARIANTS)
+    @pytest.mark.parametrize("seed", SEEDS[:5])
+    def test_pooled_merge_groups_agree_on_every_variant(
+        self, seed, variant, tmp_path
+    ):
+        """Multi-group merges replay the sequential pass on every leg.
+
+        The seeded databases above plan one merge group, which runs in
+        process, so their merge legs never reach a worker.  A spool of five
+        independent components plans several groups, each a
+        ``merge-partition`` task on a worker that re-opens the spool from
+        its ``index.json`` (format and compression; workers read buffered).
+        """
+        spool_format, compression, mmap_reads = variant
+        spool, candidates = build_component_spool(
+            tmp_path / "spool",
+            seed,
+            format=spool_format,
+            compression=compression,
+            mmap_reads=mmap_reads,
+        )
+        expected = MergeSinglePassValidator(spool).validate(candidates)
+        for workers in (2, 4):
+            validator = PartitionedMergeValidator(spool, workers=workers)
+            groups = validator.plan(candidates)
+            assert len(groups) > 1
+            got = validator.validate(candidates)
+            assert got.pool["tasks_by_kind"] == {
+                "merge-partition": len(groups)
+            }
+            assert _decision_key(got.decisions) == _decision_key(
+                expected.decisions
+            ), f"merge groups diverge at {workers} workers ({variant})"
+            assert got.satisfied == expected.satisfied
+            assert got.stats.items_read == expected.stats.items_read
+            assert got.stats.comparisons == expected.stats.comparisons
+            assert got.stats.files_opened == expected.stats.files_opened
 
     @pytest.mark.parametrize("seed", (1, 5))
     def test_discover_inds_parallel_equals_sequential(self, seed):
@@ -388,6 +428,39 @@ class TestEndToEndPipelineAgreement:
             )
             kinds = set(pooled.pool_stats["tasks_by_kind"])
             assert "spool-export" in kinds and "sample-pretest" in kinds
+
+    @pytest.mark.parametrize("variant", SPOOL_VARIANTS)
+    def test_pooled_pipeline_merges_components_on_the_fleet(self, variant):
+        """A multi-group merge rides the fleet and still replays the run.
+
+        The seeded databases are one candidate-graph component, so the
+        merge legs of the matrix above merge in process.
+        ``build_component_db`` puts two of them on disjoint values; after
+        the sampling pretest its graph splits, so the pooled pipeline
+        sends ``merge-partition`` tasks to workers that re-open each
+        storage leg's spool.
+        """
+        db = build_component_db()
+        baseline = discover_inds(db, self._config("merge-single-pass", variant))
+        expected = _pipeline_view(baseline.to_dict())
+        for workers in (2, 4):
+            pooled = discover_inds(
+                db,
+                self._config(
+                    "merge-single-pass",
+                    variant,
+                    validation_workers=workers,
+                    parallel_export=True,
+                    parallel_pretest=True,
+                ),
+            )
+            assert _pipeline_view(pooled.to_dict()) == expected, (
+                f"pooled pipeline diverges at {workers} workers ({variant})"
+            )
+            groups = pooled.validator_stats.extra["merge_groups"]
+            assert groups > 1
+            kinds = pooled.pool_stats["tasks_by_kind"]
+            assert kinds["merge-partition"] == groups
 
     @pytest.mark.parametrize("variant", SPOOL_VARIANTS[1:])
     def test_to_dict_identical_across_binary_variants(self, variant):
