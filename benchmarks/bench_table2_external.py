@@ -25,9 +25,6 @@ from repro.bench.harness import (
     RESULT_HEADERS,
     phase_totals,
     run_adaptive_comparison,
-    run_e2e_pool_curve,
-    run_merge_pool_curve,
-    run_overlap_comparison,
     run_parallel_curve,
     run_pool_repeat_curve,
     run_strategy,
@@ -401,214 +398,6 @@ def test_table2_pool_repeated_runs(workloads, report):
         )
 
 
-def test_table2_merge_pool_repeated_runs(workloads, report):
-    """Pooled merge acceptance: a one-component merge never leaves the caller.
-
-    ``PartitionedMergeValidator`` cuts the merge along candidate-graph
-    components and runs a one-group plan in the calling process, since
-    shipping it to a worker buys the sequential pass plus dispatch.  BioSQL
-    is one component, like every benchmark input.  This experiment runs
-    ``discover_inds`` with ``strategy=merge-single-pass`` five times per leg
-    on the BioSQL workload and emits ``BENCH_merge_pool.json``:
-    ``sequential`` (one worker), ``cold`` (four workers, no borrowed pool)
-    and ``warm`` (four workers on one ``DiscoverySession`` across all five
-    runs).
-
-    Asserted unconditionally: identical satisfied sets on every leg and
-    run, **identical ``items_read``** on every leg (the component-planned
-    merge preserves the sequential pass's I/O exactly), no pool job on any
-    ``cold`` or ``warm`` run, and no worker ever spawned by the session.
-    """
-    dataset = workloads.biosql()
-    runs, workers = 5, 4
-    # The service configuration end to end: reuse_spool serves every run
-    # after the first from the spool cache, as ``repro-ind serve`` would.
-    with tempfile.TemporaryDirectory(prefix="repro-mergepool-") as cache_dir:
-        curves, pool_stats = run_merge_pool_curve(
-            "UniProt(BioSQL)",
-            dataset.db,
-            runs=runs,
-            workers=workers,
-            reuse_spool=True,
-            cache_dir=cache_dir,
-        )
-    reference = {str(i) for i in curves["sequential"][0].result.satisfied}
-    reference_items = curves["sequential"][0].result.validator_stats.items_read
-    for mode, outcomes in curves.items():
-        for outcome in outcomes:
-            assert {
-                str(i) for i in outcome.result.satisfied
-            } == reference, f"{mode} leg diverges from the sequential run"
-            assert (
-                outcome.result.validator_stats.items_read == reference_items
-            ), f"{mode} leg reads a different number of items"
-    for mode in ("cold", "warm"):
-        for outcome in curves[mode]:
-            assert outcome.result.pool_stats is None, (
-                f"{mode} leg sent a one-component merge to the pool"
-            )
-    assert pool_stats.get("workers_spawned", 0) == 0, (
-        "the warm session spawned workers for one-component merges"
-    )
-    totals = {
-        mode: sum(o.validate_seconds for o in outcomes)
-        for mode, outcomes in curves.items()
-    }
-    doc = {
-        "dataset": "UniProt(BioSQL)",
-        "strategy": "merge-single-pass",
-        "runs": runs,
-        "workers": workers,
-        "cpu_count": os.cpu_count(),
-        "validate_seconds": {
-            mode: [round(o.validate_seconds, 6) for o in outcomes]
-            for mode, outcomes in curves.items()
-        },
-        "totals": {mode: round(t, 6) for mode, t in totals.items()},
-        "phases": {
-            mode: phase_totals(outcomes) for mode, outcomes in curves.items()
-        },
-        "items_read": reference_items,
-        "pool": pool_stats,
-        "satisfied": len(reference),
-    }
-    with open("BENCH_merge_pool.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-    report(
-        paper_vs_measured(
-            f"Pooled merge / {runs} repeated runs on BioSQL",
-            [
-                ("validate total (sequential)", "-", seconds(totals["sequential"])),
-                ("items read (every leg)", "identical", f"{reference_items:,}"),
-                (
-                    "workers spawned (warm session)",
-                    "0",
-                    f"{pool_stats.get('workers_spawned', 0):,}",
-                ),
-            ],
-            note="BioSQL is one candidate-graph component, so every leg "
-            "merges in the calling process: no pool job, no worker, and the "
-            "sequential pass's I/O exactly; the cold and warm legs run the "
-            "sequential leg's work, so their timings are not compared",
-        )
-    )
-
-
-def test_table2_e2e_pool_repeated_runs(workloads, report):
-    """End-to-end pooled pipeline acceptance: export + pretest + validate.
-
-    The last two PRs put validation on the warm fleet; this experiment
-    measures the *whole pipeline* riding it — the export phase dispatched
-    as ``spool-export`` tasks, the sampling pretest as ``sample-pretest``
-    tasks, validation as ``brute-force`` chunks — over five runs per leg
-    on the BioSQL workload, and emits ``BENCH_e2e_pool.json`` with the
-    per-run **total** (profile-through-validate) timings: ``sequential``
-    (all phases in-process), ``cold`` (one per-call fleet per
-    ``discover_inds``, shared by its three phases) and ``warm`` (one
-    ``DiscoverySession`` fleet across all runs).  No spool cache: the
-    export phase must do real work every run, that being the phase under
-    test.
-
-    Asserted unconditionally: identical satisfied sets, identical
-    ``sampling_refuted`` counts, identical validator ``items_read`` and
-    export ``values_scanned``/``values_written`` on every leg and run (the
-    pooled pipeline is byte-exact, not approximately right), and the warm
-    session's lifetime ``tasks_by_kind`` covering all three kinds.  *Warm
-    beats cold end-to-end* is asserted on 4+ core machines only, where the
-    fleet is a sensible configuration at all.
-    """
-    dataset = workloads.biosql()
-    runs, workers = 5, 4
-    curves, pool_stats = run_e2e_pool_curve(
-        "UniProt(BioSQL)", dataset.db, runs=runs, workers=workers
-    )
-    reference = curves["sequential"][0].result
-    reference_satisfied = {str(i) for i in reference.satisfied}
-    for mode, outcomes in curves.items():
-        for outcome in outcomes:
-            result = outcome.result
-            assert {
-                str(i) for i in result.satisfied
-            } == reference_satisfied, f"{mode} leg diverges"
-            assert result.sampling_refuted == reference.sampling_refuted, (
-                f"{mode} leg prunes a different candidate set"
-            )
-            assert (
-                result.validator_stats.items_read
-                == reference.validator_stats.items_read
-            ), f"{mode} leg reads a different number of items"
-            assert (
-                result.export_values_scanned == reference.export_values_scanned
-            )
-            assert (
-                result.export_values_written == reference.export_values_written
-            )
-    for outcome in curves["cold"] + curves["warm"]:
-        kinds = outcome.result.pool_stats["tasks_by_kind"].keys()
-        assert "spool-export" in kinds and "sample-pretest" in kinds, kinds
-    lifetime_kinds = pool_stats.get("tasks_by_kind", {})
-    assert {"spool-export", "sample-pretest", "brute-force"} <= set(
-        lifetime_kinds
-    ), lifetime_kinds
-    assert pool_stats.get("workers_spawned") == workers, (
-        "warm leg must spawn its fleet exactly once"
-    )
-    totals = {
-        mode: sum(o.total_seconds for o in outcomes)
-        for mode, outcomes in curves.items()
-    }
-    warm_vs_cold = (
-        totals["cold"] / totals["warm"] if totals["warm"] else float("inf")
-    )
-    doc = {
-        "dataset": "UniProt(BioSQL)",
-        "strategy": "brute-force",
-        "runs": runs,
-        "workers": workers,
-        "cpu_count": os.cpu_count(),
-        "total_seconds": {
-            mode: [round(o.total_seconds, 6) for o in outcomes]
-            for mode, outcomes in curves.items()
-        },
-        "totals": {mode: round(t, 6) for mode, t in totals.items()},
-        "warm_vs_cold_speedup": round(warm_vs_cold, 3),
-        "phases": {
-            mode: phase_totals(outcomes) for mode, outcomes in curves.items()
-        },
-        "sampling_refuted": reference.sampling_refuted,
-        "items_read": reference.validator_stats.items_read,
-        "pool": pool_stats,
-        "satisfied": len(reference_satisfied),
-    }
-    with open("BENCH_e2e_pool.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-    report(
-        paper_vs_measured(
-            f"End-to-end pooled pipeline / {runs} repeated runs on BioSQL",
-            [
-                ("total (sequential)", "-", seconds(totals["sequential"])),
-                ("total (cold pool)", "-", seconds(totals["cold"])),
-                ("total (warm pool)", "-", seconds(totals["warm"])),
-                ("warm vs cold", "> 1x on 4+ cores", f"{warm_vs_cold:.2f}x"),
-                (
-                    "task kinds (warm fleet)",
-                    "export+pretest+validate",
-                    ",".join(sorted(lifetime_kinds)),
-                ),
-            ],
-            note="export, sampling pretest and validation all dispatch as "
-            "typed tasks; satisfied sets, pruned candidates, items_read and "
-            "export counters identical on every leg and run (asserted)",
-        )
-    )
-    if (os.cpu_count() or 1) >= 4:
-        assert totals["warm"] < totals["cold"], (
-            f"warm fleet ({seconds(totals['warm'])}) must beat per-call "
-            f"fleets ({seconds(totals['cold'])}) end-to-end over {runs} "
-            "repeated runs on a 4+ core machine"
-        )
-
-
 def test_table2_adaptive_engine(workloads, report):
     """Adaptive router acceptance: never pay a pool tax you can't recoup.
 
@@ -748,199 +537,6 @@ def test_table2_adaptive_engine(workloads, report):
                     ),
                 )
                 for name, values in doc_workloads.items()
-            ],
-            note="\n".join(leg_lines),
-        )
-    )
-
-
-def test_table2_overlap_streaming(workloads, report):
-    """Streaming-overlap acceptance: wall clock toward max(phase), not sum.
-
-    ROADMAP item 3's claim rendered as an experiment: the dependency-graph
-    pipeline (``overlap=True``) runs export, sampling pretest and
-    validation with no inter-phase barrier, so its graph-section wall
-    clock should approach the *slowest single phase* of the barriered
-    pipeline instead of the sum of all three.  Three interleaved legs on
-    the BioSQL workload — ``sequential``, ``barriered`` (pooled phases
-    back to back, the PR 5 shape) and ``overlapped`` — warm fleets, cold
-    spool export on every recorded run; emits ``BENCH_overlap.json`` with
-    per-run totals, graph walls, per-phase trace summaries and the
-    overlapped runs' ``overlap`` documents.
-
-    Asserted unconditionally on every box: identical satisfied sets,
-    ``sampling_refuted``, validator ``items_read`` and export counters on
-    every leg and run (the graph reorders work, never answers); every
-    overlapped run rode the graph in full mode with all three task phases
-    pooled.  The headline — overlapped graph wall ≤ 1.15 × the barriered
-    leg's slowest phase — needs real cores to be physically possible, so
-    it asserts on 4+ core machines only and is ``[measured]``-reported
-    everywhere else, per the established convention.
-    """
-    dataset = workloads.biosql()
-    runs, workers = 3, 4
-    median = lambda xs: sorted(xs)[len(xs) // 2]  # noqa: E731 - tiny helper
-    many_cores = (os.cpu_count() or 1) >= 4
-    curves = run_overlap_comparison(
-        "UniProt(BioSQL)", dataset.db, workers=workers, runs=runs
-    )
-    reference = curves["sequential"][0].result
-    reference_satisfied = {str(i) for i in reference.satisfied}
-    claims: list[dict] = []
-
-    def claim(name: str, asserted: bool, detail: str) -> None:
-        claims.append({"name": name, "asserted": asserted, "detail": detail})
-
-    for mode, outcomes in curves.items():
-        for outcome in outcomes:
-            result = outcome.result
-            assert {
-                str(i) for i in result.satisfied
-            } == reference_satisfied, f"{mode} leg diverges"
-            assert result.sampling_refuted == reference.sampling_refuted, (
-                f"{mode} leg prunes a different candidate set"
-            )
-            assert (
-                result.validator_stats.items_read
-                == reference.validator_stats.items_read
-            ), f"{mode} leg reads a different number of items"
-            assert (
-                result.export_values_scanned == reference.export_values_scanned
-            )
-            assert (
-                result.export_values_written == reference.export_values_written
-            )
-    claim("identical answers on all legs", True,
-          f"{len(reference_satisfied)} INDs, "
-          f"{reference.validator_stats.items_read:,} items on every run")
-    for outcome in curves["overlapped"]:
-        doc = outcome.result.overlap
-        assert doc is not None and doc["mode"] == "full", doc
-        kinds = outcome.result.pool_stats["tasks_by_kind"].keys()
-        assert {"spool-export", "sample-pretest", "brute-force"} <= set(
-            kinds
-        ), kinds
-    for outcome in curves["sequential"] + curves["barriered"]:
-        assert outcome.result.overlap is None
-    claim("every overlapped run rode the full dependency graph", True,
-          "mode=full, export+pretest+validate all pooled")
-
-    # The overlapped graph-section wall: in full mode export_seconds +
-    # validate_seconds sum to exactly the graph's start-to-drain window.
-    graph_walls = [
-        o.result.timings.export_seconds + o.result.timings.validate_seconds
-        for o in curves["overlapped"]
-    ]
-    # The barriered leg's slowest single phase, per run, from the trace
-    # decomposition (there pretest is its own top-level span, not folded
-    # into validate the way the coarse timings fold it).
-    barriered_max = [
-        max(
-            o.phase_seconds.get(name, 0.0)
-            for name in ("export", "pretest", "validate")
-        )
-        for o in curves["barriered"]
-    ]
-    overlap_wall = median(graph_walls)
-    max_phase = median(barriered_max)
-    ratio = overlap_wall / max_phase if max_phase else float("inf")
-    within = ratio <= 1.15
-    if many_cores:
-        assert within, (
-            f"overlapped graph wall ({overlap_wall:.4f}s) must be within "
-            f"1.15x of the barriered pipeline's slowest phase "
-            f"({max_phase:.4f}s); measured {ratio:.2f}x"
-        )
-    claim(
-        "overlapped wall <= 1.15 x max(barriered phase)",
-        many_cores,
-        f"graph wall {overlap_wall:.4f}s vs max phase {max_phase:.4f}s "
-        f"= {ratio:.2f}x" + ("" if within else " (MISSED - measured only)"),
-    )
-    totals = {
-        mode: [round(o.total_seconds, 6) for o in outcomes]
-        for mode, outcomes in curves.items()
-    }
-    overlap_docs = [o.result.overlap for o in curves["overlapped"]]
-    doc = {
-        "dataset": "UniProt(BioSQL)",
-        "strategy": "brute-force",
-        "runs": runs,
-        "workers": workers,
-        "cpu_count": os.cpu_count(),
-        "total_seconds": totals,
-        "graph_wall_seconds": [round(w, 6) for w in graph_walls],
-        "barriered_max_phase_seconds": [round(m, 6) for m in barriered_max],
-        "overlap_vs_max_phase_ratio": round(ratio, 3),
-        "phases": {
-            mode: phase_totals(outcomes) for mode, outcomes in curves.items()
-        },
-        "phases_per_run": {
-            mode: [o.phase_seconds for o in outcomes]
-            for mode, outcomes in curves.items()
-        },
-        "overlap": {
-            "max_concurrency": {
-                phase: max(d["max_concurrency"].get(phase, 0) for d in overlap_docs)
-                for d0 in overlap_docs[:1]
-                for phase in d0["max_concurrency"]
-            },
-            "cross_phase_overlap_seconds": round(
-                median(
-                    [d["cross_phase_overlap_seconds"] for d in overlap_docs]
-                ),
-                6,
-            ),
-            "nodes": overlap_docs[0]["nodes"],
-            "edges": overlap_docs[0]["edges"],
-            "tasks_by_phase": overlap_docs[0]["tasks_by_phase"],
-        },
-        "sampling_refuted": reference.sampling_refuted,
-        "items_read": reference.validator_stats.items_read,
-        "satisfied": len(reference_satisfied),
-        "claims": claims,
-    }
-    with open("BENCH_overlap.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-    leg_lines = [
-        f"  [{'asserted' if c['asserted'] else 'measured'}] "
-        f"{c['name']} — {c['detail']}"
-        for c in claims
-    ]
-    # Printed (not just collected) so a bare `pytest -s` run and the CI
-    # log both show which claims a 1-core box proved vs only measured.
-    print("\noverlap bench claims:")
-    for line in leg_lines:
-        print(line)
-    report(
-        paper_vs_measured(
-            f"Streaming phase overlap / {runs} runs x {workers} workers",
-            [
-                (
-                    "total (sequential)",
-                    "-",
-                    seconds(median(totals["sequential"])),
-                ),
-                (
-                    "total (barriered pool)",
-                    "-",
-                    seconds(median(totals["barriered"])),
-                ),
-                (
-                    "total (overlapped)",
-                    "-",
-                    seconds(median(totals["overlapped"])),
-                ),
-                (
-                    "graph wall vs max(phase)",
-                    "<= 1.15x on 4+ cores",
-                    f"{ratio:.2f}x",
-                ),
-                (
-                    "cross-phase overlap",
-                    "> 0s on 4+ cores",
-                    seconds(doc["overlap"]["cross_phase_overlap_seconds"]),
-                ),
             ],
             note="\n".join(leg_lines),
         )

@@ -229,144 +229,6 @@ def run_pool_repeat_curve(
     return curves, (stats.as_dict() if stats is not None else {})
 
 
-def run_e2e_pool_curve(
-    dataset_name: str,
-    db: Database,
-    strategy: str = "brute-force",
-    workers: int = 4,
-    runs: int = 5,
-    sampling_size: int = 8,
-    **config_kwargs,
-) -> tuple[dict[str, list[StrategyOutcome]], dict[str, object]]:
-    """Repeated *end-to-end* runs with the whole pipeline on the pool.
-
-    Unlike :func:`run_pool_repeat_curve`, which pools only validation,
-    every parallel leg here runs export, sampling pretest **and**
-    validation as pool tasks (``parallel_export=True``,
-    ``parallel_pretest=True``) — so the curve measures what the ROADMAP's
-    "end-to-end parallel" session actually buys, total wall clock, not
-    just the validate phase.  Three legs: ``sequential`` (one worker, all
-    phases in-process), ``cold`` (each ``discover_inds`` call builds one
-    per-call fleet shared by its three phases and drains it), ``warm``
-    (one :class:`~repro.core.runner.DiscoverySession` fleet across all
-    ``runs``), cold and warm interleaved so load noise hits both alike.
-    No spool cache is involved — the export phase must do real work on
-    every run, that being the phase under test.
-
-    Returns ``(curves, pool_stats)`` like the other curve helpers; the
-    warm session's lifetime ``tasks_by_kind`` shows all three kinds.
-    """
-    config_kwargs.setdefault("trace", True)
-
-    def config(n: int, pooled: bool) -> DiscoveryConfig:
-        return DiscoveryConfig(
-            strategy=strategy,
-            pretests=PretestConfig(cardinality=True, max_value=False),
-            validation_workers=n,
-            sampling_size=sampling_size,
-            parallel_export=pooled,
-            parallel_pretest=pooled and sampling_size > 0,
-            **config_kwargs,
-        )
-
-    curves: dict[str, list[StrategyOutcome]] = {
-        "sequential": [], "cold": [], "warm": [],
-    }
-    for _ in range(runs):
-        curves["sequential"].append(
-            StrategyOutcome(
-                dataset_name, strategy, discover_inds(db, config(1, False))
-            )
-        )
-    with DiscoverySession(config(workers, True)) as session:
-        for _ in range(runs):
-            curves["cold"].append(
-                StrategyOutcome(
-                    dataset_name,
-                    strategy,
-                    discover_inds(db, config(workers, True)),
-                )
-            )
-            curves["warm"].append(
-                StrategyOutcome(dataset_name, strategy, session.discover(db))
-            )
-        stats = session.pool_stats
-    return curves, (stats.as_dict() if stats is not None else {})
-
-
-def run_overlap_comparison(
-    dataset_name: str,
-    db: Database,
-    workers: int = 4,
-    runs: int = 3,
-    sampling_size: int = 8,
-    **config_kwargs,
-) -> dict[str, list[StrategyOutcome]]:
-    """Time the pipeline barriered vs overlapped — the ``sum`` vs ``max`` story.
-
-    Three interleaved legs, one :class:`StrategyOutcome` per run each:
-    ``sequential`` (one worker, every phase in-process — the floor),
-    ``barriered`` (export, sampling pretest and validation all pooled, but
-    run back to back with an inter-phase join, the PR 5 shape) and
-    ``overlapped`` (``overlap=True`` — the same tasks as one dependency
-    graph on :meth:`~repro.parallel.pool.WorkerPool.run_graph`, no
-    barriers).  Both pooled legs run on *warm* session fleets primed by one
-    unrecorded warm-up run, so worker startup never pollutes the phase
-    windows the comparison is about; the spool cache is never involved
-    (``reuse_spool`` off), so every recorded run exports cold — the
-    overlap has to earn its wall-clock on real work, not a cache hit.
-
-    The headline ``BENCH_overlap.json`` extracts from the curves: the
-    overlapped leg's graph-section wall clock
-    (``export_seconds + validate_seconds``, which in full-overlap mode sum
-    to exactly the dependency graph's start-to-drain window) against the
-    *barriered* leg's slowest single phase — ROADMAP item 3's
-    "``max(phase)`` instead of ``sum(phases)``" rendered as a ratio.
-    """
-    config_kwargs.setdefault("trace", True)
-
-    def config(mode: str) -> DiscoveryConfig:
-        pooled = mode != "sequential"
-        return DiscoveryConfig(
-            strategy="brute-force",
-            pretests=PretestConfig(cardinality=True, max_value=False),
-            validation_workers=workers if pooled else 1,
-            sampling_size=sampling_size,
-            parallel_export=mode == "barriered",
-            parallel_pretest=mode == "barriered" and sampling_size > 0,
-            overlap=mode == "overlapped",
-            **config_kwargs,
-        )
-
-    curves: dict[str, list[StrategyOutcome]] = {
-        "sequential": [], "barriered": [], "overlapped": [],
-    }
-    with DiscoverySession(config("barriered")) as barriered:
-        with DiscoverySession(config("overlapped")) as overlapped:
-            barriered.discover(db)  # warm-up: pay worker startup off the books
-            overlapped.discover(db)
-            # Interleave the legs so machine-load noise hits all alike.
-            for _ in range(runs):
-                curves["sequential"].append(
-                    StrategyOutcome(
-                        dataset_name,
-                        "brute-force",
-                        discover_inds(db, config("sequential")),
-                    )
-                )
-                curves["barriered"].append(
-                    StrategyOutcome(
-                        dataset_name, "brute-force", barriered.discover(db)
-                    )
-                )
-                curves["overlapped"].append(
-                    StrategyOutcome(
-                        dataset_name, "brute-force", overlapped.discover(db)
-                    )
-                )
-    return curves
-
-
 def run_calibration(rows: int = 20000, workers: int = 2) -> "CalibrationProfile":
     """Measure this machine's adaptive-model constants on a synthetic spool.
 
@@ -505,36 +367,3 @@ def run_adaptive_comparison(
                 )
             )
     return curves
-
-
-def run_merge_pool_curve(
-    dataset_name: str,
-    db: Database,
-    workers: int = 4,
-    runs: int = 5,
-    **config_kwargs,
-) -> tuple[dict[str, list[StrategyOutcome]], dict[str, object]]:
-    """The repeated-run curve for the *pool-backed partitioned merge*.
-
-    Same three legs as :func:`run_pool_repeat_curve` — ``sequential`` (one
-    in-process heap merge), ``cold`` (a fresh :class:`~repro.parallel.pool.WorkerPool`
-    built and drained inside every call, the per-call-executor shape the
-    merge validator had before it joined the shared pool) and ``warm`` (one
-    :class:`~repro.core.runner.DiscoverySession` pool reused across all
-    ``runs``) — but with ``strategy="merge-single-pass"``.  A parallel run
-    dispatches one ``merge-partition`` task per candidate-graph component
-    group, except that a one-group plan merges in the calling process; on
-    a one-component input, such as every benchmark input, neither parallel
-    leg touches a pool.  Because the merge plan cuts along components,
-    every leg's decisions *and* ``items_read`` are expected byte-identical;
-    ``BENCH_merge_pool.json`` records the timings and the warm session's
-    pool counters.
-    """
-    return run_pool_repeat_curve(
-        dataset_name,
-        db,
-        strategy="merge-single-pass",
-        workers=workers,
-        runs=runs,
-        **config_kwargs,
-    )

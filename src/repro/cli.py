@@ -121,33 +121,16 @@ def _add_validation_flags(parser: argparse.ArgumentParser) -> None:
         "only (default: 0, pretest off)",
     )
     parser.add_argument(
-        "--parallel-export",
-        action="store_true",
-        help="run the spool export as pool tasks on the validation worker "
-        "fleet (one task group per attribute set, sized by estimated row "
-        "counts); requires an external strategy, produces byte-identical "
-        "spools and statistics (default: off — in-process export, "
-        "optionally threaded via --export-workers)",
-    )
-    parser.add_argument(
-        "--parallel-pretest",
-        action="store_true",
-        help="run the sampling pretest as pool tasks on the validation "
-        "worker fleet; requires --sampling-size > 0 and an external "
-        "strategy, prunes the identical candidate set at every worker "
-        "count (default: off — in-process pretest)",
-    )
-    parser.add_argument(
         "--overlap",
         action="store_true",
-        help="drop the barriers between export, sampling pretest and "
-        "validation: plan the phases as one dependency-scheduled task "
-        "graph and drain it on a single worker fleet, releasing each task "
-        "the moment its prerequisites land (fixed brute-force/merge runs "
-        "overlap all three phases; adaptive runs overlap export+pretest "
-        "and validate afterwards on the same pool); "
-        "results are byte-identical to the barriered pipeline "
-        "(default: off)",
+        help="run export, sampling pretest and validation as pool tasks: "
+        "plan the phases as one dependency-scheduled task graph and drain "
+        "it on a single worker fleet, releasing each task the moment its "
+        "prerequisites land (fixed brute-force/merge runs overlap all "
+        "three phases; adaptive runs overlap export+pretest and validate "
+        "afterwards on the same pool); requires the brute-force, "
+        "merge-single-pass or adaptive strategy; results are identical to "
+        "the in-process pipeline (default: off)",
     )
     parser.add_argument(
         "--skip-scans",
@@ -221,8 +204,6 @@ def _validation_config_kwargs(args: argparse.Namespace) -> dict:
         ],
         "export_workers": args.export_workers,
         "sampling_size": args.sampling_size,
-        "parallel_export": args.parallel_export,
-        "parallel_pretest": args.parallel_pretest,
         "overlap": args.overlap,
         "validation_workers": args.validation_workers,
         "skip_scans": args.skip_scans,
@@ -609,10 +590,9 @@ def _cmd_discover(args: argparse.Namespace) -> int:
         f"strategy={result.strategy})"
     )
     if args.reuse_spool:
-        skipped = " (parallel export skipped)" if result.export_skipped else ""
         print(
             f"spool cache: {'hit' if result.spool_cache_hit else 'miss'}"
-            f"{skipped} ({result.spool_path})"
+            f" ({result.spool_path})"
         )
     if result.delta is not None:
         if result.delta.get("mode") == "delta":
@@ -854,7 +834,6 @@ def _serve_one(session: DiscoverySession, request: dict) -> dict:
             for ind in result.satisfied
         ),
         "spool_cache_hit": result.spool_cache_hit,
-        "export_skipped": result.export_skipped,
         "validation_workers": result.validation_workers,
         "bytes_read": result.validator_stats.bytes_read,
         "bytes_stored": result.validator_stats.bytes_stored,

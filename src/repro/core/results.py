@@ -55,9 +55,6 @@ class DiscoveryResult:
     export_values_scanned: int = 0
     export_values_written: int = 0
     spool_cache_hit: bool = False  # export skipped: cached spool reused
-    #: ``parallel_export=True`` was requested but the spool-cache hit made the
-    #: export a no-op — the flag was honoured by *skipping*, not silently lost.
-    export_skipped: bool = False
     validation_workers: int = 1
     #: Adaptive router's verdict (engine name, predicted per-engine seconds,
     #: calibration source, actual seconds).  Always a dict: fixed-strategy
@@ -161,7 +158,6 @@ class DiscoveryResult:
             "export_values_scanned": self.export_values_scanned,
             "export_values_written": self.export_values_written,
             "spool_cache_hit": self.spool_cache_hit,
-            "export_skipped": self.export_skipped,
             "validation_workers": self.validation_workers,
             "engine_choice": self.engine_choice,
             "pool": self.pool_stats,

@@ -26,8 +26,10 @@ processes, warm spool handles) and pairs naturally with
 
 from __future__ import annotations
 
+import shutil
 import tempfile
 import threading
+import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -65,7 +67,7 @@ from repro.obs.trace import Tracer, maybe_span
 from repro.storage.blockio import DEFAULT_BLOCK_SIZE
 from repro.storage.codec import COMPRESSION_NONE, SPOOL_COMPRESSIONS
 from repro.storage.cursors import IOStats
-from repro.storage.exporter import ExportStats, export_database, export_into
+from repro.storage.exporter import ExportStats, export_into
 from repro.storage.external_sort import DEFAULT_RUN_SIZE
 from repro.storage.sorted_sets import FORMAT_BINARY, SPOOL_FORMATS, SpoolDirectory
 from repro.storage.spool_cache import (
@@ -120,22 +122,17 @@ class DiscoveryConfig:
       "text" v1), ``spool_block_size`` (values per v2 block),
       ``export_workers`` (thread-parallel attribute export),
       ``max_items_in_memory`` (external-sort run size).
-    * **Pooled pipeline** — ``parallel_export`` dispatches the export
-      phase as ``spool-export`` pool tasks, ``parallel_pretest`` the
-      sampling pretest as ``sample-pretest`` tasks (requires
-      ``sampling_size``); both ride the same worker fleet as parallel
-      validation — the session pool when one is lent, else one per-call
-      pool shared by every phase of the run — and leave all results
-      byte-identical to the in-process phases.  ``overlap`` goes further:
-      it drops the joins *between* the phases, planning export, pretest
-      and (for fixed brute-force/merge runs) validation as one
-      dependency-scheduled task graph drained by a single pool — a
-      pretest chunk dispatches the moment its two spool files land, a
-      validation chunk the moment its pretest verdicts land (refuted
-      candidates are dropped at release time; fully-refuted chunks are
-      cancelled before dispatch).  Results stay byte-identical to the
-      barriered pipeline; ``DiscoveryResult.overlap`` reports the graph
-      shape and observed cross-phase concurrency.
+    * **Overlap** — ``overlap`` is the only way a run pools its export
+      and sampling pretest: it plans export, pretest and (for fixed
+      brute-force/merge runs) validation as one dependency-scheduled task
+      graph drained by a single worker pool — the session pool when one
+      is lent, else one per-call pool.  A pretest chunk dispatches the
+      moment its two spool files land, a validation chunk the moment its
+      pretest verdicts land (refuted candidates are dropped at release
+      time; fully-refuted chunks are cancelled before dispatch).  Results
+      are identical to the in-process pipeline;
+      ``DiscoveryResult.overlap`` reports the graph shape and observed
+      cross-phase concurrency.
     * **Validation** — ``strategy`` (one of :data:`ALL_STRATEGIES`;
       ``"adaptive"`` routes each run to the predicted-cheapest of the
       brute-force and merge engines), ``adaptive`` (cost-model routing
@@ -194,8 +191,6 @@ class DiscoveryConfig:
     spool_compression: str = COMPRESSION_NONE  # "zlib" writes v3 frames
     mmap_reads: bool | str = "auto"  # mmap-backed block cursors (binary only)
     export_workers: int = 1  # thread-parallel attribute spooling
-    parallel_export: bool = False  # export as spool-export pool tasks
-    parallel_pretest: bool = False  # sampling pretest as pool tasks
     overlap: bool = False  # dependency-scheduled graph, no phase barriers
     validation_workers: int = 1  # worker processes (brute-force / merge-s-p)
     adaptive: bool = False  # cost-model routing pinned to this strategy
@@ -312,21 +307,6 @@ class DiscoveryConfig:
                 "transitivity pruning is order-dependent and cannot run "
                 "across validation workers"
             )
-        if self.parallel_export and self.strategy not in EXTERNAL_STRATEGIES:
-            raise DiscoveryError(
-                "parallel_export spools value files and therefore requires "
-                f"an external strategy, not {self.strategy!r}"
-            )
-        if self.parallel_pretest and self.strategy not in EXTERNAL_STRATEGIES:
-            raise DiscoveryError(
-                "parallel_pretest reads spool files and therefore requires "
-                f"an external strategy, not {self.strategy!r}"
-            )
-        if self.parallel_pretest and not self.sampling_size:
-            raise DiscoveryError(
-                "parallel_pretest dispatches the sampling pretest and "
-                "therefore requires sampling_size > 0"
-            )
         if self.overlap and self.strategy not in PARALLEL_STRATEGIES:
             raise DiscoveryError(
                 "overlapped discovery schedules pool tasks and therefore "
@@ -401,20 +381,22 @@ def discover_inds(
     the config — see :class:`DiscoveryConfig` for the per-flag breakdown.
 
     ``pool`` lends a persistent :class:`~repro.parallel.pool.WorkerPool` to
-    every pool-capable phase of the pipeline: the parallel validation
-    engines (``strategy`` in :data:`PARALLEL_STRATEGIES` with
-    ``validation_workers > 1`` — brute force dispatches candidate chunks,
-    merge-single-pass dispatches merge partitions), the export phase
-    (``parallel_export`` — ``spool-export`` tasks) and the sampling
-    pretest (``parallel_pretest`` — ``sample-pretest`` tasks), all as
-    typed tasks on the same warm fleet; the pool is borrowed, never shut
-    down here.  Without it, a run that pools its export or pretest builds
-    **one** per-call pool shared by all its phases (drained before
-    returning), and plain parallel validation builds its per-call pool
-    inside the engine.  :class:`DiscoverySession` manages the pool so
+    the parallel validation engines (``strategy`` in
+    :data:`PARALLEL_STRATEGIES` with ``validation_workers > 1`` — brute
+    force dispatches candidate chunks, merge-single-pass dispatches merge
+    partitions) and to the ``overlap`` graph (``spool-export``,
+    ``sample-pretest`` and validation tasks on one fleet); the pool is
+    borrowed, never shut down here.  Without it, an ``overlap`` run builds
+    **one** per-call pool for its graph and any staged validation (drained
+    before returning), and plain parallel validation builds its per-call
+    pool inside the engine.  :class:`DiscoverySession` manages the pool so
     callers rarely pass it directly.  ``DiscoveryResult.pool_stats`` sums
-    the per-phase pool deltas, so ``tasks_by_kind`` covers the whole
-    pipeline.
+    the graph's and the validation engine's pool deltas, so
+    ``tasks_by_kind`` covers the whole pipeline.
+
+    The run owns its spool directory (see :class:`_RunSpool`): a
+    temporary one is removed when the run ends, failed or not, unless a
+    successful run was asked to ``keep_spool``.
 
     ``prior`` feeds the delta planner of an ``incremental`` run: a result
     of a previous ``incremental`` run over the same database (any mode —
@@ -478,17 +460,13 @@ def discover_inds(
         candidates = delta_plan.affected
 
     spool: SpoolDirectory | None = None
-    spool_path: str | None = None
     export_scanned = 0
     export_written = 0
-    cleanup_dir: tempfile.TemporaryDirectory | None = None
     sampling_refuted = 0
     sampling_refuted_list: list[Candidate] = []
     inferred_sat = 0
     inferred_unsat = 0
-    spool_cache_hit = False
-    export_pool_stats: dict | None = None
-    pretest_pool_stats: dict | None = None
+    graph_pool_stats: dict | None = None
     engine_decision = None
     owned_pool = None
     # The setup span times the work between the candidate and export
@@ -498,12 +476,16 @@ def discover_inds(
     with maybe_span(tracer, "setup"):
         deps = dependent_attributes(column_stats)
         refs = referenced_attributes(column_stats)
-        if pool is None and (
-            cfg.parallel_export or cfg.parallel_pretest or cfg.overlap
-        ):
-            # One per-call fleet for the whole pipeline: export, pretest and
-            # validation jobs all dispatch to it instead of each phase paying
-            # its own pool startup.
+        # Runs with the spool cache spool the *full* candidate set (on an
+        # incremental run unchanged attributes adopt their donor files and
+        # only changed ones re-export), so published entries stay as
+        # complete as a full run's — a later exact hit must find every
+        # attribute it needs.
+        needed = _needed_attributes(
+            all_candidates if cfg.reuse_spool else candidates
+        )
+        if pool is None and cfg.overlap:
+            # One per-call fleet for the graph and any validation after it.
             from repro.parallel.pool import WorkerPool
 
             owned_pool = pool = WorkerPool(cfg.validation_workers)
@@ -512,100 +494,75 @@ def discover_inds(
             # machinery: a cold first import must not open a hole in the
             # trace between setup and the overlapped section.
             from repro.parallel.overlap import run_overlapped
+    run_spool = _RunSpool(
+        db,
+        cfg,
+        column_stats,
+        fingerprints=fingerprints,
+        prior_spool=prior.spool_path if prior is not None else None,
+    )
+    keep_spool = False  # a temporary spool outlives only a successful run
     overlap_run = None
     try:
         if cfg.overlap:
             # One graph, one pool, no inter-phase join: run_overlapped
             # drains export + pretest (+ validation for fixed brute-force /
-            # merge runs) and hands back everything the barriered blocks
-            # below would have produced.
+            # merge runs) over the spool opened here and hands back
+            # everything the phase-by-phase blocks below would have produced.
+            started = time.monotonic()
+            spool = run_spool.open(needed, tracer)
             overlap_run = run_overlapped(
-                db, cfg, candidates, column_stats, pool, tracer
+                db,
+                cfg,
+                candidates,
+                column_stats,
+                spool,
+                pool,
+                tracer,
+                cache_hit=run_spool.hit,
+                started=started,
             )
-            spool = overlap_run.spool
-            spool_path = overlap_run.spool_path
-            cleanup_dir = overlap_run.cleanup_dir
-            spool_cache_hit = overlap_run.spool_cache_hit
-            export_pool_stats = overlap_run.pool_stats
+            spool = run_spool.publish(tracer)
+            graph_pool_stats = overlap_run.pool_stats
             export_scanned = overlap_run.export_stats.values_scanned
             export_written = overlap_run.export_stats.values_written
             candidates = overlap_run.survivors
             sampling_refuted = len(overlap_run.sampling_refuted)
             # Phase attribution when phases interleave: export gets its
-            # task window; the rest of the graph's wall clock lands on the
+            # task window; the rest of the section's wall clock lands on the
             # pretest bucket (full-overlap validation has no exclusive
             # window of its own — see timings.validate_seconds below).
             timings.export_seconds = overlap_run.export_seconds
             pretest_seconds = max(
-                0.0, overlap_run.graph_seconds - overlap_run.export_seconds
+                0.0, time.monotonic() - started - overlap_run.export_seconds
             )
         elif cfg.strategy in EXTERNAL_STRATEGIES:
             with maybe_span(tracer, "export") as export_span, (
                 Stopwatch()
             ) as clock:
-                if cfg.reuse_spool:
-                    # Incremental runs export over the *full* candidate
-                    # set (unchanged attributes adopt their donor files,
-                    # only changed ones re-export), so published entries
-                    # stay as complete as a full run's — a later exact hit
-                    # must find every attribute it needs.
-                    (
-                        spool,
-                        spool_path,
-                        export_stats,
-                        spool_cache_hit,
-                        export_pool_stats,
-                        export_spans,
-                    ) = _cached_export(
+                spool = run_spool.open(needed, tracer)
+                export_stats = ExportStats()
+                if not run_spool.hit:
+                    export_stats = export_into(
                         db,
-                        cfg,
-                        all_candidates,
-                        column_stats,
-                        pool,
-                        tracer,
-                        fingerprints=fingerprints,
-                        prior_spool=(
-                            prior.spool_path if prior is not None else None
-                        ),
-                    )
-                else:
-                    (
                         spool,
-                        spool_path,
-                        cleanup_dir,
-                        export_stats,
-                        export_pool_stats,
-                        export_spans,
-                    ) = _export(db, cfg, candidates, pool)
+                        attributes=needed,
+                        max_items_in_memory=cfg.max_items_in_memory,
+                        workers=cfg.export_workers,
+                    )
+                spool = run_spool.publish(tracer)
                 if export_span is not None:
-                    export_span.attrs["cache_hit"] = spool_cache_hit
-                    tracer.add_task_spans(export_span.span_id, export_spans)
+                    export_span.attrs["cache_hit"] = run_spool.hit
             timings.export_seconds = clock.elapsed
             export_scanned = export_stats.values_scanned
             export_written = export_stats.values_written
 
         if not cfg.overlap:
-            with maybe_span(tracer, "pretest") as pretest_span, (
-                Stopwatch()
-            ) as clock:
+            with maybe_span(tracer, "pretest"), Stopwatch() as clock:
                 if cfg.sampling_size and spool is not None:
-                    if cfg.parallel_pretest:
-                        (
-                            candidates,
-                            sampling_refuted_list,
-                            pretest_pool_stats,
-                            pretest_spans,
-                        ) = _sampling_pretest_pooled(
-                            spool, cfg, candidates, pool
-                        )
-                        if pretest_span is not None:
-                            tracer.add_task_spans(
-                                pretest_span.span_id, pretest_spans
-                            )
-                    else:
-                        candidates, sampling_refuted_list = _sampling_pretest(
-                            spool, cfg, candidates
-                        )
+                    candidates, sampling_refuted_list = _sampling_pretest(
+                        spool, cfg, candidates
+                    )
                     sampling_refuted = len(sampling_refuted_list)
             pretest_seconds = clock.elapsed
         # Engine routing is planning work, not validation work: it runs
@@ -672,21 +629,18 @@ def discover_inds(
                         )
         if overlap_run is None or overlap_run.validation is None:
             timings.validate_seconds = pretest_seconds + clock.elapsed
+        keep_spool = cfg.keep_spool
     finally:
         trace_stack.close()  # seal the root span before teardown work
         if owned_pool is not None:
             owned_pool.shutdown()
-        if cleanup_dir is not None and not cfg.keep_spool:
-            cleanup_dir.cleanup()
-            spool_path = None
+        run_spool.close(keep=keep_spool)
 
     if owned_pool is not None and "pool_warm" in validation.stats.extra:
         # The run owned its fleet: honest reporting says the validation
         # phase did not run on a *warm* (cross-call) pool.
         validation.stats.extra["pool_warm"] = 0.0
-    pool_stats = _merged_pool_stats(
-        export_pool_stats, pretest_pool_stats, validation.pool
-    )
+    pool_stats = _merged_pool_stats(graph_pool_stats, validation.pool)
     # engine_choice is always a dict so downstream consumers can index
     # "routing_seconds" without .get guards; a fixed-strategy run reports
     # the null choice (no engine picked, zero routing cost) — deterministic
@@ -749,15 +703,14 @@ def discover_inds(
         sampling_refuted=sampling_refuted,
         transitivity_inferred_satisfied=inferred_sat,
         transitivity_inferred_refuted=inferred_unsat,
-        spool_path=spool_path if (cfg.keep_spool or cfg.reuse_spool) else None,
+        spool_path=(
+            str(spool.root)
+            if spool is not None and (cfg.keep_spool or cfg.reuse_spool)
+            else None
+        ),
         export_values_scanned=export_scanned,
         export_values_written=export_written,
-        spool_cache_hit=spool_cache_hit,
-        # A cache hit silently skips the export phase; when the caller asked
-        # for a *pooled* export, say so explicitly instead of leaving an
-        # absent "spool-export" task kind as the only clue.
-        export_skipped=spool_cache_hit
-        and (cfg.parallel_export or cfg.overlap),
+        spool_cache_hit=run_spool.hit,
         validation_workers=cfg.validation_workers,
         engine_choice=engine_choice,
         pool_stats=pool_stats,
@@ -908,195 +861,157 @@ def _plan_delta(
     )
 
 
-def _export_into(db, cfg: DiscoveryConfig, root: str, needed, pool, spool=None):
-    """Export ``needed`` into ``root`` — pooled tasks or in-process threads.
+class _RunSpool:
+    """A run's spool directory, from opening to publish and cleanup.
 
-    The one switch between the two export engines, shared by the
-    temporary-directory and cache-staging paths.  Returns
-    ``(spool, export_stats, pool_stats_dict_or_None, task_spans)``; both
-    engines produce byte-identical spool contents, index documents and
-    statistics (``task_spans`` is empty for the in-process engine —
-    there are no workers to stamp them).
+    Only the runner opens a run's spool, in one of four places: a
+    spool-cache entry (a hit), a private cache staging directory (a miss),
+    the explicit ``spool_dir``, or a temporary directory.  Whoever fills it
+    — the in-process exporter or the overlap graph — hands it back to
+    :meth:`publish`, which moves a cache miss into the cache, and the
+    runner's ``finally`` calls :meth:`close`, which removes a temporary
+    directory whether or not the run got that far.
 
-    ``spool`` passes a pre-created directory that may already hold
-    attributes (a partial rebuild that adopted unchanged value files from
-    a donor cache entry); both engines then skip the present attributes
-    and export only the rest into it.
+    ``fingerprints`` (the per-attribute content map an incremental run
+    diffed) arms partial reuse on a miss: a donor entry of the same
+    database and spool configuration lends the unchanged attributes' value
+    files (hardlinked into staging), so only the changed columns
+    re-export.  ``prior_spool`` (the prior result's ``spool_path``) is the
+    donor tried first, before any scan of the cache.
     """
-    if cfg.parallel_export:
-        from repro.parallel.export import pooled_export, pooled_export_into
 
-        if spool is not None:
-            return pooled_export_into(
-                db,
-                spool,
-                workers=cfg.validation_workers,
-                pool=pool,
-                attributes=needed,
-                max_items_in_memory=cfg.max_items_in_memory,
+    def __init__(
+        self,
+        db: Database,
+        cfg: DiscoveryConfig,
+        column_stats,
+        fingerprints=None,
+        prior_spool: str | None = None,
+    ) -> None:
+        self._db = db
+        self._cfg = cfg
+        self._column_stats = column_stats
+        self._fingerprints = fingerprints
+        self._prior_spool = prior_spool
+        self._spool: SpoolDirectory | None = None
+        self.hit = False
+        self._cache: SpoolCache | None = None
+        self._fingerprint: str | None = None
+        self._temp_root: str | None = None
+
+    def open(self, needed, tracer=None) -> SpoolDirectory:
+        """Open the spool that holds, or will hold, ``needed``.
+
+        On a cache hit the spool is complete and the run performs *zero*
+        database reads and zero spool writes.  With a ``tracer`` the cache
+        probe is a ``cache-lookup`` span and a donor search a
+        ``donor-lookup`` span, children of the current span.  A miss is
+        staged in a private directory that carries no ``catalog_hash``, so
+        a run that dies before :meth:`publish` can never expose a
+        half-written entry (``repro-ind cache list`` reports the staging
+        directory as an orphan).
+        """
+        cfg = self._cfg
+        if not cfg.reuse_spool:
+            root = cfg.spool_dir
+            if root is None:
+                root = tempfile.mkdtemp(prefix="repro-spool-")
+                self._temp_root = root
+            self._spool = self._create(root)
+            return self._spool
+        self._fingerprint = catalog_fingerprint(
+            self._db.name, self._column_stats
+        )
+        cache = SpoolCache(
+            cfg.cache_dir or DEFAULT_CACHE_DIR, max_bytes=cfg.cache_max_bytes
+        )
+        with maybe_span(tracer, "cache-lookup") as lookup_span:
+            cached = cache.lookup(
+                self._fingerprint,
+                needed=needed,
+                spool_format=cfg.spool_format,
+                block_size=cfg.spool_block_size,
+                compression=cfg.spool_compression,
+                mmap_reads=cfg.resolved_mmap_reads,
             )
-        return pooled_export(
-            db,
+            if lookup_span is not None:
+                lookup_span.attrs["hit"] = cached is not None
+        if cached is not None:
+            self.hit = True
+            self._spool = cached
+            return cached
+        self._cache = cache
+        self._spool = self._create(cache.prepare(self._fingerprint))
+        if self._fingerprints is not None:
+            self._adopt_donor(cache, needed, tracer)
+        return self._spool
+
+    def _create(self, root) -> SpoolDirectory:
+        cfg = self._cfg
+        return SpoolDirectory.create(
             root,
-            workers=cfg.validation_workers,
-            pool=pool,
-            attributes=needed,
-            max_items_in_memory=cfg.max_items_in_memory,
-            spool_format=cfg.spool_format,
+            format=cfg.spool_format,
             block_size=cfg.spool_block_size,
             compression=cfg.spool_compression,
             mmap_reads=cfg.resolved_mmap_reads,
         )
-    if spool is not None:
-        export_stats = export_into(
-            db,
-            spool,
-            attributes=needed,
-            max_items_in_memory=cfg.max_items_in_memory,
-            workers=cfg.export_workers,
-        )
-        return spool, export_stats, None, []
-    spool, export_stats = export_database(
-        db,
-        root,
-        attributes=needed,
-        max_items_in_memory=cfg.max_items_in_memory,
-        spool_format=cfg.spool_format,
-        block_size=cfg.spool_block_size,
-        workers=cfg.export_workers,
-        compression=cfg.spool_compression,
-        mmap_reads=cfg.resolved_mmap_reads,
-    )
-    return spool, export_stats, None, []
 
-
-def _export(db: Database, cfg: DiscoveryConfig, candidates: list[Candidate], pool):
-    """Spool exactly the attributes the surviving candidates touch."""
-    needed = _needed_attributes(candidates)
-    cleanup: tempfile.TemporaryDirectory | None = None
-    if cfg.spool_dir is None:
-        cleanup = tempfile.TemporaryDirectory(prefix="repro-spool-")
-        root = cleanup.name
-    else:
-        root = cfg.spool_dir
-        Path(root).mkdir(parents=True, exist_ok=True)
-    spool, export_stats, pool_stats, task_spans = _export_into(
-        db, cfg, root, needed, pool
-    )
-    return spool, root, cleanup, export_stats, pool_stats, task_spans
-
-
-def _cached_export(
-    db,
-    cfg,
-    candidates: list[Candidate],
-    column_stats,
-    pool,
-    tracer=None,
-    fingerprints=None,
-    prior_spool=None,
-):
-    """Reuse a cached spool for an unchanged catalog, or export and cache it.
-
-    Returns ``(spool, path, export_stats, hit, pool_stats, task_spans)``.
-    On a hit the export phase performs *zero* database reads and zero spool
-    writes — ``export_stats`` stays all-zero, which the acceptance tests
-    assert.  The entry lives in the cache directory (never a temporary
-    directory), so the normal spool-cleanup path must not and does not
-    touch it.  With a ``tracer`` the cache probe is wrapped in a
-    ``cache-lookup`` span (a child of the enclosing export span) so hits
-    and misses are visible on the timeline.
-
-    A miss rebuilds in a private staging directory and publishes with one
-    atomic rename only after the export completed — pooled or not — so a
-    worker (or whole-process) death mid-export can never expose a
-    half-written entry: the staging directory carries no ``catalog_hash``
-    and is invisible to :meth:`~repro.storage.spool_cache.SpoolCache.lookup`
-    (``repro-ind cache list`` reports such leftovers as orphans).
-
-    ``fingerprints`` (a per-attribute content map, passed by incremental
-    runs) arms partial reuse on a miss: a donor entry of the same database
-    and spool configuration lends the unchanged attributes' value files
-    (hardlinked into staging), and only the changed columns re-export.
-    The published entry is byte-identical to a from-scratch rebuild either
-    way — adopted files were written by exactly the export that a fresh
-    run would repeat.  The map (re-derived from ``column_stats`` when not
-    passed) is stamped into the published index so *every* cached entry
-    can act as a future donor.  ``prior_spool`` (the prior result's
-    ``spool_path``) is the donor tried first, before any scan of the
-    cache; the search and adoption run in a ``donor-lookup`` span.
-    """
-    fingerprint = catalog_fingerprint(db.name, column_stats)
-    # Adoption only engages for callers that *planned* a delta (they pass
-    # the map they diffed); plain reuse_spool misses keep their long-tested
-    # full-export behaviour.  The stamp map, by contrast, goes onto every
-    # published entry — stamping is free and makes the entry donor-capable.
-    stamp_fingerprints = (
-        fingerprints
-        if fingerprints is not None
-        else attribute_fingerprints(column_stats)
-    )
-    cache = SpoolCache(
-        cfg.cache_dir or DEFAULT_CACHE_DIR, max_bytes=cfg.cache_max_bytes
-    )
-    needed = _needed_attributes(candidates)
-    with maybe_span(tracer, "cache-lookup") as lookup_span:
-        cached = cache.lookup(
-            fingerprint,
-            needed=needed,
-            spool_format=cfg.spool_format,
-            block_size=cfg.spool_block_size,
-            compression=cfg.spool_compression,
-            mmap_reads=cfg.resolved_mmap_reads,
-        )
-        if lookup_span is not None:
-            lookup_span.attrs["hit"] = cached is not None
-    if cached is not None:
-        return cached, str(cached.root), ExportStats(), True, None, []
-    staging = cache.prepare(fingerprint)
-    staged_spool = None
-    if fingerprints is not None:
+    def _adopt_donor(self, cache: SpoolCache, needed, tracer) -> None:
+        """Hardlink a donor entry's unchanged value files into staging."""
+        cfg = self._cfg
         with maybe_span(tracer, "donor-lookup") as donor_span:
             donor = cache.find_partial(
-                fingerprint,
-                db.name,
-                fingerprints,
+                self._fingerprint,
+                self._db.name,
+                self._fingerprints,
                 needed,
                 spool_format=cfg.spool_format,
                 block_size=cfg.spool_block_size,
                 compression=cfg.spool_compression,
-                prior=prior_spool,
+                prior=self._prior_spool,
             )
             adopted = []
             if donor is not None:
-                donor_spool, reusable = donor
-                staged_spool = SpoolDirectory.create(
-                    str(staging),
-                    format=cfg.spool_format,
-                    block_size=cfg.spool_block_size,
-                    compression=cfg.spool_compression,
-                    mmap_reads=cfg.resolved_mmap_reads,
-                )
-                adopted = SpoolCache.adopt(staged_spool, donor_spool, reusable)
+                adopted = SpoolCache.adopt(self._spool, *donor)
             if donor_span is not None:
                 source = None
                 if donor is not None:
                     # The scan skips the prior entry, so a donor with its
                     # name can only have come from trying it first.
-                    from_prior = prior_spool is not None and (
-                        donor[0].root.name == Path(prior_spool).name
+                    from_prior = self._prior_spool is not None and (
+                        donor[0].root.name == Path(self._prior_spool).name
                     )
                     source = "prior" if from_prior else "scan"
                 donor_span.attrs["donor"] = source
                 donor_span.attrs["entries_opened"] = cache.donor_entries_opened
                 donor_span.attrs["files_reused"] = len(adopted)
-    spool, export_stats, pool_stats, task_spans = _export_into(
-        db, cfg, str(staging), needed, pool, spool=staged_spool
-    )
-    spool = cache.publish(
-        fingerprint, spool, database=db.name, fingerprints=stamp_fingerprints
-    )
-    return spool, str(spool.root), export_stats, False, pool_stats, task_spans
+
+    def publish(self, tracer=None) -> SpoolDirectory:
+        """Move a filled cache-miss spool into the cache; return the spool.
+
+        The published entry is stamped with the per-attribute fingerprint
+        map, so every entry can donate to a later partial rebuild; with a
+        ``tracer`` the move is a ``cache-publish`` span.  Hits, explicit
+        directories and temporary directories pass through.
+        """
+        if self._cache is not None:
+            with maybe_span(tracer, "cache-publish"):
+                stamps = self._fingerprints
+                if stamps is None:
+                    stamps = attribute_fingerprints(self._column_stats)
+                self._spool = self._cache.publish(
+                    self._fingerprint,
+                    self._spool,
+                    database=self._db.name,
+                    fingerprints=stamps,
+                )
+            self._cache = None
+        return self._spool
+
+    def close(self, keep: bool = False) -> None:
+        """Remove a temporary spool directory, unless ``keep``."""
+        if self._temp_root is not None and not keep:
+            shutil.rmtree(self._temp_root, ignore_errors=True)
 
 
 def _merged_pool_stats(*parts: dict | None) -> dict | None:
@@ -1225,50 +1140,6 @@ def _sampling_pretest(spool, cfg, candidates):
     return survivors, refuted
 
 
-def _sampling_pretest_pooled(spool, cfg, candidates, pool):
-    """The sampling pretest as ``sample-pretest`` pool tasks.
-
-    Chunks are planned per dependent attribute
-    (:meth:`~repro.parallel.planner.ShardPlanner.plan_pretest_chunks`) so a
-    chunk's worker draws each reservoir sample once; every candidate's
-    verdict is a pure function of the spool and the seed, so the surviving
-    and refuted sets — in original candidate order — are identical to
-    :func:`_sampling_pretest` at every worker count.  Returns
-    ``(survivors, refuted, pool_stats_dict, task_spans)``.
-    """
-    from repro.parallel.planner import ShardPlanner
-    from repro.parallel.pool import run_specs
-    from repro.parallel.tasks import KIND_SAMPLE_PRETEST, TaskSpec
-
-    ordered = list(dict.fromkeys(candidates))
-    if not ordered:
-        return [], [], None, []
-    chunks = ShardPlanner(spool).plan_pretest_chunks(
-        ordered, cfg.validation_workers
-    )
-    specs = [
-        TaskSpec(
-            kind=KIND_SAMPLE_PRETEST,
-            candidates=chunk.candidates,
-            payload=(cfg.sampling_size, cfg.sampling_seed),
-        )
-        for chunk in chunks
-    ]
-    job, _ = run_specs(pool, cfg.validation_workers, str(spool.root), specs)
-    decided: dict[Candidate, bool] = {}
-    for outcome in job.outcomes:
-        decided.update(outcome.decisions)
-    survivors: list[Candidate] = []
-    refuted: list[Candidate] = []
-    for candidate in ordered:
-        if candidate not in decided:
-            raise DiscoveryError(
-                f"no pretest task covered candidate {candidate}"
-            )
-        (survivors if decided[candidate] else refuted).append(candidate)
-    return survivors, refuted, job.stats.as_dict(), job.task_spans
-
-
 def _validate_sequential(db, cfg, spool, candidates, column_stats):
     """Sequential validation with online transitivity pruning (Sec. 6)."""
     pruner = TransitivityPruner()
@@ -1320,10 +1191,10 @@ class DiscoverySession:
     Config flags that matter here: ``validation_workers`` sizes the pool;
     the pool engages for parallel validation (``strategy`` of
     ``"brute-force"`` or ``"merge-single-pass"`` with more than one
-    worker) and for the pooled pipeline phases (``parallel_export`` /
-    ``parallel_pretest``), so a fully pooled session runs export, pretest
-    and validation on one warm fleet; other configurations run exactly as
-    in :func:`discover_inds` with no pool ever created.  A merge whose
+    worker) and for the ``overlap`` graph, so an overlapped session runs
+    export, pretest and validation on one warm fleet; other
+    configurations run exactly as in :func:`discover_inds` with no pool
+    ever created.  A merge whose
     candidate graph is one component runs in the calling process (see
     :class:`~repro.parallel.merge.PartitionedMergeValidator`), so a
     session that only serves such merges may never spawn its fleet.
@@ -1385,7 +1256,7 @@ class DiscoverySession:
 
         ``config`` overrides the session default for this run only; the
         pool is created by the first run that can use it (parallel
-        validation, pooled export, or pooled pretest), sized by that run's
+        validation or the overlap graph), sized by that run's
         ``validation_workers``, and never resized afterwards — resizing a
         live fleet would defeat the warm handles the session exists to
         preserve.  Safe to call from several threads at once; concurrent
@@ -1422,9 +1293,9 @@ class DiscoverySession:
 
         A run can use the pool when parallel validation applies
         (``strategy`` in :data:`PARALLEL_STRATEGIES` with more than one
-        worker) *or* when it pools an earlier phase
-        (``parallel_export`` / ``parallel_pretest`` — those engage even at
-        one worker, so the task path is exercised at every worker count).
+        worker) *or* when it overlaps its phases (``overlap`` — the graph
+        engages even at one worker, so the task path is exercised at every
+        worker count).
         Creation is lock-protected so concurrent first requests cannot
         race two fleets into existence (one would leak its processes).
         """
@@ -1433,8 +1304,6 @@ class DiscoverySession:
                 cfg.strategy in PARALLEL_STRATEGIES
                 and cfg.validation_workers > 1
             )
-            or cfg.parallel_export
-            or cfg.parallel_pretest
             or cfg.overlap
         )
         if not wants_pool:

@@ -13,7 +13,9 @@ different axes, both dispatched through one shared task substrate:
                      ``spool-export`` tasks: workers render, sort and
                      atomically write per-attribute value files; the
                      parent assembles the index.  Byte-identical output
-                     to the sequential exporter.
+                     to the sequential exporter.  The overlap graph
+                     packs and folds its export tasks with the same
+                     :class:`~repro.parallel.export.ExportPlan`.
 ``planner``          :class:`ShardPlanner` — cost-balanced partitions of
                      the candidate set, sized by spool value counts: small
                      work-stealing chunks, or merge groups cut along
@@ -32,8 +34,9 @@ different axes, both dispatched through one shared task substrate:
                      dependency-scheduled task graph on a single pool:
                      export, sampling pretest and (fixed-engine runs)
                      validation with no inter-phase join; pretest verdicts
-                     gate validation tasks at release time.  Byte-identical
-                     results to the barriered pipeline.
+                     gate validation tasks at release time.  The only
+                     pooled export and pretest of a run; byte-identical
+                     results to the in-process pipeline.
 ``engine``           :class:`ProcessPoolValidationEngine` — brute-force
                      chunks dispatched through a pool (per-call or
                      persistent); decisions and summed I/O identical to

@@ -1,14 +1,15 @@
 """Streaming phase overlap: the pipeline as one dependency-scheduled graph.
 
-The barriered pipeline runs export, sampling pretest and validation as
-three pool *jobs* with a full join between each pair — the fleet drains
-completely before the next phase's first task can start, so end-to-end
-wall clock is ``sum(phases)`` even though a pretest chunk only needs its
-own two attributes' spool files, not the whole export.  This module plans
-the same three phases as **one task graph** for
-:meth:`~repro.parallel.pool.WorkerPool.run_graph`:
+Run phase by phase, export, sampling pretest and validation join fully
+between each pair: every export finishes before the first pretest starts,
+so end-to-end wall clock is ``sum(phases)`` even though a pretest chunk
+only needs its own two attributes' spool files, not the whole export.
+This module plans the three phases as **one task graph** for
+:meth:`~repro.parallel.pool.WorkerPool.run_graph`; it is the only way a
+run pools its export and pretest:
 
-* one node per export group (``spool-export``), released immediately;
+* one node per export group (``spool-export``, planned by
+  :func:`repro.parallel.export.plan_export`), released immediately;
 * one node per pretest chunk (``sample-pretest``), depending on exactly
   the export nodes that produce its candidates' dependent and referenced
   spool files — the chunk dispatches the moment those files land, while
@@ -23,11 +24,15 @@ task's result is a pure function of the spool contents and the task
 itself, and the summed validator counters are independent of chunk/group
 composition (brute-force tests candidates one at a time; merge groups are
 unions of whole candidate-graph components, and dropping a component's
-refuted edges only splits it into the same survivor components the
-barriered planner would have packed).  The randomized stress-agreement
-suite (``tests/parallel/test_overlap_stress.py``) asserts byte-identical
-``to_dict()`` output against the barriered pipeline across seeds, worker
-counts, formats and fault injections.
+refuted edges only splits it into survivor components).  The randomized
+stress-agreement suite (``tests/parallel/test_overlap_stress.py``)
+asserts byte-identical ``to_dict()`` output against the in-process
+pipeline across seeds, worker counts, formats and fault injections.
+
+The runner owns the spool: it opens it (cache hit, cache staging, an
+explicit ``spool_dir`` or a temporary directory), moves a cache miss into
+the cache after the drain and removes a temporary directory.  This module
+only plans and drains the graph over the spool it is handed.
 
 Two modes fall out of the engine matrix:
 
@@ -41,35 +46,28 @@ Two modes fall out of the engine matrix:
 
 from __future__ import annotations
 
-import tempfile
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.core.candidates import Candidate
 from repro.core.stats import ValidationResult
 from repro.db.database import Database
 from repro.db.schema import AttributeRef
 from repro.errors import DiscoveryError
-from repro.obs.trace import Tracer, maybe_span
-from repro.parallel.planner import ShardPlanner, pack_cost_groups
+from repro.obs.trace import Tracer
+from repro.parallel.export import plan_export
+from repro.parallel.planner import ShardPlanner
 from repro.parallel.pool import WorkerPool
 from repro.parallel.tasks import (
     GraphNode,
     KIND_BRUTE_FORCE,
     KIND_MERGE_PARTITION,
     KIND_SAMPLE_PRETEST,
-    KIND_SPOOL_EXPORT,
     TaskSpec,
     merge_shard_outcomes,
 )
-from repro.storage.exporter import ExportStats, plan_export_units
+from repro.storage.exporter import ExportStats
 from repro.storage.sorted_sets import SpoolDirectory
-from repro.storage.spool_cache import (
-    SpoolCache,
-    attribute_fingerprints,
-    catalog_fingerprint,
-)
 
 __all__ = ["OverlapRun", "run_overlapped"]
 
@@ -87,25 +85,18 @@ class OverlapRun:
 
     ``validation`` is ``None`` in staged mode — the runner routes and
     validates the ``survivors`` itself (adaptive routing needs the
-    post-pretest candidate set).  ``pool_stats`` is the whole
-    graph's single-job delta; ``export_seconds`` / ``graph_seconds`` give
-    the runner its phase-timing attribution (the export *window*, and the
-    wall clock of the whole overlapped section — spool setup, planning,
-    graph drain and final folds).  ``overlap_doc`` is the scheduling summary
-    surfaced as ``DiscoveryResult.overlap``.
+    post-pretest candidate set).  ``pool_stats`` is the whole graph's
+    single-job delta; ``export_seconds`` is the export *window*, the
+    runner's export-phase attribution.  ``overlap_doc`` is the scheduling
+    summary surfaced as ``DiscoveryResult.overlap``.
     """
 
-    spool: SpoolDirectory
-    spool_path: str
-    cleanup_dir: tempfile.TemporaryDirectory | None
     export_stats: ExportStats
-    spool_cache_hit: bool
     survivors: list[Candidate]
     sampling_refuted: list[Candidate]
     validation: ValidationResult | None
     pool_stats: dict | None
     export_seconds: float
-    graph_seconds: float
     overlap_doc: dict = field(default_factory=dict)
 
 
@@ -140,9 +131,9 @@ def _peak_concurrency(spans: list[dict]) -> int:
 def _cross_phase_seconds(spans_by_phase: dict[str, list[dict]]) -> float:
     """Seconds during which tasks of at least two phases ran simultaneously.
 
-    The headline scheduling observation: a barriered pipeline scores 0.0
-    here by construction, so any positive value is overlap the barriers
-    used to forbid.  Sweep-line over the task spans' intervals.
+    The headline scheduling observation: a phase-by-phase pipeline scores
+    0.0 here by construction, so any positive value is overlap the phase
+    barriers would forbid.  Sweep-line over the task spans' intervals.
     """
     events: list[tuple[float, str, int]] = []
     for phase, spans in spans_by_phase.items():
@@ -167,94 +158,47 @@ def run_overlapped(
     cfg,
     candidates: list[Candidate],
     column_stats: dict,
+    spool: SpoolDirectory,
     pool: WorkerPool,
     tracer: Tracer | None = None,
+    *,
+    cache_hit: bool,
+    started: float,
 ) -> OverlapRun:
     """Drain export → pretest (→ validation) as one dependency graph.
+
+    ``spool`` is the run's opened spool.  On a ``cache_hit`` it already
+    holds every attribute the candidates touch, so the graph starts at the
+    pretest layer with zero export nodes and never writes to it; otherwise
+    it is empty and the export layer fills it.  ``started`` is the
+    ``time.monotonic()`` instant the runner began opening the spool: the
+    first phase window reaches back to it, as a phase-by-phase run's
+    export stopwatch covers its cache lookup.
 
     The cost plans for pretest and validation are built *before* any spool
     file exists, from the column profile's distinct counts — exactly the
     spooled value counts for every non-LOB attribute, so the plans match
-    the barriered planner's (and even if they did not, plan composition
+    the in-process planner's (and even if they did not, plan composition
     can never change summed results, only balance).  Spool-directory state
-    is published from the dispatcher thread between a node's completion
+    is updated from the dispatcher thread between a node's completion
     and its dependents' release (``on_complete`` registers value files and
     re-saves the index atomically), so a dependent task always re-opens a
-    spool index that already names its files.
-
-    Mirrors ``runner._cached_export`` / ``runner._export`` for the spool
-    root: ``reuse_spool`` probes the content-addressed cache (a hit makes
-    the graph start at the pretest layer with zero export nodes) and
-    publishes a miss after the drain; otherwise the explicit ``spool_dir``
-    or a temporary directory is used.  Raises
+    spool index that already names its files.  Raises
     :class:`~repro.errors.DiscoveryError` on scheduling faults (a
     candidate no pretest chunk covered, a crash-looping task) rather than
     returning partial results.
     """
     if pool is None:
         raise DiscoveryError("overlapped discovery requires a worker pool")
-    # Imported here: runner imports this module lazily inside discover_inds,
-    # so a module-level import back into runner would be cycle-prone.
-    from repro.core.runner import DEFAULT_CACHE_DIR
-
-    # Everything below — spool setup, value planning, the graph drain and
-    # the final folds — is billed to the phase windows (the barriered
-    # pipeline times the same work inside its phase stopwatches).
-    overlap_start = time.monotonic()
-
-    needed = sorted(
-        {c.dependent for c in candidates} | {c.referenced for c in candidates}
-    )
     ordered = list(dict.fromkeys(candidates))
     workers = cfg.validation_workers
-
-    # -- spool root: cache entry / cache staging / explicit dir / tempdir --
-    cache: SpoolCache | None = None
-    fingerprint: str | None = None
-    cleanup_dir: tempfile.TemporaryDirectory | None = None
-    cache_hit = False
-    spool: SpoolDirectory | None = None
-    root: str | None = None
-    if cfg.reuse_spool:
-        fingerprint = catalog_fingerprint(db.name, column_stats)
-        cache = SpoolCache(
-            cfg.cache_dir or DEFAULT_CACHE_DIR, max_bytes=cfg.cache_max_bytes
-        )
-        with maybe_span(tracer, "cache-lookup") as lookup_span:
-            cached = cache.lookup(
-                fingerprint,
-                needed=needed,
-                spool_format=cfg.spool_format,
-                block_size=cfg.spool_block_size,
-                compression=cfg.spool_compression,
-                mmap_reads=cfg.resolved_mmap_reads,
-            )
-            if lookup_span is not None:
-                lookup_span.attrs["hit"] = cached is not None
-        if cached is not None:
-            spool = cached
-            cache_hit = True
-        else:
-            root = str(cache.prepare(fingerprint))
-    elif cfg.spool_dir is not None:
-        root = cfg.spool_dir
-        Path(root).mkdir(parents=True, exist_ok=True)
-    else:
-        cleanup_dir = tempfile.TemporaryDirectory(prefix="repro-spool-")
-        root = cleanup_dir.name
-    units: list = []
+    export = None
     if not cache_hit:
-        spool = SpoolDirectory.create(
-            root,
-            format=cfg.spool_format,
-            block_size=cfg.spool_block_size,
-            compression=cfg.spool_compression,
-            mmap_reads=cfg.resolved_mmap_reads,
+        needed = {c.dependent for c in ordered}
+        needed |= {c.referenced for c in ordered}
+        export = plan_export(
+            db, spool, sorted(needed), workers, cfg.max_items_in_memory
         )
-        # Workers open spools through index.json; publish a bare one before
-        # the first task can possibly run (same protocol as pooled_export).
-        spool.save_index()
-        units = plan_export_units(db, needed, spool)
 
     # -- graph planning ----------------------------------------------------
     # Column-profile distinct counts stand in for the not-yet-written spool
@@ -265,29 +209,11 @@ def run_overlapped(
     planner = ShardPlanner(spool, counts=counts)
 
     nodes: list[GraphNode] = []
-    export_groups: list[tuple] = []
     attr_node: dict[AttributeRef, int] = {}
-    if units:
-        for group in pack_cost_groups(
-            [(len(unit.values) + 1, unit) for unit in units], workers
-        ):
-            node_id = len(nodes)
-            export_groups.append(tuple(group))
-            nodes.append(
-                GraphNode(
-                    spec=TaskSpec(
-                        kind=KIND_SPOOL_EXPORT,
-                        candidates=(),
-                        payload=(
-                            tuple(group),
-                            cfg.spool_format,
-                            cfg.spool_block_size,
-                            cfg.max_items_in_memory,
-                            cfg.spool_compression,
-                        ),
-                    )
-                )
-            )
+    if export is not None:
+        for node_id, spec in enumerate(export.specs):
+            nodes.append(GraphNode(spec=spec))
+            group = export.groups[node_id]
             for unit in group:
                 attr_node[AttributeRef(unit.table, unit.column)] = node_id
     export_count = len(nodes)
@@ -361,15 +287,7 @@ def run_overlapped(
 
     def on_complete(node_id: int, outcome) -> None:
         if node_id < export_count:
-            written = {svf.ref: svf for svf in outcome.payload}
-            for unit in export_groups[node_id]:
-                ref = AttributeRef(unit.table, unit.column)
-                svf = written[ref]
-                if svf.is_empty:
-                    spool.release(ref)
-                    Path(svf.path).unlink(missing_ok=True)
-                else:
-                    spool.register(svf)
+            export.land(outcome)
             # Dependents re-open the spool by path, so the index must name
             # this node's files before any of them is released.  save_index
             # writes atomically (tmp + rename) and sorts attributes, making
@@ -385,9 +303,8 @@ def run_overlapped(
         kept = []
         for candidate in spec.candidates:
             if candidate not in verdicts:
-                # Same loudness as the barriered pooled pretest: a planner
-                # hole must fail the run, not silently validate unpretested
-                # candidates.
+                # A planner hole must fail the run, not silently validate
+                # unpretested candidates.
                 raise DiscoveryError(
                     f"no pretest task covered candidate {candidate}"
                 )
@@ -403,37 +320,10 @@ def run_overlapped(
         str(spool.root), nodes, gate=gate, on_complete=on_complete
     )
 
-    # -- export finalisation: stats fold in unit order, like pooled_export -
     export_stats = ExportStats()
-    if units:
-        written_all = {}
-        for node_id in range(export_count):
-            for svf in graph.outcomes[node_id].payload:
-                written_all[svf.ref] = svf
-        for unit in units:
-            svf = written_all[AttributeRef(unit.table, unit.column)]
-            export_stats.values_scanned += len(unit.values)
-            if svf.is_empty:
-                export_stats.skipped_empty += 1
-                continue
-            export_stats.attributes_exported += 1
-            export_stats.values_written += svf.count
-            export_stats.per_attribute_counts[unit.qualified] = svf.count
-        # A worker that died mid-write leaves its unit's temporary file
-        # behind; the requeued task wrote the real one, so strays are junk.
-        for stray in Path(spool.root).glob("*.tmp-*"):
-            stray.unlink(missing_ok=True)
-        spool.save_index()
-    if cache is not None and not cache_hit:
-        # Tasks all completed against the staging path; publishing renames
-        # it atomically into the cache and reopens the spool there.  The
-        # stamps make the entry a donor for later partial reuse, exactly
-        # like an in-process miss's.
-        spool = cache.publish(
-            fingerprint,
-            spool,
-            database=db.name,
-            fingerprints=attribute_fingerprints(column_stats),
+    if export is not None:
+        export_stats = export.finish(
+            [graph.outcomes[node_id] for node_id in range(export_count)]
         )
 
     # -- survivors ---------------------------------------------------------
@@ -448,7 +338,7 @@ def run_overlapped(
                 )
             (survivors if verdicts[candidate] else refuted).append(candidate)
 
-    # -- per-phase windows, trace adoption, scheduling summary -------------
+    # -- scheduling summary ------------------------------------------------
     spans_by_phase: dict[str, list[dict]] = {
         _PHASE_EXPORT: [],
         _PHASE_PRETEST: [],
@@ -462,49 +352,6 @@ def run_overlapped(
         else:
             phase = _PHASE_VALIDATE
         spans_by_phase[phase].append(span)
-    # Phase windows: [min task start, max task end] per phase, with the
-    # first non-empty phase pulled back to the graph's start and the last
-    # pushed out to its end.  The barriered pipeline buries pool spawn and
-    # drain latency inside its phase stopwatches; attributing them to the
-    # edge phases here keeps trace coverage and timing buckets comparable.
-    windows: dict[str, list[float]] = {}
-    for phase in (_PHASE_EXPORT, _PHASE_PRETEST, _PHASE_VALIDATE):
-        spans = spans_by_phase[phase]
-        if spans:
-            start, duration = _window(spans)
-            windows[phase] = [start, start + duration]
-    overlap_end = time.monotonic()
-    graph_seconds = overlap_end - overlap_start
-    if windows:
-        phases = list(windows)
-        windows[phases[0]][0] = min(windows[phases[0]][0], overlap_start)
-        windows[phases[-1]][1] = max(windows[phases[-1]][1], overlap_end)
-        for prev, cur in zip(phases, phases[1:]):
-            # Bill inter-phase dispatch latency to the waiting phase, the
-            # way the barriered pipeline's back-to-back stopwatches do.
-            windows[cur][0] = min(windows[cur][0], windows[prev][1])
-    else:
-        # Nothing ran (no candidates, or a cache hit with sampling off):
-        # still bill the section's setup work to an export window, as the
-        # barriered pipeline's always-present export stopwatch would.
-        windows[_PHASE_EXPORT] = [overlap_start, overlap_end]
-    export_seconds = 0.0
-    if _PHASE_EXPORT in windows:
-        start, end = windows[_PHASE_EXPORT]
-        export_seconds = end - start
-    if tracer is not None:
-        parent = tracer.current_span_id()
-        for phase, (start, end) in windows.items():
-            spans = sorted(
-                spans_by_phase[phase],
-                key=lambda s: s.get("attrs", {}).get("task_id", 0),
-            )
-            phase_id = tracer.add_span(
-                parent, phase, start, end - start,
-                overlapped=True, tasks=len(spans),
-            )
-            tracer.add_task_spans(phase_id, spans)
-
     overlap_doc = {
         "mode": "full" if full else "staged",
         "nodes": len(nodes),
@@ -534,9 +381,6 @@ def run_overlapped(
             if node_id in graph.outcomes
         ]
         validation = merge_shard_outcomes(survivors, outcomes, cfg.strategy)
-        if _PHASE_VALIDATE in windows:
-            start, end = windows[_PHASE_VALIDATE]
-            validation.stats.elapsed_seconds = end - start
         extra = validation.stats.extra
         extra["validation_workers"] = float(workers)
         if cfg.strategy == "brute-force":
@@ -546,7 +390,7 @@ def run_overlapped(
             extra["partitions"] = float(validation_count)
         # The pool is always borrowed here (session's or the run's own);
         # the runner downgrades this to 0.0 for a run-owned fleet, exactly
-        # as it does for the barriered engines.
+        # as it does for the pooled validation engines.
         extra["pool_warm"] = 1.0
         if outcomes:
             key = (
@@ -556,17 +400,59 @@ def run_overlapped(
             )
             extra[key] = max(o.stats.elapsed_seconds for o in outcomes)
 
+    # -- per-phase windows and trace adoption ------------------------------
+    # Phase windows: [min task start, max task end] per phase, with the
+    # first non-empty phase pulled back to the section's start and the last
+    # pushed out to its end, after every fold above.  A phase-by-phase run
+    # buries spool setup, drain latency and result folding inside its phase
+    # stopwatches; attributing them to the edge phases here keeps trace
+    # coverage and timing buckets comparable.
+    windows: dict[str, list[float]] = {}
+    for phase in (_PHASE_EXPORT, _PHASE_PRETEST, _PHASE_VALIDATE):
+        spans = spans_by_phase[phase]
+        if spans:
+            start, duration = _window(spans)
+            windows[phase] = [start, start + duration]
+    overlap_end = time.monotonic()
+    if windows:
+        phases = list(windows)
+        windows[phases[0]][0] = min(windows[phases[0]][0], started)
+        windows[phases[-1]][1] = max(windows[phases[-1]][1], overlap_end)
+        for prev, cur in zip(phases, phases[1:]):
+            # Bill inter-phase dispatch latency to the waiting phase, the
+            # way back-to-back phase stopwatches do.
+            windows[cur][0] = min(windows[cur][0], windows[prev][1])
+    else:
+        # Nothing ran (no candidates, or a cache hit with sampling off):
+        # still bill the section's setup work to an export window, as the
+        # in-process pipeline's always-present export stopwatch would.
+        windows[_PHASE_EXPORT] = [started, overlap_end]
+    export_seconds = 0.0
+    if _PHASE_EXPORT in windows:
+        start, end = windows[_PHASE_EXPORT]
+        export_seconds = end - start
+    if validation is not None and _PHASE_VALIDATE in windows:
+        start, end = windows[_PHASE_VALIDATE]
+        validation.stats.elapsed_seconds = end - start
+    if tracer is not None:
+        parent = tracer.current_span_id()
+        for phase, (start, end) in windows.items():
+            spans = sorted(
+                spans_by_phase[phase],
+                key=lambda s: s.get("attrs", {}).get("task_id", 0),
+            )
+            phase_id = tracer.add_span(
+                parent, phase, start, end - start,
+                overlapped=True, tasks=len(spans),
+            )
+            tracer.add_task_spans(phase_id, spans)
+
     return OverlapRun(
-        spool=spool,
-        spool_path=str(spool.root),
-        cleanup_dir=cleanup_dir,
         export_stats=export_stats,
-        spool_cache_hit=cache_hit,
         survivors=survivors,
         sampling_refuted=refuted,
         validation=validation,
         pool_stats=graph.stats.as_dict() if nodes else None,
         export_seconds=export_seconds,
-        graph_seconds=graph_seconds,
         overlap_doc=overlap_doc,
     )

@@ -1,13 +1,22 @@
 """Tests for the end-to-end discovery runner."""
 
+import tempfile
+
 import pytest
 
 from repro.core.candidates import PretestConfig
 from repro.core.runner import ALL_STRATEGIES, DiscoveryConfig, discover_inds
-from repro.errors import DiscoveryError
+from repro.errors import DiscoveryError, SpoolError
+from repro.storage.sorted_sets import SpoolDirectory
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("name", ("parallel_export", "parallel_pretest"))
+    def test_removed_pipeline_fields_raise_type_error(self, name):
+        # overlap=True is the only pooled export and pretest.
+        with pytest.raises(TypeError, match=name):
+            DiscoveryConfig(**{name: True})
+
     def test_unknown_strategy(self):
         with pytest.raises(DiscoveryError, match="unknown strategy"):
             DiscoveryConfig(strategy="magic").validated()
@@ -184,6 +193,45 @@ class TestSpoolHandling:
         after = set(glob.glob(tempfile.gettempdir() + "/repro-spool-*"))
         assert before == after
 
+    def test_failed_export_removes_temporary_spool(
+        self, fk_db, tmp_path, monkeypatch
+    ):
+        def fail(*args, **kwargs):
+            raise SpoolError("no space left on device")
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(SpoolDirectory, "add_values", fail)
+        with pytest.raises(SpoolError) as excinfo:
+            discover_inds(fk_db)
+        # excinfo holds the failed frames; the spool must be gone anyway.
+        assert excinfo.value is not None
+        assert list(tmp_path.glob("repro-spool-*")) == []
+
+    def test_failed_export_discards_a_kept_temporary_spool(
+        self, fk_db, tmp_path, monkeypatch
+    ):
+        def fail(*args, **kwargs):
+            raise SpoolError("no space left on device")
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(SpoolDirectory, "add_values", fail)
+        with pytest.raises(SpoolError):
+            discover_inds(fk_db, DiscoveryConfig(keep_spool=True))
+        # keep_spool keeps the spool of a successful run only.
+        assert list(tmp_path.glob("repro-spool-*")) == []
+
+    @pytest.mark.parametrize("overlap", (False, True))
+    def test_keep_spool_keeps_a_temporary_spool(
+        self, fk_db, tmp_path, monkeypatch, overlap
+    ):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        result = discover_inds(
+            fk_db, DiscoveryConfig(keep_spool=True, overlap=overlap)
+        )
+        (kept,) = tmp_path.glob("repro-spool-*")
+        assert result.spool_path == str(kept)
+        assert len(SpoolDirectory.open(kept)) > 0
+
     def test_keep_spool_in_directory(self, fk_db, tmp_path):
         spool_dir = tmp_path / "keep"
         result = discover_inds(
@@ -191,8 +239,6 @@ class TestSpoolHandling:
             DiscoveryConfig(spool_dir=str(spool_dir), keep_spool=True),
         )
         assert result.spool_path == str(spool_dir)
-        from repro.storage.sorted_sets import SpoolDirectory
-
         spool = SpoolDirectory.open(spool_dir)
         assert len(spool) > 0
 

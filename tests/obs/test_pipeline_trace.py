@@ -71,8 +71,7 @@ class TestCoverage:
                 pretests=PretestConfig(cardinality=True, max_value=False),
                 validation_workers=2,
                 sampling_size=4,
-                parallel_export=True,
-                parallel_pretest=True,
+                overlap=True,
                 trace=True,
             ),
         )
@@ -223,7 +222,7 @@ class TestFaultTolerance:
                 strategy="brute-force",
                 pretests=PretestConfig(cardinality=True, max_value=False),
                 validation_workers=2,
-                parallel_export=True,
+                overlap=True,
                 trace=True,
             ),
         )

@@ -472,37 +472,3 @@ class TestAdaptiveRouting:
             "brute-force",
             "merge-single-pass",
         )
-
-
-class TestExportSkippedAccounting:
-    def test_cache_hit_records_skipped_parallel_export(self, fk_db, tmp_path):
-        config = DiscoveryConfig(
-            strategy="brute-force",
-            validation_workers=2,
-            parallel_export=True,
-            reuse_spool=True,
-            cache_dir=str(tmp_path / "cache"),
-        )
-        first = discover_inds(fk_db, config)
-        assert not first.spool_cache_hit
-        assert not first.export_skipped
-        assert first.to_dict()["export_skipped"] is False
-        second = discover_inds(fk_db, config)
-        assert second.spool_cache_hit
-        assert second.export_skipped, (
-            "a cache hit silently dropping parallel_export must say so"
-        )
-        assert second.to_dict()["export_skipped"] is True
-
-    def test_plain_cache_hit_is_not_a_skipped_export(self, fk_db, tmp_path):
-        # Without parallel_export there is nothing to skip: the flag must
-        # stay False on hits, or every cached run would read as a warning.
-        config = DiscoveryConfig(
-            strategy="brute-force",
-            reuse_spool=True,
-            cache_dir=str(tmp_path / "cache"),
-        )
-        discover_inds(fk_db, config)
-        second = discover_inds(fk_db, config)
-        assert second.spool_cache_hit
-        assert not second.export_skipped

@@ -1,16 +1,17 @@
 """Randomized stress-agreement harness for the overlapped (barrier-free) pipeline.
 
-The tentpole contract: ``DiscoveryConfig(overlap=True)`` plans export,
-sampling pretest and validation as **one dependency-scheduled task graph**
-on a single worker pool — and everything except wall clock must be
-byte-identical to the barriered pipeline.  Two layers of defence:
+The contract: ``DiscoveryConfig(overlap=True)`` plans export, sampling
+pretest and validation as **one dependency-scheduled task graph** on a
+single worker pool — and everything except wall clock must be
+byte-identical to the in-process pipeline.  Two layers of defence:
 
 * a fixed small matrix (workers {1, 2, 4} × both spool formats × both
   fixed engines) against the plain *sequential* pipeline — the paper's
   reference semantics;
 * a seeded random sweep: each seed derives a database **and** a config
   vector (workers, spool format, strategy incl. adaptive, sampling size,
-  ``reuse_spool``), runs the same vector barriered and overlapped, and diffs the full ``to_dict()`` view.  The seed is printed
+  ``reuse_spool``), runs the same vector in process and overlapped, and
+  diffs the full ``to_dict()`` view.  The seed is printed
   on failure so any counterexample replays with
   ``pytest -k <seed> tests/parallel/test_overlap_stress.py``.
 
@@ -22,19 +23,23 @@ fail loudly (never wedge the held dependents) and leave the pool usable.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 
-from seeded_dbs import build_db, build_random_db
+from seeded_dbs import build_component_db, build_db, build_random_db
 from test_validator_agreement import SPOOL_VARIANTS, _assert_well_formed_trace
 
 from repro.core.candidates import PretestConfig
-from repro.core.runner import DiscoveryConfig, discover_inds
+from repro.core.runner import DiscoveryConfig, DiscoverySession, discover_inds
 from repro.errors import DiscoveryError
 from repro.obs.trace import coverage
 from repro.parallel.pool import WorkerPool
+from repro.storage.spool_cache import SpoolCache
 
 #: Fixed seed list: CI replays exactly these, failures print the seed.
 STRESS_SEEDS = tuple(range(10))
@@ -49,10 +54,13 @@ def _stress_view(result_dict: dict) -> dict:
     Popped (and nothing else): wall-clock ``timings``, per-job ``pool``
     counters, the additive ``trace`` and ``overlap`` documents, the
     worker count echoed from the config, the engine's ``extra``/
-    ``elapsed_seconds``/``peak_open_files`` diagnostics, and the measured
-    halves of ``engine_choice``.  Decisions, satisfied sets, pretest and
-    sampling reductions, export counters, summed I/O and the routed
-    engine name all stay in.
+    ``elapsed_seconds``/``peak_open_files`` diagnostics, the measured
+    halves of ``engine_choice``, and its predictions for pooled engines:
+    those price pool start-up, which an in-process run has still to pay
+    and an overlapped run has already paid.  Decisions, satisfied sets,
+    pretest and sampling reductions, export counters, summed I/O, the
+    routed engine name and the sequential engines' predictions all stay
+    in.
     """
     view = json.loads(json.dumps(result_dict))
     view.pop("timings")
@@ -63,9 +71,16 @@ def _stress_view(result_dict: dict) -> dict:
     view["validator"].pop("elapsed_seconds")
     view["validator"].pop("extra")
     view["validator"].pop("peak_open_files")
-    if view.get("engine_choice"):
-        view["engine_choice"].pop("routing_seconds", None)
-        view["engine_choice"].pop("actual_seconds", None)
+    choice = view.get("engine_choice")
+    if choice:
+        choice.pop("routing_seconds", None)
+        choice.pop("actual_seconds", None)
+        if "predicted_seconds" in choice:
+            choice["predicted_seconds"] = {
+                engine: seconds
+                for engine, seconds in choice["predicted_seconds"].items()
+                if not engine.startswith("pooled-")
+            }
     return view
 
 
@@ -97,14 +112,14 @@ def _config_vector(seed: int) -> dict:
 
 
 def _discovery_config(vector: dict, *, overlap: bool, cache_dir) -> DiscoveryConfig:
-    """The barriered twin differs from the overlapped one ONLY in scheduling.
+    """The twins differ ONLY in ``overlap``, at the same worker count.
 
-    The baseline keeps every phase on the pool (``parallel_export`` /
-    ``parallel_pretest``) so owned-pool handling, cache-hit bookkeeping and
-    task-kind coverage are identical on both sides — barriers in, barriers
-    out is the *only* delta under test.  ``cache_dir`` is always a fresh
-    per-side directory: the two runs must not share spool-cache entries or
-    calibration state through the user-level default cache.
+    The in-process twin runs its phases one after another in this process
+    (pooling only validation, when the vector's strategy and worker count
+    do), the overlapped twin drains them as one graph on a pool.
+    ``cache_dir`` is always a fresh per-side directory: the two runs must
+    not share spool-cache entries or calibration state through the
+    user-level default cache.
     """
     return DiscoveryConfig(
         strategy=vector["strategy"],
@@ -118,8 +133,6 @@ def _discovery_config(vector: dict, *, overlap: bool, cache_dir) -> DiscoveryCon
         reuse_spool=vector["reuse_spool"],
         cache_dir=str(cache_dir),
         overlap=overlap,
-        parallel_export=not overlap,
-        parallel_pretest=not overlap and vector["sampling"] > 0,
     )
 
 
@@ -128,11 +141,12 @@ class TestOverlapMatrix:
 
     @pytest.mark.parametrize("variant", SPOOL_VARIANTS)
     @pytest.mark.parametrize("strategy", ("brute-force", "merge-single-pass"))
+    @pytest.mark.parametrize("seed", (5, 9))
     def test_overlap_equals_sequential_across_worker_counts(
-        self, strategy, variant
+        self, seed, strategy, variant
     ):
         spool_format, compression, mmap_reads = variant
-        db = build_random_db(5)
+        db = build_random_db(seed)
         sequential = discover_inds(
             db,
             DiscoveryConfig(
@@ -169,12 +183,13 @@ class TestOverlapMatrix:
             )
             assert _stress_view(overlapped.to_dict()) == expected, (
                 f"overlapped pipeline diverges from sequential at "
-                f"{workers} workers ({strategy}, {variant} spools)"
+                f"{workers} workers (seed {seed}, {strategy}, {variant} "
+                f"spools)"
             )
             doc = overlapped.overlap
             assert doc is not None and doc["mode"] == "full"
             assert doc["nodes"] == sum(doc["tasks_by_phase"].values())
-            assert doc["tasks_by_phase"]["validate"] >= 1
+            assert all(count >= 1 for count in doc["tasks_by_phase"].values())
             # Pretest verdicts gated validation dynamically: with refuted
             # candidates present, either whole chunks were cancelled or
             # their specs were rewritten — never validated and discarded.
@@ -184,8 +199,78 @@ class TestOverlapMatrix:
             assert refuted == sequential.sampling_refuted
 
 
+    @pytest.mark.parametrize("variant", SPOOL_VARIANTS)
+    def test_multi_group_merge_rides_the_graph(self, variant):
+        """Several merge groups, each gated on its own pretest chunks.
+
+        The seeded databases are one candidate-graph component, so the
+        merge legs above plan one ``merge-partition`` node.  The graph is
+        planned before the sampling pretest, so it needs an input whose
+        metadata pretests already split the candidate graph:
+        ``build_component_db`` puts two seeded databases on value ranges
+        the min- and max-value pretests tell apart.
+        """
+        spool_format, compression, mmap_reads = variant
+        db = build_component_db()
+
+        def config(**overrides):
+            return DiscoveryConfig(
+                strategy="merge-single-pass",
+                spool_format=spool_format,
+                spool_compression=compression,
+                mmap_reads=mmap_reads,
+                spool_block_size=3,
+                sampling_size=2,
+                pretests=PretestConfig(
+                    cardinality=False, max_value=True, min_value=True
+                ),
+                **overrides,
+            )
+
+        sequential = discover_inds(db, config())
+        assert sequential.sampling_refuted > 0
+        expected = _stress_view(sequential.to_dict())
+        for workers in (2, 4):
+            overlapped = discover_inds(
+                db, config(validation_workers=workers, overlap=True)
+            )
+            assert _stress_view(overlapped.to_dict()) == expected, (
+                f"overlapped merge diverges at {workers} workers ({variant})"
+            )
+            groups = overlapped.validator_stats.extra["merge_groups"]
+            assert groups > 1
+            dispatched = overlapped.pool_stats["tasks_by_kind"].get(
+                "merge-partition", 0
+            )
+            assert dispatched + overlapped.overlap["cancelled"] == groups
+
+    @pytest.mark.parametrize("workers", (2, 4))
+    def test_warm_session_drains_every_phase_on_one_fleet(self, workers):
+        """A session's overlapped runs share one fleet and never drift."""
+        db = build_random_db(5)
+        config = DiscoveryConfig(
+            strategy="brute-force",
+            spool_block_size=3,
+            sampling_size=2,
+            pretests=PretestConfig(cardinality=True, max_value=False),
+        )
+        expected = _stress_view(discover_inds(db, config).to_dict())
+        overlapped = dataclasses.replace(
+            config, validation_workers=workers, overlap=True
+        )
+        with DiscoverySession(overlapped) as session:
+            for _ in range(2):
+                got = session.discover(db)
+                assert _stress_view(got.to_dict()) == expected
+            stats = session.pool_stats.as_dict()
+        assert stats["workers_spawned"] == workers  # one fleet, both runs
+        assert {"spool-export", "sample-pretest", "brute-force"} <= set(
+            stats["tasks_by_kind"]
+        )
+
+
 class TestOverlapStressAgreement:
-    """Seeded random config vectors: barriered vs overlapped, byte-exact."""
+    """Seeded random config vectors: in-process vs overlapped, byte-exact."""
 
     @pytest.mark.parametrize("seed", STRESS_SEEDS)
     def test_random_vector_agrees(self, seed, tmp_path):
@@ -193,7 +278,7 @@ class TestOverlapStressAgreement:
         db = build_random_db(vector["db_seed"])
         rounds = 2 if vector["reuse_spool"] else 1  # cold miss, then warm hit
         for round_index in range(rounds):
-            barriered = discover_inds(
+            in_process = discover_inds(
                 db,
                 _discovery_config(
                     vector, overlap=False, cache_dir=tmp_path / "cache-a"
@@ -211,12 +296,12 @@ class TestOverlapStressAgreement:
             )
             assert (
                 _stress_view(overlapped.to_dict())
-                == _stress_view(barriered.to_dict())
+                == _stress_view(in_process.to_dict())
             ), context
             expect_hit = vector["reuse_spool"] and round_index == 1
-            assert barriered.spool_cache_hit is expect_hit, context
+            assert in_process.spool_cache_hit is expect_hit, context
             assert overlapped.spool_cache_hit is expect_hit, context
-            assert barriered.overlap is None, context
+            assert in_process.overlap is None, context
             doc = overlapped.overlap
             assert doc is not None, context
             full = vector["strategy"] in ("brute-force", "merge-single-pass")
@@ -268,6 +353,78 @@ def _fault_config(**overrides) -> DiscoveryConfig:
     )
     defaults.update(overrides)
     return DiscoveryConfig(**defaults)
+
+
+class TestOverlapSpool:
+    """The runner opens, publishes and cleans an overlapped run's spool."""
+
+    def test_explicit_spool_dir_holds_the_in_process_spool(self, tmp_path):
+        """Same index document as the in-process export writes there."""
+        db = build_db()
+        docs = []
+        for overlap in (False, True):
+            root = tmp_path / f"overlap-{overlap}"
+            discover_inds(
+                db,
+                _fault_config(
+                    overlap=overlap,
+                    sampling_size=2,
+                    spool_dir=str(root),
+                    keep_spool=True,
+                ),
+            )
+            docs.append(json.loads((root / "index.json").read_text()))
+        assert docs[0]["attributes"] and docs[1] == docs[0]
+
+    def test_cache_miss_publishes_the_in_process_entry(self, tmp_path):
+        """Stamped with the catalog hash and the donor fingerprint map.
+
+        The move into the cache is traced: under ``export`` in process,
+        and straight under ``discover`` after an overlapped graph, whose
+        phase windows close when the graph drains.
+        """
+        db = build_db()
+        docs = []
+        for overlap, parent in ((False, "export"), (True, "discover")):
+            cache = tmp_path / f"cache-{overlap}"
+            result = discover_inds(
+                db,
+                _fault_config(
+                    overlap=overlap,
+                    sampling_size=2,
+                    reuse_spool=True,
+                    cache_dir=str(cache),
+                    trace=True,
+                ),
+            )
+            assert not result.spool_cache_hit
+            assert SpoolCache(cache).list_orphans() == []
+            index = Path(result.spool_path) / "index.json"
+            docs.append(json.loads(index.read_text()))
+            spans = {span["id"]: span for span in result.trace["spans"]}
+            (publish,) = [
+                span for span in spans.values()
+                if span["name"] == "cache-publish"
+            ]
+            assert spans[publish["parent"]]["name"] == parent
+        assert {"attribute_fingerprints", "catalog_hash"} <= set(docs[0])
+        assert docs[1] == docs[0]
+
+    def test_cache_hit_never_writes_the_entry(self, tmp_path):
+        db = build_db()
+        config = _fault_config(
+            sampling_size=2, reuse_spool=True, cache_dir=str(tmp_path)
+        )
+        entry = Path(discover_inds(db, config).spool_path)
+        before = {
+            path.name: path.stat().st_mtime_ns for path in entry.iterdir()
+        }
+        hit = discover_inds(db, config)
+        assert hit.spool_cache_hit and hit.spool_path == str(entry)
+        assert hit.overlap["tasks_by_phase"]["export"] == 0
+        assert {
+            path.name: path.stat().st_mtime_ns for path in entry.iterdir()
+        } == before
 
 
 class TestOverlapFaults:
@@ -372,3 +529,39 @@ class TestOverlapFaults:
                 db, _fault_config(sampling_size=2), pool=pool
             )
         assert _stress_view(result.to_dict()) == clean
+
+    def test_failed_run_removes_its_temporary_spool(
+        self, tmp_path, monkeypatch
+    ):
+        """The temporary spool is gone before the error reaches the caller.
+
+        ``excinfo`` keeps the failed frames alive through its traceback, so
+        a spool directory held only by a frame-local object would survive
+        here until the exception is garbage-collected.
+        """
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setenv("REPRO_POOL_FAULT_ATTR", "t0.c0")
+        with pytest.raises(DiscoveryError, match="killed its") as excinfo:
+            discover_inds(build_db(), _fault_config(sampling_size=2))
+        assert excinfo.value is not None
+        assert list(tmp_path.glob("repro-spool-*")) == []
+
+    @pytest.mark.parametrize("overlap", (False, True))
+    def test_failed_run_discards_a_kept_temporary_spool(
+        self, overlap, tmp_path, monkeypatch
+    ):
+        """``keep_spool`` keeps only a successful run's spool.
+
+        With ``overlap=False`` the export runs in process and the crash
+        loop hits the pooled validation after it, so the run fails with a
+        complete spool on disk; with ``overlap=True`` it fails mid-graph.
+        """
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setenv("REPRO_POOL_FAULT_ATTR", "t0.c0")
+        config = _fault_config(
+            overlap=overlap, sampling_size=2, keep_spool=True
+        )
+        with pytest.raises(DiscoveryError, match="killed its") as excinfo:
+            discover_inds(build_db(), config)
+        assert excinfo.value is not None
+        assert list(tmp_path.glob("repro-spool-*")) == []

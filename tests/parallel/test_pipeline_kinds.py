@@ -1,15 +1,15 @@
 """The two pipeline task kinds: spool export and the sampling pretest.
 
-Exactness of the pooled *pipeline* is pinned end to end in
-``tests/test_validator_agreement.py::TestEndToEndPipelineAgreement``; this
-file covers what only the kinds themselves can get wrong: fault tolerance
-(a worker dying mid ``spool-export`` / mid ``sample-pretest`` must requeue
-and converge, never corrupt a file or a verdict), cache hygiene (a crashed
-pooled export must leave no visible cache entry, only an orphan the
-operator tooling can see and reclaim), isolation (a crash storm in one job
-must not disturb a concurrent job on the same fleet — the serve shape),
-and the stats round trip (``tasks_by_kind`` spanning all phases through
-``DiscoveryResult.to_dict()``).
+Exactness of the pooled *pipeline* (the ``overlap=True`` graph) is pinned
+end to end in ``tests/parallel/test_overlap_stress.py::TestOverlapMatrix``;
+this file covers what only the kinds themselves can get wrong: fault
+tolerance (a worker dying mid ``spool-export`` / mid ``sample-pretest``
+must requeue and converge, never corrupt a file or a verdict), cache
+hygiene (a crashed pooled export must leave no visible cache entry, only
+an orphan the operator tooling can see and reclaim), isolation (a crash
+storm in one job must not disturb a concurrent job on the same fleet —
+the serve shape), and the stats round trip (``tasks_by_kind`` spanning
+all phases through ``DiscoveryResult.to_dict()``).
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ class TestExportFaults:
         config = DiscoveryConfig(
             strategy="brute-force",
             validation_workers=2,
-            parallel_export=True,
+            overlap=True,
             reuse_spool=True,
             cache_dir=str(cache_dir),
             pretests=PretestConfig(cardinality=True, max_value=False),
@@ -291,8 +291,7 @@ class TestStatsRoundTrip:
                 strategy="brute-force",
                 sampling_size=2,
                 validation_workers=2,
-                parallel_export=True,
-                parallel_pretest=True,
+                overlap=True,
                 pretests=PretestConfig(cardinality=True, max_value=False),
             ),
         )

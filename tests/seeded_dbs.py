@@ -67,13 +67,17 @@ def build_component_db(seeds: tuple[int, ...] = (5, 9)) -> Database:
     """The seeded databases of ``seeds`` side by side, on disjoint values.
 
     Cluster ``k`` holds the tables of ``build_random_db(seeds[k])`` as
-    ``k{k}_t*``, with every integer shifted by ``1000 * k`` and every
+    ``k{k}_t*``, with every integer shifted by ``-1000 * k`` and every
     string prefixed with ``k{k}|``, so no value of one cluster equals a
     rendered value of another.  The candidate generator still pairs
     attributes across clusters, but the sampling pretest refutes every
     such pair (any sampled dependent value is missing from the other
     cluster).  After sampling, the candidate graph therefore has at least
     one component per cluster, and a pooled merge plans several groups.
+    With the default two clusters, their rendered value ranges do not
+    interleave either (``-`` sorts before every digit), so the min- and
+    max-value pretests alone refute every cross-cluster pair of the same
+    type and the candidate graph splits before any sampling.
     """
     db = Database("components-" + "-".join(map(str, seeds)))
     for k, seed in enumerate(seeds):
@@ -97,7 +101,7 @@ def _shift(value, dtype: DataType, cluster: int):
     if value is None:
         return None
     if dtype is DataType.INTEGER:
-        return value + 1000 * cluster
+        return value - 1000 * cluster
     return f"k{cluster}|{value}"
 
 

@@ -191,17 +191,15 @@ class TestDiscoverIndsReuse:
     def test_second_run_performs_zero_export_work(self, tmp_path, monkeypatch):
         db = _db()
         calls = {"count": 0}
-        real_export = exporter.export_database
+        real_export = exporter.export_into
 
         def counting_export(*args, **kwargs):
             calls["count"] += 1
             return real_export(*args, **kwargs)
 
         # The runner resolves the exporter through its own import; patch both.
-        monkeypatch.setattr(exporter, "export_database", counting_export)
-        monkeypatch.setattr(
-            "repro.core.runner.export_database", counting_export
-        )
+        monkeypatch.setattr(exporter, "export_into", counting_export)
+        monkeypatch.setattr("repro.core.runner.export_into", counting_export)
         first = discover_inds(db, self._config(tmp_path / "cache"))
         assert calls["count"] == 1
         assert not first.spool_cache_hit

@@ -681,33 +681,45 @@ class TestCacheCommand:
 
 
 class TestPipelineFlags:
-    """The pooled-pipeline flags: self-documenting help, end-to-end wiring."""
+    """The overlap flag: self-documenting help, end-to-end wiring."""
 
     def _discover_help(self, capsys):
         with pytest.raises(SystemExit):
             main(["discover", "--help"])
         return " ".join(capsys.readouterr().out.split())
 
-    def test_parallel_flags_document_defaults_and_requirements(self, capsys):
+    def test_overlap_flag_documents_its_guarantee(self, capsys):
         out = self._discover_help(capsys)
-        assert "--parallel-export" in out
-        assert "--parallel-pretest" in out
+        assert "--overlap" in out
         assert "--sampling-size" in out
-        assert "requires --sampling-size > 0" in out
-        assert "byte-identical" in out
+        assert "identical to the in-process pipeline" in out
 
-    def test_serve_accepts_the_pipeline_flags(self, capsys):
+    def test_serve_accepts_the_overlap_flag(self, capsys):
         with pytest.raises(SystemExit):
             main(["serve", "--help"])
         out = " ".join(capsys.readouterr().out.split())
-        assert "--parallel-export" in out
-        assert "--parallel-pretest" in out
+        assert "--overlap" in out
 
-    def test_discover_runs_the_pooled_pipeline(self, biosql_dump, capsys):
+    @pytest.mark.parametrize("command", ("discover", "serve"))
+    @pytest.mark.parametrize(
+        "flag", ("--parallel-export", "--parallel-pretest")
+    )
+    def test_removed_pipeline_flags_exit_2(
+        self, command, flag, biosql_dump, capsys
+    ):
+        args = [command, flag]
+        if command == "discover":
+            args.insert(1, str(biosql_dump))
+        with pytest.raises(SystemExit) as excinfo:
+            main(args)
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_discover_runs_the_overlapped_pipeline(self, biosql_dump, capsys):
         assert main([
             "discover", str(biosql_dump), "--strategy", "brute-force",
             "--validation-workers", "2", "--sampling-size", "4",
-            "--parallel-export", "--parallel-pretest",
+            "--overlap",
         ]) == 0
         pooled = capsys.readouterr().out
         assert main([
@@ -722,14 +734,6 @@ class TestPipelineFlags:
             line for line in sequential.splitlines() if line.startswith("  ")
         ]
 
-    def test_parallel_pretest_without_sampling_is_rejected(
-        self, biosql_dump, capsys
-    ):
-        assert main([
-            "discover", str(biosql_dump), "--parallel-pretest",
-        ]) == 2
-        assert "sampling_size" in capsys.readouterr().err
-
     def test_serve_response_pool_covers_all_task_kinds(
         self, biosql_dump, monkeypatch, capsys
     ):
@@ -739,7 +743,7 @@ class TestPipelineFlags:
         monkeypatch.setattr("sys.stdin", io.StringIO(request))
         assert main([
             "serve", "--strategy", "brute-force", "--validation-workers", "2",
-            "--sampling-size", "4", "--parallel-export", "--parallel-pretest",
+            "--sampling-size", "4", "--overlap",
         ]) == 0
         captured = capsys.readouterr()
         response = json.loads(captured.out.splitlines()[0])
@@ -749,23 +753,17 @@ class TestPipelineFlags:
         shutdown = _shutdown_stats(captured.err)
         assert "spool-export" in shutdown["pool"]["tasks_by_kind"]
 
-    def test_cache_hit_reports_skipped_parallel_export(
+    def test_cache_hit_dispatches_no_export(
         self, biosql_dump, tmp_path, monkeypatch, capsys
     ):
-        """A reuse-spool hit must *say* it ignored parallel_export.
-
-        Before the fix the only evidence was a missing ``spool-export``
-        key in ``tasks_by_kind`` — indistinguishable from an export that
-        was never requested.  The response now carries ``export_skipped``
-        explicitly, and this smoke asserts it on both legs.
-        """
+        """A reuse-spool hit says so, and its graph has no export tasks."""
         import io
 
         request = json.dumps({"directory": str(biosql_dump)}) + "\n"
         monkeypatch.setattr("sys.stdin", io.StringIO(request + request))
         assert main([
             "serve", "--strategy", "brute-force", "--validation-workers", "2",
-            "--parallel-export", "--reuse-spool",
+            "--overlap", "--reuse-spool",
             "--cache-dir", str(tmp_path / "cache"),
         ]) == 0
         responses = [
@@ -775,10 +773,7 @@ class TestPipelineFlags:
         ]
         assert len(responses) == 2
         assert responses[0]["spool_cache_hit"] is False
-        assert responses[0]["export_skipped"] is False
         assert responses[1]["spool_cache_hit"] is True
-        assert responses[1]["export_skipped"] is True
-        # The old inference still holds — the hit dispatched no export task.
         assert "spool-export" in responses[0]["pool"]["tasks_by_kind"]
         assert "spool-export" not in responses[1]["pool"]["tasks_by_kind"]
 

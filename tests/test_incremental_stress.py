@@ -78,7 +78,6 @@ def _delta_view(result_dict: dict) -> dict:
         "export_values_scanned",
         "export_values_written",
         "spool_cache_hit",
-        "export_skipped",
         "validation_workers",
         "delta",
         "trace",

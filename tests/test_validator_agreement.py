@@ -11,7 +11,7 @@ straddle block boundaries constantly.
 ``tests/test_properties.py`` covers the same ground with hypothesis-shrunken
 micro-inputs; this suite complements it with larger, multi-table databases
 with messy values (newlines, backslashes, NULs, cross-type collisions) and
-with the full ``discover_inds`` pipeline including parallel export.
+with the full ``discover_inds`` pipeline, in process and pooled.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.core.candidates import apply_pretests, generate_unique_ref_candidates
 from repro.core.candidates import PretestConfig
 from repro.core.merge_single_pass import MergeSinglePassValidator
 from repro.core.reference import ReferenceValidator
-from repro.core.runner import DiscoveryConfig, DiscoverySession, discover_inds
+from repro.core.runner import DiscoveryConfig, discover_inds
 from repro.core.single_pass import SinglePassValidator
 from repro.parallel import PartitionedMergeValidator, ProcessPoolValidationEngine
 from repro.core.sql_approaches import (
@@ -38,11 +38,7 @@ from repro.db import Database
 from repro.db.stats import collect_column_stats
 from repro.storage.exporter import export_database
 
-from seeded_dbs import (
-    build_component_db,
-    build_component_spool,
-    build_random_db,
-)
+from seeded_dbs import build_component_spool, build_random_db
 
 SPOOL_FORMATS = ("text", "binary")
 #: The storage matrix: (spool_format, compression, mmap_reads) legs covering
@@ -357,13 +353,15 @@ def _pipeline_view(result_dict: dict) -> dict:
     pipeline: decisions, satisfied sets, pretest and sampling reductions,
     export counters, ``items_read``/``comparisons``/``files_opened``.
     What legitimately differs: wall-clock timings, per-job pool counters,
-    the worker count echoed from the config, the engine's ``extra``
-    diagnostics, and ``peak_open_files`` (documented to *sum* across
-    concurrently held shard cursors rather than track one process's max).
+    the overlap graph's scheduling summary, the worker count echoed from
+    the config, the engine's ``extra`` diagnostics, and
+    ``peak_open_files`` (documented to *sum* across concurrently held
+    shard cursors rather than track one process's max).
     """
     view = json.loads(json.dumps(result_dict))  # deep copy, JSON-safe proof
     view.pop("timings")
     view.pop("pool")
+    view.pop("overlap")
     view.pop("validation_workers")
     view.pop("trace", None)  # additive observability, never part of the answer
     view["validator"].pop("elapsed_seconds")
@@ -373,21 +371,16 @@ def _pipeline_view(result_dict: dict) -> dict:
 
 
 class TestEndToEndPipelineAgreement:
-    """The pooled pipeline replays the sequential pipeline to the byte.
+    """The whole ``discover_inds`` result replays across storage variants.
 
-    ``parallel_export`` + ``parallel_pretest`` + parallel validation move
-    every phase of ``discover_inds`` onto the worker fleet; this matrix —
-    seeded random DBs × workers {1, 2, 4} × both spool formats × {pooled,
-    sequential} — asserts the *entire result object* (minus timings and
-    pool stats) is identical, including the candidate set the sampling
-    pretest pruned and the export counters.  Workers=1 matters: the task
-    path must be exact even when the fleet is a single process.
+    Pooled runs of the same pipeline — the ``overlap=True`` graph — are
+    pinned against the in-process run in
+    ``tests/parallel/test_overlap_stress.py::TestOverlapMatrix``.
     """
 
-    WORKER_COUNTS = (1, 2, 4)
     SAMPLING = 2  # small on purpose: samples must refute some candidates
 
-    def _config(self, strategy, variant, **overrides):
+    def _config(self, strategy, variant):
         spool_format, compression, mmap_reads = variant
         return DiscoveryConfig(
             strategy=strategy,
@@ -397,70 +390,7 @@ class TestEndToEndPipelineAgreement:
             spool_block_size=3,
             sampling_size=self.SAMPLING,
             pretests=PretestConfig(cardinality=True, max_value=False),
-            **overrides,
         )
-
-    @pytest.mark.parametrize("variant", SPOOL_VARIANTS)
-    @pytest.mark.parametrize("strategy", ("brute-force", "merge-single-pass"))
-    @pytest.mark.parametrize("seed", (5, 9))
-    def test_pooled_pipeline_to_dict_identical(self, seed, strategy, variant):
-        db = build_random_db(seed)
-        baseline = discover_inds(db, self._config(strategy, variant))
-        assert baseline.pool_stats is None  # fully in-process run
-        expected = _pipeline_view(baseline.to_dict())
-        assert baseline.sampling_refuted > 0, (
-            "seed must exercise the pretest for the matrix to mean anything"
-        )
-        for workers in self.WORKER_COUNTS:
-            pooled = discover_inds(
-                db,
-                self._config(
-                    strategy,
-                    variant,
-                    validation_workers=workers,
-                    parallel_export=True,
-                    parallel_pretest=True,
-                ),
-            )
-            assert _pipeline_view(pooled.to_dict()) == expected, (
-                f"pooled pipeline diverges at {workers} workers "
-                f"(seed {seed}, {strategy}, {variant} spools)"
-            )
-            kinds = set(pooled.pool_stats["tasks_by_kind"])
-            assert "spool-export" in kinds and "sample-pretest" in kinds
-
-    @pytest.mark.parametrize("variant", SPOOL_VARIANTS)
-    def test_pooled_pipeline_merges_components_on_the_fleet(self, variant):
-        """A multi-group merge rides the fleet and still replays the run.
-
-        The seeded databases are one candidate-graph component, so the
-        merge legs of the matrix above merge in process.
-        ``build_component_db`` puts two of them on disjoint values; after
-        the sampling pretest its graph splits, so the pooled pipeline
-        sends ``merge-partition`` tasks to workers that re-open each
-        storage leg's spool.
-        """
-        db = build_component_db()
-        baseline = discover_inds(db, self._config("merge-single-pass", variant))
-        expected = _pipeline_view(baseline.to_dict())
-        for workers in (2, 4):
-            pooled = discover_inds(
-                db,
-                self._config(
-                    "merge-single-pass",
-                    variant,
-                    validation_workers=workers,
-                    parallel_export=True,
-                    parallel_pretest=True,
-                ),
-            )
-            assert _pipeline_view(pooled.to_dict()) == expected, (
-                f"pooled pipeline diverges at {workers} workers ({variant})"
-            )
-            groups = pooled.validator_stats.extra["merge_groups"]
-            assert groups > 1
-            kinds = pooled.pool_stats["tasks_by_kind"]
-            assert kinds["merge-partition"] == groups
 
     @pytest.mark.parametrize("variant", SPOOL_VARIANTS[1:])
     def test_to_dict_identical_across_binary_variants(self, variant):
@@ -486,32 +416,6 @@ class TestEndToEndPipelineAgreement:
         stored = got["validator"].pop("bytes_stored")
         assert stored > 0
         assert got == reference, f"{variant} changed the answer"
-
-    @pytest.mark.parametrize("workers", (2, 4))
-    def test_warm_session_runs_whole_pipeline_on_one_fleet(
-        self, workers, tmp_path
-    ):
-        """A session pools all three phases and never drifts across runs."""
-        db = build_random_db(5)
-        variant = ("binary", "none", False)
-        baseline = discover_inds(db, self._config("brute-force", variant))
-        expected = _pipeline_view(baseline.to_dict())
-        config = self._config(
-            "brute-force",
-            variant,
-            validation_workers=workers,
-            parallel_export=True,
-            parallel_pretest=True,
-        )
-        with DiscoverySession(config) as session:
-            for _ in range(2):
-                got = session.discover(db)
-                assert _pipeline_view(got.to_dict()) == expected
-            stats = session.pool_stats.as_dict()
-        assert stats["workers_spawned"] == workers  # one fleet, both runs
-        assert {"spool-export", "sample-pretest", "brute-force"} <= set(
-            stats["tasks_by_kind"]
-        )
 
 
 def _assert_well_formed_trace(trace: dict) -> None:
@@ -542,12 +446,12 @@ def _assert_well_formed_trace(trace: dict) -> None:
 class TestTracedPipelineExactness:
     """Tracing is observationally free — and the span tree is coherent.
 
-    The same pooled matrix as :class:`TestEndToEndPipelineAgreement` but
-    with ``trace=True``: decisions, ``items_read``, the pruned candidate
-    set and every export counter must be byte-identical to the untraced
-    sequential baseline at workers {1, 2, 4} on both spool formats, the
-    result dict must differ *only* by the ``trace`` key, and the recorded
-    tree must be well-formed with per-task spans attributed to worker pids.
+    The overlap graph (every phase on the pool) with ``trace=True``:
+    decisions, ``items_read``, the pruned candidate set and every export
+    counter must be byte-identical to the untraced sequential baseline at
+    workers {1, 2, 4} on both spool formats, the result dict must differ
+    *only* by the ``trace`` key, and the recorded tree must be well-formed
+    with per-task spans attributed to worker pids.
     """
 
     WORKER_COUNTS = (1, 2, 4)
@@ -576,8 +480,7 @@ class TestTracedPipelineExactness:
                 self._config(
                     spool_format,
                     validation_workers=workers,
-                    parallel_export=True,
-                    parallel_pretest=True,
+                    overlap=True,
                     trace=True,
                 ),
             )
