@@ -123,14 +123,13 @@ def _add_validation_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--overlap",
         action="store_true",
-        help="run export, sampling pretest and validation as pool tasks: "
-        "plan the phases as one dependency-scheduled task graph and drain "
-        "it on a single worker fleet, releasing each task the moment its "
-        "prerequisites land (fixed brute-force/merge runs overlap all "
-        "three phases; adaptive runs overlap export+pretest and validate "
-        "afterwards on the same pool); requires the brute-force, "
-        "merge-single-pass or adaptive strategy; results are identical to "
-        "the in-process pipeline (default: off)",
+        help="run export and the sampling pretest as pool tasks: plan "
+        "them as one dependency-scheduled task graph and drain it on a "
+        "single worker fleet, releasing each pretest task the moment its "
+        "spool files land, then validate the survivors on the same fleet; "
+        "requires the brute-force, merge-single-pass or adaptive "
+        "strategy; results are identical to the in-process pipeline "
+        "(default: off)",
     )
     parser.add_argument(
         "--skip-scans",

@@ -72,10 +72,10 @@ class DiscoveryResult:
     #: additive: every other field is byte-identical with tracing on or off.
     trace: dict | None = None
     #: Scheduling summary of an overlapped run (``DiscoveryConfig.overlap``):
-    #: graph shape (nodes, edges, cancellations), tasks per phase, observed
-    #: per-kind peak concurrency and the seconds during which tasks of
-    #: different phases ran simultaneously.  ``None`` when the run used
-    #: phase barriers.  Concurrency numbers are scheduling observations,
+    #: graph shape (nodes, edges, and ``cancelled``, always 0), tasks per
+    #: phase (export, pretest), observed per-phase peak concurrency and the
+    #: seconds during which tasks of both phases ran simultaneously.
+    #: ``None`` when the run used phase barriers.  Concurrency numbers are scheduling observations,
     #: not results — agreement views drop this key like ``timings``.
     overlap: dict | None = None
     #: Delta-planner accounting of an incremental run

@@ -123,14 +123,12 @@ class DiscoveryConfig:
       ``export_workers`` (thread-parallel attribute export),
       ``max_items_in_memory`` (external-sort run size).
     * **Overlap** — ``overlap`` is the only way a run pools its export
-      and sampling pretest: it plans export, pretest and (for fixed
-      brute-force/merge runs) validation as one dependency-scheduled task
+      and sampling pretest: it plans both as one dependency-scheduled task
       graph drained by a single worker pool — the session pool when one
       is lent, else one per-call pool.  A pretest chunk dispatches the
-      moment its two spool files land, a validation chunk the moment its
-      pretest verdicts land (refuted candidates are dropped at release
-      time; fully-refuted chunks are cancelled before dispatch).  Results
-      are identical to the in-process pipeline;
+      moment its two spool files land.  The survivors are then validated
+      on the same pool by the validator an in-process run builds.
+      Results are identical to the in-process pipeline;
       ``DiscoveryResult.overlap`` reports the graph shape and observed
       cross-phase concurrency.
     * **Validation** — ``strategy`` (one of :data:`ALL_STRATEGIES`;
@@ -315,9 +313,9 @@ class DiscoveryConfig:
             )
         if self.overlap and self.use_transitivity:
             raise DiscoveryError(
-                "transitivity pruning is order-dependent; overlapped "
-                "validation chunks complete in scheduling order, so the "
-                "two cannot combine"
+                "transitivity pruning is order-dependent and runs in this "
+                "process only; overlapped discovery schedules its work on a "
+                "worker pool, so the two cannot combine"
             )
         if self.skip_scans and self.strategy not in (
             "brute-force",
@@ -384,15 +382,15 @@ def discover_inds(
     the parallel validation engines (``strategy`` in
     :data:`PARALLEL_STRATEGIES` with ``validation_workers > 1`` — brute
     force dispatches candidate chunks, merge-single-pass dispatches merge
-    partitions) and to the ``overlap`` graph (``spool-export``,
-    ``sample-pretest`` and validation tasks on one fleet); the pool is
-    borrowed, never shut down here.  Without it, an ``overlap`` run builds
-    **one** per-call pool for its graph and any staged validation (drained
-    before returning), and plain parallel validation builds its per-call
-    pool inside the engine.  :class:`DiscoverySession` manages the pool so
-    callers rarely pass it directly.  ``DiscoveryResult.pool_stats`` sums
-    the graph's and the validation engine's pool deltas, so
-    ``tasks_by_kind`` covers the whole pipeline.
+    partitions) and to the ``overlap`` graph (``spool-export`` and
+    ``sample-pretest`` tasks, with the validation after it on the same
+    fleet); the pool is borrowed, never shut down here.  Without it, an
+    ``overlap`` run builds **one** per-call pool for its graph and its
+    validation (drained before returning), and plain parallel validation
+    builds its per-call pool inside the engine.  :class:`DiscoverySession`
+    manages the pool so callers rarely pass it directly.
+    ``DiscoveryResult.pool_stats`` sums the graph's and the validation
+    engine's pool deltas, so ``tasks_by_kind`` covers the whole pipeline.
 
     The run owns its spool directory (see :class:`_RunSpool`): a
     temporary one is removed when the run ends, failed or not, unless a
@@ -505,10 +503,10 @@ def discover_inds(
     overlap_run = None
     try:
         if cfg.overlap:
-            # One graph, one pool, no inter-phase join: run_overlapped
-            # drains export + pretest (+ validation for fixed brute-force /
-            # merge runs) over the spool opened here and hands back
-            # everything the phase-by-phase blocks below would have produced.
+            # One graph, one pool, no join between export and pretest:
+            # run_overlapped drains both over the spool opened here and
+            # hands back the survivors, which are validated below exactly
+            # as an in-process run validates them.
             started = time.monotonic()
             spool = run_spool.open(needed, tracer)
             overlap_run = run_overlapped(
@@ -530,8 +528,7 @@ def discover_inds(
             sampling_refuted = len(overlap_run.sampling_refuted)
             # Phase attribution when phases interleave: export gets its
             # task window; the rest of the section's wall clock lands on the
-            # pretest bucket (full-overlap validation has no exclusive
-            # window of its own — see timings.validate_seconds below).
+            # pretest bucket.
             timings.export_seconds = overlap_run.export_seconds
             pretest_seconds = max(
                 0.0, time.monotonic() - started - overlap_run.export_seconds
@@ -570,14 +567,7 @@ def discover_inds(
         # comparable across fixed and adaptive runs, and its own cost is
         # surfaced as engine_choice["routing_seconds"].
         routing_seconds = 0.0
-        if overlap_run is not None and overlap_run.validation is not None:
-            # Full-overlap mode: validation already rode the graph.  Its
-            # wall clock is inseparable from the pretest tail it overlapped
-            # with, so the graph's post-export time (already attributed to
-            # pretest_seconds above) is the whole validate bucket.
-            validation = overlap_run.validation
-            timings.validate_seconds = pretest_seconds
-        elif cfg.incremental and not candidates:
+        if cfg.incremental and not candidates:
             # The delta plan (or pretests) left nothing to validate:
             # synthesise the empty validation result instead of spinning an
             # engine up for zero candidates.  Only the work-accounting
@@ -627,8 +617,7 @@ def discover_inds(
                         tracer.add_task_spans(
                             validate_span.span_id, validation.task_spans
                         )
-        if overlap_run is None or overlap_run.validation is None:
-            timings.validate_seconds = pretest_seconds + clock.elapsed
+        timings.validate_seconds = pretest_seconds + clock.elapsed
         keep_spool = cfg.keep_spool
     finally:
         trace_stack.close()  # seal the root span before teardown work
@@ -1192,9 +1181,9 @@ class DiscoverySession:
     the pool engages for parallel validation (``strategy`` of
     ``"brute-force"`` or ``"merge-single-pass"`` with more than one
     worker) and for the ``overlap`` graph, so an overlapped session runs
-    export, pretest and validation on one warm fleet; other
-    configurations run exactly as in :func:`discover_inds` with no pool
-    ever created.  A merge whose
+    its export and pretest graph and then its validation on one warm
+    fleet; other configurations run exactly as in :func:`discover_inds`
+    with no pool ever created.  A merge whose
     candidate graph is one component runs in the calling process (see
     :class:`~repro.parallel.merge.PartitionedMergeValidator`), so a
     session that only serves such merges may never spawn its fleet.

@@ -140,8 +140,8 @@ class Tracer:
         """Record a span retroactively from explicit timestamps.
 
         The overlapped pipeline cannot wrap its phases in :meth:`span`
-        context managers — export, pretest and validation tasks interleave
-        on one pool, so each phase's true window is only known after the
+        context managers — export and pretest tasks interleave on one
+        pool, so each phase's true window is only known after the
         graph drains (min task start → max task end).  This records such a
         reconstructed span directly under ``parent_id`` and returns its
         fresh id so worker task spans can be adopted beneath it with

@@ -30,13 +30,13 @@ different axes, both dispatched through one shared task substrate:
                      registered task kind, serves concurrent jobs from
                      multiple caller threads, requeues the tasks of dead
                      workers, keeps spool handles warm across kinds.
-``overlap``          :func:`run_overlapped` — the whole pipeline as one
-                     dependency-scheduled task graph on a single pool:
-                     export, sampling pretest and (fixed-engine runs)
-                     validation with no inter-phase join; pretest verdicts
-                     gate validation tasks at release time.  The only
-                     pooled export and pretest of a run; byte-identical
-                     results to the in-process pipeline.
+``overlap``          :func:`run_overlapped` — export and sampling
+                     pretest as one dependency-scheduled task graph on a
+                     single pool, with no join between them; it returns
+                     the survivors, which the runner validates on the
+                     same pool.  The only pooled export and pretest of a
+                     run; byte-identical results to the in-process
+                     pipeline.
 ``engine``           :class:`ProcessPoolValidationEngine` — brute-force
                      chunks dispatched through a pool (per-call or
                      persistent); decisions and summed I/O identical to

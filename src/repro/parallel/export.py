@@ -33,7 +33,7 @@ at every worker count.
 :func:`pooled_export` runs its tasks as one job with a join at the end;
 the overlap graph (:func:`repro.parallel.overlap.run_overlapped`) makes
 each task a root node, registers each node's files as it completes, and
-releases the pretest and validation tasks that read them.
+releases the pretest tasks that read them.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
-"""Streaming phase overlap: the pipeline as one dependency-scheduled graph.
+"""Streaming phase overlap: export and sampling pretest as one task graph.
 
-Run phase by phase, export, sampling pretest and validation join fully
-between each pair: every export finishes before the first pretest starts,
-so end-to-end wall clock is ``sum(phases)`` even though a pretest chunk
-only needs its own two attributes' spool files, not the whole export.
-This module plans the three phases as **one task graph** for
+Run phase by phase, export and the sampling pretest join fully: every
+export finishes before the first pretest starts, so their wall clock is
+``export + pretest`` even though a pretest chunk only needs its own two
+attributes' spool files, not the whole export.  This module plans both
+phases as **one task graph** for
 :meth:`~repro.parallel.pool.WorkerPool.run_graph`; it is the only way a
 run pools its export and pretest:
 
@@ -13,35 +13,25 @@ run pools its export and pretest:
 * one node per pretest chunk (``sample-pretest``), depending on exactly
   the export nodes that produce its candidates' dependent and referenced
   spool files — the chunk dispatches the moment those files land, while
-  unrelated exports are still running;
-* one node per validation chunk / merge group, depending on the pretest
-  chunks that cover its candidates (and transitively on their exports).
-  At release time a gate rewrites the spec to drop candidates the pretest
-  refuted — a fully-refuted node is cancelled before dispatch.
+  unrelated exports are still running.
 
-Exactness is inherited, not re-proven, from two established facts: every
-task's result is a pure function of the spool contents and the task
-itself, and the summed validator counters are independent of chunk/group
-composition (brute-force tests candidates one at a time; merge groups are
-unions of whole candidate-graph components, and dropping a component's
-refuted edges only splits it into survivor components).  The randomized
-stress-agreement suite (``tests/parallel/test_overlap_stress.py``)
-asserts byte-identical ``to_dict()`` output against the in-process
-pipeline across seeds, worker counts, formats and fault injections.
+The graph hands back the pretest's survivors.  The runner validates them
+afterwards on the same pool, through the same validator an in-process run
+builds, so a merge is planned from the post-pretest candidate set and a
+one-group plan merges in the calling process.
+
+Exactness is inherited, not re-proven: every task's result is a pure
+function of the spool contents and the task itself, and each pretest
+verdict depends only on its candidate's two value files and the sampling
+seed, never on chunk composition.  The randomized stress-agreement suite
+(``tests/parallel/test_overlap_stress.py``) asserts byte-identical
+``to_dict()`` output against the in-process pipeline across seeds, worker
+counts, formats and fault injections.
 
 The runner owns the spool: it opens it (cache hit, cache staging, an
 explicit ``spool_dir`` or a temporary directory), moves a cache miss into
 the cache after the drain and removes a temporary directory.  This module
 only plans and drains the graph over the spool it is handed.
-
-Two modes fall out of the engine matrix:
-
-* **full** — fixed ``brute-force`` / ``merge-single-pass``: validation
-  rides the graph, no join anywhere.
-* **staged** — adaptive routing: the cost model needs the surviving
-  candidate set (and real spool) before it can price engines, so the graph
-  carries export + pretest only and the runner validates the survivors
-  afterwards on the same warm pool.  Export and pretest still overlap.
 """
 
 from __future__ import annotations
@@ -50,7 +40,6 @@ import time
 from dataclasses import dataclass, field
 
 from repro.core.candidates import Candidate
-from repro.core.stats import ValidationResult
 from repro.db.database import Database
 from repro.db.schema import AttributeRef
 from repro.errors import DiscoveryError
@@ -58,14 +47,7 @@ from repro.obs.trace import Tracer
 from repro.parallel.export import plan_export
 from repro.parallel.planner import ShardPlanner
 from repro.parallel.pool import WorkerPool
-from repro.parallel.tasks import (
-    GraphNode,
-    KIND_BRUTE_FORCE,
-    KIND_MERGE_PARTITION,
-    KIND_SAMPLE_PRETEST,
-    TaskSpec,
-    merge_shard_outcomes,
-)
+from repro.parallel.tasks import GraphNode, KIND_SAMPLE_PRETEST, TaskSpec
 from repro.storage.exporter import ExportStats
 from repro.storage.sorted_sets import SpoolDirectory
 
@@ -73,36 +55,25 @@ __all__ = ["OverlapRun", "run_overlapped"]
 
 _PHASE_EXPORT = "export"
 _PHASE_PRETEST = "pretest"
-_PHASE_VALIDATE = "validate"
-#: Strategies whose validation can ride the graph directly (fixed engine):
-#: the per-task plan is known before the pretest verdicts.
-_FULL_OVERLAP_STRATEGIES = frozenset({"brute-force", "merge-single-pass"})
 
 
 @dataclass
 class OverlapRun:
     """Everything one overlapped graph drain produced for the runner.
 
-    ``validation`` is ``None`` in staged mode — the runner routes and
-    validates the ``survivors`` itself (adaptive routing needs the
-    post-pretest candidate set).  ``pool_stats`` is the whole graph's
-    single-job delta; ``export_seconds`` is the export *window*, the
-    runner's export-phase attribution.  ``overlap_doc`` is the scheduling
-    summary surfaced as ``DiscoveryResult.overlap``.
+    ``survivors`` are the candidates the sampling pretest kept, in the
+    caller's order; the runner validates them.  ``pool_stats`` is the
+    graph's single-job delta; ``export_seconds`` is the export *window*,
+    the runner's export-phase attribution.  ``overlap_doc`` is the
+    scheduling summary surfaced as ``DiscoveryResult.overlap``.
     """
 
     export_stats: ExportStats
     survivors: list[Candidate]
     sampling_refuted: list[Candidate]
-    validation: ValidationResult | None
     pool_stats: dict | None
     export_seconds: float
     overlap_doc: dict = field(default_factory=dict)
-
-
-def _full_overlap(cfg) -> bool:
-    """Can validation ride the graph, or must the runner stage it?"""
-    return cfg.strategy in _FULL_OVERLAP_STRATEGIES and not cfg.is_adaptive
 
 
 def _window(spans: list[dict]) -> tuple[float, float]:
@@ -165,7 +136,7 @@ def run_overlapped(
     cache_hit: bool,
     started: float,
 ) -> OverlapRun:
-    """Drain export → pretest (→ validation) as one dependency graph.
+    """Drain export → sampling pretest as one dependency graph.
 
     ``spool`` is the run's opened spool.  On a ``cache_hit`` it already
     holds every attribute the candidates touch, so the graph starts at the
@@ -175,15 +146,15 @@ def run_overlapped(
     first phase window reaches back to it, as a phase-by-phase run's
     export stopwatch covers its cache lookup.
 
-    The cost plans for pretest and validation are built *before* any spool
-    file exists, from the column profile's distinct counts — exactly the
-    spooled value counts for every non-LOB attribute, so the plans match
-    the in-process planner's (and even if they did not, plan composition
-    can never change summed results, only balance).  Spool-directory state
-    is updated from the dispatcher thread between a node's completion
-    and its dependents' release (``on_complete`` registers value files and
-    re-saves the index atomically), so a dependent task always re-opens a
-    spool index that already names its files.  Raises
+    The pretest plan is built *before* any spool file exists, from the
+    column profile's distinct counts — exactly the spooled value counts
+    for every non-LOB attribute, so the plan matches the in-process
+    planner's (and even if it did not, chunk composition can never change
+    a verdict, only balance).  Spool-directory state is updated from the
+    dispatcher thread between a node's completion and its dependents'
+    release (``on_complete`` registers value files and re-saves the index
+    atomically), so a pretest task always re-opens a spool index that
+    already names its files.  Raises
     :class:`~repro.errors.DiscoveryError` on scheduling faults (a
     candidate no pretest chunk covered, a crash-looping task) rather than
     returning partial results.
@@ -201,13 +172,6 @@ def run_overlapped(
         )
 
     # -- graph planning ----------------------------------------------------
-    # Column-profile distinct counts stand in for the not-yet-written spool
-    # counts; identical for every exportable attribute, and they also cover
-    # empty attributes the export will drop (the spool-index fallback would
-    # have nothing to say about those).
-    counts = {ref: stats.distinct_count for ref, stats in column_stats.items()}
-    planner = ShardPlanner(spool, counts=counts)
-
     nodes: list[GraphNode] = []
     attr_node: dict[AttributeRef, int] = {}
     if export is not None:
@@ -218,8 +182,15 @@ def run_overlapped(
                 attr_node[AttributeRef(unit.table, unit.column)] = node_id
     export_count = len(nodes)
 
-    candidate_pretest: dict[Candidate, int] = {}
     if cfg.sampling_size:
+        # Column-profile distinct counts stand in for the not-yet-written
+        # spool counts; identical for every exportable attribute, and they
+        # also cover empty attributes the export will drop (the spool-index
+        # fallback would have nothing to say about those).
+        counts = {
+            ref: stats.distinct_count for ref, stats in column_stats.items()
+        }
+        planner = ShardPlanner(spool, counts=counts)
         for chunk in planner.plan_pretest_chunks(ordered, workers):
             deps = set()
             for candidate in chunk.candidates:
@@ -227,9 +198,6 @@ def run_overlapped(
                     export_node = attr_node.get(attr)
                     if export_node is not None:
                         deps.add(export_node)
-            node_id = len(nodes)
-            for candidate in chunk.candidates:
-                candidate_pretest[candidate] = node_id
             nodes.append(
                 GraphNode(
                     spec=TaskSpec(
@@ -241,48 +209,8 @@ def run_overlapped(
                 )
             )
     pretest_count = len(nodes) - export_count
-    validation_base = len(nodes)
 
-    full = _full_overlap(cfg)
-    merge_group_count = 0
-    if full:
-        if cfg.strategy == "brute-force":
-            plans = [
-                (chunk.candidates, KIND_BRUTE_FORCE, (cfg.skip_scans,))
-                for chunk in planner.plan_chunks(ordered, workers)
-            ]
-        else:
-            merge_groups = planner.plan_merge_groups(ordered, workers)
-            merge_group_count = len(merge_groups)
-            plans = [
-                (group.candidates, KIND_MERGE_PARTITION, (cfg.skip_scans,))
-                for group in merge_groups
-            ]
-        for group_candidates, kind, payload in plans:
-            deps = set()
-            for candidate in group_candidates:
-                pretest_node = candidate_pretest.get(candidate)
-                if pretest_node is not None:
-                    # Export coverage is transitive through the pretest node.
-                    deps.add(pretest_node)
-                    continue
-                for attr in (candidate.dependent, candidate.referenced):
-                    export_node = attr_node.get(attr)
-                    if export_node is not None:
-                        deps.add(export_node)
-            nodes.append(
-                GraphNode(
-                    spec=TaskSpec(
-                        kind=kind,
-                        candidates=tuple(group_candidates),
-                        payload=payload,
-                    ),
-                    deps=tuple(sorted(deps)),
-                )
-            )
-    validation_count = len(nodes) - validation_base
-
-    # -- callbacks (both run on the dispatcher thread, pool lock held) -----
+    # -- completion callback (dispatcher thread, pool lock held) -----------
     verdicts: dict[Candidate, bool] = {}
 
     def on_complete(node_id: int, outcome) -> None:
@@ -294,31 +222,10 @@ def run_overlapped(
             # the final document independent of completion order; the mtime
             # bump invalidates workers' warm handles so they re-parse.
             spool.save_index()
-        elif node_id < validation_base:
+        else:
             verdicts.update(outcome.decisions)
 
-    def gate(node_id: int, spec: TaskSpec) -> TaskSpec | None:
-        if node_id < validation_base or not pretest_count:
-            return spec
-        kept = []
-        for candidate in spec.candidates:
-            if candidate not in verdicts:
-                # A planner hole must fail the run, not silently validate
-                # unpretested candidates.
-                raise DiscoveryError(
-                    f"no pretest task covered candidate {candidate}"
-                )
-            if verdicts[candidate]:
-                kept.append(candidate)
-        if not kept:
-            return None  # every candidate refuted: cancel before dispatch
-        return TaskSpec(
-            kind=spec.kind, candidates=tuple(kept), payload=spec.payload
-        )
-
-    graph = pool.run_graph(
-        str(spool.root), nodes, gate=gate, on_complete=on_complete
-    )
+    graph = pool.run_graph(str(spool.root), nodes, on_complete=on_complete)
 
     export_stats = ExportStats()
     if export is not None:
@@ -333,6 +240,8 @@ def run_overlapped(
         survivors = []
         for candidate in ordered:
             if candidate not in verdicts:
+                # A planner hole must fail the run, not silently validate
+                # unpretested candidates.
                 raise DiscoveryError(
                     f"no pretest task covered candidate {candidate}"
                 )
@@ -342,25 +251,19 @@ def run_overlapped(
     spans_by_phase: dict[str, list[dict]] = {
         _PHASE_EXPORT: [],
         _PHASE_PRETEST: [],
-        _PHASE_VALIDATE: [],
     }
     for node_id, span in graph.task_spans.items():
-        if node_id < export_count:
-            phase = _PHASE_EXPORT
-        elif node_id < validation_base:
-            phase = _PHASE_PRETEST
-        else:
-            phase = _PHASE_VALIDATE
+        phase = _PHASE_EXPORT if node_id < export_count else _PHASE_PRETEST
         spans_by_phase[phase].append(span)
     overlap_doc = {
-        "mode": "full" if full else "staged",
         "nodes": len(nodes),
         "edges": sum(len(set(node.deps)) for node in nodes),
-        "cancelled": len(graph.cancelled),
+        # The graph holds no validation nodes, so it never cancels one;
+        # the key stays so existing readers of the document keep working.
+        "cancelled": 0,
         "tasks_by_phase": {
             _PHASE_EXPORT: export_count,
             _PHASE_PRETEST: pretest_count,
-            _PHASE_VALIDATE: validation_count,
         },
         "max_concurrency": {
             phase: _peak_concurrency(spans)
@@ -372,34 +275,6 @@ def run_overlapped(
         ),
     }
 
-    # -- full-mode validation assembly -------------------------------------
-    validation: ValidationResult | None = None
-    if full:
-        outcomes = [
-            graph.outcomes[node_id]
-            for node_id in range(validation_base, len(nodes))
-            if node_id in graph.outcomes
-        ]
-        validation = merge_shard_outcomes(survivors, outcomes, cfg.strategy)
-        extra = validation.stats.extra
-        extra["validation_workers"] = float(workers)
-        if cfg.strategy == "brute-force":
-            extra["shards"] = float(validation_count)
-        else:
-            extra["merge_groups"] = float(merge_group_count)
-            extra["partitions"] = float(validation_count)
-        # The pool is always borrowed here (session's or the run's own);
-        # the runner downgrades this to 0.0 for a run-owned fleet, exactly
-        # as it does for the pooled validation engines.
-        extra["pool_warm"] = 1.0
-        if outcomes:
-            key = (
-                "slowest_shard_seconds"
-                if cfg.strategy == "brute-force"
-                else "slowest_partition_seconds"
-            )
-            extra[key] = max(o.stats.elapsed_seconds for o in outcomes)
-
     # -- per-phase windows and trace adoption ------------------------------
     # Phase windows: [min task start, max task end] per phase, with the
     # first non-empty phase pulled back to the section's start and the last
@@ -408,7 +283,7 @@ def run_overlapped(
     # stopwatches; attributing them to the edge phases here keeps trace
     # coverage and timing buckets comparable.
     windows: dict[str, list[float]] = {}
-    for phase in (_PHASE_EXPORT, _PHASE_PRETEST, _PHASE_VALIDATE):
+    for phase in (_PHASE_EXPORT, _PHASE_PRETEST):
         spans = spans_by_phase[phase]
         if spans:
             start, duration = _window(spans)
@@ -431,9 +306,6 @@ def run_overlapped(
     if _PHASE_EXPORT in windows:
         start, end = windows[_PHASE_EXPORT]
         export_seconds = end - start
-    if validation is not None and _PHASE_VALIDATE in windows:
-        start, end = windows[_PHASE_VALIDATE]
-        validation.stats.elapsed_seconds = end - start
     if tracer is not None:
         parent = tracer.current_span_id()
         for phase, (start, end) in windows.items():
@@ -451,7 +323,6 @@ def run_overlapped(
         export_stats=export_stats,
         survivors=survivors,
         sampling_refuted=refuted,
-        validation=validation,
         pool_stats=graph.stats.as_dict() if nodes else None,
         export_seconds=export_seconds,
         overlap_doc=overlap_doc,

@@ -163,9 +163,8 @@ class ShardPlanner:
 
     Costs normally come from the spool index (exact spooled value counts);
     a ``counts`` override maps attributes to counts known *before* the
-    export lands — the overlapped pipeline plans pretest and validation
-    chunks from column-profile distinct counts while export tasks are still
-    running.  For non-LOB attributes the profile's rendered-distinct count
+    export lands — the overlapped pipeline plans its pretest chunks from
+    column-profile distinct counts while export tasks are still running.  For non-LOB attributes the profile's rendered-distinct count
     equals the spooled count, so the override changes nothing; and because
     chunk/group composition never affects summed validator counters (tasks
     are per-candidate independent or whole-component), an approximate count

@@ -171,17 +171,14 @@ class JobResult:
 class GraphResult:
     """What one :meth:`WorkerPool.run_graph` produced.
 
-    Keyed by node id (the node's position in the caller's list) rather than
-    returned as a dense list, because cancelled nodes have no outcome:
-    ``outcomes`` holds every node that executed, ``cancelled`` the node ids
-    the gate vetoed before dispatch.  ``stats`` and ``task_spans`` mirror
+    ``outcomes`` maps every node id (the node's position in the caller's
+    list) to its outcome.  ``stats`` and ``task_spans`` mirror
     :class:`JobResult` (spans keyed by node id here).
     """
 
     outcomes: dict[int, ShardOutcome]
     stats: PoolStats
     task_spans: dict[int, dict] = field(default_factory=dict)
-    cancelled: set[int] = field(default_factory=set)
 
 
 def merge_pool_stat_dicts(parts: list[dict | None]) -> dict | None:
@@ -390,9 +387,7 @@ class _JobState:
     node_specs: dict[int, TaskSpec] | None = None
     dependents: dict[int, list[int]] = field(default_factory=dict)
     remaining: dict[int, int] = field(default_factory=dict)
-    cancelled: set[int] = field(default_factory=set)
     node_count: int = 0
-    gate: object = None
     on_complete: object = None
     spool_root: str | None = None
 
@@ -403,9 +398,9 @@ class _JobState:
         self.done.set()
 
     def finished(self) -> bool:
-        """Has every node this job will ever run reached a terminal state?"""
+        """Has every node or task of this job landed its outcome?"""
         if self.is_graph:
-            return len(self.outcomes) + len(self.cancelled) >= self.node_count
+            return len(self.outcomes) == self.node_count
         return len(self.outcomes) == len(self.tasks)
 
 
@@ -689,32 +684,24 @@ class WorkerPool:
         spool_root: str,
         nodes: list[GraphNode],
         *,
-        gate=None,
         on_complete=None,
     ) -> GraphResult:
         """Drain a dependency graph of tasks with streaming release.
 
         Unlike :meth:`run_job`, which enqueues every spec up front, a graph
-        job holds each node back until all of its ``deps`` have reached a
-        terminal state (outcome landed, or cancelled); the dispatcher thread
-        releases newly-eligible nodes the moment their last prerequisite's
-        reply is handled, so different "phases" of a pipeline overlap
-        freely on the same fleet with no inter-phase join.
+        job holds each node back until the outcomes of all of its ``deps``
+        have landed; the dispatcher thread releases newly-eligible nodes
+        the moment their last prerequisite's reply is handled, so different
+        "phases" of a pipeline overlap freely on the same fleet with no
+        inter-phase join.
 
         ``on_complete(node_id, outcome)`` runs on the dispatcher thread
         (serially, pool lock held) right after a node's outcome is recorded
         and before its dependents are released — the hook where a caller
         publishes whatever state dependents need (e.g. registering exported
         spool files before pretest chunks open them).  It must be fast and
-        must not call back into the pool.
-
-        ``gate(node_id, spec)`` runs at release time, also on the dispatcher
-        thread: it may return the spec unchanged, a rewritten
-        :class:`TaskSpec` (e.g. with refuted candidates dropped), or ``None``
-        to cancel the node outright.  A cancelled node counts as satisfied
-        for its dependents, so cancellation cascades structurally only
-        through the gate's own decisions.  Exceptions from either callback
-        fail the job loudly.
+        must not call back into the pool; an exception from it fails the job
+        loudly.
 
         Dependency cycles and out-of-range dependency ids raise
         :class:`~repro.errors.DiscoveryError` before anything is dispatched.
@@ -772,7 +759,6 @@ class WorkerPool:
                 dependents=dependents,
                 remaining=remaining,
                 node_count=len(nodes),
-                gate=gate,
                 on_complete=on_complete,
                 spool_root=spool_root,
             )
@@ -782,12 +768,8 @@ class WorkerPool:
             # Registration and root release under one lock hold: no reply
             # can interleave, so a graph is never observable half-released.
             for nid in range(len(nodes)):
-                if state.error is not None:
-                    break
                 if remaining[nid] == 0:
                     self._release_graph_node(state, nid)
-            if state.error is None and state.finished():
-                state.done.set()  # every root cancelled, cascade drained all
             self._assign()
             self._fail_wedged_graph_jobs()
         self._await(state)
@@ -795,7 +777,6 @@ class WorkerPool:
             outcomes=dict(state.outcomes),
             stats=state.stats,
             task_spans=dict(state.task_spans),
-            cancelled=set(state.cancelled),
         )
 
     def _await(self, state: _JobState) -> None:
@@ -815,22 +796,8 @@ class WorkerPool:
                 self._last_activity = time.monotonic()
 
     def _release_graph_node(self, state: _JobState, node_id: int) -> None:
-        """Gate one graph node whose deps all landed; queue it (lock held)."""
+        """Queue one graph node whose deps all landed (lock held)."""
         spec = state.node_specs[node_id]
-        if state.gate is not None:
-            try:
-                spec = state.gate(node_id, spec)
-            except Exception as exc:
-                state.fail(
-                    DiscoveryError(
-                        f"graph gate failed releasing node {node_id}: {exc!r}"
-                    )
-                )
-                return
-        if spec is None:
-            state.cancelled.add(node_id)
-            self._satisfy_dependents(state, node_id)
-            return
         task = PoolTask(
             job_id=state.job_id,
             task_id=node_id,
@@ -845,9 +812,8 @@ class WorkerPool:
         self._pending.append(task)
 
     def _satisfy_dependents(self, state: _JobState, node_id: int) -> None:
-        """Count ``node_id`` terminal for its dependents; release the ready
-        ones (lock held).  Recursion depth is bounded by the graph's phase
-        depth (export → pretest → validation), not its width."""
+        """Count ``node_id``'s outcome for its dependents; release the
+        ready ones (lock held)."""
         for child in state.dependents.get(node_id, ()):
             state.remaining[child] -= 1
             if state.remaining[child] == 0 and state.error is None:
@@ -1045,7 +1011,7 @@ class WorkerPool:
         lock, so whenever the lock is free either some released task is
         still pending or assigned (``outcomes < tasks``) or every
         releasable node has been released.  If no released task is pending
-        or assigned, yet terminal nodes don't cover the graph, the held
+        or assigned, yet outcomes don't cover the graph, the held
         remainder is unreachable — a scheduler or graph-construction bug.
         Nothing would ever wake such a job again, so it fails at once.
         """
@@ -1056,11 +1022,7 @@ class WorkerPool:
                 or len(state.outcomes) < len(state.tasks)
             ):
                 continue
-            held = (
-                state.node_count
-                - len(state.outcomes)
-                - len(state.cancelled)
-            )
+            held = state.node_count - len(state.outcomes)
             state.fail(
                 DiscoveryError(
                     f"task graph wedged: {held} node(s) can never be "

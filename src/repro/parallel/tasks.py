@@ -122,10 +122,7 @@ class GraphNode:
     outcomes must land before this node's spec may be dispatched —
     :meth:`~repro.parallel.pool.WorkerPool.run_graph` holds the node back
     and releases it from the dispatcher thread the moment its last
-    prerequisite completes (or is cancelled).  A node with no deps is
-    released immediately.  The spec itself may still be rewritten or
-    cancelled at release time by the graph's gate callback; see
-    ``run_graph``.
+    prerequisite completes.  A node with no deps is released immediately.
     """
 
     spec: TaskSpec

@@ -149,16 +149,22 @@ class TestWarmCallSpans:
 
 
 class TestMergePlacement:
-    """The validate span says where a pooled merge's plan ran."""
+    """The validate span says where a pooled merge's plan ran.
+
+    An overlapped run validates the graph's survivors through the same
+    validator as an in-process run, so both legs place the merge alike:
+    its graph adds export (and pretest) tasks, never a merge.
+    """
 
     @staticmethod
-    def _run(db, pool, trace, sampling_size=0):
+    def _run(db, pool, trace, overlap, sampling_size=0):
         return discover_inds(
             db,
             DiscoveryConfig(
                 strategy="merge-single-pass",
                 validation_workers=2,
                 sampling_size=sampling_size,
+                overlap=overlap,
                 trace=trace,
             ),
             pool=pool,
@@ -176,33 +182,47 @@ class TestMergePlacement:
         ]
         return validate["attrs"], tasks
 
-    def test_one_group_plan_runs_in_process(self):
+    @pytest.mark.parametrize("overlap", (False, True))
+    def test_one_group_plan_runs_in_process(self, overlap):
         # Tiny BioSQL is one candidate-graph component: a one-group plan.
         db = generate_biosql("tiny", seed=7).db
         with WorkerPool(2) as fleet:
-            traced = self._run(db, fleet, trace=True)
-            plain = self._run(db, fleet, trace=False)
-            assert fleet.stats.workers_spawned == 0
+            traced = self._run(db, fleet, trace=True, overlap=overlap)
+            plain = self._run(db, fleet, trace=False, overlap=overlap)
+            # Only an overlapped run's export tasks wake the fleet.
+            assert (fleet.stats.workers_spawned > 0) is overlap
         attrs, tasks = self._validate_span(traced)
         assert attrs["placement"] == "in-process"
         assert attrs["merge_groups"] == 1
         assert tasks == []
-        assert traced.pool_stats is None
+        if overlap:
+            assert set(traced.pool_stats["tasks_by_kind"]) == {"spool-export"}
+        else:
+            assert traced.pool_stats is None
         assert plain.trace is None
         assert _pipeline_view(traced.to_dict()) == _pipeline_view(
             plain.to_dict()
         )
 
-    def test_multi_group_plan_runs_one_task_span_per_group(self):
+    @pytest.mark.parametrize("overlap", (False, True))
+    def test_multi_group_plan_runs_one_task_span_per_group(self, overlap):
         # The sampling pretest splits build_component_db's graph.
         db = build_component_db()
         with WorkerPool(2) as fleet:
-            traced = self._run(db, fleet, trace=True, sampling_size=2)
-            plain = self._run(db, fleet, trace=False, sampling_size=2)
+            traced = self._run(
+                db, fleet, trace=True, overlap=overlap, sampling_size=2
+            )
+            plain = self._run(
+                db, fleet, trace=False, overlap=overlap, sampling_size=2
+            )
         attrs, tasks = self._validate_span(traced)
         assert attrs["placement"] == "pool"
         assert attrs["merge_groups"] > 1
         assert len(tasks) == attrs["merge_groups"]
+        assert (
+            traced.pool_stats["tasks_by_kind"]["merge-partition"]
+            == attrs["merge_groups"]
+        )
         assert plain.trace is None
         assert _pipeline_view(traced.to_dict()) == _pipeline_view(
             plain.to_dict()

@@ -1,8 +1,9 @@
 """Randomized stress-agreement harness for the overlapped (barrier-free) pipeline.
 
-The contract: ``DiscoveryConfig(overlap=True)`` plans export, sampling
-pretest and validation as **one dependency-scheduled task graph** on a
-single worker pool — and everything except wall clock must be
+The contract: ``DiscoveryConfig(overlap=True)`` plans export and the
+sampling pretest as **one dependency-scheduled task graph** on a single
+worker pool, then validates the survivors on that pool through the same
+validator as an in-process run — and everything except wall clock must be
 byte-identical to the in-process pipeline.  Two layers of defence:
 
 * a fixed small matrix (workers {1, 2, 4} × both spool formats × both
@@ -15,10 +16,11 @@ byte-identical to the in-process pipeline.  Two layers of defence:
   on failure so any counterexample replays with
   ``pytest -k <seed> tests/parallel/test_overlap_stress.py``.
 
-Plus the fault matrix: a worker killed while export, pretest and
-validation tasks are simultaneously in flight must requeue and converge
-byte-exactly with no orphan trace spans; a crash-looping graph task must
-fail loudly (never wedge the held dependents) and leave the pool usable.
+Plus the fault matrix: a worker killed while export tasks run and
+pretest tasks are held, or during the pooled merge after the graph, must
+requeue and converge byte-exactly with no orphan trace spans; a
+crash-looping graph task must fail loudly (never wedge the held
+dependents) and leave the pool usable.
 """
 
 from __future__ import annotations
@@ -187,12 +189,12 @@ class TestOverlapMatrix:
                 f"spools)"
             )
             doc = overlapped.overlap
-            assert doc is not None and doc["mode"] == "full"
+            assert doc is not None
+            assert set(doc["tasks_by_phase"]) == {"export", "pretest"}
             assert doc["nodes"] == sum(doc["tasks_by_phase"].values())
             assert all(count >= 1 for count in doc["tasks_by_phase"].values())
-            # Pretest verdicts gated validation dynamically: with refuted
-            # candidates present, either whole chunks were cancelled or
-            # their specs were rewritten — never validated and discarded.
+            # The validator after the graph tests exactly the survivors of
+            # the graph's pretest — refuted candidates are never validated.
             refuted = overlapped.sampling_refuted
             tested = overlapped.validator_stats.candidates_tested
             assert tested == sequential.validator_stats.candidates_tested
@@ -200,15 +202,15 @@ class TestOverlapMatrix:
 
 
     @pytest.mark.parametrize("variant", SPOOL_VARIANTS)
-    def test_multi_group_merge_rides_the_graph(self, variant):
-        """Several merge groups, each gated on its own pretest chunks.
+    def test_multi_group_merge_is_planned_from_the_survivors(self, variant):
+        """The overlapped merge plans the groups the in-process one plans.
 
-        The seeded databases are one candidate-graph component, so the
-        merge legs above plan one ``merge-partition`` node.  The graph is
-        planned before the sampling pretest, so it needs an input whose
-        metadata pretests already split the candidate graph:
-        ``build_component_db`` puts two seeded databases on value ranges
-        the min- and max-value pretests tell apart.
+        Under the default pretests ``build_component_db``'s candidate graph
+        is one component until the sampling pretest refutes every
+        cross-cluster pair.  An overlapped run validates the graph's
+        survivors through the same pooled validator as its in-process
+        twin, so it plans the same groups and sends one ``merge-partition``
+        task per group.
         """
         spool_format, compression, mmap_reads = variant
         db = build_component_db()
@@ -221,9 +223,6 @@ class TestOverlapMatrix:
                 mmap_reads=mmap_reads,
                 spool_block_size=3,
                 sampling_size=2,
-                pretests=PretestConfig(
-                    cardinality=False, max_value=True, min_value=True
-                ),
                 **overrides,
             )
 
@@ -231,6 +230,7 @@ class TestOverlapMatrix:
         assert sequential.sampling_refuted > 0
         expected = _stress_view(sequential.to_dict())
         for workers in (2, 4):
+            in_process = discover_inds(db, config(validation_workers=workers))
             overlapped = discover_inds(
                 db, config(validation_workers=workers, overlap=True)
             )
@@ -238,11 +238,12 @@ class TestOverlapMatrix:
                 f"overlapped merge diverges at {workers} workers ({variant})"
             )
             groups = overlapped.validator_stats.extra["merge_groups"]
+            assert groups == in_process.validator_stats.extra["merge_groups"]
             assert groups > 1
-            dispatched = overlapped.pool_stats["tasks_by_kind"].get(
-                "merge-partition", 0
+            assert (
+                overlapped.pool_stats["tasks_by_kind"]["merge-partition"]
+                == groups
             )
-            assert dispatched + overlapped.overlap["cancelled"] == groups
 
     @pytest.mark.parametrize("workers", (2, 4))
     def test_warm_session_drains_every_phase_on_one_fleet(self, workers):
@@ -304,8 +305,9 @@ class TestOverlapStressAgreement:
             assert in_process.overlap is None, context
             doc = overlapped.overlap
             assert doc is not None, context
-            full = vector["strategy"] in ("brute-force", "merge-single-pass")
-            assert doc["mode"] == ("full" if full else "staged"), context
+            assert set(doc["tasks_by_phase"]) == {"export", "pretest"}, (
+                context
+            )
             if expect_hit:
                 assert doc["tasks_by_phase"]["export"] == 0, context
 
@@ -433,14 +435,13 @@ class TestOverlapFaults:
     def test_worker_death_mid_export_with_held_dependents(
         self, tmp_path, monkeypatch
     ):
-        """Kill during export while pretest + validation nodes are held.
+        """Kill during export while pretest nodes are held.
 
-        ``t0.c0`` sits in an export unit, in pretest chunks and in
-        validation chunks, so the one-shot fault fires on the first task
-        that touches it — with every downstream node still waiting on
-        dependency edges.  The requeued task must complete on the
-        replacement worker and the drained graph must match the sequential
-        pipeline byte-for-byte, with no orphan trace spans.
+        ``t0.c0`` sits in an export unit and in pretest chunks, so the
+        one-shot fault fires on the first task that touches it — with
+        every pretest node still waiting on dependency edges.  The requeued
+        task must complete on the replacement worker and the run must match
+        the sequential pipeline byte-for-byte, with no orphan trace spans.
         """
         db = build_db()
         expected = _stress_view(
@@ -458,13 +459,14 @@ class TestOverlapFaults:
             assert pool.stats.workers_replaced >= 1
         assert _stress_view(result.to_dict()) == expected
         _assert_well_formed_trace(result.trace)
-        # Done-dedup: exactly one span per graph node survives the requeue.
+        # Done-dedup: exactly one span per graph node survives the requeue,
+        # plus one per validation task dispatched after the graph.
         task_spans = [
             s for s in result.trace["spans"] if s["name"].startswith("task:")
         ]
-        assert len(task_spans) == result.overlap["nodes"] - result.overlap[
-            "cancelled"
-        ]
+        validation_tasks = result.pool_stats["tasks_by_kind"]["brute-force"]
+        assert validation_tasks >= 1
+        assert len(task_spans) == result.overlap["nodes"] + validation_tasks
 
     def test_worker_death_mid_pretest_with_validation_held(
         self, tmp_path, monkeypatch
@@ -487,22 +489,37 @@ class TestOverlapFaults:
         assert _stress_view(result.to_dict()) == expected
 
     def test_worker_death_mid_validation(self, tmp_path, monkeypatch):
-        """Sampling off + cache hit: the graph is pure validation nodes."""
-        db = build_db()
+        """Kill a worker in the pooled merge after an overlapped graph.
+
+        Sampling off + cache hit leaves the graph empty, and the min- and
+        max-value pretests split ``build_component_db``'s candidate graph,
+        so the merge that validates the survivors plans several groups and
+        reaches the pool: its ``merge-partition`` tasks are the only ones
+        that can touch ``k0_t2.id``.
+        """
+        db = build_component_db()
         cache = tmp_path / "cache"
-        warm = _fault_config(reuse_spool=True, cache_dir=str(cache))
+        warm = _fault_config(
+            strategy="merge-single-pass",
+            pretests=PretestConfig(
+                cardinality=True, max_value=True, min_value=True
+            ),
+            reuse_spool=True,
+            cache_dir=str(cache),
+        )
         discover_inds(db, warm)  # cold run populates the cache
         expected = _stress_view(discover_inds(db, warm).to_dict())  # warm twin
-        monkeypatch.setenv("REPRO_POOL_FAULT_ATTR", "t0.c0")
+        monkeypatch.setenv("REPRO_POOL_FAULT_ATTR", "k0_t2.id")
         monkeypatch.setenv("REPRO_POOL_FAULT_ONCE_DIR", str(tmp_path))
         with WorkerPool(2) as pool:
             result = discover_inds(db, warm, pool=pool)
             assert pool.stats.tasks_requeued >= 1
-        assert result.overlap["tasks_by_phase"] == {
-            "export": 0,
-            "pretest": 0,
-            "validate": result.overlap["nodes"],
-        }
+        assert (tmp_path / "pool-fault-fired").exists()
+        assert result.spool_cache_hit is True
+        assert result.overlap["nodes"] == 0
+        groups = result.validator_stats.extra["merge_groups"]
+        assert groups > 1
+        assert result.pool_stats["tasks_by_kind"] == {"merge-partition": groups}
         assert _stress_view(result.to_dict()) == expected
 
     def test_crash_looping_graph_task_fails_loudly_not_wedged(

@@ -446,7 +446,8 @@ def _assert_well_formed_trace(trace: dict) -> None:
 class TestTracedPipelineExactness:
     """Tracing is observationally free — and the span tree is coherent.
 
-    The overlap graph (every phase on the pool) with ``trace=True``:
+    The overlap graph (export and pretest on the pool, then pooled
+    validation) with ``trace=True``:
     decisions, ``items_read``, the pruned candidate set and every export
     counter must be byte-identical to the untraced sequential baseline at
     workers {1, 2, 4} on both spool formats, the result dict must differ
