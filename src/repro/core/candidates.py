@@ -20,16 +20,31 @@ The pretests are metadata-only filters, evaluated from
 * datatype (mentioned and *rejected* by Sec. 4.1 for life-science data —
   implemented so the ablation benchmark can demonstrate why: it prunes true
   INDs between INTEGER and VARCHAR columns).
+
+Both run on attribute ids.  :class:`AttributeIds` numbers a run's profiled
+attributes once, in sorted order, and keeps the statistics the pretests
+read as per-id columns.  A candidate is then one int, a *pair* packing
+``(dep_id, ref_id)`` as ``dep_id * count + ref_id``: ascending pairs are
+ascending candidates, and a pair hashes and compares as an int.  The
+runner keeps pairs from generation to the merge;
+:func:`generate_unique_ref_candidates`, :func:`generate_all_pairs_candidates`,
+:func:`apply_pretests` and the per-candidate pretests are thin
+:class:`Candidate` adapters over the same id code.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.db.schema import AttributeRef
 from repro.db.stats import ColumnStats
 from repro.db.types import DataType
 from repro.core.ind import IND
+
+#: Sort key equal to :class:`AttributeRef`'s own order, compared in C.
+_REF_ORDER = attrgetter("table", "column")
 
 
 @dataclass(frozen=True, order=True)
@@ -62,97 +77,6 @@ class PretestReport:
         return self.initial - self.remaining
 
 
-def dependent_attributes(
-    stats: dict[AttributeRef, ColumnStats]
-) -> list[AttributeRef]:
-    """Potentially dependent attributes: non-empty, any type except LOB."""
-    return sorted(
-        ref
-        for ref, st in stats.items()
-        if not st.is_empty and not st.dtype.is_lob
-    )
-
-
-def referenced_attributes(
-    stats: dict[AttributeRef, ColumnStats]
-) -> list[AttributeRef]:
-    """Potentially referenced attributes: non-empty unique columns.
-
-    Per the paper every referenced attribute is also a dependent attribute,
-    so LOB columns are excluded here as well.
-    """
-    return sorted(
-        ref
-        for ref, st in stats.items()
-        if st.is_unique and not st.dtype.is_lob
-    )
-
-
-def generate_unique_ref_candidates(
-    stats: dict[AttributeRef, ColumnStats]
-) -> list[Candidate]:
-    """Sec. 2 candidate generation: every dependent × every unique referenced."""
-    deps = dependent_attributes(stats)
-    refs = referenced_attributes(stats)
-    return [
-        Candidate(dep, ref) for dep in deps for ref in refs if dep != ref
-    ]
-
-
-def generate_all_pairs_candidates(
-    stats: dict[AttributeRef, ColumnStats]
-) -> list[Candidate]:
-    """Sec. 1.2 candidate generation: (n² - n) / 2 directed tests.
-
-    For each unordered pair the test runs from the smaller distinct set into
-    the larger one; at equal cardinality one direction suffices (it then tests
-    set equivalence), and we pick the lexicographically smaller dependent for
-    determinism.
-    """
-    attrs = dependent_attributes(stats)
-    out: list[Candidate] = []
-    for i, a in enumerate(attrs):
-        for b in attrs[i + 1 :]:
-            if stats[a].distinct_count <= stats[b].distinct_count:
-                out.append(Candidate(a, b))
-            else:
-                out.append(Candidate(b, a))
-    return out
-
-
-# -------------------------------------------------------------------- pretests
-def cardinality_pretest(
-    candidate: Candidate, stats: dict[AttributeRef, ColumnStats]
-) -> bool:
-    """True when the candidate survives: ``|s(dep)| <= |s(ref)|``."""
-    return (
-        stats[candidate.dependent].distinct_count
-        <= stats[candidate.referenced].distinct_count
-    )
-
-
-def max_value_pretest(
-    candidate: Candidate, stats: dict[AttributeRef, ColumnStats]
-) -> bool:
-    """True when ``max(s(dep)) <= max(s(ref))`` (rendered, Sec. 4.1)."""
-    dep_max = stats[candidate.dependent].max_value
-    ref_max = stats[candidate.referenced].max_value
-    if dep_max is None or ref_max is None:
-        return False  # an empty side can never satisfy a non-trivial IND test
-    return dep_max <= ref_max
-
-
-def min_value_pretest(
-    candidate: Candidate, stats: dict[AttributeRef, ColumnStats]
-) -> bool:
-    """True when ``min(s(dep)) >= min(s(ref))`` (Bell & Brockhausen)."""
-    dep_min = stats[candidate.dependent].min_value
-    ref_min = stats[candidate.referenced].min_value
-    if dep_min is None or ref_min is None:
-        return False
-    return dep_min >= ref_min
-
-
 _TYPE_CLASSES: dict[DataType, str] = {
     DataType.INTEGER: "numeric",
     DataType.FLOAT: "numeric",
@@ -163,19 +87,202 @@ _TYPE_CLASSES: dict[DataType, str] = {
 }
 
 
-def datatype_pretest(
-    candidate: Candidate, stats: dict[AttributeRef, ColumnStats]
-) -> bool:
-    """True when both attributes belong to the same coarse type class.
+# ------------------------------------------------------------------ numbering
+def attribute_numbering(refs: Iterable[AttributeRef]) -> list[AttributeRef]:
+    """``refs`` in id order: sorted, as :class:`AttributeRef` sorts."""
+    return sorted(refs, key=_REF_ORDER)
 
-    Deliberately strict: the Sec. 4.1 observation is that this pretest is
-    *unsafe* in domains where numbers live in string columns.  The ablation
-    benchmark uses it to show the resulting false negatives.
+
+def decode_pairs(
+    refs: Sequence[AttributeRef], pairs: Iterable[int]
+) -> list[Candidate]:
+    """The :class:`Candidate` objects of ``pairs`` over the numbering ``refs``."""
+    n = len(refs)
+    return [Candidate(refs[pair // n], refs[pair % n]) for pair in pairs]
+
+
+def encode_candidates(
+    candidates: Iterable[Candidate],
+) -> tuple[list[AttributeRef], list[int]]:
+    """Number the candidates' attributes; return ``(refs, pairs)``.
+
+    ``refs`` is the sorted list of every attribute a candidate touches and
+    ``pairs`` holds one pair per candidate, duplicates and order kept.
+    This is how the :class:`Candidate` entry points reach the id code.
     """
-    return (
-        _TYPE_CLASSES[stats[candidate.dependent].dtype]
-        == _TYPE_CLASSES[stats[candidate.referenced].dtype]
-    )
+    candidates = list(candidates)
+    involved = {c.dependent for c in candidates}
+    involved.update(c.referenced for c in candidates)
+    refs = attribute_numbering(involved)
+    index = {ref: aid for aid, ref in enumerate(refs)}
+    n = len(refs)
+    return refs, [
+        index[c.dependent] * n + index[c.referenced] for c in candidates
+    ]
+
+
+class AttributeIds:
+    """One run's attribute numbering and the columns the pretests read.
+
+    Ids follow sorted :class:`AttributeRef` order, so pairs over them sort
+    exactly as :class:`Candidate` objects do.  ``refs`` maps an id to its
+    attribute and ``index`` back.  ``distinct``, ``min_value``,
+    ``max_value`` and ``type_class`` are per-id columns of the profile;
+    ``dependents`` and ``referenced`` are the ids of the potentially
+    dependent and referenced attributes, ascending.
+    """
+
+    def __init__(self, stats: Mapping[AttributeRef, ColumnStats]) -> None:
+        self.refs = attribute_numbering(stats)
+        self.count = len(self.refs)
+        self.index = {ref: aid for aid, ref in enumerate(self.refs)}
+        columns = [stats[ref] for ref in self.refs]
+        self.distinct = [st.distinct_count for st in columns]
+        self.min_value = [st.min_value for st in columns]
+        self.max_value = [st.max_value for st in columns]
+        self.type_class = [_TYPE_CLASSES[st.dtype] for st in columns]
+        self.dependents = [
+            aid
+            for aid, st in enumerate(columns)
+            if not st.is_empty and not st.dtype.is_lob
+        ]
+        self.referenced = [
+            aid
+            for aid, st in enumerate(columns)
+            if st.is_unique and not st.dtype.is_lob
+        ]
+
+    def candidates(self, pairs: Iterable[int]) -> list[Candidate]:
+        """``pairs`` as :class:`Candidate` objects, in order."""
+        return decode_pairs(self.refs, pairs)
+
+    def pairs_of(self, candidates: Iterable[Candidate]) -> list[int]:
+        """``candidates`` as pairs over this numbering, in order."""
+        index, n = self.index, self.count
+        return [
+            index[c.dependent] * n + index[c.referenced] for c in candidates
+        ]
+
+    def attributes(self, pairs: Sequence[int]) -> list[AttributeRef]:
+        """The attributes ``pairs`` touch, sorted."""
+        n = self.count
+        ids = {pair // n for pair in pairs}
+        ids.update(pair % n for pair in pairs)
+        return [self.refs[aid] for aid in sorted(ids)]
+
+
+# ----------------------------------------------------------------- generation
+def unique_ref_pairs(ids: AttributeIds) -> list[int]:
+    """Sec. 2 candidate generation over ids: every dependent × every unique
+    referenced attribute but itself."""
+    refs, n = ids.referenced, ids.count
+    out: list[int] = []
+    for dep in ids.dependents:
+        base = dep * n
+        out.extend([base + ref for ref in refs if ref != dep])
+    return out
+
+
+def all_pairs(ids: AttributeIds) -> list[int]:
+    """Sec. 1.2 candidate generation over ids: (n² - n) / 2 directed tests.
+
+    For each unordered pair the test runs from the smaller distinct set into
+    the larger one; at equal cardinality one direction suffices (it then tests
+    set equivalence), and we pick the lexicographically smaller dependent for
+    determinism.
+    """
+    attrs, distinct, n = ids.dependents, ids.distinct, ids.count
+    out: list[int] = []
+    for i, a in enumerate(attrs):
+        size = distinct[a]
+        for b in attrs[i + 1 :]:
+            out.append(a * n + b if size <= distinct[b] else b * n + a)
+    return out
+
+
+def dependent_attributes(
+    stats: dict[AttributeRef, ColumnStats]
+) -> list[AttributeRef]:
+    """Potentially dependent attributes: non-empty, any type except LOB."""
+    ids = AttributeIds(stats)
+    return [ids.refs[aid] for aid in ids.dependents]
+
+
+def referenced_attributes(
+    stats: dict[AttributeRef, ColumnStats]
+) -> list[AttributeRef]:
+    """Potentially referenced attributes: non-empty unique columns.
+
+    Per the paper every referenced attribute is also a dependent attribute,
+    so LOB columns are excluded here as well.
+    """
+    ids = AttributeIds(stats)
+    return [ids.refs[aid] for aid in ids.referenced]
+
+
+def generate_unique_ref_candidates(
+    stats: dict[AttributeRef, ColumnStats]
+) -> list[Candidate]:
+    """Sec. 2 candidate generation: every dependent × every unique referenced."""
+    ids = AttributeIds(stats)
+    return ids.candidates(unique_ref_pairs(ids))
+
+
+def generate_all_pairs_candidates(
+    stats: dict[AttributeRef, ColumnStats]
+) -> list[Candidate]:
+    """Sec. 1.2 candidate generation: (n² - n) / 2 directed tests (see
+    :func:`all_pairs`)."""
+    ids = AttributeIds(stats)
+    return ids.candidates(all_pairs(ids))
+
+
+# -------------------------------------------------------------------- pretests
+# Each rule keeps the pairs that survive it, in order.
+def _cardinality(ids: AttributeIds, pairs: list[int]) -> list[int]:
+    """``|s(dep)| <= |s(ref)|``."""
+    distinct, n = ids.distinct, ids.count
+    return [pair for pair in pairs if distinct[pair // n] <= distinct[pair % n]]
+
+
+def _max_value(ids: AttributeIds, pairs: list[int]) -> list[int]:
+    """``max(s(dep)) <= max(s(ref))``; an empty side never survives."""
+    top, n = ids.max_value, ids.count
+    return [
+        pair
+        for pair in pairs
+        if (dep := top[pair // n]) is not None
+        and (ref := top[pair % n]) is not None
+        and dep <= ref
+    ]
+
+
+def _min_value(ids: AttributeIds, pairs: list[int]) -> list[int]:
+    """``min(s(dep)) >= min(s(ref))``; an empty side never survives."""
+    bottom, n = ids.min_value, ids.count
+    return [
+        pair
+        for pair in pairs
+        if (dep := bottom[pair // n]) is not None
+        and (ref := bottom[pair % n]) is not None
+        and dep >= ref
+    ]
+
+
+def _datatype(ids: AttributeIds, pairs: list[int]) -> list[int]:
+    """Both attributes in the same coarse type class."""
+    classes, n = ids.type_class, ids.count
+    return [pair for pair in pairs if classes[pair // n] == classes[pair % n]]
+
+
+#: The pretests in the order the paper applies them:
+#: ``(PretestConfig flag, PretestReport field, rule)``.
+_PRETESTS = (
+    ("cardinality", "removed_by_cardinality", _cardinality),
+    ("max_value", "removed_by_max_value", _max_value),
+    ("min_value", "removed_by_min_value", _min_value),
+    ("datatype", "removed_by_datatype", _datatype),
+)
 
 
 @dataclass
@@ -188,28 +295,81 @@ class PretestConfig:
     datatype: bool = False
 
 
+def pretest_pairs(
+    ids: AttributeIds,
+    pairs: Sequence[int],
+    config: PretestConfig | None = None,
+) -> tuple[list[int], PretestReport]:
+    """Filter ``pairs`` by the configured pretests; returns survivors + report.
+
+    A pair removed by several pretests counts against the first of them in
+    paper order, as a candidate-at-a-time filter would count it.
+    """
+    cfg = config or PretestConfig()
+    report = PretestReport(initial=len(pairs))
+    survivors = list(pairs)
+    for flag, removed, rule in _PRETESTS:
+        if getattr(cfg, flag) and survivors:
+            kept = rule(ids, survivors)
+            setattr(report, removed, len(survivors) - len(kept))
+            survivors = kept
+    report.remaining = len(survivors)
+    return survivors, report
+
+
+def _survives(rule, candidate: Candidate, stats) -> bool:
+    """One candidate through one rule, over a numbering of its attributes."""
+    ids = AttributeIds(
+        {ref: stats[ref] for ref in (candidate.dependent, candidate.referenced)}
+    )
+    return bool(rule(ids, ids.pairs_of([candidate])))
+
+
+def cardinality_pretest(
+    candidate: Candidate, stats: dict[AttributeRef, ColumnStats]
+) -> bool:
+    """True when the candidate survives: ``|s(dep)| <= |s(ref)|``."""
+    return _survives(_cardinality, candidate, stats)
+
+
+def max_value_pretest(
+    candidate: Candidate, stats: dict[AttributeRef, ColumnStats]
+) -> bool:
+    """True when ``max(s(dep)) <= max(s(ref))`` (rendered, Sec. 4.1).
+
+    An empty side can never satisfy a non-trivial IND test, so it fails.
+    """
+    return _survives(_max_value, candidate, stats)
+
+
+def min_value_pretest(
+    candidate: Candidate, stats: dict[AttributeRef, ColumnStats]
+) -> bool:
+    """True when ``min(s(dep)) >= min(s(ref))`` (Bell & Brockhausen)."""
+    return _survives(_min_value, candidate, stats)
+
+
+def datatype_pretest(
+    candidate: Candidate, stats: dict[AttributeRef, ColumnStats]
+) -> bool:
+    """True when both attributes belong to the same coarse type class.
+
+    Deliberately strict: the Sec. 4.1 observation is that this pretest is
+    *unsafe* in domains where numbers live in string columns.  The ablation
+    benchmark uses it to show the resulting false negatives.
+    """
+    return _survives(_datatype, candidate, stats)
+
+
 def apply_pretests(
     candidates: list[Candidate],
     stats: dict[AttributeRef, ColumnStats],
     config: PretestConfig | None = None,
 ) -> tuple[list[Candidate], PretestReport]:
     """Filter candidates by the configured pretests; returns survivors + report."""
-    cfg = config or PretestConfig()
-    report = PretestReport(initial=len(candidates))
-    survivors: list[Candidate] = []
-    for candidate in candidates:
-        if cfg.cardinality and not cardinality_pretest(candidate, stats):
-            report.removed_by_cardinality += 1
-            continue
-        if cfg.max_value and not max_value_pretest(candidate, stats):
-            report.removed_by_max_value += 1
-            continue
-        if cfg.min_value and not min_value_pretest(candidate, stats):
-            report.removed_by_min_value += 1
-            continue
-        if cfg.datatype and not datatype_pretest(candidate, stats):
-            report.removed_by_datatype += 1
-            continue
-        survivors.append(candidate)
-    report.remaining = len(survivors)
-    return survivors, report
+    ids = AttributeIds(stats)
+    pairs = ids.pairs_of(candidates)
+    kept, report = pretest_pairs(ids, pairs, config)
+    # A verdict is a function of the pair, so duplicates share it.
+    survivors = set(kept)
+    return [c for c, pair in zip(candidates, pairs) if pair in survivors], report

@@ -58,8 +58,9 @@ from itertools import compress, count
 from operator import ne
 
 from repro._util import Stopwatch
-from repro.core.candidates import Candidate
-from repro.core.stats import DecisionCollector, ValidationResult
+from repro.core.candidates import Candidate, decode_pairs, encode_candidates
+from repro.core.stats import PairCollector, PairValidation, ValidationResult
+from repro.db.schema import AttributeRef
 from repro.errors import SpoolError, ValidatorError
 from repro.storage.cursors import DEFAULT_BATCH_SIZE, IOStats
 from repro.storage.sorted_sets import SpoolDirectory
@@ -96,7 +97,21 @@ class MergeSinglePassValidator:
         self._batch_size = batch_size
 
     def validate(self, candidates: list[Candidate]) -> ValidationResult:
-        collector = DecisionCollector(candidates, self.name)
+        """Validate ``candidates``: :meth:`validate_pairs` over their own
+        attribute numbering."""
+        return self.validate_pairs(*encode_candidates(candidates)).result()
+
+    def validate_pairs(
+        self, refs: list[AttributeRef], pairs: list[int]
+    ) -> PairValidation:
+        """Validate packed ``pairs`` over the sorted numbering ``refs``.
+
+        The kernel's entry: pairs as
+        :class:`~repro.core.candidates.AttributeIds` packs them, so the
+        runner hands its survivors over without building a
+        :class:`Candidate` per pair.
+        """
+        collector = PairCollector(refs, pairs, self.name)
         io = IOStats()
         with Stopwatch() as clock:
             self._run(collector, io)
@@ -104,32 +119,33 @@ class MergeSinglePassValidator:
         collector.stats.absorb_io(io)
         return collector.result()
 
-    def _run(self, collector: DecisionCollector, io: IOStats) -> None:
-        # Attributes are interned as dense integer ids, in sorted attribute
-        # order, for the duration of the pass.
-        involved: set = set()
-        for candidate in collector.candidates:
-            involved.add(candidate.dependent)
-            involved.add(candidate.referenced)
+    def _run(self, collector: PairCollector, io: IOStats) -> None:
+        # The pass renumbers the attributes it touches densely, keeping the
+        # numbering's order, which is sorted attribute order.
+        refs = collector.refs
+        n = len(refs)
+        involved = {pair // n for pair in collector.pairs}
+        involved.update(pair % n for pair in collector.pairs)
         order = sorted(involved)
-        index = {ref: aid for aid, ref in enumerate(order)}
+        index = {attr: aid for aid, attr in enumerate(order)}
         # live[dep] = ids of dep's surviving referenced attributes;
         # holders[rid] = the dependents whose live set holds rid (its
         # reverse).  An attribute is needed while either is non-empty.
         live: list[set[int]] = [set() for _ in order]
         holders: list[set[int]] = [set() for _ in order]
-        pairs: list[dict[int, Candidate]] = [{} for _ in order]
-        for candidate in collector.candidates:
-            dep = index[candidate.dependent]
-            rid = index[candidate.referenced]
+        pairs: list[dict[int, int]] = [{} for _ in order]
+        for pair in collector.pairs:
+            dep = index[pair // n]
+            rid = index[pair % n]
             if dep == rid:
                 raise ValidatorError(
-                    f"trivial candidate {candidate} must not reach the validator"
+                    f"trivial candidate {decode_pairs(refs, [pair])[0]} "
+                    "must not reach the validator"
                 )
             live[dep].add(rid)
             holders[rid].add(dep)
-            pairs[dep][rid] = candidate
-        cursors = [self._spool.open_cursor(ref, io) for ref in order]
+            pairs[dep][rid] = pair
+        cursors = [self._spool.open_cursor(refs[attr], io) for attr in order]
         batch_size = self._batch_size
         bufs: list[list[str]] = [[] for _ in order]
         idxs = [0] * len(order)  # values of bufs[aid] handed out so far

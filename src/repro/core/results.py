@@ -92,7 +92,9 @@ class DiscoveryResult:
     #: candidate pairs the sampling pretest refuted, and the signature of
     #: the config knobs a prior must share to be reusable.  Stamped on
     #: every ``incremental=True`` run — including a full-mode first run, so
-    #: it can seed the chain.
+    #: it can seed the chain.  The refuted pairs are packed attribute-id
+    #: pairs (see :class:`~repro.core.candidates.AttributeIds`) over the
+    #: sorted ``prior_fingerprints`` keys.
     prior_fingerprints: dict | None = None
     prior_sampling_refuted: frozenset | None = None
     prior_config_signature: tuple | None = None

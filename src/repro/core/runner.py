@@ -39,13 +39,12 @@ from repro._util import Stopwatch
 from repro.core.blockwise import BlockwiseValidator
 from repro.core.brute_force import BruteForceValidator
 from repro.core.candidates import (
-    Candidate,
+    AttributeIds,
     PretestConfig,
-    apply_pretests,
-    dependent_attributes,
-    generate_all_pairs_candidates,
-    generate_unique_ref_candidates,
-    referenced_attributes,
+    all_pairs,
+    attribute_numbering,
+    pretest_pairs,
+    unique_ref_pairs,
 )
 from repro.core.ind import INDSet
 from repro.core.merge_single_pass import MergeSinglePassValidator
@@ -58,7 +57,7 @@ from repro.core.sql_approaches import (
     SqlMinusValidator,
     SqlNotInValidator,
 )
-from repro.core.stats import DecisionCollector, ValidationResult
+from repro.core.stats import DecisionCollector, PairValidation, ValidationResult
 from repro.db.database import Database
 from repro.db.stats import PROFILE_MEMO, collect_column_stats
 from repro.errors import DiscoveryError
@@ -428,15 +427,19 @@ def discover_inds(
             profile_span.attrs["tables_reused"] = tables - profiled
     timings.profile_seconds = clock.elapsed
 
+    # From here to the merge, a candidate is a pair of attribute ids packed
+    # into one int (see AttributeIds); Candidate objects are built only for
+    # the phases that take them.
     with maybe_span(tracer, "candidates") as cand_span, Stopwatch() as clock:
+        ids = AttributeIds(column_stats)
         if cfg.candidate_mode == "unique-ref":
-            raw = generate_unique_ref_candidates(column_stats)
+            raw = unique_ref_pairs(ids)
         else:
-            raw = generate_all_pairs_candidates(column_stats)
-        candidates, pretest_report = apply_pretests(raw, column_stats, cfg.pretests)
+            raw = all_pairs(ids)
+        pairs, pretest_report = pretest_pairs(ids, raw, cfg.pretests)
         if cand_span is not None:
             cand_span.attrs["raw"] = len(raw)
-            cand_span.attrs["surviving"] = len(candidates)
+            cand_span.attrs["surviving"] = len(pairs)
     timings.candidate_seconds = clock.elapsed
 
     # Delta planning runs between candidates and export: the fresh profile
@@ -448,20 +451,20 @@ def discover_inds(
     # affected candidates.
     fingerprints = None
     delta_plan = None
-    all_candidates = candidates
+    surviving = pairs
     if cfg.incremental:
         with maybe_span(tracer, "delta-plan") as delta_span:
             fingerprints = attribute_fingerprints(column_stats)
-            delta_plan = _plan_delta(db, cfg, prior, candidates, fingerprints)
+            delta_plan = _plan_delta(db, cfg, prior, ids, pairs, fingerprints)
             if delta_span is not None:
                 delta_span.attrs.update(delta_plan.doc)
-        candidates = delta_plan.affected
+        pairs = delta_plan.affected
 
     spool: SpoolDirectory | None = None
     export_scanned = 0
     export_written = 0
     sampling_refuted = 0
-    sampling_refuted_list: list[Candidate] = []
+    refuted_pairs: list[int] = []
     inferred_sat = 0
     inferred_unsat = 0
     graph_pool_stats: dict | None = None
@@ -472,16 +475,12 @@ def discover_inds(
     # the parallel machinery, which dominates a cold first call and would
     # otherwise show up as an untimed hole in the trace.
     with maybe_span(tracer, "setup"):
-        deps = dependent_attributes(column_stats)
-        refs = referenced_attributes(column_stats)
         # Runs with the spool cache spool the *full* candidate set (on an
         # incremental run unchanged attributes adopt their donor files and
         # only changed ones re-export), so published entries stay as
         # complete as a full run's — a later exact hit must find every
         # attribute it needs.
-        needed = _needed_attributes(
-            all_candidates if cfg.reuse_spool else candidates
-        )
+        needed = ids.attributes(surviving if cfg.reuse_spool else pairs)
         if pool is None and cfg.overlap:
             # One per-call fleet for the graph and any validation after it.
             from repro.parallel.pool import WorkerPool
@@ -512,7 +511,7 @@ def discover_inds(
             overlap_run = run_overlapped(
                 db,
                 cfg,
-                candidates,
+                ids.candidates(pairs),
                 column_stats,
                 spool,
                 pool,
@@ -524,7 +523,7 @@ def discover_inds(
             graph_pool_stats = overlap_run.pool_stats
             export_scanned = overlap_run.export_stats.values_scanned
             export_written = overlap_run.export_stats.values_written
-            candidates = overlap_run.survivors
+            pairs = ids.pairs_of(overlap_run.survivors)
             sampling_refuted = len(overlap_run.sampling_refuted)
             # Phase attribution when phases interleave: export gets its
             # task window; the rest of the section's wall clock lands on the
@@ -557,17 +556,17 @@ def discover_inds(
         if not cfg.overlap:
             with maybe_span(tracer, "pretest"), Stopwatch() as clock:
                 if cfg.sampling_size and spool is not None:
-                    candidates, sampling_refuted_list = _sampling_pretest(
-                        spool, cfg, candidates
+                    pairs, refuted_pairs = _sampling_pretest(
+                        spool, cfg, ids, pairs
                     )
-                    sampling_refuted = len(sampling_refuted_list)
+                    sampling_refuted = len(refuted_pairs)
             pretest_seconds = clock.elapsed
         # Engine routing is planning work, not validation work: it runs
         # outside the validate stopwatch so validate_seconds stays
         # comparable across fixed and adaptive runs, and its own cost is
         # surfaced as engine_choice["routing_seconds"].
         routing_seconds = 0.0
-        if cfg.incremental and not candidates:
+        if cfg.incremental and not pairs:
             # The delta plan (or pretests) left nothing to validate:
             # synthesise the empty validation result instead of spinning an
             # engine up for zero candidates.  Only the work-accounting
@@ -580,7 +579,7 @@ def discover_inds(
         elif cfg.use_transitivity:
             with maybe_span(tracer, "validate"), Stopwatch() as clock:
                 validation, inferred_sat, inferred_unsat = _validate_sequential(
-                    db, cfg, spool, candidates, column_stats
+                    db, cfg, spool, ids.candidates(pairs), column_stats
                 )
         else:
             if cfg.is_adaptive:
@@ -588,7 +587,7 @@ def discover_inds(
                     Stopwatch()
                 ) as clock:
                     engine_decision, validator = _route_adaptive(
-                        cfg, spool, candidates, pool
+                        cfg, spool, ids.candidates(pairs), pool
                     )
                     if route_span is not None:
                         route_span.attrs["strategy"] = engine_decision.strategy
@@ -601,7 +600,7 @@ def discover_inds(
             with maybe_span(tracer, "validate") as validate_span, (
                 Stopwatch()
             ) as clock:
-                validation = validator.validate(candidates)
+                validation = _validate(validator, ids, pairs)
                 if validate_span is not None:
                     validate_span.attrs["validator"] = (
                         validation.stats.validator
@@ -650,13 +649,11 @@ def discover_inds(
     # back in so the counter matches a full run's, decision for decision.
     satisfied = validation.satisfied
     if delta_plan is not None and delta_plan.mode == "delta":
-        satisfied = satisfied.union(INDSet(delta_plan.reused_satisfied))
-        sampling_refuted += delta_plan.reused_sampling_refuted
+        satisfied = delta_plan.reused_satisfied.union(satisfied)
+        sampling_refuted += len(delta_plan.reused_refuted_pairs)
     prior_refuted = None
     if cfg.incremental:
-        prior_refuted = frozenset(
-            (c.dependent, c.referenced) for c in sampling_refuted_list
-        )
+        prior_refuted = frozenset(refuted_pairs)
         if delta_plan is not None and delta_plan.mode == "delta":
             prior_refuted |= delta_plan.reused_refuted_pairs
 
@@ -682,8 +679,8 @@ def discover_inds(
         database=db.name,
         strategy=cfg.strategy,
         attribute_count=len(column_stats),
-        dependent_count=len(deps),
-        referenced_count=len(refs),
+        dependent_count=len(ids.dependents),
+        referenced_count=len(ids.referenced),
         raw_candidates=len(raw),
         pretest_report=pretest_report,
         satisfied=satisfied,
@@ -715,13 +712,6 @@ def discover_inds(
 
 
 # ------------------------------------------------------------------ internals
-def _needed_attributes(candidates: list[Candidate]):
-    """The attributes validation will touch — the only ones worth spooling."""
-    return sorted(
-        {c.dependent for c in candidates} | {c.referenced for c in candidates}
-    )
-
-
 def _config_signature(cfg: DiscoveryConfig) -> tuple:
     """The config knobs a prior must share for its decisions to be reusable.
 
@@ -746,14 +736,16 @@ def _config_signature(cfg: DiscoveryConfig) -> tuple:
 
 @dataclass
 class _DeltaPlan:
-    """What the delta planner decided: who re-validates, who re-derives."""
+    """What the delta planner decided: who re-validates, who re-derives.
+
+    Pairs pack attribute ids of the run's
+    :class:`~repro.core.candidates.AttributeIds`.
+    """
 
     doc: dict
-    affected: list[Candidate] = field(default_factory=list)
-    unaffected: list[Candidate] = field(default_factory=list)
-    reused_satisfied: list = field(default_factory=list)  # IND objects
-    reused_sampling_refuted: int = 0
-    reused_refuted_pairs: frozenset = frozenset()
+    affected: list[int] = field(default_factory=list)
+    reused_satisfied: INDSet = field(default_factory=INDSet)
+    reused_refuted_pairs: frozenset[int] = frozenset()
 
     @property
     def mode(self) -> str:
@@ -764,10 +756,11 @@ def _plan_delta(
     db: Database,
     cfg: DiscoveryConfig,
     prior: DiscoveryResult | None,
-    candidates: list[Candidate],
+    ids: AttributeIds,
+    pairs: list[int],
     fingerprints: dict,
 ) -> _DeltaPlan:
-    """Split the candidates into re-validate and re-derive-from-prior sets.
+    """Split the candidate pairs into re-validate and re-derive-from-prior sets.
 
     Soundness rests on two facts.  First, candidate membership and every
     per-candidate decision (pretest verdict, sampling verdict, validation
@@ -786,7 +779,9 @@ def _plan_delta(
     key: an attribute that appeared, disappeared, or changed content is
     "changed"; a renamed column shows up as one disappearance plus one
     appearance, both changed, exactly as correctness requires (its pairs
-    must re-validate under the new identity).
+    must re-validate under the new identity).  The prior's decisions are
+    read through ``AttributeRef`` too, so a prior numbered over a
+    different attribute set is remapped, never read by stale ids.
     """
     reason = None
     if prior is None:
@@ -803,8 +798,7 @@ def _plan_delta(
         reason = "config-mismatch"
     if reason is not None:
         return _DeltaPlan(
-            doc={"mode": "full", "reason": reason},
-            affected=list(candidates),
+            doc={"mode": "full", "reason": reason}, affected=list(pairs)
         )
     before = prior.prior_fingerprints
     changed = {
@@ -812,42 +806,76 @@ def _plan_delta(
         for ref, digest in fingerprints.items()
         if before.get(ref) != digest
     }
-    changed |= set(before) - set(fingerprints)
-    affected: list[Candidate] = []
-    unaffected: list[Candidate] = []
-    for candidate in candidates:
-        if candidate.dependent in changed or candidate.referenced in changed:
-            affected.append(candidate)
+    dropped = before.keys() - fingerprints.keys()
+    index, n = ids.index, ids.count
+    dirty = [False] * n
+    for ref in changed:
+        dirty[index[ref]] = True
+    affected = []
+    unaffected = []
+    for pair in pairs:
+        if dirty[pair // n] or dirty[pair % n]:
+            affected.append(pair)
         else:
-            unaffected.append(candidate)
-    satisfied_pairs = {
-        (ind.dependent, ind.referenced) for ind in prior.satisfied
-    }
-    reused_satisfied = []
-    reused_refuted = 0
-    kept_refuted = set()
-    for candidate in unaffected:
-        pair = (candidate.dependent, candidate.referenced)
-        if pair in satisfied_pairs:
-            reused_satisfied.append(candidate.as_ind())
-        elif pair in prior.prior_sampling_refuted:
-            reused_refuted += 1
-            kept_refuted.add(pair)
-        # else: validated-unsatisfied in the prior; staying absent from
-        # both sets *is* the reused decision.
+            unaffected.append(pair)
+    # The prior's satisfied INDs over unaffected pairs stay in the answer;
+    # every other one is stale.
+    keep = set(unaffected)
+    satisfied = set()
+    stale = INDSet()
+    for ind in prior.satisfied:
+        dep = index.get(ind.dependent)
+        ref = index.get(ind.referenced)
+        pair = None if dep is None or ref is None else dep * n + ref
+        if pair in keep:
+            satisfied.add(pair)
+        else:
+            stale.add(ind)
+    # Equal key counts and nothing dropped: the same attribute set, so the
+    # prior's refuted pairs are already numbered like this run's.
+    refuted = _prior_refuted(prior, ids, bool(dropped) or len(before) != n)
+    # A reused pair that is neither satisfied nor refuted was validated
+    # unsatisfied in the prior; staying absent from both *is* its decision.
+    kept_refuted = frozenset(
+        pair for pair in unaffected if pair not in satisfied and pair in refuted
+    )
     return _DeltaPlan(
         doc={
             "mode": "delta",
-            "attributes_changed": len(changed),
+            "attributes_changed": len(changed) + len(dropped),
             "candidates_revalidated": len(affected),
             "decisions_reused": len(unaffected),
         },
         affected=affected,
-        unaffected=unaffected,
-        reused_satisfied=reused_satisfied,
-        reused_sampling_refuted=reused_refuted,
-        reused_refuted_pairs=frozenset(kept_refuted),
+        reused_satisfied=prior.satisfied.difference(stale),
+        reused_refuted_pairs=kept_refuted,
     )
+
+
+def _prior_refuted(
+    prior: DiscoveryResult, ids: AttributeIds, renumbered: bool
+) -> frozenset[int]:
+    """The prior's sampling-refuted pairs, in ``ids``' numbering.
+
+    The carrier packs the prior's own numbering: its sorted
+    ``prior_fingerprints`` keys, the attributes that run profiled.  When
+    ``renumbered`` says this run's attribute set differs, each pair is
+    decoded through that numbering and re-encoded through this one; a pair
+    that lost an attribute is dropped.
+    """
+    refuted = prior.prior_sampling_refuted
+    if not renumbered or not refuted:
+        return refuted
+    old = attribute_numbering(prior.prior_fingerprints)
+    m = len(old)
+    index, n = ids.index, ids.count
+    kept = set()
+    for pair in refuted:
+        dep = index.get(old[pair // m])
+        ref = index.get(old[pair % m])
+        if dep is not None and ref is not None:
+            kept.add(dep * n + ref)
+    return frozenset(kept)
 
 
 class _RunSpool:
@@ -1114,19 +1142,34 @@ def _build_validator(db, cfg, spool, column_stats, pool=None):
     raise DiscoveryError(f"unhandled strategy {cfg.strategy!r}")
 
 
-def _sampling_pretest(spool, cfg, candidates):
-    """Drop candidates the sampling pretest refutes; they are refuted INDs."""
+def _sampling_pretest(spool, cfg, ids, pairs):
+    """Drop pairs the sampling pretest refutes; they are refuted INDs."""
     sampler = SamplingPretest(
         spool, sample_size=cfg.sampling_size, seed=cfg.sampling_seed
     )
-    survivors: list[Candidate] = []
-    refuted: list[Candidate] = []
-    for candidate in candidates:
+    survivors: list[int] = []
+    refuted: list[int] = []
+    for pair, candidate in zip(pairs, ids.candidates(pairs)):
         if sampler.pretest(candidate):
-            survivors.append(candidate)
+            survivors.append(pair)
         else:
-            refuted.append(candidate)
+            refuted.append(pair)
     return survivors, refuted
+
+
+def _validate(
+    validator, ids: AttributeIds, pairs: list[int]
+) -> ValidationResult | PairValidation:
+    """Validate the survivors: pairs as they are for the merge validators,
+    :class:`~repro.core.candidates.Candidate` objects for the rest.
+
+    Either result answers what the runner reads: ``satisfied``, ``stats``,
+    the number of ``decisions``, ``pool`` and ``task_spans``.
+    """
+    validate_pairs = getattr(validator, "validate_pairs", None)
+    if validate_pairs is not None:
+        return validate_pairs(ids.refs, pairs)
+    return validator.validate(ids.candidates(pairs))
 
 
 def _validate_sequential(db, cfg, spool, candidates, column_stats):

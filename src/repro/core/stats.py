@@ -1,11 +1,20 @@
-"""Validator instrumentation: the counters behind Figure 5 and Sec. 4.2."""
+"""Validator instrumentation: the counters behind Figure 5 and Sec. 4.2.
+
+Also the decision records: :class:`DecisionCollector` for validators that
+take :class:`~repro.core.candidates.Candidate` objects, and
+:class:`PairCollector` for the merge kernel, which decides packed pairs
+(see :class:`~repro.core.candidates.AttributeIds`) and returns a
+:class:`PairValidation`.
+"""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from repro.core.candidates import Candidate
+from repro.core.candidates import Candidate, decode_pairs
 from repro.core.ind import IND, INDSet
+from repro.db.schema import AttributeRef
 from repro.storage.cursors import IOStats
 
 
@@ -47,6 +56,17 @@ class ValidatorStats:
         self.values_skipped += io.values_skipped
         self.bytes_read += io.bytes_read
         self.bytes_stored += io.bytes_stored
+
+    def count_decision(self, satisfied: bool, vacuous: bool) -> None:
+        """Count one first-time decision."""
+        if satisfied:
+            self.satisfied_count += 1
+        else:
+            self.refuted_count += 1
+        if vacuous:
+            self.vacuous_count += 1
+        else:
+            self.candidates_tested += 1
 
 
 @dataclass
@@ -97,14 +117,9 @@ class DecisionCollector:
         self.decisions[candidate] = satisfied
         if satisfied:
             self.satisfied.add(candidate.as_ind())
-            self.stats.satisfied_count += 1
-        else:
-            self.stats.refuted_count += 1
         if vacuous:
             self.vacuous.add(candidate)
-            self.stats.vacuous_count += 1
-        else:
-            self.stats.candidates_tested += 1
+        self.stats.count_decision(satisfied, vacuous)
 
     @property
     def all_decided(self) -> bool:
@@ -124,6 +139,122 @@ class DecisionCollector:
         """Package the recorded decisions and counters as the final result."""
         return ValidationResult(
             satisfied=self.satisfied,
+            decisions=self.decisions,
+            stats=self.stats,
+            vacuous=self.vacuous,
+        )
+
+
+@dataclass
+class PairValidation:
+    """A :class:`ValidationResult` over packed pairs.
+
+    What the merge validators' pair entry returns.  The fields mean what
+    :class:`ValidationResult`'s do, but ``decisions`` (in record order) and
+    ``vacuous`` hold pairs over the numbering ``refs``, so a caller that
+    reads only ``satisfied`` and the counters never builds a
+    :class:`Candidate`.  :meth:`result` builds the Candidate-keyed result.
+    """
+
+    refs: Sequence[AttributeRef]
+    satisfied: INDSet
+    decisions: dict[int, bool]
+    stats: ValidatorStats
+    vacuous: set[int] = field(default_factory=set)
+    pool: dict[str, object] | None = None
+    task_spans: list[dict] | None = None
+    _result: ValidationResult | None = field(default=None, repr=False)
+
+    def result(self) -> ValidationResult:
+        """The same result keyed by :class:`Candidate` (built once)."""
+        if self._result is None:
+            candidates = decode_pairs(self.refs, self.decisions)
+            self._result = ValidationResult(
+                satisfied=self.satisfied,
+                decisions=dict(zip(candidates, self.decisions.values())),
+                stats=self.stats,
+                vacuous=set(decode_pairs(self.refs, self.vacuous)),
+                pool=self.pool,
+                task_spans=self.task_spans,
+            )
+        return self._result
+
+    @classmethod
+    def of_result(
+        cls, refs: Sequence[AttributeRef], result: ValidationResult
+    ) -> "PairValidation":
+        """``result`` over the numbering ``refs``; :meth:`result` returns it."""
+        index = {ref: aid for aid, ref in enumerate(refs)}
+        n = len(refs)
+
+        def pair(candidate: Candidate) -> int:
+            return index[candidate.dependent] * n + index[candidate.referenced]
+
+        return cls(
+            refs=refs,
+            satisfied=result.satisfied,
+            decisions={pair(c): v for c, v in result.decisions.items()},
+            stats=result.stats,
+            vacuous={pair(c) for c in result.vacuous},
+            pool=result.pool,
+            task_spans=result.task_spans,
+            _result=result,
+        )
+
+
+class PairCollector:
+    """:class:`DecisionCollector` over packed pairs: the merge kernel's record.
+
+    ``refs`` is the numbering the pairs pack (see
+    :class:`~repro.core.candidates.AttributeIds`).  Decisions are kept as
+    pairs; :meth:`result` builds :class:`IND` objects for the satisfied
+    ones only.
+    """
+
+    def __init__(
+        self, refs: Sequence[AttributeRef], pairs: Sequence[int], validator_name: str
+    ) -> None:
+        self.refs = refs
+        self.pairs = list(dict.fromkeys(pairs))  # de-dupe, keep order
+        self.decisions: dict[int, bool] = {}
+        self.vacuous: set[int] = set()
+        self.stats = ValidatorStats(
+            validator=validator_name, candidates_total=len(self.pairs)
+        )
+        self._satisfied: list[int] = []
+
+    def record(self, pair: int, satisfied: bool, vacuous: bool = False) -> None:
+        """Record one decision (first write wins; duplicates are ignored)."""
+        if pair in self.decisions:
+            return
+        self.decisions[pair] = satisfied
+        if satisfied:
+            self._satisfied.append(pair)
+        if vacuous:
+            self.vacuous.add(pair)
+        self.stats.count_decision(satisfied, vacuous)
+
+    @property
+    def all_decided(self) -> bool:
+        """Whether every pair is recorded — O(1), by count."""
+        return len(self.decisions) == len(self.pairs)
+
+    @property
+    def undecided(self) -> list[Candidate]:
+        """Candidates not yet recorded, in their original order."""
+        return decode_pairs(
+            self.refs, [p for p in self.pairs if p not in self.decisions]
+        )
+
+    def result(self) -> PairValidation:
+        """Package the recorded decisions and counters as the final result."""
+        refs = self.refs
+        n = len(refs)
+        return PairValidation(
+            refs=refs,
+            satisfied=INDSet(
+                IND(refs[pair // n], refs[pair % n]) for pair in self._satisfied
+            ),
             decisions=self.decisions,
             stats=self.stats,
             vacuous=self.vacuous,

@@ -27,9 +27,11 @@ class AttributeRef:
     column: str
 
     def __hash__(self) -> int:
-        # Attribute refs key every hot dict and set in the validators, and a
-        # ref is hashed orders of magnitude more often than it is created —
-        # cache the (salted, per-process) hash on first use.
+        # The hot paths from candidate generation to the merge key integer
+        # attribute ids (repro.core.candidates.AttributeIds), but refs
+        # still key the profile, the spool index and the Candidate-taking
+        # validators, where a ref is hashed far more often than it is
+        # created — cache the (salted, per-process) hash on first use.
         cached = self.__dict__.get("_hash")
         if cached is None:
             cached = hash((self.table, self.column))

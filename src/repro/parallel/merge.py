@@ -29,11 +29,12 @@ chunks, and ``repro-ind serve`` multiplexes them alike.
 from __future__ import annotations
 
 from repro._util import Stopwatch
-from repro.core.candidates import Candidate
+from repro.core.candidates import Candidate, decode_pairs, encode_candidates
 from repro.core.merge_single_pass import MergeSinglePassValidator
-from repro.core.stats import ValidationResult
+from repro.core.stats import PairValidation, ValidationResult
+from repro.db.schema import AttributeRef
 from repro.errors import DiscoveryError, SpoolError
-from repro.parallel.planner import MergeGroup, ShardPlanner
+from repro.parallel.planner import MergeGroup, PairGroup, ShardPlanner
 from repro.parallel.pool import WorkerPool, run_specs
 from repro.parallel.tasks import (
     KIND_MERGE_PARTITION,
@@ -96,8 +97,19 @@ class PartitionedMergeValidator:
 
     def validate(self, candidates: list[Candidate]) -> ValidationResult:
         """Validate ``candidates``; decisions identical to the sequential pass."""
-        if self._workers == 1 or not candidates:
-            return self._sequential(candidates)
+        return self.validate_pairs(*encode_candidates(candidates)).result()
+
+    def validate_pairs(
+        self, refs: list[AttributeRef], pairs: list[int]
+    ) -> PairValidation:
+        """Validate packed ``pairs`` over the sorted numbering ``refs``.
+
+        Plans over the pairs, and a one-group plan merges them in process
+        without building a :class:`Candidate`; a pooled plan ships each
+        group's candidates to a worker.
+        """
+        if self._workers == 1 or not pairs:
+            return self._sequential(refs, pairs)
         spool_root = str(self._spool.root)
         if not (self._spool.root / "index.json").exists():
             raise SpoolError(
@@ -105,33 +117,36 @@ class PartitionedMergeValidator:
                 "re-open it"
             )
         with Stopwatch() as clock:
-            groups = self.plan(candidates)
+            groups = self._planner.plan_pair_groups(refs, pairs, self._workers)
             if len(groups) == 1:
-                result = self._sequential(candidates)
+                result = self._sequential(refs, pairs)
             else:
-                result = self._pooled(candidates, groups, spool_root)
+                result = self._pooled(refs, pairs, groups, spool_root)
         result.stats.elapsed_seconds = clock.elapsed
         result.stats.extra["validation_workers"] = float(self._workers)
         result.stats.extra["merge_groups"] = float(len(groups))
         return result
 
-    def _sequential(self, candidates: list[Candidate]) -> ValidationResult:
-        """The sequential merge over ``candidates``, duplicates included."""
+    def _sequential(
+        self, refs: list[AttributeRef], pairs: list[int]
+    ) -> PairValidation:
+        """The sequential merge over ``pairs``, duplicates included."""
         return MergeSinglePassValidator(
             self._spool, skip_scan=self._skip_scan
-        ).validate(candidates)
+        ).validate_pairs(refs, pairs)
 
     def _pooled(
         self,
-        candidates: list[Candidate],
-        groups: list[MergeGroup],
+        refs: list[AttributeRef],
+        pairs: list[int],
+        groups: list[PairGroup],
         spool_root: str,
-    ) -> ValidationResult:
+    ) -> PairValidation:
         """One ``merge-partition`` task per group, summed into one result."""
         specs = [
             TaskSpec(
                 kind=KIND_MERGE_PARTITION,
-                candidates=group.candidates,
+                candidates=tuple(decode_pairs(refs, group.pairs)),
                 payload=(self._skip_scan,),
             )
             for group in groups
@@ -139,7 +154,9 @@ class PartitionedMergeValidator:
         job, ephemeral = run_specs(
             self._pool, self._workers, spool_root, specs
         )
-        result = merge_shard_outcomes(candidates, job.outcomes, self.name)
+        result = merge_shard_outcomes(
+            decode_pairs(refs, pairs), job.outcomes, self.name
+        )
         result.pool = job.stats.as_dict()
         result.task_spans = job.task_spans
         result.stats.extra["partitions"] = float(len(specs))
@@ -148,4 +165,4 @@ class PartitionedMergeValidator:
             result.stats.extra["slowest_partition_seconds"] = max(
                 o.stats.elapsed_seconds for o in job.outcomes
             )
-        return result
+        return PairValidation.of_result(refs, result)

@@ -19,10 +19,12 @@ offers these plans:
   chunks handed out one at a time absorb the misestimates because a
   worker whose chunks turned out cheap simply receives more.
 
-* :meth:`ShardPlanner.plan_merge_groups` — cost-budgeted groups of whole
-  candidate-graph *components* for the pool-backed partitioned merge.
-  Component boundaries are the one cut that keeps the parallel merge's
-  decisions **and** I/O accounting byte-identical to the sequential pass.
+* :meth:`ShardPlanner.plan_pair_groups` — cost-budgeted groups of whole
+  candidate-graph *components* for the pool-backed partitioned merge, over
+  packed attribute-id pairs (:meth:`ShardPlanner.plan_merge_groups` is its
+  :class:`~repro.core.candidates.Candidate` adapter).  Component
+  boundaries are the one cut that keeps the parallel merge's decisions
+  **and** I/O accounting byte-identical to the sequential pass.
 
 * :meth:`ShardPlanner.plan_pretest_chunks` — chunks of the sampling
   pretest, grouped by dependent attribute so each attribute's reservoir
@@ -51,7 +53,8 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.candidates import Candidate
+from repro.core.candidates import Candidate, encode_candidates
+from repro.db.schema import AttributeRef
 from repro.errors import DiscoveryError
 from repro.storage.sorted_sets import FORMAT_BINARY, SpoolDirectory
 
@@ -158,17 +161,31 @@ class MergeGroup:
     components: int
 
 
+@dataclass(frozen=True)
+class PairGroup:
+    """A :class:`MergeGroup` over packed pairs (see
+    :class:`~repro.core.candidates.AttributeIds`)."""
+
+    index: int
+    pairs: tuple[int, ...]
+    estimated_cost: int
+    components: int
+
+
 class ShardPlanner:
     """Packs candidates into cost-budgeted chunks and merge groups.
 
-    Costs normally come from the spool index (exact spooled value counts);
-    a ``counts`` override maps attributes to counts known *before* the
-    export lands — the overlapped pipeline plans its pretest chunks from
-    column-profile distinct counts while export tasks are still running.  For non-LOB attributes the profile's rendered-distinct count
-    equals the spooled count, so the override changes nothing; and because
-    chunk/group composition never affects summed validator counters (tasks
-    are per-candidate independent or whole-component), an approximate count
-    could only ever affect load balance, never results.
+    Costs normally come from the spool index: exact spooled value counts.
+
+    A ``counts`` override maps attributes to counts known *before* the
+    export lands.  The overlapped pipeline uses it to plan its pretest
+    chunks from the column profile's distinct counts while export tasks
+    are still running.  For a non-LOB attribute the profile's
+    rendered-distinct count equals the spooled count, so the override
+    changes nothing.  Chunk and group composition never changes the summed
+    validator counters either, because a task is per-candidate independent
+    or whole-component.  An approximate count can therefore only change
+    load balance, never a result.
     """
 
     def __init__(
@@ -300,6 +317,26 @@ class ShardPlanner:
     ) -> list[MergeGroup]:
         """Cost-budgeted merge groups made of whole candidate-graph components.
 
+        :meth:`plan_pair_groups` over the candidates' own attribute
+        numbering; each group holds the caller's candidate objects.
+        """
+        refs, pairs = encode_candidates(candidates)
+        objects = dict(zip(pairs, candidates))
+        return [
+            MergeGroup(
+                index=group.index,
+                candidates=tuple(objects[pair] for pair in group.pairs),
+                estimated_cost=group.estimated_cost,
+                components=group.components,
+            )
+            for group in self.plan_pair_groups(refs, pairs, workers)
+        ]
+
+    def plan_pair_groups(
+        self, refs: list[AttributeRef], pairs: list[int], workers: int
+    ) -> list[PairGroup]:
+        """Merge groups over packed ``pairs`` of the sorted numbering ``refs``.
+
         The heap merge reads an attribute until all candidates *touching*
         that attribute are decided, so the set of values it consumes from an
         attribute depends only on the attribute's connected component in the
@@ -318,57 +355,52 @@ class ShardPlanner:
         packed heaviest-first into cost-budgeted groups — the total cost
         divided by ``workers * DEFAULT_CHUNKS_PER_WORKER`` — for the pool's
         work-stealing queue, like :meth:`plan_chunks` but at component
-        granularity.  Candidates keep their original order within a group,
-        so a one-group plan replays the sequential run exactly.  Output is
-        deterministic for a given spool and candidate list; every candidate
+        granularity.  Pairs keep their original order within a group, so a
+        one-group plan replays the sequential run exactly.  Output is
+        deterministic for a given spool and pair list; every distinct pair
         lands in exactly one group.
         """
         if workers < 1:
             raise DiscoveryError(f"worker count must be >= 1, got {workers!r}")
-        ordered = list(dict.fromkeys(candidates))
+        ordered = list(dict.fromkeys(pairs))
         if not ordered:
             return []
-        # Union-find over attributes; each candidate is an edge.
-        parent: dict = {}
+        n = len(refs)
+        # Union-find over attribute ids; each pair is an edge.
+        parent = list(range(n))
 
-        def find(attr):
+        def find(attr: int) -> int:
             root = attr
-            while parent[root] is not root:
+            while parent[root] != root:
                 root = parent[root]
-            while parent[attr] is not root:  # path compression
+            while parent[attr] != root:  # path compression
                 parent[attr], attr = root, parent[attr]
             return root
 
-        for candidate in ordered:
-            for attr in (candidate.dependent, candidate.referenced):
-                parent.setdefault(attr, attr)
-            a, b = find(candidate.dependent), find(candidate.referenced)
-            if a is not b:
+        for pair in ordered:
+            a, b = find(pair // n), find(pair % n)
+            if a != b:
                 parent[b] = a
-        components: dict = {}
-        for seq, candidate in enumerate(ordered):
-            components.setdefault(find(candidate.dependent), []).append(
-                (seq, candidate)
-            )
+        components: dict[int, list[int]] = {}
+        for seq, pair in enumerate(ordered):
+            components.setdefault(find(pair // n), []).append(seq)
         costed = []
         for members in components.values():
-            attrs = {c.dependent for _, c in members}
-            attrs |= {c.referenced for _, c in members}
-            cost = sum(self._count(attr) for attr in attrs) + 1
+            attrs = {ordered[seq] // n for seq in members}
+            attrs.update(ordered[seq] % n for seq in members)
+            cost = sum(self._count(refs[attr]) for attr in attrs) + 1
             costed.append((cost, (cost, members)))
-        # Components are discovered in first-candidate order, so the
-        # packer's input-position tie-break replays the old
-        # first-member-sequence tie-break exactly.
+        # Components are discovered in first-pair order, so the packer's
+        # input-position tie-break orders equal-cost components by their
+        # first pair.
         packed = pack_cost_groups(costed, workers)
-        groups: list[MergeGroup] = []
+        groups: list[PairGroup] = []
         for group in packed:
-            bucket = sorted(
-                (entry for _, members in group for entry in members)
-            )
+            seqs = sorted(seq for _, members in group for seq in members)
             groups.append(
-                MergeGroup(
+                PairGroup(
                     index=len(groups),
-                    candidates=tuple(c for _, c in bucket),
+                    pairs=tuple(ordered[seq] for seq in seqs),
                     estimated_cost=sum(cost for cost, _ in group),
                     components=len(group),
                 )

@@ -116,7 +116,11 @@ class PoolStats:
     One instance lives on the pool for its lifetime totals; each
     :meth:`WorkerPool.run_job` additionally returns a fresh instance holding
     that job's delta, which is what ``DiscoveryResult.pool_stats`` and the
-    per-request ``serve`` output surface.
+    per-request ``serve`` output surface.  A job's delta counts the workers
+    its admission started (the first job on a fresh or reaped fleet) and
+    the replacements spawned for a worker that died holding one of its
+    tasks; a replacement counts as spawned and as replaced, as it does in
+    the lifetime totals.
     """
 
     jobs: int = 0
@@ -511,8 +515,9 @@ class WorkerPool:
         """Context-manager exit: drain the fleet."""
         self.shutdown()
 
-    def _admit(self) -> int:
-        """Start or refill the fleet and allot a new job id (lock held)."""
+    def _admit(self, state: _JobState) -> None:
+        """Start or refill the fleet and register ``state`` under a new job
+        id (lock held); the workers spawned here count toward its stats."""
         if self._closed:
             raise DiscoveryError("worker pool is shut down")
         if self._dispatcher is None:
@@ -525,8 +530,12 @@ class WorkerPool:
         # (the fleet is already at target size).
         while len(self._workers) < self._workers_target:
             self._spawn_worker()
+            state.stats.workers_spawned += 1
         self._job_counter += 1
-        return self._job_counter
+        state.job_id = self._job_counter
+        state.stats.jobs = 1
+        self._jobs[state.job_id] = state
+        self.stats.jobs += 1
 
     def _spawn_worker(self) -> None:
         """Start one worker on a fresh pipe (lock held)."""
@@ -648,10 +657,11 @@ class WorkerPool:
                 raise DiscoveryError("worker pool is shut down")
             return JobResult(outcomes=[], stats=PoolStats())
         with self._lock:
-            job_id = self._admit()
-            tasks = {
+            state = _JobState(job_id=0, tasks={})
+            self._admit(state)
+            state.tasks = {
                 index: PoolTask(
-                    job_id=job_id,
+                    job_id=state.job_id,
                     task_id=index,
                     kind=spec.kind,
                     spool_root=spool_root,
@@ -660,11 +670,8 @@ class WorkerPool:
                 )
                 for index, spec in enumerate(specs)
             }
-            state = _JobState(job_id=job_id, tasks=tasks)
-            state.stats.jobs = 1
+            tasks = state.tasks
             state.stats.tasks_dispatched = len(tasks)
-            self._jobs[job_id] = state
-            self.stats.jobs += 1
             self.stats.tasks_dispatched += len(tasks)
             self._pending.extend(tasks.values())
             self._assign()
@@ -748,9 +755,8 @@ class WorkerPool:
                 f"({len(nodes) - visited} node(s) unreachable)"
             )
         with self._lock:
-            job_id = self._admit()
             state = _JobState(
-                job_id=job_id,
+                job_id=0,
                 tasks={},
                 is_graph=True,
                 node_specs={
@@ -762,9 +768,7 @@ class WorkerPool:
                 on_complete=on_complete,
                 spool_root=spool_root,
             )
-            state.stats.jobs = 1
-            self._jobs[job_id] = state
-            self.stats.jobs += 1
+            self._admit(state)
             # Registration and root release under one lock hold: no reply
             # can interleave, so a graph is never observable half-released.
             for nid in range(len(nodes)):
@@ -956,7 +960,11 @@ class WorkerPool:
             state.done.set()
 
     def _replace_dead(self, worker: _Worker) -> None:
-        """Requeue a dead worker's task and spawn a replacement (lock held)."""
+        """Requeue a dead worker's task and spawn a replacement (lock held).
+
+        The replacement counts toward the stats of the job whose task the
+        dead worker held, as one spawned and one replaced worker.
+        """
         self._workers.remove(worker)
         worker.conn.close()
         worker.proc.join(timeout=1.0)
@@ -966,12 +974,17 @@ class WorkerPool:
             worker.proc.pid,
             worker.proc.exitcode,
         )
+        job = None
         if worker.task is not None:
+            job = self._jobs.get(worker.task.job_id)
             self._requeue(worker.task)
         while len(self._workers) < self._workers_target:
             self._spawn_worker()
             self.stats.workers_replaced += 1
             get_registry().inc("pool_workers_replaced_total")
+            if job is not None:
+                job.stats.workers_spawned += 1
+                job.stats.workers_replaced += 1
 
     def _requeue(self, task: PoolTask) -> None:
         """Put a dead worker's task back at the front of the FIFO (lock

@@ -18,11 +18,12 @@ import threading
 
 import pytest
 
-from seeded_dbs import build_component_spool, build_random_db
+from seeded_dbs import build_component_db, build_component_spool, build_random_db
 from test_validator_agreement import _candidates
 
 from repro.core.candidates import Candidate
 from repro.core.merge_single_pass import MergeSinglePassValidator
+from repro.core.runner import DiscoveryConfig, discover_inds
 from repro.db.schema import AttributeRef
 from repro.errors import DiscoveryError, SpoolError
 from repro.parallel import pool as pool_module
@@ -269,3 +270,39 @@ class TestGuards:
         assert got.decisions == sequential.decisions
         assert _counters(got.stats) == _counters(sequential.stats)
         assert (sequential.stats.blocks_skipped > 0) is skip_scan
+
+
+class TestPerCallPoolStats:
+    """A run's ``pool_stats`` count the workers its own job spawned.
+
+    After the sampling pretest ``build_component_db()`` is several
+    components, so a ``validation_workers=2`` merge plans several groups
+    and, with no lent pool, builds a 2-worker pool for them.
+    """
+
+    CONFIG = DiscoveryConfig(validation_workers=2, sampling_size=2)
+
+    def test_per_call_pool_reports_the_workers_it_spawned(self):
+        result = discover_inds(build_component_db(), self.CONFIG)
+        stats = result.pool_stats
+        assert stats["tasks_by_kind"]["merge-partition"] >= 2
+        assert stats["workers_spawned"] == 2
+        assert stats["workers_replaced"] == 0
+
+    def test_a_worker_death_counts_its_replacement(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_POOL_FAULT_ATTR", "k0_t0.id")
+        monkeypatch.setenv("REPRO_POOL_FAULT_ONCE_DIR", str(tmp_path))
+        result = discover_inds(build_component_db(), self.CONFIG)
+        stats = result.pool_stats
+        assert stats["tasks_requeued"] == 1
+        assert stats["workers_replaced"] >= 1
+        assert stats["workers_spawned"] == 2 + stats["workers_replaced"]
+
+    def test_a_warm_pool_reports_no_spawn_after_its_first_job(self, tmp_path):
+        spool, candidates = build_component_spool(tmp_path / "s", 4)
+        with WorkerPool(2) as fleet:
+            validator = PartitionedMergeValidator(spool, workers=2, pool=fleet)
+            first = validator.validate(candidates)
+            second = validator.validate(candidates)
+        assert first.pool["workers_spawned"] == 2
+        assert second.pool["workers_spawned"] == 0
