@@ -59,7 +59,7 @@ from repro.core.sql_approaches import (
 )
 from repro.core.stats import DecisionCollector, PairValidation, ValidationResult
 from repro.db.database import Database
-from repro.db.stats import PROFILE_MEMO, collect_column_stats
+from repro.db.stats import PROFILE_MEMO, RenderedLists, collect_column_stats
 from repro.errors import DiscoveryError
 from repro.obs.metrics import get_registry
 from repro.obs.trace import Tracer, maybe_span
@@ -416,12 +416,21 @@ def discover_inds(
 
     with maybe_span(tracer, "profile") as profile_span, Stopwatch() as clock:
         tables = sum(1 for _ in db.non_empty_tables())
+        rendered = None
         if cfg.reuse_spool or cfg.incremental:
             # Runs that keep state across calls also keep profiles: only
             # tables that are new or grew since an earlier call re-profile.
             column_stats, profiled = PROFILE_MEMO.collect(db)
         else:
-            column_stats, profiled = collect_column_stats(db), tables
+            # A cold run takes no fingerprint, so it skips the fields only
+            # a fingerprint reads.  When it exports in process, it keeps
+            # the sorted lists the profile builds, and export writes them.
+            if cfg.strategy in EXTERNAL_STRATEGIES and not cfg.overlap:
+                rendered = RenderedLists(cfg.max_items_in_memory)
+            column_stats = collect_column_stats(
+                db, fingerprint=False, rendered=rendered
+            )
+            profiled = tables
         if profile_span is not None:
             profile_span.attrs["tables_profiled"] = profiled
             profile_span.attrs["tables_reused"] = tables - profiled
@@ -481,6 +490,8 @@ def discover_inds(
         # complete as a full run's — a later exact hit must find every
         # attribute it needs.
         needed = ids.attributes(surviving if cfg.reuse_spool else pairs)
+        if rendered is not None:
+            rendered.retain(needed)
         if pool is None and cfg.overlap:
             # One per-call fleet for the graph and any validation after it.
             from repro.parallel.pool import WorkerPool
@@ -545,6 +556,7 @@ def discover_inds(
                         attributes=needed,
                         max_items_in_memory=cfg.max_items_in_memory,
                         workers=cfg.export_workers,
+                        rendered=rendered,
                     )
                 spool = run_spool.publish(tracer)
                 if export_span is not None:

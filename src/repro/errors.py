@@ -53,6 +53,14 @@ class SpoolError(ReproError):
     """A sorted value file is missing, truncated, or corrupt."""
 
 
+class FingerprintError(ReproError):
+    """Column statistics lack the fields a fingerprint hashes.
+
+    A cold run profiles without the length bounds and the value checksum;
+    fingerprinting such statistics would hash a placeholder.
+    """
+
+
 class ValidatorError(ReproError):
     """An IND validator was driven with inconsistent inputs."""
 

@@ -78,16 +78,20 @@ def render_value(value: Any) -> str:
 def render_distinct(values: list[Any]) -> set[str]:
     """The set of rendered strings of a bag of non-NULL values.
 
-    The column-at-a-time kernel behind profiling and export.  Columns of
-    plain ``str``, ``int`` or ``float`` values (the overwhelming majority)
-    are deduplicated *raw* first, then only the distinct values are
-    rendered: equal raw values render equally, so the result is the same
-    set :func:`render_value` would give value by value.  Any other mix of
-    types — ``bool``, ``bytes``, subclasses, unrenderable objects — takes
-    the per-value :func:`render_value` path, which is the reference
-    semantics and raises the same :class:`SpoolError` on the same value.
+    The unsorted form of :func:`render_distinct_sorted`, which calls it
+    for every column that is not all ``str`` or all ``int``.  Columns of
+    plain ``str``, ``int`` or ``float`` values are deduplicated *raw*
+    first, then only the distinct values are rendered: equal raw values
+    render equally, so the result is the same set :func:`render_value`
+    would give value by value.  Any other mix of types — ``bool``,
+    ``bytes``, subclasses, unrenderable objects — takes the per-value
+    :func:`render_value` path, which is the reference semantics and raises
+    the same :class:`SpoolError` on the same value.
     """
-    kinds = set(map(type, values))
+    return _render_distinct(values, set(map(type, values)))
+
+
+def _render_distinct(values: list[Any], kinds: set[type]) -> set[str]:
     if kinds <= {str}:
         return set(values)
     if kinds == {int}:
@@ -210,10 +214,29 @@ def decompress_payload(payload: bytes, path: str, ordinal: int) -> bytes:
         ) from exc
 
 
-def render_distinct_sorted(values: list[Any]) -> list[str]:
+def render_distinct_sorted(
+    values: list[Any], kinds: set[type] | None = None
+) -> list[str]:
     """Render a bag of non-NULL values into the sorted set ``s(a)``.
+
+    The one kernel that renders and sorts a column: profiling builds each
+    column's list with it, and export writes that list (or, for a column
+    profiling did not hand over, calls it again).  It specialises by
+    type.  An all-``str`` column sorts its raw set.  An all-``int`` column
+    sorts ``map(str, set(values))``: ``str`` is injective on ``int``, so
+    the rendered strings are already distinct and need no second set.
+    Every other mix sorts :func:`render_distinct`'s set.  The result is
+    ``sorted(render_distinct(values))`` on any input, errors included.
+    ``kinds``, the set of ``type(value)`` over ``values``, spares the
+    type pass when the caller already made it.
 
     This is the in-memory path; :mod:`repro.storage.external_sort` provides
     the bounded-memory path for sets that do not fit.
     """
-    return sorted(render_distinct(values))
+    if kinds is None:
+        kinds = set(map(type, values))
+    if kinds <= {str}:
+        return sorted(set(values))
+    if kinds == {int}:
+        return sorted(map(str, set(values)))
+    return sorted(_render_distinct(values, kinds))

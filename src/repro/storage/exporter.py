@@ -5,14 +5,19 @@ database the sorted sets of distinct values of each attribute using SQL" —
 sorting and duplicate elimination happen once per attribute here, and the
 validators then only ever scan sorted files.
 
-Two extraction paths exist:
+Each attribute's sorted list comes from one of three places:
 
+* the list the profile already built.  A cold run profiles with a
+  :class:`~repro.db.stats.RenderedLists` and passes it to
+  :func:`export_into` as ``rendered``, which writes each kept list as it
+  is, so the run renders and sorts each column once;
 * the default in-process path (render → sort → spool file, see
-  :func:`_sorted_distinct`), and
+  :func:`_sorted_distinct`), for every attribute without a kept list;
 * an optional SQL path that issues
   ``SELECT DISTINCT TO_CHAR(col) FROM t WHERE col IS NOT NULL ORDER BY 1``
-  through :mod:`repro.sql`, for parity with the paper's setup.  Both paths
-  produce identical spool files; tests assert this.
+  through :mod:`repro.sql`, for parity with the paper's setup.
+
+All three produce identical spool files; tests assert this.
 
 Export is embarrassingly parallel — every attribute's render → sort → write
 chain is independent — so ``workers=N`` fans the attributes out over
@@ -215,6 +220,7 @@ def export_into(
     include_empty: bool = False,
     use_sql_engine: bool = False,
     workers: int = 1,
+    rendered: dict[AttributeRef, tuple[int, list[str]]] | None = None,
 ) -> ExportStats:
     """Spool attributes of ``db`` into an *existing* directory.
 
@@ -226,6 +232,13 @@ def export_into(
     their files are byte-exact by construction, and a rewrite would race
     readers for nothing.  Statistics cover only what *this* call scanned
     and wrote, which is exactly what delta accounting wants to report.
+
+    ``rendered`` maps attributes to ``(scanned, values)``: a non-NULL
+    count and the sorted rendered list the profile built (a
+    :class:`~repro.db.stats.RenderedLists`).  Such an attribute is written
+    from its list, which is popped as it is written, instead of being
+    rendered and sorted again.  The files and statistics are the same
+    either way.
     """
     if workers < 1:
         raise SpoolError(f"workers must be >= 1, got {workers!r}")
@@ -245,7 +258,10 @@ def export_into(
 
     if workers == 1 or len(jobs) <= 1:
         outcomes = [
-            _export_one(db, spool, ref, dtype, max_items_in_memory, use_sql_engine)
+            _export_one(
+                db, spool, ref, dtype, max_items_in_memory, use_sql_engine,
+                rendered,
+            )
             for ref, dtype in jobs
         ]
     else:
@@ -257,6 +273,7 @@ def export_into(
                 pool.submit(
                     _export_one,
                     db, spool, ref, dtype, max_items_in_memory, use_sql_engine,
+                    rendered,
                 )
                 for ref, dtype in jobs
             ]
@@ -282,12 +299,16 @@ def _export_one(
     dtype: str,
     max_items_in_memory: int,
     use_sql_engine: bool,
+    rendered: dict[AttributeRef, tuple[int, list[str]]] | None,
 ) -> tuple[AttributeRef, SortedValueFile, int]:
     """Extract, sort and spool a single attribute (thread-pool work unit)."""
-    if use_sql_engine:
-        rendered = _extract_via_sql(db, ref)
-        scanned = len(rendered)
-        sorted_values = iter(rendered)
+    kept = None if rendered is None else rendered.pop(ref, None)
+    if kept is not None:
+        scanned, sorted_values = kept
+    elif use_sql_engine:
+        rendered_values = _extract_via_sql(db, ref)
+        scanned = len(rendered_values)
+        sorted_values = iter(rendered_values)
     else:
         values = db.attribute_values(ref)
         scanned = len(values)

@@ -60,11 +60,12 @@ import os
 import shutil
 import tempfile
 import time
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.errors import SpoolError
+from repro.errors import FingerprintError, SpoolError
 from repro.obs.metrics import get_registry
 from repro.storage.blockio import DEFAULT_BLOCK_SIZE
 from repro.storage.codec import COMPRESSION_NONE
@@ -132,7 +133,15 @@ def _content_entry(st: ColumnStats) -> dict:
     per-attribute fingerprint a pure content signal: renaming a column or
     holding the same values in a differently named column leaves it
     untouched, while any multiset change moves at least one field.
+    Statistics profiled without the fingerprint-only fields (a cold run's,
+    see :func:`~repro.db.stats.profile_column`) raise
+    :class:`~repro.errors.FingerprintError` naming the attribute.
     """
+    if st.value_checksum is None:
+        raise FingerprintError(
+            f"statistics of {st.ref} were profiled without the "
+            "fingerprint fields (length bounds, value checksum)"
+        )
     return {
         "dtype": st.dtype.value,
         "rows": st.row_count,
@@ -153,15 +162,29 @@ def _canonical_digest(payload) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+#: Each statistics object's :func:`attribute_fingerprint`, weakly keyed.
+#: The profile memo serves the same frozen objects to every call until
+#: their table changes, so a delta round digests only re-profiled columns.
+#: Keys compare by value, and the digest is a pure function of the
+#: fields, so an equal object may share an entry.
+_DIGESTS: weakref.WeakKeyDictionary[ColumnStats, str] = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def attribute_fingerprint(st: ColumnStats) -> str:
     """SHA-256 hex digest of one column's value-set profile.
 
     A content-only fingerprint (see :func:`_content_entry`): equal across
     renames and row reorderings, different whenever the column's multiset
     of values changed — up to a checksum collision, the same caveat the
-    whole-catalog fingerprint has always carried.
+    whole-catalog fingerprint has always carried.  Computed once per
+    statistics object and then served from ``_DIGESTS``.
     """
-    return _canonical_digest(_content_entry(st))
+    digest = _DIGESTS.get(st)
+    if digest is None:
+        digest = _DIGESTS[st] = _canonical_digest(_content_entry(st))
+    return digest
 
 
 def attribute_fingerprints(

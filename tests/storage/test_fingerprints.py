@@ -11,6 +11,10 @@ properties get pinned directly:
   from the *same* per-attribute entries plus identity, and stays
   byte-identical to the pre-per-column implementation (vendored below), so
   every existing cache entry keeps hitting.
+
+Each statistics object is digested once: the unmemoised per-attribute
+formula is vendored below too, and a second map over profile-memo-served
+statistics must not digest again.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ from seeded_dbs import build_random_db
 
 from repro.db import Column, Database, DataType, TableSchema
 from repro.db.schema import AttributeRef
-from repro.db.stats import collect_column_stats
+import repro.storage.spool_cache as spool_cache
+from repro.db.stats import ProfileMemo, collect_column_stats
 from repro.storage.spool_cache import (
     attribute_fingerprint,
     attribute_fingerprints,
@@ -183,3 +188,76 @@ class TestDerivedCatalogHash:
         assert catalog_fingerprint("d", renamed_stats) != base_hash
         # Database name is catalog identity as well.
         assert catalog_fingerprint("e", base_stats) != base_hash
+
+
+def _unmemoised_attribute_fingerprint(st):
+    """The per-attribute digest as computed before the memo, vendored."""
+    payload = {
+        "dtype": st.dtype.value,
+        "rows": st.row_count,
+        "nulls": st.null_count,
+        "distinct": st.distinct_count,
+        "min": st.min_value,
+        "max": st.max_value,
+        "min_length": st.min_length,
+        "max_length": st.max_length,
+        "checksum": st.value_checksum,
+    }
+    canonical = json.dumps(
+        payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False
+    )
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+class TestDigestMemo:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_digests_equal_the_unmemoised_formula(self, seed):
+        stats = collect_column_stats(build_random_db(seed))
+        expected = {
+            ref: _unmemoised_attribute_fingerprint(st)
+            for ref, st in stats.items()
+        }
+        # The first map digests, the second is served from the memo.
+        assert attribute_fingerprints(stats) == expected
+        assert attribute_fingerprints(stats) == expected
+
+    def test_memo_served_stats_are_not_digested_again(self, monkeypatch):
+        # Table names no other test uses, so no equal statistics object
+        # elsewhere in the process can have filled the memo.
+        db = Database("memo_probe")
+        edited = db.create_table(
+            TableSchema(
+                "memo_probe_a",
+                [Column("k", DataType.INTEGER), Column("v", DataType.VARCHAR)],
+            )
+        )
+        still = db.create_table(
+            TableSchema("memo_probe_b", [Column("w", DataType.VARCHAR)])
+        )
+        for i in range(5):
+            edited.insert({"k": i, "v": f"v{i}"})
+            still.insert({"w": f"w{i}"})
+        digests = []
+        real = spool_cache._canonical_digest
+
+        def spy(payload):
+            digests.append(payload)
+            return real(payload)
+
+        monkeypatch.setattr(spool_cache, "_canonical_digest", spy)
+        memo = ProfileMemo()
+        first, _ = memo.collect(db)
+        before = attribute_fingerprints(first)
+        assert len(digests) == 3
+        second, profiled = memo.collect(db)
+        assert profiled == 0
+        assert attribute_fingerprints(second) == before
+        assert len(digests) == 3  # memo-served stats: no new digest
+        edited.insert({"k": 9, "v": "v9"})
+        third, profiled = memo.collect(db)
+        assert profiled == 1
+        after = attribute_fingerprints(third)
+        assert len(digests) == 5  # only the edited table's two columns
+        ref = AttributeRef("memo_probe_b", "w")
+        assert after[ref] == before[ref]
+        assert after != before
