@@ -24,7 +24,6 @@ from repro._util import Stopwatch
 from repro.bench.harness import (
     RESULT_HEADERS,
     phase_totals,
-    run_adaptive_comparison,
     run_parallel_curve,
     run_pool_repeat_curve,
     run_strategy,
@@ -396,151 +395,6 @@ def test_table2_pool_repeated_runs(workloads, report):
             f"per-call pool ({seconds(totals['cold'])}) over {runs} repeated "
             "runs on a 4+ core machine"
         )
-
-
-def test_table2_adaptive_engine(workloads, report):
-    """Adaptive router acceptance: never pay a pool tax you can't recoup.
-
-    Two workloads — SCOP (the small leg, where always-pooled famously ran
-    at 0.25x) and BioSQL (the service leg) — each timed under four
-    interleaved engines: sequential brute force, sequential merge,
-    always-pooled brute force, and the adaptive router.  Emits
-    ``BENCH_adaptive.json`` with per-run timings, median summaries, and
-    the router's per-run ``engine_choice``.
-
-    Asserted unconditionally on every box:
-
-    * answers — every leg's satisfied set is identical, and the adaptive
-      runs' ``items_read`` equals the sequential run of whichever
-      strategy the router picked (the byte-exactness contract);
-    * the small leg — adaptive strictly beats always-pooled (worker
-      startup dominates a millisecond workload everywhere, 1 core or 64).
-
-    The within-5%-of-best-fixed timing claim needs a machine where pooling
-    is a sensible configuration at all, so it asserts only on 4+ cores —
-    but it is *reported* everywhere: the printed leg table says exactly
-    which claims were asserted and which were measured-only, so a green
-    1-core run is honest about what it proved.
-    """
-    runs, workers = 3, 4
-    median = lambda xs: sorted(xs)[len(xs) // 2]  # noqa: E731 - tiny helper
-    many_cores = (os.cpu_count() or 1) >= 4
-    doc: dict = {"runs": runs, "workers": workers, "cpu_count": os.cpu_count()}
-    doc_workloads: dict = {}
-    claims: list[dict] = []
-
-    def claim(name: str, asserted: bool, detail: str) -> None:
-        claims.append({"name": name, "asserted": asserted, "detail": detail})
-
-    for dataset_name, dataset in (
-        ("SCOP", workloads.scop()),
-        ("UniProt(BioSQL)", workloads.biosql()),
-    ):
-        curves = run_adaptive_comparison(
-            dataset_name, dataset.db, workers=workers, runs=runs
-        )
-        reference = {str(i) for i in curves["sequential"][0].result.satisfied}
-        for mode, outcomes in curves.items():
-            for outcome in outcomes:
-                assert {
-                    str(i) for i in outcome.result.satisfied
-                } == reference, f"{mode} diverges on {dataset_name}"
-        claim(f"{dataset_name}: identical satisfied sets on all legs", True,
-              f"{len(reference)} INDs on every leg and run")
-        # Byte-exactness: each adaptive run must replay the sequential
-        # items_read of whichever strategy the router picked.
-        fixed_items = {
-            "brute-force": curves["sequential"][0].items_read,
-            "merge-single-pass": curves["sequential-merge"][0].items_read,
-        }
-        choices = []
-        for outcome in curves["adaptive"]:
-            choice = outcome.result.engine_choice
-            choices.append(choice)
-            expected_items = fixed_items[choice["strategy"]]
-            assert outcome.items_read == expected_items, (
-                f"{choice['engine']} drifted on items_read"
-            )
-        claim(f"{dataset_name}: adaptive items_read matches chosen engine",
-              True, ",".join(c["engine"] for c in choices))
-        medians = {
-            mode: median([o.validate_seconds for o in outcomes])
-            for mode, outcomes in curves.items()
-        }
-        best_fixed = min(
-            medians["sequential"], medians["sequential-merge"],
-            medians["pooled"],
-        )
-        within = medians["adaptive"] <= best_fixed * 1.05 + 0.005
-        if many_cores:
-            assert within, (
-                f"adaptive ({medians['adaptive']:.4f}s) not within 5% of the "
-                f"best fixed engine ({best_fixed:.4f}s) on {dataset_name}"
-            )
-        claim(
-            f"{dataset_name}: adaptive within 5% of best fixed engine",
-            many_cores,
-            f"adaptive {medians['adaptive']:.4f}s vs best {best_fixed:.4f}s"
-            + ("" if within else " (MISSED - measured only)"),
-        )
-        doc_workloads[dataset_name] = {
-            "validate_seconds": {
-                mode: [round(o.validate_seconds, 6) for o in outcomes]
-                for mode, outcomes in curves.items()
-            },
-            "median_seconds": {
-                mode: round(value, 6) for mode, value in medians.items()
-            },
-            "phases": {
-                mode: phase_totals(outcomes)
-                for mode, outcomes in curves.items()
-            },
-            "engine_choices": choices,
-            "satisfied": len(reference),
-        }
-    # The headline bugfix: on the small leg the router must strictly beat
-    # the always-pooled configuration — worker startup dwarfs the work.
-    small = doc_workloads["SCOP"]["median_seconds"]
-    assert small["adaptive"] < small["pooled"], (
-        f"adaptive ({small['adaptive']}s) must beat always-pooled "
-        f"({small['pooled']}s) on the small workload"
-    )
-    claim("SCOP: adaptive strictly beats always-pooled", True,
-          f"{small['adaptive']}s vs {small['pooled']}s")
-    doc["workloads"] = doc_workloads
-    doc["claims"] = claims
-    with open("BENCH_adaptive.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-    leg_lines = [
-        f"  [{'asserted' if c['asserted'] else 'measured'}] "
-        f"{c['name']} — {c['detail']}"
-        for c in claims
-    ]
-    # Printed (not just collected) so a bare `pytest -s` run and the CI
-    # log both show which claims a 1-core box proved vs only measured.
-    print("\nadaptive bench claims:")
-    for line in leg_lines:
-        print(line)
-    report(
-        paper_vs_measured(
-            f"Adaptive engine routing / {runs} runs x {workers} workers",
-            [
-                (
-                    f"{name} median validate",
-                    "adaptive <= best fixed",
-                    " / ".join(
-                        f"{mode}={values['median_seconds'][mode]}s"
-                        for mode in (
-                            "sequential", "sequential-merge", "pooled",
-                            "adaptive",
-                        )
-                    ),
-                )
-                for name, values in doc_workloads.items()
-            ],
-            note="\n".join(leg_lines),
-        )
-    )
 
 
 def test_table2_storage_v3(report):

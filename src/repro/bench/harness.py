@@ -1,21 +1,10 @@
-"""Strategy runners shared by the benchmark files.
-
-Besides the paper-table runners this module hosts the two adaptive-engine
-helpers: :func:`run_calibration` (the ``repro-ind calibrate`` micro-bench
-that measures this machine's per-item and pool-overhead constants) and
-:func:`run_adaptive_comparison` (one workload timed under every fixed
-engine plus the adaptive router, the shape ``BENCH_adaptive.json``
-records).
-"""
+"""Strategy runners shared by the benchmark files."""
 
 from __future__ import annotations
 
-import random
-import tempfile
-import time
 from dataclasses import dataclass
 
-from repro.core.candidates import Candidate, PretestConfig
+from repro.core.candidates import PretestConfig
 from repro.core.results import DiscoveryResult
 from repro.core.runner import DiscoveryConfig, DiscoverySession, discover_inds
 from repro.db.database import Database
@@ -60,7 +49,7 @@ class StrategyOutcome:
         """Per-phase wall clock, finer than :class:`PhaseTimings`.
 
         Traced runs (the harness default) decompose into the span tree's
-        top-level phases — setup, cache lookup, export, pretest, routing,
+        top-level phases — setup, cache lookup, export, pretest,
         validate; untraced runs fall back to the coarse four-phase timings
         so the key is always present in ``BENCH_*.json`` legs.
         """
@@ -227,143 +216,3 @@ def run_pool_repeat_curve(
             )
         stats = session.pool_stats
     return curves, (stats.as_dict() if stats is not None else {})
-
-
-def run_calibration(rows: int = 20000, workers: int = 2) -> "CalibrationProfile":
-    """Measure this machine's adaptive-model constants on a synthetic spool.
-
-    Builds a throwaway binary spool of four attributes — a seeded chain of
-    foreign keys, the first holding ``rows`` values — then times the same
-    accounting units the cost model multiplies:
-
-    * ``seq_item_seconds`` — one in-process brute-force validation over
-      all ordered attribute pairs, divided by the planner's summed
-      ``candidate_cost`` (the model's brute-force work unit);
-    * ``merge_item_seconds`` — one in-process heap merge over the same
-      candidates, divided by summed attribute counts + candidate count;
-    * ``task_overhead_seconds`` — a *warm* pooled run minus the predicted
-      compute makespan, divided by the tasks dispatched;
-    * ``pool_startup_seconds`` — cold pooled run minus warm pooled run,
-      divided by the worker count.
-
-    Overheads are floored at small positive values so a noisy fast box
-    never produces a zero (which would make the model blind to the pool
-    tax this whole exercise exists to price).  The caller persists the
-    returned profile via
-    :meth:`~repro.parallel.planner.CalibrationProfile.save`.
-    """
-    from repro.core.brute_force import BruteForceValidator
-    from repro.core.merge_single_pass import MergeSinglePassValidator
-    from repro.db.schema import AttributeRef
-    from repro.parallel.engine import ProcessPoolValidationEngine
-    from repro.parallel.planner import CalibrationProfile, ShardPlanner
-    from repro.parallel.pool import WorkerPool
-    from repro.storage.sorted_sets import SpoolDirectory
-
-    if rows < 100:
-        raise ValueError(f"rows must be >= 100, got {rows}")
-    with tempfile.TemporaryDirectory(prefix="repro-calibrate-") as tmp:
-        spool = SpoolDirectory.create(f"{tmp}/spool", format="binary")
-        names = ("a", "b", "c", "d")
-        # A chain of foreign keys over one common range: each attribute
-        # keeps a seeded three quarters of the one before.  Every downward
-        # pair holds, so the merge walks every file whole and brute force
-        # walks both files of half the pairs — the steady-state cost the
-        # model predicts, not early exits.  The set of attributes holding a
-        # value changes from value to value, as for OpenMMS foreign keys; a
-        # long run held by every attribute would let the merge skip it and
-        # price merge far below any real input.
-        rng = random.Random(0)
-        kept = list(range(rows))
-        for name in names:
-            ref = AttributeRef("calib", name)
-            spool.add_values(ref, [f"v{i:09d}" for i in kept])
-            kept = sorted(rng.sample(kept, len(kept) * 3 // 4))
-        spool.save_index()
-        refs = [AttributeRef("calib", name) for name in names]
-        candidates = [
-            Candidate(d, r) for d in refs for r in refs if d != r
-        ]
-        planner = ShardPlanner(spool)
-        bf_work = sum(planner.candidate_cost(c) for c in candidates)
-        merge_work = sum(spool.get(ref).count for ref in refs) + len(candidates)
-
-        started = time.perf_counter()
-        BruteForceValidator(spool).validate(candidates)
-        seq_item = (time.perf_counter() - started) / bf_work
-
-        started = time.perf_counter()
-        MergeSinglePassValidator(spool).validate(candidates)
-        merge_item = (time.perf_counter() - started) / merge_work
-
-        with WorkerPool(workers) as pool:
-            engine = ProcessPoolValidationEngine(
-                spool, workers=workers, pool=pool
-            )
-            started = time.perf_counter()
-            engine.validate(candidates)  # cold: pays worker startup
-            cold_seconds = time.perf_counter() - started
-            tasks_cold = pool.stats.tasks_completed
-            started = time.perf_counter()
-            engine.validate(candidates)  # warm: pure dispatch + compute
-            warm_seconds = time.perf_counter() - started
-            tasks_warm = pool.stats.tasks_completed - tasks_cold
-        compute = bf_work * seq_item / max(1, workers)
-        task_overhead = max(
-            2e-4, (warm_seconds - compute) / max(1, tasks_warm)
-        )
-        pool_startup = max(
-            5e-3, (cold_seconds - warm_seconds) / max(1, workers)
-        )
-    return CalibrationProfile(
-        seq_item_seconds=seq_item,
-        merge_item_seconds=merge_item,
-        pool_startup_seconds=pool_startup,
-        task_overhead_seconds=task_overhead,
-        source="calibrated",
-    )
-
-
-def run_adaptive_comparison(
-    dataset_name: str,
-    db: Database,
-    workers: int = 4,
-    runs: int = 3,
-    **config_kwargs,
-) -> dict[str, list[StrategyOutcome]]:
-    """Time one workload under every fixed engine and the adaptive router.
-
-    Four interleaved legs, one :class:`StrategyOutcome` per run each:
-    ``sequential`` (best fixed sequential baseline: brute-force, 1 worker),
-    ``sequential-merge`` (merge, 1 worker), ``pooled`` (brute-force with
-    ``workers`` per-call cold pool — the "always pooled" configuration the
-    adaptive engine must beat on small workloads), and ``adaptive``
-    (``strategy="adaptive"`` with the same worker budget, free to route).
-    Legs are interleaved round-robin so machine-load noise hits all alike;
-    ``BENCH_adaptive.json`` summarises the medians.
-    """
-    config_kwargs.setdefault("trace", True)
-
-    def config(strategy: str, n: int) -> DiscoveryConfig:
-        return DiscoveryConfig(
-            strategy=strategy,
-            pretests=PretestConfig(cardinality=True, max_value=False),
-            validation_workers=n,
-            **config_kwargs,
-        )
-
-    legs = {
-        "sequential": config("brute-force", 1),
-        "sequential-merge": config("merge-single-pass", 1),
-        "pooled": config("brute-force", workers),
-        "adaptive": config("adaptive", workers),
-    }
-    curves: dict[str, list[StrategyOutcome]] = {name: [] for name in legs}
-    for _ in range(runs):
-        for name, cfg in legs.items():
-            curves[name].append(
-                StrategyOutcome(
-                    dataset_name, cfg.strategy, discover_inds(db, cfg)
-                )
-            )
-    return curves

@@ -16,9 +16,6 @@ Subcommands:
 * ``cache``    — list or evict entries of the content-addressed spool cache;
 * ``spool``    — inspect an on-disk spool directory: format version,
   compression ratio, per-attribute block counts and value coverage;
-* ``calibrate`` — micro-bench this machine's per-item validation costs and
-  pool overheads, persisting the profile next to the spool cache for the
-  adaptive engine router;
 * ``accession`` — list accession-number candidates (strict or softened);
 * ``pipeline`` — run the Aladin-style pipeline over one or more CSV dumps;
 * ``trace``    — dump the span tree of a ``discover --trace --json`` result
@@ -106,10 +103,11 @@ def _add_validation_flags(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=1,
         metavar="N",
-        help="validate in N worker processes; applies only to the "
+        help="validate in up to N worker processes; applies only to the "
         "brute-force and merge-single-pass strategies, and 1 (the default) "
         "runs the plain sequential validator with no processes spawned. "
-        "Decisions are identical at every N",
+        "Above 1, a merge whose candidates form one connected group still "
+        "runs in this process. Decisions are identical at every N",
     )
     parser.add_argument(
         "--sampling-size",
@@ -127,7 +125,7 @@ def _add_validation_flags(parser: argparse.ArgumentParser) -> None:
         "them as one dependency-scheduled task graph and drain it on a "
         "single worker fleet, releasing each pretest task the moment its "
         "spool files land, then validate the survivors on the same fleet; "
-        "requires the brute-force, merge-single-pass or adaptive "
+        "requires the brute-force or merge-single-pass "
         "strategy; results are identical to the in-process pipeline "
         "(default: off)",
     )
@@ -138,7 +136,7 @@ def _add_validation_flags(parser: argparse.ArgumentParser) -> None:
         "brute-force seeks past blocks below the sought value, and the "
         "merge engine seeks purely-referenced attributes to the dependent "
         "frontier; needs --spool-format binary (a no-op on text spools) "
-        "and the brute-force, merge-single-pass or adaptive strategies "
+        "and the brute-force or merge-single-pass strategy "
         "(default: off, matching the paper's Figure 5 I/O accounting)",
     )
     parser.add_argument(
@@ -295,9 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="S",
         help="after each request, drain pool workers that have been idle "
-        "for at least S seconds — a stretch of sequential-routed adaptive "
-        "requests then releases the warm fleet instead of pinning it; the "
-        "next pooled request respawns workers at the cold price "
+        "for at least S seconds — a stretch of requests that validate in "
+        "process (one-group merges) then releases the warm fleet instead "
+        "of pinning it; the next pooled request respawns workers at the "
+        "cold price "
         "(default: never reap)",
     )
     _add_validation_flags(serve)
@@ -398,9 +397,11 @@ def build_parser() -> argparse.ArgumentParser:
         "inspect",
         help="describe one spool directory: format version, compression, "
         "per-attribute block counts and value coverage",
-        description="Open PATH (a directory with an index.json, e.g. one "
-        "kept via --spool-dir/--keep-spool or a cache entry printed by "
-        "'cache list') without touching any value payloads, and print its "
+        description="Open PATH (a directory with an index.json: a "
+        "spool-cache entry that 'discover --reuse-spool' published, listed "
+        "by 'cache list' under the cache root, or a directory kept through "
+        "the library with DiscoveryConfig(spool_dir=..., keep_spool=True)) "
+        "without touching any value payloads, and print its "
         "frame version (v1 text, v2 binary, v3 compressed binary), block "
         "size, per-attribute value/block counts with min..max coverage, "
         "and — for compressed spools — the raw vs stored payload bytes "
@@ -408,39 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     spool_inspect.add_argument(
         "path", help="spool directory (contains index.json)"
-    )
-
-    calib = sub.add_parser(
-        "calibrate",
-        help="micro-bench per-item costs and pool overheads for the "
-        "adaptive router",
-        description="Time a small synthetic workload on this machine — "
-        "sequential brute-force and merge per-item seconds, pool worker "
-        "startup, per-task dispatch overhead — and persist the profile as "
-        "calibration.json next to the spool cache, where "
-        "strategy='adaptive' picks it up on every later run.  Without a "
-        "profile the router falls back to conservative built-in defaults "
-        "that bias close calls toward sequential.",
-    )
-    calib.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="directory to persist calibration.json in "
-        f"(default: {DEFAULT_CACHE_DIR})",
-    )
-    calib.add_argument(
-        "--rows",
-        type=int,
-        default=20000,
-        metavar="N",
-        help="values per synthetic attribute in the micro-bench "
-        "(default: 20000; larger is slower but steadier)",
-    )
-    calib.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="measure and print the profile without persisting it",
     )
 
     acc = sub.add_parser("accession", help="list accession-number candidates")
@@ -533,8 +501,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_cache(args)
     if args.command == "spool":
         return _cmd_spool(args)
-    if args.command == "calibrate":
-        return _cmd_calibrate(args)
     if args.command == "accession":
         return _cmd_accession(args)
     if args.command == "pipeline":
@@ -603,14 +569,6 @@ def _cmd_discover(args: argparse.Namespace) -> int:
             )
         else:
             print(f"delta: full run ({result.delta.get('reason')})")
-    choice = result.engine_choice or {}
-    if choice.get("engine"):  # fixed-strategy runs carry the null choice
-        predicted = choice["predicted_seconds"].get(choice["engine"])
-        print(
-            f"adaptive: chose {choice['engine']} "
-            f"(predicted {predicted}s, actual {choice['actual_seconds']}s, "
-            f"calibration={choice['calibration']})"
-        )
     if result.trace is not None:
         phases = " ".join(
             f"{name}={seconds:.3f}s"
@@ -836,7 +794,6 @@ def _serve_one(session: DiscoverySession, request: dict) -> dict:
         "validation_workers": result.validation_workers,
         "bytes_read": result.validator_stats.bytes_read,
         "bytes_stored": result.validator_stats.bytes_stored,
-        "engine_choice": result.engine_choice,
         "pool": result.pool_stats,
         "delta": result.delta,
         "seconds": round(time.monotonic() - started, 6),
@@ -1048,29 +1005,6 @@ def _cmd_spool_inspect(args: argparse.Namespace) -> int:
             f"compression: {total_raw:,} raw -> {total_stored:,} stored "
             f"payload bytes ({ratio:.2f}x)"
         )
-    return 0
-
-
-def _cmd_calibrate(args: argparse.Namespace) -> int:
-    """``repro-ind calibrate`` — measure and persist a calibration profile."""
-    from repro.bench.harness import run_calibration
-    from repro.parallel.planner import calibration_path
-
-    if args.rows < 100:
-        raise ReproError(f"--rows must be >= 100, got {args.rows}")
-    cache_dir = args.cache_dir or DEFAULT_CACHE_DIR
-    print(f"calibrating on {args.rows} rows per attribute ...")
-    profile = run_calibration(rows=args.rows)
-    print(f"  seq_item_seconds     = {profile.seq_item_seconds:.3e}")
-    print(f"  merge_item_seconds   = {profile.merge_item_seconds:.3e}")
-    print(f"  pool_startup_seconds = {profile.pool_startup_seconds:.3e}")
-    print(f"  task_overhead_seconds = {profile.task_overhead_seconds:.3e}")
-    if args.dry_run:
-        print("dry run: profile not persisted")
-        return 0
-    path = calibration_path(cache_dir)
-    profile.save(path)
-    print(f"calibration written to {path}")
     return 0
 
 

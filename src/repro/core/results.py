@@ -56,12 +56,6 @@ class DiscoveryResult:
     export_values_written: int = 0
     spool_cache_hit: bool = False  # export skipped: cached spool reused
     validation_workers: int = 1
-    #: Adaptive router's verdict (engine name, predicted per-engine seconds,
-    #: calibration source, actual seconds).  Always a dict: fixed-strategy
-    #: runs report the null choice ``{"strategy": None, "engine": None,
-    #: "routing_seconds": 0.0}`` so consumers can index ``routing_seconds``
-    #: without guards.
-    engine_choice: dict | None = None
     #: Worker-pool counters (tasks run, requeues, warm spool-handle hits,
     #: tasks by kind) summed over every pipeline phase that ran on a pool —
     #: spool export, sampling pretest, validation — so ``tasks_by_kind``
@@ -161,7 +155,6 @@ class DiscoveryResult:
             "export_values_written": self.export_values_written,
             "spool_cache_hit": self.spool_cache_hit,
             "validation_workers": self.validation_workers,
-            "engine_choice": self.engine_choice,
             "pool": self.pool_stats,
             "overlap": self.overlap,
         }

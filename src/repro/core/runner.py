@@ -78,27 +78,13 @@ from repro.storage.spool_cache import (
 if TYPE_CHECKING:  # imported lazily at runtime; see _build_validator
     from repro.parallel.pool import PoolStats, WorkerPool
 
-#: The cost-model strategy: route each request to the predicted-cheapest
-#: of the brute-force and merge engines (sequential or pooled) instead of
-#: fixing one up front.
-ADAPTIVE_STRATEGY = "adaptive"
 EXTERNAL_STRATEGIES = frozenset(
-    {
-        "brute-force",
-        "single-pass",
-        "merge-single-pass",
-        "blockwise",
-        ADAPTIVE_STRATEGY,
-    }
+    {"brute-force", "single-pass", "merge-single-pass", "blockwise"}
 )
 SQL_STRATEGIES = frozenset({"sql-join", "sql-minus", "sql-notin"})
 SEQUENTIAL_STRATEGIES = frozenset({"brute-force", *SQL_STRATEGIES})
 #: Strategies with a multi-process validation engine (repro.parallel).
-PARALLEL_STRATEGIES = frozenset(
-    {"brute-force", "merge-single-pass", ADAPTIVE_STRATEGY}
-)
-#: Strategies the adaptive router may pin via ``DiscoveryConfig.adaptive``.
-ADAPTIVE_BASE_STRATEGIES = frozenset({"brute-force", "merge-single-pass"})
+PARALLEL_STRATEGIES = frozenset({"brute-force", "merge-single-pass"})
 ALL_STRATEGIES = frozenset({*EXTERNAL_STRATEGIES, *SQL_STRATEGIES, "reference"})
 
 #: Default root of the cross-run spool cache (``DiscoveryConfig.cache_dir``).
@@ -130,19 +116,17 @@ class DiscoveryConfig:
       Results are identical to the in-process pipeline;
       ``DiscoveryResult.overlap`` reports the graph shape and observed
       cross-phase concurrency.
-    * **Validation** — ``strategy`` (one of :data:`ALL_STRATEGIES`;
-      ``"adaptive"`` routes each run to the predicted-cheapest of the
-      brute-force and merge engines), ``adaptive`` (cost-model routing
-      restricted to the *configured* strategy's engines — sequential vs
-      pooled — valid only with the strategies in
-      :data:`ADAPTIVE_BASE_STRATEGIES`), ``validation_workers`` (worker
-      processes for the strategies in :data:`PARALLEL_STRATEGIES`;
-      1 = sequential), ``skip_scans`` (per-block skip-scans on v2/v3
-      spools: brute-force seeks past blocks below its probe, and the
-      merge engines seek purely referenced cursors past blocks below the
-      dependent frontier — decisions stay exact, ``items_read`` may
-      legitimately drop), ``max_open_files`` (blockwise strategy),
-      ``sql_null_safe`` (SQL strategies).
+    * **Validation** — ``strategy`` (one of :data:`ALL_STRATEGIES`),
+      ``validation_workers`` (the worker-process ceiling for the
+      strategies in :data:`PARALLEL_STRATEGIES`; 1 = sequential — each
+      parallel validator still runs in process where the pool cannot
+      help: a one-group merge plan, a single candidate), ``skip_scans``
+      (per-block skip-scans on v2/v3 spools: brute-force seeks past
+      blocks below its probe, and the merge engines seek purely
+      referenced cursors past blocks below the dependent frontier —
+      decisions stay exact, ``items_read`` may legitimately drop),
+      ``max_open_files`` (blockwise strategy), ``sql_null_safe`` (SQL
+      strategies).
     * **Caching** — ``reuse_spool`` (content-addressed spool cache keyed by
       the catalog fingerprint; the run also profiles through the
       process-wide :data:`~repro.db.stats.PROFILE_MEMO`, so only tables
@@ -190,7 +174,6 @@ class DiscoveryConfig:
     export_workers: int = 1  # thread-parallel attribute spooling
     overlap: bool = False  # dependency-scheduled graph, no phase barriers
     validation_workers: int = 1  # worker processes (brute-force / merge-s-p)
-    adaptive: bool = False  # cost-model routing pinned to this strategy
     skip_scans: bool = False  # per-block skip-scans (brute-force + merge)
     reuse_spool: bool = False  # content-addressed spool cache across runs
     cache_dir: str | None = None  # spool cache root (default: user cache dir)
@@ -212,17 +195,6 @@ class DiscoveryConfig:
             return self.spool_format == FORMAT_BINARY
         return bool(self.mmap_reads)
 
-    @property
-    def is_adaptive(self) -> bool:
-        """True when this run routes engines by predicted cost.
-
-        Either form counts: ``strategy="adaptive"`` (free choice across
-        the brute-force and merge engines) or ``adaptive=True`` on a
-        fixed strategy (sequential-vs-pooled choice for that strategy
-        only).
-        """
-        return self.strategy == ADAPTIVE_STRATEGY or self.adaptive
-
     def validated(self) -> "DiscoveryConfig":
         """Return ``self`` after rejecting inconsistent flag combinations."""
         if self.strategy not in ALL_STRATEGIES:
@@ -238,19 +210,6 @@ class DiscoveryConfig:
             raise DiscoveryError(
                 "transitivity pruning requires a sequential strategy "
                 f"({sorted(SEQUENTIAL_STRATEGIES)}), not {self.strategy!r}"
-            )
-        if self.adaptive and self.strategy not in (
-            ADAPTIVE_BASE_STRATEGIES | {ADAPTIVE_STRATEGY}
-        ):
-            raise DiscoveryError(
-                "adaptive routing covers the engines of "
-                f"{sorted(ADAPTIVE_BASE_STRATEGIES)}; pin one of those (or "
-                f"use strategy='adaptive'), not {self.strategy!r}"
-            )
-        if self.use_transitivity and self.is_adaptive:
-            raise DiscoveryError(
-                "transitivity pruning is order-dependent; adaptive routing "
-                "may pick a pooled engine, so the two cannot combine"
             )
         if self.sampling_size and self.strategy not in EXTERNAL_STRATEGIES:
             raise DiscoveryError(
@@ -319,12 +278,10 @@ class DiscoveryConfig:
         if self.skip_scans and self.strategy not in (
             "brute-force",
             "merge-single-pass",
-            ADAPTIVE_STRATEGY,
         ):
             raise DiscoveryError(
                 "skip-scans only apply to the brute-force and "
-                "merge-single-pass strategies (or adaptive routing across "
-                f"them), not {self.strategy!r}"
+                f"merge-single-pass strategies, not {self.strategy!r}"
             )
         if self.reuse_spool and self.strategy not in EXTERNAL_STRATEGIES:
             raise DiscoveryError(
@@ -477,7 +434,6 @@ def discover_inds(
     inferred_sat = 0
     inferred_unsat = 0
     graph_pool_stats: dict | None = None
-    engine_decision = None
     owned_pool = None
     # The setup span times the work between the candidate and export
     # phases — attribute planning plus (on pooled runs) the lazy import of
@@ -573,11 +529,6 @@ def discover_inds(
                     )
                     sampling_refuted = len(refuted_pairs)
             pretest_seconds = clock.elapsed
-        # Engine routing is planning work, not validation work: it runs
-        # outside the validate stopwatch so validate_seconds stays
-        # comparable across fixed and adaptive runs, and its own cost is
-        # surfaced as engine_choice["routing_seconds"].
-        routing_seconds = 0.0
         if cfg.incremental and not pairs:
             # The delta plan (or pretests) left nothing to validate:
             # synthesise the empty validation result instead of spinning an
@@ -594,21 +545,7 @@ def discover_inds(
                     db, cfg, spool, ids.candidates(pairs), column_stats
                 )
         else:
-            if cfg.is_adaptive:
-                with maybe_span(tracer, "routing") as route_span, (
-                    Stopwatch()
-                ) as clock:
-                    engine_decision, validator = _route_adaptive(
-                        cfg, spool, ids.candidates(pairs), pool
-                    )
-                    if route_span is not None:
-                        route_span.attrs["strategy"] = engine_decision.strategy
-                        route_span.attrs["workers"] = engine_decision.workers
-                routing_seconds = clock.elapsed
-            else:
-                validator = _build_validator(
-                    db, cfg, spool, column_stats, pool
-                )
+            validator = _build_validator(db, cfg, spool, column_stats, pool)
             with maybe_span(tracer, "validate") as validate_span, (
                 Stopwatch()
             ) as clock:
@@ -641,20 +578,6 @@ def discover_inds(
         # phase did not run on a *warm* (cross-call) pool.
         validation.stats.extra["pool_warm"] = 0.0
     pool_stats = _merged_pool_stats(graph_pool_stats, validation.pool)
-    # engine_choice is always a dict so downstream consumers can index
-    # "routing_seconds" without .get guards; a fixed-strategy run reports
-    # the null choice (no engine picked, zero routing cost) — deterministic
-    # values only, so agreement views stay byte-identical across runs.
-    if engine_decision is not None:
-        engine_choice = engine_decision.as_dict()
-        engine_choice["actual_seconds"] = round(timings.validate_seconds, 6)
-        engine_choice["routing_seconds"] = round(routing_seconds, 6)
-    else:
-        engine_choice = {
-            "strategy": None,
-            "engine": None,
-            "routing_seconds": 0.0,
-        }
 
     # A delta run's answer is the union of what it validated and what it
     # re-derived; sampling_refuted likewise folds the reused refutations
@@ -710,7 +633,6 @@ def discover_inds(
         export_values_written=export_written,
         spool_cache_hit=run_spool.hit,
         validation_workers=cfg.validation_workers,
-        engine_choice=engine_choice,
         pool_stats=pool_stats,
         trace=tracer.to_dict() if tracer is not None else None,
         overlap=overlap_run.overlap_doc if overlap_run is not None else None,
@@ -1052,69 +974,8 @@ def _merged_pool_stats(*parts: dict | None) -> dict | None:
     return merge_pool_stat_dicts(list(parts))
 
 
-def _route_adaptive(cfg, spool, candidates, pool):
-    """Pick and build the predicted-cheapest engine for this request.
-
-    The decision runs *outside* the validate stopwatch — routing is
-    planning work, and charging it to ``validate_seconds`` would make
-    adaptive runs look slower than the identical fixed-engine validation
-    they execute.  Its cost is reported separately as
-    ``engine_choice["routing_seconds"]``.  ``strategy="adaptive"`` lets the
-    model choose across the brute-force and merge engine families;
-    ``adaptive=True`` on a fixed strategy restricts it to that family's
-    sequential-vs-pooled choice.  Returns ``(decision, validator)``; the
-    decision is surfaced on the result so the routing is observable.
-    """
-    from repro.parallel.planner import choose_engine, load_calibration
-
-    calibration = load_calibration(cfg.cache_dir or DEFAULT_CACHE_DIR)
-    strategies = (
-        tuple(sorted(ADAPTIVE_BASE_STRATEGIES))
-        if cfg.strategy == ADAPTIVE_STRATEGY
-        else (cfg.strategy,)
-    )
-    decision = choose_engine(
-        spool,
-        candidates,
-        strategies=strategies,
-        workers=cfg.validation_workers,
-        calibration=calibration,
-        warm_pool=pool is not None and pool.alive_workers > 0,
-        skip_scan=cfg.skip_scans,
-    )
-    if decision.strategy == "brute-force":
-        if decision.workers == 1:
-            return decision, BruteForceValidator(
-                spool, skip_scan=cfg.skip_scans
-            )
-        from repro.parallel.engine import ProcessPoolValidationEngine
-
-        return decision, ProcessPoolValidationEngine(
-            spool,
-            workers=decision.workers,
-            skip_scan=cfg.skip_scans,
-            pool=pool,
-        )
-    if decision.workers == 1:
-        return decision, MergeSinglePassValidator(
-            spool, skip_scan=cfg.skip_scans
-        )
-    from repro.parallel.merge import PartitionedMergeValidator
-
-    return decision, PartitionedMergeValidator(
-        spool,
-        workers=decision.workers,
-        pool=pool,
-        skip_scan=cfg.skip_scans,
-    )
-
-
 def _build_validator(db, cfg, spool, column_stats, pool=None):
     """Instantiate the validator ``cfg.strategy`` selects (internal)."""
-    if cfg.strategy == ADAPTIVE_STRATEGY:
-        raise DiscoveryError(
-            "adaptive strategy must be routed through the cost model"
-        )
     if cfg.strategy == "brute-force":
         if cfg.validation_workers > 1:
             # Imported lazily: repro.parallel builds on repro.core and must
@@ -1256,11 +1117,12 @@ class DiscoverySession:
 
         ``idle_reap_seconds`` arms idle-worker reaping: after each run,
         a pool that has had no job for at least that many seconds is
-        drained (:meth:`~repro.parallel.pool.WorkerPool.reap_idle`) —
-        the shape an *adaptive* session needs, where a stretch of
-        sequential-routed requests would otherwise keep a warm fleet
-        pinned doing nothing.  The pool itself stays open; the next
-        pooled request respawns workers at the usual cold price.
+        drained (:meth:`~repro.parallel.pool.WorkerPool.reap_idle`).  A
+        session whose runs stop reaching the pool — one-group merges run
+        in process — would otherwise keep a fleet that an earlier
+        multi-group or brute-force job spawned pinned doing nothing.  The
+        pool itself stays open; the next pooled request respawns workers
+        at the usual cold price.
         ``None`` (the default) never reaps.
         """
         self.config = (config or DiscoveryConfig()).validated()
@@ -1328,7 +1190,7 @@ class DiscoverySession:
         finally:
             # A run that used the pool just stamped its activity, so this
             # only fires after a stretch of runs that left the fleet idle
-            # (e.g. adaptive routing kept choosing sequential engines).
+            # (e.g. one-group merges that ran in process).
             if self.idle_reap_seconds is not None and self._pool is not None:
                 self._pool.reap_idle(self.idle_reap_seconds)
 

@@ -19,10 +19,7 @@ different axes, both dispatched through one shared task substrate:
 ``planner``          :class:`ShardPlanner` — cost-balanced partitions of
                      the candidate set, sized by spool value counts: small
                      work-stealing chunks, or merge groups cut along
-                     candidate-graph components.  Also hosts the adaptive
-                     cost model: :func:`choose_engine` predicts sequential
-                     vs pooled cost per request from the same stats, tuned
-                     by a persisted :class:`CalibrationProfile`.
+                     candidate-graph components.
 ``pool``             :class:`WorkerPool` — persistent worker processes,
                      each fed one task at a time over its own pipe by
                      the parent; survives across
@@ -57,14 +54,9 @@ from repro.parallel.engine import ProcessPoolValidationEngine
 from repro.parallel.export import pooled_export
 from repro.parallel.merge import PartitionedMergeValidator
 from repro.parallel.planner import (
-    CalibrationProfile,
     Chunk,
-    EngineDecision,
     MergeGroup,
     ShardPlanner,
-    calibration_path,
-    choose_engine,
-    load_calibration,
     pack_cost_groups,
 )
 from repro.parallel.overlap import OverlapRun, run_overlapped
@@ -91,9 +83,7 @@ from repro.parallel.tasks import (
 )
 
 __all__ = [
-    "CalibrationProfile",
     "Chunk",
-    "EngineDecision",
     "GraphNode",
     "GraphResult",
     "JobResult",
@@ -109,9 +99,6 @@ __all__ = [
     "ShardPlanner",
     "TaskSpec",
     "WorkerPool",
-    "calibration_path",
-    "choose_engine",
-    "load_calibration",
     "merge_shard_outcomes",
     "register_task_kind",
     "resolve_task_kind",

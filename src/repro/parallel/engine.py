@@ -21,13 +21,6 @@ drained afterwards, matching the PR 2 executor semantics) or **persistent**
 serves every call, amortising process startup and keeping spool handles
 open across discovery runs).
 
-Whether this engine runs at all is no longer only the caller's choice:
-under ``strategy="adaptive"`` the cost model
-(:func:`repro.parallel.planner.choose_engine`) picks it only when the
-predicted chunk makespan beats the sequential validator *after* paying pool
-startup and per-task overhead — small workloads route around the pool tax
-entirely, and the verdict lands in ``DiscoveryResult.engine_choice``.
-
 Workers receive the spool *path*, never file handles: every worker re-opens
 ``index.json`` and its value files itself, so there is no shared file offset
 to corrupt and the design works identically under ``fork`` and ``spawn``

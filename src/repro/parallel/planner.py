@@ -33,30 +33,16 @@ offers these plans:
 * :func:`pack_cost_groups` — the shared heaviest-first budget packer the
   chunk-shaped plans (and the export planner in
   :mod:`repro.parallel.export`) are built on.
-
-The same spool statistics also feed the **adaptive cost model**
-(:func:`choose_engine`): given the candidate set, the worker count and a
-:class:`CalibrationProfile` of machine constants, it predicts the
-wall-clock cost of every execution engine the configured strategy allows —
-sequential, pooled chunks, component-planned pooled merge — and returns the
-cheapest as an :class:`EngineDecision`.
-:func:`repro.core.runner.discover_inds` consults it under
-``strategy="adaptive"`` so small requests stop paying the pool tax the
-benchmarks documented.
 """
 
 from __future__ import annotations
 
-import json
-import math
-import os
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 from repro.core.candidates import Candidate, encode_candidates
 from repro.db.schema import AttributeRef
 from repro.errors import DiscoveryError
-from repro.storage.sorted_sets import FORMAT_BINARY, SpoolDirectory
+from repro.storage.sorted_sets import SpoolDirectory
 
 #: Work-stealing granularity: aim for this many chunks per worker, so the
 #: tail of a job — when some workers are already idle — is at most ~1/4 of
@@ -67,18 +53,6 @@ DEFAULT_CHUNKS_PER_WORKER = 4
 #: the requeue unit after a worker death, and repeating more than this many
 #: candidate tests on a replacement worker is wasted work we refuse to risk.
 MAX_CHUNK_CANDIDATES = 32
-
-#: Predicted fraction of merge work that remains when the merge-side
-#: frontier skip (``skip_scans`` on a block-indexed spool) is enabled: the
-#: purely referenced side seeks past whole blocks below the dependent
-#: frontier instead of decoding them.  Deliberately conservative — skewed
-#: sparse-dependent/dense-referenced workloads skip far more — so the model
-#: never routes *to* merge on the strength of a skip it cannot verify.
-MERGE_SKIP_FACTOR = 0.75
-
-#: File name of the persisted calibration profile, stored next to the spool
-#: cache (``<cache_dir>/calibration.json``) by ``repro-ind calibrate``.
-CALIBRATION_FILENAME = "calibration.json"
 
 
 def pack_cost_groups(
@@ -407,253 +381,3 @@ class ShardPlanner:
             )
         return groups
 
-
-# --------------------------------------------------------------- cost model
-@dataclass(frozen=True)
-class CalibrationProfile:
-    """Machine constants the adaptive cost model multiplies its work by.
-
-    The defaults are deliberately conservative round numbers measured on
-    commodity hardware: they overestimate pool startup slightly, which
-    biases the model toward sequential execution in close calls — the
-    cheap mistake, since the documented bug is pooled runs *losing* to
-    sequential on small workloads, never the reverse by the same margin.
-    ``repro-ind calibrate`` replaces them with measured values persisted
-    next to the spool cache.
-    """
-
-    #: Seconds one in-process brute-force scan spends per spooled value.
-    seq_item_seconds: float = 8e-7
-    #: Seconds one in-process heap merge spends per spooled value.
-    merge_item_seconds: float = 1.0e-6
-    #: Seconds to spawn one pool worker process (paid only on cold pools).
-    pool_startup_seconds: float = 0.08
-    #: Seconds of queue/pickle overhead per dispatched pool task.
-    task_overhead_seconds: float = 0.004
-    #: Where the constants came from: ``"default"`` or ``"calibrated"``.
-    source: str = "default"
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable view (what ``save`` writes)."""
-        return {
-            "seq_item_seconds": self.seq_item_seconds,
-            "merge_item_seconds": self.merge_item_seconds,
-            "pool_startup_seconds": self.pool_startup_seconds,
-            "task_overhead_seconds": self.task_overhead_seconds,
-            "source": self.source,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "CalibrationProfile":
-        """Rebuild a profile from :meth:`to_dict` output (unknown keys ignored)."""
-        defaults = cls()
-        return cls(
-            seq_item_seconds=float(
-                doc.get("seq_item_seconds", defaults.seq_item_seconds)
-            ),
-            merge_item_seconds=float(
-                doc.get("merge_item_seconds", defaults.merge_item_seconds)
-            ),
-            pool_startup_seconds=float(
-                doc.get("pool_startup_seconds", defaults.pool_startup_seconds)
-            ),
-            task_overhead_seconds=float(
-                doc.get("task_overhead_seconds", defaults.task_overhead_seconds)
-            ),
-            source=str(doc.get("source", "calibrated")),
-        )
-
-    def save(self, path: str | Path) -> Path:
-        """Persist the profile as JSON at ``path`` (parents created)."""
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(json.dumps(self.to_dict(), indent=2), "utf-8")
-        return target
-
-
-def calibration_path(cache_dir: str | Path) -> Path:
-    """Where a cache rooted at ``cache_dir`` keeps its calibration profile."""
-    return Path(cache_dir) / CALIBRATION_FILENAME
-
-
-def load_calibration(cache_dir: str | Path) -> CalibrationProfile:
-    """Load the persisted profile next to the cache, or the defaults.
-
-    A missing, unreadable or corrupt file silently falls back to the
-    built-in defaults — the cost model must never fail a discovery run
-    over a stale side file.  A constant that is not a finite number >= 0
-    (``null``, a list, ``"nan"``, a negative) makes the file corrupt: it
-    would price engines at NaN or below zero.
-    """
-    try:
-        doc = json.loads(calibration_path(cache_dir).read_text("utf-8"))
-        if not isinstance(doc, dict):
-            return CalibrationProfile()
-        profile = CalibrationProfile.from_dict(doc)
-    except (OSError, ValueError, TypeError, OverflowError):
-        return CalibrationProfile()
-    constants = (
-        profile.seq_item_seconds,
-        profile.merge_item_seconds,
-        profile.pool_startup_seconds,
-        profile.task_overhead_seconds,
-    )
-    if not all(math.isfinite(value) and value >= 0 for value in constants):
-        return CalibrationProfile()
-    return profile
-
-
-@dataclass(frozen=True)
-class EngineDecision:
-    """The adaptive router's verdict for one validation request.
-
-    ``engine`` names the winner (one of ``sequential-brute-force``,
-    ``pooled-brute-force``, ``sequential-merge``, ``pooled-merge``);
-    ``strategy`` is its underlying fixed strategy and ``workers`` how to
-    instantiate it.
-    ``predicted_seconds`` keeps every considered engine's predicted cost so
-    the choice is auditable, and ``calibration`` says whether measured or
-    default constants priced it.
-    """
-
-    engine: str
-    strategy: str
-    workers: int
-    predicted_seconds: dict[str, float] = field(default_factory=dict)
-    calibration: str = "default"
-
-    def as_dict(self) -> dict:
-        """JSON view for ``DiscoveryResult.to_dict()`` and serve responses."""
-        return {
-            "engine": self.engine,
-            "strategy": self.strategy,
-            "workers": self.workers,
-            "predicted_seconds": {
-                name: round(cost, 6)
-                for name, cost in sorted(self.predicted_seconds.items())
-            },
-            "calibration": self.calibration,
-        }
-
-
-def choose_engine(
-    spool: SpoolDirectory,
-    candidates: list[Candidate],
-    strategies: tuple[str, ...],
-    workers: int,
-    calibration: CalibrationProfile | None = None,
-    warm_pool: bool = False,
-    cpu_count: int | None = None,
-    skip_scan: bool = False,
-) -> EngineDecision:
-    """Predict the cheapest execution engine for this validation request.
-
-    Inputs are exactly what the planner already holds: per-attribute
-    spooled value counts (via :meth:`ShardPlanner.candidate_cost` and the
-    merge component plan), the candidate count, the worker budget, and the
-    machine constants of ``calibration``.  ``strategies`` restricts the
-    engines considered (``("brute-force",)``, ``("merge-single-pass",)``
-    or both for ``strategy="adaptive"``); ``warm_pool`` drops the pool
-    startup term (a session fleet is already running); ``cpu_count``
-    overrides :func:`os.cpu_count` (tests); ``skip_scan`` discounts the merge
-    engines by :data:`MERGE_SKIP_FACTOR` on block-indexed spools, where
-    the frontier skip seeks purely referenced cursors past whole blocks.
-
-    Deterministic: ties break toward the engine listed first, and
-    sequential engines are priced before pooled ones — when the model
-    cannot tell them apart, not paying the pool tax wins.  A merge graph
-    that is one candidate-graph component prices ``sequential-merge``
-    only: the component plan cannot split it, and a one-group pooled
-    merge is the sequential pass plus dispatch, which is why
-    :class:`~repro.parallel.merge.PartitionedMergeValidator` itself runs
-    such a plan in process on fixed runs too.
-    """
-    if workers < 1:
-        raise DiscoveryError(f"workers must be >= 1, got {workers!r}")
-    if not strategies:
-        raise DiscoveryError("choose_engine needs at least one strategy")
-    cal = calibration or CalibrationProfile()
-    cpus = max(1, cpu_count if cpu_count is not None else (os.cpu_count() or 1))
-    planner = ShardPlanner(spool)
-    ordered = list(dict.fromkeys(candidates))
-    predicted: dict[str, float] = {}
-    builders: dict[str, tuple[str, int]] = {}
-
-    def consider(engine: str, strategy: str, n: int, cost: float):
-        predicted[engine] = cost
-        builders[engine] = (strategy, n)
-
-    def startup(units: int) -> float:
-        if warm_pool:
-            return 0.0
-        return cal.pool_startup_seconds * min(workers, max(units, 1))
-
-    if "brute-force" in strategies:
-        bf_work = sum(planner.candidate_cost(c) for c in ordered)
-        consider(
-            "sequential-brute-force",
-            "brute-force",
-            1,
-            bf_work * cal.seq_item_seconds,
-        )
-        if workers > 1 and len(ordered) > 1:
-            chunks = planner.plan_chunks(ordered, workers)
-            lanes = max(1, min(workers, cpus, len(chunks)))
-            heaviest = max(chunk.estimated_cost for chunk in chunks)
-            makespan = max(bf_work / lanes, heaviest) * cal.seq_item_seconds
-            consider(
-                "pooled-brute-force",
-                "brute-force",
-                workers,
-                startup(len(chunks))
-                + cal.task_overhead_seconds * len(chunks)
-                + makespan,
-            )
-    if "merge-single-pass" in strategies:
-        attrs = {c.dependent for c in ordered} | {c.referenced for c in ordered}
-        merge_work = sum(spool.get(attr).count for attr in attrs) + len(ordered)
-        if skip_scan and spool.format == FORMAT_BINARY:
-            # Frontier skips need per-block metadata; text spools have none.
-            merge_work *= MERGE_SKIP_FACTOR
-        consider(
-            "sequential-merge",
-            "merge-single-pass",
-            1,
-            merge_work * cal.merge_item_seconds,
-        )
-        if workers > 1 and ordered:
-            groups = planner.plan_merge_groups(ordered, workers)
-            if len(groups) > 1:
-                lanes = max(1, min(workers, cpus, len(groups)))
-                heaviest = max(group.estimated_cost for group in groups)
-                makespan = (
-                    max(merge_work / lanes, heaviest) * cal.merge_item_seconds
-                )
-                consider(
-                    "pooled-merge",
-                    "merge-single-pass",
-                    workers,
-                    startup(len(groups))
-                    + cal.task_overhead_seconds * len(groups)
-                    + makespan,
-                )
-    winner = min(predicted, key=lambda name: (predicted[name], _rank(name)))
-    strategy, n = builders[winner]
-    return EngineDecision(
-        engine=winner,
-        strategy=strategy,
-        workers=n,
-        predicted_seconds=predicted,
-        calibration=cal.source,
-    )
-
-
-def _rank(engine: str) -> int:
-    """Tie-break order of engines at equal predicted cost (sequential first)."""
-    order = (
-        "sequential-brute-force",
-        "sequential-merge",
-        "pooled-brute-force",
-        "pooled-merge",
-    )
-    return order.index(engine) if engine in order else len(order)

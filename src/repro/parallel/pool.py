@@ -498,11 +498,10 @@ class WorkerPool:
 
     @property
     def alive_workers(self) -> int:
-        """Worker processes currently alive — the cost model's warmth signal.
+        """Worker processes currently alive.
 
         Zero before the first job and after :meth:`reap_idle`; in both
-        cases the next pooled job pays worker startup, so a cost model
-        should only drop its startup term when this is positive.
+        cases the next pooled job pays worker startup.
         """
         with self._lock:
             return sum(1 for worker in self._workers if worker.proc.is_alive())
@@ -601,15 +600,15 @@ class WorkerPool:
     ) -> int:
         """Drain an idle fleet without closing the pool; returns workers reaped.
 
-        An adaptive session that keeps routing requests to sequential
-        engines would otherwise pin a warm fleet of processes doing
-        nothing; this releases them once the pool has had no job activity
-        for ``max_idle_seconds``.  The pool stays open: the next
-        :meth:`run_job` simply respawns toward the configured fleet size
-        (counted in ``workers_spawned`` again, plus ``workers_reaped``
-        here), at the usual cold-start price.  A busy pool (jobs in
-        flight), a never-started pool, or one active too recently reaps
-        nothing and returns 0.
+        A session whose requests stop reaching the pool — one-group merges
+        and single-candidate validations run in process — would otherwise
+        pin a warm fleet of processes doing nothing; this releases them
+        once the pool has had no job activity for ``max_idle_seconds``.
+        The pool stays open: the next :meth:`run_job` simply respawns
+        toward the configured fleet size (counted in ``workers_spawned``
+        again, plus ``workers_reaped`` here), at the usual cold-start
+        price.  A busy pool (jobs in flight), a never-started pool, or one
+        active too recently reaps nothing and returns 0.
 
         The whole drain runs under the pool lock, so a concurrent
         ``run_job`` blocks until the victims exited and respawns a fresh

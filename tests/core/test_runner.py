@@ -1,25 +1,69 @@
 """Tests for the end-to-end discovery runner."""
 
+import re
 import tempfile
 
 import pytest
 
+from seeded_dbs import build_component_db
+
 from repro.core.candidates import PretestConfig
 from repro.core.runner import ALL_STRATEGIES, DiscoveryConfig, discover_inds
 from repro.errors import DiscoveryError, SpoolError
+from repro.parallel.pool import WorkerPool
+from repro.parallel.tasks import KIND_BRUTE_FORCE, KIND_MERGE_PARTITION
 from repro.storage.sorted_sets import SpoolDirectory
+
+#: Every strategy a config accepts, each a fixed validator.
+STRATEGIES = (
+    "blockwise",
+    "brute-force",
+    "merge-single-pass",
+    "reference",
+    "single-pass",
+    "sql-join",
+    "sql-minus",
+    "sql-notin",
+)
+#: The validator each strategy runs, as its stats and the span name it.
+VALIDATOR_NAMES = {
+    "blockwise": "blockwise-single-pass",
+    **{name: name for name in STRATEGIES if name != "blockwise"},
+}
+_EXTERNAL = {"blockwise", "brute-force", "merge-single-pass", "single-pass"}
+_POOLED = {"brute-force", "merge-single-pass"}
+#: Each strategy-gated flag: its setting, and the strategies that accept it.
+#: Written out rather than read from the runner, so a rule that drifts
+#: fails here by name.
+GATED_FLAGS = {
+    "incremental": ({"incremental": True}, _EXTERNAL),
+    "overlap": ({"overlap": True}, _POOLED),
+    "reuse_spool": ({"reuse_spool": True}, _EXTERNAL),
+    "sampling_size": ({"sampling_size": 5}, _EXTERNAL),
+    "skip_scans": ({"skip_scans": True}, _POOLED),
+    "use_transitivity": (
+        {"use_transitivity": True},
+        {"brute-force", "sql-join", "sql-minus", "sql-notin"},
+    ),
+    "validation_workers": ({"validation_workers": 2}, _POOLED),
+}
 
 
 class TestConfigValidation:
-    @pytest.mark.parametrize("name", ("parallel_export", "parallel_pretest"))
+    @pytest.mark.parametrize(
+        "name", ("parallel_export", "parallel_pretest", "adaptive")
+    )
     def test_removed_pipeline_fields_raise_type_error(self, name):
-        # overlap=True is the only pooled export and pretest.
+        # overlap=True is the only pooled export and pretest, and each
+        # fixed strategy places its own validation (no cost-model router).
         with pytest.raises(TypeError, match=name):
             DiscoveryConfig(**{name: True})
 
     def test_unknown_strategy(self):
-        with pytest.raises(DiscoveryError, match="unknown strategy"):
-            DiscoveryConfig(strategy="magic").validated()
+        # "adaptive" was the cost-model router's strategy; it is gone.
+        for name in ("magic", "adaptive"):
+            with pytest.raises(DiscoveryError, match="unknown strategy"):
+                DiscoveryConfig(strategy=name).validated()
 
     def test_unknown_candidate_mode(self):
         with pytest.raises(DiscoveryError, match="candidate mode"):
@@ -62,33 +106,23 @@ class TestConfigValidation:
         with pytest.raises(DiscoveryError, match="export_workers"):
             DiscoveryConfig(export_workers=0).validated()
 
-    # --- adaptive × cross-flag audit: one test per rejected pair ---
+    def test_strategies_are_the_fixed_validators(self):
+        assert ALL_STRATEGIES == set(STRATEGIES)
 
-    def test_adaptive_flag_needs_routable_strategy(self):
-        with pytest.raises(DiscoveryError, match="adaptive routing covers"):
-            DiscoveryConfig(strategy="sql-join", adaptive=True).validated()
+    # --- strategy × flag audit: one test per pair ---
 
-    def test_adaptive_flag_pins_base_strategy_ok(self):
-        DiscoveryConfig(strategy="brute-force", adaptive=True).validated()
-        DiscoveryConfig(strategy="merge-single-pass", adaptive=True).validated()
-        DiscoveryConfig(strategy="adaptive").validated()
-
-    def test_adaptive_flag_rejects_transitivity(self):
-        with pytest.raises(DiscoveryError, match="order-dependent"):
-            DiscoveryConfig(
-                strategy="brute-force", adaptive=True, use_transitivity=True
-            ).validated()
-
-    def test_adaptive_strategy_rejects_transitivity(self):
-        with pytest.raises(DiscoveryError):
-            DiscoveryConfig(
-                strategy="adaptive", use_transitivity=True
-            ).validated()
-
-    def test_skip_scans_with_adaptive_strategy_ok(self):
-        # Both engine families understand skip-scans now (brute-force probes
-        # and the merge frontier), so adaptive routing may carry the flag.
-        DiscoveryConfig(strategy="adaptive", skip_scans=True).validated()
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("flag", sorted(GATED_FLAGS))
+    def test_strategy_gated_flag(self, flag, strategy):
+        setting, accepted_by = GATED_FLAGS[flag]
+        config = DiscoveryConfig(strategy=strategy, **setting)
+        if strategy in accepted_by:
+            assert config.validated() is config
+        else:
+            # Each rejection names the strategy it refused.
+            named = re.escape(repr(strategy))
+            with pytest.raises(DiscoveryError, match=named):
+                config.validated()
 
     def test_skip_scans_with_merge_strategy_ok(self):
         DiscoveryConfig(
@@ -98,11 +132,6 @@ class TestConfigValidation:
     def test_skip_scans_reject_non_skippable_strategy(self):
         with pytest.raises(DiscoveryError, match="skip-scans only apply"):
             DiscoveryConfig(strategy="single-pass", skip_scans=True).validated()
-
-    def test_skip_scans_with_pinned_adaptive_brute_force_ok(self):
-        DiscoveryConfig(
-            strategy="brute-force", adaptive=True, skip_scans=True
-        ).validated()
 
     def test_compression_requires_binary_format(self):
         with pytest.raises(DiscoveryError, match="binary spool format"):
@@ -163,6 +192,103 @@ class TestStrategies:
             == result.candidates_after_pretests
         )
         assert result.raw_candidates >= result.candidates_after_pretests
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_one_worker_validates_in_process(self, fk_db, strategy):
+        # At one worker no strategy touches a pool, and the validate span
+        # names the validator that ran.
+        result = discover_inds(
+            fk_db, DiscoveryConfig(strategy=strategy, trace=True)
+        )
+        assert result.pool_stats is None
+        spans = result.trace["spans"]
+        assert not [s for s in spans if s["name"].startswith("task:")]
+        (validate,) = [s for s in spans if s["name"] == "validate"]
+        name = VALIDATOR_NAMES[strategy]
+        assert validate["attrs"] == {"validator": name}
+        assert result.to_dict()["validator"]["name"] == name
+
+
+
+def _placement_db(shape: str, fk_db, make_db):
+    """The database and sampling size whose candidates take ``shape``.
+
+    ``build_component_db``'s graph splits into several components once
+    the sampling pretest has refuted its cross-cluster pairs.
+    """
+    if shape == "no-candidates":
+        return make_db({"t": {"a": [1, 2, 3]}}), 0
+    if shape == "one-candidate":
+        # Only t.a [= t.b survives: b has more distinct values than a.
+        return make_db({"t": {"a": [1, 2, 3, None], "b": [1, 2, 3, 4]}}), 0
+    if shape == "one-component":
+        return fk_db, 0
+    return build_component_db(), 2
+
+
+class TestPlacement:
+    """Each fixed strategy places its validation where its validator says.
+
+    At two workers, brute force pools more than one candidate, and the
+    merge pools a plan of more than one candidate-graph component; every
+    other shape validates in this process and never wakes the fleet.
+    Either way the answer and the I/O counters are the one-worker run's.
+    """
+
+    POOLED = {
+        ("brute-force", "one-component"),
+        ("brute-force", "several-components"),
+        ("merge-single-pass", "several-components"),
+    }
+
+    SHAPES = (
+        "no-candidates",
+        "one-candidate",
+        "one-component",
+        "several-components",
+    )
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("strategy", sorted(_POOLED))
+    def test_fixed_placement(self, strategy, shape, fk_db, adhoc_db_factory):
+        db, sampling = _placement_db(shape, fk_db, adhoc_db_factory)
+
+        def config(workers):
+            return DiscoveryConfig(
+                strategy=strategy,
+                validation_workers=workers,
+                sampling_size=sampling,
+                trace=True,
+            )
+
+        sequential = discover_inds(db, config(1))
+        with WorkerPool(2) as fleet:
+            result = discover_inds(db, config(2), pool=fleet)
+            spawned = fleet.stats.workers_spawned
+        pooled = (strategy, shape) in self.POOLED
+        assert (spawned > 0) is pooled
+        assert (result.pool_stats is not None) is pooled
+        if pooled:
+            kind = (
+                KIND_BRUTE_FORCE
+                if strategy == "brute-force"
+                else KIND_MERGE_PARTITION
+            )
+            assert set(result.pool_stats["tasks_by_kind"]) == {kind}
+        (validate,) = [
+            s for s in result.trace["spans"] if s["name"] == "validate"
+        ]
+        if strategy == "merge-single-pass" and shape != "no-candidates":
+            assert validate["attrs"]["placement"] == (
+                "pool" if pooled else "in-process"
+            )
+        else:
+            assert "placement" not in validate["attrs"]
+        assert result.satisfied == sequential.satisfied
+        for counter in ("items_read", "comparisons", "files_opened"):
+            assert getattr(result.validator_stats, counter) == getattr(
+                sequential.validator_stats, counter
+            ), counter
 
 
 class TestPhases:
@@ -315,22 +441,4 @@ class TestResultSerialisation:
         assert doc["satisfied_count"] == len(result.satisfied)
         assert ["child.pid", "parent.id"] in doc["satisfied"]
         assert doc["timings"]["total_seconds"] >= 0
-
-    def test_engine_choice_always_carries_routing_seconds(self, fk_db):
-        """Consumers index ``routing_seconds`` without ``.get`` guards.
-
-        Fixed-strategy runs emit the deterministic null choice — same
-        bytes every run, so agreement views stay byte-identical — and
-        adaptive runs emit the router's real verdict; both carry the key.
-        """
-        for strategy in ("brute-force", "merge-single-pass", "sql-join"):
-            result = discover_inds(fk_db, DiscoveryConfig(strategy=strategy))
-            assert result.engine_choice == {
-                "strategy": None, "engine": None, "routing_seconds": 0.0,
-            }, strategy
-        adaptive = discover_inds(
-            fk_db,
-            DiscoveryConfig(strategy="adaptive", validation_workers=2),
-        )
-        assert adaptive.engine_choice["engine"] is not None
-        assert adaptive.engine_choice["routing_seconds"] > 0.0
+        assert "engine_choice" not in doc

@@ -10,9 +10,9 @@ byte-identical to the in-process pipeline.  Two layers of defence:
   fixed engines) against the plain *sequential* pipeline — the paper's
   reference semantics;
 * a seeded random sweep: each seed derives a database **and** a config
-  vector (workers, spool format, strategy incl. adaptive, sampling size,
-  ``reuse_spool``), runs the same vector in process and overlapped, and
-  diffs the full ``to_dict()`` view.  The seed is printed
+  vector (workers, spool format, strategy, sampling size, ``reuse_spool``),
+  runs the same vector in process and overlapped, and diffs the full
+  ``to_dict()`` view.  The seed is printed
   on failure so any counterexample replays with
   ``pytest -k <seed> tests/parallel/test_overlap_stress.py``.
 
@@ -55,14 +55,10 @@ def _stress_view(result_dict: dict) -> dict:
 
     Popped (and nothing else): wall-clock ``timings``, per-job ``pool``
     counters, the additive ``trace`` and ``overlap`` documents, the
-    worker count echoed from the config, the engine's ``extra``/
-    ``elapsed_seconds``/``peak_open_files`` diagnostics, the measured
-    halves of ``engine_choice``, and its predictions for pooled engines:
-    those price pool start-up, which an in-process run has still to pay
-    and an overlapped run has already paid.  Decisions, satisfied sets,
-    pretest and sampling reductions, export counters, summed I/O, the
-    routed engine name and the sequential engines' predictions all stay
-    in.
+    worker count echoed from the config, and the engine's ``extra``/
+    ``elapsed_seconds``/``peak_open_files`` diagnostics.  Decisions,
+    satisfied sets, pretest and sampling reductions, export counters and
+    summed I/O all stay in.
     """
     view = json.loads(json.dumps(result_dict))
     view.pop("timings")
@@ -73,28 +69,22 @@ def _stress_view(result_dict: dict) -> dict:
     view["validator"].pop("elapsed_seconds")
     view["validator"].pop("extra")
     view["validator"].pop("peak_open_files")
-    choice = view.get("engine_choice")
-    if choice:
-        choice.pop("routing_seconds", None)
-        choice.pop("actual_seconds", None)
-        if "predicted_seconds" in choice:
-            choice["predicted_seconds"] = {
-                engine: seconds
-                for engine, seconds in choice["predicted_seconds"].items()
-                if not engine.startswith("pooled-")
-            }
     return view
 
 
 def _config_vector(seed: int) -> dict:
     """Derive a full config vector (plus db seed) from one stress seed."""
     rng = random.Random(seed ^ 0xA5A5)
-    strategy = rng.choice(("brute-force", "merge-single-pass", "adaptive"))
+    # The third slot once drew the cost-model router's strategy, since
+    # deleted.  It stays, resolved to merge-single-pass below, so every
+    # seed keeps the draws it always had.
+    strategy = rng.choice(("brute-force", "merge-single-pass", None))
     workers = rng.choice(WORKER_COUNTS)
     if strategy == "merge-single-pass" and workers > 1:
         # This draw once chose a byte-range merge split, an option since
         # deleted.  It stays so every seed keeps the vector it always had.
         rng.random()
+    strategy = strategy or "merge-single-pass"
     spool_format = rng.choice(SPOOL_FORMATS)
     compression = "none"
     mmap_reads: bool | str = "auto"
@@ -120,8 +110,7 @@ def _discovery_config(vector: dict, *, overlap: bool, cache_dir) -> DiscoveryCon
     (pooling only validation, when the vector's strategy and worker count
     do), the overlapped twin drains them as one graph on a pool.
     ``cache_dir`` is always a fresh per-side directory: the two runs must
-    not share spool-cache entries or calibration state through the
-    user-level default cache.
+    not share spool-cache entries through the user-level default cache.
     """
     return DiscoveryConfig(
         strategy=vector["strategy"],

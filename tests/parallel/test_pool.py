@@ -3,7 +3,8 @@
 Cross-validator agreement of the pool-backed engine lives in
 ``tests/test_validator_agreement.py``; this file covers what only the pool
 can get wrong: surviving across jobs, dying workers, double shutdown, warm
-spool-handle reuse, and the work-stealing chunk plan it dispatches.
+spool-handle reuse, idle reaping, and the work-stealing chunk plan it
+dispatches.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import pytest
 
 from repro.core.brute_force import BruteForceValidator
 from repro.core.candidates import Candidate
+from repro.core.runner import DiscoveryConfig, DiscoverySession
 from repro.db.schema import AttributeRef
 from repro.errors import DiscoveryError
 from repro.parallel.engine import ProcessPoolValidationEngine
@@ -24,6 +26,8 @@ from repro.parallel.planner import ShardPlanner
 from repro.parallel.pool import WorkerPool
 from repro.parallel.tasks import KIND_BRUTE_FORCE, KIND_MERGE_PARTITION, TaskSpec
 from repro.storage.sorted_sets import SpoolDirectory
+
+from seeded_dbs import spool_with
 
 
 def _cand(dep: str, ref: str) -> Candidate:
@@ -402,3 +406,77 @@ class TestChunkPlanning:
         with pytest.raises(DiscoveryError):
             planner.plan_chunks(candidates, workers=2, chunk_size=0)
         assert planner.plan_chunks([], workers=2) == []
+
+
+class TestIdleReaping:
+    def test_reap_idle_drains_workers_and_next_job_respawns(self, tmp_path):
+        spool = spool_with(tmp_path, {"a": 5, "b": 9, "c": 3})
+        candidates = [_cand("a", "b"), _cand("c", "b"), _cand("c", "a")]
+        sequential = BruteForceValidator(spool).validate(candidates)
+
+        with WorkerPool(2) as pool:
+            engine = ProcessPoolValidationEngine(spool, workers=2, pool=pool)
+            first = engine.validate(candidates)
+            assert pool.alive_workers == 2
+            assert pool.reap_idle(0.0) == 2
+            assert pool.alive_workers == 0
+            assert pool.started  # reaped, not shut down
+            assert pool.stats.workers_reaped == 2
+            # The next job must transparently respawn a full fleet and
+            # still produce sequential-identical answers.
+            second = engine.validate(candidates)
+            assert pool.alive_workers == 2
+            assert first.decisions == sequential.decisions
+            assert second.decisions == sequential.decisions
+            assert second.stats.items_read == sequential.stats.items_read
+            assert pool.stats.workers_spawned == 4  # 2 original + 2 respawned
+            assert pool.stats.workers_replaced == 0  # reaping is not death
+
+    def test_reap_idle_respects_the_idle_threshold(self, tmp_path):
+        spool = spool_with(tmp_path, {"a": 5, "b": 9, "c": 3})
+
+        with WorkerPool(2) as pool:
+            ProcessPoolValidationEngine(
+                spool, workers=2, pool=pool
+            ).validate([_cand("a", "b"), _cand("c", "b"), _cand("c", "a")])
+            assert pool.alive_workers == 2
+            # The job just finished: a one-hour threshold must not fire.
+            assert pool.reap_idle(3600.0) == 0
+            assert pool.alive_workers == 2
+
+    def test_reap_on_unstarted_pool_is_noop(self):
+        pool = WorkerPool(2)
+        try:
+            assert pool.reap_idle(0.0) == 0
+            assert not pool.started
+        finally:
+            pool.shutdown()
+
+    def test_session_reaps_after_in_process_merges(self, fk_db):
+        # A session whose merges run in process must not pin a warm fleet.
+        # fk_db's candidates form one component, so a two-worker merge
+        # plans one group, merges it in process and never starts the
+        # fleet; a two-worker brute-force run then warms it, and the reap
+        # hook right after that discover (threshold 0) drains it again.
+        config = DiscoveryConfig(
+            strategy="merge-single-pass", validation_workers=2
+        )
+        with DiscoverySession(config, idle_reap_seconds=0.0) as session:
+            merged = session.discover(fk_db)
+            assert merged.validator_stats.extra["merge_groups"] == 1
+            assert merged.pool_stats is None
+            pool = session._pool
+            assert pool is None or not pool.started
+            pinned = DiscoveryConfig(strategy="brute-force", validation_workers=2)
+            pooled = session.discover(fk_db, pinned)
+            assert pooled.pool_stats["workers_spawned"] == 2
+            assert pooled.satisfied == merged.satisfied
+            assert session._pool is not None
+            # The reap hook ran right after the pooled discover with a
+            # zero threshold, so the fleet is already drained.
+            assert session._pool.alive_workers == 0
+            assert session._pool.stats.workers_reaped == 2
+
+    def test_session_rejects_negative_idle_reap(self):
+        with pytest.raises(DiscoveryError):
+            DiscoverySession(DiscoveryConfig(), idle_reap_seconds=-1.0)

@@ -171,7 +171,7 @@ class TestMergeGroupPlanning:
 
 
 class TestPackCostGroups:
-    """Boundary behaviour of the shared packer the adaptive planner leans on."""
+    """Boundary behaviour of the shared packer every chunk-shaped plan uses."""
 
     def test_zero_cost_items_all_land_in_one_trailing_group(self):
         items = [(0, f"i{i}") for i in range(10)]

@@ -2,7 +2,7 @@
 
 These used to be copy-pasted into their consuming test modules; every
 suite that wants a deterministic messy database — agreement matrices,
-pipeline fault injection, adaptive routing, overlap stress — imports them
+pipeline fault injection, pool lifecycle, overlap stress — imports them
 from this one place (``from seeded_dbs import ...`` resolves because
 pytest puts ``tests/`` on ``sys.path`` when it loads ``tests/conftest.py``;
 a plain module rather than the conftest itself, because ``conftest`` is an

@@ -410,6 +410,23 @@ class TestOrphans:
         cache.evict_orphans()
         assert cache.lookup(fingerprint) is not None
 
+    def test_plain_files_in_the_root_are_ignored(self, tmp_path):
+        # Older versions kept a calibration.json in the cache root; a
+        # plain file there is neither an entry nor an orphan.
+        db = _db()
+        fingerprint = _fingerprint(db)
+        cache = SpoolCache(tmp_path / "cache")
+        spool, _ = export_database(db, str(cache.prepare(fingerprint)))
+        cache.publish(fingerprint, spool)
+        stray = cache.root / "calibration.json"
+        stray.write_text('{"pool_startup_seconds": 0.08}')
+        assert cache.entries() == [cache.entry_path(fingerprint)]
+        assert len(cache.list_entries()) == 1
+        assert cache.list_orphans() == []
+        assert cache.evict_orphans() == []
+        assert len(cache.evict_all()) == 1
+        assert stray.exists()
+
     def test_orphans_listed_stalest_first(self, tmp_path):
         import os as _os
         import time as _time

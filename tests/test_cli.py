@@ -1,10 +1,12 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
+import re
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 def _shutdown_stats(err: str) -> dict:
@@ -253,6 +255,38 @@ class TestHelpText:
         assert "serve" in out
         assert "cache" in out
 
+    def test_every_flag_named_in_help_exists(self):
+        """A help, description or epilog names only flags that exist.
+
+        Walks the root parser and every subparser; each ``--flag`` in any
+        of their texts must be an option of some parser, so help cannot
+        send a reader to a flag that was never added or was removed.
+        """
+
+        def walk(parser):
+            yield parser
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        yield from walk(sub)
+
+        options: set[str] = set()
+        texts: list[str] = []
+        for parser in walk(build_parser()):
+            texts += [parser.description or "", parser.epilog or ""]
+            for action in parser._actions:
+                options.update(action.option_strings)
+                texts.append(action.help or "")
+                if isinstance(action, argparse._SubParsersAction):
+                    texts += [c.help or "" for c in action._choices_actions]
+        named = {
+            flag
+            for text in texts
+            for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text)
+        }
+        assert named, "the walk found no flag in any help text"
+        assert named - options == set()
+
 
 class TestServe:
     def _serve(self, monkeypatch, capsys, lines, *extra_args):
@@ -301,6 +335,7 @@ class TestServe:
         # Binary spools (the default) charge decoded payload bytes.
         assert response["bytes_read"] > 0
         assert response["bytes_stored"] > 0
+        assert "engine_choice" not in response
 
     def test_bad_request_answers_error_and_keeps_serving(
         self, biosql_dump, monkeypatch, capsys
@@ -714,6 +749,24 @@ class TestPipelineFlags:
             main(args)
         assert excinfo.value.code == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        (
+            ("discover", "DUMP", "--strategy", "adaptive"),
+            ("serve", "--strategy", "adaptive"),
+            ("calibrate",),
+        ),
+        ids=("discover-adaptive", "serve-adaptive", "subcommand"),
+    )
+    def test_removed_router_surface_exits_2(self, args, biosql_dump, capsys):
+        # The cost-model router's strategy and its subcommand are gone;
+        # argparse rejects each by name.
+        argv = [str(biosql_dump) if arg == "DUMP" else arg for arg in args]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert args[-1] in capsys.readouterr().err
 
     def test_discover_runs_the_overlapped_pipeline(self, biosql_dump, capsys):
         assert main([

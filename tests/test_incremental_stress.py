@@ -62,9 +62,9 @@ def _delta_view(result_dict: dict) -> dict:
     A delta run legitimately does *less work* than a full run: it validates
     fewer candidates, exports fewer files, reuses spool-cache entries.  So
     everything that counts work is popped — wall-clock ``timings``, the
-    whole ``validator`` counter block, ``pool``, ``overlap``,
-    ``engine_choice``, export counters, cache-hit flags, the echoed worker
-    count, the additive ``trace`` and the ``delta`` accounting itself.
+    whole ``validator`` counter block, ``pool``, ``overlap``, export
+    counters, cache-hit flags, the echoed worker count, the additive
+    ``trace`` and the ``delta`` accounting itself.
     Everything that *is an answer* stays: the satisfied set, candidate and
     pretest counts, sampling refutations, transitivity inferences.
     """
@@ -74,7 +74,6 @@ def _delta_view(result_dict: dict) -> dict:
         "validator",
         "pool",
         "overlap",
-        "engine_choice",
         "export_values_scanned",
         "export_values_written",
         "spool_cache_hit",

@@ -509,96 +509,6 @@ class TestTracedPipelineExactness:
             assert root_pid not in task_pids
 
 
-class TestAdaptiveAgreement:
-    """The adaptive router changes engines, never answers.
-
-    Matrix: seeds × workers {1, 2, 4} × both spool formats, three
-    calibration legs each — default constants (small inputs route
-    sequential), a planted free-pool profile with a faked wide CPU count
-    (routes pooled engines even on 1-core CI boxes), and the free-pool
-    profile pinned to the merge family.  Every run must reproduce the
-    satisfied set, ``items_read`` and ``comparisons`` of the *selected*
-    strategy's sequential run.
-    """
-
-    WORKER_COUNTS = (1, 2, 4)
-
-    def _assert_matches_baseline(self, result, baselines):
-        choice = result.engine_choice
-        assert choice is not None
-        baseline = baselines[choice["strategy"]]
-        assert {str(i) for i in result.satisfied} == {
-            str(i) for i in baseline.satisfied
-        }, f"{choice['engine']} changed the satisfied set"
-        assert (
-            result.validator_stats.items_read
-            == baseline.validator_stats.items_read
-        ), f"{choice['engine']} drifted on items_read"
-        assert (
-            result.validator_stats.comparisons
-            == baseline.validator_stats.comparisons
-        )
-        return choice["engine"]
-
-    @pytest.mark.parametrize("spool_format", SPOOL_FORMATS)
-    @pytest.mark.parametrize("seed", (3, 5, 9))
-    def test_every_selected_engine_replays_its_sequential_run(
-        self, seed, spool_format, tmp_path, monkeypatch
-    ):
-        from repro.parallel.planner import CalibrationProfile, calibration_path
-
-        # choose_engine reads os.cpu_count(): fake a wide box so the
-        # free-pool legs route pooled engines even on 1-core CI runners.
-        monkeypatch.setattr("repro.parallel.planner.os.cpu_count", lambda: 8)
-        db = build_random_db(seed)
-        baselines = {
-            strategy: discover_inds(
-                db,
-                DiscoveryConfig(strategy=strategy, spool_format=spool_format),
-            )
-            for strategy in ("brute-force", "merge-single-pass")
-        }
-        free_pool_dir = tmp_path / "free-pool"
-        CalibrationProfile(
-            pool_startup_seconds=0.0,
-            task_overhead_seconds=0.0,
-            source="calibrated",
-        ).save(calibration_path(free_pool_dir))
-        engines: set[str] = set()
-        for workers in self.WORKER_COUNTS:
-            for cache_dir in (tmp_path / "defaults", free_pool_dir):
-                result = discover_inds(
-                    db,
-                    DiscoveryConfig(
-                        strategy="adaptive",
-                        spool_format=spool_format,
-                        validation_workers=workers,
-                        cache_dir=str(cache_dir),
-                    ),
-                )
-                engines.add(self._assert_matches_baseline(result, baselines))
-            if workers > 1:
-                pinned = discover_inds(
-                    db,
-                    DiscoveryConfig(
-                        strategy="merge-single-pass",
-                        adaptive=True,
-                        spool_format=spool_format,
-                        validation_workers=workers,
-                        cache_dir=str(free_pool_dir),
-                    ),
-                )
-                engines.add(self._assert_matches_baseline(pinned, baselines))
-        # The matrix must actually exercise non-sequential engines: with a
-        # free pool on a (faked) wide box, any seed with a parallelisable
-        # plan routes away from sequential.  Seed 3 plans a single chunk
-        # and keeps everything sequential — also worth asserting.
-        if seed == 3:
-            assert engines <= {"sequential-brute-force", "sequential-merge"}
-        else:
-            assert engines & {"pooled-brute-force", "pooled-merge"}, engines
-
-
 class TestSqlStrategiesAgree:
     @pytest.mark.parametrize("seed", SEEDS[:6])
     def test_sql_validators_match_oracle(self, seed):
