@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import tempfile
 
-import pytest
 
 from repro.bench.reporting import ascii_series, format_table
 from repro.core.brute_force import BruteForceValidator
@@ -22,13 +21,13 @@ from repro.db.stats import collect_column_stats
 from repro.storage.exporter import export_database
 
 
-def _series(db, fractions=(0.25, 0.5, 0.75, 1.0), spool_format="binary"):
+def _series(db, fractions=(0.25, 0.5, 0.75, 1.0)):
     stats = collect_column_stats(db)
     attributes = [ref for ref, st in stats.items() if not st.dtype.is_lob]
     attributes.sort()
     points = []
     with tempfile.TemporaryDirectory(prefix="repro-fig5-") as tmp:
-        spool, _ = export_database(db, tmp, spool_format=spool_format)
+        spool, _ = export_database(db, tmp)
         for fraction in fractions:
             count = max(2, int(len(attributes) * fraction))
             subset = set(attributes[:count])
@@ -54,11 +53,10 @@ def _series(db, fractions=(0.25, 0.5, 0.75, 1.0), spool_format="binary"):
     return points
 
 
-@pytest.mark.parametrize("spool_format", ["text", "binary"])
-def test_figure5_io_series(benchmark, workloads, report, spool_format):
+def test_figure5_io_series(benchmark, workloads, report):
     dataset = workloads.biosql()
     points = benchmark.pedantic(
-        lambda: _series(dataset.db, spool_format=spool_format),
+        lambda: _series(dataset.db),
         rounds=1,
         iterations=1,
     )
@@ -67,8 +65,7 @@ def test_figure5_io_series(benchmark, workloads, report, spool_format):
         for n_attrs, n_cands, brute, single in points
     ]
     report(
-        f"== Figure 5 / items read ({spool_format} spools): "
-        "brute force vs single pass ==\n"
+        "== Figure 5 / items read: brute force vs single pass ==\n"
         + format_table(
             ["attributes", "candidates", "brute force", "single pass", "ratio"],
             rows,
@@ -103,15 +100,3 @@ def test_figure5_io_series(benchmark, workloads, report, spool_format):
         f"({candidate_ratio:.2f}x) on the largest subsets"
     )
 
-
-def test_figure5_items_read_format_invariant(workloads):
-    """The Fig. 5 measurement must not depend on the spool layout.
-
-    ``items_read`` counts values logically consumed by the algorithms; the
-    v2 block format only changes the physical batching, so every point of
-    the series must be identical between text and binary spools.
-    """
-    dataset = workloads.scop()
-    text_points = _series(dataset.db, fractions=(0.5, 1.0), spool_format="text")
-    binary_points = _series(dataset.db, fractions=(0.5, 1.0), spool_format="binary")
-    assert text_points == binary_points

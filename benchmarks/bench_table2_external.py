@@ -179,67 +179,6 @@ def test_table2_observer_overhead_vs_merge(benchmark, workloads, report):
     assert observer.items_read < brute.items_read
 
 
-def test_table2_spool_v2_beats_v1(report):
-    """Spool format v2 acceptance: binary blocks beat v1 text on wall-clock.
-
-    Uses the *small* BioSQL workload explicitly (independently of
-    ``REPRO_BENCH_SCALE``): at tiny scale fixed per-run costs mask the read
-    path this experiment isolates.  Decisions, satisfied sets and
-    ``items_read`` must be bit-identical between the formats — the layout
-    changes how bytes reach the validator, never what the validator sees.
-    """
-    db = generate_biosql("small").db
-    stats = collect_column_stats(db)
-    candidates, _ = apply_pretests(
-        generate_unique_ref_candidates(stats),
-        stats,
-        PretestConfig(cardinality=True, max_value=False),
-    )
-    rounds = 7
-    outcomes: dict[str, object] = {}
-    timings: dict[str, float] = {"text": float("inf"), "binary": float("inf")}
-    with tempfile.TemporaryDirectory(prefix="repro-spoolfmt-") as tmp:
-        spools = {
-            fmt: export_database(db, f"{tmp}/{fmt}", spool_format=fmt)[0]
-            for fmt in ("text", "binary")
-        }
-        subset = [
-            c for c in candidates
-            if c.dependent in spools["text"] and c.referenced in spools["text"]
-        ]
-        # Interleave the rounds so machine-load noise hits both formats
-        # alike; best-of-N discards scheduler hiccups.
-        for _ in range(rounds):
-            for fmt, spool in spools.items():
-                with Stopwatch() as clock:
-                    result = MergeSinglePassValidator(spool).validate(subset)
-                outcomes[fmt] = result
-                timings[fmt] = min(timings[fmt], clock.elapsed)
-    text, binary = outcomes["text"], outcomes["binary"]
-    speedup = timings["text"] / timings["binary"]
-    report(
-        paper_vs_measured(
-            "Spool v2 / merge-single-pass on BioSQL (small)",
-            [
-                ("validate (v1 text)", "-", seconds(timings["text"])),
-                ("validate (v2 binary)", "-", seconds(timings["binary"])),
-                ("speedup", ">= 1.3x", f"{speedup:.2f}x"),
-                ("items read (both)", "-", f"{text.stats.items_read:,}"),
-                ("satisfied INDs (both)", "-", f"{text.stats.satisfied_count:,}"),
-            ],
-            note="binary blocks change how bytes reach the validator, "
-            "never what it decides",
-        )
-    )
-    assert text.decisions == binary.decisions
-    assert {str(i) for i in text.satisfied} == {str(i) for i in binary.satisfied}
-    assert text.stats.items_read == binary.stats.items_read
-    assert speedup >= 1.3, (
-        f"binary spools must be >= 1.3x faster than text for "
-        f"merge-single-pass, measured {speedup:.2f}x"
-    )
-
-
 def test_table2_parallel_bruteforce_curve(workloads, report):
     """Parallel validation acceptance: the 1/2/4-worker speedup curve.
 
@@ -402,9 +341,9 @@ def test_table2_storage_v3(report):
 
     Two experiments, one document (``BENCH_storage_v3.json``):
 
-    * **Format matrix** — the BioSQL (small) merge-single-pass workload on
-      four interleaved storage legs: v1 text, v2 binary, v3 zlib-compressed,
-      and v2 binary read through mmap cursors.  Decisions, satisfied sets
+    * **Storage matrix** — the BioSQL (small) merge-single-pass workload on
+      three interleaved storage legs: v2 binary, v3 zlib-compressed, and v2
+      binary read through mmap cursors.  Decisions, satisfied sets
       and ``items_read`` must be bit-identical on every leg (the layout
       changes how bytes reach the validator, never what it sees), and the
       compressed leg must *store* fewer payload bytes than it decodes —
@@ -432,10 +371,9 @@ def test_table2_storage_v3(report):
         PretestConfig(cardinality=True, max_value=False),
     )
     legs = (
-        ("v1-text", dict(spool_format="text")),
-        ("v2-binary", dict(spool_format="binary")),
-        ("v3-zlib", dict(spool_format="binary", compression="zlib")),
-        ("v3-mmap", dict(spool_format="binary", mmap_reads=True)),
+        ("v2-binary", dict()),
+        ("v3-zlib", dict(compression="zlib")),
+        ("v3-mmap", dict(mmap_reads=True)),
     )
     rounds = 5
     outcomes: dict[str, object] = {}
@@ -447,8 +385,8 @@ def test_table2_storage_v3(report):
         }
         subset = [
             c for c in candidates
-            if c.dependent in spools["v1-text"]
-            and c.referenced in spools["v1-text"]
+            if c.dependent in spools["v2-binary"]
+            and c.referenced in spools["v2-binary"]
         ]
         # Interleave the rounds so machine-load noise hits every leg alike;
         # best-of-N discards scheduler hiccups.
@@ -497,9 +435,7 @@ def test_table2_storage_v3(report):
     ref = AttributeRef("skew", "ref")
     skew: dict = {}
     with tempfile.TemporaryDirectory(prefix="repro-frontier-") as tmp:
-        spool = SpoolDirectory.create(
-            f"{tmp}/skew", format="binary", block_size=64
-        )
+        spool = SpoolDirectory.create(f"{tmp}/skew", block_size=64)
         spool.add_values(dep, [f"{i:06d}" for i in range(0, 60000, 20000)])
         spool.add_values(ref, [f"{i:06d}" for i in range(0, 60001)])
         spool.save_index()
@@ -572,7 +508,6 @@ def test_table2_storage_v3(report):
         paper_vs_measured(
             "Storage engine v3 / merge-single-pass on BioSQL (small)",
             [
-                ("validate (v1 text)", "-", seconds(timings["v1-text"])),
                 ("validate (v2 binary)", "-", seconds(timings["v2-binary"])),
                 ("validate (v3 zlib)", "-", seconds(timings["v3-zlib"])),
                 ("validate (v3 mmap)", "-", seconds(timings["v3-mmap"])),
@@ -584,19 +519,15 @@ def test_table2_storage_v3(report):
     )
 
 
-@pytest.mark.parametrize("spool_format", ["text", "binary"])
-def test_table2_formats_agree_end_to_end(workloads, report, spool_format):
-    """Both spool formats drive every external strategy to the same INDs."""
+def test_table2_formats_agree_end_to_end(workloads, report):
+    """Every external strategy reaches the same INDs from one spool export."""
     dataset = workloads.biosql()
     reference = None
     for strategy in _EXTERNAL + ("blockwise",):
         outcome = run_strategy(
-            "UniProt(BioSQL)", dataset.db, strategy,
-            spool_format=spool_format, export_workers=2,
+            "UniProt(BioSQL)", dataset.db, strategy, export_workers=2
         )
         satisfied = {str(i) for i in outcome.result.satisfied}
         if reference is None:
             reference = satisfied
-        assert satisfied == reference, (
-            f"{strategy} on {spool_format} spools disagrees"
-        )
+        assert satisfied == reference, f"{strategy} disagrees"

@@ -67,28 +67,20 @@ _GENERATORS = {
 def _add_validation_flags(parser: argparse.ArgumentParser) -> None:
     """Spool/parallel/cache flags shared by ``discover`` and ``serve``."""
     parser.add_argument(
-        "--spool-format",
-        choices=("text", "binary"),
-        default="binary",
-        help="value-file layout: v1 newline-delimited text or v2 binary "
-        "blocks (default: binary)",
-    )
-    parser.add_argument(
         "--spool-compression",
         choices=("none", "zlib"),
         default="none",
-        help="per-block payload compression; 'zlib' writes v3 frames and "
-        "needs --spool-format binary (default: none — v2 frames, "
+        help="per-block payload compression of the binary value files; "
+        "'zlib' writes v3 frames (default: none — v2 frames, "
         "byte-identical to older builds)",
     )
     parser.add_argument(
         "--mmap-reads",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="serve binary block reads from a shared memory mapping instead "
-        "of per-cursor file handles; 'auto' turns it on exactly when "
-        "--spool-format is binary, 'on' insists (and rejects text spools), "
-        "'off' keeps buffered file reads (default: auto)",
+        choices=("on", "off"),
+        default="on",
+        help="serve block reads from a shared memory mapping ('on') or "
+        "from per-cursor buffered file handles ('off'); decisions and "
+        "I/O counters are identical either way (default: on)",
     )
     parser.add_argument(
         "--export-workers",
@@ -135,8 +127,7 @@ def _add_validation_flags(parser: argparse.ArgumentParser) -> None:
         help="skip whole spool blocks the validator can prove irrelevant: "
         "brute-force seeks past blocks below the sought value, and the "
         "merge engine seeks purely-referenced attributes to the dependent "
-        "frontier; needs --spool-format binary (a no-op on text spools) "
-        "and the brute-force or merge-single-pass strategy "
+        "frontier; needs the brute-force or merge-single-pass strategy "
         "(default: off, matching the paper's Figure 5 I/O accounting)",
     )
     parser.add_argument(
@@ -194,11 +185,8 @@ def _validation_config_kwargs(args: argparse.Namespace) -> dict:
     """
     return {
         "strategy": args.strategy,
-        "spool_format": args.spool_format,
         "spool_compression": args.spool_compression,
-        "mmap_reads": {"auto": "auto", "on": True, "off": False}[
-            args.mmap_reads
-        ],
+        "mmap_reads": args.mmap_reads == "on",
         "export_workers": args.export_workers,
         "sampling_size": args.sampling_size,
         "overlap": args.overlap,
@@ -402,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
         "by 'cache list' under the cache root, or a directory kept through "
         "the library with DiscoveryConfig(spool_dir=..., keep_spool=True)) "
         "without touching any value payloads, and print its "
-        "frame version (v1 text, v2 binary, v3 compressed binary), block "
+        "frame version (v2 binary, v3 compressed binary), block "
         "size, per-attribute value/block counts with min..max coverage, "
         "and — for compressed spools — the raw vs stored payload bytes "
         "and overall compression ratio.",
@@ -941,16 +929,6 @@ def _cmd_spool(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled spool command {args.spool_command}")
 
 
-def _spool_frame_version(format: str, compression: str) -> int:
-    """The value-file frame version a spool's files carry."""
-    from repro.storage.codec import COMPRESSION_NONE
-    from repro.storage.sorted_sets import FORMAT_BINARY
-
-    if format != FORMAT_BINARY:
-        return 1
-    return 2 if compression == COMPRESSION_NONE else 3
-
-
 def _clip(value: str | None, width: int = 16) -> str:
     """A value shortened for the coverage column, with an ellipsis marker."""
     if value is None:
@@ -964,13 +942,14 @@ def _cmd_spool_inspect(args: argparse.Namespace) -> int:
     Reads only the index document — value payloads are never touched, so
     inspecting a multi-gigabyte spool costs one JSON parse.
     """
+    from repro.storage.codec import COMPRESSION_NONE
     from repro.storage.sorted_sets import SpoolDirectory
 
     spool = SpoolDirectory.open(args.path)
     attributes = sorted(spool.attributes())
-    version = _spool_frame_version(spool.format, spool.compression)
+    version = 2 if spool.compression == COMPRESSION_NONE else 3
     print(
-        f"spool at {spool.root}: frame v{version} ({spool.format}), "
+        f"spool at {spool.root}: frame v{version} (binary), "
         f"compression {spool.compression}, block size {spool.block_size}, "
         f"{len(attributes)} attributes, "
         f"{format_count(spool.total_values())} values"

@@ -68,7 +68,7 @@ from repro.storage.codec import COMPRESSION_NONE, SPOOL_COMPRESSIONS
 from repro.storage.cursors import IOStats
 from repro.storage.exporter import ExportStats, export_into
 from repro.storage.external_sort import DEFAULT_RUN_SIZE
-from repro.storage.sorted_sets import FORMAT_BINARY, SPOOL_FORMATS, SpoolDirectory
+from repro.storage.sorted_sets import FORMAT_BINARY, SpoolDirectory
 from repro.storage.spool_cache import (
     SpoolCache,
     attribute_fingerprints,
@@ -103,10 +103,13 @@ class DiscoveryConfig:
       (the Sec. 6 sampling pretest; external strategies only),
       ``use_transitivity`` (online pruning; sequential strategies only).
     * **Spooling** — ``spool_dir`` (explicit location; temporary when
-      ``None``), ``keep_spool``, ``spool_format`` ("binary" v2 blocks or
-      "text" v1), ``spool_block_size`` (values per v2 block),
-      ``export_workers`` (thread-parallel attribute export),
-      ``max_items_in_memory`` (external-sort run size).
+      ``None``), ``keep_spool``, ``spool_block_size`` (values per block),
+      ``spool_compression`` ("zlib" writes v3 compressed frames),
+      ``mmap_reads`` (serve cursors from a shared memory mapping instead
+      of buffered file reads), ``export_workers`` (thread-parallel
+      attribute export), ``max_items_in_memory`` (external-sort run size).
+      Every spool is binary (``docs/spool_format.md``); the read-only
+      :attr:`spool_format` says so for callers that still read it.
     * **Overlap** — ``overlap`` is the only way a run pools its export
       and sampling pretest: it plans both as one dependency-scheduled task
       graph drained by a single worker pool — the session pool when one
@@ -167,10 +170,9 @@ class DiscoveryConfig:
     sampling_seed: int = 0
     spool_dir: str | None = None  # temporary directory when None
     keep_spool: bool = False
-    spool_format: str = FORMAT_BINARY  # "binary" (v2 blocks) or "text" (v1)
-    spool_block_size: int = DEFAULT_BLOCK_SIZE  # values per v2 block
+    spool_block_size: int = DEFAULT_BLOCK_SIZE  # values per block
     spool_compression: str = COMPRESSION_NONE  # "zlib" writes v3 frames
-    mmap_reads: bool | str = "auto"  # mmap-backed block cursors (binary only)
+    mmap_reads: bool = True  # cursors read a shared memory mapping
     export_workers: int = 1  # thread-parallel attribute spooling
     overlap: bool = False  # dependency-scheduled graph, no phase barriers
     validation_workers: int = 1  # worker processes (brute-force / merge-s-p)
@@ -185,15 +187,14 @@ class DiscoveryConfig:
     incremental: bool = False  # delta-plan against a prior DiscoveryResult
 
     @property
-    def resolved_mmap_reads(self) -> bool:
-        """The mmap decision as a plain bool: ``"auto"`` means binary-only.
+    def spool_format(self) -> str:
+        """Always ``"binary"``: the only spool format (read-only)."""
+        return FORMAT_BINARY
 
-        Text spools have no block framing to map, so auto resolves to
-        ``True`` exactly when the run spools the binary format.
-        """
-        if self.mmap_reads == "auto":
-            return self.spool_format == FORMAT_BINARY
-        return bool(self.mmap_reads)
+    @property
+    def resolved_mmap_reads(self) -> bool:
+        """``mmap_reads`` itself, for callers that still read this name."""
+        return self.mmap_reads
 
     def validated(self) -> "DiscoveryConfig":
         """Return ``self`` after rejecting inconsistent flag combinations."""
@@ -218,11 +219,6 @@ class DiscoveryConfig:
             )
         if self.sampling_size < 0:
             raise DiscoveryError("sampling_size must be >= 0")
-        if self.spool_format not in SPOOL_FORMATS:
-            raise DiscoveryError(
-                f"unknown spool format {self.spool_format!r}; "
-                f"choose from {sorted(SPOOL_FORMATS)}"
-            )
         if self.spool_block_size < 1:
             raise DiscoveryError("spool_block_size must be >= 1")
         if self.spool_compression not in SPOOL_COMPRESSIONS:
@@ -230,24 +226,9 @@ class DiscoveryConfig:
                 f"unknown spool compression {self.spool_compression!r}; "
                 f"choose from {sorted(SPOOL_COMPRESSIONS)}"
             )
-        if (
-            self.spool_compression != COMPRESSION_NONE
-            and self.spool_format != FORMAT_BINARY
-        ):
+        if not isinstance(self.mmap_reads, bool):
             raise DiscoveryError(
-                "spool compression requires the binary spool format; "
-                f"the {self.spool_format!r} format has no block frames"
-            )
-        if self.mmap_reads not in (True, False, "auto"):
-            raise DiscoveryError(
-                f"mmap_reads must be True, False or 'auto', got "
-                f"{self.mmap_reads!r}"
-            )
-        if self.mmap_reads is True and self.spool_format != FORMAT_BINARY:
-            raise DiscoveryError(
-                "mmap_reads maps binary block files; the "
-                f"{self.spool_format!r} format has none (use 'auto' to let "
-                "the format decide)"
+                f"mmap_reads must be True or False, got {self.mmap_reads!r}"
             )
         if self.export_workers < 1:
             raise DiscoveryError("export_workers must be >= 1")
@@ -545,10 +526,12 @@ def discover_inds(
                     db, cfg, spool, ids.candidates(pairs), column_stats
                 )
         else:
-            validator = _build_validator(db, cfg, spool, column_stats, pool)
             with maybe_span(tracer, "validate") as validate_span, (
                 Stopwatch()
             ) as clock:
+                validator = _build_validator(
+                    db, cfg, spool, column_stats, pool
+                )
                 validation = _validate(validator, ids, pairs)
                 if validate_span is not None:
                     validate_span.attrs["validator"] = (
@@ -880,10 +863,9 @@ class _RunSpool:
             cached = cache.lookup(
                 self._fingerprint,
                 needed=needed,
-                spool_format=cfg.spool_format,
                 block_size=cfg.spool_block_size,
                 compression=cfg.spool_compression,
-                mmap_reads=cfg.resolved_mmap_reads,
+                mmap_reads=cfg.mmap_reads,
             )
             if lookup_span is not None:
                 lookup_span.attrs["hit"] = cached is not None
@@ -901,10 +883,9 @@ class _RunSpool:
         cfg = self._cfg
         return SpoolDirectory.create(
             root,
-            format=cfg.spool_format,
             block_size=cfg.spool_block_size,
             compression=cfg.spool_compression,
-            mmap_reads=cfg.resolved_mmap_reads,
+            mmap_reads=cfg.mmap_reads,
         )
 
     def _adopt_donor(self, cache: SpoolCache, needed, tracer) -> None:
@@ -916,7 +897,6 @@ class _RunSpool:
                 self._db.name,
                 self._fingerprints,
                 needed,
-                spool_format=cfg.spool_format,
                 block_size=cfg.spool_block_size,
                 compression=cfg.spool_compression,
                 prior=self._prior_spool,

@@ -46,8 +46,9 @@ different axes, both dispatched through one shared task substrate:
 ===================  =====================================================
 
 Workers always re-open the spool by path (``index.json`` describes every
-file), never inherit handles — see the picklability contract on
-:class:`repro.storage.sorted_sets.SpoolDirectory` and the file cursors.
+file), never inherit handles: a task carries its spool's root as a string,
+and a worker opens it through its warm-handle cache
+(``repro.parallel.pool._open_warm``).
 """
 
 from repro.parallel.engine import ProcessPoolValidationEngine

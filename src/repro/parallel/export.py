@@ -7,7 +7,7 @@ dispatches it over a :class:`~repro.parallel.pool.WorkerPool` instead.
 
 Protocol:
 
-1. the parent saves a **bare index** (format + block size, no attributes)
+1. the parent saves a **bare index** (block size, no attributes)
    so worker processes can open the root like any other spool;
 2. :func:`repro.storage.exporter.plan_export_units` packages each
    attribute — raw values, dtype, and a parent-reserved file name — into a
@@ -50,7 +50,7 @@ from repro.storage.blockio import DEFAULT_BLOCK_SIZE
 from repro.storage.codec import COMPRESSION_NONE
 from repro.storage.exporter import ExportStats, ExportUnit, plan_export_units
 from repro.storage.external_sort import DEFAULT_RUN_SIZE
-from repro.storage.sorted_sets import FORMAT_BINARY, SpoolDirectory
+from repro.storage.sorted_sets import FORMAT_BINARY, SpoolDirectory, check_format
 
 __all__ = ["ExportPlan", "plan_export", "pooled_export"]
 
@@ -135,7 +135,6 @@ def plan_export(
             candidates=(),
             payload=(
                 group,
-                spool.format,
                 spool.block_size,
                 max_items_in_memory,
                 spool.compression,
@@ -171,9 +170,9 @@ def pooled_export(
     drained, exactly like the validation engines
     (:func:`~repro.parallel.pool.run_specs`).
     """
+    check_format(spool_format)
     spool = SpoolDirectory.create(
         spool_root,
-        format=spool_format,
         block_size=block_size,
         compression=compression,
         mmap_reads=mmap_reads,

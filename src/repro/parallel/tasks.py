@@ -55,9 +55,8 @@ KIND_BRUTE_FORCE = "brute-force"
 KIND_MERGE_PARTITION = "merge-partition"
 
 #: Registry key of the built-in spool-export executor.  Payload:
-#: ``(units, spool_format, block_size, max_items_in_memory)`` or the same
-#: plus a trailing ``compression``, where ``units`` is a tuple of
-#: :class:`repro.storage.exporter.ExportUnit`.  Carries no candidates; the
+#: ``(units, block_size, max_items_in_memory, compression)``, where
+#: ``units`` is a tuple of :class:`repro.storage.exporter.ExportUnit`.  Carries no candidates; the
 #: written files' metadata comes back in the outcome's ``payload``.
 KIND_SPOOL_EXPORT = "spool-export"
 
@@ -269,16 +268,13 @@ def _run_spool_export(spool: "SpoolDirectory", task: PoolTask) -> ShardOutcome:
     :class:`~repro.storage.sorted_sets.SortedValueFile` metadata, in unit
     order, for the parent to register and fold into the final index.
     """
-    from repro.storage.codec import COMPRESSION_NONE
     from repro.storage.exporter import run_export_unit
 
-    units, spool_format, block_size, max_items, *rest = task.payload
-    compression = rest[0] if rest else COMPRESSION_NONE
+    units, block_size, max_items, compression = task.payload
     written = tuple(
         run_export_unit(
             task.spool_root,
             unit,
-            spool_format=spool_format,
             block_size=block_size,
             max_items_in_memory=max_items,
             compression=compression,

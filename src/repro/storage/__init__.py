@@ -3,13 +3,13 @@
 The external algorithms (Sec. 3) operate on *sorted files of distinct
 attribute values* extracted once from the database.  This package provides:
 
-* :mod:`repro.storage.codec` — TO_CHAR-style value rendering plus the escaped
-  line (v1) and binary block (v2) codecs of the spool files;
-* :mod:`repro.storage.blockio` — framing of the v2 length-prefixed block
+* :mod:`repro.storage.codec` — TO_CHAR-style value rendering plus the escaping
+  and binary block codec of the spool files;
+* :mod:`repro.storage.blockio` — framing of the v2/v3 length-prefixed block
   files (writer, magic, per-block metadata);
 * :mod:`repro.storage.external_sort` — bounded-memory external merge sort;
 * :mod:`repro.storage.sorted_sets` — one sorted, distinct value file per
-  attribute plus a JSON metadata sidecar with format sniffing;
+  attribute plus a JSON metadata sidecar;
 * :mod:`repro.storage.cursors` — forward cursors with batched reads and
   item-read accounting (the counters behind Figure 5);
 * :mod:`repro.storage.exporter` — extraction of a whole database into a
@@ -22,7 +22,6 @@ from repro.storage.blockio import (
     DEFAULT_BLOCK_SIZE,
     BlockFileWriter,
     BlockMeta,
-    sniff_block_file,
 )
 from repro.storage.codec import (
     COMPRESSION_NONE,
@@ -36,12 +35,11 @@ from repro.storage.codec import (
 )
 from repro.storage.cursors import (
     BatchReader,
-    BlockFileValueCursor,
+    BlockValueCursor,
     CountingCursor,
-    FileValueCursor,
     IOStats,
     MemoryValueCursor,
-    MmapBlockFileValueCursor,
+    MmapBlockValueCursor,
     ValueCursor,
 )
 from repro.storage.exporter import export_database
@@ -49,29 +47,24 @@ from repro.storage.external_sort import external_sort
 from repro.storage.spool_cache import SpoolCache, catalog_fingerprint
 from repro.storage.sorted_sets import (
     FORMAT_BINARY,
-    FORMAT_TEXT,
-    SPOOL_FORMATS,
     SortedValueFile,
     SpoolDirectory,
 )
 
 __all__ = [
     "BatchReader",
-    "BlockFileValueCursor",
     "BlockFileWriter",
     "BlockMeta",
+    "BlockValueCursor",
     "COMPRESSION_NONE",
     "COMPRESSION_ZLIB",
     "CountingCursor",
     "DEFAULT_BLOCK_SIZE",
     "FORMAT_BINARY",
-    "FORMAT_TEXT",
-    "FileValueCursor",
     "IOStats",
     "MemoryValueCursor",
-    "MmapBlockFileValueCursor",
+    "MmapBlockValueCursor",
     "SPOOL_COMPRESSIONS",
-    "SPOOL_FORMATS",
     "SortedValueFile",
     "SpoolCache",
     "SpoolDirectory",
@@ -83,6 +76,5 @@ __all__ = [
     "export_database",
     "external_sort",
     "render_value",
-    "sniff_block_file",
     "unescape_line",
 ]

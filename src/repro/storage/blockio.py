@@ -246,17 +246,3 @@ def read_magic(fh: IO[bytes], path: str) -> str:
     v2 files).
     """
     return parse_magic(fh.read(len(MAGIC)), path)
-
-
-def sniff_block_file(path: str) -> bool:
-    """True when ``path`` starts with a known binary magic (v2 or v3)."""
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(len(MAGIC))
-    except OSError as exc:
-        raise SpoolError(f"cannot open value file {path}: {exc}") from exc
-    try:
-        parse_magic(head, path)
-    except SpoolError:
-        return False
-    return True

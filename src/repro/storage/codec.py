@@ -14,17 +14,13 @@ Two decisions from the paper are encoded here:
   sorted by plain Python string comparison (code-point order), which is a
   total order and consistent everywhere.
 
-The escaped line format makes the newline-delimited spool files loss-free for
-arbitrary strings (including embedded newlines and backslashes).
-
-Two codecs share the escaping rules:
-
-* **v1 (text)** — one escaped value per line, the whole file is one stream of
-  lines (:func:`escape_line` / :func:`unescape_line` per value);
-* **v2 (binary blocks)** — escaped values are packed into length-prefixed
-  blocks (:func:`encode_block` / :func:`decode_block`), so a reader decodes a
-  few thousand values with one ``bytes.decode`` + ``str.split`` instead of one
-  Python-level line read per value.  See ``docs/spool_format.md``.
+Escaping makes the newline separator of a block payload loss-free for
+arbitrary strings (including embedded newlines and backslashes): the v2
+block codec packs escaped values into length-prefixed blocks
+(:func:`encode_block` / :func:`decode_block`, per value :func:`escape_line`
+/ :func:`unescape_line`), so a reader decodes a few thousand values with one
+``bytes.decode`` + ``str.split`` instead of one Python-level read per value.
+See ``docs/spool_format.md``.
 
 The v3 layout reuses the v2 block codec and adds an optional zlib layer
 around each payload (:func:`compress_payload` / :func:`decompress_payload`)
@@ -153,17 +149,11 @@ def encode_block(values: list[str]) -> bytes:
     part of the payload — the block frame (see :mod:`repro.storage.blockio`)
     carries it, which is what disambiguates the empty payload of a zero-value
     block from a block holding one empty string.
-    """
-    return join_escaped(values).encode("utf-8")
-
-
-def join_escaped(values: list[str]) -> str:
-    r"""The escaped values joined by ``\n`` — the text of one block.
 
     Escaping is only needed when some value holds ``\``, ``\r`` or a
     newline; the join is checked once and the per-value
-    :func:`escape_line` pass runs only for such a batch, so the result is
-    always ``"\n".join(map(escape_line, values))``.
+    :func:`escape_line` pass runs only for such a batch, so the payload is
+    always ``"\n".join(map(escape_line, values))``, encoded.
     """
     joined = "\n".join(values)
     if (
@@ -171,8 +161,8 @@ def join_escaped(values: list[str]) -> str:
         or "\r" in joined
         or joined.count("\n") != len(values) - 1
     ):
-        return "\n".join(map(escape_line, values))
-    return joined
+        joined = "\n".join(map(escape_line, values))
+    return joined.encode("utf-8")
 
 
 def decode_block(payload: bytes, count: int) -> list[str]:

@@ -14,7 +14,8 @@ then commits ``k`` of those values as read.  The split matters because the
 validators early-stop: a refuted candidate must only be charged for the items
 the algorithm *logically* consumed, not for whatever block the cursor happened
 to decode — that is the measurement behind the paper's Figure 5 ("number of
-items read"), and it must not change with the on-disk format.
+items read"), and it must not change with the on-disk layout (block size,
+compression) or the byte source (buffered file or memory mapping).
 """
 
 from __future__ import annotations
@@ -26,18 +27,10 @@ from typing import IO, Iterator, Protocol
 
 from repro.errors import SpoolError
 from repro.storage.blockio import BLOCK_HEADER, BlockMeta, read_magic
-from repro.storage.codec import (
-    COMPRESSION_ZLIB,
-    decode_block,
-    decompress_payload,
-    unescape_line,
-)
+from repro.storage.codec import COMPRESSION_ZLIB, decode_block, decompress_payload
 
 #: Default number of values handed out per batched read.
 DEFAULT_BATCH_SIZE = 1024
-
-#: Byte hint for one physical read of a v1 text file.
-_TEXT_READ_HINT = 64 * 1024
 
 
 @dataclass
@@ -155,7 +148,6 @@ class BufferedValueCursor:
         self._pos = 0
         self._eof = False
         self._closed = False
-        self._consumed = 0  # logical position; lets a pickled cursor resume
         if stats is not None:
             stats.record_open()
 
@@ -198,7 +190,6 @@ class BufferedValueCursor:
             raise SpoolError(f"cursor {self._label} read past end")
         value = self._buf[self._pos]
         self._pos += 1
-        self._consumed += 1
         if self._stats is not None:
             self._stats.record_read(self._label)
         return value
@@ -225,7 +216,6 @@ class BufferedValueCursor:
                 f"({len(self._buf) - self._pos} buffered)"
             )
         self._pos += count
-        self._consumed += count
         if self._stats is not None:
             self._stats.record_read_batch(self._label, count)
 
@@ -239,8 +229,8 @@ class BufferedValueCursor:
     def skip_blocks_below(self, value: str) -> int:
         """Seek past whole not-yet-decoded blocks whose max is below ``value``.
 
-        A no-op for formats without per-block metadata, so validators may call
-        it unconditionally.  Skipped values are never charged to
+        A no-op for cursors without per-block metadata, so validators may
+        call it unconditionally.  Skipped values are never charged to
         :class:`IOStats.items_read`; subclasses that actually skip record the
         skip through :meth:`IOStats.record_skip` instead.
         """
@@ -271,94 +261,7 @@ class MemoryValueCursor(BufferedValueCursor):
         return []
 
 
-class _PicklableByPath:
-    """Pickle support for file-backed cursors: re-open by path, not by handle.
-
-    Worker processes must never inherit a parent's file descriptors — the
-    shared offset would corrupt both readers.  Pickling therefore captures
-    only ``(path, label, logical position)``; unpickling re-opens the file in
-    the receiving process and fast-forwards to the recorded position.  The
-    restored cursor carries no :class:`IOStats` (the receiving run attaches
-    its own accounting by opening fresh cursors when it wants counters).
-    """
-
-    def __getstate__(self) -> dict:
-        return {
-            "path": self._path,
-            "label": self._label,
-            "consumed": self._consumed,
-            "closed": self._closed,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        if state["closed"]:
-            self._stats = None
-            self._label = state["label"]
-            self._path = state["path"]
-            self._buf = []
-            self._pos = 0
-            self._eof = True
-            self._closed = True
-            self._consumed = state["consumed"]
-            self._fh = None
-            self._init_reopened_extras()
-            return
-        self.__init__(state["path"], stats=None, label=state["label"])
-        self._fast_forward(state["consumed"])
-
-    def _init_reopened_extras(self) -> None:
-        """Subclass hook: restore fields beyond the base cursor state."""
-
-    def _fast_forward(self, count: int) -> None:
-        """Re-consume ``count`` values after re-opening (no stats attached)."""
-        remaining = count
-        while remaining:
-            batch = self.peek_batch(min(remaining, 4096))
-            if not batch:
-                raise SpoolError(
-                    f"value file {self._path} shrank: cannot restore cursor "
-                    f"position {count}"
-                )
-            take = min(remaining, len(batch))
-            self.advance(take)
-            remaining -= take
-
-
-class FileValueCursor(_PicklableByPath, BufferedValueCursor):
-    """Cursor over a v1 escaped, newline-delimited sorted value file.
-
-    Reads lazily in ~64 KB slabs of lines, so a refuted candidate never pays
-    for the rest of the file — the early-stop behaviour SQL could not express
-    — while a full scan still amortises the file I/O over many values.
-    """
-
-    def __init__(
-        self, path: str, stats: IOStats | None = None, label: str | None = None
-    ) -> None:
-        self._path = path
-        try:
-            self._fh: IO[str] | None = open(path, encoding="utf-8")
-        except OSError as exc:
-            raise SpoolError(f"cannot open value file {path}: {exc}") from exc
-        super().__init__(stats, label or path)
-
-    def _load(self) -> list[str]:
-        assert self._fh is not None
-        lines = self._fh.readlines(_TEXT_READ_HINT)
-        if lines and self._stats is not None:
-            # Text mode: character count stands in for bytes (exact for
-            # ASCII values, the overwhelming majority).
-            loaded = sum(len(line) for line in lines)
-            self._stats.record_bytes(loaded, loaded)
-        return [unescape_line(line.rstrip("\n")) for line in lines]
-
-    def _do_close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-
-class BlockFileValueCursor(_PicklableByPath, BufferedValueCursor):
+class BlockValueCursor(BufferedValueCursor):
     """Cursor over a v2/v3 binary block file (see :mod:`repro.storage.blockio`).
 
     One ``_load`` decodes one whole block — a single read, one
@@ -386,7 +289,6 @@ class BlockFileValueCursor(_PicklableByPath, BufferedValueCursor):
         self._path = path
         self._blocks = blocks
         self._next_block = 0  # index of the next on-disk frame to read
-        self._skipped_values = 0
         try:
             self._fh: IO[bytes] | None = open(path, "rb")
         except OSError as exc:
@@ -469,10 +371,8 @@ class BlockFileValueCursor(_PicklableByPath, BufferedValueCursor):
         ):
             values_skipped += self._seek_past_next_block()
             blocks_skipped += 1
-        if blocks_skipped:
-            self._skipped_values += values_skipped
-            if self._stats is not None:
-                self._stats.record_skip(blocks_skipped, values_skipped)
+        if blocks_skipped and self._stats is not None:
+            self._stats.record_skip(blocks_skipped, values_skipped)
         return blocks_skipped
 
     def _seek_past_next_block(self) -> int:
@@ -493,33 +393,16 @@ class BlockFileValueCursor(_PicklableByPath, BufferedValueCursor):
             self._fh.close()
             self._fh = None
 
-    # ------------------------------------------------------------- pickling
-    def __getstate__(self) -> dict:
-        if self._skipped_values:
-            # The logical position no longer equals the file position; a
-            # fast-forward in the receiving process could not reproduce it.
-            raise SpoolError(
-                f"cursor {self._label} cannot be pickled after skip-scans"
-            )
-        return super().__getstate__()
 
-    def _init_reopened_extras(self) -> None:
-        self._blocks = None
-        self._next_block = 0
-        self._skipped_values = 0
-        self._compression = None  # closed cursor: never decodes again
-
-
-class MmapBlockFileValueCursor(BlockFileValueCursor):
+class MmapBlockValueCursor(BlockValueCursor):
     """Block cursor decoding lazily out of one shared memory mapping.
 
     Maps the whole value file once and reads frames by slicing the mapping,
     so the dozens of concurrent cursors a merge or pooled run opens on the
     same referenced-side file share the OS page cache instead of each
-    carrying a private stdio buffer.  Identical protocol, accounting and
-    pickling semantics to :class:`BlockFileValueCursor` — only the byte
-    source differs, so decisions and every counter stay byte-exact either
-    way.
+    carrying a private stdio buffer.  Identical protocol and accounting to
+    :class:`BlockValueCursor` — only the byte source differs, so
+    decisions and every counter stay byte-exact either way.
     """
 
     def _init_byte_source(self) -> None:
@@ -549,11 +432,6 @@ class MmapBlockFileValueCursor(BlockFileValueCursor):
             self._map = None
         super()._do_close()
 
-    def _init_reopened_extras(self) -> None:
-        super()._init_reopened_extras()
-        self._map = None
-        self._offset = 0
-
 
 class CountingCursor(BufferedValueCursor):
     """Adapter exposing any string iterator through the cursor protocol."""
@@ -581,7 +459,7 @@ class BatchReader:
     ``batch_size`` values instead of once per value.  Totals are exact: a
     value is charged to :class:`IOStats` iff it was handed to the caller, so
     every validator reports the same ``items_read`` it did with per-value
-    ``next_value`` loops, for both spool formats.
+    ``next_value`` loops.
 
     ``flush`` commits pending consumption without closing (used when the
     caller owns the cursor); ``close`` flushes and closes the cursor.

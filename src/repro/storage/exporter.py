@@ -58,6 +58,7 @@ from repro.storage.sorted_sets import (
     FORMAT_BINARY,
     SortedValueFile,
     SpoolDirectory,
+    check_format,
     write_value_file,
 )
 
@@ -135,7 +136,6 @@ def _sorted_distinct(
 def run_export_unit(
     spool_root: str,
     unit: ExportUnit,
-    spool_format: str,
     block_size: int,
     max_items_in_memory: int = DEFAULT_RUN_SIZE,
     compression: str = COMPRESSION_NONE,
@@ -152,7 +152,6 @@ def run_export_unit(
         str(Path(spool_root) / unit.file_name),
         _sorted_distinct(unit.values, max_items_in_memory),
         dtype=unit.dtype,
-        format=spool_format,
         block_size=block_size,
         compression=compression,
     )
@@ -187,15 +186,15 @@ def export_database(
     ``attributes`` restricts the export (used by the Figure 5 benchmark that
     grows the attribute subset).  Empty attributes are skipped unless
     ``include_empty`` is set — the paper's candidate rules only ever consider
-    non-empty columns, so their files would never be read.  ``spool_format``
-    selects between the v1 text and v2 binary block layouts;
-    ``compression="zlib"`` upgrades binary files to v3 compressed frames;
+    non-empty columns, so their files would never be read.
+    ``spool_format`` accepts only ``"binary"``; ``compression="zlib"``
+    upgrades the value files to v3 compressed frames;
     ``mmap_reads`` makes the returned directory serve mmap-backed cursors;
     ``workers`` spools that many attributes concurrently.
     """
+    check_format(spool_format)
     spool = SpoolDirectory.create(
         spool_root,
-        format=spool_format,
         block_size=block_size,
         compression=compression,
         mmap_reads=mmap_reads,

@@ -7,22 +7,23 @@ an ``index.json`` with per-attribute metadata (distinct count, min/max value,
 source type).  The metadata is what makes the Sec. 4.1 pretests free: the
 cardinality and max-value tests read the index, not the files.
 
-Three on-disk formats coexist (``docs/spool_format.md``):
+Value files are binary block files in one of two frames
+(``docs/spool_format.md``):
 
-* **v1 (text)** — one escaped value per line, ``.vals`` files;
-* **v2 (binary)** — length-prefixed blocks of escaped values, ``.valsb``
-  files, with per-block value counts and min/max persisted in the index;
-* **v3 (binary, compressed)** — the v2 block layout with zlib-deflated
-  payloads, declared by the frame flags byte and an index
-  ``version: 3`` + ``compression`` field, with per-block raw/stored byte
-  counts persisted alongside the min/max.
+* **v2** — length-prefixed blocks of escaped values, ``.valsb`` files, with
+  per-block value counts and min/max persisted in the index;
+* **v3 (compressed)** — the v2 block layout with zlib-deflated payloads,
+  declared by the frame flags byte and an index ``version: 3`` +
+  ``compression`` field, with per-block raw/stored byte counts persisted
+  alongside the min/max.
 
-The ``version`` field of ``index.json`` is the format sniff: a v1 index has
-no such field and is read as text.  Directories of any format open through
-the same API and feed the same cursors, so every validator runs unchanged on
-legacy spools.  ``mmap_reads=True`` serves binary cursors out of a shared
-memory mapping instead of per-cursor stdio buffers — a pure byte-source
-swap, identical results and accounting.
+The ``version`` and ``format`` fields of ``index.json`` identify the layout.
+A directory of the removed v1 text format — an index without ``version``,
+or one naming ``"format": "text"`` — is rejected at :meth:`SpoolDirectory.open`
+with a :class:`SpoolError` naming its path; re-export it.
+``mmap_reads=True`` serves cursors out of a shared memory mapping instead of
+per-cursor stdio buffers — a pure byte-source swap, identical results and
+accounting.
 """
 
 from __future__ import annotations
@@ -41,32 +42,39 @@ from pathlib import Path
 from repro.db.schema import AttributeRef
 from repro.errors import SpoolError
 from repro.storage.blockio import DEFAULT_BLOCK_SIZE, BlockFileWriter, BlockMeta
-from repro.storage.codec import (
-    COMPRESSION_NONE,
-    SPOOL_COMPRESSIONS,
-    join_escaped,
-)
+from repro.storage.codec import COMPRESSION_NONE, SPOOL_COMPRESSIONS
 from repro.storage.cursors import (
-    BlockFileValueCursor,
-    FileValueCursor,
+    BlockValueCursor,
     IOStats,
-    MmapBlockFileValueCursor,
+    MmapBlockValueCursor,
 )
 
 _INDEX_FILE = "index.json"
 _SAFE_NAME = re.compile(r"[^A-Za-z0-9_.-]")
 
-#: Spool format identifiers and the index schema versions.
-FORMAT_TEXT = "text"
+#: The spool format every index names, and the index schema versions.
 FORMAT_BINARY = "binary"
-SPOOL_FORMATS = (FORMAT_TEXT, FORMAT_BINARY)
 INDEX_VERSION = 2
 #: Index version written for compressed (v3) spools, so builds that predate
 #: compression reject the directory loudly at the index instead of failing
 #: deeper at the frame magic.
 COMPRESSED_INDEX_VERSION = 3
 
-_EXTENSIONS = {FORMAT_TEXT: ".vals", FORMAT_BINARY: ".valsb"}
+_EXTENSION = ".valsb"
+
+
+def check_format(format: str) -> None:
+    """Reject every spool format but ``"binary"``, naming the removed one.
+
+    ``format=`` and ``spool_format=`` keywords remain on the export and
+    cache entry points for callers that still pass them; they accept only
+    ``"binary"``.
+    """
+    if format != FORMAT_BINARY:
+        raise SpoolError(
+            f"spool format {format!r} is not supported: the v1 'text' "
+            f"format was removed and every spool is {FORMAT_BINARY!r}"
+        )
 
 
 def write_value_file(
@@ -74,7 +82,6 @@ def write_value_file(
     file_path: str | Path,
     sorted_distinct_values: Iterable[str],
     dtype: str = "VARCHAR",
-    format: str = FORMAT_TEXT,
     block_size: int = DEFAULT_BLOCK_SIZE,
     compression: str = COMPRESSION_NONE,
 ) -> "SortedValueFile":
@@ -92,67 +99,29 @@ def write_value_file(
     verified while writing because a mis-sorted spool file silently breaks
     every validator.  Values are written ``block_size`` at a time: each
     slice is checked for strict ascent in one C-level pass and lands as
-    one block (a batch of lines in the text format).
+    one block.
     """
     final_path = Path(file_path)
     tmp_path = final_path.with_name(f"{final_path.name}.tmp-{os.getpid()}")
-    if compression != COMPRESSION_NONE and format != FORMAT_BINARY:
-        raise SpoolError(
-            f"spool compression {compression!r} requires the binary format, "
-            f"not {format!r}"
-        )
-    chunks = _checked_chunks(
-        ref,
-        sorted_distinct_values,
-        block_size if format == FORMAT_BINARY else DEFAULT_BLOCK_SIZE,
-    )
     try:
-        if format == FORMAT_BINARY:
-            with BlockFileWriter(
-                str(tmp_path), block_size=block_size, compression=compression
-            ) as writer:
-                for chunk in chunks:
-                    writer.write_block(chunk)
-            svf = SortedValueFile(
-                ref=ref,
-                path=str(final_path),
-                count=writer.count,
-                min_value=writer.min_value,
-                max_value=writer.max_value,
-                dtype=dtype,
-                format=FORMAT_BINARY,
-                blocks=tuple(writer.blocks),
-            )
-        elif format == FORMAT_TEXT:
-            count = 0
-            first: str | None = None
-            last: str | None = None
-            with open(tmp_path, "w", encoding="utf-8") as fh:
-                for chunk in chunks:
-                    if first is None:
-                        first = chunk[0]
-                    last = chunk[-1]
-                    fh.write(join_escaped(chunk))
-                    fh.write("\n")
-                    count += len(chunk)
-            svf = SortedValueFile(
-                ref=ref,
-                path=str(final_path),
-                count=count,
-                min_value=first,
-                max_value=last,
-                dtype=dtype,
-                format=FORMAT_TEXT,
-            )
-        else:
-            raise SpoolError(
-                f"unknown spool format {format!r}; choose from {SPOOL_FORMATS}"
-            )
+        with BlockFileWriter(
+            str(tmp_path), block_size=block_size, compression=compression
+        ) as writer:
+            for chunk in _checked_chunks(ref, sorted_distinct_values, block_size):
+                writer.write_block(chunk)
     except BaseException:
         tmp_path.unlink(missing_ok=True)
         raise
     os.replace(tmp_path, final_path)
-    return svf
+    return SortedValueFile(
+        ref=ref,
+        path=str(final_path),
+        count=writer.count,
+        min_value=writer.min_value,
+        max_value=writer.max_value,
+        dtype=dtype,
+        blocks=tuple(writer.blocks),
+    )
 
 
 def _checked_chunks(
@@ -197,7 +166,6 @@ class SortedValueFile:
     min_value: str | None
     max_value: str | None
     dtype: str
-    format: str = FORMAT_TEXT
     blocks: tuple[BlockMeta, ...] = field(default=())
 
     @property
@@ -206,18 +174,11 @@ class SortedValueFile:
 
     def open_cursor(
         self, stats: IOStats | None = None, mmap_reads: bool = False
-    ) -> FileValueCursor | BlockFileValueCursor:
-        if self.format == FORMAT_BINARY:
-            cursor_cls = (
-                MmapBlockFileValueCursor if mmap_reads else BlockFileValueCursor
-            )
-            return cursor_cls(
-                self.path,
-                stats=stats,
-                label=self.ref.qualified,
-                blocks=self.blocks,
-            )
-        return FileValueCursor(self.path, stats=stats, label=self.ref.qualified)
+    ) -> BlockValueCursor:
+        cursor_cls = MmapBlockValueCursor if mmap_reads else BlockValueCursor
+        return cursor_cls(
+            self.path, stats=stats, label=self.ref.qualified, blocks=self.blocks
+        )
 
     def values(self) -> list[str]:
         """Read the whole file into memory (tests and small sets only)."""
@@ -237,8 +198,8 @@ class SpoolDirectory:
     """A directory of sorted value files, addressable by attribute.
 
     Create with :meth:`create`, populate with :meth:`add_values`, persist with
-    :meth:`save_index`, reopen later with :meth:`open` (which sniffs the
-    format from the index ``version`` field).  :meth:`add_values` is
+    :meth:`save_index`, reopen later with :meth:`open` (which reads the
+    frame version and compression from the index).  :meth:`add_values` is
     thread-safe so the exporter can spool attributes in parallel — each
     attribute writes its own file; only the registry is shared.
     """
@@ -246,15 +207,10 @@ class SpoolDirectory:
     def __init__(
         self,
         root: Path,
-        format: str = FORMAT_TEXT,
         block_size: int = DEFAULT_BLOCK_SIZE,
         compression: str = COMPRESSION_NONE,
         mmap_reads: bool = False,
     ) -> None:
-        if format not in SPOOL_FORMATS:
-            raise SpoolError(
-                f"unknown spool format {format!r}; choose from {SPOOL_FORMATS}"
-            )
         if block_size < 1:
             raise SpoolError(f"block_size must be >= 1, got {block_size!r}")
         if compression not in SPOOL_COMPRESSIONS:
@@ -262,18 +218,11 @@ class SpoolDirectory:
                 f"unknown spool compression {compression!r}; choose from "
                 f"{SPOOL_COMPRESSIONS}"
             )
-        if compression != COMPRESSION_NONE and format != FORMAT_BINARY:
-            raise SpoolError(
-                f"spool compression {compression!r} requires the binary "
-                f"format, not {format!r}"
-            )
         self.root = root
-        self.format = format
         self.block_size = block_size
         self.compression = compression
-        #: Serve binary cursors from a shared memory mapping.  A reader-side
-        #: toggle only — it never changes what is on disk, and it rides the
-        #: pickled-by-path state so pool workers inherit the caller's choice.
+        #: Serve cursors from a shared memory mapping.  A reader-side toggle
+        #: only — it never changes what is on disk.
         self.mmap_reads = mmap_reads
         #: SHA-256 fingerprint of the source database catalog, stamped by the
         #: spool cache so a kept directory can be matched to an unchanged
@@ -300,16 +249,20 @@ class SpoolDirectory:
     def create(
         cls,
         root: str | Path,
-        format: str = FORMAT_TEXT,
+        format: str = FORMAT_BINARY,
         block_size: int = DEFAULT_BLOCK_SIZE,
         compression: str = COMPRESSION_NONE,
         mmap_reads: bool = False,
     ) -> "SpoolDirectory":
+        """An empty spool directory at ``root`` (created if missing).
+
+        ``format`` accepts only ``"binary"`` (see :func:`check_format`).
+        """
+        check_format(format)
         path = Path(root)
         path.mkdir(parents=True, exist_ok=True)
         return cls(
             path,
-            format=format,
             block_size=block_size,
             compression=compression,
             mmap_reads=mmap_reads,
@@ -325,35 +278,36 @@ class SpoolDirectory:
             raise SpoolError(f"{path} is not a spool directory (no {_INDEX_FILE})")
         with open(index_path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        version = doc.get("version", 1)
-        compression = COMPRESSION_NONE
-        if version == 1:
-            format = FORMAT_TEXT
-            block_size = DEFAULT_BLOCK_SIZE
-        elif version in (INDEX_VERSION, COMPRESSED_INDEX_VERSION):
-            format = doc.get("format", FORMAT_TEXT)
-            if format not in SPOOL_FORMATS:
-                raise SpoolError(
-                    f"spool index of {path} names unknown format {format!r}"
-                )
-            block_size = doc.get("block_size", DEFAULT_BLOCK_SIZE)
-            if version == COMPRESSED_INDEX_VERSION:
-                compression = doc.get("compression", COMPRESSION_NONE)
-                if compression not in SPOOL_COMPRESSIONS:
-                    raise SpoolError(
-                        f"spool index of {path} names unknown compression "
-                        f"{compression!r}"
-                    )
-        else:
+        version = doc.get("version")
+        if version is None:
+            raise SpoolError(
+                f"{path} is a v1 text spool (its {_INDEX_FILE} has no "
+                "version); the text format was removed, so re-export it"
+            )
+        if version not in (INDEX_VERSION, COMPRESSED_INDEX_VERSION):
             raise SpoolError(
                 f"spool index version {version!r} of {path} is not supported "
-                f"(this build reads versions 1, {INDEX_VERSION} and "
+                f"(this build reads versions {INDEX_VERSION} and "
                 f"{COMPRESSED_INDEX_VERSION})"
             )
+        format = doc.get("format")
+        if format != FORMAT_BINARY:
+            raise SpoolError(
+                f"spool index of {path} names format {format!r}; only "
+                f"{FORMAT_BINARY!r} spools are readable (the v1 'text' "
+                "format was removed, so re-export it)"
+            )
+        compression = COMPRESSION_NONE
+        if version == COMPRESSED_INDEX_VERSION:
+            compression = doc.get("compression", COMPRESSION_NONE)
+            if compression not in SPOOL_COMPRESSIONS:
+                raise SpoolError(
+                    f"spool index of {path} names unknown compression "
+                    f"{compression!r}"
+                )
         spool = cls(
             path,
-            format=format,
-            block_size=block_size,
+            block_size=doc.get("block_size", DEFAULT_BLOCK_SIZE),
             compression=compression,
             mmap_reads=mmap_reads,
         )
@@ -379,7 +333,6 @@ class SpoolDirectory:
                 min_value=entry.get("min"),
                 max_value=entry.get("max"),
                 dtype=entry.get("dtype", "VARCHAR"),
-                format=format,
                 blocks=blocks,
             )
             spool._used_names[file_path.name] += 1
@@ -405,7 +358,6 @@ class SpoolDirectory:
                 file_path,
                 sorted_distinct_values,
                 dtype=dtype,
-                format=self.format,
                 block_size=self.block_size,
                 compression=self.compression,
             )
@@ -467,12 +419,11 @@ class SpoolDirectory:
         compressed = self.compression != COMPRESSION_NONE
         doc: dict = {
             "version": COMPRESSED_INDEX_VERSION if compressed else INDEX_VERSION,
-            "format": self.format,
+            "format": FORMAT_BINARY,
         }
         if compressed:
             doc["compression"] = self.compression
-        if self.format == FORMAT_BINARY:
-            doc["block_size"] = self.block_size
+        doc["block_size"] = self.block_size
         if self.catalog_hash is not None:
             doc["catalog_hash"] = self.catalog_hash
         if self.database_name is not None:
@@ -494,7 +445,7 @@ class SpoolDirectory:
 
     @staticmethod
     def _entry(ref: AttributeRef, svf: SortedValueFile) -> dict:
-        entry = {
+        return {
             "table": ref.table,
             "column": ref.column,
             "file": Path(svf.path).name,
@@ -502,40 +453,17 @@ class SpoolDirectory:
             "min": svf.min_value,
             "max": svf.max_value,
             "dtype": svf.dtype,
+            "blocks": [block.to_doc() for block in svf.blocks],
         }
-        if svf.format == FORMAT_BINARY:
-            entry["blocks"] = [block.to_doc() for block in svf.blocks]
-        return entry
 
     def _file_name(self, ref: AttributeRef) -> str:
         base = _SAFE_NAME.sub("_", f"{ref.table}__{ref.column}")
-        extension = _EXTENSIONS[self.format]
-        candidate = f"{base}{extension}"
+        candidate = f"{base}{_EXTENSION}"
         suffix = 1
         while candidate in self._used_names:
             suffix += 1
-            candidate = f"{base}__{suffix}{extension}"
+            candidate = f"{base}__{suffix}{_EXTENSION}"
         return candidate
-
-    # ------------------------------------------------------------- pickling
-    def __getstate__(self) -> dict:
-        """Pickle as a path: worker processes re-open files, never inherit them.
-
-        Requires a saved index — an unsaved in-construction directory cannot
-        be reconstructed in another process and must not pretend it can.
-        """
-        if not (self.root / _INDEX_FILE).exists():
-            raise SpoolError(
-                f"spool directory {self.root} has no saved index; call "
-                "save_index() before shipping it to worker processes"
-            )
-        return {"root": str(self.root), "mmap_reads": self.mmap_reads}
-
-    def __setstate__(self, state: dict) -> None:
-        reopened = SpoolDirectory.open(
-            state["root"], mmap_reads=state.get("mmap_reads", False)
-        )
-        self.__dict__.update(reopened.__dict__)
 
     def discard(self, ref: AttributeRef) -> None:
         """Remove an attribute's spool file (used to drop empty attributes)."""
@@ -564,7 +492,7 @@ class SpoolDirectory:
 
     def open_cursor(
         self, ref: AttributeRef, stats: IOStats | None = None
-    ) -> FileValueCursor | BlockFileValueCursor:
+    ) -> BlockValueCursor:
         return self.get(ref).open_cursor(stats, mmap_reads=self.mmap_reads)
 
     def total_values(self) -> int:

@@ -18,9 +18,12 @@ trusted.
 
 Layout::
 
-    <cache_dir>/<fingerprint-prefix>-<format>[-<block>]/index.json + value files
+    <cache_dir>/<fingerprint-prefix>-binary-<block>[-<compression>]/index.json + value files
 
-One entry per (fingerprint, spool configuration).  The profiling statistics
+One entry per (fingerprint, spool configuration).  Entries named
+``<fingerprint-prefix>-text`` hold the removed v1 text format: no lookup or
+donor scan addresses them, but ``repro-ind cache list`` lists them and
+eviction removes them like any other entry.  The profiling statistics
 come in through :func:`catalog_fingerprint` from the runner's profile, which
 it needs for candidate generation in any case, so cache keying adds zero
 extra scans over the database.  A cache-reusing run takes that profile from
@@ -69,7 +72,7 @@ from repro.errors import FingerprintError, SpoolError
 from repro.obs.metrics import get_registry
 from repro.storage.blockio import DEFAULT_BLOCK_SIZE
 from repro.storage.codec import COMPRESSION_NONE
-from repro.storage.sorted_sets import FORMAT_BINARY, SpoolDirectory
+from repro.storage.sorted_sets import FORMAT_BINARY, SpoolDirectory, check_format
 
 if TYPE_CHECKING:  # repro.db imports repro.storage; keep the cycle type-only
     from repro.db.schema import AttributeRef
@@ -110,8 +113,8 @@ class CacheEntryInfo:
 
     path: Path
     fingerprint_prefix: str
-    spool_format: str
-    block_size: int | None  # None for text entries (no block framing)
+    spool_format: str  # "binary", or "text" for a legacy v1 entry
+    block_size: int | None  # None for legacy text entries (no block framing)
     size_bytes: int
     mtime: float  # last hit (or publish) — the LRU recency key
     attribute_count: int
@@ -119,7 +122,7 @@ class CacheEntryInfo:
 
     @property
     def name(self) -> str:
-        """The entry's directory name (``<fp-prefix>-<format>[-<block>]``)."""
+        """The entry's directory name (``<fp-prefix>-binary-<block>[-<comp>]``)."""
         return self.path.name
 
 
@@ -245,7 +248,7 @@ class SpoolCache:
     equivalent one.
 
     >>> cache = SpoolCache("~/.cache/repro-ind/spools")
-    >>> spool = cache.lookup(fp, needed=attrs, spool_format="binary")
+    >>> spool = cache.lookup(fp, needed=attrs)
     >>> if spool is None:
     ...     spool, _ = export_database(db, str(cache.prepare(fp)), ...)
     ...     spool = cache.publish(fp, spool)
@@ -273,26 +276,24 @@ class SpoolCache:
     def entry_path(
         self,
         fingerprint: str,
-        spool_format: str = FORMAT_BINARY,
         block_size: int = DEFAULT_BLOCK_SIZE,
         compression: str = COMPRESSION_NONE,
     ) -> Path:
         """Slot for one (catalog, spool configuration) combination.
 
-        Format, block size and compression are part of the entry *name*, so
+        Block size and compression are part of the entry *name*, so
         differently configured runs over the same database coexist in the
         cache instead of thrashing a single slot with alternating rebuilds.
-        Uncompressed entries keep their pre-compression names, so caches
-        built by older versions stay addressable.
+        The name keeps its ``-binary`` part, and uncompressed entries keep
+        their pre-compression names, so caches built by older versions stay
+        addressable.
         """
         if len(fingerprint) < _ENTRY_NAME_LENGTH:
             raise SpoolError(
                 f"catalog fingerprint {fingerprint!r} is too short to key "
                 "a cache entry"
             )
-        name = f"{fingerprint[:_ENTRY_NAME_LENGTH]}-{spool_format}"
-        if spool_format == FORMAT_BINARY:
-            name += f"-{block_size}"
+        name = f"{fingerprint[:_ENTRY_NAME_LENGTH]}-{FORMAT_BINARY}-{block_size}"
         if compression != COMPRESSION_NONE:
             name += f"-{compression}"
         return self.root / name
@@ -308,16 +309,18 @@ class SpoolCache:
     ) -> SpoolDirectory | None:
         """Return a usable cached spool for ``fingerprint``, or ``None``.
 
-        A hit requires all of: the entry for this (fingerprint, format,
-        block size) opens cleanly, its recorded ``catalog_hash`` and on-disk
-        layout match what the entry name promises, and — when ``needed`` is
-        given — every required attribute is present.  An entry that cannot
+        A hit requires all of: the entry for this (fingerprint, block size,
+        compression) opens cleanly, its recorded ``catalog_hash`` and
+        on-disk layout match what the entry name promises, and — when
+        ``needed`` is given — every required attribute is present.  An entry that cannot
         be opened or whose recorded metadata disagrees with its name is
         stale (tampering, an interrupted write, an older build) and is
         evicted on the spot; a missing attribute is an honest miss and the
         entry is simply replaced when the caller publishes its rebuild.
+        ``spool_format`` accepts only ``"binary"``.
         """
-        entry = self.entry_path(fingerprint, spool_format, block_size, compression)
+        check_format(spool_format)
+        entry = self.entry_path(fingerprint, block_size, compression)
         registry = get_registry()
         if not (entry / "index.json").exists():
             registry.inc("spool_cache_misses_total")
@@ -333,9 +336,8 @@ class SpoolCache:
             return None
         if (
             spool.catalog_hash != fingerprint
-            or spool.format != spool_format
             or spool.compression != compression
-            or (spool.format == FORMAT_BINARY and spool.block_size != block_size)
+            or spool.block_size != block_size
         ):
             self._destroy(entry)
             registry.inc("spool_cache_misses_total")
@@ -400,11 +402,11 @@ class SpoolCache:
         The donor is only *read*; the caller copies its files into a
         private staging directory (:meth:`adopt`) and publishes under the
         new ``fingerprint``, so a concurrent eviction of the donor costs
-        at worst a re-export, never correctness.
+        at worst a re-export, never correctness.  ``spool_format`` accepts
+        only ``"binary"``.
         """
-        target = self.entry_path(
-            fingerprint, spool_format, block_size, compression
-        )
+        check_format(spool_format)
+        target = self.entry_path(fingerprint, block_size, compression)
         tried = None
         best = None
         if prior is not None:
@@ -529,9 +531,7 @@ class SpoolCache:
                 ref.qualified: digest for ref, digest in fingerprints.items()
             }
         spool.save_index()
-        entry = self.entry_path(
-            fingerprint, spool.format, spool.block_size, spool.compression
-        )
+        entry = self.entry_path(fingerprint, spool.block_size, spool.compression)
         staging = Path(spool.root)
         if staging == entry:
             return spool

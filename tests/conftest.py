@@ -8,6 +8,8 @@ lets test modules at any depth import the shared seeded builders
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
 from repro.db import Column, Database, DataType, TableSchema
@@ -93,3 +95,18 @@ def make_db(tables: dict[str, dict[str, list]]) -> Database:
 @pytest.fixture()
 def adhoc_db_factory():
     return make_db
+
+
+@pytest.fixture(scope="session")
+def cli_parsers() -> list[argparse.ArgumentParser]:
+    """The ``repro-ind`` root parser and every subparser under it."""
+    from repro.cli import build_parser
+
+    def walk(parser):
+        yield parser
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from walk(sub)
+
+    return list(walk(build_parser()))

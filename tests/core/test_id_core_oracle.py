@@ -446,7 +446,6 @@ def _delta_chain(seed: int):
     cfg = stress._stress_config(
         incremental=True,
         sampling_size=vector["sampling"],
-        spool_format=vector["spool_format"],
     )
     prior = None
     for round_index in range(6):

@@ -8,7 +8,7 @@ below as the oracle.  On every input the kernel must reproduce it exactly:
 the decisions and the order they were recorded in, ``vacuous``,
 ``satisfied``, every :class:`ValidatorStats` field but ``elapsed_seconds``,
 and the full :class:`IOStats` including ``reads_per_attribute`` — over
-seeded and generated databases in both candidate modes, the five spool
+seeded and generated databases in both candidate modes, the four spool
 variants, a grid of block and batch sizes with skip-scans on and off, and
 hand-built spools aimed at each fast path.
 """
@@ -250,11 +250,10 @@ def assert_matches_oracle(spool, candidates, **options) -> ValidationResult:
 # ---------------------------------------------------------------- inputs
 
 SPOOL_VARIANTS = (
-    ("text", "none", False),
-    ("binary", "none", False),
-    ("binary", "none", True),
-    ("binary", "zlib", False),
-    ("binary", "zlib", True),
+    ("none", False),
+    ("none", True),
+    ("zlib", False),
+    ("zlib", True),
 )
 CANDIDATE_MODES = {
     "unique-ref": generate_unique_ref_candidates,
@@ -278,12 +277,11 @@ def candidates_for(db, spool, mode: str) -> list[Candidate]:
     return [c for c in raw if c.dependent in spool and c.referenced in spool]
 
 
-def export(db, root, fmt="binary", compression="none", mmap_reads=False, block_size=7):
+def export(db, root, compression="none", mmap_reads=False, block_size=7):
     spool, _ = export_database(
         db,
         str(root),
         include_empty=True,
-        spool_format=fmt,
         block_size=block_size,
         compression=compression,
         mmap_reads=mmap_reads,
@@ -292,10 +290,9 @@ def export(db, root, fmt="binary", compression="none", mmap_reads=False, block_s
 
 
 def hand_built(root, columns: dict[str, list[str]], variant, block_size=7):
-    fmt, compression, mmap_reads = variant
+    compression, mmap_reads = variant
     spool = SpoolDirectory.create(
         root,
-        format=fmt,
         block_size=block_size,
         compression=compression,
         mmap_reads=mmap_reads,
@@ -437,7 +434,7 @@ class TestFastPaths:
         # a and b share 80 values: each group compares both live references,
         # skipped or not.
         columns = {"a": _values("v", range(80)), "b": _values("v", range(80))}
-        spool = hand_built(tmp_path / "s", columns, ("binary", "none", False))
+        spool = hand_built(tmp_path / "s", columns, ("none", False))
         result = assert_matches_oracle(spool, pairs_between("ab"), batch_size=5)
         assert result.stats.comparisons == 2 * 80
         assert result.stats.items_read == 2 * 80
@@ -445,7 +442,7 @@ class TestFastPaths:
 
     def test_skip_scan_seeks_past_a_no_op_run(self, tmp_path):
         columns, candidates = FAST_PATH_CASES["no-op-runs"]
-        spool = hand_built(tmp_path / "s", columns, ("binary", "none", False))
+        spool = hand_built(tmp_path / "s", columns, ("none", False))
         # Small batches leave r's and s's later blocks undecoded, so the
         # frontier (the lowest live dependent head) can seek past them.
         result = assert_matches_oracle(
@@ -455,6 +452,6 @@ class TestFastPaths:
 
 
 def test_zero_batch_size_rejected_at_construction(tmp_path):
-    spool = SpoolDirectory.create(tmp_path / "s", format="binary")
+    spool = SpoolDirectory.create(tmp_path / "s")
     with pytest.raises(SpoolError, match="batch_size"):
         MergeSinglePassValidator(spool, batch_size=0)

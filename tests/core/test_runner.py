@@ -94,10 +94,6 @@ class TestConfigValidation:
                 strategy="sql-join", candidate_mode="all-pairs"
             ).validated()
 
-    def test_unknown_spool_format(self):
-        with pytest.raises(DiscoveryError, match="spool format"):
-            DiscoveryConfig(spool_format="parquet").validated()
-
     def test_bad_block_size(self):
         with pytest.raises(DiscoveryError, match="spool_block_size"):
             DiscoveryConfig(spool_block_size=0).validated()
@@ -133,26 +129,32 @@ class TestConfigValidation:
         with pytest.raises(DiscoveryError, match="skip-scans only apply"):
             DiscoveryConfig(strategy="single-pass", skip_scans=True).validated()
 
-    def test_compression_requires_binary_format(self):
-        with pytest.raises(DiscoveryError, match="binary spool format"):
-            DiscoveryConfig(
-                spool_format="text", spool_compression="zlib"
-            ).validated()
-
     def test_unknown_compression_rejected(self):
         with pytest.raises(DiscoveryError, match="unknown spool compression"):
             DiscoveryConfig(spool_compression="lz4").validated()
 
-    def test_mmap_reads_requires_binary_format(self):
-        with pytest.raises(DiscoveryError, match="mmap_reads maps binary"):
-            DiscoveryConfig(spool_format="text", mmap_reads=True).validated()
+    def test_mmap_reads_is_a_bool_that_defaults_on(self):
+        assert DiscoveryConfig().validated().mmap_reads is True
+        off = DiscoveryConfig(mmap_reads=False).validated()
+        assert off.mmap_reads is False
+        assert off.resolved_mmap_reads is False
+        assert DiscoveryConfig().spool_format == "binary"
 
-    def test_mmap_reads_auto_resolves_by_format(self):
-        assert DiscoveryConfig().validated().resolved_mmap_reads is True
-        assert (
-            DiscoveryConfig(spool_format="text").validated().resolved_mmap_reads
-            is False
-        )
+    def test_settable_fields(self):
+        """The knobs a caller can set; read-only names are properties."""
+        import dataclasses
+
+        assert [f.name for f in dataclasses.fields(DiscoveryConfig)] == [
+            "strategy", "candidate_mode", "pretests", "use_transitivity",
+            "sampling_size", "sampling_seed", "spool_dir", "keep_spool",
+            "spool_block_size", "spool_compression", "mmap_reads",
+            "export_workers", "overlap", "validation_workers", "skip_scans",
+            "reuse_spool", "cache_dir", "cache_max_bytes",
+            "max_items_in_memory", "max_open_files", "sql_null_safe",
+            "trace", "incremental",
+        ]
+        for name in ("spool_format", "resolved_mmap_reads"):
+            assert isinstance(getattr(DiscoveryConfig, name), property)
 
 
 class TestStrategies:
@@ -169,20 +171,16 @@ class TestStrategies:
         result = discover_inds(fk_db)
         assert "child.pid [= parent.id" in {str(i) for i in result.satisfied}
 
-    def test_spool_format_and_workers_reach_export(self, fk_db, tmp_path):
+    def test_export_workers_reach_export(self, fk_db, tmp_path):
         import json
 
-        for fmt in ("text", "binary"):
-            config = DiscoveryConfig(
-                spool_dir=str(tmp_path / fmt),
-                keep_spool=True,
-                spool_format=fmt,
-                export_workers=2,
-            )
-            result = discover_inds(fk_db, config)
-            assert result.satisfied_count > 0
-            doc = json.loads((tmp_path / fmt / "index.json").read_text())
-            assert doc["format"] == fmt
+        config = DiscoveryConfig(
+            spool_dir=str(tmp_path / "spool"), keep_spool=True, export_workers=2
+        )
+        result = discover_inds(fk_db, config)
+        assert result.satisfied_count > 0
+        doc = json.loads((tmp_path / "spool" / "index.json").read_text())
+        assert doc["format"] == "binary"
 
     def test_counts_consistent(self, fk_db):
         result = discover_inds(fk_db)

@@ -11,11 +11,14 @@ process-global metrics registry.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from seeded_dbs import build_component_db, build_db
 from test_incremental_stress import _delta_view
 from test_validator_agreement import _pipeline_view
 
+from repro.core import runner
 from repro.core.candidates import PretestConfig
 from repro.core.runner import DiscoveryConfig, DiscoverySession, discover_inds
 from repro.datagen import generate_biosql
@@ -102,6 +105,25 @@ class TestCoverage:
         assert {s["pid"] for s in result.trace["spans"]} == {
             result.trace["spans"][0]["pid"]
         }
+
+    def test_building_the_validator_is_covered(self, monkeypatch):
+        """The validator is built under ``validate``, not between phases.
+
+        A process's first pooled validator imports the pool engine while it
+        is built; a slow build here stands in for that import.
+        """
+        build = runner._build_validator
+
+        def slow_build(*args, **kwargs):
+            time.sleep(0.25)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "_build_validator", slow_build)
+        db = generate_biosql("tiny", seed=7).db
+        result = discover_inds(
+            db, DiscoveryConfig(strategy="brute-force", trace=True)
+        )
+        assert coverage(result.trace) >= 0.95, phase_summary(result.trace)
 
     def test_untraced_run_carries_no_trace(self):
         db = generate_biosql("tiny", seed=7).db

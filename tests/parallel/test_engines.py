@@ -66,7 +66,7 @@ class TestMergeShardOutcomes:
 
 class TestEngineGuards:
     def test_engine_requires_saved_index(self, tmp_path):
-        spool = SpoolDirectory.create(tmp_path / "s", format="binary")
+        spool = SpoolDirectory.create(tmp_path / "s")
         ref_a, ref_b = AttributeRef("t", "a"), AttributeRef("t", "b")
         spool.add_values(ref_a, ["1"])
         spool.add_values(ref_b, ["1", "2"])
@@ -78,7 +78,7 @@ class TestEngineGuards:
             engine.validate([Candidate(ref_a, ref_b), Candidate(ref_b, ref_a)])
 
     def test_rejects_nonpositive_workers(self, tmp_path):
-        spool = SpoolDirectory.create(tmp_path / "s", format="binary")
+        spool = SpoolDirectory.create(tmp_path / "s")
         with pytest.raises(DiscoveryError):
             ProcessPoolValidationEngine(spool, workers=0)
 
@@ -86,7 +86,7 @@ class TestEngineGuards:
         """Duplicates must be deduped before sharding, not split across shards."""
         from repro.core.brute_force import BruteForceValidator
 
-        spool = SpoolDirectory.create(tmp_path / "s", format="binary")
+        spool = SpoolDirectory.create(tmp_path / "s")
         refs = {}
         for name, count in (("a", 3), ("b", 9), ("c", 5), ("d", 7)):
             refs[name] = AttributeRef("t", name)

@@ -6,11 +6,11 @@ worker pool, then validates the survivors on that pool through the same
 validator as an in-process run — and everything except wall clock must be
 byte-identical to the in-process pipeline.  Two layers of defence:
 
-* a fixed small matrix (workers {1, 2, 4} × both spool formats × both
+* a fixed small matrix (workers {1, 2, 4} × the four storage legs × both
   fixed engines) against the plain *sequential* pipeline — the paper's
   reference semantics;
 * a seeded random sweep: each seed derives a database **and** a config
-  vector (workers, spool format, strategy, sampling size, ``reuse_spool``),
+  vector (workers, storage leg, strategy, sampling size, ``reuse_spool``),
   runs the same vector in process and overlapped, and diffs the full
   ``to_dict()`` view.  The seed is printed
   on failure so any counterexample replays with
@@ -47,7 +47,6 @@ from repro.storage.spool_cache import SpoolCache
 STRESS_SEEDS = tuple(range(10))
 
 WORKER_COUNTS = (1, 2, 4)
-SPOOL_FORMATS = ("text", "binary")
 
 
 def _stress_view(result_dict: dict) -> dict:
@@ -85,17 +84,18 @@ def _config_vector(seed: int) -> dict:
         # deleted.  It stays so every seed keeps the vector it always had.
         rng.random()
     strategy = strategy or "merge-single-pass"
-    spool_format = rng.choice(SPOOL_FORMATS)
-    compression = "none"
-    mmap_reads: bool | str = "auto"
-    if spool_format == "binary":
+    # This draw once chose between a v1 text format, since deleted, and
+    # binary; a text draw now runs plain binary (uncompressed, buffered
+    # reads).  The draws stay so every seed keeps the vector it always had.
+    compression, mmap_reads = "none", False
+    if rng.choice(("text", "binary")) == "binary":
         compression = rng.choice(("none", "zlib"))
-        mmap_reads = rng.choice((True, False, "auto"))
+        # The third slot drew mmap_reads="auto", which meant True here.
+        mmap_reads = rng.choice((True, False, True))
     return {
         "db_seed": rng.randrange(1000),
         "strategy": strategy,
         "workers": workers,
-        "spool_format": spool_format,
         "compression": compression,
         "mmap_reads": mmap_reads,
         "sampling": rng.choice((0, 2, 3)),
@@ -114,7 +114,6 @@ def _discovery_config(vector: dict, *, overlap: bool, cache_dir) -> DiscoveryCon
     """
     return DiscoveryConfig(
         strategy=vector["strategy"],
-        spool_format=vector["spool_format"],
         spool_compression=vector["compression"],
         mmap_reads=vector["mmap_reads"],
         spool_block_size=3,
@@ -136,13 +135,12 @@ class TestOverlapMatrix:
     def test_overlap_equals_sequential_across_worker_counts(
         self, seed, strategy, variant
     ):
-        spool_format, compression, mmap_reads = variant
+        compression, mmap_reads = variant
         db = build_random_db(seed)
         sequential = discover_inds(
             db,
             DiscoveryConfig(
                 strategy=strategy,
-                spool_format=spool_format,
                 spool_compression=compression,
                 mmap_reads=mmap_reads,
                 spool_block_size=3,
@@ -160,7 +158,6 @@ class TestOverlapMatrix:
                 db,
                 DiscoveryConfig(
                     strategy=strategy,
-                    spool_format=spool_format,
                     spool_compression=compression,
                     mmap_reads=mmap_reads,
                     spool_block_size=3,
@@ -201,13 +198,12 @@ class TestOverlapMatrix:
         twin, so it plans the same groups and sends one ``merge-partition``
         task per group.
         """
-        spool_format, compression, mmap_reads = variant
+        compression, mmap_reads = variant
         db = build_component_db()
 
         def config(**overrides):
             return DiscoveryConfig(
                 strategy="merge-single-pass",
-                spool_format=spool_format,
                 spool_compression=compression,
                 mmap_reads=mmap_reads,
                 spool_block_size=3,
@@ -336,7 +332,6 @@ class TestOverlapStressAgreement:
 def _fault_config(**overrides) -> DiscoveryConfig:
     defaults = dict(
         strategy="brute-force",
-        spool_format="binary",
         spool_block_size=4,
         pretests=PretestConfig(cardinality=True, max_value=False),
         validation_workers=2,

@@ -67,7 +67,7 @@ def _skewed_spool(root):
     merge-side frontier skip seeks past whole blocks in.  The gap spans
     more than one default read batch, which a frontier seek needs.
     """
-    spool = SpoolDirectory.create(root, format="binary", block_size=16)
+    spool = SpoolDirectory.create(root, block_size=16)
     dense = [f"{i:05d}" for i in range(9000)]
     candidates = []
     for k in range(2):
@@ -202,7 +202,7 @@ class TestOneComponent:
 
 class TestGuards:
     def test_requires_saved_index(self, tmp_path):
-        spool = SpoolDirectory.create(tmp_path / "s", format="binary")
+        spool = SpoolDirectory.create(tmp_path / "s")
         ref_a, ref_b = AttributeRef("t", "a"), AttributeRef("t", "b")
         spool.add_values(ref_a, ["1"])
         spool.add_values(ref_b, ["1", "2"])
@@ -212,7 +212,7 @@ class TestGuards:
             validator.validate([Candidate(ref_a, ref_b)])
 
     def test_rejects_nonpositive_workers(self, tmp_path):
-        spool = SpoolDirectory.create(tmp_path / "s", format="binary")
+        spool = SpoolDirectory.create(tmp_path / "s")
         with pytest.raises(DiscoveryError, match="workers must be >= 1"):
             PartitionedMergeValidator(spool, workers=0)
 

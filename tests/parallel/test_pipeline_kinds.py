@@ -72,7 +72,7 @@ class TestExportFaults:
         """
         db = build_db()
         sequential, seq_stats = export_database(
-            db, str(tmp_path / "seq"), spool_format="binary", block_size=4
+            db, str(tmp_path / "seq"), block_size=4
         )
         monkeypatch.setenv("REPRO_POOL_FAULT_ATTR", "t0.c0")
         monkeypatch.setenv("REPRO_POOL_FAULT_ONCE_DIR", str(tmp_path))
@@ -82,7 +82,6 @@ class TestExportFaults:
                 str(tmp_path / "pooled"),
                 workers=2,
                 pool=pool,
-                spool_format="binary",
                 block_size=4,
             )
             assert pool.stats.tasks_requeued >= 1
@@ -161,7 +160,7 @@ class TestExportFaults:
         candidates = _candidates(db)
         assert candidates
         spool, _ = export_database(
-            db, str(tmp_path / "spool"), spool_format="binary", block_size=4
+            db, str(tmp_path / "spool"), block_size=4
         )
         sequential = BruteForceValidator(spool).validate(candidates)
         monkeypatch.setenv("REPRO_POOL_FAULT_ATTR", "t0.c0")
@@ -176,7 +175,6 @@ class TestExportFaults:
                         str(tmp_path / "pooled"),
                         workers=2,
                         pool=pool,
-                        spool_format="binary",
                         block_size=4,
                     )
                 except Exception as exc:  # surfaced below
@@ -218,7 +216,7 @@ class TestPretestFaults:
         candidates = _candidates(db)
         assert candidates
         spool, _ = export_database(
-            db, str(tmp_path / "spool"), spool_format="binary", block_size=4
+            db, str(tmp_path / "spool"), block_size=4
         )
         sampler = SamplingPretest(spool, sample_size=2, seed=7)
         expected = {c: sampler.pretest(c) for c in candidates}
@@ -324,21 +322,19 @@ class TestStatsRoundTrip:
 class TestPooledExportAgreement:
     """`pooled_export` is a drop-in for `export_database`, byte for byte."""
 
-    @pytest.mark.parametrize("spool_format", ("text", "binary"))
-    def test_matches_sequential_export_on_both_formats(
-        self, spool_format, tmp_path
-    ):
+    @pytest.mark.parametrize("compression", ("none", "zlib"))
+    def test_matches_sequential_export(self, compression, tmp_path):
         db = build_db(seed=3)
         sequential, seq_stats = export_database(
-            db, str(tmp_path / "seq"), spool_format=spool_format, block_size=3
+            db, str(tmp_path / "seq"), block_size=3, compression=compression
         )
         # pool=None: the ephemeral right-sized fleet, like the engines.
         pooled, stats, pool_stats, _ = pooled_export(
             db,
             str(tmp_path / "pooled"),
             workers=3,
-            spool_format=spool_format,
             block_size=3,
+            compression=compression,
         )
         assert stats == seq_stats
         assert pool_stats["tasks_completed"] == pool_stats["tasks_dispatched"]

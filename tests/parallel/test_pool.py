@@ -71,7 +71,7 @@ def _within_watchdog(fn, seconds: float = 20.0):
 
 @pytest.fixture()
 def spool(tmp_path) -> SpoolDirectory:
-    spool = SpoolDirectory.create(tmp_path / "spool", format="binary", block_size=4)
+    spool = SpoolDirectory.create(tmp_path / "spool", block_size=4)
     for name, count in (
         ("a", 3), ("b", 9), ("c", 5), ("d", 7), ("e", 11), ("f", 2),
     ):
@@ -297,7 +297,7 @@ class TestPoolLifecycle:
         root = tmp_path / "s"
 
         def write(values):
-            spool = SpoolDirectory.create(root, format="binary", block_size=4)
+            spool = SpoolDirectory.create(root, block_size=4)
             spool.add_values(AttributeRef("t", "a"), values)
             spool.save_index()
 

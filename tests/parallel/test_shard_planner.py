@@ -16,7 +16,7 @@ from repro.storage.sorted_sets import SpoolDirectory
 
 
 def _spool_with(tmp_path, sizes: dict[str, int]) -> SpoolDirectory:
-    spool = SpoolDirectory.create(tmp_path / "spool", format="binary")
+    spool = SpoolDirectory.create(tmp_path / "spool")
     for name, count in sizes.items():
         ref = AttributeRef("t", name)
         spool.add_values(ref, [f"{name}-{i:06d}" for i in range(count)])

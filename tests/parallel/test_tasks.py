@@ -37,7 +37,7 @@ def _cand(dep: str, ref: str) -> Candidate:
 
 @pytest.fixture()
 def spool(tmp_path) -> SpoolDirectory:
-    spool = SpoolDirectory.create(tmp_path / "spool", format="binary", block_size=4)
+    spool = SpoolDirectory.create(tmp_path / "spool", block_size=4)
     for name, values in (
         ("a", ["apple", "pear", "zebra"]),
         ("b", ["apple", "banana", "pear", "quince", "zebra"]),
@@ -176,7 +176,7 @@ class TestSpoolExportUnit:
             file_name="t__c.valsb",
             values=("pear", "apple", "pear", "zebra"),
         )
-        svf = run_export_unit(str(root), unit, "binary", block_size=2)
+        svf = run_export_unit(str(root), unit, block_size=2)
         assert svf.count == 3  # distinct
         assert (svf.min_value, svf.max_value) == ("apple", "zebra")
         assert svf.path == str(root / "t__c.valsb")
@@ -185,7 +185,7 @@ class TestSpoolExportUnit:
         assert svf.values() == ["apple", "pear", "zebra"]
         # Deterministic: a duplicate execution (requeue race) reproduces
         # byte-identical content and metadata.
-        again = run_export_unit(str(root), unit, "binary", block_size=2)
+        again = run_export_unit(str(root), unit, block_size=2)
         assert again == svf
 
     def test_sample_pretest_payload_is_deterministic_across_fleets(self, spool):

@@ -1,9 +1,11 @@
-"""Regression tests: everything a worker process receives must re-open by path.
+"""Regression tests: what a worker process holds must come from its own opens.
 
 Worker processes must never operate on inherited file handles (a shared file
 offset corrupts both sides), and must never trust another process's salted
-hashes.  These tests pin the pickling contract of :class:`SpoolDirectory`,
-the file cursors, and :class:`AttributeRef`.
+hashes.  A task carries its spool's root as a string and the worker opens it
+through a warm-handle cache, which must notice every index rewrite and
+must rebuild the spool's layout from the index alone; these tests pin that
+cache, that reopen, and the pickling contract of :class:`AttributeRef`.
 """
 
 from __future__ import annotations
@@ -13,85 +15,16 @@ import pickle
 import pytest
 
 from repro.db.schema import AttributeRef
-from repro.errors import SpoolError
 from repro.storage.sorted_sets import SpoolDirectory
 
 VALUES = [f"v{i:05d}" for i in range(100)]
 
 
-def _make_spool(tmp_path, fmt: str) -> SpoolDirectory:
-    spool = SpoolDirectory.create(tmp_path / fmt, format=fmt, block_size=7)
+def _make_spool(tmp_path) -> SpoolDirectory:
+    spool = SpoolDirectory.create(tmp_path / "spool", block_size=7)
     spool.add_values(AttributeRef("t", "a"), VALUES)
     spool.save_index()
     return spool
-
-
-class TestSpoolDirectoryPickling:
-    @pytest.mark.parametrize("fmt", ["text", "binary"])
-    def test_roundtrip_reopens_by_path(self, tmp_path, fmt):
-        spool = _make_spool(tmp_path, fmt)
-        clone = pickle.loads(pickle.dumps(spool))
-        assert clone.root == spool.root
-        assert clone.format == fmt
-        ref = AttributeRef("t", "a")
-        assert clone.get(ref).count == 100
-        assert clone.get(ref).values() == VALUES
-        # The clone owns an independent lock, not the parent's.
-        assert clone._lock is not spool._lock  # noqa: SLF001
-
-    def test_unsaved_directory_refuses_to_pickle(self, tmp_path):
-        spool = SpoolDirectory.create(tmp_path / "unsaved", format="binary")
-        spool.add_values(AttributeRef("t", "a"), ["1"])
-        with pytest.raises(SpoolError, match="no saved index"):
-            pickle.dumps(spool)
-
-
-class TestCursorPickling:
-    @pytest.mark.parametrize("fmt", ["text", "binary"])
-    def test_mid_read_cursor_resumes_at_logical_position(self, tmp_path, fmt):
-        spool = _make_spool(tmp_path, fmt)
-        cursor = spool.open_cursor(AttributeRef("t", "a"))
-        assert cursor.read_batch(33) == VALUES[:33]
-        clone = pickle.loads(pickle.dumps(cursor))
-        # The clone re-opened the file itself: reading the original does not
-        # disturb it and vice versa.
-        assert cursor.read_batch(10) == VALUES[33:43]
-        assert clone.read_batch(100) == VALUES[33:]
-        cursor.close()
-        clone.close()
-
-    @pytest.mark.parametrize("fmt", ["text", "binary"])
-    def test_closed_cursor_stays_closed(self, tmp_path, fmt):
-        spool = _make_spool(tmp_path, fmt)
-        cursor = spool.open_cursor(AttributeRef("t", "a"))
-        cursor.read_batch(5)
-        cursor.close()
-        clone = pickle.loads(pickle.dumps(cursor))
-        assert not clone.has_next()
-
-    def test_skip_scanned_cursor_refuses_to_pickle(self, tmp_path):
-        spool = _make_spool(tmp_path, "binary")
-        cursor = spool.open_cursor(AttributeRef("t", "a"))
-        assert cursor.skip_blocks_below("v00050") > 0
-        with pytest.raises(SpoolError, match="skip-scans"):
-            pickle.dumps(cursor)
-        cursor.close()
-
-    def test_restored_cursor_carries_no_foreign_stats(self, tmp_path):
-        from repro.storage.cursors import IOStats
-
-        spool = _make_spool(tmp_path, "binary")
-        io = IOStats()
-        cursor = spool.open_cursor(AttributeRef("t", "a"), io)
-        cursor.read_batch(10)
-        clone = pickle.loads(pickle.dumps(cursor))
-        clone.read_batch(10)
-        clone.close()
-        cursor.close()
-        # The parent's counters saw only the parent's reads.
-        assert io.items_read == 10
-        assert io.files_opened == 1
-        assert io.open_files == 0
 
 
 class TestWarmHandleStaleness:
@@ -111,7 +44,7 @@ class TestWarmHandleStaleness:
 
         from repro.parallel.pool import _open_warm
 
-        spool = _make_spool(tmp_path, "binary")
+        spool = _make_spool(tmp_path)
         index = os.path.join(str(spool.root), "index.json")
         handles: OrderedDict = OrderedDict()
         _, warm = _open_warm(handles, str(spool.root))
@@ -138,6 +71,47 @@ class TestWarmHandleStaleness:
         # The replacement handle is cached under the new stamp.
         _, warm = _open_warm(handles, str(spool.root))
         assert warm is True
+
+
+class TestWorkerReopen:
+    """A worker rebuilds its spool from ``index.json`` alone.
+
+    Pool tasks carry the spool root as a string, so whatever the parent's
+    spool was created with must come back from the index: block size,
+    compression and every file's block metadata.  The parent's reader-side
+    ``mmap_reads`` toggle is not in the index; workers read buffered.
+    """
+
+    @pytest.mark.parametrize(
+        "compression, mmap_reads",
+        [("none", False), ("none", True), ("zlib", False), ("zlib", True)],
+    )
+    def test_layout_comes_back_from_the_index(
+        self, tmp_path, compression, mmap_reads
+    ):
+        from collections import OrderedDict
+
+        from repro.parallel.pool import _open_warm
+
+        spool = SpoolDirectory.create(
+            tmp_path / "spool",
+            block_size=7,
+            compression=compression,
+            mmap_reads=mmap_reads,
+        )
+        spool.add_values(AttributeRef("t", "a"), VALUES)
+        spool.add_values(AttributeRef("t", "b"), VALUES[::3])
+        spool.save_index()
+
+        reopened, warm = _open_warm(OrderedDict(), str(spool.root))
+        assert warm is False
+        assert reopened.block_size == 7
+        assert reopened.compression == compression
+        assert reopened.mmap_reads is False
+        assert reopened.attributes() == spool.attributes()
+        for ref in spool.attributes():
+            assert reopened.get(ref) == spool.get(ref)
+            assert reopened.get(ref).values() == spool.get(ref).values()
 
 
 class TestAttributeRefPickling:

@@ -109,7 +109,6 @@ def build_component_spool(
     root,
     seed: int,
     components: int = 5,
-    format: str = "binary",
     compression: str = "none",
     mmap_reads: bool = False,
 ):
@@ -126,7 +125,6 @@ def build_component_spool(
     domain = [f"v{i:04d}" for i in range(400)]
     spool = SpoolDirectory.create(
         root,
-        format=format,
         block_size=3,
         compression=compression,
         mmap_reads=mmap_reads,
@@ -179,8 +177,8 @@ def build_db(seed: int = 0) -> Database:
 
 
 def spool_with(tmp_path, sizes: dict[str, int]) -> SpoolDirectory:
-    """A binary spool with one single-table attribute per entry of ``sizes``."""
-    spool = SpoolDirectory.create(tmp_path / "spool", format="binary")
+    """A spool with one single-table attribute per entry of ``sizes``."""
+    spool = SpoolDirectory.create(tmp_path / "spool")
     for name, count in sizes.items():
         ref = AttributeRef("t", name)
         spool.add_values(ref, [f"{name}-{i:06d}" for i in range(count)])

@@ -50,8 +50,6 @@ from repro.storage.exporter import (
 )
 from repro.storage.external_sort import external_sort
 from repro.storage.sorted_sets import (
-    FORMAT_BINARY,
-    FORMAT_TEXT,
     SortedValueFile,
     SpoolDirectory,
     write_value_file,
@@ -110,7 +108,7 @@ def oracle_profile_column(db: Database, ref: AttributeRef) -> ColumnStats:
 
 
 def oracle_write_value_file(
-    ref, path, values, dtype, format, block_size, compression
+    ref, path, values, dtype, block_size, compression
 ) -> SortedValueFile:
     """The per-value writer: one ascent check and one escape per value."""
     blocks: list[BlockMeta] = []
@@ -142,17 +140,12 @@ def oracle_write_value_file(
             first = value
         last = value
         count += 1
-        if format == FORMAT_TEXT:
-            body.extend((escape_line(value) + "\n").encode("utf-8"))
-            continue
         pending.append(value)
         if len(pending) >= block_size:
             flush()
-    if format == FORMAT_BINARY:
-        if pending:
-            flush()
-        magic = MAGIC_V3_ZLIB if compression == COMPRESSION_ZLIB else MAGIC
-        body[:0] = magic
+    if pending:
+        flush()
+    body[:0] = MAGIC_V3_ZLIB if compression == COMPRESSION_ZLIB else MAGIC
     Path(path).write_bytes(bytes(body))
     return SortedValueFile(
         ref=ref,
@@ -161,15 +154,14 @@ def oracle_write_value_file(
         min_value=first,
         max_value=last,
         dtype=dtype,
-        format=format,
         blocks=tuple(blocks),
     )
 
 
-def oracle_export(db, root, *, format, block_size, compression, max_items):
+def oracle_export(db, root, *, block_size, compression, max_items):
     """The per-value export: render each value, external sort, write."""
     spool = SpoolDirectory.create(
-        root, format=format, block_size=block_size, compression=compression
+        root, block_size=block_size, compression=compression
     )
     for ref in db.attributes():
         dtype = db.table(ref.table).column_def(ref.column).dtype
@@ -183,8 +175,7 @@ def oracle_export(db, root, *, format, block_size, compression, max_items):
         )
         name = spool.reserve_name(ref)
         svf = oracle_write_value_file(
-            ref, spool.root / name, values, dtype.value, format, block_size,
-            compression,
+            ref, spool.root / name, values, dtype.value, block_size, compression
         )
         spool.register(svf)
         if svf.is_empty:
@@ -334,28 +325,25 @@ class TestProfileKernel:
         # insert would reject a bool in a VARCHAR column; smuggle it in.
         db.table("h")._columns["texts"].append(False)
         with pytest.raises(SpoolError, match="boolean"):
-            export_database(db, str(tmp_path / "s"), spool_format=FORMAT_BINARY)
+            export_database(db, str(tmp_path / "s"))
 
 
 # -------------------------------------------------------------------- export
 VARIANTS = [
-    (FORMAT_BINARY, 4, COMPRESSION_NONE),
-    (FORMAT_BINARY, 1024, COMPRESSION_NONE),
-    (FORMAT_BINARY, 3, COMPRESSION_ZLIB),
-    (FORMAT_TEXT, 1024, COMPRESSION_NONE),
+    (4, COMPRESSION_NONE),
+    (1024, COMPRESSION_NONE),
+    (3, COMPRESSION_ZLIB),
 ]
 
 
 class TestExportKernel:
     @pytest.mark.parametrize("max_items", [5, 100_000])
-    @pytest.mark.parametrize("format,block_size,compression", VARIANTS)
+    @pytest.mark.parametrize("block_size,compression", VARIANTS)
     def test_spool_bytes_equal_oracle(
-        self, tmp_path, format, block_size, compression, max_items
+        self, tmp_path, block_size, compression, max_items
     ):
         for index, db in enumerate(seeded_dbs()):
-            options = dict(
-                format=format, block_size=block_size, compression=compression
-            )
+            options = dict(block_size=block_size, compression=compression)
             expected = oracle_export(
                 db, tmp_path / f"o{index}", max_items=max_items, **options
             )
@@ -363,28 +351,24 @@ class TestExportKernel:
                 db,
                 str(tmp_path / f"k{index}"),
                 max_items_in_memory=max_items,
-                spool_format=format,
                 block_size=block_size,
                 compression=compression,
             )
             assert _tree(tmp_path / f"k{index}") == _tree(expected.root), db.name
 
-    @pytest.mark.parametrize("format,block_size,compression", VARIANTS)
-    def test_worker_units_equal_oracle(
-        self, tmp_path, format, block_size, compression
-    ):
+    @pytest.mark.parametrize("block_size,compression", VARIANTS)
+    def test_worker_units_equal_oracle(self, tmp_path, block_size, compression):
         db = hostile_db()
         expected = oracle_export(
-            db, tmp_path / "o", format=format, block_size=block_size,
+            db, tmp_path / "o", block_size=block_size,
             compression=compression, max_items=5,
         )
         spool = SpoolDirectory.create(
-            tmp_path / "k", format=format, block_size=block_size,
-            compression=compression,
+            tmp_path / "k", block_size=block_size, compression=compression
         )
         for unit in plan_export_units(db, None, spool):
             svf = run_export_unit(
-                str(spool.root), unit, format, block_size,
+                str(spool.root), unit, block_size,
                 max_items_in_memory=5, compression=compression,
             )
             spool.register(svf)
@@ -402,7 +386,6 @@ class TestExportKernel:
                 map(escape_line, values)
             ).encode("utf-8")
 
-    @pytest.mark.parametrize("format", [FORMAT_BINARY, FORMAT_TEXT])
     @pytest.mark.parametrize(
         "values,bad",
         [
@@ -412,17 +395,15 @@ class TestExportKernel:
             ([f"{i:02d}" for i in range(9)] + ["03"], "'03' after '08'"),
         ],
     )
-    def test_mis_sorted_input_names_the_attribute(
-        self, tmp_path, format, values, bad
-    ):
+    def test_mis_sorted_input_names_the_attribute(self, tmp_path, values, bad):
         ref = AttributeRef("t", "col")
         path = tmp_path / "v"
         with pytest.raises(SpoolError) as oracle_err:
             oracle_write_value_file(
-                ref, path, values, "VARCHAR", format, 4, COMPRESSION_NONE
+                ref, path, values, "VARCHAR", 4, COMPRESSION_NONE
             )
         with pytest.raises(SpoolError) as kernel_err:
-            write_value_file(ref, path, iter(values), format=format, block_size=4)
+            write_value_file(ref, path, iter(values), block_size=4)
         assert str(kernel_err.value) == str(oracle_err.value)
         assert "t.col" in str(kernel_err.value) and bad in str(kernel_err.value)
         assert not [p for p in os.listdir(tmp_path) if p.startswith("v.tmp")]
@@ -437,7 +418,7 @@ class TestPretestKernel:
     ):
         db = seeded_dbs()[index]
         spool, _ = export_database(
-            db, str(tmp_path / "s"), spool_format=FORMAT_BINARY, block_size=3
+            db, str(tmp_path / "s"), block_size=3
         )
         refs = spool.attributes()
         sampler = SamplingPretest(spool, sample_size=sample_size, seed=seed)

@@ -3,20 +3,20 @@
 import pytest
 
 from repro.errors import SpoolError
-from repro.storage.codec import escape_line
+from repro.storage.blockio import BlockFileWriter
 from repro.storage.cursors import (
     BatchReader,
+    BlockValueCursor,
     CountingCursor,
-    FileValueCursor,
     IOStats,
     MemoryValueCursor,
 )
 
 
 def write_value_file(path, values):
-    with open(path, "w", encoding="utf-8") as fh:
+    with BlockFileWriter(str(path), block_size=3) as writer:
         for value in values:
-            fh.write(escape_line(value) + "\n")
+            writer.write(value)
     return str(path)
 
 
@@ -128,18 +128,18 @@ class TestMemoryValueCursor:
         assert stats.open_files == 0
 
 
-class TestFileValueCursor:
-    def test_reads_escaped_lines(self, tmp_path):
-        path = write_value_file(tmp_path / "v.vals", ["a\nb", "plain"])
-        cursor = FileValueCursor(path)
+class TestBlockValueCursor:
+    def test_reads_escaped_values(self, tmp_path):
+        path = write_value_file(tmp_path / "v.valsb", ["a\nb", "plain"])
+        cursor = BlockValueCursor(path)
         assert cursor.next_value() == "a\nb"
         assert cursor.next_value() == "plain"
         assert not cursor.has_next()
         cursor.close()
 
     def test_empty_file(self, tmp_path):
-        path = write_value_file(tmp_path / "v.vals", [])
-        cursor = FileValueCursor(path)
+        path = write_value_file(tmp_path / "v.valsb", [])
+        cursor = BlockValueCursor(path)
         assert not cursor.has_next()
         with pytest.raises(SpoolError):
             cursor.next_value()
@@ -147,12 +147,12 @@ class TestFileValueCursor:
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(SpoolError, match="cannot open"):
-            FileValueCursor(str(tmp_path / "missing.vals"))
+            BlockValueCursor(str(tmp_path / "missing.valsb"))
 
     def test_stats_label(self, tmp_path):
-        path = write_value_file(tmp_path / "v.vals", ["x"])
+        path = write_value_file(tmp_path / "v.valsb", ["x"])
         stats = IOStats()
-        cursor = FileValueCursor(path, stats, label="t.c")
+        cursor = BlockValueCursor(path, stats, label="t.c")
         cursor.next_value()
         cursor.close()
         assert stats.reads_per_attribute == {"t.c": 1}
@@ -160,8 +160,8 @@ class TestFileValueCursor:
         assert stats.open_files == 0
 
     def test_use_after_close(self, tmp_path):
-        path = write_value_file(tmp_path / "v.vals", ["x"])
-        cursor = FileValueCursor(path)
+        path = write_value_file(tmp_path / "v.valsb", ["x"])
+        cursor = BlockValueCursor(path)
         cursor.close()
         with pytest.raises(SpoolError):
             cursor.next_value()
@@ -169,10 +169,10 @@ class TestFileValueCursor:
 
 def _all_cursor_kinds(tmp_path, values, stats=None):
     """One cursor of every kind over the same values."""
-    path = write_value_file(tmp_path / "batch.vals", values)
+    path = write_value_file(tmp_path / "batch.valsb", values)
     return [
         MemoryValueCursor(list(values), stats, label="m"),
-        FileValueCursor(path, stats, label="f"),
+        BlockValueCursor(path, stats, label="f"),
         CountingCursor(iter(values), stats, label="i"),
     ]
 

@@ -22,6 +22,7 @@ from repro.core.runner import DiscoveryConfig, DiscoverySession, discover_inds
 from repro.db.schema import AttributeRef
 from repro.db.stats import collect_column_stats
 from repro.storage import spool_cache
+from repro.storage.blockio import DEFAULT_BLOCK_SIZE
 from repro.storage.exporter import export_database
 from repro.storage.sorted_sets import SpoolDirectory
 from repro.storage.spool_cache import (
@@ -31,12 +32,12 @@ from repro.storage.spool_cache import (
 )
 
 
-def _publish_entry(cache, db, *, stamped=True, spool_format="binary"):
+def _publish_entry(cache, db, *, stamped=True, block_size=DEFAULT_BLOCK_SIZE):
     """Export ``db`` into a fresh staging dir and publish it as an entry."""
     stats = collect_column_stats(db)
     fingerprint = catalog_fingerprint(db.name, stats)
     spool, _ = export_database(
-        db, str(cache.prepare(fingerprint)), spool_format=spool_format
+        db, str(cache.prepare(fingerprint)), block_size=block_size
     )
     return (
         cache.publish(
@@ -118,14 +119,14 @@ class TestFindPartial:
         _publish_entry(cache, build_db(0), stamped=False)
         assert cache.find_partial(*args) is None
 
-    def test_other_databases_and_other_formats_never_donate(self, tmp_path):
+    def test_other_databases_and_other_layouts_never_donate(self, tmp_path):
         cache = SpoolCache(tmp_path)
         # Same content, different database name: not a donor.
         other = build_db(0)
         other.name = "elsewhere"
         _publish_entry(cache, other)
-        # Same database, different spool format: wrong entry family.
-        _publish_entry(cache, build_db(0), spool_format="text")
+        # Same database, different block size: wrong entry family.
+        _publish_entry(cache, build_db(0), block_size=8)
         changed_db = _mutated()
         stats = collect_column_stats(changed_db)
         fingerprints = attribute_fingerprints(stats)
@@ -321,9 +322,7 @@ class TestAdopt:
     def _donor_and_staging(self, tmp_path):
         cache = SpoolCache(tmp_path / "cache")
         donor, stats, _ = _publish_entry(cache, build_db(0))
-        staging = SpoolDirectory.create(
-            tmp_path / "staging", format="binary"
-        )
+        staging = SpoolDirectory.create(tmp_path / "staging")
         return donor, staging
 
     def test_adopted_files_read_back_identically(self, tmp_path):

@@ -243,10 +243,9 @@ def _assert_cold_spool_equals_export(tmp_path, db, cfg):
         str(tmp_path / "export"),
         attributes=_needed(db, cfg),
         max_items_in_memory=cfg.max_items_in_memory,
-        spool_format=cfg.spool_format,
         block_size=cfg.spool_block_size,
         compression=cfg.spool_compression,
-        mmap_reads=cfg.resolved_mmap_reads,
+        mmap_reads=cfg.mmap_reads,
     )
     assert _tree(tmp_path / "cold") == _tree(tmp_path / "export")
     assert result.export_values_scanned == stats.values_scanned
@@ -257,11 +256,10 @@ class TestColdSpools:
     @pytest.mark.parametrize("build", SPOOL_DBS)
     @pytest.mark.parametrize("variant", SPOOL_VARIANTS)
     def test_byte_identical_to_export_database(self, tmp_path, variant, build):
-        fmt, compression, mmap_reads = variant
+        compression, mmap_reads = variant
         cfg = DiscoveryConfig(
             spool_dir=str(tmp_path / "cold"),
             keep_spool=True,
-            spool_format=fmt,
             spool_compression=compression,
             mmap_reads=mmap_reads,
             spool_block_size=4,

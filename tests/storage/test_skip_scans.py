@@ -2,23 +2,39 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core.brute_force import BruteForceValidator
 from repro.core.candidates import Candidate
 from repro.db.schema import AttributeRef
 from repro.errors import SpoolError
-from repro.storage.cursors import IOStats
+from repro.storage.cursors import BlockValueCursor, IOStats
 from repro.storage.sorted_sets import SpoolDirectory
 
 REF = AttributeRef("t", "a")
 
 
-def _spool(tmp_path, values, fmt="binary", block_size=4) -> SpoolDirectory:
-    spool = SpoolDirectory.create(tmp_path / fmt, format=fmt, block_size=block_size)
+def _spool(tmp_path, values, block_size=4) -> SpoolDirectory:
+    spool = SpoolDirectory.create(tmp_path / "spool", block_size=block_size)
     spool.add_values(REF, values)
     spool.save_index()
     return spool
+
+
+def _without_block_metadata(spool: SpoolDirectory) -> SpoolDirectory:
+    """Reopen ``spool`` after dropping every entry's ``blocks`` list.
+
+    The value files keep their frames; only the index loses the per-block
+    counts and min/max that skip-scans seek by.
+    """
+    index = spool.root / "index.json"
+    doc = json.loads(index.read_text())
+    for entry in doc["attributes"]:
+        del entry["blocks"]
+    index.write_text(json.dumps(doc))
+    return SpoolDirectory.open(spool.root)
 
 
 class TestSkipBlocksBelow:
@@ -55,11 +71,11 @@ class TestSkipBlocksBelow:
         assert cursor.read_batch(4) == ["0002", "0003", "0012", "0013"]
         cursor.close()
 
-    def test_text_cursor_is_a_noop(self, tmp_path):
+    def test_cursor_without_block_metadata_is_a_noop(self, tmp_path):
         values = [f"{i:04d}" for i in range(20)]
-        spool = _spool(tmp_path, values, fmt="text")
+        spool = _spool(tmp_path, values)
         io = IOStats()
-        cursor = spool.open_cursor(REF, io)
+        cursor = BlockValueCursor(spool.get(REF).path, io)
         assert cursor.skip_blocks_below("0015") == 0
         assert cursor.read_batch(1) == ["0000"]
         assert io.blocks_skipped == 0
@@ -74,8 +90,8 @@ class TestSkipBlocksBelow:
 
 
 class TestBruteForceSkipScan:
-    def _setup(self, tmp_path, fmt="binary"):
-        spool = SpoolDirectory.create(tmp_path / fmt, format=fmt, block_size=4)
+    def _setup(self, tmp_path):
+        spool = SpoolDirectory.create(tmp_path / "spool", block_size=4)
         dep = AttributeRef("t", "dep")
         ref = AttributeRef("t", "ref")
         # Sparse dependent against a dense reference: between consecutive
@@ -104,7 +120,7 @@ class TestBruteForceSkipScan:
         assert plain.stats.blocks_skipped == 0
 
     def test_refuted_candidates_unchanged(self, tmp_path):
-        spool = SpoolDirectory.create(tmp_path / "r", format="binary", block_size=4)
+        spool = SpoolDirectory.create(tmp_path / "r", block_size=4)
         dep = AttributeRef("t", "dep")
         ref = AttributeRef("t", "ref")
         spool.add_values(dep, ["00050", "99999"])  # second value missing
@@ -119,10 +135,15 @@ class TestBruteForceSkipScan:
         assert skipping.stats.refuted_count == 1
         assert skipping.stats.blocks_skipped > 0
 
-    def test_text_spools_fall_back_to_plain_scans(self, tmp_path):
-        spool, candidates = self._setup(tmp_path, fmt="text")
-        plain = BruteForceValidator(spool).validate(candidates)
-        skipping = BruteForceValidator(spool, skip_scan=True).validate(candidates)
+    def test_index_without_block_metadata_falls_back_to_plain_scans(
+        self, tmp_path
+    ):
+        spool, candidates = self._setup(tmp_path)
+        spool = _without_block_metadata(spool)
+        plain = BruteForceValidator(spool, batch_size=8).validate(candidates)
+        skipping = BruteForceValidator(
+            spool, skip_scan=True, batch_size=8
+        ).validate(candidates)
         assert skipping.decisions == plain.decisions
         assert skipping.stats.items_read == plain.stats.items_read
         assert skipping.stats.blocks_skipped == 0
@@ -138,10 +159,10 @@ class TestMergeFrontierSkipScan:
     identical to the plain merge; only the I/O counters may improve.
     """
 
-    def _setup(self, tmp_path, fmt="binary"):
+    def _setup(self, tmp_path):
         from repro.core.merge_single_pass import MergeSinglePassValidator
 
-        spool = SpoolDirectory.create(tmp_path / fmt, format=fmt, block_size=4)
+        spool = SpoolDirectory.create(tmp_path / "spool", block_size=4)
         dep = AttributeRef("t", "dep")
         ref = AttributeRef("t", "ref")
         spool.add_values(dep, [f"{i:05d}" for i in range(0, 400, 100)])
@@ -172,9 +193,7 @@ class TestMergeFrontierSkipScan:
     def test_refuted_candidates_unchanged(self, tmp_path):
         from repro.core.merge_single_pass import MergeSinglePassValidator
 
-        spool = SpoolDirectory.create(
-            tmp_path / "r", format="binary", block_size=4
-        )
+        spool = SpoolDirectory.create(tmp_path / "r", block_size=4)
         dep = AttributeRef("t", "dep")
         ref = AttributeRef("t", "ref")
         spool.add_values(dep, ["00050", "99999"])  # second value missing
@@ -200,9 +219,7 @@ class TestMergeFrontierSkipScan:
         """
         from repro.core.merge_single_pass import MergeSinglePassValidator
 
-        spool = SpoolDirectory.create(
-            tmp_path / "chain", format="binary", block_size=4
-        )
+        spool = SpoolDirectory.create(tmp_path / "chain", block_size=4)
         a = AttributeRef("t", "a")
         b = AttributeRef("t", "b")
         c = AttributeRef("t", "c")
@@ -220,10 +237,15 @@ class TestMergeFrontierSkipScan:
         assert skipping.decisions == plain.decisions
         assert skipping.stats.satisfied_count == plain.stats.satisfied_count
 
-    def test_text_spools_fall_back_to_plain_scans(self, tmp_path):
-        spool, candidates, validator_cls = self._setup(tmp_path, fmt="text")
-        plain = validator_cls(spool).validate(candidates)
-        skipping = validator_cls(spool, skip_scan=True).validate(candidates)
+    def test_index_without_block_metadata_falls_back_to_plain_scans(
+        self, tmp_path
+    ):
+        spool, candidates, validator_cls = self._setup(tmp_path)
+        spool = _without_block_metadata(spool)
+        plain = validator_cls(spool, batch_size=8).validate(candidates)
+        skipping = validator_cls(
+            spool, skip_scan=True, batch_size=8
+        ).validate(candidates)
         assert skipping.decisions == plain.decisions
         assert skipping.stats.items_read == plain.stats.items_read
         assert skipping.stats.blocks_skipped == 0
@@ -234,9 +256,7 @@ class TestMergeFrontierSkipScan:
         from repro.core.merge_single_pass import MergeSinglePassValidator
         from repro.parallel import PartitionedMergeValidator
 
-        spool = SpoolDirectory.create(
-            tmp_path / "wide", format="binary", block_size=16
-        )
+        spool = SpoolDirectory.create(tmp_path / "wide", block_size=16)
         dep = AttributeRef("t", "dep")
         ref = AttributeRef("t", "ref")
         spool.add_values(dep, ["00000", "08999"])

@@ -133,35 +133,26 @@ class TestSpoolCache:
         assert cache.entries() == []  # staging dirs are not entries
 
     def test_differently_configured_entries_coexist(self, tmp_path):
-        """Format/block-size are part of the slot: no thrashing between runs."""
+        """Compression/block size are part of the slot: no thrashing."""
         db = _db()
         fingerprint = _fingerprint(db)
         cache = SpoolCache(tmp_path / "cache")
-        self._populate(cache, db, fingerprint, spool_format="text")
-        assert cache.lookup(fingerprint, spool_format="binary") is None
-        assert cache.entry_path(fingerprint, "text").exists()
-        self._populate(cache, db, fingerprint, spool_format="binary")
-        # Both formats now hit, each from its own entry.
-        assert cache.lookup(fingerprint, spool_format="text") is not None
-        assert cache.lookup(fingerprint, spool_format="binary") is not None
+        self._populate(cache, db, fingerprint, compression="zlib")
+        assert cache.lookup(fingerprint) is None
+        assert cache.entry_path(fingerprint, compression="zlib").exists()
+        self._populate(cache, db, fingerprint)
+        # Both layouts now hit, each from its own entry.
+        assert cache.lookup(fingerprint, compression="zlib") is not None
+        assert cache.lookup(fingerprint) is not None
         assert len(cache.entries()) == 2
 
     def test_block_size_mismatch_is_a_miss(self, tmp_path):
         db = _db()
         fingerprint = _fingerprint(db)
         cache = SpoolCache(tmp_path / "cache")
-        self._populate(
-            cache, db, fingerprint, spool_format="binary", block_size=8
-        )
+        self._populate(cache, db, fingerprint, block_size=8)
         assert cache.lookup(fingerprint, block_size=4) is None
         assert cache.lookup(fingerprint, block_size=8) is not None
-        # Text spools have no blocks; the requested size is irrelevant.
-        cache2 = SpoolCache(tmp_path / "cache2")
-        self._populate(cache2, db, fingerprint, spool_format="text")
-        assert (
-            cache2.lookup(fingerprint, spool_format="text", block_size=4)
-            is not None
-        )
 
     def test_concurrent_publish_replaces_equivalent_entry(self, tmp_path):
         db = _db()

@@ -16,7 +16,7 @@ import re
 from repro.db import Column, Database, DataType, TableSchema
 from repro.db.schema import AttributeRef
 from repro.storage.exporter import export_database, plan_export_units
-from repro.storage.sorted_sets import FORMAT_BINARY, SpoolDirectory
+from repro.storage.sorted_sets import SpoolDirectory
 
 
 def expected_names(refs, extension):
@@ -61,9 +61,7 @@ def test_wide_export_keeps_the_suffixed_names(tmp_path):
     assert len(refs) == 300
     expected = expected_names(refs, ".valsb")
     assert any(name.endswith("__12.valsb") for name in expected.values())
-    spool, stats = export_database(
-        db, str(tmp_path / "s"), spool_format=FORMAT_BINARY
-    )
+    spool, stats = export_database(db, str(tmp_path / "s"))
     # Empty columns are discarded after every name was handed out, so the
     # survivors keep the names a full reservation pass gave them.
     assert stats.skipped_empty == 3 * 6
@@ -76,7 +74,7 @@ def test_wide_export_keeps_the_suffixed_names(tmp_path):
 
 def test_export_units_reserve_the_same_names(tmp_path):
     db = colliding_db()
-    spool = SpoolDirectory.create(tmp_path / "s", format=FORMAT_BINARY)
+    spool = SpoolDirectory.create(tmp_path / "s")
     units = plan_export_units(db, None, spool)
     expected = expected_names(db.attributes(), ".valsb")
     assert {AttributeRef(u.table, u.column): u.file_name for u in units} == expected
@@ -86,16 +84,16 @@ def test_freed_names_are_reused_and_reopened_names_avoided(tmp_path):
     spool = SpoolDirectory.create(tmp_path / "s")
     first, second, third = (AttributeRef("t", c) for c in ("x y", "x/y", "x?y"))
     spool.add_values(first, ["a"])
-    assert spool.reserve_name(second) == "t__x_y__2.vals"
+    assert spool.reserve_name(second) == "t__x_y__2.valsb"
     spool.release(second)
-    assert spool.reserve_name(third) == "t__x_y__2.vals"
+    assert spool.reserve_name(third) == "t__x_y__2.valsb"
     spool.release(third)
     spool.add_values(second, ["b"])
     spool.discard(first)
-    assert spool.reserve_name(third) == "t__x_y.vals"
+    assert spool.reserve_name(third) == "t__x_y.valsb"
     spool.release(third)
     spool.save_index()
 
     reopened = SpoolDirectory.open(tmp_path / "s")
-    assert reopened.reserve_name(first) == "t__x_y.vals"
-    assert reopened.reserve_name(third) == "t__x_y__3.vals"
+    assert reopened.reserve_name(first) == "t__x_y.valsb"
+    assert reopened.reserve_name(third) == "t__x_y__3.valsb"

@@ -1,29 +1,18 @@
-"""Tests for spool format v2: block files, format sniffing, parallel export."""
+"""Tests for spool format v2: block files, index versions, parallel export."""
 
 import json
 import threading
 
 import pytest
 
-from repro.core.brute_force import BruteForceValidator
-from repro.core.candidates import Candidate
 from repro.db.database import Database
 from repro.db.schema import AttributeRef, Column, TableSchema
 from repro.db.types import DataType
 from repro.errors import SpoolError
-from repro.storage.blockio import (
-    MAGIC,
-    BlockFileWriter,
-    sniff_block_file,
-)
-from repro.storage.codec import escape_line
-from repro.storage.cursors import BlockFileValueCursor, IOStats
+from repro.storage.blockio import MAGIC, BlockFileWriter
+from repro.storage.cursors import BlockValueCursor, IOStats
 from repro.storage.exporter import export_database
-from repro.storage.sorted_sets import (
-    FORMAT_BINARY,
-    FORMAT_TEXT,
-    SpoolDirectory,
-)
+from repro.storage.sorted_sets import SpoolDirectory
 
 A = AttributeRef("t", "a")
 B = AttributeRef("t", "b")
@@ -40,7 +29,7 @@ class TestBlockFileRoundTrip:
         with BlockFileWriter(path, block_size=block_size) as writer:
             for value in values:
                 writer.write(value)
-        cursor = BlockFileValueCursor(path)
+        cursor = BlockValueCursor(path)
         out = []
         while cursor.has_next():
             out.append(cursor.next_value())
@@ -53,7 +42,7 @@ class TestBlockFileRoundTrip:
         with BlockFileWriter(path, block_size=block_size) as writer:
             for value in AWKWARD:
                 writer.write(value)
-        cursor = BlockFileValueCursor(path)
+        cursor = BlockValueCursor(path)
         assert cursor.read_batch(100) == AWKWARD
         cursor.close()
 
@@ -62,7 +51,7 @@ class TestBlockFileRoundTrip:
         with BlockFileWriter(path) as writer:
             pass
         assert writer.count == 0 and writer.blocks == []
-        cursor = BlockFileValueCursor(path)
+        cursor = BlockValueCursor(path)
         assert not cursor.has_next()
         with pytest.raises(SpoolError, match="read past end"):
             cursor.next_value()
@@ -87,7 +76,7 @@ class TestBlockFileRoundTrip:
         with BlockFileWriter(path, block_size=3) as writer:
             for value in values:
                 writer.write(value)
-        cursor = BlockFileValueCursor(path)
+        cursor = BlockValueCursor(path)
         # 7-value batches over 3-value blocks: every read crosses a boundary.
         out = []
         while True:
@@ -105,7 +94,7 @@ class TestBlockFileRoundTrip:
             for value in ["a", "b", "c", "d", "e"]:
                 writer.write(value)
         stats = IOStats()
-        cursor = BlockFileValueCursor(path, stats)
+        cursor = BlockValueCursor(path, stats)
         assert cursor.peek_batch(5) == ["a", "b", "c", "d", "e"]
         assert stats.items_read == 0  # peeking is never charged
         cursor.advance(3)
@@ -130,13 +119,12 @@ class TestBlockFileCorruption:
         path = tmp_path / "v.valsb"
         path.write_bytes(b"not a block file")
         with pytest.raises(SpoolError, match="bad magic"):
-            BlockFileValueCursor(str(path))
-        assert not sniff_block_file(str(path))
+            BlockValueCursor(str(path))
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "v.valsb"
         path.write_bytes(MAGIC + b"\x01\x02")
-        cursor = BlockFileValueCursor(str(path))
+        cursor = BlockValueCursor(str(path))
         with pytest.raises(SpoolError, match="truncated block header"):
             cursor.has_next()
         cursor.close()
@@ -149,41 +137,26 @@ class TestBlockFileCorruption:
         data = open(path, "rb").read()
         trimmed = tmp_path / "trimmed.valsb"
         trimmed.write_bytes(data[:-2])
-        cursor = BlockFileValueCursor(str(trimmed))
+        cursor = BlockValueCursor(str(trimmed))
         with pytest.raises(SpoolError, match="truncated block"):
             cursor.has_next()
         cursor.close()
-
-    def test_sniff_detects_v2(self, tmp_path):
-        path = str(tmp_path / "v.valsb")
-        with BlockFileWriter(path) as writer:
-            writer.write("x")
-        assert sniff_block_file(path)
-        text = tmp_path / "v.vals"
-        text.write_text("x\n")
-        assert not sniff_block_file(str(text))
 
 
 # ------------------------------------------------------------ spool directory
 class TestBinarySpoolDirectory:
     def test_round_trip_and_reopen(self, tmp_path):
-        spool = SpoolDirectory.create(
-            tmp_path / "s", format=FORMAT_BINARY, block_size=2
-        )
+        spool = SpoolDirectory.create(tmp_path / "s", block_size=2)
         spool.add_values(A, AWKWARD)
         spool.add_values(B, [])
         spool.save_index()
         reopened = SpoolDirectory.open(tmp_path / "s")
-        assert reopened.format == FORMAT_BINARY
         assert reopened.block_size == 2
         assert reopened.get(A).values() == AWKWARD
         assert reopened.get(B).values() == []
-        assert reopened.get(A).format == FORMAT_BINARY
 
     def test_index_carries_version_and_blocks(self, tmp_path):
-        spool = SpoolDirectory.create(
-            tmp_path / "s", format=FORMAT_BINARY, block_size=2
-        )
+        spool = SpoolDirectory.create(tmp_path / "s", block_size=2)
         spool.add_values(A, ["a", "b", "c"])
         spool.save_index()
         doc = json.loads((tmp_path / "s" / "index.json").read_text())
@@ -197,21 +170,8 @@ class TestBinarySpoolDirectory:
             {"count": 1, "min": "c", "max": "c"},
         ]
 
-    def test_text_v2_index_has_version_but_no_blocks(self, tmp_path):
-        spool = SpoolDirectory.create(tmp_path / "s", format=FORMAT_TEXT)
-        spool.add_values(A, ["a"])
-        spool.save_index()
-        doc = json.loads((tmp_path / "s" / "index.json").read_text())
-        assert doc["version"] == 2
-        assert doc["format"] == "text"
-        assert "blocks" not in doc["attributes"][0]
-
-    def test_rejects_unknown_format(self, tmp_path):
-        with pytest.raises(SpoolError, match="unknown spool format"):
-            SpoolDirectory.create(tmp_path / "s", format="parquet")
-
     def test_binary_rejects_unsorted(self, tmp_path):
-        spool = SpoolDirectory.create(tmp_path / "s", format=FORMAT_BINARY)
+        spool = SpoolDirectory.create(tmp_path / "s")
         with pytest.raises(SpoolError, match="strictly ascending"):
             spool.add_values(A, ["b", "a"])
         # The failed write never leaks a half-written file or a reservation.
@@ -219,90 +179,45 @@ class TestBinarySpoolDirectory:
         spool.add_values(A, ["a", "b"])
         assert spool.get(A).values() == ["a", "b"]
 
-    def test_cursor_accounting_matches_text(self, tmp_path):
-        values = [f"{i:02d}" for i in range(10)]
-        per_format = {}
-        for fmt in (FORMAT_TEXT, FORMAT_BINARY):
-            spool = SpoolDirectory.create(
-                tmp_path / fmt, format=fmt, block_size=3
-            )
-            spool.add_values(A, values)
-            stats = IOStats()
-            cursor = spool.open_cursor(A, stats)
-            cursor.read_batch(4)
-            cursor.next_value()
-            cursor.close()
-            per_format[fmt] = (
-                stats.items_read,
-                stats.files_opened,
-                stats.reads_per_attribute,
-            )
-        assert per_format[FORMAT_TEXT] == per_format[FORMAT_BINARY] == (
-            5, 1, {"t.a": 5},
-        )
+    def test_cursor_accounting_counts_logical_reads(self, tmp_path):
+        spool = SpoolDirectory.create(tmp_path / "s", block_size=3)
+        spool.add_values(A, [f"{i:02d}" for i in range(10)])
+        stats = IOStats()
+        cursor = spool.open_cursor(A, stats)
+        cursor.read_batch(4)
+        cursor.next_value()
+        cursor.close()
+        assert (
+            stats.items_read,
+            stats.files_opened,
+            stats.reads_per_attribute,
+        ) == (5, 1, {"t.a": 5})
 
 
-class TestV1BackwardCompat:
-    def _write_v1_directory(self, root):
-        """Hand-build a spool directory exactly as the v1 code wrote it."""
-        root.mkdir(parents=True)
-        values = {"a": ["1", "5", "x\ny"], "b": ["1", "5", "9", "x\ny"]}
-        entries = []
-        for column, vals in values.items():
-            file_name = f"t__{column}.vals"
-            with open(root / file_name, "w", encoding="utf-8") as fh:
-                for value in vals:
-                    fh.write(escape_line(value) + "\n")
-            entries.append(
-                {
-                    "table": "t",
-                    "column": column,
-                    "file": file_name,
-                    "count": len(vals),
-                    "min": vals[0],
-                    "max": vals[-1],
-                    "dtype": "VARCHAR",
-                }
-            )
-        # v1 index: no "version", no "format", no "block_size".
-        (root / "index.json").write_text(
-            json.dumps({"attributes": entries})
-        )
-        return values
+class TestIndexVersions:
+    """Index documents this build cannot read fail loudly at open.
 
-    def test_v1_directory_opens_as_text(self, tmp_path):
-        values = self._write_v1_directory(tmp_path / "v1")
-        spool = SpoolDirectory.open(tmp_path / "v1")
-        assert spool.format == FORMAT_TEXT
-        assert spool.get(A).values() == values["a"]
-        assert spool.get(B).values() == values["b"]
+    The removed v1 text layouts are covered in
+    ``tests/test_legacy_inputs.py``.
+    """
 
-    def test_v1_directory_validates(self, tmp_path):
-        self._write_v1_directory(tmp_path / "v1")
-        spool = SpoolDirectory.open(tmp_path / "v1")
-        result = BruteForceValidator(spool).validate(
-            [Candidate(A, B), Candidate(B, A)]
-        )
-        assert result.decisions[Candidate(A, B)] is True
-        assert result.decisions[Candidate(B, A)] is False
-
-    def test_future_version_rejected(self, tmp_path):
-        root = tmp_path / "v9"
+    @pytest.mark.parametrize(
+        "head, named",
+        [
+            ({"version": 1, "format": "binary"}, "version 1"),
+            ({"version": 9, "format": "binary"}, "version 9"),
+            ({"version": "2", "format": "binary"}, "version '2'"),
+            ({"version": 2, "format": "parquet"}, "parquet"),
+        ],
+        ids=["v1", "v9", "v2-as-string", "v2-parquet"],
+    )
+    def test_unreadable_index_names_its_path(self, tmp_path, head, named):
+        root = tmp_path / "unreadable"
         root.mkdir()
-        (root / "index.json").write_text(
-            json.dumps({"version": 9, "attributes": []})
-        )
-        with pytest.raises(SpoolError, match="version 9"):
+        (root / "index.json").write_text(json.dumps({**head, "attributes": []}))
+        with pytest.raises(SpoolError, match=named) as err:
             SpoolDirectory.open(root)
-
-    def test_unknown_index_format_rejected(self, tmp_path):
-        root = tmp_path / "weird"
-        root.mkdir()
-        (root / "index.json").write_text(
-            json.dumps({"version": 2, "format": "parquet", "attributes": []})
-        )
-        with pytest.raises(SpoolError, match="parquet"):
-            SpoolDirectory.open(root)
+        assert str(root) in str(err.value)
 
 
 # ------------------------------------------------------------ parallel export
@@ -316,14 +231,14 @@ def _sample_db(columns=8, rows=120) -> Database:
 
 
 class TestParallelExport:
-    @pytest.mark.parametrize("spool_format", [FORMAT_TEXT, FORMAT_BINARY])
-    def test_workers_match_sequential(self, tmp_path, spool_format):
+    @pytest.mark.parametrize("compression", ["none", "zlib"])
+    def test_workers_match_sequential(self, tmp_path, compression):
         db = _sample_db()
         seq, seq_stats = export_database(
-            db, str(tmp_path / "seq"), spool_format=spool_format
+            db, str(tmp_path / "seq"), compression=compression
         )
         par, par_stats = export_database(
-            db, str(tmp_path / "par"), spool_format=spool_format, workers=4
+            db, str(tmp_path / "par"), workers=4, compression=compression
         )
         assert seq.attributes() == par.attributes()
         for ref in seq.attributes():
@@ -350,7 +265,7 @@ class TestParallelExport:
 
     def test_concurrent_add_values_thread_safety(self, tmp_path):
         """Direct hammering of the registry lock from many threads."""
-        spool = SpoolDirectory.create(tmp_path / "s", format=FORMAT_BINARY)
+        spool = SpoolDirectory.create(tmp_path / "s")
         errors = []
 
         def add(i):

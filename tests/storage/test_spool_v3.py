@@ -1,7 +1,6 @@
-"""Tests for spool format v3: compressed payloads, flag sniffing, mmap reads."""
+"""Tests for spool format v3: compressed payloads, frame magics, mmap reads."""
 
 import json
-import pickle
 
 import pytest
 
@@ -13,7 +12,6 @@ from repro.storage.blockio import (
     MAGIC_V3_ZLIB,
     BlockFileWriter,
     parse_magic,
-    sniff_block_file,
 )
 from repro.storage.codec import (
     COMPRESSION_NONE,
@@ -22,14 +20,11 @@ from repro.storage.codec import (
     encode_block,
 )
 from repro.storage.cursors import (
-    BlockFileValueCursor,
+    BlockValueCursor,
     IOStats,
-    MmapBlockFileValueCursor,
+    MmapBlockValueCursor,
 )
-from repro.storage.sorted_sets import (
-    FORMAT_BINARY,
-    SpoolDirectory,
-)
+from repro.storage.sorted_sets import SpoolDirectory
 
 A = AttributeRef("t", "a")
 B = AttributeRef("t", "b")
@@ -53,7 +48,7 @@ class TestCompressedRoundTrip:
         path = tmp_path / "v.valsb"
         values = [f"v{i:03d}" for i in range(17)]
         _write(path, values, block_size=block_size)
-        cursor = BlockFileValueCursor(str(path))
+        cursor = BlockValueCursor(str(path))
         assert cursor.read_batch(100) == values
         cursor.close()
 
@@ -61,7 +56,7 @@ class TestCompressedRoundTrip:
     def test_awkward_values(self, tmp_path, block_size):
         path = tmp_path / "v.valsb"
         _write(path, AWKWARD, block_size=block_size)
-        cursor = BlockFileValueCursor(str(path))
+        cursor = BlockValueCursor(str(path))
         assert cursor.read_batch(100) == AWKWARD
         cursor.close()
 
@@ -70,7 +65,7 @@ class TestCompressedRoundTrip:
         writer = _write(path, [])
         assert writer.count == 0 and writer.blocks == []
         assert path.read_bytes() == MAGIC_V3_ZLIB
-        cursor = BlockFileValueCursor(str(path))
+        cursor = BlockValueCursor(str(path))
         assert not cursor.has_next()
         cursor.close()
 
@@ -93,7 +88,7 @@ class TestCompressedRoundTrip:
         path = tmp_path / "v.valsb"
         writer = _write(path, ["y" * 30 + f"{i:02d}" for i in range(12)])
         stats = IOStats()
-        cursor = BlockFileValueCursor(str(path), stats)
+        cursor = BlockValueCursor(str(path), stats)
         cursor.read_batch(100)
         cursor.close()
         assert stats.bytes_read == writer.raw_payload_bytes
@@ -115,16 +110,6 @@ class TestMagicSniffing:
         with pytest.raises(SpoolError, match="bad magic"):
             parse_magic(b"RSPL2\x04\x00\n", "f")
 
-    def test_sniff_accepts_v3(self, tmp_path):
-        path = tmp_path / "v.valsb"
-        _write(path, ["x"])
-        assert sniff_block_file(str(path))
-
-    def test_sniff_rejects_unknown_flags(self, tmp_path):
-        path = tmp_path / "v.valsb"
-        path.write_bytes(b"RSPL2\x03\x04\n")
-        assert not sniff_block_file(str(path))
-
 
 class TestCompressedCorruption:
     """Every corruption raises SpoolError naming the file and the ordinal."""
@@ -136,7 +121,7 @@ class TestCompressedCorruption:
         data[-3] ^= 0xFF  # inside the second block's deflate stream
         broken = tmp_path / "broken.valsb"
         broken.write_bytes(bytes(data))
-        cursor = BlockFileValueCursor(str(broken))
+        cursor = BlockValueCursor(str(broken))
         with pytest.raises(SpoolError, match="corrupt compressed block 1") as err:
             cursor.read_batch(100)
         assert "broken.valsb" in str(err.value)
@@ -147,7 +132,7 @@ class TestCompressedCorruption:
         _write(path, ["aaa", "bbb"], block_size=10)
         trimmed = tmp_path / "trimmed.valsb"
         trimmed.write_bytes(path.read_bytes()[:-2])
-        cursor = BlockFileValueCursor(str(trimmed))
+        cursor = BlockValueCursor(str(trimmed))
         with pytest.raises(SpoolError, match="truncated block 0"):
             cursor.has_next()
         cursor.close()
@@ -160,7 +145,7 @@ class TestCompressedCorruption:
         path.write_bytes(
             MAGIC_V3_ZLIB + BLOCK_HEADER.pack(len(payload), 3) + payload
         )
-        cursor = BlockFileValueCursor(str(path))
+        cursor = BlockValueCursor(str(path))
         with pytest.raises(SpoolError, match="corrupt block 0"):
             cursor.read_batch(10)
         cursor.close()
@@ -178,8 +163,8 @@ class TestMmapCursor:
             for value in values:
                 writer.write(value)
         buffered_stats, mmap_stats = IOStats(), IOStats()
-        buffered = BlockFileValueCursor(str(path), buffered_stats)
-        mapped = MmapBlockFileValueCursor(str(path), mmap_stats)
+        buffered = BlockValueCursor(str(path), buffered_stats)
+        mapped = MmapBlockValueCursor(str(path), mmap_stats)
         assert mapped.read_batch(100) == buffered.read_batch(100)
         buffered.close()
         mapped.close()
@@ -190,7 +175,6 @@ class TestMmapCursor:
     def test_skip_blocks_below(self, tmp_path):
         spool = SpoolDirectory.create(
             tmp_path / "s",
-            format=FORMAT_BINARY,
             block_size=4,
             compression=COMPRESSION_ZLIB,
             mmap_reads=True,
@@ -199,22 +183,11 @@ class TestMmapCursor:
         spool.save_index()
         io = IOStats()
         cursor = spool.open_cursor(A, io)
-        assert isinstance(cursor, MmapBlockFileValueCursor)
+        assert isinstance(cursor, MmapBlockValueCursor)
         assert cursor.skip_blocks_below("0013") == 3
         assert io.blocks_skipped == 3 and io.values_skipped == 12
         assert cursor.read_batch(3) == ["0012", "0013", "0014"]
         cursor.close()
-
-    def test_pickling_reopens_by_path(self, tmp_path):
-        path = tmp_path / "v.valsb"
-        _write(path, [f"{i:02d}" for i in range(10)], block_size=3)
-        cursor = MmapBlockFileValueCursor(str(path))
-        assert cursor.read_batch(4) == ["00", "01", "02", "03"]
-        clone = pickle.loads(pickle.dumps(cursor))
-        assert isinstance(clone, MmapBlockFileValueCursor)
-        assert clone.read_batch(3) == ["04", "05", "06"]
-        cursor.close()
-        clone.close()
 
     def test_corruption_still_names_file_and_block(self, tmp_path):
         path = tmp_path / "v.valsb"
@@ -222,7 +195,7 @@ class TestMmapCursor:
         data = bytearray(path.read_bytes())
         data[-3] ^= 0xFF
         path.write_bytes(bytes(data))
-        cursor = MmapBlockFileValueCursor(str(path))
+        cursor = MmapBlockValueCursor(str(path))
         with pytest.raises(SpoolError, match="corrupt compressed block 1"):
             cursor.read_batch(100)
         cursor.close()
@@ -232,26 +205,19 @@ class TestMmapCursor:
 class TestCompressedSpoolDirectory:
     def test_round_trip_and_reopen(self, tmp_path):
         spool = SpoolDirectory.create(
-            tmp_path / "s",
-            format=FORMAT_BINARY,
-            block_size=2,
-            compression=COMPRESSION_ZLIB,
+            tmp_path / "s", block_size=2, compression=COMPRESSION_ZLIB
         )
         spool.add_values(A, AWKWARD)
         spool.add_values(B, [])  # empty attribute: magic-only file
         spool.save_index()
         reopened = SpoolDirectory.open(tmp_path / "s")
         assert reopened.compression == COMPRESSION_ZLIB
-        assert reopened.format == FORMAT_BINARY
         assert reopened.get(A).values() == AWKWARD
         assert reopened.get(B).values() == []
 
     def test_index_version_3_with_compression_key(self, tmp_path):
         spool = SpoolDirectory.create(
-            tmp_path / "s",
-            format=FORMAT_BINARY,
-            block_size=2,
-            compression=COMPRESSION_ZLIB,
+            tmp_path / "s", block_size=2, compression=COMPRESSION_ZLIB
         )
         spool.add_values(A, ["a" * 40, "b" * 40, "c" * 40])
         spool.save_index()
@@ -265,9 +231,7 @@ class TestCompressedSpoolDirectory:
             assert block["raw"] > 0 and block["stored"] > 0
 
     def test_uncompressed_index_stays_version_2(self, tmp_path):
-        spool = SpoolDirectory.create(
-            tmp_path / "s", format=FORMAT_BINARY, block_size=2
-        )
+        spool = SpoolDirectory.create(tmp_path / "s", block_size=2)
         spool.add_values(A, ["a", "b"])
         spool.save_index()
         doc = json.loads((tmp_path / "s" / "index.json").read_text())
@@ -284,21 +248,13 @@ class TestCompressedSpoolDirectory:
                  "attributes": []}
             )
         )
-        with pytest.raises(SpoolError, match="lz4"):
+        with pytest.raises(SpoolError, match="lz4") as err:
             SpoolDirectory.open(root)
-
-    def test_compression_requires_binary_format(self, tmp_path):
-        with pytest.raises(SpoolError, match="requires the binary"):
-            SpoolDirectory.create(
-                tmp_path / "s", format="text", compression=COMPRESSION_ZLIB
-            )
+        assert str(root) in str(err.value)
 
     def test_block_size_one(self, tmp_path):
         spool = SpoolDirectory.create(
-            tmp_path / "s",
-            format=FORMAT_BINARY,
-            block_size=1,
-            compression=COMPRESSION_ZLIB,
+            tmp_path / "s", block_size=1, compression=COMPRESSION_ZLIB
         )
         values = [f"{i:02d}" for i in range(7)]
         spool.add_values(A, values)
@@ -307,33 +263,67 @@ class TestCompressedSpoolDirectory:
         assert len(svf.blocks) == len(values)
         assert svf.values() == values
 
-    def test_spool_pickles_with_compression(self, tmp_path):
-        spool = SpoolDirectory.create(
-            tmp_path / "s",
-            format=FORMAT_BINARY,
-            block_size=2,
-            compression=COMPRESSION_ZLIB,
-            mmap_reads=True,
-        )
-        spool.add_values(A, ["a", "b", "c"])
-        spool.save_index()
-        clone = pickle.loads(pickle.dumps(spool))
-        assert clone.compression == COMPRESSION_ZLIB
-        assert clone.mmap_reads is True
-        assert clone.get(A).values() == ["a", "b", "c"]
-
     def test_compressed_files_smaller_on_redundant_data(self, tmp_path):
         values = ["prefix-" * 8 + f"{i:05d}" for i in range(500)]
         sizes = {}
         for name, compression in (
             ("v2", COMPRESSION_NONE), ("v3", COMPRESSION_ZLIB),
         ):
-            spool = SpoolDirectory.create(
-                tmp_path / name, format=FORMAT_BINARY, compression=compression
-            )
+            spool = SpoolDirectory.create(tmp_path / name, compression=compression)
             spool.add_values(A, values)
             spool.save_index()
             sizes[name] = sum(
                 p.stat().st_size for p in (tmp_path / name).glob("*.valsb")
             )
         assert sizes["v3"] < sizes["v2"] // 2
+
+
+# ------------------------------------------------------------- storage legs
+#: Every way a spool can be written and read: (compression, mmap_reads).
+STORAGE_LEGS = [
+    (COMPRESSION_NONE, False),
+    (COMPRESSION_NONE, True),
+    (COMPRESSION_ZLIB, False),
+    (COMPRESSION_ZLIB, True),
+]
+
+
+class TestStorageLegs:
+    """A reopened directory reads the same bytes on every storage leg.
+
+    Values that need escaping straddle two-value blocks; mixed batched and
+    single reads must return them unchanged, through the cursor class the
+    leg asks for, with the logical accounting of the plain v2 buffered leg.
+    """
+
+    @staticmethod
+    def _read_back(root, mmap_reads):
+        spool = SpoolDirectory.open(root, mmap_reads=mmap_reads)
+        io = IOStats()
+        cursor = spool.open_cursor(A, io)
+        values = cursor.read_batch(3) + [cursor.next_value()]
+        values += cursor.read_batch(100)
+        cursor.close()
+        return type(cursor), values, io
+
+    @pytest.mark.parametrize("compression, mmap_reads", STORAGE_LEGS)
+    def test_reopened_directory_reads_awkward_values(
+        self, tmp_path, compression, mmap_reads
+    ):
+        for name, leg_compression in (
+            ("plain", COMPRESSION_NONE), ("leg", compression),
+        ):
+            spool = SpoolDirectory.create(
+                tmp_path / name, block_size=2, compression=leg_compression
+            )
+            spool.add_values(A, AWKWARD)
+            spool.save_index()
+        _, _, plain_io = self._read_back(tmp_path / "plain", False)
+        cursor_cls, values, io = self._read_back(tmp_path / "leg", mmap_reads)
+        assert cursor_cls is (
+            MmapBlockValueCursor if mmap_reads else BlockValueCursor
+        )
+        assert values == AWKWARD
+        assert io.items_read == plain_io.items_read == len(AWKWARD)
+        assert io.bytes_read == plain_io.bytes_read
+        assert io.reads_per_attribute == {"t.a": len(AWKWARD)}

@@ -91,27 +91,11 @@ class TestDiscover:
         ) == 2
         assert "sequential" in capsys.readouterr().err
 
-    def test_discover_spool_format_flag(self, biosql_dump, capsys):
-        outputs = []
-        for fmt in ("text", "binary"):
-            assert main(
-                ["discover", str(biosql_dump), "--spool-format", fmt]
-            ) == 0
-            out = capsys.readouterr().out
-            assert "satisfied INDs" in out
-            outputs.append(sorted(l for l in out.splitlines() if "[=" in l))
-        # The spool layout must never change what discovery finds.
-        assert outputs[0] == outputs[1]
-
     def test_discover_export_workers_flag(self, biosql_dump, capsys):
         assert main(
             ["discover", str(biosql_dump), "--export-workers", "4"]
         ) == 0
         assert "satisfied INDs" in capsys.readouterr().out
-
-    def test_discover_rejects_unknown_spool_format(self, biosql_dump):
-        with pytest.raises(SystemExit):
-            main(["discover", str(biosql_dump), "--spool-format", "parquet"])
 
     def test_discover_rejects_bad_workers(self, biosql_dump, capsys):
         assert main(
@@ -119,34 +103,49 @@ class TestDiscover:
         ) == 2
         assert "export_workers" in capsys.readouterr().err
 
-    def test_discover_compression_and_mmap_flags(self, biosql_dump, capsys):
-        outputs = []
-        for extra in (
-            ("--spool-compression", "zlib", "--mmap-reads", "on"),
-            ("--spool-compression", "none", "--mmap-reads", "off"),
-        ):
-            assert main(["discover", str(biosql_dump), *extra]) == 0
-            out = capsys.readouterr().out
-            assert "satisfied INDs" in out
-            outputs.append(sorted(l for l in out.splitlines() if "[=" in l))
-        # Neither compression nor the byte source changes any answer.
-        assert outputs[0] == outputs[1]
-
-    def test_discover_rejects_compression_on_text_spools(
-        self, biosql_dump, capsys
+    @pytest.mark.parametrize("mmap_reads", ["on", "off"])
+    @pytest.mark.parametrize("compression", ["none", "zlib"])
+    def test_discover_compression_and_mmap_flags(
+        self, biosql_dump, tmp_path, capsys, compression, mmap_reads
     ):
-        assert main(
-            ["discover", str(biosql_dump), "--spool-format", "text",
-             "--spool-compression", "zlib"]
-        ) == 2
-        assert "binary spool format" in capsys.readouterr().err
+        docs = []
+        for name, extra in (
+            ("default", ()),
+            (
+                "leg",
+                ("--spool-compression", compression, "--mmap-reads", mmap_reads),
+            ),
+        ):
+            json_path = tmp_path / f"{name}.json"
+            assert main(
+                ["discover", str(biosql_dump), *extra, "--json", str(json_path)]
+            ) == 0
+            assert "satisfied INDs" in capsys.readouterr().out
+            docs.append(json.loads(json_path.read_text()))
+        # Neither compression nor the byte source changes any answer, nor
+        # the logical I/O the validator reports.
+        default, leg = docs
+        assert leg["satisfied"] == default["satisfied"]
+        assert leg["validator"]["items_read"] == default["validator"]["items_read"]
 
-    def test_discover_rejects_mmap_on_text_spools(self, biosql_dump, capsys):
-        assert main(
-            ["discover", str(biosql_dump), "--spool-format", "text",
-             "--mmap-reads", "on"]
-        ) == 2
-        assert "mmap_reads" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flag, expected", [((), True), (("on",), True), (("off",), False)],
+        ids=["default", "on", "off"],
+    )
+    @pytest.mark.parametrize(
+        "command", [["discover", "DUMP"], ["serve"], ["watch", "DUMP"]],
+        ids=["discover", "serve", "watch"],
+    )
+    def test_mmap_reads_flag_maps_to_the_config_bool(
+        self, command, flag, expected
+    ):
+        from repro.cli import _validation_config_kwargs
+        from repro.core.runner import DiscoveryConfig
+
+        argv = [*command, *(("--mmap-reads", *flag) if flag else ())]
+        kwargs = _validation_config_kwargs(build_parser().parse_args(argv))
+        assert kwargs["mmap_reads"] is expected
+        assert DiscoveryConfig(**kwargs).validated().mmap_reads is expected
 
 
 class TestSpoolInspect:
@@ -184,13 +183,6 @@ class TestSpoolInspect:
         assert "compression none" in out
         # Uncompressed indexes carry no byte counts — no ratio line.
         assert "stored payload bytes" not in out
-
-    def test_inspect_text_spool(self, biosql_dump, tmp_path, capsys):
-        spool_dir = self._keep_spool(
-            biosql_dump, tmp_path, spool_format="text"
-        )
-        assert main(["spool", "inspect", str(spool_dir)]) == 0
-        assert "frame v1 (text)" in capsys.readouterr().out
 
     def test_inspect_missing_directory_is_error(self, tmp_path, capsys):
         assert main(["spool", "inspect", str(tmp_path / "nope")]) == 2
@@ -255,24 +247,16 @@ class TestHelpText:
         assert "serve" in out
         assert "cache" in out
 
-    def test_every_flag_named_in_help_exists(self):
+    def test_every_flag_named_in_help_exists(self, cli_parsers):
         """A help, description or epilog names only flags that exist.
 
         Walks the root parser and every subparser; each ``--flag`` in any
         of their texts must be an option of some parser, so help cannot
         send a reader to a flag that was never added or was removed.
         """
-
-        def walk(parser):
-            yield parser
-            for action in parser._actions:
-                if isinstance(action, argparse._SubParsersAction):
-                    for sub in action.choices.values():
-                        yield from walk(sub)
-
         options: set[str] = set()
         texts: list[str] = []
-        for parser in walk(build_parser()):
+        for parser in cli_parsers:
             texts += [parser.description or "", parser.epilog or ""]
             for action in parser._actions:
                 options.update(action.option_strings)

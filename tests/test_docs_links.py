@@ -2,7 +2,11 @@
 
 Every relative link in ``docs/*.md`` and the repo-level markdown files must
 resolve to a file that exists — a broken link in the architecture map is a
-documentation bug, and CI runs this module as its docs job.  External links
+documentation bug, and the test suite checks it on every run.  Likewise every
+``--flag`` a ``docs/*.md`` page names must be an option of some
+``repro-ind`` (sub)command, so a removed flag cannot linger in a recipe
+(the repo-level logs, ``CHANGES.md`` and ``ROADMAP.md``, name removed flags
+on purpose and are not checked).  External links
 (http/https/mailto) and pure in-page anchors are out of scope: checking them
 needs the network or a markdown-to-anchor renderer, neither of which belongs
 in a hermetic test.
@@ -65,3 +69,28 @@ def test_docs_index_mentions_every_docs_file():
         if doc.name == "README.md":
             continue
         assert doc.name in text, f"docs/README.md does not link {doc.name}"
+
+
+#: A ``--flag`` token: not preceded by a word character or dash, so an
+#: em-dash spelled ``--`` in prose or a ``---`` rule never matches.
+_FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+
+
+@pytest.mark.parametrize(
+    "md_file",
+    sorted((REPO_ROOT / "docs").glob("*.md")),
+    ids=lambda p: str(p.relative_to(REPO_ROOT)),
+)
+def test_named_cli_flags_exist(md_file: Path, cli_parsers):
+    options = {
+        option
+        for parser in cli_parsers
+        for action in parser._actions
+        for option in action.option_strings
+    }
+    named = set(_FLAG.findall(md_file.read_text(encoding="utf-8")))
+    unknown = named - options
+    assert not unknown, (
+        f"{md_file.relative_to(REPO_ROOT)} names flags no repro-ind command "
+        f"takes: {sorted(unknown)}"
+    )

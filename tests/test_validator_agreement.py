@@ -4,9 +4,10 @@ The central invariant of the whole library, tested end to end: **every
 strategy computes exactly the set-containment relation** over rendered
 values.  For each seeded random database, all seven non-oracle strategies
 (four external, three SQL) must return the satisfied/violated candidate sets
-of the in-memory reference oracle — and the external ones must do so on both
-spool formats (v1 text and v2 binary), with tiny block sizes so batches
-straddle block boundaries constantly.
+of the in-memory reference oracle — and the external ones must do so on
+every storage leg (v2 and v3 compressed block files, buffered and mmap
+reads), with tiny block sizes so batches straddle block boundaries
+constantly.
 
 ``tests/test_properties.py`` covers the same ground with hypothesis-shrunken
 micro-inputs; this suite complements it with larger, multi-table databases
@@ -40,17 +41,14 @@ from repro.storage.exporter import export_database
 
 from seeded_dbs import build_component_spool, build_random_db
 
-SPOOL_FORMATS = ("text", "binary")
-#: The storage matrix: (spool_format, compression, mmap_reads) legs covering
-#: v1 text, v2 binary and v3 compressed binary files, each binary leg with
-#: buffered and mmap-backed cursors.  Decisions and logical I/O counters
-#: must be identical on every leg.
+#: The storage matrix: (compression, mmap_reads) legs covering v2 and v3
+#: compressed block files, each with buffered and mmap-backed cursors.
+#: Decisions and logical I/O counters must be identical on every leg.
 SPOOL_VARIANTS = (
-    ("text", "none", False),
-    ("binary", "none", False),
-    ("binary", "none", True),
-    ("binary", "zlib", False),
-    ("binary", "zlib", True),
+    ("none", False),
+    ("none", True),
+    ("zlib", False),
+    ("zlib", True),
 )
 SEEDS = tuple(range(10))
 
@@ -74,7 +72,7 @@ class TestExternalStrategiesAgree:
     def test_all_external_validators_match_oracle(
         self, seed, variant, tmp_path
     ):
-        spool_format, compression, mmap_reads = variant
+        compression, mmap_reads = variant
         db = build_random_db(seed)
         _, candidates = _candidates(db)
         if not candidates:
@@ -83,7 +81,6 @@ class TestExternalStrategiesAgree:
         spool, _ = export_database(
             db,
             str(tmp_path / "spool"),
-            spool_format=spool_format,
             block_size=3,  # tiny blocks: every batch straddles boundaries
             workers=3,
             compression=compression,
@@ -120,16 +117,15 @@ class TestExternalStrategiesAgree:
         if not candidates:
             pytest.skip(f"seed {seed} generated no candidates")
         per_variant = {}
-        for index, (fmt, compression, mmap_reads) in enumerate(SPOOL_VARIANTS):
+        for index, (compression, mmap_reads) in enumerate(SPOOL_VARIANTS):
             spool, _ = export_database(
                 db,
                 str(tmp_path / f"v{index}"),
-                spool_format=fmt,
                 block_size=2,
                 compression=compression,
                 mmap_reads=mmap_reads,
             )
-            per_variant[(fmt, compression, mmap_reads)] = {
+            per_variant[(compression, mmap_reads)] = {
                 name: validator.validate(candidates).stats.items_read
                 for name, validator in (
                     ("brute", BruteForceValidator(spool)),
@@ -137,7 +133,7 @@ class TestExternalStrategiesAgree:
                     ("merge", MergeSinglePassValidator(spool)),
                 )
             }
-        baseline = per_variant[("text", "none", False)]
+        baseline = per_variant[("none", False)]
         for variant, reads in per_variant.items():
             assert reads == baseline, f"items_read drifted on {variant}"
 
@@ -160,7 +156,7 @@ class TestParallelAgreement:
     @pytest.mark.parametrize("variant", SPOOL_VARIANTS)
     @pytest.mark.parametrize("seed", SEEDS)
     def test_workers_never_change_decisions(self, seed, variant, tmp_path):
-        spool_format, compression, mmap_reads = variant
+        compression, mmap_reads = variant
         db = build_random_db(seed)
         _, candidates = _candidates(db)
         if not candidates:
@@ -168,7 +164,6 @@ class TestParallelAgreement:
         spool, _ = export_database(
             db,
             str(tmp_path / "spool"),
-            spool_format=spool_format,
             block_size=3,
             compression=compression,
             mmap_reads=mmap_reads,
@@ -299,13 +294,12 @@ class TestParallelAgreement:
         process, so their merge legs never reach a worker.  A spool of five
         independent components plans several groups, each a
         ``merge-partition`` task on a worker that re-opens the spool from
-        its ``index.json`` (format and compression; workers read buffered).
+        its ``index.json`` (compression; workers read buffered).
         """
-        spool_format, compression, mmap_reads = variant
+        compression, mmap_reads = variant
         spool, candidates = build_component_spool(
             tmp_path / "spool",
             seed,
-            format=spool_format,
             compression=compression,
             mmap_reads=mmap_reads,
         )
@@ -381,10 +375,9 @@ class TestEndToEndPipelineAgreement:
     SAMPLING = 2  # small on purpose: samples must refute some candidates
 
     def _config(self, strategy, variant):
-        spool_format, compression, mmap_reads = variant
+        compression, mmap_reads = variant
         return DiscoveryConfig(
             strategy=strategy,
-            spool_format=spool_format,
             spool_compression=compression,
             mmap_reads=mmap_reads,
             spool_block_size=3,
@@ -392,19 +385,19 @@ class TestEndToEndPipelineAgreement:
             pretests=PretestConfig(cardinality=True, max_value=False),
         )
 
-    @pytest.mark.parametrize("variant", SPOOL_VARIANTS[1:])
+    @pytest.mark.parametrize("variant", SPOOL_VARIANTS)
     def test_to_dict_identical_across_binary_variants(self, variant):
         """Compression and mmap never change a single answer byte.
 
         The full result document — decisions, counters, ``items_read``,
-        export statistics — of every binary storage leg must equal the
-        plain v2 buffered run.  Only ``bytes_stored`` may differ (it
+        export statistics — of every storage leg must equal the plain v2
+        buffered run.  Only ``bytes_stored`` may differ (it
         reports on-disk bytes, which compression legitimately shrinks).
         """
         db = build_random_db(5)
         reference = _pipeline_view(
             discover_inds(
-                db, self._config("merge-single-pass", SPOOL_VARIANTS[1])
+                db, self._config("merge-single-pass", SPOOL_VARIANTS[0])
             ).to_dict()
         )
         reference["validator"].pop("bytes_stored")
@@ -450,27 +443,25 @@ class TestTracedPipelineExactness:
     validation) with ``trace=True``:
     decisions, ``items_read``, the pruned candidate set and every export
     counter must be byte-identical to the untraced sequential baseline at
-    workers {1, 2, 4} on both spool formats, the result dict must differ
+    workers {1, 2, 4}, the result dict must differ
     *only* by the ``trace`` key, and the recorded tree must be well-formed
     with per-task spans attributed to worker pids.
     """
 
     WORKER_COUNTS = (1, 2, 4)
 
-    def _config(self, spool_format, **overrides):
+    def _config(self, **overrides):
         return DiscoveryConfig(
             strategy="brute-force",
-            spool_format=spool_format,
             spool_block_size=3,
             sampling_size=2,
             pretests=PretestConfig(cardinality=True, max_value=False),
             **overrides,
         )
 
-    @pytest.mark.parametrize("spool_format", SPOOL_FORMATS)
-    def test_traced_matrix_byte_exact_and_well_formed(self, spool_format):
+    def test_traced_matrix_byte_exact_and_well_formed(self):
         db = build_random_db(5)
-        baseline = discover_inds(db, self._config(spool_format))
+        baseline = discover_inds(db, self._config())
         baseline_doc = baseline.to_dict()
         assert "trace" not in baseline_doc  # untraced dict is pre-obs shape
         expected = _pipeline_view(baseline_doc)
@@ -479,7 +470,6 @@ class TestTracedPipelineExactness:
             traced = discover_inds(
                 db,
                 self._config(
-                    spool_format,
                     validation_workers=workers,
                     overlap=True,
                     trace=True,
@@ -491,8 +481,7 @@ class TestTracedPipelineExactness:
                 "tracing must add only the 'trace' key"
             )
             assert _pipeline_view(doc) == expected, (
-                f"tracing changed the answer at {workers} workers "
-                f"({spool_format} spools)"
+                f"tracing changed the answer at {workers} workers"
             )
             _assert_well_formed_trace(trace)
             # Pool task spans were stamped worker-side: their pids are the
@@ -542,15 +531,13 @@ class TestPipelineAgreement:
         "reference",
     )
 
-    @pytest.mark.parametrize("spool_format", SPOOL_FORMATS)
     @pytest.mark.parametrize("seed", (1, 4))
-    def test_all_strategies_same_satisfied_set(self, seed, spool_format):
+    def test_all_strategies_same_satisfied_set(self, seed):
         db = build_random_db(seed)
         results = {}
         for strategy in self.STRATEGIES:
             config = DiscoveryConfig(
                 strategy=strategy,
-                spool_format=spool_format,
                 spool_block_size=4,
                 export_workers=2,
             )
@@ -560,5 +547,5 @@ class TestPipelineAgreement:
         for strategy, satisfied in results.items():
             assert satisfied == reference, (
                 f"{strategy} found {satisfied ^ reference} differently "
-                f"(seed {seed}, {spool_format} spools)"
+                f"(seed {seed})"
             )
