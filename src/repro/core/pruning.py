@@ -105,6 +105,12 @@ class SamplingPretest:
     so a verdict is one ``issuperset`` call rather than a file scan; it is
     the same verdict as the Algorithm-1 merge of the sample against the
     referenced file, because both sides are sets of distinct values.
+
+    A reservoir is a pure function of the seed, the sample size, the
+    attribute's name and its value file.  ``samples`` seeds the instance
+    with reservoirs an earlier instance drew with the same seed and size
+    from files with the same values, and those attributes' files are
+    never scanned; :attr:`samples` hands every reservoir on.
     """
 
     def __init__(
@@ -112,13 +118,14 @@ class SamplingPretest:
         spool: SpoolDirectory,
         sample_size: int = 10,
         seed: int = 0,
+        samples: dict[AttributeRef, list[str]] | None = None,
     ) -> None:
         if sample_size < 1:
             raise ValueError(f"sample_size must be >= 1, got {sample_size}")
         self._spool = spool
         self._sample_size = sample_size
         self._seed = seed
-        self._samples: dict[AttributeRef, list[str]] = {}
+        self._samples: dict[AttributeRef, list[str]] = dict(samples or {})
         self._referenced: dict[AttributeRef, set[str]] = {}
         self.refuted = 0
         self.passed = 0
@@ -150,6 +157,11 @@ class SamplingPretest:
                 cursor.close()
             self._samples[ref] = sorted(reservoir)
         return self._samples[ref]
+
+    @property
+    def samples(self) -> dict[AttributeRef, list[str]]:
+        """Every reservoir this instance holds, seeded or drawn."""
+        return self._samples
 
     def _referenced_values(
         self, ref: AttributeRef, io: IOStats | None = None

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.core.candidates import PretestReport
 from repro.core.ind import INDSet
 from repro.core.stats import ValidatorStats
+
+if TYPE_CHECKING:
+    from repro.db.schema import AttributeRef
+    from repro.storage.sorted_sets import SpoolDirectory
 
 
 @dataclass
@@ -92,6 +97,21 @@ class DiscoveryResult:
     prior_fingerprints: dict | None = None
     prior_sampling_refuted: frozenset | None = None
     prior_config_signature: tuple | None = None
+    #: What the next incremental round may reuse without reading it again.
+    #: Like the carriers above these are not serialised, and they are left
+    #: out of equality and repr too.  ``prior_spool`` is the spool-cache entry this run held (its
+    #: registry is the next round's donor while the entry's ``index.json``
+    #: is unchanged); ``None`` unless the run was incremental with
+    #: ``reuse_spool``.  ``prior_samples`` maps each attribute the sampling
+    #: pretest drew, or took from its prior, to its sorted reservoir, which
+    #: is valid while the attribute's fingerprint is unchanged; ``None`` on
+    #: non-incremental runs.
+    prior_spool: SpoolDirectory | None = field(
+        default=None, compare=False, repr=False
+    )
+    prior_samples: dict[AttributeRef, list[str]] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def satisfied_count(self) -> int:

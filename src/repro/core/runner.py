@@ -412,6 +412,7 @@ def discover_inds(
     export_written = 0
     sampling_refuted = 0
     refuted_pairs: list[int] = []
+    samples: dict = {}
     inferred_sat = 0
     inferred_unsat = 0
     graph_pool_stats: dict | None = None
@@ -439,12 +440,17 @@ def discover_inds(
             # machinery: a cold first import must not open a hole in the
             # trace between setup and the overlapped section.
             from repro.parallel.overlap import run_overlapped
+    prior_spool = None
+    if prior is not None:
+        prior_spool = prior.prior_spool
+        if prior_spool is None:
+            prior_spool = prior.spool_path
     run_spool = _RunSpool(
         db,
         cfg,
         column_stats,
         fingerprints=fingerprints,
-        prior_spool=prior.spool_path if prior is not None else None,
+        prior_spool=prior_spool,
     )
     keep_spool = False  # a temporary spool outlives only a successful run
     overlap_run = None
@@ -495,6 +501,8 @@ def discover_inds(
                         workers=cfg.export_workers,
                         rendered=rendered,
                     )
+                    if not cfg.reuse_spool:
+                        spool.save_index()  # a cache miss saves in publish
                 spool = run_spool.publish(tracer)
                 if export_span is not None:
                     export_span.attrs["cache_hit"] = run_spool.hit
@@ -505,8 +513,14 @@ def discover_inds(
         if not cfg.overlap:
             with maybe_span(tracer, "pretest"), Stopwatch() as clock:
                 if cfg.sampling_size and spool is not None:
-                    pairs, refuted_pairs = _sampling_pretest(
-                        spool, cfg, ids, pairs
+                    # A delta round starts from its prior's reservoirs of
+                    # unchanged attributes; a full round draws every one.
+                    pairs, refuted_pairs, samples = _sampling_pretest(
+                        spool,
+                        cfg,
+                        ids,
+                        pairs,
+                        None if delta_plan is None else delta_plan.kept_samples,
                     )
                     sampling_refuted = len(refuted_pairs)
             pretest_seconds = clock.elapsed
@@ -625,6 +639,8 @@ def discover_inds(
         prior_config_signature=(
             _config_signature(cfg) if cfg.incremental else None
         ),
+        prior_spool=spool if cfg.incremental and cfg.reuse_spool else None,
+        prior_samples=samples if cfg.incremental else None,
     )
 
 
@@ -656,13 +672,16 @@ class _DeltaPlan:
     """What the delta planner decided: who re-validates, who re-derives.
 
     Pairs pack attribute ids of the run's
-    :class:`~repro.core.candidates.AttributeIds`.
+    :class:`~repro.core.candidates.AttributeIds`.  ``kept_samples`` holds
+    the prior's sampling reservoirs of attributes whose fingerprint did
+    not change; a full-mode plan keeps none.
     """
 
     doc: dict
     affected: list[int] = field(default_factory=list)
     reused_satisfied: INDSet = field(default_factory=INDSet)
     reused_refuted_pairs: frozenset[int] = frozenset()
+    kept_samples: dict = field(default_factory=dict)
 
     @property
     def mode(self) -> str:
@@ -756,6 +775,14 @@ def _plan_delta(
     kept_refuted = frozenset(
         pair for pair in unaffected if pair not in satisfied and pair in refuted
     )
+    # A reservoir is a pure function of the seed and size (both in the
+    # config signature) and the attribute's values, which an unchanged
+    # fingerprint vouches for.
+    kept_samples = {
+        ref: sample
+        for ref, sample in (prior.prior_samples or {}).items()
+        if ref in fingerprints and ref not in changed
+    }
     return _DeltaPlan(
         doc={
             "mode": "delta",
@@ -766,6 +793,7 @@ def _plan_delta(
         affected=affected,
         reused_satisfied=prior.satisfied.difference(stale),
         reused_refuted_pairs=kept_refuted,
+        kept_samples=kept_samples,
     )
 
 
@@ -810,8 +838,10 @@ class _RunSpool:
     diffed) arms partial reuse on a miss: a donor entry of the same
     database and spool configuration lends the unchanged attributes' value
     files (hardlinked into staging), so only the changed columns
-    re-export.  ``prior_spool`` (the prior result's ``spool_path``) is the
-    donor tried first, before any scan of the cache.
+    re-export.  ``prior_spool`` (the prior result's ``prior_spool``, else
+    its ``spool_path``) is the donor tried first, before any scan of the
+    cache; a held registry donates from memory while its entry's index is
+    unchanged.
     """
 
     def __init__(
@@ -820,7 +850,7 @@ class _RunSpool:
         cfg: DiscoveryConfig,
         column_stats,
         fingerprints=None,
-        prior_spool: str | None = None,
+        prior_spool: SpoolDirectory | str | None = None,
     ) -> None:
         self._db = db
         self._cfg = cfg
@@ -909,8 +939,11 @@ class _RunSpool:
                 if donor is not None:
                     # The scan skips the prior entry, so a donor with its
                     # name can only have come from trying it first.
-                    from_prior = self._prior_spool is not None and (
-                        donor[0].root.name == Path(self._prior_spool).name
+                    prior = self._prior_spool
+                    if isinstance(prior, SpoolDirectory):
+                        prior = prior.root
+                    from_prior = prior is not None and (
+                        donor[0].root.name == Path(prior).name
                     )
                     source = "prior" if from_prior else "scan"
                 donor_span.attrs["donor"] = source
@@ -995,10 +1028,18 @@ def _build_validator(db, cfg, spool, column_stats, pool=None):
     raise DiscoveryError(f"unhandled strategy {cfg.strategy!r}")
 
 
-def _sampling_pretest(spool, cfg, ids, pairs):
-    """Drop pairs the sampling pretest refutes; they are refuted INDs."""
+def _sampling_pretest(spool, cfg, ids, pairs, samples=None):
+    """Drop pairs the sampling pretest refutes; they are refuted INDs.
+
+    ``samples`` seeds the sampler with reservoirs it need not draw again.
+    Returns the survivors, the refuted pairs and every reservoir the
+    sampler then holds.
+    """
     sampler = SamplingPretest(
-        spool, sample_size=cfg.sampling_size, seed=cfg.sampling_seed
+        spool,
+        sample_size=cfg.sampling_size,
+        seed=cfg.sampling_seed,
+        samples=samples,
     )
     survivors: list[int] = []
     refuted: list[int] = []
@@ -1007,7 +1048,7 @@ def _sampling_pretest(spool, cfg, ids, pairs):
             survivors.append(pair)
         else:
             refuted.append(pair)
-    return survivors, refuted
+    return survivors, refuted, sampler.samples
 
 
 def _validate(

@@ -287,31 +287,30 @@ def _maybe_inject_fault(task: PoolTask) -> None:
 
 
 def _open_warm(
-    handles: "OrderedDict[str, tuple[tuple, SpoolDirectory]]", root: str
+    handles: "OrderedDict[str, SpoolDirectory]", root: str
 ) -> tuple[SpoolDirectory, bool]:
     """Open ``root`` through the worker's warm-handle cache (LRU, bounded).
 
     A cached handle counts as warm only while the spool's ``index.json``
-    is provably the same file — a re-export to the same path (explicit
-    ``spool_dir``, cache rebuild, a partial delta re-export) must never be
-    validated against a stale parsed index, because stale per-block
-    metadata could silently skip live blocks under ``skip_scan``.  The
-    identity stamp is ``(mtime_ns, size, inode)``: mtime alone misses a
-    rewrite landing within one clock tick of the original (coarse
-    filesystem timestamps make that reachable for back-to-back delta
-    rounds), but ``save_index`` always publishes via ``os.replace`` of a
-    freshly created temp file, so every rewrite carries a new inode even
-    when size and mtime collide.  One ``stat`` per task buys that
-    guarantee.
+    is provably the file it parsed
+    (:meth:`~repro.storage.sorted_sets.SpoolDirectory.index_is_current`) —
+    a re-export to the same path (explicit ``spool_dir``, cache rebuild, a
+    partial delta re-export) must never be validated against a stale
+    parsed index, because stale per-block metadata could silently skip
+    live blocks under ``skip_scan``.  The identity includes the inode:
+    mtime alone misses a rewrite landing within one clock tick of the
+    original (coarse filesystem timestamps make that reachable for
+    back-to-back delta rounds), but ``save_index`` always publishes via
+    ``os.replace`` of a freshly created temp file, so every rewrite
+    carries a new inode even when size and mtime collide.  One ``stat``
+    per task buys that guarantee.
     """
-    st = os.stat(os.path.join(root, "index.json"))
-    stamp = (st.st_mtime_ns, st.st_size, st.st_ino)
     cached = handles.get(root)
-    if cached is not None and cached[0] == stamp:
+    if cached is not None and cached.index_is_current():
         handles.move_to_end(root)
-        return cached[1], True
+        return cached, True
     spool = SpoolDirectory.open(root)
-    handles[root] = (stamp, spool)
+    handles[root] = spool
     handles.move_to_end(root)
     while len(handles) > WARM_SPOOL_LIMIT:
         handles.popitem(last=False)
@@ -334,7 +333,7 @@ def _worker_loop(conn) -> None:
     ``CLOCK_MONOTONIC`` is system-wide so the parent can place it directly
     on the request's timeline.
     """
-    handles: OrderedDict[str, tuple[tuple, SpoolDirectory]] = OrderedDict()
+    handles: OrderedDict[str, SpoolDirectory] = OrderedDict()
     while True:
         try:
             task = conn.recv()

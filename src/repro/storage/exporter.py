@@ -190,7 +190,8 @@ def export_database(
     ``spool_format`` accepts only ``"binary"``; ``compression="zlib"``
     upgrades the value files to v3 compressed frames;
     ``mmap_reads`` makes the returned directory serve mmap-backed cursors;
-    ``workers`` spools that many attributes concurrently.
+    ``workers`` spools that many attributes concurrently.  The index is
+    saved once, after the last value file.
     """
     check_format(spool_format)
     spool = SpoolDirectory.create(
@@ -208,6 +209,7 @@ def export_database(
         use_sql_engine=use_sql_engine,
         workers=workers,
     )
+    spool.save_index()
     return spool, stats
 
 
@@ -231,6 +233,12 @@ def export_into(
     their files are byte-exact by construction, and a rewrite would race
     readers for nothing.  Statistics cover only what *this* call scanned
     and wrote, which is exactly what delta accounting wants to report.
+
+    The index is not saved: the caller saves it once the directory is
+    complete (:func:`export_database`, the runner's export without a
+    cache, :meth:`~repro.storage.spool_cache.SpoolCache.publish`), so a
+    round that adopts and exports into one staging directory writes one
+    ``index.json``.
 
     ``rendered`` maps attributes to ``(scanned, values)``: a non-NULL
     count and the sorted rendered list the profile built (a
@@ -287,7 +295,6 @@ def export_into(
         stats.attributes_exported += 1
         stats.values_written += svf.count
         stats.per_attribute_counts[ref.qualified] = svf.count
-    spool.save_index()
     return stats
 
 

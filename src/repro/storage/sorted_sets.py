@@ -34,7 +34,8 @@ import re
 import threading
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from contextlib import suppress
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from operator import lt
 from pathlib import Path
@@ -61,6 +62,17 @@ INDEX_VERSION = 2
 COMPRESSED_INDEX_VERSION = 3
 
 _EXTENSION = ".valsb"
+
+
+def _identity(st: os.stat_result) -> tuple[int, ...]:
+    """Which file an ``index.json`` stat names, and which version of it.
+
+    Device and inode tell files apart, so an index replaced by rename is a
+    new file even at the same size and mtime.  ``st_ctime_ns`` catches an
+    in-place rewrite whose mtime was set back, since ``os.utime`` cannot
+    set it.
+    """
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
 
 
 def check_format(format: str) -> None:
@@ -101,21 +113,22 @@ def write_value_file(
     slice is checked for strict ascent in one C-level pass and lands as
     one block.
     """
-    final_path = Path(file_path)
-    tmp_path = final_path.with_name(f"{final_path.name}.tmp-{os.getpid()}")
+    final_path = os.fspath(file_path)
+    tmp_path = f"{final_path}.tmp-{os.getpid()}"
     try:
         with BlockFileWriter(
-            str(tmp_path), block_size=block_size, compression=compression
+            tmp_path, block_size=block_size, compression=compression
         ) as writer:
             for chunk in _checked_chunks(ref, sorted_distinct_values, block_size):
                 writer.write_block(chunk)
     except BaseException:
-        tmp_path.unlink(missing_ok=True)
+        with suppress(FileNotFoundError):
+            os.unlink(tmp_path)
         raise
     os.replace(tmp_path, final_path)
     return SortedValueFile(
         ref=ref,
-        path=str(final_path),
+        path=final_path,
         count=writer.count,
         min_value=writer.min_value,
         max_value=writer.max_value,
@@ -202,6 +215,11 @@ class SpoolDirectory:
     frame version and compression from the index).  :meth:`add_values` is
     thread-safe so the exporter can spool attributes in parallel — each
     attribute writes its own file; only the registry is shared.
+
+    The directory remembers the stat identity of the ``index.json`` it
+    last read or wrote, so :meth:`index_is_current` can tell with one
+    ``os.stat`` whether the registry in memory still describes the index
+    on disk.
     """
 
     def __init__(
@@ -243,6 +261,7 @@ class SpoolDirectory:
         #: kept in step with both so naming a new attribute is O(1).
         self._used_names: Counter[str] = Counter()
         self._lock = threading.Lock()
+        self._index_identity: tuple[int, ...] | None = None
 
     # ---------------------------------------------------------- construction
     @classmethod
@@ -278,6 +297,7 @@ class SpoolDirectory:
             raise SpoolError(f"{path} is not a spool directory (no {_INDEX_FILE})")
         with open(index_path, encoding="utf-8") as fh:
             doc = json.load(fh)
+            identity = _identity(os.fstat(fh.fileno()))
         version = doc.get("version")
         if version is None:
             raise SpoolError(
@@ -336,6 +356,7 @@ class SpoolDirectory:
                 blocks=blocks,
             )
             spool._used_names[file_path.name] += 1
+        spool._index_identity = identity
         return spool
 
     def add_values(
@@ -400,7 +421,8 @@ class SpoolDirectory:
                 raise SpoolError(f"attribute {svf.ref} already spooled")
             self._release_name(self._reserved.pop(svf.ref, None))
             self._files[svf.ref] = svf
-            self._used_names[Path(svf.path).name] += 1
+            self._used_names[os.path.basename(svf.path)] += 1
+            self._index_identity = None  # the index on disk lacks this file
         return svf
 
     def release(self, ref: AttributeRef) -> None:
@@ -438,17 +460,64 @@ class SpoolDirectory:
         ]
         # Write-then-rename: a reader (or a crash) can never observe a
         # truncated index — it either sees the previous one or the new one.
-        tmp_path = self.root / f"{_INDEX_FILE}.tmp"
+        # The rename sets the file's ctime, so the identity is taken after.
+        tmp_path = os.path.join(self.root, f"{_INDEX_FILE}.tmp")
+        index_path = os.path.join(self.root, _INDEX_FILE)
         with open(tmp_path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-        os.replace(tmp_path, self.root / _INDEX_FILE)
+            fh.write(json.dumps(doc, indent=2))
+        os.replace(tmp_path, index_path)
+        self._index_identity = _identity(os.stat(index_path))
+
+    def index_is_current(self) -> bool:
+        """Whether ``index.json`` on disk is the file this registry last
+        read or wrote, unchanged since.
+
+        One ``os.stat``.  ``False`` when the directory never read or wrote
+        an index, when a file was registered or discarded since, or when
+        the index is gone, replaced or rewritten.
+        """
+        if self._index_identity is None:
+            return False
+        try:
+            st = os.stat(os.path.join(self.root, _INDEX_FILE))
+        except OSError:
+            return False
+        return _identity(st) == self._index_identity
+
+    def moved_to(self, root: str | Path) -> "SpoolDirectory":
+        """This registry as it reads once its directory is renamed to ``root``.
+
+        Each file keeps its name, and its recorded path moves to ``root``.
+        The index identity carries over, because renaming a directory
+        leaves the inodes of its files alone.  Lets a caller that renamed a
+        finished spool keep using its registry instead of parsing the
+        index again.
+        """
+        moved = SpoolDirectory(
+            Path(root),
+            block_size=self.block_size,
+            compression=self.compression,
+            mmap_reads=self.mmap_reads,
+        )
+        moved.catalog_hash = self.catalog_hash
+        moved.database_name = self.database_name
+        moved.attribute_fingerprints = self.attribute_fingerprints
+        base = os.fspath(root)
+        with self._lock:
+            for ref in sorted(self._files):
+                svf = self._files[ref]
+                name = os.path.basename(svf.path)
+                moved._files[ref] = replace(svf, path=os.path.join(base, name))
+                moved._used_names[name] += 1
+        moved._index_identity = self._index_identity
+        return moved
 
     @staticmethod
     def _entry(ref: AttributeRef, svf: SortedValueFile) -> dict:
         return {
             "table": ref.table,
             "column": ref.column,
-            "file": Path(svf.path).name,
+            "file": os.path.basename(svf.path),
             "count": svf.count,
             "min": svf.min_value,
             "max": svf.max_value,
@@ -470,9 +539,11 @@ class SpoolDirectory:
         with self._lock:
             svf = self._files.pop(ref, None)
             if svf is not None:
-                self._release_name(Path(svf.path).name)
+                self._release_name(os.path.basename(svf.path))
+                self._index_identity = None
         if svf is not None:
-            Path(svf.path).unlink(missing_ok=True)
+            with suppress(FileNotFoundError):
+                os.unlink(svf.path)
 
     # --------------------------------------------------------------- lookups
     def __contains__(self, ref: AttributeRef) -> bool:

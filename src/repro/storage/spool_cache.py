@@ -373,7 +373,7 @@ class SpoolCache:
         spool_format: str = FORMAT_BINARY,
         block_size: int = DEFAULT_BLOCK_SIZE,
         compression: str = COMPRESSION_NONE,
-        prior: str | Path | None = None,
+        prior: str | Path | SpoolDirectory | None = None,
     ) -> tuple[SpoolDirectory, list[AttributeRef]] | None:
         """A donor entry whose unchanged value files a rebuild can adopt.
 
@@ -387,17 +387,23 @@ class SpoolCache:
         default: they keep serving exact hits but cannot vouch for
         individual columns.
 
-        ``prior`` is the path of the entry the caller's previous round
-        used (its prior result's ``spool_path``); only its name is read,
-        as an entry of this cache.  That entry is tried first and, if it
-        donates anything, is the donor: one ``index.json`` read instead of
-        one per entry.  The scan runs when the prior entry is missing or
-        unreadable, has another configuration or database, or donates
-        nothing.  The two can differ in one case: an older entry matches a
-        column that the prior entry does not, because the column went back
-        to older content.  That column then re-exports, and the published
-        entry is byte-identical either way.  :attr:`donor_entries_opened`
-        counts the entries opened.
+        ``prior`` names the entry the caller's previous round used: its
+        path (the prior result's ``spool_path``), of which only the name is
+        read, as an entry of this cache, or the
+        :class:`~repro.storage.sorted_sets.SpoolDirectory` that round held.
+        That entry is tried first and, if it donates anything, is the
+        donor.  A directory rooted at that entry whose index is still the
+        file it last read or wrote
+        (:meth:`~repro.storage.sorted_sets.SpoolDirectory.index_is_current`,
+        one ``os.stat``) donates from memory; otherwise the entry's
+        ``index.json`` is read, one read instead of one per entry.  The
+        scan runs when the prior entry is missing or unreadable, has
+        another configuration or database, or donates nothing.  The two
+        can differ in one case: an older entry matches a column that the
+        prior entry does not, because the column went back to older
+        content.  That column then re-exports, and the published entry is
+        byte-identical either way.  :attr:`donor_entries_opened` counts the
+        entries opened from disk.
 
         The donor is only *read*; the caller copies its files into a
         private staging directory (:meth:`adopt`) and publishes under the
@@ -410,8 +416,13 @@ class SpoolCache:
         tried = None
         best = None
         if prior is not None:
-            tried = self.root / Path(prior).name
-            best = self._donation(tried, target, database, fingerprints, needed)
+            held = None if isinstance(prior, (str, os.PathLike)) else prior
+            tried = self.root / Path(prior if held is None else held.root).name
+            if held is not None and Path(held.root) != tried:
+                held = None  # another cache's entry: read this one's index
+            best = self._donation(
+                tried, target, database, fingerprints, needed, held
+            )
         if best is None:
             for entry in self.entries():
                 if entry == tried:
@@ -436,17 +447,25 @@ class SpoolCache:
         database: str,
         fingerprints: dict[AttributeRef, str],
         needed: list[AttributeRef],
+        held: SpoolDirectory | None = None,
     ) -> tuple[SpoolDirectory, list[AttributeRef]] | None:
-        """What ``entry`` can donate to a rebuild of ``target``, if anything."""
+        """What ``entry`` can donate to a rebuild of ``target``, if anything.
+
+        ``held`` is a registry of ``entry`` already in memory; it stands in
+        for the index on disk while that index is the file it describes.
+        """
         if entry.name == target.name:
             return None  # the exact slot already missed
         if entry.name[_ENTRY_NAME_LENGTH:] != target.name[_ENTRY_NAME_LENGTH:]:
             return None  # different spool configuration
-        self.donor_entries_opened += 1
-        try:
-            spool = SpoolDirectory.open(entry)
-        except (SpoolError, OSError, ValueError, KeyError, TypeError):
-            return None  # not a trustworthy donor; lookup() handles eviction
+        if held is not None and held.index_is_current():
+            spool = held
+        else:
+            self.donor_entries_opened += 1
+            try:
+                spool = SpoolDirectory.open(entry)
+            except (SpoolError, OSError, ValueError, KeyError, TypeError):
+                return None  # not a trustworthy donor; lookup() evicts it
         if spool.database_name != database or spool.attribute_fingerprints is None:
             return None
         stamped = spool.attribute_fingerprints
@@ -478,10 +497,10 @@ class SpoolCache:
         from dataclasses import replace
 
         adopted: list[AttributeRef] = []
+        root = os.fspath(staging.root)
         for ref in refs:
             svf = donor.get(ref)
-            file_name = staging.reserve_name(ref)
-            destination = Path(staging.root) / file_name
+            destination = os.path.join(root, staging.reserve_name(ref))
             try:
                 try:
                     os.link(svf.path, destination)
@@ -490,7 +509,7 @@ class SpoolCache:
             except OSError:
                 staging.release(ref)
                 continue
-            staging.register(replace(svf, path=str(destination)))
+            staging.register(replace(svf, path=destination))
             adopted.append(ref)
         if adopted:
             get_registry().inc(
@@ -505,17 +524,22 @@ class SpoolCache:
         database: str | None = None,
         fingerprints: dict[AttributeRef, str] | None = None,
     ) -> SpoolDirectory:
-        """Stamp the finished spool and move it into its entry slot.
+        """Stamp the finished spool, save its index and move it into its
+        entry slot.
 
-        Returns a :class:`SpoolDirectory` re-opened from the final location
-        (the argument's file paths still point into staging).  If another
-        process published the same slot first, its entry — built from the
-        same catalog and configuration — is replaced.  Replacement is two
-        renames (old entry aside, staging in), never a recursive delete of
-        the live path: a concurrent reader either holds file descriptors
-        into the old directory (which stay valid on POSIX until closed) or
-        re-opens by path and finds a complete entry on either side of the
-        swap.
+        This is the one ``index.json`` write of a cache miss: the exporter
+        leaves the index to its caller.  Returns the argument's registry
+        re-rooted at the entry path
+        (:meth:`~repro.storage.sorted_sets.SpoolDirectory.moved_to`), so
+        nothing is parsed again; only when the rename lost a race to a
+        concurrent publisher of the same slot is the winner's entry
+        re-opened from disk.  If another process published the same slot
+        first, its entry — built from the same catalog and configuration —
+        is replaced.  Replacement is two renames (old entry aside, staging
+        in), never a recursive delete of the live path: a concurrent reader
+        either holds file descriptors into the old directory (which stay
+        valid on POSIX until closed) or re-opens by path and finds a
+        complete entry on either side of the swap.
 
         ``database`` and ``fingerprints`` (a per-attribute map from
         :func:`attribute_fingerprints`) are stamped into the index alongside
@@ -541,17 +565,21 @@ class SpoolCache:
                 tempfile.mkdtemp(prefix=".doomed-", dir=self.root)
             ) / "entry"
             entry.rename(doomed)
+        won = True
         try:
             staging.rename(entry)
         except OSError:
             # Lost the swap race to a concurrent publisher; their entry is
             # equivalent (same slot).  Drop ours and use theirs.
+            won = False
             shutil.rmtree(staging, ignore_errors=True)
         if doomed is not None:
             shutil.rmtree(doomed.parent, ignore_errors=True)
         self._touch(entry)
         if self.max_bytes is not None:
             self.enforce_budget(protect=(entry,))
+        if won:
+            return spool.moved_to(entry)
         return SpoolDirectory.open(entry, mmap_reads=spool.mmap_reads)
 
     def evict(self, fingerprint: str) -> bool:

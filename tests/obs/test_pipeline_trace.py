@@ -147,13 +147,14 @@ class TestWarmCallSpans:
             db.table("t1").insert({"id": 500, "c0": 7})
             return session.discover(db)
 
-    def test_one_table_edit_profiles_one_table_and_opens_one_entry(
+    def test_one_table_edit_profiles_one_table_and_opens_no_entry(
         self, tmp_path
     ):
         traced = self._edited_round(tmp_path, trace=True)
         attrs = {span["name"]: span["attrs"] for span in traced.trace["spans"]}
         assert attrs["profile"] == {"tables_profiled": 1, "tables_reused": 1}
-        # Every unchanged attribute the new entry holds came from the prior.
+        # Every unchanged attribute the new entry holds came from the prior,
+        # whose registry the session still held: no entry was opened.
         kept = [
             ref
             for ref in SpoolDirectory.open(traced.spool_path).attributes()
@@ -162,7 +163,7 @@ class TestWarmCallSpans:
         assert kept
         assert attrs["donor-lookup"] == {
             "donor": "prior",
-            "entries_opened": 1,
+            "entries_opened": 0,
             "files_reused": len(kept),
         }
         plain = self._edited_round(tmp_path, trace=False)

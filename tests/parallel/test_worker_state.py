@@ -32,10 +32,9 @@ class TestWarmHandleStaleness:
 
     A delta re-export rewrites ``index.json`` at the *same path* with
     possibly the same byte size, and back-to-back incremental rounds can
-    land inside one filesystem timestamp tick.  The identity stamp is
-    ``(mtime_ns, size, inode)``: ``save_index`` publishes via ``os.replace``
-    of a fresh temp file, so the inode always moves even when the other two
-    collide.
+    land inside one filesystem timestamp tick.  The identity includes the
+    inode: ``save_index`` publishes via ``os.replace`` of a fresh temp
+    file, so the inode always moves even when size and mtime collide.
     """
 
     def test_same_size_same_mtime_rewrite_is_not_warm(self, tmp_path):

@@ -66,6 +66,19 @@ class TestExport:
         reopened = SpoolDirectory.open(tmp_path / "s")
         assert AttributeRef("t", "num") in reopened
 
+    def test_export_into_leaves_the_index_to_its_caller(self, db, tmp_path):
+        from repro.storage.exporter import export_into
+        from repro.storage.sorted_sets import SpoolDirectory
+
+        spool = SpoolDirectory.create(tmp_path / "s")
+        stats = export_into(db, spool)
+        assert stats.attributes_exported == 2
+        assert not (tmp_path / "s" / "index.json").exists()
+        spool.save_index()
+        assert SpoolDirectory.open(tmp_path / "s").attributes() == (
+            spool.attributes()
+        )
+
     def test_external_sort_path_same_output(self, db, tmp_path):
         small, _ = export_database(
             db, str(tmp_path / "small"), max_items_in_memory=1

@@ -216,7 +216,9 @@ class TestPriorFirstDonor:
             )
         )
 
-    def test_a_delta_round_opens_one_donor_candidate(self, tmp_path, monkeypatch):
+    def test_a_delta_round_opens_no_entry(self, tmp_path, monkeypatch):
+        """The prior's registry donates from memory, and publish keeps the
+        staged registry, so a delta round parses no ``index.json``."""
         db = build_db(0)
         with self._session(tmp_path) as session:
             for round_ in range(30):
@@ -227,10 +229,75 @@ class TestPriorFirstDonor:
             db.table("t0").insert({"id": 200, "c0": 5})
             result = session.discover(db)
         monkeypatch.undo()
-        published = Path(result.spool_path).name
-        assert [name for name in opened if name != published] == [
-            Path(prior.spool_path).name
-        ]
+        assert opened == []
+        assert _donor_span(result)["donor"] == "prior"
+        assert _donor_span(result)["entries_opened"] == 0
+        assert _donor_span(result)["files_reused"] > 0
+        assert result.prior_spool.root == Path(result.spool_path)
+        assert prior.prior_spool.root == Path(prior.spool_path)
+        assert _tree(result.spool_path) == _rebuilt_entry(db, tmp_path)
+
+    def test_a_delta_round_saves_one_index_and_parses_none(
+        self, tmp_path, monkeypatch
+    ):
+        db = build_db(0)
+        calls = {"save_index": 0, "open": 0}
+        save_index = SpoolDirectory.save_index
+        open_ = SpoolDirectory.open.__func__
+
+        def counting_save(self):
+            calls["save_index"] += 1
+            return save_index(self)
+
+        def counting_open(cls, *args, **kwargs):
+            calls["open"] += 1
+            return open_(cls, *args, **kwargs)
+
+        with self._session(tmp_path) as session:
+            session.discover(db)
+            db.table("t0").insert({"id": 100, "c0": 1})
+            monkeypatch.setattr(SpoolDirectory, "save_index", counting_save)
+            monkeypatch.setattr(
+                SpoolDirectory, "open", classmethod(counting_open)
+            )
+            result = session.discover(db)
+        monkeypatch.undo()
+        assert result.delta["mode"] == "delta"
+        assert result.spool_cache_hit is False
+        assert calls == {"save_index": 1, "open": 0}
+        assert _tree(result.spool_path) == _rebuilt_entry(db, tmp_path)
+
+    @pytest.mark.parametrize("how", ["in-place", "by-rename"])
+    def test_a_same_size_rewrite_with_a_pinned_mtime_is_read_from_disk(
+        self, tmp_path, how
+    ):
+        """A held registry donates only while its index is the same file.
+
+        The rewrite keeps the size and sets the mtime back, so only the
+        inode (a rename) or the ctime (in place) shows it.
+        """
+        db = build_db(0)
+        with self._session(tmp_path) as session:
+            session.discover(db)
+            db.table("t0").insert({"id": 100, "c0": 1})
+            prior = session.discover(db)
+            index = Path(prior.spool_path) / "index.json"
+            before = os.stat(index)
+            data = index.read_bytes()
+            if how == "in-place":
+                index.write_bytes(data)
+            else:
+                (index.parent / "index.json.new").write_bytes(data)
+                os.replace(index.parent / "index.json.new", index)
+            os.utime(index, ns=(before.st_atime_ns, before.st_mtime_ns))
+            after = os.stat(index)
+            assert (after.st_size, after.st_mtime_ns) == (
+                before.st_size,
+                before.st_mtime_ns,
+            )
+            assert not prior.prior_spool.index_is_current()
+            db.table("t0").insert({"id": 101, "c0": 2})
+            result = session.discover(db)
         assert _donor_span(result)["donor"] == "prior"
         assert _donor_span(result)["entries_opened"] == 1
         assert _tree(result.spool_path) == _rebuilt_entry(db, tmp_path)

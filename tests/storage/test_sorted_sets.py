@@ -1,5 +1,7 @@
 """Tests for sorted value files and the spool directory."""
 
+import os
+
 import pytest
 
 from repro.db.schema import AttributeRef
@@ -114,6 +116,55 @@ class TestPersistence:
         os.unlink(spool.get(A).path)
         with pytest.raises(SpoolError, match="missing file"):
             SpoolDirectory.open(spool.root)
+
+
+class TestIndexIdentity:
+    def test_the_identity_follows_the_last_read_or_write(self, spool):
+        assert not spool.index_is_current()  # never saved
+        spool.add_values(A, ["a"])
+        spool.save_index()
+        assert spool.index_is_current()
+        reopened = SpoolDirectory.open(spool.root)
+        assert reopened.index_is_current()
+        spool.add_values(B, ["z"])
+        assert not spool.index_is_current()  # the index lacks B
+        spool.save_index()
+        assert spool.index_is_current()
+        assert not reopened.index_is_current()  # a newer index replaced it
+
+    def test_an_index_gone_is_not_current(self, spool):
+        spool.add_values(A, ["a"])
+        spool.save_index()
+        os.unlink(os.path.join(spool.root, "index.json"))
+        assert not spool.index_is_current()
+
+    def test_moved_to_reads_like_an_open_of_the_renamed_directory(
+        self, spool, tmp_path
+    ):
+        unsafe = AttributeRef("t", "c/d")
+        spool.add_values(B, ["x", "y"])
+        spool.add_values(A, ["a"])
+        spool.add_values(unsafe, ["q"])
+        spool.catalog_hash = "f" * 64
+        spool.database_name = "db"
+        spool.attribute_fingerprints = {"t.a": "1", "t.b": "2"}
+        spool.save_index()
+        moved_root = tmp_path / "moved"
+        os.rename(spool.root, moved_root)
+        moved = spool.moved_to(moved_root)
+        reopened = SpoolDirectory.open(moved_root)
+        assert moved.root == reopened.root
+        assert moved.attributes() == reopened.attributes() == [A, B, unsafe]
+        for ref in (A, B, unsafe):
+            assert moved.get(ref) == reopened.get(ref)
+            assert moved.get(ref).values() == reopened.get(ref).values()
+        for name in ("catalog_hash", "database_name", "attribute_fingerprints"):
+            assert getattr(moved, name) == getattr(reopened, name)
+        assert moved.index_is_current()
+        # File names stay taken: a new attribute whose name sanitises to a
+        # held one gets the suffix an opened directory would give it.
+        clash = AttributeRef("t", "c_d")
+        assert moved.reserve_name(clash) == reopened.reserve_name(clash)
 
 
 class TestCursorIntegration:

@@ -12,6 +12,7 @@ from repro.db import Column, Database, DataType, TableSchema
 from repro.db.stats import collect_column_stats
 from repro.storage import exporter
 from repro.storage.exporter import export_database
+from repro.storage.sorted_sets import SpoolDirectory
 from repro.storage.spool_cache import SpoolCache, catalog_fingerprint
 
 
@@ -168,6 +169,55 @@ class TestSpoolCache:
         assert Path(published.root) == cache.entry_path(fingerprint)
         assert not staging_a.exists()
         assert cache.lookup(fingerprint) is not None
+
+
+    def test_publish_hands_back_the_staged_registry(self, tmp_path):
+        db = _db()
+        fingerprint = _fingerprint(db)
+        cache = SpoolCache(tmp_path / "cache")
+        staging = cache.prepare(fingerprint)
+        spool, _ = export_database(db, str(staging), mmap_reads=True)
+        published = cache.publish(fingerprint, spool, database=db.name)
+        entry = cache.entry_path(fingerprint)
+        reopened = SpoolDirectory.open(entry, mmap_reads=True)
+        assert published is not spool
+        assert Path(published.root) == entry
+        assert published.mmap_reads is True
+        assert published.attributes() == reopened.attributes()
+        for ref in reopened.attributes():
+            assert published.get(ref) == reopened.get(ref)
+        assert published.catalog_hash == reopened.catalog_hash == fingerprint
+        assert published.database_name == reopened.database_name == db.name
+        assert published.index_is_current()
+
+    def test_a_publish_that_loses_the_rename_opens_the_winner(
+        self, tmp_path, monkeypatch
+    ):
+        db = _db()
+        fingerprint = _fingerprint(db)
+        cache = SpoolCache(tmp_path / "cache")
+        staging = cache.prepare(fingerprint)
+        spool, _ = export_database(db, str(staging))
+        rename = Path.rename
+
+        def publish_theirs():
+            other = SpoolCache(tmp_path / "cache")
+            theirs, _ = export_database(db, str(other.prepare(fingerprint)))
+            other.publish(fingerprint, theirs, database="theirs")
+
+        def racing_rename(self, target):
+            if self == staging:
+                # Another process publishes the slot between our check
+                # and our rename, which then fails on the full directory.
+                monkeypatch.setattr(Path, "rename", rename)
+                publish_theirs()
+            return rename(self, target)
+
+        monkeypatch.setattr(Path, "rename", racing_rename)
+        published = cache.publish(fingerprint, spool, database=db.name)
+        assert not staging.exists()
+        assert Path(published.root) == cache.entry_path(fingerprint)
+        assert published.database_name == "theirs"  # read from disk
 
 
 class TestDiscoverIndsReuse:

@@ -17,6 +17,10 @@ and diffs the incremental chain against an independent full run:
 * a miss-then-partial-hit spool-cache round: a one-column edit must adopt
   every unchanged column's value file from the stale cache entry instead
   of re-exporting it;
+* carried sampling reservoirs: along the sweep's mutation scripts, every
+  reservoir a round hands on equals a fresh draw from that round's
+  published spool, and a round is seeded only with its prior's
+  reservoirs of unchanged attributes;
 * the fault matrix: a worker killed mid-delta-validation must requeue and
   converge byte-exactly; a crash-looping delta chunk must fail loudly
   without poisoning the prior it was planned from.
@@ -26,18 +30,23 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
 from seeded_dbs import STRING_POOL
 from test_validator_agreement import SPOOL_VARIANTS
 
+from repro.core import runner
 from repro.core.candidates import PretestConfig
+from repro.core.pruning import SamplingPretest
 from repro.core.runner import DiscoveryConfig, DiscoverySession, discover_inds
 from repro.db import Column, Database, DataType, TableSchema
 from repro.errors import DiscoveryError
 from repro.obs.metrics import get_registry
 from repro.parallel.pool import WorkerPool
+from repro.storage.exporter import export_database
+from repro.storage.sorted_sets import SpoolDirectory
 
 #: Fixed seed list: CI replays exactly these, failures print the seed.
 STRESS_SEEDS = tuple(range(10))
@@ -358,6 +367,109 @@ class TestPartialCacheReuse:
                 ),
             )
             assert _delta_view(warm.to_dict()) == _delta_view(full.to_dict())
+
+
+class TestCarriedReservoirs:
+    """A round hands on its sampling reservoirs; the next one reuses the
+    reservoirs of unchanged attributes instead of scanning their files."""
+
+    @staticmethod
+    def _seeding(monkeypatch) -> list[dict]:
+        """Record the reservoirs each runner-built sampler starts from."""
+        seeded: list[dict] = []
+
+        class Recording(SamplingPretest):
+            def __init__(self, *args, samples=None, **kwargs):
+                seeded.append(dict(samples or {}))
+                super().__init__(*args, samples=samples, **kwargs)
+
+        monkeypatch.setattr(runner, "SamplingPretest", Recording)
+        return seeded
+
+    @staticmethod
+    def _assert_fresh(result, db, config, scratch) -> None:
+        """Every carried reservoir equals a fresh draw from the round's
+        published spool; an attribute that spool lacks (no candidate needs
+        it this round) is drawn from a full export of the round's data."""
+        published = SpoolDirectory.open(result.spool_path)
+        full, _ = export_database(db, str(scratch))
+        for ref, reservoir in result.prior_samples.items():
+            spool = published if ref in published else full
+            fresh = SamplingPretest(
+                spool,
+                sample_size=config.sampling_size,
+                seed=config.sampling_seed,
+            )
+            assert reservoir == fresh.sample(ref), ref
+
+    @pytest.mark.parametrize("seed", STRESS_SEEDS)
+    def test_carried_reservoirs_equal_fresh_draws(
+        self, seed, tmp_path, monkeypatch
+    ):
+        rng = random.Random(seed * 7919 + 1)  # the sweep's script
+        model = _initial_model(rng)
+        config = _stress_config(
+            incremental=True,
+            reuse_spool=True,
+            cache_dir=str(tmp_path / "cache"),
+            sampling_size=2,
+            sampling_seed=seed,
+        )
+        seeded = self._seeding(monkeypatch)
+        script = []
+        prior = None
+        with DiscoverySession(config) as session:
+            for round_index in range(4):
+                if round_index:
+                    script.append(_mutate(model, rng))
+                db = _materialise(model, f"res{seed}")
+                result = session.discover(db)
+                context = f"stress seed {seed} round {round_index}, {script!r}"
+                self._assert_fresh(
+                    result, db, config, tmp_path / f"full-{round_index}"
+                )
+                if result.delta["mode"] == "full":
+                    assert seeded[-1] == {}, context
+                else:
+                    before = prior.prior_fingerprints
+                    now = result.prior_fingerprints
+                    assert seeded[-1] == {
+                        ref: reservoir
+                        for ref, reservoir in prior.prior_samples.items()
+                        if ref in now and before.get(ref) == now[ref]
+                    }, context
+                    # Nothing the round was seeded with was drawn again.
+                    for ref, reservoir in seeded[-1].items():
+                        assert result.prior_samples[ref] is reservoir
+                prior = result
+
+    def test_a_full_mode_round_carries_in_nothing(self, tmp_path, monkeypatch):
+        model = _initial_model(random.Random(2))
+        config = _stress_config(
+            incremental=True,
+            reuse_spool=True,
+            cache_dir=str(tmp_path / "cache"),
+            sampling_size=2,
+        )
+        seeded = self._seeding(monkeypatch)
+        db = _materialise(model, "reseeded")
+        prior = discover_inds(db, config)
+        assert prior.prior_samples
+        # Another sampling seed draws other reservoirs: the prior's are
+        # unusable, and the round runs full.
+        reseeded = replace(config, sampling_seed=1)
+        result = discover_inds(db, reseeded, prior=prior)
+        assert result.delta == {"mode": "full", "reason": "config-mismatch"}
+        assert seeded == [{}, {}]
+        self._assert_fresh(result, db, reseeded, tmp_path / "full")
+
+    def test_non_incremental_runs_carry_nothing(self):
+        model = _initial_model(random.Random(2))
+        result = discover_inds(
+            _materialise(model, "plain"), _stress_config(sampling_size=2)
+        )
+        assert result.prior_samples is None
+        assert result.prior_spool is None
 
 
 class TestDeltaFaults:
