@@ -524,9 +524,7 @@ def test_table2_formats_agree_end_to_end(workloads, report):
     dataset = workloads.biosql()
     reference = None
     for strategy in _EXTERNAL + ("blockwise",):
-        outcome = run_strategy(
-            "UniProt(BioSQL)", dataset.db, strategy, export_workers=2
-        )
+        outcome = run_strategy("UniProt(BioSQL)", dataset.db, strategy)
         satisfied = {str(i) for i in outcome.result.satisfied}
         if reference is None:
             reference = satisfied

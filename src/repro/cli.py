@@ -83,14 +83,6 @@ def _add_validation_flags(parser: argparse.ArgumentParser) -> None:
         "I/O counters are identical either way (default: on)",
     )
     parser.add_argument(
-        "--export-workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="spool this many attributes in parallel during export "
-        "(default: 1, sequential export)",
-    )
-    parser.add_argument(
         "--validation-workers",
         type=int,
         default=1,
@@ -113,10 +105,8 @@ def _add_validation_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--overlap",
         action="store_true",
-        help="run export and the sampling pretest as pool tasks: plan "
-        "them as one dependency-scheduled task graph and drain it on a "
-        "single worker fleet, releasing each pretest task the moment its "
-        "spool files land, then validate the survivors on the same fleet; "
+        help="run export, then the sampling pretest, as pool tasks on one "
+        "worker fleet, and validate the survivors on the same fleet; "
         "requires the brute-force or merge-single-pass "
         "strategy; results are identical to the in-process pipeline "
         "(default: off)",
@@ -187,7 +177,6 @@ def _validation_config_kwargs(args: argparse.Namespace) -> dict:
         "strategy": args.strategy,
         "spool_compression": args.spool_compression,
         "mmap_reads": args.mmap_reads == "on",
-        "export_workers": args.export_workers,
         "sampling_size": args.sampling_size,
         "overlap": args.overlap,
         "validation_workers": args.validation_workers,

@@ -71,11 +71,12 @@ class DiscoveryResult:
     #: additive: every other field is byte-identical with tracing on or off.
     trace: dict | None = None
     #: Scheduling summary of an overlapped run (``DiscoveryConfig.overlap``):
-    #: graph shape (nodes, edges, and ``cancelled``, always 0), tasks per
-    #: phase (export, pretest), observed per-phase peak concurrency and the
-    #: seconds during which tasks of both phases ran simultaneously.
-    #: ``None`` when the run used phase barriers.  Concurrency numbers are scheduling observations,
-    #: not results — agreement views drop this key like ``timings``.
+    #: pool tasks in all (``nodes``) and per phase (export, pretest), and
+    #: observed per-phase peak concurrency.  ``cancelled`` and
+    #: ``cross_phase_overlap_seconds`` are always 0: the pretest job starts
+    #: after the export job ends.  ``None`` when the run pooled neither
+    #: phase.  Concurrency numbers are scheduling observations, not
+    #: results — agreement views drop this key like ``timings``.
     overlap: dict | None = None
     #: Delta-planner accounting of an incremental run
     #: (``DiscoveryConfig.incremental``): ``mode`` (``"delta"`` or

@@ -106,19 +106,17 @@ class DiscoveryConfig:
       ``None``), ``keep_spool``, ``spool_block_size`` (values per block),
       ``spool_compression`` ("zlib" writes v3 compressed frames),
       ``mmap_reads`` (serve cursors from a shared memory mapping instead
-      of buffered file reads), ``export_workers`` (thread-parallel
-      attribute export), ``max_items_in_memory`` (external-sort run size).
-      Every spool is binary (``docs/spool_format.md``); the read-only
-      :attr:`spool_format` says so for callers that still read it.
+      of buffered file reads), ``max_items_in_memory`` (external-sort run
+      size).  Every spool is binary (``docs/spool_format.md``); the
+      read-only :attr:`spool_format` says so for callers that still read
+      it, and the read-only :attr:`export_workers` is always 1.
     * **Overlap** — ``overlap`` is the only way a run pools its export
-      and sampling pretest: it plans both as one dependency-scheduled task
-      graph drained by a single worker pool — the session pool when one
-      is lent, else one per-call pool.  A pretest chunk dispatches the
-      moment its two spool files land.  The survivors are then validated
-      on the same pool by the validator an in-process run builds.
-      Results are identical to the in-process pipeline;
-      ``DiscoveryResult.overlap`` reports the graph shape and observed
-      cross-phase concurrency.
+      and sampling pretest: it runs the export and then the pretest as
+      two jobs on one worker pool — the session pool when one is lent,
+      else one per-call pool.  The survivors are then validated on the
+      same pool by the validator an in-process run builds.  Results are
+      identical to the in-process pipeline; ``DiscoveryResult.overlap``
+      reports the tasks each phase ran.
     * **Validation** — ``strategy`` (one of :data:`ALL_STRATEGIES`),
       ``validation_workers`` (the worker-process ceiling for the
       strategies in :data:`PARALLEL_STRATEGIES`; 1 = sequential — each
@@ -153,8 +151,8 @@ class DiscoveryConfig:
       memo, and with the spool cache a miss tries the prior's entry first
       as the donor of unchanged value files.  Requires an external
       strategy; incompatible with ``use_transitivity`` (inference order
-      spans reused decisions) and ``overlap`` (the graph scheduler plans
-      phases whole).
+      spans reused decisions) and ``overlap`` (which exports and pretests
+      the whole candidate set).
 
     Invalid combinations are rejected by :meth:`validated`, which every
     entry point calls first.
@@ -173,8 +171,7 @@ class DiscoveryConfig:
     spool_block_size: int = DEFAULT_BLOCK_SIZE  # values per block
     spool_compression: str = COMPRESSION_NONE  # "zlib" writes v3 frames
     mmap_reads: bool = True  # cursors read a shared memory mapping
-    export_workers: int = 1  # thread-parallel attribute spooling
-    overlap: bool = False  # dependency-scheduled graph, no phase barriers
+    overlap: bool = False  # export and pretest as pool jobs
     validation_workers: int = 1  # worker processes (brute-force / merge-s-p)
     skip_scans: bool = False  # per-block skip-scans (brute-force + merge)
     reuse_spool: bool = False  # content-addressed spool cache across runs
@@ -190,6 +187,11 @@ class DiscoveryConfig:
     def spool_format(self) -> str:
         """Always ``"binary"``: the only spool format (read-only)."""
         return FORMAT_BINARY
+
+    @property
+    def export_workers(self) -> int:
+        """Always 1: export runs on one thread (read-only)."""
+        return 1
 
     @property
     def resolved_mmap_reads(self) -> bool:
@@ -230,8 +232,6 @@ class DiscoveryConfig:
             raise DiscoveryError(
                 f"mmap_reads must be True or False, got {self.mmap_reads!r}"
             )
-        if self.export_workers < 1:
-            raise DiscoveryError("export_workers must be >= 1")
         if self.validation_workers < 1:
             raise DiscoveryError("validation_workers must be >= 1")
         if self.validation_workers > 1 and self.strategy not in PARALLEL_STRATEGIES:
@@ -253,8 +253,8 @@ class DiscoveryConfig:
         if self.overlap and self.use_transitivity:
             raise DiscoveryError(
                 "transitivity pruning is order-dependent and runs in this "
-                "process only; overlapped discovery schedules its work on a "
-                "worker pool, so the two cannot combine"
+                "process only; overlapped discovery runs its export and "
+                "pretest on a worker pool, so the two cannot combine"
             )
         if self.skip_scans and self.strategy not in (
             "brute-force",
@@ -289,9 +289,9 @@ class DiscoveryConfig:
             )
         if self.incremental and self.overlap:
             raise DiscoveryError(
-                "overlapped discovery plans its task graph over the full "
-                "candidate set before the delta plan exists; run "
-                "incremental with phase barriers"
+                "overlapped discovery exports and pretests the whole "
+                "candidate set on a worker pool and takes no delta plan; "
+                "run incremental without overlap"
             )
         if self.candidate_mode == "all-pairs" and self.strategy == "sql-join":
             raise DiscoveryError(
@@ -319,19 +319,21 @@ def discover_inds(
     the parallel validation engines (``strategy`` in
     :data:`PARALLEL_STRATEGIES` with ``validation_workers > 1`` — brute
     force dispatches candidate chunks, merge-single-pass dispatches merge
-    partitions) and to the ``overlap`` graph (``spool-export`` and
-    ``sample-pretest`` tasks, with the validation after it on the same
+    partitions) and to an ``overlap`` run (its ``spool-export`` and
+    ``sample-pretest`` jobs, with the validation after them on the same
     fleet); the pool is borrowed, never shut down here.  Without it, an
-    ``overlap`` run builds **one** per-call pool for its graph and its
-    validation (drained before returning), and plain parallel validation
-    builds its per-call pool inside the engine.  :class:`DiscoverySession`
-    manages the pool so callers rarely pass it directly.
-    ``DiscoveryResult.pool_stats`` sums the graph's and the validation
-    engine's pool deltas, so ``tasks_by_kind`` covers the whole pipeline.
+    ``overlap`` run builds **one** per-call pool for its export, pretest
+    and validation (drained before returning), and plain parallel
+    validation builds its per-call pool inside the engine.
+    :class:`DiscoverySession` manages the pool so callers rarely pass it
+    directly.  ``DiscoveryResult.pool_stats`` sums the export, pretest and
+    validation pool deltas, so ``tasks_by_kind`` covers the whole
+    pipeline.
 
     The run owns its spool directory (see :class:`_RunSpool`): a
     temporary one is removed when the run ends, failed or not, unless a
-    successful run was asked to ``keep_spool``.
+    successful run was asked to ``keep_spool``, and a cache staging
+    directory is removed when the run fails before publishing it.
 
     ``prior`` feeds the delta planner of an ``incremental`` run: a result
     of a previous ``incremental`` run over the same database (any mode —
@@ -415,7 +417,7 @@ def discover_inds(
     samples: dict = {}
     inferred_sat = 0
     inferred_unsat = 0
-    graph_pool_stats: dict | None = None
+    overlap_pool_stats: dict | None = None
     owned_pool = None
     # The setup span times the work between the candidate and export
     # phases — attribute planning plus (on pooled runs) the lazy import of
@@ -431,14 +433,14 @@ def discover_inds(
         if rendered is not None:
             rendered.retain(needed)
         if pool is None and cfg.overlap:
-            # One per-call fleet for the graph and any validation after it.
+            # One per-call fleet for export, pretest and validation.
             from repro.parallel.pool import WorkerPool
 
             owned_pool = pool = WorkerPool(cfg.validation_workers)
         if cfg.overlap:
             # Imported inside the setup span, like the rest of the parallel
             # machinery: a cold first import must not open a hole in the
-            # trace between setup and the overlapped section.
+            # trace between setup and the pooled export.
             from repro.parallel.overlap import run_overlapped
     prior_spool = None
     if prior is not None:
@@ -456,17 +458,15 @@ def discover_inds(
     overlap_run = None
     try:
         if cfg.overlap:
-            # One graph, one pool, no join between export and pretest:
-            # run_overlapped drains both over the spool opened here and
-            # hands back the survivors, which are validated below exactly
-            # as an in-process run validates them.
+            # run_overlapped runs export and pretest as pool jobs over the
+            # spool opened here and hands back the survivors, which are
+            # validated below exactly as an in-process run validates them.
             started = time.monotonic()
             spool = run_spool.open(needed, tracer)
             overlap_run = run_overlapped(
                 db,
                 cfg,
                 ids.candidates(pairs),
-                column_stats,
                 spool,
                 pool,
                 tracer,
@@ -474,14 +474,13 @@ def discover_inds(
                 started=started,
             )
             spool = run_spool.publish(tracer)
-            graph_pool_stats = overlap_run.pool_stats
+            overlap_pool_stats = overlap_run.pool_stats
             export_scanned = overlap_run.export_stats.values_scanned
             export_written = overlap_run.export_stats.values_written
             pairs = ids.pairs_of(overlap_run.survivors)
             sampling_refuted = len(overlap_run.sampling_refuted)
-            # Phase attribution when phases interleave: export gets its
-            # task window; the rest of the section's wall clock lands on the
-            # pretest bucket.
+            # Export gets its phase window; the rest of the section's wall
+            # clock lands on the pretest bucket.
             timings.export_seconds = overlap_run.export_seconds
             pretest_seconds = max(
                 0.0, time.monotonic() - started - overlap_run.export_seconds
@@ -498,7 +497,6 @@ def discover_inds(
                         spool,
                         attributes=needed,
                         max_items_in_memory=cfg.max_items_in_memory,
-                        workers=cfg.export_workers,
                         rendered=rendered,
                     )
                     if not cfg.reuse_spool:
@@ -574,7 +572,7 @@ def discover_inds(
         # The run owned its fleet: honest reporting says the validation
         # phase did not run on a *warm* (cross-call) pool.
         validation.stats.extra["pool_warm"] = 0.0
-    pool_stats = _merged_pool_stats(graph_pool_stats, validation.pool)
+    pool_stats = _merged_pool_stats(overlap_pool_stats, validation.pool)
 
     # A delta run's answer is the union of what it validated and what it
     # re-derived; sampling_refuted likewise folds the reused refutations
@@ -829,10 +827,11 @@ class _RunSpool:
     Only the runner opens a run's spool, in one of four places: a
     spool-cache entry (a hit), a private cache staging directory (a miss),
     the explicit ``spool_dir``, or a temporary directory.  Whoever fills it
-    — the in-process exporter or the overlap graph — hands it back to
-    :meth:`publish`, which moves a cache miss into the cache, and the
-    runner's ``finally`` calls :meth:`close`, which removes a temporary
-    directory whether or not the run got that far.
+    — the in-process exporter or the pooled export of an ``overlap`` run —
+    hands it back to :meth:`publish`, which moves a cache miss into the
+    cache, and the runner's ``finally`` calls :meth:`close`, which removes
+    a temporary directory, or a staging directory that was never
+    published, whether or not the run got that far.
 
     ``fingerprints`` (the per-attribute content map an incremental run
     diffed) arms partial reuse on a miss: a donor entry of the same
@@ -861,7 +860,7 @@ class _RunSpool:
         self.hit = False
         self._cache: SpoolCache | None = None
         self._fingerprint: str | None = None
-        self._temp_root: str | None = None
+        self._temp_root: str | Path | None = None
 
     def open(self, needed, tracer=None) -> SpoolDirectory:
         """Open the spool that holds, or will hold, ``needed``.
@@ -871,9 +870,10 @@ class _RunSpool:
         probe is a ``cache-lookup`` span and a donor search a
         ``donor-lookup`` span, children of the current span.  A miss is
         staged in a private directory that carries no ``catalog_hash``, so
-        a run that dies before :meth:`publish` can never expose a
-        half-written entry (``repro-ind cache list`` reports the staging
-        directory as an orphan).
+        a run that fails before :meth:`publish` can never expose a
+        half-written entry: :meth:`close` removes the staging directory,
+        and one a crashed process left behind is what ``repro-ind cache
+        list`` reports as an orphan.
         """
         cfg = self._cfg
         if not cfg.reuse_spool:
@@ -904,7 +904,8 @@ class _RunSpool:
             self._spool = cached
             return cached
         self._cache = cache
-        self._spool = self._create(cache.prepare(self._fingerprint))
+        self._temp_root = cache.prepare(self._fingerprint)
+        self._spool = self._create(self._temp_root)
         if self._fingerprints is not None:
             self._adopt_donor(cache, needed, tracer)
         return self._spool
@@ -970,10 +971,12 @@ class _RunSpool:
                     fingerprints=stamps,
                 )
             self._cache = None
+            self._temp_root = None  # the cache entry owns the files now
         return self._spool
 
     def close(self, keep: bool = False) -> None:
-        """Remove a temporary spool directory, unless ``keep``."""
+        """Remove a temporary or unpublished staging directory, unless
+        ``keep``."""
         if self._temp_root is not None and not keep:
             shutil.rmtree(self._temp_root, ignore_errors=True)
 
@@ -1117,9 +1120,9 @@ class DiscoverySession:
     Config flags that matter here: ``validation_workers`` sizes the pool;
     the pool engages for parallel validation (``strategy`` of
     ``"brute-force"`` or ``"merge-single-pass"`` with more than one
-    worker) and for the ``overlap`` graph, so an overlapped session runs
-    its export and pretest graph and then its validation on one warm
-    fleet; other configurations run exactly as in :func:`discover_inds`
+    worker) and for ``overlap`` runs, so an overlapped session runs its
+    export, pretest and validation on one warm fleet; other
+    configurations run exactly as in :func:`discover_inds`
     with no pool ever created.  A merge whose
     candidate graph is one component runs in the calling process (see
     :class:`~repro.parallel.merge.PartitionedMergeValidator`), so a
@@ -1183,7 +1186,7 @@ class DiscoverySession:
 
         ``config`` overrides the session default for this run only; the
         pool is created by the first run that can use it (parallel
-        validation or the overlap graph), sized by that run's
+        validation or an ``overlap`` run), sized by that run's
         ``validation_workers``, and never resized afterwards — resizing a
         live fleet would defeat the warm handles the session exists to
         preserve.  Safe to call from several threads at once; concurrent
@@ -1220,9 +1223,9 @@ class DiscoverySession:
 
         A run can use the pool when parallel validation applies
         (``strategy`` in :data:`PARALLEL_STRATEGIES` with more than one
-        worker) *or* when it overlaps its phases (``overlap`` — the graph
-        engages even at one worker, so the task path is exercised at every
-        worker count).
+        worker) *or* when it pools export and pretest (``overlap`` — even
+        at one worker, so the task path is exercised at every worker
+        count).
         Creation is lock-protected so concurrent first requests cannot
         race two fleets into existence (one would leak its processes).
         """

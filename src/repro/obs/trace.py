@@ -139,10 +139,9 @@ class Tracer:
     ) -> int:
         """Record a span retroactively from explicit timestamps.
 
-        The overlapped pipeline cannot wrap its phases in :meth:`span`
-        context managers — export and pretest tasks interleave on one
-        pool, so each phase's true window is only known after the
-        graph drains (min task start → max task end).  This records such a
+        The overlapped pipeline records its export and pretest phases
+        this way once both pool jobs are done, each window reaching back to
+        an instant taken before the job ran.  This records such a
         reconstructed span directly under ``parent_id`` and returns its
         fresh id so worker task spans can be adopted beneath it with
         :meth:`add_task_spans`.  ``start`` is a raw ``time.monotonic()``

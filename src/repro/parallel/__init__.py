@@ -9,13 +9,13 @@ different axes, both dispatched through one shared task substrate:
                      (:func:`register_task_kind`), and the four built-in
                      kinds — brute-force chunks, merge partitions, spool
                      export units, and sampling-pretest chunks.
-``export``           :func:`pooled_export` — the export phase as
-                     ``spool-export`` tasks: workers render, sort and
+``export``           :func:`pooled_export` — the export phase as one job
+                     of ``spool-export`` tasks: workers render, sort and
                      atomically write per-attribute value files; the
                      parent assembles the index.  Byte-identical output
-                     to the sequential exporter.  The overlap graph
-                     packs and folds its export tasks with the same
-                     :class:`~repro.parallel.export.ExportPlan`.
+                     to the sequential exporter.  An overlapped run
+                     exports through the same
+                     :func:`~repro.parallel.export.pooled_export_into`.
 ``planner``          :class:`ShardPlanner` — cost-balanced partitions of
                      the candidate set, sized by spool value counts: small
                      work-stealing chunks, or merge groups cut along
@@ -27,13 +27,11 @@ different axes, both dispatched through one shared task substrate:
                      registered task kind, serves concurrent jobs from
                      multiple caller threads, requeues the tasks of dead
                      workers, keeps spool handles warm across kinds.
-``overlap``          :func:`run_overlapped` — export and sampling
-                     pretest as one dependency-scheduled task graph on a
-                     single pool, with no join between them; it returns
-                     the survivors, which the runner validates on the
-                     same pool.  The only pooled export and pretest of a
-                     run; byte-identical results to the in-process
-                     pipeline.
+``overlap``          :func:`run_overlapped` — export and then the sampling
+                     pretest as two jobs on one pool; it returns the
+                     survivors, which the runner validates on the same
+                     pool.  The only pooled export and pretest of a run;
+                     byte-identical results to the in-process pipeline.
 ``engine``           :class:`ProcessPoolValidationEngine` — brute-force
                      chunks dispatched through a pool (per-call or
                      persistent); decisions and summed I/O identical to
@@ -62,14 +60,12 @@ from repro.parallel.planner import (
 )
 from repro.parallel.overlap import OverlapRun, run_overlapped
 from repro.parallel.pool import (
-    GraphResult,
     JobResult,
     PoolStats,
     WorkerPool,
     merge_pool_stat_dicts,
 )
 from repro.parallel.tasks import (
-    GraphNode,
     KIND_BRUTE_FORCE,
     KIND_MERGE_PARTITION,
     KIND_SAMPLE_PRETEST,
@@ -85,8 +81,6 @@ from repro.parallel.tasks import (
 
 __all__ = [
     "Chunk",
-    "GraphNode",
-    "GraphResult",
     "JobResult",
     "KIND_BRUTE_FORCE",
     "KIND_MERGE_PARTITION",

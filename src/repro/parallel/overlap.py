@@ -1,21 +1,21 @@
-"""Streaming phase overlap: export and sampling pretest as one task graph.
+"""Pooled export and sampling pretest: two jobs on the run's worker pool.
 
-Run phase by phase, export and the sampling pretest join fully: every
-export finishes before the first pretest starts, so their wall clock is
-``export + pretest`` even though a pretest chunk only needs its own two
-attributes' spool files, not the whole export.  This module plans both
-phases as **one task graph** for
-:meth:`~repro.parallel.pool.WorkerPool.run_graph`; it is the only way a
-run pools its export and pretest:
+``DiscoveryConfig(overlap=True)`` is the only way a run pools its export
+and sampling pretest.  :func:`run_overlapped` runs them as two
+:meth:`~repro.parallel.pool.WorkerPool.run_job` calls on one pool, in the
+paper's phase order (Sec. 3): first every attribute's sorted value file is
+written, then the sampling pretest reads those files.
 
-* one node per export group (``spool-export``, planned by
-  :func:`repro.parallel.export.plan_export`), released immediately;
-* one node per pretest chunk (``sample-pretest``), depending on exactly
-  the export nodes that produce its candidates' dependent and referenced
-  spool files — the chunk dispatches the moment those files land, while
-  unrelated exports are still running.
+* the export is one job of ``spool-export`` tasks
+  (:func:`repro.parallel.export.pooled_export_into`, the same code
+  :func:`~repro.parallel.export.pooled_export` runs).  The run's spool
+  registry is filled, and its final ``index.json`` saved, on the calling
+  thread once that job is done;
+* the sampling pretest is one job of ``sample-pretest`` tasks, planned
+  from the spool index
+  (:meth:`~repro.parallel.planner.ShardPlanner.plan_pretest_chunks`).
 
-The graph hands back the pretest's survivors.  The runner validates them
+The pretest hands back its survivors.  The runner validates them
 afterwards on the same pool, through the same validator an in-process run
 builds, so a merge is planned from the post-pretest candidate set and a
 one-group plan merges in the calling process.
@@ -30,8 +30,9 @@ counts, formats and fault injections.
 
 The runner owns the spool: it opens it (cache hit, cache staging, an
 explicit ``spool_dir`` or a temporary directory), moves a cache miss into
-the cache after the drain and removes a temporary directory.  This module
-only plans and drains the graph over the spool it is handed.
+the cache afterwards and removes a temporary or unpublished staging
+directory.  This module only runs the two jobs over the spool it is
+handed.
 """
 
 from __future__ import annotations
@@ -41,13 +42,12 @@ from dataclasses import dataclass, field
 
 from repro.core.candidates import Candidate
 from repro.db.database import Database
-from repro.db.schema import AttributeRef
 from repro.errors import DiscoveryError
 from repro.obs.trace import Tracer
-from repro.parallel.export import plan_export
+from repro.parallel.export import pooled_export_into
 from repro.parallel.planner import ShardPlanner
-from repro.parallel.pool import WorkerPool
-from repro.parallel.tasks import GraphNode, KIND_SAMPLE_PRETEST, TaskSpec
+from repro.parallel.pool import WorkerPool, merge_pool_stat_dicts
+from repro.parallel.tasks import KIND_SAMPLE_PRETEST, TaskSpec
 from repro.storage.exporter import ExportStats
 from repro.storage.sorted_sets import SpoolDirectory
 
@@ -59,13 +59,13 @@ _PHASE_PRETEST = "pretest"
 
 @dataclass
 class OverlapRun:
-    """Everything one overlapped graph drain produced for the runner.
+    """Everything one overlapped export and pretest produced for the runner.
 
     ``survivors`` are the candidates the sampling pretest kept, in the
-    caller's order; the runner validates them.  ``pool_stats`` is the
-    graph's single-job delta; ``export_seconds`` is the export *window*,
-    the runner's export-phase attribution.  ``overlap_doc`` is the
-    scheduling summary surfaced as ``DiscoveryResult.overlap``.
+    caller's order; the runner validates them.  ``pool_stats`` sums the
+    two jobs' deltas; ``export_seconds`` is the export phase's window, the
+    runner's export-phase attribution.  ``overlap_doc`` is the scheduling
+    summary surfaced as ``DiscoveryResult.overlap``.
     """
 
     export_stats: ExportStats
@@ -74,15 +74,6 @@ class OverlapRun:
     pool_stats: dict | None
     export_seconds: float
     overlap_doc: dict = field(default_factory=dict)
-
-
-def _window(spans: list[dict]) -> tuple[float, float]:
-    """(start, duration) of the interval covering ``spans``; zeros if none."""
-    if not spans:
-        return 0.0, 0.0
-    start = min(s["start"] for s in spans)
-    end = max(s["start"] + s["duration"] for s in spans)
-    return start, end - start
 
 
 def _peak_concurrency(spans: list[dict]) -> int:
@@ -99,36 +90,10 @@ def _peak_concurrency(spans: list[dict]) -> int:
     return peak
 
 
-def _cross_phase_seconds(spans_by_phase: dict[str, list[dict]]) -> float:
-    """Seconds during which tasks of at least two phases ran simultaneously.
-
-    The headline scheduling observation: a phase-by-phase pipeline scores
-    0.0 here by construction, so any positive value is overlap the phase
-    barriers would forbid.  Sweep-line over the task spans' intervals.
-    """
-    events: list[tuple[float, str, int]] = []
-    for phase, spans in spans_by_phase.items():
-        for s in spans:
-            events.append((s["start"], phase, 1))
-            events.append((s["start"] + s["duration"], phase, -1))
-    events.sort(key=lambda e: e[0])
-    active = {phase: 0 for phase in spans_by_phase}
-    total = 0.0
-    prev: float | None = None
-    for instant, phase, delta in events:
-        if prev is not None and instant > prev:
-            if sum(1 for count in active.values() if count > 0) >= 2:
-                total += instant - prev
-        active[phase] += delta
-        prev = instant
-    return total
-
-
 def run_overlapped(
     db: Database,
     cfg,
     candidates: list[Candidate],
-    column_stats: dict,
     spool: SpoolDirectory,
     pool: WorkerPool,
     tracer: Tracer | None = None,
@@ -136,26 +101,17 @@ def run_overlapped(
     cache_hit: bool,
     started: float,
 ) -> OverlapRun:
-    """Drain export → sampling pretest as one dependency graph.
+    """Export, then sampling-pretest, as two jobs on ``pool``.
 
     ``spool`` is the run's opened spool.  On a ``cache_hit`` it already
-    holds every attribute the candidates touch, so the graph starts at the
-    pretest layer with zero export nodes and never writes to it; otherwise
-    it is empty and the export layer fills it.  ``started`` is the
+    holds every attribute the candidates touch, so no export job runs and
+    nothing writes to it; otherwise it is empty (or holds adopted donor
+    files) and the export job fills it.  ``started`` is the
     ``time.monotonic()`` instant the runner began opening the spool: the
-    first phase window reaches back to it, as a phase-by-phase run's
-    export stopwatch covers its cache lookup.
+    export window reaches back to it, as a phase-by-phase run's export
+    stopwatch covers its cache lookup.
 
-    The pretest plan is built *before* any spool file exists, from the
-    column profile's distinct counts — exactly the spooled value counts
-    for every non-LOB attribute, so the plan matches the in-process
-    planner's (and even if it did not, chunk composition can never change
-    a verdict, only balance).  Spool-directory state is updated from the
-    dispatcher thread between a node's completion and its dependents'
-    release (``on_complete`` registers value files and re-saves the index
-    atomically), so a pretest task always re-opens a spool index that
-    already names its files.  Raises
-    :class:`~repro.errors.DiscoveryError` on scheduling faults (a
+    Raises :class:`~repro.errors.DiscoveryError` on scheduling faults (a
     candidate no pretest chunk covered, a crash-looping task) rather than
     returning partial results.
     """
@@ -163,80 +119,35 @@ def run_overlapped(
         raise DiscoveryError("overlapped discovery requires a worker pool")
     ordered = list(dict.fromkeys(candidates))
     workers = cfg.validation_workers
-    export = None
+    export_stats, export_pool, export_spans = ExportStats(), None, []
     if not cache_hit:
         needed = {c.dependent for c in ordered}
         needed |= {c.referenced for c in ordered}
-        export = plan_export(
-            db, spool, sorted(needed), workers, cfg.max_items_in_memory
+        export_stats, export_pool, export_spans = pooled_export_into(
+            db, spool, sorted(needed), workers, pool, cfg.max_items_in_memory
         )
+    exported = time.monotonic()
 
-    # -- graph planning ----------------------------------------------------
-    nodes: list[GraphNode] = []
-    attr_node: dict[AttributeRef, int] = {}
-    if export is not None:
-        for node_id, spec in enumerate(export.specs):
-            nodes.append(GraphNode(spec=spec))
-            group = export.groups[node_id]
-            for unit in group:
-                attr_node[AttributeRef(unit.table, unit.column)] = node_id
-    export_count = len(nodes)
-
-    if cfg.sampling_size:
-        # Column-profile distinct counts stand in for the not-yet-written
-        # spool counts; identical for every exportable attribute, and they
-        # also cover empty attributes the export will drop (the spool-index
-        # fallback would have nothing to say about those).
-        counts = {
-            ref: stats.distinct_count for ref, stats in column_stats.items()
-        }
-        planner = ShardPlanner(spool, counts=counts)
-        for chunk in planner.plan_pretest_chunks(ordered, workers):
-            deps = set()
-            for candidate in chunk.candidates:
-                for attr in (candidate.dependent, candidate.referenced):
-                    export_node = attr_node.get(attr)
-                    if export_node is not None:
-                        deps.add(export_node)
-            nodes.append(
-                GraphNode(
-                    spec=TaskSpec(
-                        kind=KIND_SAMPLE_PRETEST,
-                        candidates=chunk.candidates,
-                        payload=(cfg.sampling_size, cfg.sampling_seed),
-                    ),
-                    deps=tuple(sorted(deps)),
-                )
-            )
-    pretest_count = len(nodes) - export_count
-
-    # -- completion callback (dispatcher thread, pool lock held) -----------
-    verdicts: dict[Candidate, bool] = {}
-
-    def on_complete(node_id: int, outcome) -> None:
-        if node_id < export_count:
-            export.land(outcome)
-            # Dependents re-open the spool by path, so the index must name
-            # this node's files before any of them is released.  save_index
-            # writes atomically (tmp + rename) and sorts attributes, making
-            # the final document independent of completion order; the mtime
-            # bump invalidates workers' warm handles so they re-parse.
-            spool.save_index()
-        else:
-            verdicts.update(outcome.decisions)
-
-    graph = pool.run_graph(str(spool.root), nodes, on_complete=on_complete)
-
-    export_stats = ExportStats()
-    if export is not None:
-        export_stats = export.finish(
-            [graph.outcomes[node_id] for node_id in range(export_count)]
-        )
-
-    # -- survivors ---------------------------------------------------------
     survivors: list[Candidate] = ordered
     refuted: list[Candidate] = []
+    pretest_pool, pretest_spans = None, []
     if cfg.sampling_size:
+        specs = [
+            TaskSpec(
+                kind=KIND_SAMPLE_PRETEST,
+                candidates=chunk.candidates,
+                payload=(cfg.sampling_size, cfg.sampling_seed),
+            )
+            for chunk in ShardPlanner(spool).plan_pretest_chunks(
+                ordered, workers
+            )
+        ]
+        verdicts: dict[Candidate, bool] = {}
+        if specs:
+            job = pool.run_job(str(spool.root), specs)
+            for outcome in job.outcomes:
+                verdicts.update(outcome.decisions)
+            pretest_pool, pretest_spans = job.stats.as_dict(), job.task_spans
         survivors = []
         for candidate in ordered:
             if candidate not in verdicts:
@@ -246,73 +157,39 @@ def run_overlapped(
                     f"no pretest task covered candidate {candidate}"
                 )
             (survivors if verdicts[candidate] else refuted).append(candidate)
+    ended = time.monotonic()
 
-    # -- scheduling summary ------------------------------------------------
-    spans_by_phase: dict[str, list[dict]] = {
-        _PHASE_EXPORT: [],
-        _PHASE_PRETEST: [],
+    spans_by_phase = {
+        _PHASE_EXPORT: export_spans,
+        _PHASE_PRETEST: pretest_spans,
     }
-    for node_id, span in graph.task_spans.items():
-        phase = _PHASE_EXPORT if node_id < export_count else _PHASE_PRETEST
-        spans_by_phase[phase].append(span)
     overlap_doc = {
-        "nodes": len(nodes),
-        "edges": sum(len(set(node.deps)) for node in nodes),
-        # The graph holds no validation nodes, so it never cancels one;
-        # the key stays so existing readers of the document keep working.
+        "nodes": len(export_spans) + len(pretest_spans),
+        # The pool holds no validation tasks of this run to cancel, and the
+        # pretest job starts only after the export job, so both keys read
+        # zero; they stay so existing readers of the document keep working.
         "cancelled": 0,
         "tasks_by_phase": {
-            _PHASE_EXPORT: export_count,
-            _PHASE_PRETEST: pretest_count,
+            phase: len(spans) for phase, spans in spans_by_phase.items()
         },
         "max_concurrency": {
             phase: _peak_concurrency(spans)
             for phase, spans in spans_by_phase.items()
             if spans
         },
-        "cross_phase_overlap_seconds": round(
-            _cross_phase_seconds(spans_by_phase), 6
-        ),
+        "cross_phase_overlap_seconds": 0.0,
     }
 
-    # -- per-phase windows and trace adoption ------------------------------
-    # Phase windows: [min task start, max task end] per phase, with the
-    # first non-empty phase pulled back to the section's start and the last
-    # pushed out to its end, after every fold above.  A phase-by-phase run
-    # buries spool setup, drain latency and result folding inside its phase
-    # stopwatches; attributing them to the edge phases here keeps trace
-    # coverage and timing buckets comparable.
-    windows: dict[str, list[float]] = {}
-    for phase in (_PHASE_EXPORT, _PHASE_PRETEST):
-        spans = spans_by_phase[phase]
-        if spans:
-            start, duration = _window(spans)
-            windows[phase] = [start, start + duration]
-    overlap_end = time.monotonic()
-    if windows:
-        phases = list(windows)
-        windows[phases[0]][0] = min(windows[phases[0]][0], started)
-        windows[phases[-1]][1] = max(windows[phases[-1]][1], overlap_end)
-        for prev, cur in zip(phases, phases[1:]):
-            # Bill inter-phase dispatch latency to the waiting phase, the
-            # way back-to-back phase stopwatches do.
-            windows[cur][0] = min(windows[cur][0], windows[prev][1])
-    else:
-        # Nothing ran (no candidates, or a cache hit with sampling off):
-        # still bill the section's setup work to an export window, as the
-        # in-process pipeline's always-present export stopwatch would.
-        windows[_PHASE_EXPORT] = [started, overlap_end]
-    export_seconds = 0.0
-    if _PHASE_EXPORT in windows:
-        start, end = windows[_PHASE_EXPORT]
-        export_seconds = end - start
     if tracer is not None:
+        # Phase windows, back to back like phase stopwatches: export from
+        # the spool opening to the end of the export job, then pretest to
+        # the end of the pretest job.
+        windows = {_PHASE_EXPORT: (started, exported)}
+        if cfg.sampling_size:
+            windows[_PHASE_PRETEST] = (exported, ended)
         parent = tracer.current_span_id()
         for phase, (start, end) in windows.items():
-            spans = sorted(
-                spans_by_phase[phase],
-                key=lambda s: s.get("attrs", {}).get("task_id", 0),
-            )
+            spans = spans_by_phase[phase]
             phase_id = tracer.add_span(
                 parent, phase, start, end - start,
                 overlapped=True, tasks=len(spans),
@@ -323,7 +200,7 @@ def run_overlapped(
         export_stats=export_stats,
         survivors=survivors,
         sampling_refuted=refuted,
-        pool_stats=graph.stats.as_dict() if nodes else None,
-        export_seconds=export_seconds,
+        pool_stats=merge_pool_stat_dicts([export_pool, pretest_pool]),
+        export_seconds=exported - started,
         overlap_doc=overlap_doc,
     )

@@ -149,32 +149,14 @@ class PairGroup:
 class ShardPlanner:
     """Packs candidates into cost-budgeted chunks and merge groups.
 
-    Costs normally come from the spool index: exact spooled value counts.
-
-    A ``counts`` override maps attributes to counts known *before* the
-    export lands.  The overlapped pipeline uses it to plan its pretest
-    chunks from the column profile's distinct counts while export tasks
-    are still running.  For a non-LOB attribute the profile's
-    rendered-distinct count equals the spooled count, so the override
-    changes nothing.  Chunk and group composition never changes the summed
-    validator counters either, because a task is per-candidate independent
-    or whole-component.  An approximate count can therefore only change
-    load balance, never a result.
+    Costs come from the spool index: exact spooled value counts.
     """
 
-    def __init__(
-        self, spool: SpoolDirectory, counts: dict | None = None
-    ) -> None:
+    def __init__(self, spool: SpoolDirectory) -> None:
         self._spool = spool
-        self._counts = counts
 
     def _count(self, attr) -> int:
-        """Spooled value count of ``attr``, preferring the override."""
-        if self._counts is not None:
-            try:
-                return self._counts[attr]
-            except KeyError:
-                pass
+        """Spooled value count of ``attr``."""
         return self._spool.get(attr).count
 
     def candidate_cost(self, candidate: Candidate) -> int:

@@ -10,11 +10,10 @@ and runs typed tasks on it:
   pretest chunks ship as built-in kinds, and one job may mix kinds freely.
 
 * **Concurrent jobs.**  Any number of caller threads may have a
-  :meth:`WorkerPool.run_job` or :meth:`WorkerPool.run_graph` in flight at
-  once over the same fleet — the shape ``repro-ind serve`` needs to
-  multiplex overlapping requests.  Each job returns its own outcomes and
-  its own :class:`PoolStats` delta, so callers can surface pool behaviour
-  per request.
+  :meth:`WorkerPool.run_job` in flight at once over the same fleet — the
+  shape ``repro-ind serve`` needs to multiplex overlapping requests.  Each
+  job returns its own outcomes and its own :class:`PoolStats` delta, so
+  callers can surface pool behaviour per request.
 
 * **Parent-side assignment.**  Each worker talks to the parent over its own
   pipe, and no lock is shared between processes.  Pending tasks of every
@@ -64,7 +63,6 @@ from repro.errors import DiscoveryError
 from repro.obs.metrics import get_registry
 from repro.obs.trace import stamp
 from repro.parallel.tasks import (
-    GraphNode,
     PoolTask,
     ShardOutcome,
     TaskSpec,
@@ -74,8 +72,6 @@ from repro.parallel.tasks import (
 from repro.storage.sorted_sets import SpoolDirectory
 
 __all__ = [
-    "GraphNode",
-    "GraphResult",
     "JobResult",
     "PoolStats",
     "PoolTask",
@@ -169,20 +165,6 @@ class JobResult:
     outcomes: list[ShardOutcome]
     stats: PoolStats
     task_spans: list[dict] = field(default_factory=list)
-
-
-@dataclass
-class GraphResult:
-    """What one :meth:`WorkerPool.run_graph` produced.
-
-    ``outcomes`` maps every node id (the node's position in the caller's
-    list) to its outcome.  ``stats`` and ``task_spans`` mirror
-    :class:`JobResult` (spans keyed by node id here).
-    """
-
-    outcomes: dict[int, ShardOutcome]
-    stats: PoolStats
-    task_spans: dict[int, dict] = field(default_factory=dict)
 
 
 def merge_pool_stat_dicts(parts: list[dict | None]) -> dict | None:
@@ -349,8 +331,8 @@ def _worker_loop(conn) -> None:
             try:
                 outcome = executor(spool, task)
             except Exception:
-                # Belt and braces on top of the mtime check in _open_warm:
-                # drop the cached handle and retry cold exactly once.
+                # Belt and braces on top of the index identity check in
+                # _open_warm: drop the cached handle and retry cold once.
                 handles.pop(task.spool_root, None)
                 spool, warm = _open_warm(handles, task.spool_root)
                 warm = False
@@ -381,30 +363,12 @@ class _JobState:
     stats: PoolStats = field(default_factory=PoolStats)
     error: DiscoveryError | None = None
     done: threading.Event = field(default_factory=threading.Event)
-    # -- graph jobs only (run_graph); defaults keep run_job untouched ------
-    #: Graph jobs hold back dependent nodes: ``tasks`` then contains only
-    #: the *released* nodes (so the tasks without an outcome are exactly
-    #: the ones pending or assigned), while ``node_specs`` keeps the full
-    #: plan and ``remaining``/``dependents`` drive the release cascade.
-    is_graph: bool = False
-    node_specs: dict[int, TaskSpec] | None = None
-    dependents: dict[int, list[int]] = field(default_factory=dict)
-    remaining: dict[int, int] = field(default_factory=dict)
-    node_count: int = 0
-    on_complete: object = None
-    spool_root: str | None = None
 
     def fail(self, error: DiscoveryError) -> None:
         """Mark the job failed and release its waiting caller."""
         if self.error is None:
             self.error = error
         self.done.set()
-
-    def finished(self) -> bool:
-        """Has every node or task of this job landed its outcome?"""
-        if self.is_graph:
-            return len(self.outcomes) == self.node_count
-        return len(self.outcomes) == len(self.tasks)
 
 
 @dataclass(eq=False)
@@ -684,103 +648,6 @@ class WorkerPool:
             ],
         )
 
-    def run_graph(
-        self,
-        spool_root: str,
-        nodes: list[GraphNode],
-        *,
-        on_complete=None,
-    ) -> GraphResult:
-        """Drain a dependency graph of tasks with streaming release.
-
-        Unlike :meth:`run_job`, which enqueues every spec up front, a graph
-        job holds each node back until the outcomes of all of its ``deps``
-        have landed; the dispatcher thread releases newly-eligible nodes
-        the moment their last prerequisite's reply is handled, so different
-        "phases" of a pipeline overlap freely on the same fleet with no
-        inter-phase join.
-
-        ``on_complete(node_id, outcome)`` runs on the dispatcher thread
-        (serially, pool lock held) right after a node's outcome is recorded
-        and before its dependents are released — the hook where a caller
-        publishes whatever state dependents need (e.g. registering exported
-        spool files before pretest chunks open them).  It must be fast and
-        must not call back into the pool; an exception from it fails the job
-        loudly.
-
-        Dependency cycles and out-of-range dependency ids raise
-        :class:`~repro.errors.DiscoveryError` before anything is dispatched.
-        Fault tolerance is inherited: released tasks requeue on worker death
-        exactly like :meth:`run_job` tasks, and a released task that keeps
-        killing its workers fails the job rather than wedging held
-        dependents.
-        """
-        for node in nodes:
-            resolve_task_kind(node.spec.kind)  # unknown kinds fail here
-        if not nodes:
-            if self._closed:
-                raise DiscoveryError("worker pool is shut down")
-            return GraphResult(outcomes={}, stats=PoolStats())
-        deps_by_node: list[tuple[int, ...]] = []
-        for nid, node in enumerate(nodes):
-            deduped = sorted(set(node.deps))
-            for dep in deduped:
-                if not 0 <= dep < len(nodes) or dep == nid:
-                    raise DiscoveryError(
-                        f"graph node {nid} has invalid dependency {dep!r}"
-                    )
-            deps_by_node.append(tuple(deduped))
-        remaining = {nid: len(deps) for nid, deps in enumerate(deps_by_node)}
-        dependents: dict[int, list[int]] = {}
-        for nid, deps in enumerate(deps_by_node):
-            for dep in deps:
-                dependents.setdefault(dep, []).append(nid)
-        # Kahn's algorithm on a scratch copy: a cycle would leave nodes
-        # permanently unreleasable, which must fail before dispatch.
-        scratch = dict(remaining)
-        ready = [nid for nid, count in scratch.items() if count == 0]
-        visited = 0
-        while ready:
-            nid = ready.pop()
-            visited += 1
-            for child in dependents.get(nid, ()):
-                scratch[child] -= 1
-                if scratch[child] == 0:
-                    ready.append(child)
-        if visited != len(nodes):
-            raise DiscoveryError(
-                f"task graph has a dependency cycle "
-                f"({len(nodes) - visited} node(s) unreachable)"
-            )
-        with self._lock:
-            state = _JobState(
-                job_id=0,
-                tasks={},
-                is_graph=True,
-                node_specs={
-                    nid: node.spec for nid, node in enumerate(nodes)
-                },
-                dependents=dependents,
-                remaining=remaining,
-                node_count=len(nodes),
-                on_complete=on_complete,
-                spool_root=spool_root,
-            )
-            self._admit(state)
-            # Registration and root release under one lock hold: no reply
-            # can interleave, so a graph is never observable half-released.
-            for nid in range(len(nodes)):
-                if remaining[nid] == 0:
-                    self._release_graph_node(state, nid)
-            self._assign()
-            self._fail_wedged_graph_jobs()
-        self._await(state)
-        return GraphResult(
-            outcomes=dict(state.outcomes),
-            stats=state.stats,
-            task_spans=dict(state.task_spans),
-        )
-
     def _await(self, state: _JobState) -> None:
         """Block until ``state`` is done, raise its error, then forget it."""
         try:
@@ -796,30 +663,6 @@ class WorkerPool:
             with self._lock:
                 self._jobs.pop(state.job_id, None)
                 self._last_activity = time.monotonic()
-
-    def _release_graph_node(self, state: _JobState, node_id: int) -> None:
-        """Queue one graph node whose deps all landed (lock held)."""
-        spec = state.node_specs[node_id]
-        task = PoolTask(
-            job_id=state.job_id,
-            task_id=node_id,
-            kind=spec.kind,
-            spool_root=state.spool_root,
-            candidates=tuple(spec.candidates),
-            payload=tuple(spec.payload),
-        )
-        state.tasks[node_id] = task
-        state.stats.tasks_dispatched += 1
-        self.stats.tasks_dispatched += 1
-        self._pending.append(task)
-
-    def _satisfy_dependents(self, state: _JobState, node_id: int) -> None:
-        """Count ``node_id``'s outcome for its dependents; release the
-        ready ones (lock held)."""
-        for child in state.dependents.get(node_id, ()):
-            state.remaining[child] -= 1
-            if state.remaining[child] == 0 and state.error is None:
-                self._release_graph_node(state, child)
 
     def _assign(self) -> None:
         """Send pending tasks to idle workers, oldest first (lock held).
@@ -901,7 +744,6 @@ class WorkerPool:
             if worker.proc.sentinel in ready:
                 self._replace_dead(worker)
         self._assign()
-        self._fail_wedged_graph_jobs()
 
     def _handle_message(self, worker: _Worker, message: tuple) -> None:
         """Apply a worker's reply to the job of its task (lock held)."""
@@ -937,24 +779,7 @@ class WorkerPool:
         registry.inc("pool_tasks_total", kind=task.kind)
         if warm:
             registry.inc("spool_handle_reuses_total")
-        if state.is_graph:
-            # Publish-then-release ordering: on_complete runs before any
-            # dependent can be dispatched, so whatever state it installs
-            # (registered spool files, pretest verdicts) is visible to
-            # every task that depends on this node.
-            if state.on_complete is not None:
-                try:
-                    state.on_complete(task_id, outcome)
-                except Exception as exc:
-                    state.fail(
-                        DiscoveryError(
-                            f"graph on_complete callback failed for "
-                            f"task {task_id}: {exc!r}"
-                        )
-                    )
-                    return
-            self._satisfy_dependents(state, task_id)
-        if state.finished():
+        if len(state.outcomes) == len(state.tasks):
             state.done.set()
 
     def _replace_dead(self, worker: _Worker) -> None:
@@ -1013,31 +838,3 @@ class WorkerPool:
             attempts,
             MAX_TASK_REQUEUES,
         )
-
-    def _fail_wedged_graph_jobs(self) -> None:
-        """Fail graph jobs whose held nodes can never be released (lock held).
-
-        A correct graph always makes progress: registration-plus-root-release
-        and reply-plus-dependent-release each happen atomically under the
-        lock, so whenever the lock is free either some released task is
-        still pending or assigned (``outcomes < tasks``) or every
-        releasable node has been released.  If no released task is pending
-        or assigned, yet outcomes don't cover the graph, the held
-        remainder is unreachable — a scheduler or graph-construction bug.
-        Nothing would ever wake such a job again, so it fails at once.
-        """
-        for state in self._jobs.values():
-            if (
-                not state.is_graph
-                or state.done.is_set()
-                or len(state.outcomes) < len(state.tasks)
-            ):
-                continue
-            held = state.node_count - len(state.outcomes)
-            state.fail(
-                DiscoveryError(
-                    f"task graph wedged: {held} node(s) can never be "
-                    f"released although every released task completed; "
-                    f"this is a scheduler bug"
-                )
-            )

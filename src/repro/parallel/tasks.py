@@ -113,21 +113,6 @@ class PoolTask:
     payload: tuple = ()
 
 
-@dataclass(frozen=True)
-class GraphNode:
-    """One node of a dependency-scheduled task graph.
-
-    ``deps`` names the node ids (positions in the caller's node list) whose
-    outcomes must land before this node's spec may be dispatched —
-    :meth:`~repro.parallel.pool.WorkerPool.run_graph` holds the node back
-    and releases it from the dispatcher thread the moment its last
-    prerequisite completes.  A node with no deps is released immediately.
-    """
-
-    spec: TaskSpec
-    deps: tuple[int, ...] = ()
-
-
 #: A worker-side executor: runs one task against the (possibly warm) spool
 #: handle and returns its outcome.  Must be deterministic in (spool, task).
 TaskExecutor = Callable[["SpoolDirectory", PoolTask], ShardOutcome]

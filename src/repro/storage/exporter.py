@@ -19,13 +19,6 @@ Each attribute's sorted list comes from one of three places:
 
 All three produce identical spool files; tests assert this.
 
-Export is embarrassingly parallel — every attribute's render → sort → write
-chain is independent — so ``workers=N`` fans the attributes out over
-a thread pool.  The spool registry is the only shared state and
-:class:`~repro.storage.sorted_sets.SpoolDirectory` guards it with a lock;
-statistics are folded in submission order, so the resulting index and
-:class:`ExportStats` are deterministic regardless of scheduling.
-
 For the *process*-parallel path — export units dispatched as
 ``spool-export`` tasks through :class:`repro.parallel.pool.WorkerPool` —
 this module provides the task-shaped building blocks
@@ -39,7 +32,6 @@ safe for export exactly as it is for validation.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, NamedTuple
@@ -189,11 +181,18 @@ def export_database(
     non-empty columns, so their files would never be read.
     ``spool_format`` accepts only ``"binary"``; ``compression="zlib"``
     upgrades the value files to v3 compressed frames;
-    ``mmap_reads`` makes the returned directory serve mmap-backed cursors;
-    ``workers`` spools that many attributes concurrently.  The index is
-    saved once, after the last value file.
+    ``mmap_reads`` makes the returned directory serve mmap-backed cursors.
+    ``workers`` accepts only 1: export runs on one thread, and
+    :func:`repro.parallel.export.pooled_export` is the parallel export.
+    The index is saved once, after the last value file.
     """
     check_format(spool_format)
+    if workers != 1:
+        raise SpoolError(
+            f"export_database runs on one thread, so workers must be 1, "
+            f"got {workers!r}; repro.parallel.export.pooled_export exports "
+            "on a worker pool"
+        )
     spool = SpoolDirectory.create(
         spool_root,
         block_size=block_size,
@@ -207,7 +206,6 @@ def export_database(
         max_items_in_memory=max_items_in_memory,
         include_empty=include_empty,
         use_sql_engine=use_sql_engine,
-        workers=workers,
     )
     spool.save_index()
     return spool, stats
@@ -220,7 +218,6 @@ def export_into(
     max_items_in_memory: int = DEFAULT_RUN_SIZE,
     include_empty: bool = False,
     use_sql_engine: bool = False,
-    workers: int = 1,
     rendered: dict[AttributeRef, tuple[int, list[str]]] | None = None,
 ) -> ExportStats:
     """Spool attributes of ``db`` into an *existing* directory.
@@ -247,11 +244,9 @@ def export_into(
     rendered and sorted again.  The files and statistics are the same
     either way.
     """
-    if workers < 1:
-        raise SpoolError(f"workers must be >= 1, got {workers!r}")
     stats = ExportStats()
+    empty: list[AttributeRef] = []
     targets = attributes if attributes is not None else db.attributes()
-    jobs: list[tuple[AttributeRef, str]] = []
     for ref in targets:
         db.resolve(ref)
         if ref in spool:
@@ -261,40 +256,23 @@ def export_into(
             # LOB columns are excluded from dependent *and* referenced sides
             # (Sec. 2); spooling them would be wasted I/O.
             continue
-        jobs.append((ref, dtype.value))
-
-    if workers == 1 or len(jobs) <= 1:
-        outcomes = [
-            _export_one(
-                db, spool, ref, dtype, max_items_in_memory, use_sql_engine,
-                rendered,
-            )
-            for ref, dtype in jobs
-        ]
-    else:
-        with ThreadPoolExecutor(
-            max_workers=min(workers, len(jobs)),
-            thread_name_prefix="repro-export",
-        ) as pool:
-            futures = [
-                pool.submit(
-                    _export_one,
-                    db, spool, ref, dtype, max_items_in_memory, use_sql_engine,
-                    rendered,
-                )
-                for ref, dtype in jobs
-            ]
-            outcomes = [future.result() for future in futures]
-
-    for ref, svf, scanned in outcomes:
+        svf, scanned = _export_one(
+            db, spool, ref, dtype.value, max_items_in_memory, use_sql_engine,
+            rendered,
+        )
         stats.values_scanned += scanned
         if svf.is_empty and not include_empty:
-            spool.discard(ref)
+            empty.append(ref)
             stats.skipped_empty += 1
             continue
         stats.attributes_exported += 1
         stats.values_written += svf.count
         stats.per_attribute_counts[ref.qualified] = svf.count
+    # Empty files go only once every attribute holds its file name, so a
+    # freed name is never handed on: names match the pooled export's,
+    # which reserves every name before any file is written.
+    for ref in empty:
+        spool.discard(ref)
     return stats
 
 
@@ -306,8 +284,9 @@ def _export_one(
     max_items_in_memory: int,
     use_sql_engine: bool,
     rendered: dict[AttributeRef, tuple[int, list[str]]] | None,
-) -> tuple[AttributeRef, SortedValueFile, int]:
-    """Extract, sort and spool a single attribute (thread-pool work unit)."""
+) -> tuple[SortedValueFile, int]:
+    """Extract, sort and spool a single attribute; return its file and the
+    number of non-NULL values it scanned."""
     kept = None if rendered is None else rendered.pop(ref, None)
     if kept is not None:
         scanned, sorted_values = kept
@@ -320,7 +299,7 @@ def _export_one(
         scanned = len(values)
         sorted_values = _sorted_distinct(values, max_items_in_memory)
     svf = spool.add_values(ref, sorted_values, dtype=dtype)
-    return ref, svf, scanned
+    return svf, scanned
 
 
 def _extract_via_sql(db: Database, ref: AttributeRef) -> list[str]:

@@ -111,7 +111,9 @@ def write_value_file(
     verified while writing because a mis-sorted spool file silently breaks
     every validator.  Values are written ``block_size`` at a time: each
     slice is checked for strict ascent in one C-level pass and lands as
-    one block.
+    one block.  A failed write (a full disk) removes the temporary file and
+    raises :class:`~repro.errors.SpoolError` naming the attribute and the
+    file.
     """
     final_path = os.fspath(file_path)
     tmp_path = f"{final_path}.tmp-{os.getpid()}"
@@ -121,11 +123,15 @@ def write_value_file(
         ) as writer:
             for chunk in _checked_chunks(ref, sorted_distinct_values, block_size):
                 writer.write_block(chunk)
-    except BaseException:
+        os.replace(tmp_path, final_path)
+    except BaseException as exc:
         with suppress(FileNotFoundError):
             os.unlink(tmp_path)
+        if isinstance(exc, OSError):
+            raise SpoolError(
+                f"cannot write the value file of {ref} to {final_path}: {exc}"
+            ) from exc
         raise
-    os.replace(tmp_path, final_path)
     return SortedValueFile(
         ref=ref,
         path=final_path,
@@ -212,9 +218,9 @@ class SpoolDirectory:
 
     Create with :meth:`create`, populate with :meth:`add_values`, persist with
     :meth:`save_index`, reopen later with :meth:`open` (which reads the
-    frame version and compression from the index).  :meth:`add_values` is
-    thread-safe so the exporter can spool attributes in parallel — each
-    attribute writes its own file; only the registry is shared.
+    frame version and compression from the index).  The registry is
+    guarded by a lock, so threads may add, register and discard attributes
+    concurrently.
 
     The directory remembers the stat identity of the ``index.json`` it
     last read or wrote, so :meth:`index_is_current` can tell with one
@@ -438,6 +444,9 @@ class SpoolDirectory:
                 del self._used_names[name]
 
     def save_index(self) -> None:
+        """Write ``index.json`` atomically; a failed write (a full disk)
+        removes its temporary file and raises
+        :class:`~repro.errors.SpoolError` naming the index path."""
         compressed = self.compression != COMPRESSION_NONE
         doc: dict = {
             "version": COMPRESSED_INDEX_VERSION if compressed else INDEX_VERSION,
@@ -463,9 +472,16 @@ class SpoolDirectory:
         # The rename sets the file's ctime, so the identity is taken after.
         tmp_path = os.path.join(self.root, f"{_INDEX_FILE}.tmp")
         index_path = os.path.join(self.root, _INDEX_FILE)
-        with open(tmp_path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, indent=2))
-        os.replace(tmp_path, index_path)
+        try:
+            with open(tmp_path, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(doc, indent=2))
+            os.replace(tmp_path, index_path)
+        except OSError as exc:
+            with suppress(FileNotFoundError):
+                os.unlink(tmp_path)
+            raise SpoolError(
+                f"cannot save the spool index {index_path}: {exc}"
+            ) from exc
         self._index_identity = _identity(os.stat(index_path))
 
     def index_is_current(self) -> bool:

@@ -2,6 +2,7 @@
 
 import re
 import tempfile
+from dataclasses import replace
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.core.runner import ALL_STRATEGIES, DiscoveryConfig, discover_inds
 from repro.errors import DiscoveryError, SpoolError
 from repro.parallel.pool import WorkerPool
 from repro.parallel.tasks import KIND_BRUTE_FORCE, KIND_MERGE_PARTITION
+from repro.storage.exporter import export_database
 from repro.storage.sorted_sets import SpoolDirectory
 
 #: Every strategy a config accepts, each a fixed validator.
@@ -99,8 +101,11 @@ class TestConfigValidation:
             DiscoveryConfig(spool_block_size=0).validated()
 
     def test_bad_export_workers(self):
-        with pytest.raises(DiscoveryError, match="export_workers"):
-            DiscoveryConfig(export_workers=0).validated()
+        """export_workers is no longer a setting: export runs on one thread."""
+        with pytest.raises(TypeError, match="export_workers"):
+            DiscoveryConfig(export_workers=2)
+        with pytest.raises(TypeError, match="export_workers"):
+            replace(DiscoveryConfig(), export_workers=2)
 
     def test_strategies_are_the_fixed_validators(self):
         assert ALL_STRATEGIES == set(STRATEGIES)
@@ -148,13 +153,14 @@ class TestConfigValidation:
             "strategy", "candidate_mode", "pretests", "use_transitivity",
             "sampling_size", "sampling_seed", "spool_dir", "keep_spool",
             "spool_block_size", "spool_compression", "mmap_reads",
-            "export_workers", "overlap", "validation_workers", "skip_scans",
+            "overlap", "validation_workers", "skip_scans",
             "reuse_spool", "cache_dir", "cache_max_bytes",
             "max_items_in_memory", "max_open_files", "sql_null_safe",
             "trace", "incremental",
         ]
-        for name in ("spool_format", "resolved_mmap_reads"):
+        for name in ("spool_format", "resolved_mmap_reads", "export_workers"):
             assert isinstance(getattr(DiscoveryConfig, name), property)
+        assert DiscoveryConfig().export_workers == 1
 
 
 class TestStrategies:
@@ -172,13 +178,14 @@ class TestStrategies:
         assert "child.pid [= parent.id" in {str(i) for i in result.satisfied}
 
     def test_export_workers_reach_export(self, fk_db, tmp_path):
+        """The read-only export_workers is a value export_database takes."""
         import json
 
-        config = DiscoveryConfig(
-            spool_dir=str(tmp_path / "spool"), keep_spool=True, export_workers=2
+        config = DiscoveryConfig()
+        spool, stats = export_database(
+            fk_db, str(tmp_path / "spool"), workers=config.export_workers
         )
-        result = discover_inds(fk_db, config)
-        assert result.satisfied_count > 0
+        assert stats.attributes_exported == len(spool) > 0
         doc = json.loads((tmp_path / "spool" / "index.json").read_text())
         assert doc["format"] == "binary"
 

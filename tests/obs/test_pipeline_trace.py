@@ -174,9 +174,9 @@ class TestWarmCallSpans:
 class TestMergePlacement:
     """The validate span says where a pooled merge's plan ran.
 
-    An overlapped run validates the graph's survivors through the same
+    An overlapped run validates its pretest's survivors through the same
     validator as an in-process run, so both legs place the merge alike:
-    its graph adds export (and pretest) tasks, never a merge.
+    its pooled jobs add export (and pretest) tasks, never a merge.
     """
 
     @staticmethod

@@ -1,10 +1,10 @@
-"""Randomized stress-agreement harness for the overlapped (barrier-free) pipeline.
+"""Randomized stress-agreement harness for the overlapped (pooled) pipeline.
 
-The contract: ``DiscoveryConfig(overlap=True)`` plans export and the
-sampling pretest as **one dependency-scheduled task graph** on a single
-worker pool, then validates the survivors on that pool through the same
-validator as an in-process run — and everything except wall clock must be
-byte-identical to the in-process pipeline.  Two layers of defence:
+The contract: ``DiscoveryConfig(overlap=True)`` runs export and then the
+sampling pretest as two jobs on a single worker pool, then validates the
+survivors on that pool through the same validator as an in-process run —
+and everything except wall clock must be byte-identical to the in-process
+pipeline.  Two layers of defence:
 
 * a fixed small matrix (workers {1, 2, 4} × the four storage legs × both
   fixed engines) against the plain *sequential* pipeline — the paper's
@@ -16,11 +16,10 @@ byte-identical to the in-process pipeline.  Two layers of defence:
   on failure so any counterexample replays with
   ``pytest -k <seed> tests/parallel/test_overlap_stress.py``.
 
-Plus the fault matrix: a worker killed while export tasks run and
-pretest tasks are held, or during the pooled merge after the graph, must
-requeue and converge byte-exactly with no orphan trace spans; a
-crash-looping graph task must fail loudly (never wedge the held
-dependents) and leave the pool usable.
+Plus the fault matrix: a worker killed during the export job, the
+pretest job or the pooled merge after them must requeue and converge
+byte-exactly with no orphan trace spans; a crash-looping task must fail
+loudly (never wedge the run) and leave the pool usable.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ import dataclasses
 import json
 import random
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -41,6 +41,7 @@ from repro.core.runner import DiscoveryConfig, DiscoverySession, discover_inds
 from repro.errors import DiscoveryError
 from repro.obs.trace import coverage
 from repro.parallel.pool import WorkerPool
+from repro.storage.sorted_sets import SpoolDirectory
 from repro.storage.spool_cache import SpoolCache
 
 #: Fixed seed list: CI replays exactly these, failures print the seed.
@@ -108,7 +109,7 @@ def _discovery_config(vector: dict, *, overlap: bool, cache_dir) -> DiscoveryCon
 
     The in-process twin runs its phases one after another in this process
     (pooling only validation, when the vector's strategy and worker count
-    do), the overlapped twin drains them as one graph on a pool.
+    do), the overlapped twin runs export and pretest as jobs on a pool.
     ``cache_dir`` is always a fresh per-side directory: the two runs must
     not share spool-cache entries through the user-level default cache.
     """
@@ -179,8 +180,8 @@ class TestOverlapMatrix:
             assert set(doc["tasks_by_phase"]) == {"export", "pretest"}
             assert doc["nodes"] == sum(doc["tasks_by_phase"].values())
             assert all(count >= 1 for count in doc["tasks_by_phase"].values())
-            # The validator after the graph tests exactly the survivors of
-            # the graph's pretest — refuted candidates are never validated.
+            # The validator after the pooled pretest tests exactly its
+            # survivors — refuted candidates are never validated.
             refuted = overlapped.sampling_refuted
             tested = overlapped.validator_stats.candidates_tested
             assert tested == sequential.validator_stats.candidates_tested
@@ -193,7 +194,7 @@ class TestOverlapMatrix:
 
         Under the default pretests ``build_component_db``'s candidate graph
         is one component until the sampling pretest refutes every
-        cross-cluster pair.  An overlapped run validates the graph's
+        cross-cluster pair.  An overlapped run validates its pretest's
         survivors through the same pooled validator as its in-process
         twin, so it plans the same groups and sends one ``merge-partition``
         task per group.
@@ -297,7 +298,7 @@ class TestOverlapStressAgreement:
                 assert doc["tasks_by_phase"]["export"] == 0, context
 
     def test_traced_overlap_is_well_formed_and_covered(self):
-        """Spans released while other phases run still adopt cleanly."""
+        """Task spans of both pooled jobs adopt cleanly under their phases."""
         db = build_random_db(0)
         result = discover_inds(
             db,
@@ -341,6 +342,65 @@ def _fault_config(**overrides) -> DiscoveryConfig:
     return DiscoveryConfig(**defaults)
 
 
+class TestOverlapSchedule:
+    """Export and pretest are two pool jobs; the caller fills the spool."""
+
+    @staticmethod
+    def _cache_miss(tmp_path, workers):
+        return discover_inds(
+            build_random_db(5),
+            _fault_config(
+                validation_workers=workers,
+                sampling_size=2,
+                reuse_spool=True,
+                cache_dir=str(tmp_path / f"cache-{workers}"),
+            ),
+        )
+
+    def test_a_cache_miss_saves_the_index_three_times(
+        self, tmp_path, monkeypatch
+    ):
+        """Bare, final and publish: never once per export task."""
+        saves = []
+        real = SpoolDirectory.save_index
+
+        def spy(spool):
+            saves.append(spool.root)
+            return real(spool)
+
+        monkeypatch.setattr(SpoolDirectory, "save_index", spy)
+        export_tasks = set()
+        for workers in WORKER_COUNTS:
+            saves.clear()
+            result = self._cache_miss(tmp_path, workers)
+            assert not result.spool_cache_hit
+            export_tasks.add(result.overlap["tasks_by_phase"]["export"])
+            assert len(saves) == 3, (workers, saves)
+        assert len(export_tasks) > 1  # the task count varied, saves did not
+
+    def test_the_spool_is_filled_on_the_calling_thread(
+        self, tmp_path, monkeypatch
+    ):
+        threads = []
+        real = SpoolDirectory.register
+
+        def spy(spool, svf):
+            threads.append(threading.current_thread())
+            return real(spool, svf)
+
+        monkeypatch.setattr(SpoolDirectory, "register", spy)
+        result = self._cache_miss(tmp_path, 2)
+        assert result.overlap["tasks_by_phase"]["export"] > 1
+        assert threads and set(threads) == {threading.current_thread()}
+
+    def test_the_phases_never_run_at_once(self, tmp_path):
+        doc = self._cache_miss(tmp_path, 2).overlap
+        assert doc["cross_phase_overlap_seconds"] == 0.0
+        assert doc["cancelled"] == 0
+        assert "edges" not in doc
+        assert doc["tasks_by_phase"]["pretest"] >= 1
+
+
 class TestOverlapSpool:
     """The runner opens, publishes and cleans an overlapped run's spool."""
 
@@ -366,8 +426,8 @@ class TestOverlapSpool:
         """Stamped with the catalog hash and the donor fingerprint map.
 
         The move into the cache is traced: under ``export`` in process,
-        and straight under ``discover`` after an overlapped graph, whose
-        phase windows close when the graph drains.
+        and straight under ``discover`` after an overlapped run's phase
+        windows, which close when the pretest job ends.
         """
         db = build_db()
         docs = []
@@ -414,16 +474,16 @@ class TestOverlapSpool:
 
 
 class TestOverlapFaults:
-    """Worker death with the whole graph in flight: converge or fail loudly."""
+    """Worker death in either pooled job or after: converge or fail loudly."""
 
     def test_worker_death_mid_export_with_held_dependents(
         self, tmp_path, monkeypatch
     ):
-        """Kill during export while pretest nodes are held.
+        """Kill during the export job, before the pretest job starts.
 
         ``t0.c0`` sits in an export unit and in pretest chunks, so the
-        one-shot fault fires on the first task that touches it — with
-        every pretest node still waiting on dependency edges.  The requeued
+        one-shot fault fires on the first task that touches it: an export
+        task.  The requeued
         task must complete on the replacement worker and the run must match
         the sequential pipeline byte-for-byte, with no orphan trace spans.
         """
@@ -443,8 +503,8 @@ class TestOverlapFaults:
             assert pool.stats.workers_replaced >= 1
         assert _stress_view(result.to_dict()) == expected
         _assert_well_formed_trace(result.trace)
-        # Done-dedup: exactly one span per graph node survives the requeue,
-        # plus one per validation task dispatched after the graph.
+        # Done-dedup: exactly one span per export and pretest task survives
+        # the requeue, plus one per validation task dispatched after them.
         task_spans = [
             s for s in result.trace["spans"] if s["name"].startswith("task:")
         ]
@@ -455,7 +515,7 @@ class TestOverlapFaults:
     def test_worker_death_mid_pretest_with_validation_held(
         self, tmp_path, monkeypatch
     ):
-        """Warm spool cache first, so the graph starts at the pretest layer."""
+        """Warm spool cache first, so the run starts with the pretest job."""
         db = build_db()
         cache = tmp_path / "cache"
         warm = _fault_config(
@@ -473,13 +533,13 @@ class TestOverlapFaults:
         assert _stress_view(result.to_dict()) == expected
 
     def test_worker_death_mid_validation(self, tmp_path, monkeypatch):
-        """Kill a worker in the pooled merge after an overlapped graph.
+        """Kill a worker in the pooled merge of an overlapped run.
 
-        Sampling off + cache hit leaves the graph empty, and the min- and
-        max-value pretests split ``build_component_db``'s candidate graph,
-        so the merge that validates the survivors plans several groups and
-        reaches the pool: its ``merge-partition`` tasks are the only ones
-        that can touch ``k0_t2.id``.
+        Sampling off + cache hit runs no export or pretest task, and the
+        min- and max-value pretests split ``build_component_db``'s
+        candidate graph, so the merge that validates the survivors plans
+        several groups and reaches the pool: its ``merge-partition`` tasks
+        are the only ones that can touch ``k0_t2.id``.
         """
         db = build_component_db()
         cache = tmp_path / "cache"
@@ -512,7 +572,7 @@ class TestOverlapFaults:
         """No ONCE marker: every worker that picks the task dies.
 
         The requeue cap must fail the *job* with the established error —
-        promptly, leaving neither the held dependent nodes nor the pool
+        promptly, leaving neither the run nor the pool
         wedged: a clean run on the same fleet right after must succeed.
         """
         db = build_db()
@@ -555,7 +615,8 @@ class TestOverlapFaults:
 
         With ``overlap=False`` the export runs in process and the crash
         loop hits the pooled validation after it, so the run fails with a
-        complete spool on disk; with ``overlap=True`` it fails mid-graph.
+        complete spool on disk; with ``overlap=True`` it fails in the export
+        job.
         """
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         monkeypatch.setenv("REPRO_POOL_FAULT_ATTR", "t0.c0")

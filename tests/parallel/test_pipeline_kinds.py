@@ -1,12 +1,12 @@
 """The two pipeline task kinds: spool export and the sampling pretest.
 
-Exactness of the pooled *pipeline* (the ``overlap=True`` graph) is pinned
-end to end in ``tests/parallel/test_overlap_stress.py::TestOverlapMatrix``;
-this file covers what only the kinds themselves can get wrong: fault
+Exactness of the pooled *pipeline* (``overlap=True``) is pinned end to
+end in ``tests/parallel/test_overlap_stress.py::TestOverlapMatrix``; this
+file covers what only the kinds themselves can get wrong: fault
 tolerance (a worker dying mid ``spool-export`` / mid ``sample-pretest``
 must requeue and converge, never corrupt a file or a verdict), cache
-hygiene (a crashed pooled export must leave no visible cache entry, only
-an orphan the operator tooling can see and reclaim), isolation (a crash
+hygiene (a failed pooled export must leave no cache entry and no staging
+directory behind), isolation (a crash
 storm in one job must not disturb a concurrent job on the same fleet —
 the serve shape), and the stats round trip (``tasks_by_kind`` spanning
 all phases through ``DiscoveryResult.to_dict()``).
@@ -101,16 +101,17 @@ class TestExportFaults:
         # No temporary leftovers from the killed writer survive assembly.
         assert not list(spool.root.glob("*.tmp-*"))
 
-    def test_failed_export_exposes_no_cache_entry_only_an_orphan(
+    def test_failed_export_exposes_no_cache_entry_and_no_orphan(
         self, tmp_path, monkeypatch
     ):
         """A crash-looping export fails loudly and never publishes.
 
         Every worker that picks up the marked task dies (no once-marker),
         so the job fails at the requeue cap.  The cache must contain no
-        entry — lookups miss, nothing carries a ``catalog_hash`` — and the
-        abandoned staging directory must be visible as an orphan and
-        reclaimable with ``evict_orphans``.
+        entry — lookups miss — and the failed run removes its staging
+        directory, so no orphan is left either.  (A staging directory a
+        crashed process leaves behind is an orphan: see
+        ``tests/storage/test_spool_cache.py::TestOrphans``.)
         """
         db = build_db()
         cache_dir = tmp_path / "cache"
@@ -129,15 +130,8 @@ class TestExportFaults:
         assert cache.list_entries() == []
         fingerprint = catalog_fingerprint(db.name, collect_column_stats(db))
         assert cache.lookup(fingerprint) is None
-        orphans = cache.list_orphans()
-        assert len(orphans) == 1
-        assert orphans[0].kind == "staging"
-        # The staging index exists (workers opened it) but is unstamped:
-        # completeness is exactly the presence of catalog_hash after publish.
-        staged = _index_doc(orphans[0].path)
-        assert "catalog_hash" not in staged
-        assert cache.evict_orphans() == orphans
         assert cache.list_orphans() == []
+        assert list(cache_dir.iterdir()) == []
         # The recovered operator path: the same config succeeds and caches
         # once the fault is gone.
         monkeypatch.delenv("REPRO_POOL_FAULT_ATTR")

@@ -11,9 +11,9 @@ here pin that down against independent oracles:
   same error on the same value;
 * a cold ``discover_inds`` spool is byte-identical to
   ``export_database`` of the same attributes, with the same export
-  counters, in every spool variant, with export threads, and with a small
-  ``max_items_in_memory`` that sends large columns through
-  ``external_sort``;
+  counters, in every spool variant, with every value file written on the
+  calling thread, and with a small ``max_items_in_memory`` that sends
+  large columns through ``external_sort``;
 * a cold call renders each profiled column exactly once;
 * statistics profiled without the fingerprint-only fields are refused by
   the fingerprint functions.
@@ -22,6 +22,7 @@ here pin that down against independent oracles:
 from __future__ import annotations
 
 import enum
+import threading
 from dataclasses import replace
 
 import pytest
@@ -46,6 +47,7 @@ from repro.storage.codec import (
     render_value,
 )
 from repro.storage.exporter import export_database
+from repro.storage.sorted_sets import SpoolDirectory
 from repro.storage.spool_cache import (
     attribute_fingerprint,
     attribute_fingerprints,
@@ -267,11 +269,22 @@ class TestColdSpools:
         _assert_cold_spool_equals_export(tmp_path, build(), cfg)
 
     @pytest.mark.parametrize("build", SPOOL_DBS)
-    def test_export_threads(self, tmp_path, build):
-        cfg = DiscoveryConfig(
-            spool_dir=str(tmp_path / "cold"), keep_spool=True, export_workers=4
-        )
-        _assert_cold_spool_equals_export(tmp_path, build(), cfg)
+    def test_export_threads(self, tmp_path, monkeypatch, build):
+        """Export writes every value file on the calling thread."""
+        db = build()
+        writers = []
+        real = SpoolDirectory.add_values
+
+        def spy(self, *args, **kwargs):
+            writers.append(threading.current_thread())
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(SpoolDirectory, "add_values", spy)
+        cfg = DiscoveryConfig(spool_dir=str(tmp_path / "cold"), keep_spool=True)
+        _assert_cold_spool_equals_export(tmp_path, db, cfg)
+        # Once in the cold run and once in export_database.
+        assert len(writers) == 2 * len(_needed(db, cfg)) > 0
+        assert set(writers) == {threading.current_thread()}
 
     @pytest.mark.parametrize("build", SPOOL_DBS)
     def test_large_columns_still_go_through_external_sort(

@@ -92,16 +92,17 @@ class TestDiscover:
         assert "sequential" in capsys.readouterr().err
 
     def test_discover_export_workers_flag(self, biosql_dump, capsys):
-        assert main(
-            ["discover", str(biosql_dump), "--export-workers", "4"]
-        ) == 0
-        assert "satisfied INDs" in capsys.readouterr().out
+        """Export runs on one thread, so the flag is refused, not ignored."""
+        with pytest.raises(SystemExit) as exc:
+            main(["discover", str(biosql_dump), "--export-workers", "4"])
+        assert exc.value.code == 2
+        assert "--export-workers" in capsys.readouterr().err
 
     def test_discover_rejects_bad_workers(self, biosql_dump, capsys):
         assert main(
-            ["discover", str(biosql_dump), "--export-workers", "0"]
+            ["discover", str(biosql_dump), "--validation-workers", "0"]
         ) == 2
-        assert "export_workers" in capsys.readouterr().err
+        assert "validation_workers" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mmap_reads", ["on", "off"])
     @pytest.mark.parametrize("compression", ["none", "zlib"])
@@ -793,7 +794,7 @@ class TestPipelineFlags:
     def test_cache_hit_dispatches_no_export(
         self, biosql_dump, tmp_path, monkeypatch, capsys
     ):
-        """A reuse-spool hit says so, and its graph has no export tasks."""
+        """A reuse-spool hit says so, and it runs no export tasks."""
         import io
 
         request = json.dumps({"directory": str(biosql_dump)}) + "\n"

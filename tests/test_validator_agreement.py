@@ -82,7 +82,6 @@ class TestExternalStrategiesAgree:
             db,
             str(tmp_path / "spool"),
             block_size=3,  # tiny blocks: every batch straddles boundaries
-            workers=3,
             compression=compression,
             mmap_reads=mmap_reads,
         )
@@ -539,7 +538,6 @@ class TestPipelineAgreement:
             config = DiscoveryConfig(
                 strategy=strategy,
                 spool_block_size=4,
-                export_workers=2,
             )
             result = discover_inds(db, config)
             results[strategy] = {str(ind) for ind in result.satisfied}
