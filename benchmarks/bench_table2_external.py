@@ -337,19 +337,19 @@ def test_table2_pool_repeated_runs(workloads, report):
 
 
 def test_table2_storage_v3(report):
-    """Storage v3 acceptance: compressed payloads, mmap reads, frontier skips.
+    """Storage v3 acceptance: compressed payloads and frontier skips.
 
     Two experiments, one document (``BENCH_storage_v3.json``):
 
     * **Storage matrix** — the BioSQL (small) merge-single-pass workload on
-      three interleaved storage legs: v2 binary, v3 zlib-compressed, and v2
-      binary read through mmap cursors.  Decisions, satisfied sets
-      and ``items_read`` must be bit-identical on every leg (the layout
-      changes how bytes reach the validator, never what it sees), and the
-      compressed leg must *store* fewer payload bytes than it decodes —
-      the ``bytes_stored < bytes_read`` trade the flags byte buys.  Wall
-      clock per leg is measured and reported, never asserted: whether zlib
-      or mmap wins is a machine property, not a correctness one.
+      two interleaved storage legs: v2 binary and v3 zlib-compressed.
+      Decisions, satisfied sets and ``items_read`` must be bit-identical
+      on both legs (the layout changes how bytes reach the validator,
+      never what it sees), and the compressed leg must decode as many
+      payload bytes as the v2 leg while *storing* fewer — the
+      ``bytes_stored < bytes_read`` trade the flags byte buys.  Wall clock
+      of the two legs is measured and reported, never asserted: whether
+      zlib wins is a machine property, not a correctness one.
 
     * **Frontier skip-scan** — a skewed spool (a sparse dependent against a
       dense reference, the shape Sec. 3.2's early termination rewards) run
@@ -373,7 +373,6 @@ def test_table2_storage_v3(report):
     legs = (
         ("v2-binary", dict()),
         ("v3-zlib", dict(compression="zlib")),
-        ("v3-mmap", dict(mmap_reads=True)),
     )
     rounds = 5
     outcomes: dict[str, object] = {}
@@ -405,14 +404,8 @@ def test_table2_storage_v3(report):
         assert outcome.stats.items_read == reference.stats.items_read, (
             f"{name} drifted on items_read"
         )
-    claim("identical decisions, satisfied sets and items_read on all legs",
-          True, f"{reference.stats.satisfied_count} INDs on every leg")
-    # mmap is a byte-source swap: even the physical counters must agree
-    # with the buffered binary cursor.
-    assert (
-        outcomes["v3-mmap"].stats.bytes_read
-        == reference.stats.bytes_read
-    ), "mmap cursors drifted on bytes_read"
+    claim("identical decisions, satisfied sets and items_read on both legs",
+          True, f"{reference.stats.satisfied_count} INDs on both legs")
     zlib_leg = outcomes["v3-zlib"].stats
     assert zlib_leg.bytes_read == reference.stats.bytes_read, (
         "compression changed the decoded byte count"
@@ -425,7 +418,7 @@ def test_table2_storage_v3(report):
     claim("v3-zlib fetches fewer stored bytes than it decodes", True,
           f"{zlib_leg.bytes_read:,} decoded from {zlib_leg.bytes_stored:,} "
           f"on disk ({ratio:.2f}x)")
-    claim("wall clock per leg", False, " / ".join(
+    claim("wall clock, v2 binary vs v3-zlib", False, " / ".join(
         f"{name}={timings[name]:.4f}s" for name, _ in legs
     ))
 
@@ -510,7 +503,6 @@ def test_table2_storage_v3(report):
             [
                 ("validate (v2 binary)", "-", seconds(timings["v2-binary"])),
                 ("validate (v3 zlib)", "-", seconds(timings["v3-zlib"])),
-                ("validate (v3 mmap)", "-", seconds(timings["v3-mmap"])),
                 ("compression ratio", "> 1x", f"{ratio:.2f}x"),
                 ("frontier bytes_read cut", ">= 30%", f"{reduction:.1%}"),
             ],

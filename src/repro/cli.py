@@ -75,14 +75,6 @@ def _add_validation_flags(parser: argparse.ArgumentParser) -> None:
         "byte-identical to older builds)",
     )
     parser.add_argument(
-        "--mmap-reads",
-        choices=("on", "off"),
-        default="on",
-        help="serve block reads from a shared memory mapping ('on') or "
-        "from per-cursor buffered file handles ('off'); decisions and "
-        "I/O counters are identical either way (default: on)",
-    )
-    parser.add_argument(
         "--validation-workers",
         type=int,
         default=1,
@@ -176,7 +168,6 @@ def _validation_config_kwargs(args: argparse.Namespace) -> dict:
     return {
         "strategy": args.strategy,
         "spool_compression": args.spool_compression,
-        "mmap_reads": args.mmap_reads == "on",
         "sampling_size": args.sampling_size,
         "overlap": args.overlap,
         "validation_workers": args.validation_workers,

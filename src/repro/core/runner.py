@@ -105,11 +105,12 @@ class DiscoveryConfig:
     * **Spooling** — ``spool_dir`` (explicit location; temporary when
       ``None``), ``keep_spool``, ``spool_block_size`` (values per block),
       ``spool_compression`` ("zlib" writes v3 compressed frames),
-      ``mmap_reads`` (serve cursors from a shared memory mapping instead
-      of buffered file reads), ``max_items_in_memory`` (external-sort run
-      size).  Every spool is binary (``docs/spool_format.md``); the
-      read-only :attr:`spool_format` says so for callers that still read
-      it, and the read-only :attr:`export_workers` is always 1.
+      ``max_items_in_memory`` (external-sort run size).  Every spool is
+      binary (``docs/spool_format.md``); the read-only :attr:`spool_format`
+      says so for callers that still read it, the read-only
+      :attr:`export_workers` is always 1, and every cursor reads through a
+      buffered file handle, so the read-only :attr:`resolved_mmap_reads`
+      is always ``False``.
     * **Overlap** — ``overlap`` is the only way a run pools its export
       and sampling pretest: it runs the export and then the pretest as
       two jobs on one worker pool — the session pool when one is lent,
@@ -170,7 +171,6 @@ class DiscoveryConfig:
     keep_spool: bool = False
     spool_block_size: int = DEFAULT_BLOCK_SIZE  # values per block
     spool_compression: str = COMPRESSION_NONE  # "zlib" writes v3 frames
-    mmap_reads: bool = True  # cursors read a shared memory mapping
     overlap: bool = False  # export and pretest as pool jobs
     validation_workers: int = 1  # worker processes (brute-force / merge-s-p)
     skip_scans: bool = False  # per-block skip-scans (brute-force + merge)
@@ -195,8 +195,8 @@ class DiscoveryConfig:
 
     @property
     def resolved_mmap_reads(self) -> bool:
-        """``mmap_reads`` itself, for callers that still read this name."""
-        return self.mmap_reads
+        """Always ``False``: cursors read buffered (read-only)."""
+        return False
 
     def validated(self) -> "DiscoveryConfig":
         """Return ``self`` after rejecting inconsistent flag combinations."""
@@ -227,10 +227,6 @@ class DiscoveryConfig:
             raise DiscoveryError(
                 f"unknown spool compression {self.spool_compression!r}; "
                 f"choose from {sorted(SPOOL_COMPRESSIONS)}"
-            )
-        if not isinstance(self.mmap_reads, bool):
-            raise DiscoveryError(
-                f"mmap_reads must be True or False, got {self.mmap_reads!r}"
             )
         if self.validation_workers < 1:
             raise DiscoveryError("validation_workers must be >= 1")
@@ -895,7 +891,6 @@ class _RunSpool:
                 needed=needed,
                 block_size=cfg.spool_block_size,
                 compression=cfg.spool_compression,
-                mmap_reads=cfg.mmap_reads,
             )
             if lookup_span is not None:
                 lookup_span.attrs["hit"] = cached is not None
@@ -916,7 +911,6 @@ class _RunSpool:
             root,
             block_size=cfg.spool_block_size,
             compression=cfg.spool_compression,
-            mmap_reads=cfg.mmap_reads,
         )
 
     def _adopt_donor(self, cache: SpoolCache, needed, tracer) -> None:

@@ -47,7 +47,12 @@ from repro.storage.blockio import DEFAULT_BLOCK_SIZE
 from repro.storage.codec import COMPRESSION_NONE
 from repro.storage.exporter import ExportStats, plan_export_units
 from repro.storage.external_sort import DEFAULT_RUN_SIZE
-from repro.storage.sorted_sets import FORMAT_BINARY, SpoolDirectory, check_format
+from repro.storage.sorted_sets import (
+    FORMAT_BINARY,
+    SpoolDirectory,
+    check_format,
+    check_mmap_reads,
+)
 
 __all__ = ["pooled_export", "pooled_export_into"]
 
@@ -147,11 +152,9 @@ def pooled_export(
     like the validation engines (:func:`~repro.parallel.pool.run_specs`).
     """
     check_format(spool_format)
+    check_mmap_reads(mmap_reads)
     spool = SpoolDirectory.create(
-        spool_root,
-        block_size=block_size,
-        compression=compression,
-        mmap_reads=mmap_reads,
+        spool_root, block_size=block_size, compression=compression
     )
     stats, pool_stats, task_spans = pooled_export_into(
         db,

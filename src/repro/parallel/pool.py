@@ -328,15 +328,7 @@ def _worker_loop(conn) -> None:
             executor = resolve_task_kind(task.kind)
             started = time.monotonic()
             spool, warm = _open_warm(handles, task.spool_root)
-            try:
-                outcome = executor(spool, task)
-            except Exception:
-                # Belt and braces on top of the index identity check in
-                # _open_warm: drop the cached handle and retry cold once.
-                handles.pop(task.spool_root, None)
-                spool, warm = _open_warm(handles, task.spool_root)
-                warm = False
-                outcome = executor(spool, task)
+            outcome = executor(spool, task)
             outcome.span = stamp(
                 f"task:{task.kind}",
                 started,
@@ -607,10 +599,10 @@ class WorkerPool:
         hand-out.  The call blocks until every task has exactly one
         outcome, requeuing the task of any worker that died mid-task and
         replacing the worker.  A task that fails *in* its executor (not by
-        worker death) raises :class:`~repro.errors.DiscoveryError` after one
-        cold retry inside the worker.  Thread-safe: concurrent ``run_job``
-        calls interleave over the same fleet, each getting its own results
-        and stats delta.
+        worker death) runs once, and the call raises
+        :class:`~repro.errors.DiscoveryError`.  Thread-safe: concurrent
+        ``run_job`` calls interleave over the same fleet, each getting its
+        own results and stats delta.
         """
         for spec in specs:
             resolve_task_kind(spec.kind)  # unknown kinds fail in the caller

@@ -39,7 +39,6 @@ from repro.storage.cursors import (
     CountingCursor,
     IOStats,
     MemoryValueCursor,
-    MmapBlockValueCursor,
     ValueCursor,
 )
 from repro.storage.exporter import export_database
@@ -63,7 +62,6 @@ __all__ = [
     "FORMAT_BINARY",
     "IOStats",
     "MemoryValueCursor",
-    "MmapBlockValueCursor",
     "SPOOL_COMPRESSIONS",
     "SortedValueFile",
     "SpoolCache",

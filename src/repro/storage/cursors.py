@@ -15,12 +15,11 @@ validators early-stop: a refuted candidate must only be charged for the items
 the algorithm *logically* consumed, not for whatever block the cursor happened
 to decode — that is the measurement behind the paper's Figure 5 ("number of
 items read"), and it must not change with the on-disk layout (block size,
-compression) or the byte source (buffered file or memory mapping).
+compression).
 """
 
 from __future__ import annotations
 
-import mmap
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import IO, Iterator, Protocol
@@ -290,35 +289,19 @@ class BlockValueCursor(BufferedValueCursor):
         self._blocks = blocks
         self._next_block = 0  # index of the next on-disk frame to read
         try:
-            self._fh: IO[bytes] | None = open(path, "rb")
+            self._fh: IO[bytes] = open(path, "rb")
         except OSError as exc:
             raise SpoolError(f"cannot open value file {path}: {exc}") from exc
         try:
             self._compression = read_magic(self._fh, path)
-            self._init_byte_source()
         except SpoolError:
             self._fh.close()
-            self._fh = None
             raise
         super().__init__(stats, label or path)
 
-    # ------------------------------------------------------ byte-source hooks
-    def _init_byte_source(self) -> None:
-        """Subclass hook: set up the frame byte source (after the magic)."""
-
-    def _read_frame_bytes(self, size: int) -> bytes:
-        """Read up to ``size`` bytes at the current frame position."""
-        assert self._fh is not None
-        return self._fh.read(size)
-
-    def _seek_forward(self, size: int) -> None:
-        """Advance the frame position ``size`` bytes without reading."""
-        assert self._fh is not None
-        self._fh.seek(size, 1)
-
     # ------------------------------------------------------------- decoding
     def _load(self) -> list[str]:
-        header = self._read_frame_bytes(BLOCK_HEADER.size)
+        header = self._fh.read(BLOCK_HEADER.size)
         if header == b"":
             return []
         if len(header) != BLOCK_HEADER.size:
@@ -327,7 +310,7 @@ class BlockValueCursor(BufferedValueCursor):
                 f"(block {self._next_block})"
             )
         payload_len, count = BLOCK_HEADER.unpack(header)
-        payload = self._read_frame_bytes(payload_len)
+        payload = self._fh.read(payload_len)
         if len(payload) != payload_len:
             raise SpoolError(
                 f"truncated block {self._next_block} in {self._path}: "
@@ -377,60 +360,19 @@ class BlockValueCursor(BufferedValueCursor):
 
     def _seek_past_next_block(self) -> int:
         """Jump over one frame without reading its payload; returns its count."""
-        header = self._read_frame_bytes(BLOCK_HEADER.size)
+        header = self._fh.read(BLOCK_HEADER.size)
         if len(header) != BLOCK_HEADER.size:
             raise SpoolError(
                 f"truncated block header in {self._path} "
                 f"(block {self._next_block})"
             )
         payload_len, count = BLOCK_HEADER.unpack(header)
-        self._seek_forward(payload_len)
+        self._fh.seek(payload_len, 1)
         self._next_block += 1
         return count
 
     def _do_close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-
-class MmapBlockValueCursor(BlockValueCursor):
-    """Block cursor decoding lazily out of one shared memory mapping.
-
-    Maps the whole value file once and reads frames by slicing the mapping,
-    so the dozens of concurrent cursors a merge or pooled run opens on the
-    same referenced-side file share the OS page cache instead of each
-    carrying a private stdio buffer.  Identical protocol and accounting to
-    :class:`BlockValueCursor` — only the byte source differs, so
-    decisions and every counter stay byte-exact either way.
-    """
-
-    def _init_byte_source(self) -> None:
-        assert self._fh is not None
-        try:
-            self._map: mmap.mmap | None = mmap.mmap(
-                self._fh.fileno(), 0, access=mmap.ACCESS_READ
-            )
-        except (OSError, ValueError) as exc:
-            raise SpoolError(
-                f"cannot mmap value file {self._path}: {exc}"
-            ) from exc
-        self._offset = self._fh.tell()  # just past the magic
-
-    def _read_frame_bytes(self, size: int) -> bytes:
-        assert self._map is not None
-        data = self._map[self._offset : self._offset + size]
-        self._offset += len(data)
-        return data
-
-    def _seek_forward(self, size: int) -> None:
-        self._offset += size
-
-    def _do_close(self) -> None:
-        if self._map is not None:
-            self._map.close()
-            self._map = None
-        super()._do_close()
+        self._fh.close()
 
 
 class CountingCursor(BufferedValueCursor):

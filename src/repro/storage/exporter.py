@@ -51,6 +51,7 @@ from repro.storage.sorted_sets import (
     SortedValueFile,
     SpoolDirectory,
     check_format,
+    check_mmap_reads,
     write_value_file,
 )
 
@@ -181,12 +182,13 @@ def export_database(
     non-empty columns, so their files would never be read.
     ``spool_format`` accepts only ``"binary"``; ``compression="zlib"``
     upgrades the value files to v3 compressed frames;
-    ``mmap_reads`` makes the returned directory serve mmap-backed cursors.
+    ``mmap_reads`` accepts only ``False``.
     ``workers`` accepts only 1: export runs on one thread, and
     :func:`repro.parallel.export.pooled_export` is the parallel export.
     The index is saved once, after the last value file.
     """
     check_format(spool_format)
+    check_mmap_reads(mmap_reads)
     if workers != 1:
         raise SpoolError(
             f"export_database runs on one thread, so workers must be 1, "
@@ -194,10 +196,7 @@ def export_database(
             "on a worker pool"
         )
     spool = SpoolDirectory.create(
-        spool_root,
-        block_size=block_size,
-        compression=compression,
-        mmap_reads=mmap_reads,
+        spool_root, block_size=block_size, compression=compression
     )
     stats = export_into(
         db,

@@ -21,9 +21,7 @@ The ``version`` and ``format`` fields of ``index.json`` identify the layout.
 A directory of the removed v1 text format — an index without ``version``,
 or one naming ``"format": "text"`` — is rejected at :meth:`SpoolDirectory.open`
 with a :class:`SpoolError` naming its path; re-export it.
-``mmap_reads=True`` serves cursors out of a shared memory mapping instead of
-per-cursor stdio buffers — a pure byte-source swap, identical results and
-accounting.
+Every cursor reads its file front to back through one buffered file handle.
 """
 
 from __future__ import annotations
@@ -44,11 +42,7 @@ from repro.db.schema import AttributeRef
 from repro.errors import SpoolError
 from repro.storage.blockio import DEFAULT_BLOCK_SIZE, BlockFileWriter, BlockMeta
 from repro.storage.codec import COMPRESSION_NONE, SPOOL_COMPRESSIONS
-from repro.storage.cursors import (
-    BlockValueCursor,
-    IOStats,
-    MmapBlockValueCursor,
-)
+from repro.storage.cursors import BlockValueCursor, IOStats
 
 _INDEX_FILE = "index.json"
 _SAFE_NAME = re.compile(r"[^A-Za-z0-9_.-]")
@@ -86,6 +80,21 @@ def check_format(format: str) -> None:
         raise SpoolError(
             f"spool format {format!r} is not supported: the v1 'text' "
             f"format was removed and every spool is {FORMAT_BINARY!r}"
+        )
+
+
+def check_mmap_reads(mmap_reads: bool) -> None:
+    """Reject every ``mmap_reads`` but ``False``, naming the removed reader.
+
+    ``mmap_reads=`` remains on the export and cache entry points for
+    callers that still pass it; every cursor reads through a buffered
+    file handle, so it accepts only ``False``.
+    """
+    if mmap_reads is not False:
+        raise SpoolError(
+            f"mmap_reads={mmap_reads!r} is not supported: the mmap reader "
+            "was removed and every cursor reads through a buffered file "
+            "handle"
         )
 
 
@@ -191,11 +200,8 @@ class SortedValueFile:
     def is_empty(self) -> bool:
         return self.count == 0
 
-    def open_cursor(
-        self, stats: IOStats | None = None, mmap_reads: bool = False
-    ) -> BlockValueCursor:
-        cursor_cls = MmapBlockValueCursor if mmap_reads else BlockValueCursor
-        return cursor_cls(
+    def open_cursor(self, stats: IOStats | None = None) -> BlockValueCursor:
+        return BlockValueCursor(
             self.path, stats=stats, label=self.ref.qualified, blocks=self.blocks
         )
 
@@ -233,7 +239,6 @@ class SpoolDirectory:
         root: Path,
         block_size: int = DEFAULT_BLOCK_SIZE,
         compression: str = COMPRESSION_NONE,
-        mmap_reads: bool = False,
     ) -> None:
         if block_size < 1:
             raise SpoolError(f"block_size must be >= 1, got {block_size!r}")
@@ -245,9 +250,6 @@ class SpoolDirectory:
         self.root = root
         self.block_size = block_size
         self.compression = compression
-        #: Serve cursors from a shared memory mapping.  A reader-side toggle
-        #: only — it never changes what is on disk.
-        self.mmap_reads = mmap_reads
         #: SHA-256 fingerprint of the source database catalog, stamped by the
         #: spool cache so a kept directory can be matched to an unchanged
         #: database (see :mod:`repro.storage.spool_cache`).
@@ -281,22 +283,17 @@ class SpoolDirectory:
     ) -> "SpoolDirectory":
         """An empty spool directory at ``root`` (created if missing).
 
-        ``format`` accepts only ``"binary"`` (see :func:`check_format`).
+        ``format`` accepts only ``"binary"`` (see :func:`check_format`) and
+        ``mmap_reads`` only ``False`` (see :func:`check_mmap_reads`).
         """
         check_format(format)
+        check_mmap_reads(mmap_reads)
         path = Path(root)
         path.mkdir(parents=True, exist_ok=True)
-        return cls(
-            path,
-            block_size=block_size,
-            compression=compression,
-            mmap_reads=mmap_reads,
-        )
+        return cls(path, block_size=block_size, compression=compression)
 
     @classmethod
-    def open(
-        cls, root: str | Path, mmap_reads: bool = False
-    ) -> "SpoolDirectory":
+    def open(cls, root: str | Path) -> "SpoolDirectory":
         path = Path(root)
         index_path = path / _INDEX_FILE
         if not index_path.exists():
@@ -335,7 +332,6 @@ class SpoolDirectory:
             path,
             block_size=doc.get("block_size", DEFAULT_BLOCK_SIZE),
             compression=compression,
-            mmap_reads=mmap_reads,
         )
         spool.catalog_hash = doc.get("catalog_hash")
         spool.database_name = doc.get("database")
@@ -510,10 +506,7 @@ class SpoolDirectory:
         index again.
         """
         moved = SpoolDirectory(
-            Path(root),
-            block_size=self.block_size,
-            compression=self.compression,
-            mmap_reads=self.mmap_reads,
+            Path(root), block_size=self.block_size, compression=self.compression
         )
         moved.catalog_hash = self.catalog_hash
         moved.database_name = self.database_name
@@ -580,7 +573,7 @@ class SpoolDirectory:
     def open_cursor(
         self, ref: AttributeRef, stats: IOStats | None = None
     ) -> BlockValueCursor:
-        return self.get(ref).open_cursor(stats, mmap_reads=self.mmap_reads)
+        return self.get(ref).open_cursor(stats)
 
     def total_values(self) -> int:
         return sum(f.count for f in self._files.values())

@@ -72,7 +72,12 @@ from repro.errors import FingerprintError, SpoolError
 from repro.obs.metrics import get_registry
 from repro.storage.blockio import DEFAULT_BLOCK_SIZE
 from repro.storage.codec import COMPRESSION_NONE
-from repro.storage.sorted_sets import FORMAT_BINARY, SpoolDirectory, check_format
+from repro.storage.sorted_sets import (
+    FORMAT_BINARY,
+    SpoolDirectory,
+    check_format,
+    check_mmap_reads,
+)
 
 if TYPE_CHECKING:  # repro.db imports repro.storage; keep the cycle type-only
     from repro.db.schema import AttributeRef
@@ -317,16 +322,18 @@ class SpoolCache:
         stale (tampering, an interrupted write, an older build) and is
         evicted on the spot; a missing attribute is an honest miss and the
         entry is simply replaced when the caller publishes its rebuild.
-        ``spool_format`` accepts only ``"binary"``.
+        ``spool_format`` accepts only ``"binary"`` and ``mmap_reads`` only
+        ``False``.
         """
         check_format(spool_format)
+        check_mmap_reads(mmap_reads)
         entry = self.entry_path(fingerprint, block_size, compression)
         registry = get_registry()
         if not (entry / "index.json").exists():
             registry.inc("spool_cache_misses_total")
             return None
         try:
-            spool = SpoolDirectory.open(entry, mmap_reads=mmap_reads)
+            spool = SpoolDirectory.open(entry)
         except (SpoolError, OSError, ValueError, KeyError, TypeError):
             # SpoolError: missing files / bad version; ValueError covers
             # corrupt JSON (JSONDecodeError); KeyError/TypeError a malformed
@@ -580,7 +587,7 @@ class SpoolCache:
             self.enforce_budget(protect=(entry,))
         if won:
             return spool.moved_to(entry)
-        return SpoolDirectory.open(entry, mmap_reads=spool.mmap_reads)
+        return SpoolDirectory.open(entry)
 
     def evict(self, fingerprint: str) -> bool:
         """Drop every entry of this fingerprint; True when anything was removed."""

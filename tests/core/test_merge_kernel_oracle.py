@@ -8,8 +8,8 @@ below as the oracle.  On every input the kernel must reproduce it exactly:
 the decisions and the order they were recorded in, ``vacuous``,
 ``satisfied``, every :class:`ValidatorStats` field but ``elapsed_seconds``,
 and the full :class:`IOStats` including ``reads_per_attribute`` — over
-seeded and generated databases in both candidate modes, the four spool
-variants, a grid of block and batch sizes with skip-scans on and off, and
+seeded and generated databases in both candidate modes, both spool
+compressions, a grid of block and batch sizes with skip-scans on and off, and
 hand-built spools aimed at each fast path.
 """
 
@@ -36,6 +36,7 @@ from repro.datagen.scop import generate_scop
 from repro.db.schema import AttributeRef
 from repro.db.stats import collect_column_stats
 from repro.errors import SpoolError, ValidatorError
+from repro.storage.codec import SPOOL_COMPRESSIONS
 from repro.storage.cursors import DEFAULT_BATCH_SIZE, BatchReader, IOStats
 from repro.storage.exporter import export_database
 from repro.storage.sorted_sets import SpoolDirectory
@@ -249,12 +250,6 @@ def assert_matches_oracle(spool, candidates, **options) -> ValidationResult:
 
 # ---------------------------------------------------------------- inputs
 
-SPOOL_VARIANTS = (
-    ("none", False),
-    ("none", True),
-    ("zlib", False),
-    ("zlib", True),
-)
 CANDIDATE_MODES = {
     "unique-ref": generate_unique_ref_candidates,
     "all-pairs": generate_all_pairs_candidates,
@@ -277,25 +272,22 @@ def candidates_for(db, spool, mode: str) -> list[Candidate]:
     return [c for c in raw if c.dependent in spool and c.referenced in spool]
 
 
-def export(db, root, compression="none", mmap_reads=False, block_size=7):
+def export(db, root, compression="none", block_size=7):
     spool, _ = export_database(
         db,
         str(root),
         include_empty=True,
         block_size=block_size,
         compression=compression,
-        mmap_reads=mmap_reads,
     )
     return spool
 
 
-def hand_built(root, columns: dict[str, list[str]], variant, block_size=7):
-    compression, mmap_reads = variant
+def hand_built(
+    root, columns: dict[str, list[str]], compression="none", block_size=7
+):
     spool = SpoolDirectory.create(
-        root,
-        block_size=block_size,
-        compression=compression,
-        mmap_reads=mmap_reads,
+        root, block_size=block_size, compression=compression
     )
     for name, values in columns.items():
         spool.add_values(AttributeRef("t", name), sorted(set(values)))
@@ -316,8 +308,8 @@ class TestSeededDatabases:
     @pytest.mark.parametrize("index", range(SEEDED))
     def test_every_spool_variant_and_candidate_mode(self, tmp_path, index):
         db = seeded_db(index)
-        for variant in SPOOL_VARIANTS:
-            spool = export(db, tmp_path / "-".join(map(str, variant)), *variant)
+        for compression in SPOOL_COMPRESSIONS:
+            spool = export(db, tmp_path / compression, compression)
             for mode in CANDIDATE_MODES:
                 candidates = candidates_for(db, spool, mode)
                 for skip_scan in (False, True):
@@ -416,11 +408,13 @@ FAST_PATH_CASES = {
 
 class TestFastPaths:
     @pytest.mark.parametrize("case", sorted(FAST_PATH_CASES))
-    @pytest.mark.parametrize("variant", SPOOL_VARIANTS)
-    def test_hand_built_spool(self, tmp_path, case, variant):
+    @pytest.mark.parametrize("compression", SPOOL_COMPRESSIONS)
+    def test_hand_built_spool(self, tmp_path, case, compression):
         columns, candidates = FAST_PATH_CASES[case]
         for block_size in (1, 7, 1024):
-            spool = hand_built(tmp_path / str(block_size), columns, variant, block_size)
+            spool = hand_built(
+                tmp_path / str(block_size), columns, compression, block_size
+            )
             for batch_size in (1, 5, 1024):
                 for skip_scan in (False, True):
                     assert_matches_oracle(
@@ -434,7 +428,7 @@ class TestFastPaths:
         # a and b share 80 values: each group compares both live references,
         # skipped or not.
         columns = {"a": _values("v", range(80)), "b": _values("v", range(80))}
-        spool = hand_built(tmp_path / "s", columns, ("none", False))
+        spool = hand_built(tmp_path / "s", columns)
         result = assert_matches_oracle(spool, pairs_between("ab"), batch_size=5)
         assert result.stats.comparisons == 2 * 80
         assert result.stats.items_read == 2 * 80
@@ -442,7 +436,7 @@ class TestFastPaths:
 
     def test_skip_scan_seeks_past_a_no_op_run(self, tmp_path):
         columns, candidates = FAST_PATH_CASES["no-op-runs"]
-        spool = hand_built(tmp_path / "s", columns, ("none", False))
+        spool = hand_built(tmp_path / "s", columns)
         # Small batches leave r's and s's later blocks undecoded, so the
         # frontier (the lowest live dependent head) can seek past them.
         result = assert_matches_oracle(

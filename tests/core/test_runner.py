@@ -138,12 +138,11 @@ class TestConfigValidation:
         with pytest.raises(DiscoveryError, match="unknown spool compression"):
             DiscoveryConfig(spool_compression="lz4").validated()
 
-    def test_mmap_reads_is_a_bool_that_defaults_on(self):
-        assert DiscoveryConfig().validated().mmap_reads is True
-        off = DiscoveryConfig(mmap_reads=False).validated()
-        assert off.mmap_reads is False
-        assert off.resolved_mmap_reads is False
-        assert DiscoveryConfig().spool_format == "binary"
+    def test_read_only_names_report_their_one_value(self):
+        config = DiscoveryConfig().validated()
+        assert config.spool_format == "binary"
+        assert config.export_workers == 1
+        assert config.resolved_mmap_reads is False
 
     def test_settable_fields(self):
         """The knobs a caller can set; read-only names are properties."""
@@ -152,7 +151,7 @@ class TestConfigValidation:
         assert [f.name for f in dataclasses.fields(DiscoveryConfig)] == [
             "strategy", "candidate_mode", "pretests", "use_transitivity",
             "sampling_size", "sampling_seed", "spool_dir", "keep_spool",
-            "spool_block_size", "spool_compression", "mmap_reads",
+            "spool_block_size", "spool_compression",
             "overlap", "validation_workers", "skip_scans",
             "reuse_spool", "cache_dir", "cache_max_bytes",
             "max_items_in_memory", "max_open_files", "sql_null_safe",
@@ -160,7 +159,6 @@ class TestConfigValidation:
         ]
         for name in ("spool_format", "resolved_mmap_reads", "export_workers"):
             assert isinstance(getattr(DiscoveryConfig, name), property)
-        assert DiscoveryConfig().export_workers == 1
 
 
 class TestStrategies:

@@ -6,7 +6,7 @@ survivors on that pool through the same validator as an in-process run —
 and everything except wall clock must be byte-identical to the in-process
 pipeline.  Two layers of defence:
 
-* a fixed small matrix (workers {1, 2, 4} × the four storage legs × both
+* a fixed small matrix (workers {1, 2, 4} × the two storage legs × both
   fixed engines) against the plain *sequential* pipeline — the paper's
   reference semantics;
 * a seeded random sweep: each seed derives a database **and** a config
@@ -34,13 +34,14 @@ from pathlib import Path
 import pytest
 
 from seeded_dbs import build_component_db, build_db, build_random_db
-from test_validator_agreement import SPOOL_VARIANTS, _assert_well_formed_trace
+from test_validator_agreement import _assert_well_formed_trace
 
 from repro.core.candidates import PretestConfig
 from repro.core.runner import DiscoveryConfig, DiscoverySession, discover_inds
 from repro.errors import DiscoveryError
 from repro.obs.trace import coverage
 from repro.parallel.pool import WorkerPool
+from repro.storage.codec import SPOOL_COMPRESSIONS
 from repro.storage.sorted_sets import SpoolDirectory
 from repro.storage.spool_cache import SpoolCache
 
@@ -86,19 +87,19 @@ def _config_vector(seed: int) -> dict:
         rng.random()
     strategy = strategy or "merge-single-pass"
     # This draw once chose between a v1 text format, since deleted, and
-    # binary; a text draw now runs plain binary (uncompressed, buffered
-    # reads).  The draws stay so every seed keeps the vector it always had.
-    compression, mmap_reads = "none", False
+    # binary; a text draw now runs plain uncompressed binary.  The draws
+    # stay so every seed keeps the vector it always had.
+    compression = "none"
     if rng.choice(("text", "binary")) == "binary":
         compression = rng.choice(("none", "zlib"))
-        # The third slot drew mmap_reads="auto", which meant True here.
-        mmap_reads = rng.choice((True, False, True))
+        # This draw once chose the cursors' byte source, an option since
+        # deleted.  It stays so every seed keeps the vector it always had.
+        rng.choice((True, False, True))
     return {
         "db_seed": rng.randrange(1000),
         "strategy": strategy,
         "workers": workers,
         "compression": compression,
-        "mmap_reads": mmap_reads,
         "sampling": rng.choice((0, 2, 3)),
         "reuse_spool": rng.random() < 0.3,
     }
@@ -116,7 +117,6 @@ def _discovery_config(vector: dict, *, overlap: bool, cache_dir) -> DiscoveryCon
     return DiscoveryConfig(
         strategy=vector["strategy"],
         spool_compression=vector["compression"],
-        mmap_reads=vector["mmap_reads"],
         spool_block_size=3,
         sampling_size=vector["sampling"],
         pretests=PretestConfig(cardinality=True, max_value=False),
@@ -130,20 +130,18 @@ def _discovery_config(vector: dict, *, overlap: bool, cache_dir) -> DiscoveryCon
 class TestOverlapMatrix:
     """Fixed matrix vs the *sequential* pipeline: the paper's semantics."""
 
-    @pytest.mark.parametrize("variant", SPOOL_VARIANTS)
+    @pytest.mark.parametrize("compression", SPOOL_COMPRESSIONS)
     @pytest.mark.parametrize("strategy", ("brute-force", "merge-single-pass"))
     @pytest.mark.parametrize("seed", (5, 9))
     def test_overlap_equals_sequential_across_worker_counts(
-        self, seed, strategy, variant
+        self, seed, strategy, compression
     ):
-        compression, mmap_reads = variant
         db = build_random_db(seed)
         sequential = discover_inds(
             db,
             DiscoveryConfig(
                 strategy=strategy,
                 spool_compression=compression,
-                mmap_reads=mmap_reads,
                 spool_block_size=3,
                 sampling_size=2,
                 pretests=PretestConfig(cardinality=True, max_value=False),
@@ -160,7 +158,6 @@ class TestOverlapMatrix:
                 DiscoveryConfig(
                     strategy=strategy,
                     spool_compression=compression,
-                    mmap_reads=mmap_reads,
                     spool_block_size=3,
                     sampling_size=2,
                     pretests=PretestConfig(
@@ -172,7 +169,7 @@ class TestOverlapMatrix:
             )
             assert _stress_view(overlapped.to_dict()) == expected, (
                 f"overlapped pipeline diverges from sequential at "
-                f"{workers} workers (seed {seed}, {strategy}, {variant} "
+                f"{workers} workers (seed {seed}, {strategy}, {compression} "
                 f"spools)"
             )
             doc = overlapped.overlap
@@ -188,8 +185,10 @@ class TestOverlapMatrix:
             assert refuted == sequential.sampling_refuted
 
 
-    @pytest.mark.parametrize("variant", SPOOL_VARIANTS)
-    def test_multi_group_merge_is_planned_from_the_survivors(self, variant):
+    @pytest.mark.parametrize("compression", SPOOL_COMPRESSIONS)
+    def test_multi_group_merge_is_planned_from_the_survivors(
+        self, compression
+    ):
         """The overlapped merge plans the groups the in-process one plans.
 
         Under the default pretests ``build_component_db``'s candidate graph
@@ -199,14 +198,12 @@ class TestOverlapMatrix:
         twin, so it plans the same groups and sends one ``merge-partition``
         task per group.
         """
-        compression, mmap_reads = variant
         db = build_component_db()
 
         def config(**overrides):
             return DiscoveryConfig(
                 strategy="merge-single-pass",
                 spool_compression=compression,
-                mmap_reads=mmap_reads,
                 spool_block_size=3,
                 sampling_size=2,
                 **overrides,
@@ -221,7 +218,8 @@ class TestOverlapMatrix:
                 db, config(validation_workers=workers, overlap=True)
             )
             assert _stress_view(overlapped.to_dict()) == expected, (
-                f"overlapped merge diverges at {workers} workers ({variant})"
+                f"overlapped merge diverges at {workers} workers "
+                f"({compression})"
             )
             groups = overlapped.validator_stats.extra["merge_groups"]
             assert groups == in_process.validator_stats.extra["merge_groups"]

@@ -8,6 +8,9 @@ the ``merge-partition`` payload.
 
 from __future__ import annotations
 
+import errno
+import os
+
 import pytest
 
 from repro.core.candidates import Candidate
@@ -117,6 +120,39 @@ class TestRegistry:
             import repro.parallel.tasks as tasks_module
 
             tasks_module._REGISTRY.pop("test-count-values", None)
+
+    def test_raising_kind_runs_once_per_task(self, spool, tmp_path):
+        """An executor that raises is reported as the job's error, not re-run.
+
+        Each call appends its task id to a file, so the count crosses the
+        process boundary.  Both tasks go out at once, one per worker.
+        """
+        calls = tmp_path / "calls.log"
+
+        def full_disk(spool_dir, task):
+            with open(calls, "a", encoding="utf-8") as fh:
+                fh.write(f"{task.task_id}\n")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        register_task_kind("test-full-disk", full_disk, replace=True)
+        try:
+            with WorkerPool(2, start_method="fork") as pool:
+                with pytest.raises(DiscoveryError, match="test-full-disk"):
+                    pool.run_job(
+                        str(spool.root),
+                        [
+                            TaskSpec(
+                                kind="test-full-disk",
+                                candidates=(_cand(dep, "b"),),
+                            )
+                            for dep in ("a", "c")
+                        ],
+                    )
+        finally:
+            import repro.parallel.tasks as tasks_module
+
+            tasks_module._REGISTRY.pop("test-full-disk", None)
+        assert sorted(calls.read_text().split()) == ["0", "1"]
 
 
 class TestMergePartitionPayload:

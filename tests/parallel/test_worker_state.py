@@ -15,6 +15,7 @@ import pickle
 import pytest
 
 from repro.db.schema import AttributeRef
+from repro.storage.codec import SPOOL_COMPRESSIONS
 from repro.storage.sorted_sets import SpoolDirectory
 
 VALUES = [f"v{i:05d}" for i in range(100)]
@@ -77,26 +78,17 @@ class TestWorkerReopen:
 
     Pool tasks carry the spool root as a string, so whatever the parent's
     spool was created with must come back from the index: block size,
-    compression and every file's block metadata.  The parent's reader-side
-    ``mmap_reads`` toggle is not in the index; workers read buffered.
+    compression and every file's block metadata.
     """
 
-    @pytest.mark.parametrize(
-        "compression, mmap_reads",
-        [("none", False), ("none", True), ("zlib", False), ("zlib", True)],
-    )
-    def test_layout_comes_back_from_the_index(
-        self, tmp_path, compression, mmap_reads
-    ):
+    @pytest.mark.parametrize("compression", SPOOL_COMPRESSIONS)
+    def test_layout_comes_back_from_the_index(self, tmp_path, compression):
         from collections import OrderedDict
 
         from repro.parallel.pool import _open_warm
 
         spool = SpoolDirectory.create(
-            tmp_path / "spool",
-            block_size=7,
-            compression=compression,
-            mmap_reads=mmap_reads,
+            tmp_path / "spool", block_size=7, compression=compression
         )
         spool.add_values(AttributeRef("t", "a"), VALUES)
         spool.add_values(AttributeRef("t", "b"), VALUES[::3])
@@ -106,7 +98,6 @@ class TestWorkerReopen:
         assert warm is False
         assert reopened.block_size == 7
         assert reopened.compression == compression
-        assert reopened.mmap_reads is False
         assert reopened.attributes() == spool.attributes()
         for ref in spool.attributes():
             assert reopened.get(ref) == spool.get(ref)

@@ -110,7 +110,6 @@ def build_component_spool(
     seed: int,
     components: int = 5,
     compression: str = "none",
-    mmap_reads: bool = False,
 ):
     """A spool of ``components`` independent attribute clusters.
 
@@ -123,12 +122,7 @@ def build_component_spool(
     """
     rng = random.Random(seed)
     domain = [f"v{i:04d}" for i in range(400)]
-    spool = SpoolDirectory.create(
-        root,
-        block_size=3,
-        compression=compression,
-        mmap_reads=mmap_reads,
-    )
+    spool = SpoolDirectory.create(root, block_size=3, compression=compression)
     candidates = []
     for k in range(components):
         base = rng.sample(domain, rng.randint(8, 120))

@@ -11,7 +11,7 @@ here pin that down against independent oracles:
   same error on the same value;
 * a cold ``discover_inds`` spool is byte-identical to
   ``export_database`` of the same attributes, with the same export
-  counters, in every spool variant, with every value file written on the
+  counters, in every spool compression, with every value file written on the
   calling thread, and with a small ``max_items_in_memory`` that sends
   large columns through ``external_sort``;
 * a cold call renders each profiled column exactly once;
@@ -31,7 +31,6 @@ from hypothesis import strategies as st
 
 from seeded_dbs import build_random_db
 from test_column_kernels import _exact, _tree, hostile_db
-from test_validator_agreement import SPOOL_VARIANTS
 
 import repro.db.stats as stats_module
 import repro.storage.exporter as exporter_module
@@ -42,6 +41,7 @@ from repro.db.schema import AttributeRef
 from repro.db.stats import RenderedLists, collect_column_stats, profile_column
 from repro.errors import FingerprintError, SpoolError
 from repro.storage.codec import (
+    SPOOL_COMPRESSIONS,
     render_distinct,
     render_distinct_sorted,
     render_value,
@@ -247,7 +247,6 @@ def _assert_cold_spool_equals_export(tmp_path, db, cfg):
         max_items_in_memory=cfg.max_items_in_memory,
         block_size=cfg.spool_block_size,
         compression=cfg.spool_compression,
-        mmap_reads=cfg.mmap_reads,
     )
     assert _tree(tmp_path / "cold") == _tree(tmp_path / "export")
     assert result.export_values_scanned == stats.values_scanned
@@ -256,14 +255,14 @@ def _assert_cold_spool_equals_export(tmp_path, db, cfg):
 
 class TestColdSpools:
     @pytest.mark.parametrize("build", SPOOL_DBS)
-    @pytest.mark.parametrize("variant", SPOOL_VARIANTS)
-    def test_byte_identical_to_export_database(self, tmp_path, variant, build):
-        compression, mmap_reads = variant
+    @pytest.mark.parametrize("compression", SPOOL_COMPRESSIONS)
+    def test_byte_identical_to_export_database(
+        self, tmp_path, compression, build
+    ):
         cfg = DiscoveryConfig(
             spool_dir=str(tmp_path / "cold"),
             keep_spool=True,
             spool_compression=compression,
-            mmap_reads=mmap_reads,
             spool_block_size=4,
         )
         _assert_cold_spool_equals_export(tmp_path, build(), cfg)

@@ -176,13 +176,12 @@ class TestSpoolCache:
         fingerprint = _fingerprint(db)
         cache = SpoolCache(tmp_path / "cache")
         staging = cache.prepare(fingerprint)
-        spool, _ = export_database(db, str(staging), mmap_reads=True)
+        spool, _ = export_database(db, str(staging))
         published = cache.publish(fingerprint, spool, database=db.name)
         entry = cache.entry_path(fingerprint)
-        reopened = SpoolDirectory.open(entry, mmap_reads=True)
+        reopened = SpoolDirectory.open(entry)
         assert published is not spool
         assert Path(published.root) == entry
-        assert published.mmap_reads is True
         assert published.attributes() == reopened.attributes()
         for ref in reopened.attributes():
             assert published.get(ref) == reopened.get(ref)

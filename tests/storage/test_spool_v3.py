@@ -1,4 +1,4 @@
-"""Tests for spool format v3: compressed payloads, frame magics, mmap reads."""
+"""Tests for spool format v3: compressed payloads and frame magics."""
 
 import json
 
@@ -16,14 +16,11 @@ from repro.storage.blockio import (
 from repro.storage.codec import (
     COMPRESSION_NONE,
     COMPRESSION_ZLIB,
+    SPOOL_COMPRESSIONS,
     compress_payload,
     encode_block,
 )
-from repro.storage.cursors import (
-    BlockValueCursor,
-    IOStats,
-    MmapBlockValueCursor,
-)
+from repro.storage.cursors import BlockValueCursor, IOStats
 from repro.storage.sorted_sets import SpoolDirectory
 
 A = AttributeRef("t", "a")
@@ -151,56 +148,6 @@ class TestCompressedCorruption:
         cursor.close()
 
 
-# ----------------------------------------------------------------- mmap reads
-class TestMmapCursor:
-    @pytest.mark.parametrize("compression", [COMPRESSION_NONE, COMPRESSION_ZLIB])
-    def test_reads_match_buffered_cursor(self, tmp_path, compression):
-        path = tmp_path / "v.valsb"
-        values = [f"{i:03d}" for i in range(25)]
-        with BlockFileWriter(
-            str(path), block_size=4, compression=compression
-        ) as writer:
-            for value in values:
-                writer.write(value)
-        buffered_stats, mmap_stats = IOStats(), IOStats()
-        buffered = BlockValueCursor(str(path), buffered_stats)
-        mapped = MmapBlockValueCursor(str(path), mmap_stats)
-        assert mapped.read_batch(100) == buffered.read_batch(100)
-        buffered.close()
-        mapped.close()
-        assert mmap_stats.items_read == buffered_stats.items_read
-        assert mmap_stats.bytes_read == buffered_stats.bytes_read
-        assert mmap_stats.bytes_stored == buffered_stats.bytes_stored
-
-    def test_skip_blocks_below(self, tmp_path):
-        spool = SpoolDirectory.create(
-            tmp_path / "s",
-            block_size=4,
-            compression=COMPRESSION_ZLIB,
-            mmap_reads=True,
-        )
-        spool.add_values(A, [f"{i:04d}" for i in range(20)])
-        spool.save_index()
-        io = IOStats()
-        cursor = spool.open_cursor(A, io)
-        assert isinstance(cursor, MmapBlockValueCursor)
-        assert cursor.skip_blocks_below("0013") == 3
-        assert io.blocks_skipped == 3 and io.values_skipped == 12
-        assert cursor.read_batch(3) == ["0012", "0013", "0014"]
-        cursor.close()
-
-    def test_corruption_still_names_file_and_block(self, tmp_path):
-        path = tmp_path / "v.valsb"
-        _write(path, [f"{i:04d}" for i in range(8)], block_size=4)
-        data = bytearray(path.read_bytes())
-        data[-3] ^= 0xFF
-        path.write_bytes(bytes(data))
-        cursor = MmapBlockValueCursor(str(path))
-        with pytest.raises(SpoolError, match="corrupt compressed block 1"):
-            cursor.read_batch(100)
-        cursor.close()
-
-
 # ----------------------------------------------------- compressed directories
 class TestCompressedSpoolDirectory:
     def test_round_trip_and_reopen(self, tmp_path):
@@ -214,6 +161,19 @@ class TestCompressedSpoolDirectory:
         assert reopened.compression == COMPRESSION_ZLIB
         assert reopened.get(A).values() == AWKWARD
         assert reopened.get(B).values() == []
+
+    def test_skip_blocks_below_seeks_past_compressed_frames(self, tmp_path):
+        spool = SpoolDirectory.create(
+            tmp_path / "s", block_size=4, compression=COMPRESSION_ZLIB
+        )
+        spool.add_values(A, [f"{i:04d}" for i in range(20)])
+        spool.save_index()
+        io = IOStats()
+        cursor = spool.open_cursor(A, io)
+        assert cursor.skip_blocks_below("0013") == 3
+        assert io.blocks_skipped == 3 and io.values_skipped == 12
+        assert cursor.read_batch(3) == ["0012", "0013", "0014"]
+        cursor.close()
 
     def test_index_version_3_with_compression_key(self, tmp_path):
         spool = SpoolDirectory.create(
@@ -279,36 +239,27 @@ class TestCompressedSpoolDirectory:
 
 
 # ------------------------------------------------------------- storage legs
-#: Every way a spool can be written and read: (compression, mmap_reads).
-STORAGE_LEGS = [
-    (COMPRESSION_NONE, False),
-    (COMPRESSION_NONE, True),
-    (COMPRESSION_ZLIB, False),
-    (COMPRESSION_ZLIB, True),
-]
-
-
 class TestStorageLegs:
     """A reopened directory reads the same bytes on every storage leg.
 
     Values that need escaping straddle two-value blocks; mixed batched and
-    single reads must return them unchanged, through the cursor class the
-    leg asks for, with the logical accounting of the plain v2 buffered leg.
+    single reads must return them unchanged, with the logical accounting of
+    the plain v2 leg.
     """
 
     @staticmethod
-    def _read_back(root, mmap_reads):
-        spool = SpoolDirectory.open(root, mmap_reads=mmap_reads)
+    def _read_back(root):
+        spool = SpoolDirectory.open(root)
         io = IOStats()
         cursor = spool.open_cursor(A, io)
         values = cursor.read_batch(3) + [cursor.next_value()]
         values += cursor.read_batch(100)
         cursor.close()
-        return type(cursor), values, io
+        return values, io
 
-    @pytest.mark.parametrize("compression, mmap_reads", STORAGE_LEGS)
+    @pytest.mark.parametrize("compression", SPOOL_COMPRESSIONS)
     def test_reopened_directory_reads_awkward_values(
-        self, tmp_path, compression, mmap_reads
+        self, tmp_path, compression
     ):
         for name, leg_compression in (
             ("plain", COMPRESSION_NONE), ("leg", compression),
@@ -318,11 +269,8 @@ class TestStorageLegs:
             )
             spool.add_values(A, AWKWARD)
             spool.save_index()
-        _, _, plain_io = self._read_back(tmp_path / "plain", False)
-        cursor_cls, values, io = self._read_back(tmp_path / "leg", mmap_reads)
-        assert cursor_cls is (
-            MmapBlockValueCursor if mmap_reads else BlockValueCursor
-        )
+        _, plain_io = self._read_back(tmp_path / "plain")
+        values, io = self._read_back(tmp_path / "leg")
         assert values == AWKWARD
         assert io.items_read == plain_io.items_read == len(AWKWARD)
         assert io.bytes_read == plain_io.bytes_read

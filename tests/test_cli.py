@@ -104,18 +104,14 @@ class TestDiscover:
         ) == 2
         assert "validation_workers" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("mmap_reads", ["on", "off"])
     @pytest.mark.parametrize("compression", ["none", "zlib"])
-    def test_discover_compression_and_mmap_flags(
-        self, biosql_dump, tmp_path, capsys, compression, mmap_reads
+    def test_discover_compression_flag(
+        self, biosql_dump, tmp_path, capsys, compression
     ):
         docs = []
         for name, extra in (
             ("default", ()),
-            (
-                "leg",
-                ("--spool-compression", compression, "--mmap-reads", mmap_reads),
-            ),
+            ("leg", ("--spool-compression", compression)),
         ):
             json_path = tmp_path / f"{name}.json"
             assert main(
@@ -123,30 +119,11 @@ class TestDiscover:
             ) == 0
             assert "satisfied INDs" in capsys.readouterr().out
             docs.append(json.loads(json_path.read_text()))
-        # Neither compression nor the byte source changes any answer, nor
-        # the logical I/O the validator reports.
+        # Compression changes no answer, nor the logical I/O the validator
+        # reports.
         default, leg = docs
         assert leg["satisfied"] == default["satisfied"]
         assert leg["validator"]["items_read"] == default["validator"]["items_read"]
-
-    @pytest.mark.parametrize(
-        "flag, expected", [((), True), (("on",), True), (("off",), False)],
-        ids=["default", "on", "off"],
-    )
-    @pytest.mark.parametrize(
-        "command", [["discover", "DUMP"], ["serve"], ["watch", "DUMP"]],
-        ids=["discover", "serve", "watch"],
-    )
-    def test_mmap_reads_flag_maps_to_the_config_bool(
-        self, command, flag, expected
-    ):
-        from repro.cli import _validation_config_kwargs
-        from repro.core.runner import DiscoveryConfig
-
-        argv = [*command, *(("--mmap-reads", *flag) if flag else ())]
-        kwargs = _validation_config_kwargs(build_parser().parse_args(argv))
-        assert kwargs["mmap_reads"] is expected
-        assert DiscoveryConfig(**kwargs).validated().mmap_reads is expected
 
 
 class TestSpoolInspect:

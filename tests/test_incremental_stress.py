@@ -8,8 +8,7 @@ plain-dict *model* of a database through seeded random mutation vectors
 and diffs the incremental chain against an independent full run:
 
 * a fixed small matrix (workers {1, 2, 4} × the storage variants —
-  v2 and v3 compressed block files, buffered and mmap reads) over one
-  mutation script;
+  v2 and v3 compressed block files) over one mutation script;
 * a seeded random sweep: each seed derives the starting database, the
   config vector (workers, spool variant, sampling, ``reuse_spool``) *and*
   the mutation script; the seed and vector are printed on failure so any
@@ -35,7 +34,6 @@ from dataclasses import replace
 import pytest
 
 from seeded_dbs import STRING_POOL
-from test_validator_agreement import SPOOL_VARIANTS
 
 from repro.core import runner
 from repro.core.candidates import PretestConfig
@@ -45,6 +43,7 @@ from repro.db import Column, Database, DataType, TableSchema
 from repro.errors import DiscoveryError
 from repro.obs.metrics import get_registry
 from repro.parallel.pool import WorkerPool
+from repro.storage.codec import SPOOL_COMPRESSIONS
 from repro.storage.exporter import export_database
 from repro.storage.sorted_sets import SpoolDirectory
 
@@ -208,23 +207,20 @@ def _stress_config(**overrides) -> DiscoveryConfig:
 class TestMutationMatrix:
     """Fixed matrix: every worker count × every storage variant, one script."""
 
-    @pytest.mark.parametrize("variant", SPOOL_VARIANTS)
+    @pytest.mark.parametrize("compression", SPOOL_COMPRESSIONS)
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_incremental_equals_full_after_each_mutation(
-        self, workers, variant
+        self, workers, compression
     ):
-        compression, mmap_reads = variant
         rng = random.Random(3)
         model = _initial_model(rng)
         config = _stress_config(
             spool_compression=compression,
-            mmap_reads=mmap_reads,
             validation_workers=workers,
             incremental=True,
         )
         full_config = _stress_config(
             spool_compression=compression,
-            mmap_reads=mmap_reads,
             validation_workers=workers,
         )
         with DiscoverySession(config) as session:
@@ -238,7 +234,7 @@ class TestMutationMatrix:
                 full = discover_inds(_materialise(model, "matrix"), full_config)
                 context = (
                     f"round {round_index} ({label}) diverged at "
-                    f"{workers} workers, {variant} spools"
+                    f"{workers} workers, {compression} spools"
                 )
                 assert _delta_view(incremental.to_dict()) == _delta_view(
                     full.to_dict()
@@ -260,14 +256,14 @@ class TestMutationStressSweep:
     @staticmethod
     def _config_vector(seed: int) -> dict:
         rng = random.Random(seed ^ 0x17C)
-        # The draw is over the five storage legs this sweep once had: the
-        # first, a v1 text leg since deleted, now runs plain binary, so
-        # every seed keeps the rest of the vector it always had.
-        compression, mmap_reads = rng.choice((SPOOL_VARIANTS[0], *SPOOL_VARIANTS))
+        # The draw is over the five storage legs this sweep once had: a v1
+        # text leg and a second read path per compression, both since
+        # deleted, so each slot now names only its compression and every
+        # seed keeps the rest of the vector it always had.
+        compression = rng.choice(("none", "none", "none", "zlib", "zlib"))
         return {
             "workers": rng.choice(WORKER_COUNTS),
             "compression": compression,
-            "mmap_reads": mmap_reads,
             "sampling": rng.choice((0, 2, 3)),
             "reuse_spool": rng.random() < 0.4,
         }
@@ -279,7 +275,6 @@ class TestMutationStressSweep:
         model = _initial_model(rng)
         kwargs = dict(
             spool_compression=vector["compression"],
-            mmap_reads=vector["mmap_reads"],
             sampling_size=vector["sampling"],
             validation_workers=vector["workers"],
             reuse_spool=vector["reuse_spool"],

@@ -1,9 +1,10 @@
-"""Inputs left behind by builds that still wrote v1 text spools.
+"""Inputs left behind by older builds: v1 text spools and removed options.
 
 The text spool format is gone, and with it the ``spool_format`` config
-field, ``mmap_reads="auto"`` and the ``--spool-format`` flag.  What older
-builds left on disk must never be read as if it were binary, and what older
-callers pass must never be silently accepted:
+field and the ``--spool-format`` flag; the mmap reader is gone, and with
+it the ``mmap_reads`` config field and the ``--mmap-reads`` flag.  What
+older builds left on disk must never be read as if it were binary, and
+what older callers pass must never be silently accepted:
 
 * a text spool directory fails wherever it is opened — by
   :meth:`SpoolDirectory.open`, by ``repro-ind spool inspect`` and by a pool
@@ -15,10 +16,11 @@ callers pass must never be silently accepted:
 * a ``…-text`` spool-cache entry is never served by ``lookup`` and never
   opened as a ``find_partial`` donor, yet ``repro-ind cache list`` lists it
   and ``cache evict --max-bytes 0`` reclaims it;
-* the removed options are rejected: the config field, every
-  ``mmap_reads`` value but a bool, the CLI flag and ``--mmap-reads auto``
-  on every subcommand that took them, and any format but ``"binary"`` on
-  the ``format=``/``spool_format=`` keywords that remain.
+* the removed options are rejected: the two config fields, the two CLI
+  flags on every subcommand that took them, ``mmap_reads=`` on
+  :meth:`SpoolDirectory.open`, any format but ``"binary"`` on the
+  ``format=``/``spool_format=`` keywords that remain, and any value but
+  ``False`` on the four ``mmap_reads=`` keywords that remain.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from seeded_dbs import build_db
 from repro.cli import main
 from repro.core.runner import DiscoveryConfig, discover_inds
 from repro.db.stats import collect_column_stats
-from repro.errors import DiscoveryError, SpoolError
+from repro.errors import SpoolError
 from repro.parallel.export import pooled_export
 from repro.parallel.pool import _open_warm
 from repro.storage.codec import escape_line, render_value
@@ -57,8 +59,8 @@ TEXT_HEADS = {
     "v2-unnamed": {"version": 2},
 }
 
-#: Subcommands that took ``--spool-format`` and still take ``--mmap-reads``,
-#: each with the positional arguments it needs to parse.
+#: Subcommands that took ``--spool-format`` and ``--mmap-reads``, each with
+#: the positional arguments it needs to parse.
 VALIDATING_COMMANDS = {
     "discover": ["discover", "dump"],
     "serve": ["serve"],
@@ -254,18 +256,31 @@ class TestRemovedOptions:
             dataclasses.replace(config, spool_format="text")
         assert config.spool_format == "binary"
 
-    @pytest.mark.parametrize(
-        "value", ["auto", "on", "off", 1, 0, None], ids=repr
-    )
-    def test_mmap_reads_must_be_a_bool(self, value):
-        with pytest.raises(DiscoveryError, match="mmap_reads"):
-            DiscoveryConfig(mmap_reads=value).validated()
+    @pytest.mark.parametrize("value", [True, False])
+    def test_config_has_no_mmap_reads_field(self, value):
+        with pytest.raises(TypeError, match="mmap_reads"):
+            DiscoveryConfig(mmap_reads=value)
+
+    def test_resolved_mmap_reads_is_false_and_read_only(self):
+        config = DiscoveryConfig()
+        assert config.resolved_mmap_reads is False
+        with pytest.raises(AttributeError):
+            config.resolved_mmap_reads = True
+        with pytest.raises(TypeError, match="mmap_reads"):
+            dataclasses.replace(config, mmap_reads=True)
+        assert config.resolved_mmap_reads is False
+
+    def test_spool_open_has_no_mmap_reads_keyword(self, tmp_path):
+        spool = SpoolDirectory.create(tmp_path / "s")
+        spool.save_index()
+        with pytest.raises(TypeError, match="mmap_reads"):
+            SpoolDirectory.open(spool.root, mmap_reads=False)
 
     @pytest.mark.parametrize(
         "option, named",
         [(("--spool-format", "binary"), "--spool-format"),
-         (("--mmap-reads", "auto"), "'auto'")],
-        ids=["spool-format", "mmap-reads-auto"],
+         (("--mmap-reads", "on"), "--mmap-reads")],
+        ids=["spool-format", "mmap-reads"],
     )
     @pytest.mark.parametrize("command", sorted(VALIDATING_COMMANDS))
     def test_removed_option_exits_2(self, command, option, named, capsys):
@@ -273,6 +288,72 @@ class TestRemovedOptions:
             main([*VALIDATING_COMMANDS[command], *option])
         assert exit_info.value.code == 2
         assert named in capsys.readouterr().err
+
+
+@pytest.fixture()
+def entry_calls(tmp_path):
+    """Entry point -> call(keywords) -> something comparable across calls."""
+    db = build_db(0)
+    cache_root = tmp_path / "cache"
+    discover_inds(
+        db, DiscoveryConfig(reuse_spool=True, cache_dir=str(cache_root))
+    )
+    cache = SpoolCache(cache_root)
+    stats = collect_column_stats(db)
+    fingerprint = catalog_fingerprint(db.name, stats)
+    grown = build_db(0)
+    grown.table("t1").insert({"id": 99, "c0": 99})
+    grown_stats = collect_column_stats(grown)
+    grown_fingerprints = attribute_fingerprints(grown_stats)
+    counter = iter(range(1_000))
+
+    def fresh(name):
+        return str(tmp_path / f"{name}-{next(counter)}")
+
+    def create(**kw):
+        spool = SpoolDirectory.create(fresh("create"), block_size=3, **kw)
+        for ref in db.attributes():
+            spool.add_values(
+                ref,
+                sorted(
+                    {
+                        render_value(v)
+                        for v in db.attribute_values(ref)
+                        if v is not None
+                    }
+                ),
+            )
+        spool.save_index()
+        return tree_bytes(spool.root)
+
+    def export(**kw):
+        spool, _ = export_database(db, fresh("export"), **kw)
+        return tree_bytes(spool.root)
+
+    def pooled(**kw):
+        spool, *_ = pooled_export(db, fresh("pooled"), 1, **kw)
+        return tree_bytes(spool.root)
+
+    def lookup(**kw):
+        return cache.lookup(fingerprint, **kw).root
+
+    def find_partial(**kw):
+        donor, adopted = cache.find_partial(
+            catalog_fingerprint(grown.name, grown_stats),
+            grown.name,
+            grown_fingerprints,
+            sorted(grown_fingerprints),
+            **kw,
+        )
+        return donor.root, adopted
+
+    return {
+        "SpoolDirectory.create": create,
+        "export_database": export,
+        "pooled_export": pooled,
+        "SpoolCache.lookup": lookup,
+        "SpoolCache.find_partial": find_partial,
+    }
 
 
 class TestFormatKeywords:
@@ -283,87 +364,49 @@ class TestFormatKeywords:
     ``"binary"`` is the same call as passing nothing.
     """
 
+    #: Entry point -> the name of its format keyword.
+    KEYWORDS = {
+        "SpoolDirectory.create": "format",
+        "export_database": "spool_format",
+        "pooled_export": "spool_format",
+        "SpoolCache.lookup": "spool_format",
+        "SpoolCache.find_partial": "spool_format",
+    }
+
+    @pytest.mark.parametrize("value", ["text", "parquet"])
+    @pytest.mark.parametrize("entry_point", KEYWORDS)
+    def test_rejects_any_other_format(self, entry_calls, entry_point, value):
+        with pytest.raises(SpoolError, match="'text' format was removed"):
+            entry_calls[entry_point](**{self.KEYWORDS[entry_point]: value})
+
+    @pytest.mark.parametrize("entry_point", KEYWORDS)
+    def test_binary_is_the_default(self, entry_calls, entry_point):
+        call = entry_calls[entry_point]
+        assert call(**{self.KEYWORDS[entry_point]: "binary"}) == call()
+
+
+class TestMmapReadsKeywords:
+    """The ``mmap_reads=`` keywords accept only ``False``.
+
+    Every cursor reads through a buffered file handle.  Each entry point
+    that still takes the keyword rejects any other value, naming the
+    removed mmap reader, and passing ``False`` is the same call as passing
+    nothing.
+    """
+
     ENTRY_POINTS = (
         "SpoolDirectory.create",
         "export_database",
         "pooled_export",
         "SpoolCache.lookup",
-        "SpoolCache.find_partial",
     )
 
-    @pytest.fixture()
-    def calls(self, tmp_path):
-        """Entry point -> call(keywords) -> something comparable across calls."""
-        db = build_db(0)
-        cache_root = tmp_path / "cache"
-        discover_inds(
-            db, DiscoveryConfig(reuse_spool=True, cache_dir=str(cache_root))
-        )
-        cache = SpoolCache(cache_root)
-        stats = collect_column_stats(db)
-        fingerprint = catalog_fingerprint(db.name, stats)
-        grown = build_db(0)
-        grown.table("t1").insert({"id": 99, "c0": 99})
-        grown_stats = collect_column_stats(grown)
-        grown_fingerprints = attribute_fingerprints(grown_stats)
-        counter = iter(range(1_000))
-
-        def fresh(name):
-            return str(tmp_path / f"{name}-{next(counter)}")
-
-        def create(**kw):
-            spool = SpoolDirectory.create(fresh("create"), block_size=3, **kw)
-            for ref in db.attributes():
-                spool.add_values(
-                    ref,
-                    sorted(
-                        {
-                            render_value(v)
-                            for v in db.attribute_values(ref)
-                            if v is not None
-                        }
-                    ),
-                )
-            spool.save_index()
-            return tree_bytes(spool.root)
-
-        def export(**kw):
-            spool, _ = export_database(db, fresh("export"), **kw)
-            return tree_bytes(spool.root)
-
-        def pooled(**kw):
-            spool, *_ = pooled_export(db, fresh("pooled"), 1, **kw)
-            return tree_bytes(spool.root)
-
-        def lookup(**kw):
-            return cache.lookup(fingerprint, **kw).root
-
-        def find_partial(**kw):
-            donor, adopted = cache.find_partial(
-                catalog_fingerprint(grown.name, grown_stats),
-                grown.name,
-                grown_fingerprints,
-                sorted(grown_fingerprints),
-                **kw,
-            )
-            return donor.root, adopted
-
-        return {
-            "SpoolDirectory.create": (create, "format"),
-            "export_database": (export, "spool_format"),
-            "pooled_export": (pooled, "spool_format"),
-            "SpoolCache.lookup": (lookup, "spool_format"),
-            "SpoolCache.find_partial": (find_partial, "spool_format"),
-        }
-
-    @pytest.mark.parametrize("value", ["text", "parquet"])
     @pytest.mark.parametrize("entry_point", ENTRY_POINTS)
-    def test_rejects_any_other_format(self, calls, entry_point, value):
-        call, keyword = calls[entry_point]
-        with pytest.raises(SpoolError, match="'text' format was removed"):
-            call(**{keyword: value})
+    def test_rejects_true(self, entry_calls, entry_point):
+        with pytest.raises(SpoolError, match="the mmap reader was removed"):
+            entry_calls[entry_point](mmap_reads=True)
 
     @pytest.mark.parametrize("entry_point", ENTRY_POINTS)
-    def test_binary_is_the_default(self, calls, entry_point):
-        call, keyword = calls[entry_point]
-        assert call(**{keyword: "binary"}) == call()
+    def test_false_is_the_default(self, entry_calls, entry_point):
+        call = entry_calls[entry_point]
+        assert call(mmap_reads=False) == call()

@@ -5,9 +5,9 @@ strategy computes exactly the set-containment relation** over rendered
 values.  For each seeded random database, all seven non-oracle strategies
 (four external, three SQL) must return the satisfied/violated candidate sets
 of the in-memory reference oracle — and the external ones must do so on
-every storage leg (v2 and v3 compressed block files, buffered and mmap
-reads), with tiny block sizes so batches straddle block boundaries
-constantly.
+every storage leg (v2 and v3 compressed block files, one leg per entry of
+``SPOOL_COMPRESSIONS``), with tiny block sizes so batches straddle block
+boundaries constantly.
 
 ``tests/test_properties.py`` covers the same ground with hypothesis-shrunken
 micro-inputs; this suite complements it with larger, multi-table databases
@@ -37,19 +37,11 @@ from repro.core.sql_approaches import (
 )
 from repro.db import Database
 from repro.db.stats import collect_column_stats
+from repro.storage.codec import SPOOL_COMPRESSIONS
 from repro.storage.exporter import export_database
 
 from seeded_dbs import build_component_spool, build_random_db
 
-#: The storage matrix: (compression, mmap_reads) legs covering v2 and v3
-#: compressed block files, each with buffered and mmap-backed cursors.
-#: Decisions and logical I/O counters must be identical on every leg.
-SPOOL_VARIANTS = (
-    ("none", False),
-    ("none", True),
-    ("zlib", False),
-    ("zlib", True),
-)
 SEEDS = tuple(range(10))
 
 
@@ -67,12 +59,11 @@ def _decision_key(decisions) -> dict[str, bool]:
 
 
 class TestExternalStrategiesAgree:
-    @pytest.mark.parametrize("variant", SPOOL_VARIANTS)
+    @pytest.mark.parametrize("compression", SPOOL_COMPRESSIONS)
     @pytest.mark.parametrize("seed", SEEDS)
     def test_all_external_validators_match_oracle(
-        self, seed, variant, tmp_path
+        self, seed, compression, tmp_path
     ):
-        compression, mmap_reads = variant
         db = build_random_db(seed)
         _, candidates = _candidates(db)
         if not candidates:
@@ -83,7 +74,6 @@ class TestExternalStrategiesAgree:
             str(tmp_path / "spool"),
             block_size=3,  # tiny blocks: every batch straddles boundaries
             compression=compression,
-            mmap_reads=mmap_reads,
         )
         live = [
             c for c in candidates
@@ -101,30 +91,29 @@ class TestExternalStrategiesAgree:
             got = validator.validate(candidates).decisions
             assert _decision_key(got) == _decision_key(expected), (
                 f"{type(validator).__name__} disagrees with the oracle "
-                f"on seed {seed} ({variant} spools)"
+                f"on seed {seed} ({compression} spools)"
             )
 
     @pytest.mark.parametrize("seed", SEEDS[:5])
     def test_items_read_identical_across_variants(self, seed, tmp_path):
         """The Fig. 5 metric counts logical consumption, not physical blocks.
 
-        Compression and mmap only change how bytes reach the decoder, so
-        every storage leg must report the same ``items_read`` per validator.
+        Compression only changes how bytes reach the decoder, so every
+        storage leg must report the same ``items_read`` per validator.
         """
         db = build_random_db(seed)
         _, candidates = _candidates(db)
         if not candidates:
             pytest.skip(f"seed {seed} generated no candidates")
         per_variant = {}
-        for index, (compression, mmap_reads) in enumerate(SPOOL_VARIANTS):
+        for compression in SPOOL_COMPRESSIONS:
             spool, _ = export_database(
                 db,
-                str(tmp_path / f"v{index}"),
+                str(tmp_path / compression),
                 block_size=2,
                 compression=compression,
-                mmap_reads=mmap_reads,
             )
-            per_variant[(compression, mmap_reads)] = {
+            per_variant[compression] = {
                 name: validator.validate(candidates).stats.items_read
                 for name, validator in (
                     ("brute", BruteForceValidator(spool)),
@@ -132,9 +121,9 @@ class TestExternalStrategiesAgree:
                     ("merge", MergeSinglePassValidator(spool)),
                 )
             }
-        baseline = per_variant[("none", False)]
-        for variant, reads in per_variant.items():
-            assert reads == baseline, f"items_read drifted on {variant}"
+        baseline = per_variant["none"]
+        for compression, reads in per_variant.items():
+            assert reads == baseline, f"items_read drifted on {compression}"
 
 
 class TestParallelAgreement:
@@ -152,10 +141,9 @@ class TestParallelAgreement:
 
     WORKER_COUNTS = (1, 2, 4)
 
-    @pytest.mark.parametrize("variant", SPOOL_VARIANTS)
+    @pytest.mark.parametrize("compression", SPOOL_COMPRESSIONS)
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_workers_never_change_decisions(self, seed, variant, tmp_path):
-        compression, mmap_reads = variant
+    def test_workers_never_change_decisions(self, seed, compression, tmp_path):
         db = build_random_db(seed)
         _, candidates = _candidates(db)
         if not candidates:
@@ -165,7 +153,6 @@ class TestParallelAgreement:
             str(tmp_path / "spool"),
             block_size=3,
             compression=compression,
-            mmap_reads=mmap_reads,
         )
         sequential = {
             "brute-force": BruteForceValidator(spool).validate(candidates),
@@ -282,10 +269,10 @@ class TestParallelAgreement:
             assert pool.stats.spool_handle_reuses > 0
             assert pool.stats.tasks_by_kind["merge-partition"] > 0
 
-    @pytest.mark.parametrize("variant", SPOOL_VARIANTS)
+    @pytest.mark.parametrize("compression", SPOOL_COMPRESSIONS)
     @pytest.mark.parametrize("seed", SEEDS[:5])
     def test_pooled_merge_groups_agree_on_every_variant(
-        self, seed, variant, tmp_path
+        self, seed, compression, tmp_path
     ):
         """Multi-group merges replay the sequential pass on every leg.
 
@@ -293,14 +280,10 @@ class TestParallelAgreement:
         process, so their merge legs never reach a worker.  A spool of five
         independent components plans several groups, each a
         ``merge-partition`` task on a worker that re-opens the spool from
-        its ``index.json`` (compression; workers read buffered).
+        its ``index.json``.
         """
-        compression, mmap_reads = variant
         spool, candidates = build_component_spool(
-            tmp_path / "spool",
-            seed,
-            compression=compression,
-            mmap_reads=mmap_reads,
+            tmp_path / "spool", seed, compression=compression
         )
         expected = MergeSinglePassValidator(spool).validate(candidates)
         for workers in (2, 4):
@@ -313,7 +296,7 @@ class TestParallelAgreement:
             }
             assert _decision_key(got.decisions) == _decision_key(
                 expected.decisions
-            ), f"merge groups diverge at {workers} workers ({variant})"
+            ), f"merge groups diverge at {workers} workers ({compression})"
             assert got.satisfied == expected.satisfied
             assert got.stats.items_read == expected.stats.items_read
             assert got.stats.comparisons == expected.stats.comparisons
@@ -373,41 +356,39 @@ class TestEndToEndPipelineAgreement:
 
     SAMPLING = 2  # small on purpose: samples must refute some candidates
 
-    def _config(self, strategy, variant):
-        compression, mmap_reads = variant
+    def _config(self, strategy, compression):
         return DiscoveryConfig(
             strategy=strategy,
             spool_compression=compression,
-            mmap_reads=mmap_reads,
             spool_block_size=3,
             sampling_size=self.SAMPLING,
             pretests=PretestConfig(cardinality=True, max_value=False),
         )
 
-    @pytest.mark.parametrize("variant", SPOOL_VARIANTS)
-    def test_to_dict_identical_across_binary_variants(self, variant):
-        """Compression and mmap never change a single answer byte.
+    @pytest.mark.parametrize("compression", SPOOL_COMPRESSIONS)
+    def test_to_dict_identical_across_binary_variants(self, compression):
+        """Compression never changes a single answer byte.
 
         The full result document — decisions, counters, ``items_read``,
         export statistics — of every storage leg must equal the plain v2
-        buffered run.  Only ``bytes_stored`` may differ (it
+        run.  Only ``bytes_stored`` may differ (it
         reports on-disk bytes, which compression legitimately shrinks).
         """
         db = build_random_db(5)
         reference = _pipeline_view(
             discover_inds(
-                db, self._config("merge-single-pass", SPOOL_VARIANTS[0])
+                db, self._config("merge-single-pass", SPOOL_COMPRESSIONS[0])
             ).to_dict()
         )
         reference["validator"].pop("bytes_stored")
         got = _pipeline_view(
             discover_inds(
-                db, self._config("merge-single-pass", variant)
+                db, self._config("merge-single-pass", compression)
             ).to_dict()
         )
         stored = got["validator"].pop("bytes_stored")
         assert stored > 0
-        assert got == reference, f"{variant} changed the answer"
+        assert got == reference, f"{compression} changed the answer"
 
 
 def _assert_well_formed_trace(trace: dict) -> None:
