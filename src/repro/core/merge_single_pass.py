@@ -19,43 +19,52 @@ The semantics and decisions are *identical* to the observer implementation
 is none.  Attributes whose candidates are all decided close their cursors
 early, matching the observer protocol's I/O behaviour.
 
-The kernel does the same per-group work without per-value interpreter
-overhead:
+The kernel makes the heap loop's decisions a window of values at a time
+rather than a heap group at a time:
 
-* **Bucket queue.**  The heap holds each distinct head value once; a dict
-  maps it to the ids of the attributes positioned there.  A group's members
-  are sorted by id, so decisions are recorded in the order a heap of
-  ``(value, id)`` entries gives.
-* **Inlined reader.**  Each attribute keeps a buffer and an index.
-  Consumption is committed to the cursor exactly where
-  :class:`~repro.storage.cursors.BatchReader` commits it — ``advance`` plus
-  ``peek_batch`` when a buffer runs dry, a flush before a skip-scan and on
-  close — so ``items_read``, ``bytes_read`` and ``bytes_stored`` equal the
-  per-value loop's.
-* **No-op singleton runs.**  A one-member group whose attribute has no live
-  references decides nothing, and neither do its following values below the
-  next head: they are consumed with one ``bisect_left`` per buffer.
-* **Same-membership runs.**  When every member of a group continues and all
-  fetch the same value below every other head, the next group has the same
-  members and decides nothing (every live reference is a member).  Such
-  groups are skipped while the members' buffered slices are equal, stay
-  below the next head and end inside every buffer; ``comparisons`` grows by
-  the skipped groups × the members' live references.
-
-No-op runs skip most groups on OpenMMS, where many key columns are only
-referenced; same-membership runs skip most groups on BioSQL and SCOP, where
-a foreign key and its key hold the same long stretches of values.
+* **Windows.**  Each open attribute holds the batch its cursor's last
+  ``peek_batch(batch_size)`` returned.  A window ends at ``W``, the smallest
+  last value of any full batch, so every value up to ``W`` is already
+  buffered where the heap loop would hold it and nothing is read further
+  ahead.  A short batch means end of file and bounds nothing.
+* **Containment.**  In a window, a candidate survives when the reference's
+  slice holds every value of the dependent's slice.  Otherwise its witness
+  is the dependent's first value the reference lacks, and ``comparisons``
+  counts the dependent's values up to and including it: one per heap group,
+  as the heap loop counts.  A dependent with fewer than :data:`DENSE_REFS`
+  live references checks each with ``set.issuperset``; one with more folds
+  per-value reference bitmasks over its slice once.  Either runs in C.
+* **Order.**  A window's decisions are recorded sorted by value, refutations
+  before the group moves, then dependent id and reference id: the heap
+  loop's order.  A dependent whose file ends inside the window satisfies
+  what survives at its last value, in the move phase.
+* **Commits.**  An attribute a decision closes commits exactly the values
+  the heap loop had handed out to it: those below the decision's value,
+  its head, and one more if it holds the value and moved before the
+  deciding dependent.  Only ``W``'s own group is walked member by member,
+  in id order, because only there do cursors refill, seek and reach the
+  end of a full batch.
 
 ``tests/core/test_merge_kernel_oracle.py`` checks decisions, their order and
-every counter against the per-value heap loop this kernel replaced.
+every ``ValidatorStats`` and ``IOStats`` counter against the per-value heap
+loop this kernel replaced.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from functools import reduce
 from heapq import heapify, heappop, heappush
-from itertools import compress, count
-from operator import ne
+from itertools import (
+    accumulate,
+    compress,
+    count,
+    filterfalse,
+    islice,
+    repeat,
+    takewhile,
+)
+from operator import and_, ne, truth
 
 from repro._util import Stopwatch
 from repro.core.candidates import Candidate, decode_pairs, encode_candidates
@@ -64,6 +73,11 @@ from repro.db.schema import AttributeRef
 from repro.errors import SpoolError, ValidatorError
 from repro.storage.cursors import DEFAULT_BATCH_SIZE, IOStats
 from repro.storage.sorted_sets import SpoolDirectory
+
+#: A dependent with at least this many live references decides them by one
+#: fold of per-value reference bitmasks over its slice; below it, by one set
+#: check per reference.
+DENSE_REFS = 16
 
 
 class MergeSinglePassValidator:
@@ -147,17 +161,16 @@ class MergeSinglePassValidator:
             pairs[dep][rid] = pair
         cursors = [self._spool.open_cursor(refs[attr], io) for attr in order]
         batch_size = self._batch_size
+        # bufs[aid] is the batch the last peek_batch returned; idxs[aid]
+        # counts its values handed out, committed to the cursor when the
+        # batch is replaced and on close.  current[aid] is the last value
+        # handed out: the attribute's head.  An open attribute with an
+        # empty batch ran out of values and is only referenced.
         bufs: list[list[str]] = [[] for _ in order]
-        idxs = [0] * len(order)  # values of bufs[aid] handed out so far
+        idxs = [0] * len(order)
+        current = [""] * len(order)
         closed = [False] * len(order)
         record = collector.record
-        # The bucket queue: each distinct head value once in the heap, and
-        # the attributes positioned at it.  current[] holds every
-        # attribute's head — a dependent's future values are always >= it,
-        # which is what makes the frontier a sound skip bound.
-        heap: list[str] = []
-        at: dict[str, list[int]] = {}
-        current = [""] * len(order)
 
         def refill(aid: int) -> list[str]:
             if idxs[aid]:
@@ -166,31 +179,50 @@ class MergeSinglePassValidator:
             buf = bufs[aid] = cursors[aid].peek_batch(batch_size)
             return buf
 
-        def flush(aid: int) -> None:
-            if idxs[aid]:
-                cursors[aid].advance(idxs[aid])
-                bufs[aid] = bufs[aid][idxs[aid] :]
-                idxs[aid] = 0
-
         def close(aid: int) -> None:
             if not closed[aid]:
                 closed[aid] = True
-                flush(aid)
+                if idxs[aid]:
+                    cursors[aid].advance(idxs[aid])
+                    idxs[aid] = 0
                 cursors[aid].close()
 
-        def release(rid: int) -> None:
-            if not holders[rid] and not live[rid]:
-                close(rid)
+        # span[aid] = (first, stop): the slice of bufs[aid] a window covers,
+        # from the attribute's head to its last value at or below the bound.
+        span: dict[int, tuple[int, int]] = {}
 
-        def exhaust(aid: int) -> None:
-            """A dependent ran out of values: its surviving candidates hold."""
+        def release(aid: int, value: str | None = None, mover: int = -1) -> None:
+            """Close ``aid`` once nothing needs it any more.
+
+            Inside a window, ``value`` is the decision's value and ``mover``
+            the dependent that made it in the move phase (``-1`` for a
+            refutation, made before the group moves).  ``aid`` then commits
+            what the heap loop had handed out by that time: its values below
+            ``value``, its head, and one more if it holds ``value`` and moved
+            before ``mover``.
+            """
+            if holders[aid] or live[aid]:
+                return
+            if value is not None and aid in span:
+                buf = bufs[aid]
+                at = bisect_left(buf, value, span[aid][0])
+                if aid < mover and at < len(buf) and buf[at] == value:
+                    at += 1
+                idxs[aid] = min(at + 1, len(buf))
+            close(aid)
+
+        def exhaust(aid: int, value: str | None = None) -> None:
+            """A dependent ran out of values: its surviving candidates hold.
+
+            Inside a window, ``value`` is its last value (see :func:`release`).
+            """
             row = pairs[aid]
             for rid in sorted(live[aid]):
                 record(row[rid], True)
                 holders[rid].discard(aid)
-                release(rid)
+                release(rid, value, aid)
             live[aid].clear()
-            release(aid)
+            release(aid, value, aid)
 
         # Decide empty-dependent candidates up front (vacuously satisfied),
         # exactly as the observer implementation does.
@@ -203,7 +235,7 @@ class MergeSinglePassValidator:
         for aid in range(len(order)):
             release(aid)
 
-        # Seed the queue with each needed attribute's first value.
+        # Hand out each needed attribute's first value.
         for aid in range(len(order)):
             if closed[aid]:
                 continue
@@ -213,7 +245,6 @@ class MergeSinglePassValidator:
             if buf:
                 idxs[aid] = 1
                 current[aid] = buf[0]
-                at.setdefault(buf[0], []).append(aid)
                 continue
             # Empty attribute that is only referenced: every candidate into
             # it is refuted.
@@ -223,155 +254,107 @@ class MergeSinglePassValidator:
                 holders[aid].discard(dep)
                 release(dep)
             close(aid)
-        heap.extend(at)
-        heapify(heap)
 
+        # heads holds (head, aid) for every open attribute with values left;
+        # ends holds (last value, aid) for every full batch, stale entries
+        # included until they reach the top.
+        heads = [(current[aid], aid) for aid in range(len(order)) if not closed[aid]]
+        ends = [
+            (bufs[aid][-1], aid)
+            for aid in range(len(order))
+            if not closed[aid] and len(bufs[aid]) == batch_size
+        ]
+        heapify(heads)
+        heapify(ends)
         skip = self._skip_scan
+        comparisons = 0
 
-        def skip_below_frontier(aid: int, value: str) -> None:
-            # Purely referenced here: seek past whole blocks no live
-            # dependent can reach any more.  Conservative by design — a
-            # dependent in this very group may still show its old (= this
-            # group's) value, which only lowers the frontier.
-            frontier = min(current[dep] for dep in holders[aid])
-            if frontier > value:
-                flush(aid)
-                cursors[aid].skip_blocks_below(frontier)
+        while heads:
+            # The window ends at the smallest last value of a full batch:
+            # every value up to it is buffered, and nothing further ahead.
+            while ends:
+                last, aid = ends[0]
+                if not closed[aid] and bufs[aid] and bufs[aid][-1] == last:
+                    break
+                heappop(ends)
+            bound = ends[0][0] if ends else None
+            span = {}
+            while heads and (bound is None or heads[0][0] <= bound):
+                aid = heappop(heads)[1]
+                if not closed[aid]:
+                    buf = bufs[aid]
+                    first = idxs[aid] - 1
+                    span[aid] = (
+                        first,
+                        len(buf) if bound is None else bisect_right(buf, bound, first),
+                    )
+            if not span:
+                break
 
-        def noop_run(aid: int, value: str) -> bool:
-            """Consume a purely referenced attribute's values below the next head.
+            events, compared = _decide_window(span, bufs, live, bound, batch_size)
+            comparisons += compared
 
-            Each such value would form a one-member group that decides
-            nothing.  No other attribute moves during the run, so the
-            frontier is fixed: the skip-scan before the first value is the
-            only one that can seek, and the per-value loop's later skips
-            find nothing left to skip.  Returns whether the attribute holds
-            a new head; ``False`` once it ran out of values.
-            """
-            if skip:
-                skip_below_frontier(aid, value)
-            bound = heap[0] if heap else None
-            buf = bufs[aid]
-            i = idxs[aid]
-            while True:
-                if i == len(buf):
+            # Record in the heap loop's order: by value, refutations before
+            # the group moves, then by dependent and reference.
+            events.sort()
+            for value, phase, dep, rid in events:
+                if phase:
+                    exhaust(dep, value)
+                    continue
+                live[dep].discard(rid)
+                holders[rid].discard(dep)
+                record(pairs[dep][rid], False)
+                release(rid, value)
+                release(dep, value)
+
+            # Move every open attribute to its first value past the window;
+            # the bound's own group moves member by member below.
+            members = []
+            for aid, (first, stop) in span.items():
+                if closed[aid]:
+                    continue
+                buf = bufs[aid]
+                if buf[stop - 1] == bound:
+                    idxs[aid] = stop
+                    current[aid] = bound
+                    members.append(aid)
+                elif stop < len(buf):
+                    idxs[aid] = stop + 1
+                    current[aid] = buf[stop]
+                    heappush(heads, (buf[stop], aid))
+                else:
+                    # Its last batch ran out inside the window; the heap
+                    # loop's refill finds the end of the file, and the
+                    # attribute is only referenced now.
+                    idxs[aid] = len(buf)
+                    refill(aid)
+
+            # The bound's group moves in id order, as the heap loop moves
+            # it: next value, or skip-scan, refill and end of file.
+            members.sort()
+            for aid in members:
+                if closed[aid]:
+                    continue
+                buf = bufs[aid]
+                at = idxs[aid]
+                if at == len(buf):
+                    # The heap loop also seeks at the moves since the last
+                    # refill, but a frontier only rises and the cursor reads
+                    # nothing until it refills: this one seek covers them.
+                    if skip and not live[aid]:
+                        frontier = min(current[dep] for dep in holders[aid])
+                        if frontier > bound:
+                            cursors[aid].skip_blocks_below(frontier)
                     buf = refill(aid)
                     if not buf:
                         exhaust(aid)
-                        return False
-                    i = 0
-                i = len(buf) if bound is None else bisect_left(buf, bound, i)
-                if i < len(buf):
-                    break
-                idxs[aid] = i
-            idxs[aid] = i + 1
-            current[aid] = buf[i]
-            return True
-
-        def same_run(group: list[int]) -> int:
-            """Skip the decision-free groups a same-membership run would form.
-
-            Every member continued and sits at its new head.  If all heads
-            are one value below every other head, that value's group is this
-            group again, and so is each following value the members' buffers
-            share.  Advances the members past those groups — stopping inside
-            every buffer, with the last shared value as the new head — and
-            returns the comparisons the skipped groups make.
-            """
-            head = current[group[0]]
-            if heap and not head < heap[0]:
-                return 0
-            for member in group:
-                if current[member] != head:
-                    return 0
-            lead_buf = bufs[group[0]]
-            start = idxs[group[0]]
-            room = min(len(bufs[member]) - idxs[member] for member in group)
-            if heap and room:
-                # Values skipped past stay below the next head; the new head
-                # may reach it.
-                below = bisect_left(lead_buf, heap[0], start, start + room)
-                room = min(room, below - start + 1)
-            lead = lead_buf[start : start + room]
-            run = room
-            for member in group[1:]:
-                if not run:
-                    return 0
-                pos = idxs[member]
-                run = next(
-                    compress(count(), map(ne, lead, bufs[member][pos : pos + run])),
-                    run,
-                )
-            if not run:
-                return 0
-            for member in group:
-                idxs[member] += run
-                current[member] = lead[run - 1]
-            return run * sum(len(live[member]) for member in group)
-
-        comparisons = 0
-        while heap:
-            value = heappop(heap)
-            group = at.pop(value)
-            if len(group) == 1 and not live[group[0]]:
-                if closed[group[0]] or not noop_run(group[0], value):
-                    continue
-                moved = group
-            else:
-                group.sort()
-
-                # Intersect every dependent's surviving references with the
-                # group.
-                present = None
-                for member in group:
-                    refs = live[member]
-                    if not refs:
                         continue
-                    comparisons += len(refs)
-                    if present is None:
-                        present = set(group)
-                    if refs <= present:
-                        continue
-                    row = pairs[member]
-                    for rid in sorted(refs - present):
-                        refs.discard(rid)
-                        holders[rid].discard(member)
-                        record(row[rid], False)
-                        release(rid)
-
-                # Move every member that is still needed to its next value.
-                moved = []
-                for member in group:
-                    if closed[member] or not (live[member] or holders[member]):
-                        close(member)
-                        continue
-                    if skip and not live[member]:
-                        skip_below_frontier(member, value)
-                    buf = bufs[member]
-                    i = idxs[member]
-                    if i == len(buf):
-                        buf = refill(member)
-                        if not buf:
-                            exhaust(member)
-                            continue
-                        i = 0
-                    idxs[member] = i + 1
-                    current[member] = buf[i]
-                    moved.append(member)
-
-                if len(moved) == len(group) > 1 and (
-                    not skip or all(live[member] for member in group)
-                ):
-                    comparisons += same_run(group)
-
-            # Queue the moved attributes at their new heads.
-            for member in moved:
-                head = current[member]
-                if head in at:
-                    at[head].append(member)
-                else:
-                    at[head] = [member]
-                    heappush(heap, head)
+                    at = 0
+                    if len(buf) == batch_size:
+                        heappush(ends, (buf[-1], aid))
+                idxs[aid] = at + 1
+                current[aid] = buf[at]
+                heappush(heads, (buf[at], aid))
 
         collector.stats.comparisons += comparisons
         if not collector.all_decided:
@@ -381,3 +364,81 @@ class MergeSinglePassValidator:
             )
         for aid in range(len(order)):
             close(aid)
+
+
+def _decide_window(
+    span: dict[int, tuple[int, int]],
+    bufs: list[list[str]],
+    live: list[set[int]],
+    bound: str | None,
+    batch_size: int,
+) -> tuple[list[tuple[str, int, int, int]], int]:
+    """Decide every live pair of one window; returns ``(events, comparisons)``.
+
+    ``span[aid] = (first, stop)`` is the slice of ``bufs[aid]`` the window
+    covers: from the attribute's head to its last value at or below
+    ``bound`` (all of it when ``bound`` is ``None``).  An event is
+    ``(value, 0, dep, rid)`` for a pair refuted at ``value`` and
+    ``(value, 1, dep, -1)`` for a dependent whose last batch ends at
+    ``value`` below the bound.  Events are not sorted.
+    """
+    events: list[tuple[str, int, int, int]] = []
+    comparisons = 0
+    slices: dict[int, set[str] | frozenset[str]] = {}
+    # masks[value] has bit bits[rid] set when rid's slice holds value;
+    # owners[i] is the reference bit i stands for.
+    masks: dict[str, int] = {}
+    mask_of = masks.get
+    bits: dict[int, int] = {}
+    owners: list[int] = []
+    for dep, (first, stop) in span.items():
+        targets = live[dep]
+        if not targets:
+            continue
+        buf = bufs[dep]
+        values = buf[first:stop]
+        comparisons += len(targets) * len(values)
+        if len(targets) >= DENSE_REFS:
+            for rid in targets.difference(bits):
+                bit = bits[rid] = 1 << len(owners)
+                owners.append(rid)
+                if rid in span:
+                    lo, hi = span[rid]
+                    for value in bufs[rid][lo:hi]:
+                        masks[value] = mask_of(value, 0) | bit
+            held = sum(map(bits.__getitem__, targets))
+            if reduce(and_, map(mask_of, values, repeat(0)), held) != held:
+                # steps[i] = the references still live before values[i].
+                steps = list(
+                    takewhile(
+                        truth,
+                        accumulate(map(mask_of, values, repeat(0)), and_, initial=held),
+                    )
+                )
+                if len(steps) <= len(values):
+                    steps.append(0)
+                for at in compress(count(), map(ne, steps, islice(steps, 1, None))):
+                    lost = steps[at] & ~steps[at + 1]
+                    while lost:
+                        bit = lost & -lost
+                        lost ^= bit
+                        comparisons -= len(values) - at - 1
+                        rid = owners[bit.bit_length() - 1]
+                        events.append((values[at], 0, dep, rid))
+        else:
+            for rid in targets:
+                window = slices.get(rid)
+                if window is None:
+                    if rid in span:
+                        lo, hi = span[rid]
+                        window = slices[rid] = set(bufs[rid][lo:hi])
+                    else:
+                        window = slices[rid] = frozenset()
+                if not window.issuperset(values):
+                    witness = next(filterfalse(window.__contains__, values))
+                    at = bisect_left(values, witness)
+                    comparisons -= len(values) - at - 1
+                    events.append((witness, 0, dep, rid))
+        if stop == len(buf) < batch_size and (bound is None or buf[-1] < bound):
+            events.append((buf[-1], 1, dep, -1))
+    return events, comparisons

@@ -166,21 +166,27 @@ def encode_block(values: list[str]) -> bytes:
 
 
 def decode_block(payload: bytes, count: int) -> list[str]:
-    """Inverse of :func:`encode_block` for a block of ``count`` values."""
+    """Inverse of :func:`encode_block` for a block of ``count`` values.
+
+    Mirrors the encoder's single check: the decoded payload is searched
+    once for a backslash, and a block without one is returned as split.
+    Only a block holding an escape sequence unescapes line by line.
+    """
     if count == 0:
         if payload:
             raise SpoolError(
                 f"zero-value block carries {len(payload)} payload bytes"
             )
         return []
-    lines = payload.decode("utf-8").split("\n")
+    text = payload.decode("utf-8")
+    lines = text.split("\n")
     if len(lines) != count:
         raise SpoolError(
             f"corrupt block: header promises {count} values, "
             f"payload holds {len(lines)}"
         )
-    # Values without escape sequences (the overwhelming majority) skip the
-    # per-character unescape loop entirely.
+    if "\\" not in text:
+        return lines
     return [unescape_line(line) if "\\" in line else line for line in lines]
 
 

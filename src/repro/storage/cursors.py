@@ -20,6 +20,7 @@ compression).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import IO, Iterator, Protocol
@@ -268,8 +269,9 @@ class BlockValueCursor(BufferedValueCursor):
     what makes the batched protocol cheap on the validator hot path.  The
     magic's flags byte decides per file whether payloads are inflated first
     (v3 compressed frames); corruption anywhere — short header, short
-    payload, bad inflate, wrong value count — raises :class:`SpoolError`
-    naming the file and the block ordinal.
+    payload, bad inflate, wrong value count, or a file that ends before the
+    last block its index records — raises :class:`SpoolError` naming the
+    file and the block ordinal, on a read and on a skip alike.
 
     When the caller hands over the per-block metadata recorded in the spool
     index (``blocks``), the cursor can *skip-scan*: :meth:`skip_blocks_below`
@@ -303,6 +305,14 @@ class BlockValueCursor(BufferedValueCursor):
     def _load(self) -> list[str]:
         header = self._fh.read(BLOCK_HEADER.size)
         if header == b"":
+            # A file cut between two frames reads as a clean end; only the
+            # index's block list tells that its tail is gone.
+            if self._blocks and self._next_block < len(self._blocks):
+                raise SpoolError(
+                    f"truncated value file {self._path}: block "
+                    f"{self._next_block} of the {len(self._blocks)} its index "
+                    "records is missing"
+                )
             return []
         if len(header) != BLOCK_HEADER.size:
             raise SpoolError(
@@ -367,7 +377,15 @@ class BlockValueCursor(BufferedValueCursor):
                 f"(block {self._next_block})"
             )
         payload_len, count = BLOCK_HEADER.unpack(header)
-        self._fh.seek(payload_len, 1)
+        start = self._fh.tell()
+        # A seek past the end succeeds, so check that the payload is there.
+        size = os.fstat(self._fh.fileno()).st_size
+        if start + payload_len > size:
+            raise SpoolError(
+                f"truncated block {self._next_block} in {self._path}: "
+                f"expected {payload_len} payload bytes, got {size - start}"
+            )
+        self._fh.seek(start + payload_len)
         self._next_block += 1
         return count
 

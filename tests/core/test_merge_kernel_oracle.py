@@ -2,15 +2,16 @@
 
 The merge kernel (:mod:`repro.core.merge_single_pass`) replaced a per-value
 heap loop — one ``(value, id)`` heap entry per attribute, every value read
-through :class:`~repro.storage.cursors.BatchReader` — with a bucket queue,
-an inlined reader and two run-skipping fast paths.  That loop is vendored
-below as the oracle.  On every input the kernel must reproduce it exactly:
-the decisions and the order they were recorded in, ``vacuous``,
+through :class:`~repro.storage.cursors.BatchReader` — with a windowed kernel
+that decides each batch window's candidates by set containment.  That loop
+is vendored below as the oracle.  On every input the kernel must reproduce
+it exactly: the decisions and the order they were recorded in, ``vacuous``,
 ``satisfied``, every :class:`ValidatorStats` field but ``elapsed_seconds``,
 and the full :class:`IOStats` including ``reads_per_attribute`` — over
 seeded and generated databases in both candidate modes, both spool
-compressions, a grid of block and batch sizes with skip-scans on and off, and
-hand-built spools aimed at each fast path.
+compressions, a grid of block and batch sizes with skip-scans on and off,
+hand-built spools aimed at runs of equal or matchless values, and hand-built
+spools aimed at each edge of a window.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import pytest
 
 from seeded_dbs import build_db, build_random_db
 
+from repro.core import merge_single_pass
 from repro.core.candidates import (
     Candidate,
     generate_all_pairs_candidates,
@@ -360,10 +362,10 @@ def _values(prefix: str, numbers) -> list[str]:
     return [f"{prefix}{n:05d}" for n in numbers]
 
 
-#: Hand-built spools, one per fast path, as ``(columns, candidates)``.
+#: Hand-built spools aimed at long runs, as ``(columns, candidates)``.
 FAST_PATH_CASES = {
-    # Identical columns longer than a batch: same-membership runs of
-    # {a, b} (and of {a, b, c} between c's gaps) cross buffer refills.
+    # Identical columns longer than a batch: groups of the same members
+    # ({a, b}, and {a, b, c} between c's gaps) run across buffer refills.
     "same-membership": (
         {
             "a": _values("v", range(80)),
@@ -373,8 +375,9 @@ FAST_PATH_CASES = {
         },
         pairs_between("abcd"),
     ),
-    # A reference-only column with long runs below every dependent: no-op
-    # singleton runs cross refills, and skip-scans can seek past blocks.
+    # A reference-only column with long runs below every dependent: groups
+    # of that column alone run across refills, and skip-scans can seek past
+    # blocks.
     "no-op-runs": (
         {
             "r": _values("k", range(600)),
@@ -425,8 +428,8 @@ class TestFastPaths:
                     )
 
     def test_same_membership_runs_are_counted(self, tmp_path):
-        # a and b share 80 values: each group compares both live references,
-        # skipped or not.
+        # a and b share 80 values: each of the 80 groups compares both live
+        # references, however many of them one window decides.
         columns = {"a": _values("v", range(80)), "b": _values("v", range(80))}
         spool = hand_built(tmp_path / "s", columns)
         result = assert_matches_oracle(spool, pairs_between("ab"), batch_size=5)
@@ -443,6 +446,163 @@ class TestFastPaths:
             spool, candidates, skip_scan=True, batch_size=5
         )
         assert result.stats.blocks_skipped > 0
+
+
+#: The bitmask threshold of the kernel under test.
+DENSE = merge_single_pass.DENSE_REFS
+
+#: Hand-built spools aimed at the edges of a batch window, as
+#: ``(columns, candidates)``.  A window ends at the smallest last value of a
+#: full batch (``W``); its own group is the only one walked member by member.
+WINDOW_EDGE_CASES = {
+    # Files that end exactly on a batch boundary at every batch size of the
+    # grid: 10 values (batches of 1 and 5) and 1024 (batches of 1 and 1024).
+    # The last batch comes back full, so end of file shows only at the
+    # refill in W's group.  ref_short lacks each dependent's last value, so
+    # that refutation falls on the boundary too.
+    "batch-boundary": (
+        {
+            "dep10": _values("v", range(10)),
+            "dep1024": _values("v", range(1024)),
+            "ref": _values("v", range(1100)),
+            "ref_short": _values("v", (n for n in range(1100) if n not in (9, 1023))),
+        },
+        pairs_between(["dep10", "dep1024"], referenced=["ref", "ref_short"]),
+    ),
+    # d's first batch of 5 ends at v00004, the smallest full-batch end, and
+    # r lacks exactly that value: the pair is refuted at W itself, before
+    # any member of W's group moves; e refutes r there too, after d.  r2
+    # lacks d's last value, which ends d's file on a batch boundary.
+    "refute-at-bound": (
+        {
+            "d": _values("v", range(10)),
+            "e": _values("v", (0, 2, 4, 6, 8, 9)),
+            "r": _values("v", (n for n in range(12) if n != 4)),
+            "r2": _values("v", range(9)),
+        },
+        pairs_between(["d", "e"], referenced=["r", "r2"]),
+    ),
+    # a_ref is only referenced.  Its first batch and z_near's end at W =
+    # v00004, where z_near (the higher id) has not moved yet when a_ref
+    # moves, so the frontier is W and a_ref must not seek, although
+    # b_far and z_near's next value lie far ahead.
+    "skip-holder-at-bound": (
+        {
+            "a_ref": _values("v", range(100)),
+            "b_far": _values("v", range(90, 100)),
+            "z_near": _values("v", (0, 1, 2, 3, 4, 95)),
+        },
+        pairs_between(["b_far", "z_near"], referenced=["a_ref"]),
+    ),
+    # r is only referenced, and far below its one holder: a skip-scan seeks
+    # it towards v00150.  d refutes r at v00151, which r lacks, in the middle
+    # of a window that x and y keep open, and r closes with the values the
+    # heap loop had handed out, through v00152.
+    "close-after-seek": (
+        {
+            "d": _values("v", (150, 151, 180)),
+            "r": _values("v", (n for n in range(200) if n != 151)),
+            "x": _values("v", range(0, 200, 3)),
+            "y": _values("v", range(200)),
+        },
+        [Candidate(AttributeRef("t", "d"), AttributeRef("t", "r"))]
+        + pairs_between(["x"], referenced=["y"]),
+    ),
+    # d's last batch is short and ends at v00005, inside a window that x
+    # and y keep open, so d's candidate into c holds there.  c is only
+    # referenced, by d alone, and sorts before d: the heap loop moves c on
+    # to v00006 before d's end of file closes it, so c commits three values.
+    "close-at-end-of-file": (
+        {
+            "c": _values("v", (1, 5, 6, 7)),
+            "d": _values("v", (1, 5)),
+            "x": _values("v", (0, 2, 3, 8, 9, 10)),
+            "y": _values("v", range(11)),
+        },
+        [Candidate(AttributeRef("t", "d"), AttributeRef("t", "c"))]
+        + pairs_between(["x"], referenced=["y"]),
+    ),
+    # One dependent with DENSE live references (the bitmask fold) and one
+    # with DENSE - 1 (set checks) over the same references, which lack
+    # values at staggered places or none.
+    "bitmask-threshold": (
+        {
+            "dense": _values("v", range(50)),
+            "sparse": _values("v", range(50)),
+            **{
+                f"r{i:02d}": _values(
+                    "v", (n for n in range(50) if i >= DENSE // 2 or n != 3 * i)
+                )
+                for i in range(DENSE)
+            },
+        },
+        pairs_between(["dense"], referenced=[f"r{i:02d}" for i in range(DENSE)])
+        + pairs_between(
+            ["sparse"], referenced=[f"r{i:02d}" for i in range(1, DENSE)]
+        ),
+    ),
+}
+
+
+class TestWindowEdges:
+    @pytest.mark.parametrize("case", sorted(WINDOW_EDGE_CASES))
+    @pytest.mark.parametrize("compression", SPOOL_COMPRESSIONS)
+    def test_hand_built_spool(self, tmp_path, case, compression):
+        columns, candidates = WINDOW_EDGE_CASES[case]
+        for block_size in (1, 7, 1024):
+            spool = hand_built(
+                tmp_path / str(block_size), columns, compression, block_size
+            )
+            for batch_size in (1, 5, 1024):
+                for skip_scan in (False, True):
+                    assert_matches_oracle(
+                        spool,
+                        candidates,
+                        skip_scan=skip_scan,
+                        batch_size=batch_size,
+                    )
+
+    def test_cases_reach_what_they_aim_at(self, tmp_path):
+        # Each case must still exercise its edge, or passing it proves
+        # little.
+        def run(case, **options):
+            columns, candidates = WINDOW_EDGE_CASES[case]
+            spool = hand_built(tmp_path / case, columns, block_size=1)
+            assert_matches_oracle(spool, candidates, **options)
+            return _run(MergeSinglePassValidator, spool, candidates, **options)
+
+        boundary, _ = run("batch-boundary", batch_size=5)
+        assert boundary.stats.satisfied_count == 2  # both into ref
+        assert boundary.stats.refuted_count == 2  # both into ref_short
+        at_bound, _ = run("refute-at-bound", batch_size=5)
+        assert at_bound.stats.refuted_count == 4
+        holder, _ = run("skip-holder-at-bound", skip_scan=True, batch_size=5)
+        assert holder.stats.blocks_skipped > 0
+        seek, _ = run("close-after-seek", skip_scan=True, batch_size=5)
+        assert seek.stats.blocks_skipped > 0
+        assert seek.stats.refuted_count == 1
+        end, io = run("close-at-end-of-file", batch_size=5)
+        assert end.stats.satisfied_count == 2
+        assert io.reads_per_attribute == {"t.c": 3, "t.d": 2, "t.x": 6, "t.y": 11}
+        dense, _ = run("bitmask-threshold", batch_size=5)
+        assert dense.stats.refuted_count == 2 * (DENSE // 2) - 1
+        assert dense.stats.satisfied_count == 2 * DENSE - 1 - dense.stats.refuted_count
+
+
+@pytest.mark.parametrize("index", (0, 5, 7, 9))
+def test_bitmask_fold_for_every_dependent(tmp_path, monkeypatch, index):
+    # With the threshold at one live reference every dependent folds
+    # bitmasks; the heap loop's decisions and counters must not change.
+    monkeypatch.setattr(merge_single_pass, "DENSE_REFS", 1)
+    db = seeded_db(index)
+    spool = export(db, tmp_path / "s")
+    for mode in CANDIDATE_MODES:
+        candidates = candidates_for(db, spool, mode)
+        for batch_size in (1, 5, 1024):
+            for skip_scan in (False, True):
+                assert_matches_oracle(
+                    spool, candidates, skip_scan=skip_scan, batch_size=batch_size
+                )
 
 
 def test_zero_batch_size_rejected_at_construction(tmp_path):

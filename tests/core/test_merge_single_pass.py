@@ -7,7 +7,8 @@ from repro.core.candidates import Candidate
 from repro.core.merge_single_pass import MergeSinglePassValidator
 from repro.core.single_pass import SinglePassValidator
 from repro.db.schema import AttributeRef
-from repro.errors import ValidatorError
+from repro.errors import SpoolError, ValidatorError
+from repro.storage.blockio import BLOCK_HEADER
 from repro.storage.sorted_sets import SpoolDirectory
 
 
@@ -112,6 +113,29 @@ class TestIO:
         result = MergeSinglePassValidator(spool).validate(cands)
         assert len(result.decisions) == 2
         assert result.stats.satisfied_count == 2
+
+
+    @pytest.mark.parametrize("skip_scan", [False, True])
+    def test_lost_tail_of_a_reference_raises(self, tmp_path, skip_scan):
+        # The kernel reads a short batch as end of file, so a referenced
+        # file that lost its last frame must raise rather than refute a
+        # valid IND.
+        values = [f"v{i}" for i in range(8)]
+        spool = SpoolDirectory.create(tmp_path / "spool", block_size=2)
+        spool.add_values(AttributeRef("t", "dep"), values)
+        spool.add_values(AttributeRef("t", "ref"), values)
+        spool.save_index()
+        path = spool.get(AttributeRef("t", "ref")).path
+        with open(path, "rb") as fh:
+            data = fh.read()
+        # Each 2-value frame is a header plus "v6\nv7": drop the last one.
+        with open(path, "wb") as fh:
+            fh.write(data[: len(data) - len(BLOCK_HEADER.pack(5, 2)) - 5])
+        spool = SpoolDirectory.open(spool.root)
+        cands = [Candidate(AttributeRef("t", "dep"), AttributeRef("t", "ref"))]
+        validator = MergeSinglePassValidator(spool, skip_scan=skip_scan, batch_size=2)
+        with pytest.raises(SpoolError, match="block 3 of the 4"):
+            validator.validate(cands)
 
 
 class TestStress:

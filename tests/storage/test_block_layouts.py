@@ -223,10 +223,14 @@ class TestSkipScan:
 
 
 class TestTruncation:
-    """A value file cut inside its last frame fails loudly, naming it.
+    """A value file cut at or inside its last frame fails loudly, naming it.
 
     Every layout writes four frames (three whole ones and a one-value
-    tail); the cut falls inside the tail frame's header or its payload.
+    tail); the cut falls inside the tail frame's header or its payload, or
+    just before the tail frame.  That last cut leaves a file that ends on a
+    clean frame boundary: only the index's block list tells that the tail
+    is gone, and a reader that took it for the end of the set could refute
+    a valid IND.
     """
 
     @staticmethod
@@ -241,20 +245,27 @@ class TestTruncation:
             - BLOCK_HEADER.size
             - len(_stored(frames[-1], compression))
         )
-        keep = tail_start + (
-            BLOCK_HEADER.size // 2 if cut == "header" else BLOCK_HEADER.size + 1
-        )
+        keep = tail_start + {
+            "frame": 0,
+            "header": BLOCK_HEADER.size // 2,
+            "payload": BLOCK_HEADER.size + 1,
+        }[cut]
         with open(path, "r+b") as fh:
             fh.truncate(keep)
         return spool, frames, path
 
     @staticmethod
     def _message(cut, path):
+        if cut == "frame":
+            return re.escape(
+                f"truncated value file {path}: block 3 of the 4 its index "
+                "records is missing"
+            )
         if cut == "header":
             return re.escape(f"truncated block header in {path} (block 3)")
         return re.escape(f"truncated block 3 in {path}")
 
-    @pytest.mark.parametrize("cut", ("header", "payload"))
+    @pytest.mark.parametrize("cut", ("frame", "header", "payload"))
     @pytest.mark.parametrize(
         "block_size", BLOCK_SIZES, ids=lambda size: f"b{size}"
     )
@@ -276,4 +287,25 @@ class TestTruncation:
         assert cursor.skip_blocks_below(frames[-1][0]) == 3
         with pytest.raises(SpoolError, match=self._message(cut, path)):
             cursor.read_batch(7)
+        cursor.close()
+
+    @pytest.mark.parametrize(
+        "block_size", BLOCK_SIZES, ids=lambda size: f"b{size}"
+    )
+    @pytest.mark.parametrize("compression", SPOOL_COMPRESSIONS)
+    def test_seek_over_a_cut_payload_names_file_and_block(
+        self, tmp_path, compression, block_size
+    ):
+        # Cut one byte short of the third frame's end: a skip that seeks
+        # over that frame would land past the end of the file.
+        spool, frames, path = self._truncated(
+            tmp_path, compression, block_size, "frame"
+        )
+        with open(path, "r+b") as fh:
+            fh.truncate(os.path.getsize(path) - 1)
+        cursor = spool.open_cursor(REF)
+        with pytest.raises(
+            SpoolError, match=re.escape(f"truncated block 2 in {path}")
+        ):
+            cursor.skip_blocks_below(frames[-1][0])
         cursor.close()

@@ -106,6 +106,16 @@ class TestBlockCodec:
         with pytest.raises(SpoolError, match="promises 3 values"):
             decode_block(payload, 3)
 
+    def test_count_checked_before_unescaping(self):
+        # A dangling escape would fail the unescape, but the header's count
+        # is checked first, so the error names the count.
+        with pytest.raises(SpoolError, match="promises 3 values"):
+            decode_block(b"a\nb\\", 3)
+
+    def test_one_escaped_value_among_plain_ones(self):
+        values = ["plain", "back\\slash", "new\nline", "tail"]
+        assert decode_block(encode_block(values), len(values)) == values
+
     def test_zero_count_with_payload_rejected(self):
         with pytest.raises(SpoolError, match="zero-value block"):
             decode_block(b"junk", 0)
