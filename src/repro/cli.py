@@ -452,6 +452,15 @@ def main(argv: list[str] | None = None) -> int:
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # A reader closed stdout early (`| head -1`).  The `with` blocks
+        # on the way here have unwound, so sessions drained their pools.
+        # Point stdout at devnull so the interpreter's final flush stays
+        # quiet, and exit as a shell reports a writer that SIGPIPE ended.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 def _dispatch(args: argparse.Namespace) -> int:

@@ -150,7 +150,8 @@ class DiscoveryConfig:
       to a full re-run — see ``docs/incremental.md`` for the exactness
       argument.  Like ``reuse_spool``, it profiles through the profile
       memo, and with the spool cache a miss tries the prior's entry first
-      as the donor of unchanged value files.  Requires an external
+      as the donor of unchanged value files and retires it once its own
+      entry is published.  Requires an external
       strategy; incompatible with ``use_transitivity`` (inference order
       spans reused decisions) and ``overlap`` (which exports and pretests
       the whole candidate set).
@@ -438,17 +439,12 @@ def discover_inds(
             # machinery: a cold first import must not open a hole in the
             # trace between setup and the pooled export.
             from repro.parallel.overlap import run_overlapped
-    prior_spool = None
-    if prior is not None:
-        prior_spool = prior.prior_spool
-        if prior_spool is None:
-            prior_spool = prior.spool_path
     run_spool = _RunSpool(
         db,
         cfg,
         column_stats,
         fingerprints=fingerprints,
-        prior_spool=prior_spool,
+        prior=prior if cfg.incremental else None,
     )
     keep_spool = False  # a temporary spool outlives only a successful run
     overlap_run = None
@@ -833,10 +829,20 @@ class _RunSpool:
     diffed) arms partial reuse on a miss: a donor entry of the same
     database and spool configuration lends the unchanged attributes' value
     files (hardlinked into staging), so only the changed columns
-    re-export.  ``prior_spool`` (the prior result's ``prior_spool``, else
-    its ``spool_path``) is the donor tried first, before any scan of the
+    re-export.  ``prior`` is an incremental run's prior result.  The
+    entry its round used (the root of its ``prior_spool``, else its
+    ``spool_path``) is the donor tried first, before any scan of the
     cache; a held registry donates from memory while its entry's index is
-    unchanged.
+    unchanged.  When the prior is of the same database, :meth:`publish`
+    retires that entry once the new one is live
+    (:meth:`~repro.storage.spool_cache.SpoolCache.retire`), so an
+    incremental chain keeps one live entry.
+
+    A cache run holds its entry slot
+    (:meth:`~repro.storage.spool_cache.SpoolCache.hold`) from before the
+    lookup until :meth:`close`, hit or miss: a hit reads that entry, and a
+    miss reads the entry it publishes there, so no other run in this
+    process retires it under them.
     """
 
     def __init__(
@@ -845,18 +851,33 @@ class _RunSpool:
         cfg: DiscoveryConfig,
         column_stats,
         fingerprints=None,
-        prior_spool: SpoolDirectory | str | None = None,
+        prior: DiscoveryResult | None = None,
     ) -> None:
         self._db = db
         self._cfg = cfg
         self._column_stats = column_stats
         self._fingerprints = fingerprints
-        self._prior_spool = prior_spool
+        self._prior_spool: SpoolDirectory | str | None = None
+        self._prior_entry: Path | None = None
+        if prior is not None:
+            if prior.prior_spool is not None:
+                self._prior_spool = prior.prior_spool
+                self._prior_entry = Path(prior.prior_spool.root)
+            elif prior.spool_path is not None:
+                self._prior_spool = prior.spool_path
+                self._prior_entry = Path(prior.spool_path)
+        #: The entry a publish retires: the prior's, of the same database.
+        self._retiree = (
+            self._prior_entry
+            if prior is not None and prior.database == db.name
+            else None
+        )
         self._spool: SpoolDirectory | None = None
         self.hit = False
         self._cache: SpoolCache | None = None
         self._fingerprint: str | None = None
         self._temp_root: str | Path | None = None
+        self._hold: str | None = None
 
     def open(self, needed, tracer=None) -> SpoolDirectory:
         """Open the spool that holds, or will hold, ``needed``.
@@ -884,6 +905,11 @@ class _RunSpool:
         )
         cache = SpoolCache(
             cfg.cache_dir or DEFAULT_CACHE_DIR, max_bytes=cfg.cache_max_bytes
+        )
+        self._hold = SpoolCache.hold(
+            cache.entry_path(
+                self._fingerprint, cfg.spool_block_size, cfg.spool_compression
+            )
         )
         with maybe_span(tracer, "cache-lookup") as lookup_span:
             cached = cache.lookup(
@@ -934,11 +960,8 @@ class _RunSpool:
                 if donor is not None:
                     # The scan skips the prior entry, so a donor with its
                     # name can only have come from trying it first.
-                    prior = self._prior_spool
-                    if isinstance(prior, SpoolDirectory):
-                        prior = prior.root
-                    from_prior = prior is not None and (
-                        donor[0].root.name == Path(prior).name
+                    from_prior = self._prior_entry is not None and (
+                        donor[0].root.name == self._prior_entry.name
                     )
                     source = "prior" if from_prior else "scan"
                 donor_span.attrs["donor"] = source
@@ -949,12 +972,14 @@ class _RunSpool:
         """Move a filled cache-miss spool into the cache; return the spool.
 
         The published entry is stamped with the per-attribute fingerprint
-        map, so every entry can donate to a later partial rebuild; with a
-        ``tracer`` the move is a ``cache-publish`` span.  Hits, explicit
+        map, so every entry can donate to a later partial rebuild; then the
+        entry the prior round used is retired (see the class docstring).
+        With a ``tracer`` the move is a ``cache-publish`` span whose
+        ``retired`` says whether that entry went.  Hits, explicit
         directories and temporary directories pass through.
         """
         if self._cache is not None:
-            with maybe_span(tracer, "cache-publish"):
+            with maybe_span(tracer, "cache-publish") as publish_span:
                 stamps = self._fingerprints
                 if stamps is None:
                     stamps = attribute_fingerprints(self._column_stats)
@@ -964,13 +989,21 @@ class _RunSpool:
                     database=self._db.name,
                     fingerprints=stamps,
                 )
+                retired = self._retiree is not None and self._cache.retire(
+                    self._retiree, self._spool.root
+                )
+                if publish_span is not None:
+                    publish_span.attrs["retired"] = retired
             self._cache = None
             self._temp_root = None  # the cache entry owns the files now
         return self._spool
 
     def close(self, keep: bool = False) -> None:
-        """Remove a temporary or unpublished staging directory, unless
-        ``keep``."""
+        """Release the entry slot's hold, and remove a temporary or
+        unpublished staging directory, unless ``keep``."""
+        if self._hold is not None:
+            SpoolCache.release(self._hold)
+            self._hold = None
         if self._temp_root is not None and not keep:
             shutil.rmtree(self._temp_root, ignore_errors=True)
 

@@ -340,24 +340,28 @@ class SpoolDirectory:
             spool.attribute_fingerprints = {
                 str(k): str(v) for k, v in fingerprints.items()
             }
+        # One listing vouches for every value file the index names.
+        base = os.fspath(path)
+        present = set(os.listdir(base))
         for entry in doc.get("attributes", []):
             ref = AttributeRef(entry["table"], entry["column"])
-            file_path = path / entry["file"]
-            if not file_path.exists():
+            name = entry["file"]
+            file_path = os.path.join(base, name)
+            if name not in present:
                 raise SpoolError(f"spool index references missing file {file_path}")
             blocks = tuple(
                 BlockMeta.from_doc(b) for b in entry.get("blocks", [])
             )
             spool._files[ref] = SortedValueFile(
                 ref=ref,
-                path=str(file_path),
+                path=file_path,
                 count=entry["count"],
                 min_value=entry.get("min"),
                 max_value=entry.get("max"),
                 dtype=entry.get("dtype", "VARCHAR"),
                 blocks=blocks,
             )
-            spool._used_names[file_path.name] += 1
+            spool._used_names[name] += 1
         spool._index_identity = identity
         return spool
 

@@ -32,7 +32,8 @@ changed since an earlier call; an unchanged database then costs no scan at
 all before the lookup.
 
 **Eviction.**  Left alone the cache grows without bound — one entry per
-database version ever profiled.  The policy is LRU by entry mtime: every
+database version ever profiled, except along an incremental chain (see
+retirement below).  The policy is LRU by entry mtime: every
 cache *hit* touches the entry directory's mtime, so recency is recorded in
 the filesystem itself (no sidecar state to corrupt, works across processes).
 :meth:`SpoolCache.enforce_budget` drops the stalest entries until the cache
@@ -42,6 +43,13 @@ fits a byte budget; a cache built with ``max_bytes`` enforces it after every
 Eviction is safe against concurrent readers: entries are renamed aside
 before deletion, so an open file descriptor stays valid and a concurrent
 ``lookup`` either hits the complete entry or misses cleanly.
+
+**Retirement.**  An incremental chain keeps one live entry: once a round
+has published its entry, :meth:`SpoolCache.retire` removes the entry its
+prior round used, the same way eviction does.  Files the new entry adopted
+are hardlinks, so they stay on disk.  An entry that a run in this process
+holds (:meth:`SpoolCache.hold`) is left alone; readers in other processes
+are as unguarded as under eviction.
 
 **Completeness.**  Every listed *entry* is complete by construction —
 publication is one atomic rename of a finished, fingerprint-stamped staging
@@ -62,8 +70,10 @@ import json
 import os
 import shutil
 import tempfile
+import threading
 import time
 import weakref
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -86,6 +96,13 @@ if TYPE_CHECKING:  # repro.db imports repro.storage; keep the cycle type-only
 #: Directory-name length: 16 bytes of SHA-256 is plenty below any realistic
 #: collision risk while keeping paths short.
 _ENTRY_NAME_LENGTH = 32
+
+#: Entries that runs in this process are reading, by real path, with the
+#: number of runs holding each (:meth:`SpoolCache.hold`).  Retirement
+#: leaves a held entry alone, and checks and renames under the lock a hold
+#: takes, so an entry held before its lookup is never retired under it.
+_HELD: Counter[str] = Counter()
+_HELD_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -568,9 +585,7 @@ class SpoolCache:
             return spool
         doomed: Path | None = None
         if entry.exists():
-            doomed = Path(
-                tempfile.mkdtemp(prefix=".doomed-", dir=self.root)
-            ) / "entry"
+            doomed = self._grave()
             entry.rename(doomed)
         won = True
         try:
@@ -581,13 +596,60 @@ class SpoolCache:
             won = False
             shutil.rmtree(staging, ignore_errors=True)
         if doomed is not None:
-            shutil.rmtree(doomed.parent, ignore_errors=True)
+            shutil.rmtree(doomed, ignore_errors=True)
         self._touch(entry)
         if self.max_bytes is not None:
             self.enforce_budget(protect=(entry,))
         if won:
             return spool.moved_to(entry)
         return SpoolDirectory.open(entry)
+
+    @staticmethod
+    def hold(entry: str | Path) -> str:
+        """Keep :meth:`retire` off ``entry`` until :meth:`release`.
+
+        Returns the key to release.  A run takes its hold before it looks
+        the entry up, so a retirement either ran before (the lookup misses)
+        or leaves the entry alone.  Holds are per process, and eviction
+        ignores them.
+        """
+        key = os.path.realpath(entry)
+        with _HELD_LOCK:
+            _HELD[key] += 1
+        return key
+
+    @staticmethod
+    def release(key: str) -> None:
+        """Drop one :meth:`hold` taken under ``key``."""
+        with _HELD_LOCK:
+            _HELD[key] -= 1
+            if not _HELD[key]:
+                del _HELD[key]
+
+    def retire(self, entry: str | Path, successor: Path) -> bool:
+        """Remove ``entry``, which the just-published ``successor`` supersedes.
+
+        Only an entry directly under this cache's root, with
+        ``successor``'s spool configuration (the name after the
+        fingerprint prefix), that is not ``successor`` and that no run in
+        this process holds, goes; the caller vouches that it is the same
+        database, so no index is read.  The removal is :meth:`_destroy`'s:
+        renamed aside, then deleted, so the files ``successor`` adopted
+        from it stay on disk as its hardlinks.  Returns whether ``entry``
+        was removed.
+        """
+        entry = Path(entry)
+        if (
+            entry.name == successor.name
+            or entry.name[_ENTRY_NAME_LENGTH:]
+            != successor.name[_ENTRY_NAME_LENGTH:]
+            or os.path.realpath(entry.parent) != os.path.realpath(self.root)
+        ):
+            return False
+        retired = self._destroy(entry, unless_held=True)
+        if retired:
+            get_registry().inc("spool_cache_retired_total")
+        return retired
 
     def evict(self, fingerprint: str) -> bool:
         """Drop every entry of this fingerprint; True when anything was removed."""
@@ -768,20 +830,35 @@ class SpoolCache:
         except OSError:
             pass  # entry concurrently evicted; the caller's spool stays valid
 
-    def _destroy(self, entry: Path) -> None:
+    def _destroy(self, entry: Path, unless_held: bool = False) -> bool:
         """Take an entry offline atomically, then reclaim its space.
 
         Renaming first means no reader can ever open a half-deleted
-        directory; rmtree then works on a path nobody resolves.
+        directory; rmtree then works on a path nobody resolves.  With
+        ``unless_held`` an entry a run in this process holds stays; the
+        check and the rename run under the lock :meth:`hold` takes.
+        Returns whether this call took the entry offline.
         """
         if not entry.exists():
-            return
-        grave = Path(tempfile.mkdtemp(prefix=".doomed-", dir=self.root))
-        try:
-            entry.rename(grave / "entry")
-        except OSError:
-            pass  # a concurrent destroyer got it first
+            return False
+        grave = self._grave()
+        with _HELD_LOCK:
+            if unless_held and _HELD[os.path.realpath(entry)]:
+                return False
+            try:
+                entry.rename(grave)
+            except OSError:
+                return False  # a concurrent destroyer got it first
         shutil.rmtree(grave, ignore_errors=True)
+        return True
+
+    def _grave(self) -> Path:
+        """A fresh ``.doomed-*`` path in the root to rename an entry to.
+
+        A rename needs no directory made first, and 64 random bits keep
+        concurrent destroyers' names apart.
+        """
+        return self.root / f".doomed-{os.urandom(8).hex()}"
 
     def entries(self) -> list[Path]:
         """All entry directories currently in the cache (diagnostics)."""

@@ -4,23 +4,30 @@ A catalog-fingerprint miss no longer has to mean a full re-export: a
 previous entry over the *same database and spool configuration* whose
 stamped per-attribute fingerprint map still matches some needed columns
 can donate those columns' value files.  These tests pin the donor search
-(who qualifies, who wins) and the adoption mechanics (hardlink-or-copy
-into staging, vanished donor files skipped, never mutating the donor).
+(who qualifies, who wins), the adoption mechanics (hardlink-or-copy
+into staging, vanished donor files skipped, never mutating the donor),
+and retirement: an incremental round that publishes removes the entry
+its prior used, unless that entry is held, elsewhere or the same slot.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from seeded_dbs import build_db
 
+from repro.core import runner
 from repro.core.runner import DiscoveryConfig, DiscoverySession, discover_inds
 from repro.db.schema import AttributeRef
 from repro.db.stats import collect_column_stats
+from repro.obs.metrics import get_registry
 from repro.storage import spool_cache
 from repro.storage.blockio import DEFAULT_BLOCK_SIZE
 from repro.storage.exporter import export_database
@@ -224,7 +231,10 @@ class TestPriorFirstDonor:
             for round_ in range(30):
                 db.table("t0").insert({"id": 100 + round_, "c0": round_ % 12})
                 prior = session.discover(db)
-            assert len(SpoolCache(tmp_path / "cache").entries()) == 30
+            # Each round retired its prior's entry: only the last one is left.
+            assert SpoolCache(tmp_path / "cache").entries() == [
+                Path(prior.spool_path)
+            ]
             opened = _count_opens(monkeypatch)
             db.table("t0").insert({"id": 200, "c0": 5})
             result = session.discover(db)
@@ -306,15 +316,18 @@ class TestPriorFirstDonor:
     def test_an_unusable_prior_falls_back_to_the_scan(self, tmp_path, damage):
         db = build_db(0)
         cache = SpoolCache(tmp_path / "cache")
+        # Two older states of the database, published outside the session's
+        # chain (which retires the entries it supersedes), give the scan a
+        # choice once the prior's entry is unusable: only the later one
+        # still matches the rebuild's t1.
+        older = []
+        for table, row in (
+            ("t0", {"id": 100, "c0": 1}),
+            ("t1", {"id": 100, "c0": 1}),
+        ):
+            db.table(table).insert(row)
+            older.append(_publish_entry(cache, db)[0].root)
         with self._session(tmp_path) as session:
-            # Three entries, each donating a different part of the next
-            # round's rebuild: the scan has a real choice to make.
-            for table, row in (
-                ("t0", {"id": 100, "c0": 1}),
-                ("t1", {"id": 100, "c0": 1}),
-            ):
-                db.table(table).insert(row)
-                session.discover(db)
             db.table("t0").insert({"id": 101, "c0": 2})
             config = session.config
             if damage == "block-size":
@@ -330,6 +343,7 @@ class TestPriorFirstDonor:
             scan = cache.find_partial(*args)
             hinted = cache.find_partial(*args, prior=prior.spool_path)
             assert scan is not None
+            assert scan[0].root == older[-1]  # it shares t1 with the target
             assert (hinted[0].root, hinted[1]) == (scan[0].root, scan[1])
             result = session.discover(db)
         assert _donor_span(result)["donor"] == "scan"
@@ -349,6 +363,228 @@ class TestPriorFirstDonor:
         assert scan[0].root == older.root
         assert hinted[0].root == prior.root
         assert set(scan[1]) - set(hinted[1]) == {AttributeRef("t0", "c1")}
+
+
+def _publish_span(result) -> dict:
+    (span,) = [s for s in result.trace["spans"] if s["name"] == "cache-publish"]
+    return span["attrs"]
+
+
+def _retired_total() -> float:
+    return get_registry().snapshot()["counters"].get(
+        "spool_cache_retired_total", 0
+    )
+
+
+def _answer(db):
+    return discover_inds(db, DiscoveryConfig()).satisfied
+
+
+class TestOneLiveEntryPerChain:
+    """A round that publishes retires the entry its prior round used."""
+
+    def _config(self, tmp_path, **kwargs):
+        return DiscoveryConfig(
+            incremental=True,
+            reuse_spool=True,
+            cache_dir=str(tmp_path / "cache"),
+            trace=True,
+            **kwargs,
+        )
+
+    def test_thirty_edited_rounds_leave_one_entry(self, tmp_path):
+        db = build_db(0)
+        cache = SpoolCache(tmp_path / "cache")
+        before = _retired_total()
+        with DiscoverySession(self._config(tmp_path)) as session:
+            for round_ in range(30):
+                db.table("t0").insert({"id": 100 + round_, "c0": round_ % 12})
+                result = session.discover(db)
+                assert _publish_span(result)["retired"] is (round_ > 0)
+                assert cache.entries() == [Path(result.spool_path)]
+        assert cache.list_orphans() == []
+        assert _retired_total() - before == 29
+        assert result.satisfied == _answer(db)
+
+    def test_a_publish_then_a_hit_then_a_publish_leaves_one_entry(
+        self, tmp_path
+    ):
+        """A hit retires nothing; the next publish retires the entry the
+        hit read, which is the entry its own prior published."""
+        db = build_db(0)
+        cache = SpoolCache(tmp_path / "cache")
+        with DiscoverySession(self._config(tmp_path)) as session:
+            first = session.discover(db)
+            hit = session.discover(db)
+            assert hit.spool_cache_hit
+            assert cache.entries() == [Path(first.spool_path)]
+            db.table("t0").insert({"id": 100, "c0": 1})
+            last = session.discover(db)
+        assert _publish_span(last)["retired"] is True
+        assert cache.entries() == [Path(last.spool_path)]
+        assert cache.list_orphans() == []
+        assert last.satisfied == _answer(db)
+
+    def test_an_undo_rebuilds_by_partial_reuse(self, tmp_path):
+        """A → B → A: A's entry went when B published, so the third round
+        misses and rebuilds A from B's entry."""
+        cache = SpoolCache(tmp_path / "cache")
+        with DiscoverySession(self._config(tmp_path)) as session:
+            first = session.discover(build_db(0))
+            session.discover(_mutated())
+            undone = session.discover(build_db(0))
+        assert undone.spool_cache_hit is False
+        assert _donor_span(undone)["donor"] == "prior"
+        assert undone.spool_path == first.spool_path
+        assert cache.entries() == [Path(undone.spool_path)]
+        assert _tree(undone.spool_path) == _rebuilt_entry(build_db(0), tmp_path)
+
+    def test_a_held_entry_outlives_a_publish_that_supersedes_it(
+        self, tmp_path, monkeypatch
+    ):
+        """A run that hit entry E and is still validating keeps E while
+        another run, whose prior names E, publishes its successor."""
+        config = self._config(tmp_path)
+        db = build_db(0)
+        first = discover_inds(db, config)
+        entry = Path(first.spool_path)
+        parked, resume = threading.Event(), threading.Event()
+        validate = runner._validate
+
+        def parking_validate(*args, **kwargs):
+            if threading.current_thread().name == "holder":
+                parked.set()
+                assert resume.wait(60)
+            return validate(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "_validate", parking_validate)
+        outcome = {}
+
+        def hold():
+            try:
+                # No prior: a full round that hits E and validates from it.
+                outcome["result"] = discover_inds(db, config)
+            except Exception as exc:  # surfaced by the asserts below
+                outcome["error"] = exc
+
+        holder = threading.Thread(target=hold, name="holder")
+        holder.start()
+        try:
+            assert parked.wait(60)
+            edited = _mutated()
+            successor = discover_inds(edited, config, prior=first)
+            assert _publish_span(successor)["retired"] is False
+            assert entry.is_dir()
+        finally:
+            resume.set()
+            holder.join(60)
+        assert not holder.is_alive()
+        assert "error" not in outcome, outcome.get("error")
+        held = outcome["result"]
+        assert held.spool_cache_hit and Path(held.spool_path) == entry
+        assert held.satisfied == _answer(db)
+        assert successor.satisfied == _answer(edited)
+        # Skipped, the entry stays until eviction; the successor is live.
+        assert SpoolCache(tmp_path / "cache").entries() == sorted(
+            [entry, Path(successor.spool_path)]
+        )
+
+    @pytest.mark.parametrize("other", ["block-size", "database", "cache-dir"])
+    def test_a_prior_from_elsewhere_is_not_retired(self, tmp_path, other):
+        config = self._config(tmp_path)
+        source = build_db(0)
+        if other == "database":
+            source.name = "elsewhere"
+        prior = discover_inds(source, config)
+        if other == "block-size":
+            config = replace(config, spool_block_size=128)
+        elif other == "cache-dir":
+            config = replace(config, cache_dir=str(tmp_path / "other"))
+        db = _mutated()
+        result = discover_inds(db, config, prior=prior)
+        assert result.spool_cache_hit is False
+        assert _publish_span(result)["retired"] is False
+        assert Path(prior.spool_path).is_dir()
+        assert result.satisfied == _answer(db)
+
+    def test_retire_checks_names_roots_and_holds(self, tmp_path):
+        cache = SpoolCache(tmp_path / "cache")
+        old, _, _ = _publish_entry(cache, build_db(0))
+        new, _, _ = _publish_entry(cache, _mutated())
+        other_block, _, _ = _publish_entry(cache, build_db(1), block_size=8)
+        elsewhere = SpoolCache(tmp_path / "elsewhere")
+        foreign, _, _ = _publish_entry(elsewhere, build_db(0))
+        successor = Path(new.root)
+        assert not cache.retire(new.root, successor)  # the successor itself
+        assert not cache.retire(other_block.root, successor)
+        assert not cache.retire(foreign.root, successor)
+        assert not cache.retire(tmp_path / "cache" / "missing", successor)
+        key = SpoolCache.hold(old.root)
+        try:
+            assert not cache.retire(old.root, successor)
+        finally:
+            SpoolCache.release(key)
+        assert cache.retire(str(old.root), successor)
+        assert cache.entries() == sorted([successor, Path(other_block.root)])
+        assert elsewhere.entries() == [Path(foreign.root)]
+        assert cache.list_orphans() == []
+
+    def test_holds_and_retirement_race_safely(self, tmp_path):
+        """Readers hold, check and read an entry that one thread keeps
+        re-publishing and retiring: an entry seen under a hold stays
+        readable until released, and every hold is released."""
+        cache = SpoolCache(tmp_path / "cache")
+        entry = cache.root / ("a" * 32 + "-binary-4096")
+        successor = cache.root / ("b" * 32 + "-binary-4096")
+        failures: list[Exception] = []
+        counts = {"retired": 0, "read": 0}
+        stop = threading.Event()
+
+        def republish_and_retire():
+            staging = tmp_path / "staging"
+            try:
+                while not stop.is_set():
+                    if not entry.exists():
+                        staging.mkdir()
+                        (staging / "index.json").write_text("{}")
+                        staging.rename(entry)
+                    counts["retired"] += cache.retire(entry, successor)
+            except Exception as exc:
+                failures.append(exc)
+
+        def read_under_hold():
+            while not stop.is_set():
+                key = SpoolCache.hold(entry)
+                try:
+                    if entry.exists():
+                        for _ in range(3):
+                            (entry / "index.json").read_text()
+                        counts["read"] += 1  # a lost update only undercounts
+                except Exception as exc:
+                    failures.append(exc)
+                finally:
+                    SpoolCache.release(key)
+                time.sleep(1e-3)  # let the retirer find the entry unheld
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=republish_and_retire)] + [
+            threading.Thread(target=read_under_hold) for _ in range(7)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            time.sleep(1.0)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(30)
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert counts["retired"] > 0 and counts["read"] > 0, counts
+        assert os.path.realpath(entry) not in spool_cache._HELD
+        assert cache.list_orphans() == []
 
 
 class TestDiscoveryPublishesDonors:

@@ -821,6 +821,69 @@ class TestPipelineFlags:
         assert shutdown["pool"]["workers_replaced"] == 0
 
 
+class TestBrokenPipe:
+    """A reader that closes stdout early ends a command quietly, with the
+    status a shell reports for ``yes | head -1``."""
+
+    @staticmethod
+    def _first_line_then_close(args: list[str]) -> tuple[str, int, str]:
+        import os
+        import pathlib
+        import subprocess
+        import sys as sys_module
+
+        repo_root = pathlib.Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(repo_root / "src"))
+        proc = subprocess.Popen(
+            [sys_module.executable, "-m", "repro.cli", *args],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        return first, proc.returncode, err
+
+    def test_cache_list_into_a_closed_pipe(self, tmp_path):
+        # A listing far longer than a pipe holds, so the writer is still
+        # printing when the reader goes.
+        cache_dir = tmp_path / "cache"
+        for i in range(2000):
+            entry = cache_dir / f"{i:032x}-binary-4096"
+            entry.mkdir(parents=True)
+            (entry / "index.json").write_text(
+                '{"version": 2, "format": "binary", "block_size": 4096}'
+            )
+        first, status, err = self._first_line_then_close(
+            ["cache", "list", "--cache-dir", str(cache_dir)]
+        )
+        assert first.startswith("fingerprint")
+        assert status == 141, err
+        assert "Traceback" not in err
+        assert "BrokenPipeError" not in err
+
+    def test_watch_into_a_closed_pipe_drains_its_pool(self, biosql_dump):
+        """Unbounded rounds: the round after the reader left fails to
+        print, and the session's two workers drain before the exit."""
+        first, status, err = self._first_line_then_close(
+            [
+                "watch", str(biosql_dump), "--rounds", "0",
+                "--interval", "0.1", "--strategy", "brute-force",
+                "--validation-workers", "2",
+            ]
+        )
+        assert json.loads(first)["round"] == 1
+        assert status == 141, err
+        assert "Traceback" not in err
+
+
 class TestCacheOrphans:
     def test_list_surfaces_orphans_and_evict_reclaims_them(
         self, tmp_path, capsys
