@@ -20,8 +20,8 @@ Sub-packages:
 * :mod:`repro.sql` — SQL engine executing the paper's join/minus/not-in tests;
 * :mod:`repro.storage` — sorted value files and external sorting;
 * :mod:`repro.core` — candidate generation, pretests, and all validators;
-* :mod:`repro.parallel` — multi-process validation engines (sharded brute
-  force, partitioned merge) over a shared read-only spool;
+* :mod:`repro.parallel` — the worker pool: sharded brute-force validation,
+  pooled export and pretest over a shared read-only spool;
 * :mod:`repro.discovery` — foreign keys, accession numbers, primary relations;
 * :mod:`repro.datagen` — synthetic UniProt/SCOP/PDB-like datasets;
 * :mod:`repro.bench` — the harness regenerating the paper's tables/figures.

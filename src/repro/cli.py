@@ -82,8 +82,9 @@ def _add_validation_flags(parser: argparse.ArgumentParser) -> None:
         help="validate in up to N worker processes; applies only to the "
         "brute-force and merge-single-pass strategies, and 1 (the default) "
         "runs the plain sequential validator with no processes spawned. "
-        "Above 1, a merge whose candidates form one connected group still "
-        "runs in this process. Decisions are identical at every N",
+        "Above 1, brute force validates on a worker pool; merge-single-pass "
+        "still merges in this process, and N sizes only the --overlap "
+        "pool. Decisions are identical at every N",
     )
     parser.add_argument(
         "--sampling-size",
@@ -98,7 +99,8 @@ def _add_validation_flags(parser: argparse.ArgumentParser) -> None:
         "--overlap",
         action="store_true",
         help="run export, then the sampling pretest, as pool tasks on one "
-        "worker fleet, and validate the survivors on the same fleet; "
+        "worker fleet; brute force validates the survivors on the same "
+        "fleet, the merge in this process; "
         "requires the brute-force or merge-single-pass "
         "strategy; results are identical to the in-process pipeline "
         "(default: off)",
@@ -262,9 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="S",
         help="after each request, drain pool workers that have been idle "
         "for at least S seconds — a stretch of requests that validate in "
-        "process (one-group merges) then releases the warm fleet instead "
-        "of pinning it; the next pooled request respawns workers at the "
-        "cold price "
+        "process (merges, single-candidate brute force) then releases the "
+        "warm fleet instead of pinning it; the next pooled request "
+        "respawns workers at the cold price "
         "(default: never reap)",
     )
     _add_validation_flags(serve)

@@ -83,7 +83,10 @@ EXTERNAL_STRATEGIES = frozenset(
 )
 SQL_STRATEGIES = frozenset({"sql-join", "sql-minus", "sql-notin"})
 SEQUENTIAL_STRATEGIES = frozenset({"brute-force", *SQL_STRATEGIES})
-#: Strategies with a multi-process validation engine (repro.parallel).
+#: Strategies that take ``validation_workers > 1`` and ``overlap``.  Brute
+#: force validates on the worker pool (repro.parallel); the heap merge
+#: always runs in process, so for it the worker count sizes only the pool
+#: of an ``overlap`` run.
 PARALLEL_STRATEGIES = frozenset({"brute-force", "merge-single-pass"})
 ALL_STRATEGIES = frozenset({*EXTERNAL_STRATEGIES, *SQL_STRATEGIES, "reference"})
 
@@ -114,15 +117,17 @@ class DiscoveryConfig:
     * **Overlap** — ``overlap`` is the only way a run pools its export
       and sampling pretest: it runs the export and then the pretest as
       two jobs on one worker pool — the session pool when one is lent,
-      else one per-call pool.  The survivors are then validated on the
-      same pool by the validator an in-process run builds.  Results are
-      identical to the in-process pipeline; ``DiscoveryResult.overlap``
-      reports the tasks each phase ran.
+      else one per-call pool.  The survivors are then validated by the
+      validator an in-process run builds: brute force on the same pool,
+      the merge in process.  Results are identical to the in-process
+      pipeline; ``DiscoveryResult.overlap`` reports the tasks each phase
+      ran.
     * **Validation** — ``strategy`` (one of :data:`ALL_STRATEGIES`),
       ``validation_workers`` (the worker-process ceiling for the
-      strategies in :data:`PARALLEL_STRATEGIES`; 1 = sequential — each
-      parallel validator still runs in process where the pool cannot
-      help: a one-group merge plan, a single candidate), ``skip_scans``
+      strategies in :data:`PARALLEL_STRATEGIES`; 1 = sequential — brute
+      force pools its validation and still tests a single candidate in
+      process; the merge always runs in process, and the count sizes only
+      an ``overlap`` run's pool), ``skip_scans``
       (per-block skip-scans on v2/v3 spools: brute-force seeks past
       blocks below its probe, and the merge engines seek purely
       referenced cursors past blocks below the dependent frontier —
@@ -313,15 +318,14 @@ def discover_inds(
     the config — see :class:`DiscoveryConfig` for the per-flag breakdown.
 
     ``pool`` lends a persistent :class:`~repro.parallel.pool.WorkerPool` to
-    the parallel validation engines (``strategy`` in
-    :data:`PARALLEL_STRATEGIES` with ``validation_workers > 1`` — brute
-    force dispatches candidate chunks, merge-single-pass dispatches merge
-    partitions) and to an ``overlap`` run (its ``spool-export`` and
-    ``sample-pretest`` jobs, with the validation after them on the same
-    fleet); the pool is borrowed, never shut down here.  Without it, an
-    ``overlap`` run builds **one** per-call pool for its export, pretest
-    and validation (drained before returning), and plain parallel
-    validation builds its per-call pool inside the engine.
+    pooled brute-force validation (``validation_workers > 1``, dispatched
+    as candidate chunks) and to an ``overlap`` run (its ``spool-export``
+    and ``sample-pretest`` jobs, with a brute-force validation after them
+    on the same fleet); the pool is borrowed, never shut down here.  The
+    merge never uses it.  Without it, an ``overlap`` run builds **one**
+    per-call pool for its export, pretest and validation (drained before
+    returning), and pooled brute force builds its per-call pool inside the
+    engine.
     :class:`DiscoverySession` manages the pool so callers rarely pass it
     directly.  ``DiscoveryResult.pool_stats`` sums the export, pretest and
     validation pool deltas, so ``tasks_by_kind`` covers the whole
@@ -541,17 +545,9 @@ def discover_inds(
                     validate_span.attrs["validator"] = (
                         validation.stats.validator
                     )
-                    merge_groups = validation.stats.extra.get("merge_groups")
-                    if merge_groups is not None:
-                        # A pooled merge: say where its plan ran.
-                        validate_span.attrs["placement"] = (
-                            "in-process" if validation.pool is None else "pool"
-                        )
-                        validate_span.attrs["merge_groups"] = int(merge_groups)
-                    if validation.task_spans:
-                        tracer.add_task_spans(
-                            validate_span.span_id, validation.task_spans
-                        )
+                    task_spans = getattr(validation, "task_spans", None)
+                    if task_spans:
+                        tracer.add_task_spans(validate_span.span_id, task_spans)
         timings.validate_seconds = pretest_seconds + clock.elapsed
         keep_spool = cfg.keep_spool
     finally:
@@ -564,7 +560,10 @@ def discover_inds(
         # The run owned its fleet: honest reporting says the validation
         # phase did not run on a *warm* (cross-call) pool.
         validation.stats.extra["pool_warm"] = 0.0
-    pool_stats = _merged_pool_stats(overlap_pool_stats, validation.pool)
+    # Only pooled brute force returns a result that carries pool stats.
+    pool_stats = _merged_pool_stats(
+        overlap_pool_stats, getattr(validation, "pool", None)
+    )
 
     # A delta run's answer is the union of what it validated and what it
     # re-derived; sampling_refuted likewise folds the reused refutations
@@ -1035,15 +1034,6 @@ def _build_validator(db, cfg, spool, column_stats, pool=None):
     if cfg.strategy == "single-pass":
         return SinglePassValidator(spool)
     if cfg.strategy == "merge-single-pass":
-        if cfg.validation_workers > 1:
-            from repro.parallel.merge import PartitionedMergeValidator
-
-            return PartitionedMergeValidator(
-                spool,
-                workers=cfg.validation_workers,
-                pool=pool,
-                skip_scan=cfg.skip_scans,
-            )
         return MergeSinglePassValidator(spool, skip_scan=cfg.skip_scans)
     if cfg.strategy == "blockwise":
         return BlockwiseValidator(spool, max_open_files=cfg.max_open_files)
@@ -1084,11 +1074,12 @@ def _sampling_pretest(spool, cfg, ids, pairs, samples=None):
 def _validate(
     validator, ids: AttributeIds, pairs: list[int]
 ) -> ValidationResult | PairValidation:
-    """Validate the survivors: pairs as they are for the merge validators,
+    """Validate the survivors: pairs as they are for the merge validator,
     :class:`~repro.core.candidates.Candidate` objects for the rest.
 
-    Either result answers what the runner reads: ``satisfied``, ``stats``,
-    the number of ``decisions``, ``pool`` and ``task_spans``.
+    Either result answers what the runner reads: ``satisfied``, ``stats``
+    and the number of ``decisions``.  A pooled brute-force result also
+    carries ``pool`` and ``task_spans``.
     """
     validate_pairs = getattr(validator, "validate_pairs", None)
     if validate_pairs is not None:
@@ -1130,10 +1121,10 @@ def _validate_sequential(db, cfg, spool, candidates, column_stats):
 class DiscoverySession:
     """Reusable discovery context: one warm worker pool across many runs.
 
-    A plain :func:`discover_inds` call with ``validation_workers > 1`` pays
-    pool startup on every invocation.  A session creates the
+    A plain :func:`discover_inds` call that pools brute force pays pool
+    startup on every invocation.  A session creates the
     :class:`~repro.parallel.pool.WorkerPool` once — lazily, on the first
-    parallel run — and lends it to every subsequent :meth:`discover`, so
+    pooled run — and lends it to every subsequent :meth:`discover`, so
     repeated runs validate on warm worker processes holding warm spool
     handles.  ``repro-ind serve`` is a thin loop over this class;
     benchmarks use it for the warm legs of the repeated-run curves.
@@ -1145,15 +1136,11 @@ class DiscoverySession:
     this), each request getting its own deterministic result.
 
     Config flags that matter here: ``validation_workers`` sizes the pool;
-    the pool engages for parallel validation (``strategy`` of
-    ``"brute-force"`` or ``"merge-single-pass"`` with more than one
+    the pool engages for pooled brute-force validation (more than one
     worker) and for ``overlap`` runs, so an overlapped session runs its
-    export, pretest and validation on one warm fleet; other
-    configurations run exactly as in :func:`discover_inds`
-    with no pool ever created.  A merge whose
-    candidate graph is one component runs in the calling process (see
-    :class:`~repro.parallel.merge.PartitionedMergeValidator`), so a
-    session that only serves such merges may never spawn its fleet.
+    export and pretest, and a brute-force validation after them, on one
+    warm fleet.  Other configurations, every plain merge among them, run
+    exactly as in :func:`discover_inds` with no pool ever created.
     ``reuse_spool``/``cache_dir`` pair well with a session because a cache
     hit keeps the spool *path* stable across runs, which is what lets
     workers reuse their handles.
@@ -1169,11 +1156,11 @@ class DiscoverySession:
         ``idle_reap_seconds`` arms idle-worker reaping: after each run,
         a pool that has had no job for at least that many seconds is
         drained (:meth:`~repro.parallel.pool.WorkerPool.reap_idle`).  A
-        session whose runs stop reaching the pool — one-group merges run
-        in process — would otherwise keep a fleet that an earlier
-        multi-group or brute-force job spawned pinned doing nothing.  The
-        pool itself stays open; the next pooled request respawns workers
-        at the usual cold price.
+        session whose runs stop reaching the pool — merges and
+        single-candidate brute force run in process — would otherwise
+        keep a fleet that an earlier pooled job spawned pinned doing
+        nothing.  The pool itself stays open; the next pooled request
+        respawns workers at the usual cold price.
         ``None`` (the default) never reaps.
         """
         self.config = (config or DiscoveryConfig()).validated()
@@ -1212,8 +1199,8 @@ class DiscoverySession:
         """Run one discovery over ``db``, reusing the session's warm pool.
 
         ``config`` overrides the session default for this run only; the
-        pool is created by the first run that can use it (parallel
-        validation or an ``overlap`` run), sized by that run's
+        pool is created by the first run that can use it (pooled brute
+        force or an ``overlap`` run), sized by that run's
         ``validation_workers``, and never resized afterwards — resizing a
         live fleet would defeat the warm handles the session exists to
         preserve.  Safe to call from several threads at once; concurrent
@@ -1241,27 +1228,22 @@ class DiscoverySession:
         finally:
             # A run that used the pool just stamped its activity, so this
             # only fires after a stretch of runs that left the fleet idle
-            # (e.g. one-group merges that ran in process).
+            # (e.g. merges, which run in process).
             if self.idle_reap_seconds is not None and self._pool is not None:
                 self._pool.reap_idle(self.idle_reap_seconds)
 
     def _pool_for(self, cfg: DiscoveryConfig) -> "WorkerPool | None":
         """Lazily create the shared pool when this run can use one.
 
-        A run can use the pool when parallel validation applies
-        (``strategy`` in :data:`PARALLEL_STRATEGIES` with more than one
-        worker) *or* when it pools export and pretest (``overlap`` — even
-        at one worker, so the task path is exercised at every worker
-        count).
+        A run can use the pool when it pools brute-force validation (more
+        than one worker) *or* when it pools export and pretest
+        (``overlap`` — even at one worker, so the task path is exercised
+        at every worker count).
         Creation is lock-protected so concurrent first requests cannot
         race two fleets into existence (one would leak its processes).
         """
-        wants_pool = (
-            (
-                cfg.strategy in PARALLEL_STRATEGIES
-                and cfg.validation_workers > 1
-            )
-            or cfg.overlap
+        wants_pool = cfg.overlap or (
+            cfg.strategy == "brute-force" and cfg.validation_workers > 1
         )
         if not wants_pool:
             return None

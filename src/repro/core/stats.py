@@ -149,7 +149,7 @@ class DecisionCollector:
 class PairValidation:
     """A :class:`ValidationResult` over packed pairs.
 
-    What the merge validators' pair entry returns.  The fields mean what
+    What the merge validator's pair entry returns.  The fields mean what
     :class:`ValidationResult`'s do, but ``decisions`` (in record order) and
     ``vacuous`` hold pairs over the numbering ``refs``, so a caller that
     reads only ``satisfied`` and the counters never builds a
@@ -161,9 +161,9 @@ class PairValidation:
     decisions: dict[int, bool]
     stats: ValidatorStats
     vacuous: set[int] = field(default_factory=set)
-    pool: dict[str, object] | None = None
-    task_spans: list[dict] | None = None
-    _result: ValidationResult | None = field(default=None, repr=False)
+    _result: ValidationResult | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def result(self) -> ValidationResult:
         """The same result keyed by :class:`Candidate` (built once)."""
@@ -174,32 +174,8 @@ class PairValidation:
                 decisions=dict(zip(candidates, self.decisions.values())),
                 stats=self.stats,
                 vacuous=set(decode_pairs(self.refs, self.vacuous)),
-                pool=self.pool,
-                task_spans=self.task_spans,
             )
         return self._result
-
-    @classmethod
-    def of_result(
-        cls, refs: Sequence[AttributeRef], result: ValidationResult
-    ) -> "PairValidation":
-        """``result`` over the numbering ``refs``; :meth:`result` returns it."""
-        index = {ref: aid for aid, ref in enumerate(refs)}
-        n = len(refs)
-
-        def pair(candidate: Candidate) -> int:
-            return index[candidate.dependent] * n + index[candidate.referenced]
-
-        return cls(
-            refs=refs,
-            satisfied=result.satisfied,
-            decisions={pair(c): v for c, v in result.decisions.items()},
-            stats=result.stats,
-            vacuous={pair(c) for c in result.vacuous},
-            pool=result.pool,
-            task_spans=result.task_spans,
-            _result=result,
-        )
 
 
 class PairCollector:

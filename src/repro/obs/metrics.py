@@ -8,8 +8,8 @@ states (``pool_workers``), and latency distributions
 snapshot API — no exposition server, no background thread; ``repro-ind
 serve`` surfaces the snapshot through its ``stats`` request kind.
 
-Naming follows the Prometheus conventions the names will be scraped
-under if the HTTP service (ROADMAP item 1) ever exports them: counters
+Naming follows the Prometheus conventions the names would be scraped
+under if a network service ever exported them: counters
 end in ``_total``, histograms in their unit, and labels are encoded into
 the key as ``name{k=v}`` with sorted keys, so one flat dict holds every
 series.

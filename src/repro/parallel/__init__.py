@@ -1,14 +1,16 @@
-"""Parallel validation engines over a shared read-only spool directory.
+"""Pooled brute-force validation, export and pretest over one worker pool.
 
-Candidate validation dominates discovery cost and parallelises along two
-different axes, both dispatched through one shared task substrate:
+Brute-force validation tests each candidate on its own, so it splits into
+chunks that any worker can run; the export and the sampling pretest of an
+``overlap`` run ride the same pool.  The heap merge of ``merge-single-pass``
+is one sequential pass and always runs in the calling process.
 
 ===================  =====================================================
 ``tasks``            The typed task model: :class:`TaskSpec` /
                      :class:`PoolTask`, the task-kind registry
-                     (:func:`register_task_kind`), and the four built-in
-                     kinds — brute-force chunks, merge partitions, spool
-                     export units, and sampling-pretest chunks.
+                     (:func:`register_task_kind`), and the three built-in
+                     kinds — brute-force chunks, spool export units, and
+                     sampling-pretest chunks.
 ``export``           :func:`pooled_export` — the export phase as one job
                      of ``spool-export`` tasks: workers render, sort and
                      atomically write per-attribute value files; the
@@ -18,8 +20,8 @@ different axes, both dispatched through one shared task substrate:
                      :func:`~repro.parallel.export.pooled_export_into`.
 ``planner``          :class:`ShardPlanner` — cost-balanced partitions of
                      the candidate set, sized by spool value counts: small
-                     work-stealing chunks, or merge groups cut along
-                     candidate-graph components.
+                     work-stealing chunks of brute-force tests or of the
+                     sampling pretest.
 ``pool``             :class:`WorkerPool` — persistent worker processes,
                      each fed one task at a time over its own pipe by
                      the parent; survives across
@@ -29,18 +31,16 @@ different axes, both dispatched through one shared task substrate:
                      workers, keeps spool handles warm across kinds.
 ``overlap``          :func:`run_overlapped` — export and then the sampling
                      pretest as two jobs on one pool; it returns the
-                     survivors, which the runner validates on the same
-                     pool.  The only pooled export and pretest of a run;
+                     survivors, which brute force then validates on the
+                     same pool.  The only pooled export and pretest of a run;
                      byte-identical results to the in-process pipeline.
 ``engine``           :class:`ProcessPoolValidationEngine` — brute-force
                      chunks dispatched through a pool (per-call or
                      persistent); decisions and summed I/O identical to
                      the sequential validator.
-``merge``            :class:`PartitionedMergeValidator` — the heap merge
-                     split along candidate-graph components (decisions
-                     *and* I/O counters identical to the sequential pass),
-                     dispatched through the same pool; a one-component
-                     graph merges in the calling process instead.
+``merge``            :class:`PartitionedMergeValidator` — a read-only
+                     shim: the in-process heap merge under its old pooled
+                     name, kept for the benchmark's layer passes.
 ===================  =====================================================
 
 Workers always re-open the spool by path (``index.json`` describes every
@@ -54,7 +54,6 @@ from repro.parallel.export import pooled_export
 from repro.parallel.merge import PartitionedMergeValidator
 from repro.parallel.planner import (
     Chunk,
-    MergeGroup,
     ShardPlanner,
     pack_cost_groups,
 )
@@ -67,7 +66,6 @@ from repro.parallel.pool import (
 )
 from repro.parallel.tasks import (
     KIND_BRUTE_FORCE,
-    KIND_MERGE_PARTITION,
     KIND_SAMPLE_PRETEST,
     KIND_SPOOL_EXPORT,
     PoolTask,
@@ -83,8 +81,6 @@ __all__ = [
     "Chunk",
     "JobResult",
     "KIND_BRUTE_FORCE",
-    "KIND_MERGE_PARTITION",
-    "MergeGroup",
     "OverlapRun",
     "PartitionedMergeValidator",
     "PoolStats",

@@ -35,7 +35,7 @@ from repro.core.brute_force import BruteForceValidator
 from repro.core.candidates import Candidate
 from repro.core.stats import ValidationResult
 from repro.errors import DiscoveryError, SpoolError
-from repro.parallel.planner import Chunk, ShardPlanner
+from repro.parallel.planner import ShardPlanner
 from repro.parallel.pool import WorkerPool, run_specs
 from repro.parallel.tasks import (
     KIND_BRUTE_FORCE,
@@ -75,32 +75,20 @@ class ProcessPoolValidationEngine:
         spool: SpoolDirectory,
         workers: int,
         skip_scan: bool = False,
-        planner: ShardPlanner | None = None,
         pool: WorkerPool | None = None,
-        chunk_size: int | None = None,
     ) -> None:
         """Wire the engine to ``spool``; spawn nothing yet.
 
         ``workers`` sizes the per-call pool and the chunk plan; when a
         persistent ``pool`` is supplied its fleet size wins at execution
-        time and ``workers`` only shapes the chunking.  ``chunk_size``
-        caps candidates per work-stealing chunk (default: see
-        :meth:`ShardPlanner.plan_chunks`).
+        time and ``workers`` only shapes the chunking.
         """
         if workers < 1:
             raise DiscoveryError(f"workers must be >= 1, got {workers!r}")
         self._spool = spool
         self._workers = workers
         self._skip_scan = skip_scan
-        self._planner = planner or ShardPlanner(spool)
         self._pool = pool
-        self._chunk_size = chunk_size
-
-    def plan_chunks(self, candidates: list[Candidate]) -> list[Chunk]:
-        """The work-stealing chunk plan this engine would dispatch."""
-        return self._planner.plan_chunks(
-            candidates, self._workers, self._chunk_size
-        )
 
     def validate(self, candidates: list[Candidate]) -> ValidationResult:
         """Validate ``candidates``; decisions identical to the sequential run."""
@@ -118,7 +106,9 @@ class ProcessPoolValidationEngine:
             # Dedupe before planning, as the sequential collector would:
             # two copies in different chunks would make the merge (rightly)
             # refuse the double decision.
-            chunks = self.plan_chunks(list(dict.fromkeys(candidates)))
+            chunks = ShardPlanner(self._spool).plan_chunks(
+                list(dict.fromkeys(candidates)), self._workers
+            )
             specs = [
                 TaskSpec(
                     kind=KIND_BRUTE_FORCE,

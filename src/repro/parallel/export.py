@@ -149,7 +149,7 @@ def pooled_export(
     nothing to export) and the job's worker-stamped per-task spans as a
     fourth (empty when nothing ran).  ``pool`` borrows a persistent fleet;
     without one a right-sized throwaway pool is built and drained, exactly
-    like the validation engines (:func:`~repro.parallel.pool.run_specs`).
+    like the brute-force engine (:func:`~repro.parallel.pool.run_specs`).
     """
     check_format(spool_format)
     check_mmap_reads(mmap_reads)

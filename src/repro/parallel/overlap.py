@@ -16,9 +16,8 @@ written, then the sampling pretest reads those files.
   (:meth:`~repro.parallel.planner.ShardPlanner.plan_pretest_chunks`).
 
 The pretest hands back its survivors.  The runner validates them
-afterwards on the same pool, through the same validator an in-process run
-builds, so a merge is planned from the post-pretest candidate set and a
-one-group plan merges in the calling process.
+afterwards through the same validator an in-process run builds: brute
+force on the same pool, the heap merge in the calling process.
 
 Exactness is inherited, not re-proven: every task's result is a pure
 function of the spool contents and the task itself, and each pretest

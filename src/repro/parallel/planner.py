@@ -19,13 +19,6 @@ offers these plans:
   chunks handed out one at a time absorb the misestimates because a
   worker whose chunks turned out cheap simply receives more.
 
-* :meth:`ShardPlanner.plan_pair_groups` — cost-budgeted groups of whole
-  candidate-graph *components* for the pool-backed partitioned merge, over
-  packed attribute-id pairs (:meth:`ShardPlanner.plan_merge_groups` is its
-  :class:`~repro.core.candidates.Candidate` adapter).  Component
-  boundaries are the one cut that keeps the parallel merge's decisions
-  **and** I/O accounting byte-identical to the sequential pass.
-
 * :meth:`ShardPlanner.plan_pretest_chunks` — chunks of the sampling
   pretest, grouped by dependent attribute so each attribute's reservoir
   sample is drawn once per chunk instead of once per candidate.
@@ -39,8 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.candidates import Candidate, encode_candidates
-from repro.db.schema import AttributeRef
+from repro.core.candidates import Candidate
 from repro.errors import DiscoveryError
 from repro.storage.sorted_sets import SpoolDirectory
 
@@ -63,7 +55,7 @@ def pack_cost_groups(
     """Pack ``(cost, item)`` pairs into cost-budgeted groups, heaviest first.
 
     The one packing rule every chunk-shaped plan shares — candidate chunks,
-    merge groups, pretest chunks, export units are all built on this:
+    pretest chunks and export units are all built on this:
     items are walked in descending cost (ties broken by input position, so
     the output is deterministic), a group closes when it reaches the
     budget — total cost divided by ``workers *
@@ -115,39 +107,8 @@ class Chunk:
     estimated_cost: int
 
 
-@dataclass(frozen=True)
-class MergeGroup:
-    """One merge-partition task: whole candidate-graph components.
-
-    A group is the unit the pool-backed merge validator dispatches: a heap
-    merge over ``candidates`` runs in one worker.  Groups are unions of
-    *connected components* of the candidate–attribute graph, never parts of
-    one, which is what keeps the summed ``items_read`` / ``comparisons`` of
-    the parallel merge byte-identical to the sequential pass (see
-    :meth:`ShardPlanner.plan_merge_groups`).  ``components`` counts how many
-    components the group carries; ``estimated_cost`` sums their attributes'
-    spooled value counts.
-    """
-
-    index: int
-    candidates: tuple[Candidate, ...]
-    estimated_cost: int
-    components: int
-
-
-@dataclass(frozen=True)
-class PairGroup:
-    """A :class:`MergeGroup` over packed pairs (see
-    :class:`~repro.core.candidates.AttributeIds`)."""
-
-    index: int
-    pairs: tuple[int, ...]
-    estimated_cost: int
-    components: int
-
-
 class ShardPlanner:
-    """Packs candidates into cost-budgeted chunks and merge groups.
+    """Packs candidates into cost-budgeted chunks.
 
     Costs come from the spool index: exact spooled value counts.
     """
@@ -267,99 +228,3 @@ class ShardPlanner:
                 )
             )
         return chunks
-
-    def plan_merge_groups(
-        self, candidates: list[Candidate], workers: int
-    ) -> list[MergeGroup]:
-        """Cost-budgeted merge groups made of whole candidate-graph components.
-
-        :meth:`plan_pair_groups` over the candidates' own attribute
-        numbering; each group holds the caller's candidate objects.
-        """
-        refs, pairs = encode_candidates(candidates)
-        objects = dict(zip(pairs, candidates))
-        return [
-            MergeGroup(
-                index=group.index,
-                candidates=tuple(objects[pair] for pair in group.pairs),
-                estimated_cost=group.estimated_cost,
-                components=group.components,
-            )
-            for group in self.plan_pair_groups(refs, pairs, workers)
-        ]
-
-    def plan_pair_groups(
-        self, refs: list[AttributeRef], pairs: list[int], workers: int
-    ) -> list[PairGroup]:
-        """Merge groups over packed ``pairs`` of the sorted numbering ``refs``.
-
-        The heap merge reads an attribute until all candidates *touching*
-        that attribute are decided, so the set of values it consumes from an
-        attribute depends only on the attribute's connected component in the
-        candidate graph (candidates are edges between their dependent and
-        referenced attributes).  Splitting the candidate set along component
-        boundaries therefore preserves the sequential pass **exactly**: each
-        group's merge makes the same decisions, reads the same values and
-        performs the same comparisons the global pass spends on that
-        group's attributes — summed across groups, ``items_read`` and
-        ``comparisons`` are byte-identical to one sequential merge.  (A
-        split *through* a component would break this: the fragment that
-        refutes a candidate cannot tell the other fragment to stop
-        reading.)
-
-        Components are costed by their attributes' spooled value counts and
-        packed heaviest-first into cost-budgeted groups — the total cost
-        divided by ``workers * DEFAULT_CHUNKS_PER_WORKER`` — for the pool's
-        work-stealing queue, like :meth:`plan_chunks` but at component
-        granularity.  Pairs keep their original order within a group, so a
-        one-group plan replays the sequential run exactly.  Output is
-        deterministic for a given spool and pair list; every distinct pair
-        lands in exactly one group.
-        """
-        if workers < 1:
-            raise DiscoveryError(f"worker count must be >= 1, got {workers!r}")
-        ordered = list(dict.fromkeys(pairs))
-        if not ordered:
-            return []
-        n = len(refs)
-        # Union-find over attribute ids; each pair is an edge.
-        parent = list(range(n))
-
-        def find(attr: int) -> int:
-            root = attr
-            while parent[root] != root:
-                root = parent[root]
-            while parent[attr] != root:  # path compression
-                parent[attr], attr = root, parent[attr]
-            return root
-
-        for pair in ordered:
-            a, b = find(pair // n), find(pair % n)
-            if a != b:
-                parent[b] = a
-        components: dict[int, list[int]] = {}
-        for seq, pair in enumerate(ordered):
-            components.setdefault(find(pair // n), []).append(seq)
-        costed = []
-        for members in components.values():
-            attrs = {ordered[seq] // n for seq in members}
-            attrs.update(ordered[seq] % n for seq in members)
-            cost = sum(self._count(refs[attr]) for attr in attrs) + 1
-            costed.append((cost, (cost, members)))
-        # Components are discovered in first-pair order, so the packer's
-        # input-position tie-break orders equal-cost components by their
-        # first pair.
-        packed = pack_cost_groups(costed, workers)
-        groups: list[PairGroup] = []
-        for group in packed:
-            seqs = sorted(seq for _, members in group for seq in members)
-            groups.append(
-                PairGroup(
-                    index=len(groups),
-                    pairs=tuple(ordered[seq] for seq in seqs),
-                    estimated_cost=sum(cost for cost, _ in group),
-                    components=len(group),
-                )
-            )
-        return groups
-

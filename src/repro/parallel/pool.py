@@ -6,8 +6,8 @@ and runs typed tasks on it:
 * **Typed tasks.**  Every task carries a ``kind`` resolved through the
   registry in :mod:`repro.parallel.tasks`; the worker loop does not know
   what a task *does*, only how to open the spool it runs against.
-  Brute-force chunks, merge partitions, spool-export units and sampling
-  pretest chunks ship as built-in kinds, and one job may mix kinds freely.
+  Brute-force chunks, spool-export units and sampling pretest chunks
+  ship as built-in kinds, and one job may mix kinds freely.
 
 * **Concurrent jobs.**  Any number of caller threads may have a
   :meth:`WorkerPool.run_job` in flight at once over the same fleet — the
@@ -27,7 +27,7 @@ and runs typed tasks on it:
 
 Workers keep an LRU of parsed
 :class:`~repro.storage.sorted_sets.SpoolDirectory` indexes shared across
-kinds, so a merge partition scheduled after a brute-force chunk over the
+kinds, so a pretest chunk scheduled after a brute-force chunk over the
 same spool reuses the same warm handle (``PoolStats.spool_handle_reuses``
 counts those wins, per kind in ``tasks_by_kind``).
 
@@ -58,7 +58,6 @@ import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 
-from repro.core.candidates import Candidate
 from repro.errors import DiscoveryError
 from repro.obs.metrics import get_registry
 from repro.obs.trace import stamp
@@ -86,7 +85,7 @@ __all__ = [
 #: How many spool directories one worker keeps warm (parsed index, interned
 #: attribute ids).  Handles hold no file descriptors — cursors are opened and
 #: closed per task — so the only cost of a cached entry is memory.  The cache
-#: is shared by every task kind: a merge partition lands on the handle a
+#: is shared by every task kind: a pretest chunk lands on the handle a
 #: brute-force chunk warmed, and vice versa.
 WARM_SPOOL_LIMIT = 8
 
@@ -201,8 +200,8 @@ def run_specs(
 ) -> tuple[JobResult, bool]:
     """Run ``specs`` on ``pool``, or on a right-sized throwaway fleet.
 
-    The one place both validation engines share their borrowed-vs-ephemeral
-    pool policy: with ``pool=None`` a per-call :class:`WorkerPool` is built
+    The one borrowed-vs-ephemeral pool policy of the brute-force engine
+    and the pooled export: with ``pool=None`` a per-call :class:`WorkerPool` is built
     — never larger than the number of specs, since extra workers would have
     nothing to pull — and drained afterwards; a supplied pool is borrowed
     and left running.  Returns ``(job, ephemeral)`` so callers can report
@@ -387,7 +386,7 @@ class WorkerPool:
     this way), and every job gets back its own outcomes and its own
     :class:`PoolStats` delta.  Tasks are typed — see
     :mod:`repro.parallel.tasks` — so one warm fleet executes brute-force
-    chunks and merge partitions interchangeably.
+    chunks and pretest chunks interchangeably.
 
     Use as a context manager or via
     :class:`repro.core.runner.DiscoverySession`; passing the pool to the
@@ -555,8 +554,8 @@ class WorkerPool:
     ) -> int:
         """Drain an idle fleet without closing the pool; returns workers reaped.
 
-        A session whose requests stop reaching the pool — one-group merges
-        and single-candidate validations run in process — would otherwise
+        A session whose requests stop reaching the pool — merges and
+        single-candidate validations run in process — would otherwise
         pin a warm fleet of processes doing nothing; this releases them
         once the pool has had no job activity for ``max_idle_seconds``.
         The pool stays open: the next :meth:`run_job` simply respawns

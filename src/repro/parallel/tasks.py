@@ -1,21 +1,15 @@
 """The pool's task model: typed task kinds and their worker-side executors.
 
-PR 3's :class:`~repro.parallel.pool.WorkerPool` could run exactly one shape
-of work — a brute-force candidate chunk — because the task tuple and the
-worker loop both hard-coded that validator.  Everything else the ROADMAP
-wants to push through the warm fleet (merge partitions today; export or
-sampling work tomorrow) would have meant another bespoke pool.  This module
-makes the pool a *substrate* instead:
+The :class:`~repro.parallel.pool.WorkerPool` is a *substrate* that runs
+any registered kind of work:
 
 * a :class:`TaskSpec` names **what** to run (a task ``kind``, the candidates
   it covers, and a kind-specific ``payload``) without saying **where**;
 * a registry maps each kind to the function a worker process calls to
   execute it (:func:`register_task_kind` / :func:`resolve_task_kind`);
-* four kinds ship built in: :data:`KIND_BRUTE_FORCE` (a cost-bounded chunk of
-  candidates through the sequential
+* three kinds ship built in: :data:`KIND_BRUTE_FORCE` (a cost-bounded chunk
+  of candidates through the sequential
   :class:`~repro.core.brute_force.BruteForceValidator`),
-  :data:`KIND_MERGE_PARTITION` (a complete heap merge over a group of
-  whole candidate-graph components),
   :data:`KIND_SPOOL_EXPORT` (a group of export units: render → sort →
   atomic value-file write, metadata shipped back for the parent to
   assemble the index), and :data:`KIND_SAMPLE_PRETEST` (the Sec. 4.1
@@ -48,11 +42,6 @@ if TYPE_CHECKING:  # circular-import guard: pool builds on this module
 #: Registry key of the built-in brute-force chunk executor.  Payload:
 #: ``(skip_scan,)`` — forwarded to the sequential validator.
 KIND_BRUTE_FORCE = "brute-force"
-
-#: Registry key of the built-in merge-partition executor.  Payload:
-#: ``(skip_scan,)`` — the frontier skip-scan flag forwarded to the merge
-#: validator.
-KIND_MERGE_PARTITION = "merge-partition"
 
 #: Registry key of the built-in spool-export executor.  Payload:
 #: ``(units, block_size, max_items_in_memory, compression)``, where
@@ -221,26 +210,6 @@ def _run_brute_force_chunk(spool: "SpoolDirectory", task: PoolTask) -> ShardOutc
     )
 
 
-def _run_merge_partition(spool: "SpoolDirectory", task: PoolTask) -> ShardOutcome:
-    """Built-in executor: one heap merge over a candidate group.
-
-    The merge runs straight on the spool, so a task is byte-for-byte the
-    sequential validator on its group.
-    """
-    from repro.core.merge_single_pass import MergeSinglePassValidator
-
-    (skip_scan,) = task.payload or (False,)
-    result = MergeSinglePassValidator(spool, skip_scan=skip_scan).validate(
-        list(task.candidates)
-    )
-    return ShardOutcome(
-        shard_index=task.task_id,
-        decisions=result.decisions,
-        vacuous=result.vacuous,
-        stats=result.stats,
-    )
-
-
 def _run_spool_export(spool: "SpoolDirectory", task: PoolTask) -> ShardOutcome:
     """Built-in executor: render, sort and write one group of export units.
 
@@ -305,6 +274,5 @@ def _run_sample_pretest(spool: "SpoolDirectory", task: PoolTask) -> ShardOutcome
 
 
 register_task_kind(KIND_BRUTE_FORCE, _run_brute_force_chunk)
-register_task_kind(KIND_MERGE_PARTITION, _run_merge_partition)
 register_task_kind(KIND_SPOOL_EXPORT, _run_spool_export)
 register_task_kind(KIND_SAMPLE_PRETEST, _run_sample_pretest)

@@ -40,9 +40,15 @@ the filesystem itself (no sidecar state to corrupt, works across processes).
 fits a byte budget; a cache built with ``max_bytes`` enforces it after every
 :meth:`SpoolCache.publish` (never evicting the entry just published), and
 ``repro-ind cache list|evict`` exposes the same machinery to operators.
-Eviction is safe against concurrent readers: entries are renamed aside
-before deletion, so an open file descriptor stays valid and a concurrent
-``lookup`` either hits the complete entry or misses cleanly.
+Eviction renames an entry aside before deleting it, so a concurrent
+``lookup`` either hits the complete entry or misses cleanly, and a value
+file a reader already has open stays readable.  Eviction does not wait
+for readers, though, and cursors open value files lazily: a run that hit
+an entry which another process then evicts fails with a
+:class:`~repro.errors.SpoolError` naming the first value file it had not
+opened yet.  It never reads a wrong value, so such a run ends in the
+answer a fresh run gives or in that error.  Holds (:meth:`SpoolCache.hold`)
+guard an entry only against retirement, and only within one process.
 
 **Retirement.**  An incremental chain keeps one live entry: once a round
 has published its entry, :meth:`SpoolCache.retire` removes the entry its

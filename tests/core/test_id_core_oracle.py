@@ -1,7 +1,7 @@
 """Oracle equivalence of the attribute-id core.
 
-Candidate generation, the metadata pretests, the delta planner and merge
-planning run on packed ``(dep_id, ref_id)`` pairs over a run's
+Candidate generation, the metadata pretests and the delta planner run on
+packed ``(dep_id, ref_id)`` pairs over a run's
 :class:`~repro.core.candidates.AttributeIds`.  They replaced code that did
 the same work on :class:`Candidate` objects, one attribute lookup at a
 time.  That code is vendored below as the oracle, and the id core must
@@ -11,9 +11,6 @@ reproduce it exactly:
   builders, both candidate modes and all 16 pretest combinations — through
   the id functions the runner calls and through the public
   :class:`Candidate` adapters;
-* merge groups — members, order, ``estimated_cost`` and ``components`` —
-  including multi-group plans on ``build_component_db()`` and on
-  component spools;
 * delta plans — the ``delta`` document, the affected candidates and the
   reused satisfied and refuted sets — along the mutation scripts of
   ``tests/test_incremental_stress.py``, whose add-column and drop-column
@@ -31,7 +28,6 @@ import pytest
 import test_incremental_stress as stress
 from seeded_dbs import (
     build_component_db,
-    build_component_spool,
     build_db,
     build_random_db,
 )
@@ -58,8 +54,6 @@ from repro.core.candidates import (
 from repro.core.runner import DiscoveryConfig, discover_inds
 from repro.db import Column, Database, DataType, TableSchema
 from repro.db.stats import collect_column_stats
-from repro.parallel.planner import ShardPlanner, pack_cost_groups
-from repro.storage.exporter import export_database
 from repro.storage.spool_cache import attribute_fingerprints
 
 # ------------------------------------------------------------------ oracle
@@ -154,53 +148,6 @@ def oracle_apply_pretests(candidates, stats, cfg):
         survivors.append(candidate)
     report.remaining = len(survivors)
     return survivors, report
-
-
-def oracle_merge_groups(count, candidates, workers):
-    """``plan_merge_groups`` as a union-find over attributes; ``count`` maps
-    an attribute to its spooled value count."""
-    ordered = list(dict.fromkeys(candidates))
-    if not ordered:
-        return []
-    parent = {}
-
-    def find(attr):
-        root = attr
-        while parent[root] is not root:
-            root = parent[root]
-        while parent[attr] is not root:
-            parent[attr], attr = root, parent[attr]
-        return root
-
-    for candidate in ordered:
-        for attr in (candidate.dependent, candidate.referenced):
-            parent.setdefault(attr, attr)
-        a, b = find(candidate.dependent), find(candidate.referenced)
-        if a is not b:
-            parent[b] = a
-    components = {}
-    for seq, candidate in enumerate(ordered):
-        components.setdefault(find(candidate.dependent), []).append(
-            (seq, candidate)
-        )
-    costed = []
-    for members in components.values():
-        attrs = {c.dependent for _, c in members}
-        attrs |= {c.referenced for _, c in members}
-        cost = sum(count(attr) for attr in attrs) + 1
-        costed.append((cost, (cost, members)))
-    groups = []
-    for group in pack_cost_groups(costed, workers):
-        bucket = sorted(entry for _, members in group for entry in members)
-        groups.append(
-            (
-                len(groups),
-                tuple(c for _, c in bucket),
-                sum(cost for cost, _ in group),
-                len(group),
-            )
-        )
-    return groups
 
 
 def oracle_plan_delta(db, cfg, prior, candidates, fingerprints, prior_refuted):
@@ -365,64 +312,6 @@ class TestGenerationAndPretests:
         assert apply_pretests(shuffled, stats, cfg) == oracle_apply_pretests(
             shuffled, stats, cfg
         )
-
-
-# ------------------------------------------------------------ merge groups
-
-
-def _merge_inputs(tmp_path, name):
-    """``(spool, candidates)`` after the runner's pretests, exported."""
-    db = DATABASES[name]()
-    stats = collect_column_stats(db)
-    cfg = PretestConfig(cardinality=True, max_value=True, min_value=True)
-    candidates, _ = oracle_apply_pretests(oracle_unique_ref(stats), stats, cfg)
-    needed = sorted({a for c in candidates for a in (c.dependent, c.referenced)})
-    spool, _ = export_database(db, str(tmp_path / name), attributes=needed)
-    return db, stats, spool, candidates
-
-
-def _plain(groups):
-    return [
-        (g.index, tuple(g.candidates), g.estimated_cost, g.components)
-        for g in groups
-    ]
-
-
-class TestMergeGroups:
-    @pytest.mark.parametrize("workers", (1, 2, 4))
-    @pytest.mark.parametrize("seed", range(6))
-    def test_component_spools(self, tmp_path, seed, workers):
-        spool, candidates = build_component_spool(tmp_path / "s", seed)
-        planner = ShardPlanner(spool)
-        expected = oracle_merge_groups(
-            lambda attr: spool.get(attr).count, candidates, workers
-        )
-        assert _plain(planner.plan_merge_groups(candidates, workers)) == expected
-        doubled = candidates + candidates[::2]
-        assert _plain(planner.plan_merge_groups(doubled, workers)) == expected
-
-    @pytest.mark.parametrize("workers", (1, 2, 4))
-    @pytest.mark.parametrize("name", ["components", "random3", "typed"])
-    def test_the_runners_numbering(self, tmp_path, name, workers):
-        """Pairs over the run's AttributeIds, as the runner plans them."""
-        _, stats, spool, candidates = _merge_inputs(tmp_path, name)
-        expected = oracle_merge_groups(
-            lambda attr: spool.get(attr).count, candidates, workers
-        )
-        if name == "components" and workers > 1:
-            assert len(expected) > 1  # a multi-group plan
-        ids = AttributeIds(stats)
-        pairs = ids.pairs_of(candidates)
-        got = ShardPlanner(spool).plan_pair_groups(ids.refs, pairs, workers)
-        assert [
-            (g.index, tuple(ids.candidates(g.pairs)), g.estimated_cost, g.components)
-            for g in got
-        ] == expected
-
-    def test_empty_plan(self, tmp_path):
-        spool, _ = build_component_spool(tmp_path / "s", 0)
-        assert ShardPlanner(spool).plan_merge_groups([], 2) == []
-        assert ShardPlanner(spool).plan_pair_groups([], [], 2) == []
 
 
 # -------------------------------------------------------------- delta plans

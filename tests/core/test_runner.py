@@ -12,7 +12,7 @@ from repro.core.candidates import PretestConfig
 from repro.core.runner import ALL_STRATEGIES, DiscoveryConfig, discover_inds
 from repro.errors import DiscoveryError, SpoolError
 from repro.parallel.pool import WorkerPool
-from repro.parallel.tasks import KIND_BRUTE_FORCE, KIND_MERGE_PARTITION
+from repro.parallel.tasks import KIND_BRUTE_FORCE
 from repro.storage.exporter import export_database
 from repro.storage.sorted_sets import SpoolDirectory
 
@@ -232,16 +232,15 @@ def _placement_db(shape: str, fk_db, make_db):
 class TestPlacement:
     """Each fixed strategy places its validation where its validator says.
 
-    At two workers, brute force pools more than one candidate, and the
-    merge pools a plan of more than one candidate-graph component; every
-    other shape validates in this process and never wakes the fleet.
-    Either way the answer and the I/O counters are the one-worker run's.
+    At two workers, brute force pools more than one candidate; the merge
+    always runs in this process, as does every other shape, and never
+    wakes the fleet.  Either way the answer and the I/O counters are the
+    one-worker run's.
     """
 
     POOLED = {
         ("brute-force", "one-component"),
         ("brute-force", "several-components"),
-        ("merge-single-pass", "several-components"),
     }
 
     SHAPES = (
@@ -272,21 +271,13 @@ class TestPlacement:
         assert (spawned > 0) is pooled
         assert (result.pool_stats is not None) is pooled
         if pooled:
-            kind = (
+            assert set(result.pool_stats["tasks_by_kind"]) == {
                 KIND_BRUTE_FORCE
-                if strategy == "brute-force"
-                else KIND_MERGE_PARTITION
-            )
-            assert set(result.pool_stats["tasks_by_kind"]) == {kind}
+            }
         (validate,) = [
             s for s in result.trace["spans"] if s["name"] == "validate"
         ]
-        if strategy == "merge-single-pass" and shape != "no-candidates":
-            assert validate["attrs"]["placement"] == (
-                "pool" if pooled else "in-process"
-            )
-        else:
-            assert "placement" not in validate["attrs"]
+        assert validate["attrs"] == {"validator": VALIDATOR_NAMES[strategy]}
         assert result.satisfied == sequential.satisfied
         for counter in ("items_read", "comparisons", "files_opened"):
             assert getattr(result.validator_stats, counter) == getattr(

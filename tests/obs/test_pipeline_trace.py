@@ -4,9 +4,9 @@ The byte-exactness matrix for traced runs lives in
 ``tests/test_validator_agreement.py::TestTracedPipelineExactness``; this
 file covers the remaining acceptance surface: the span tree accounts for
 (almost) all of the wall clock on the paper's BioSQL workload, it stays
-well-formed when a worker dies and its task is requeued, the validate
-span says where a pooled merge ran, and the runner feeds the
-process-global metrics registry.
+well-formed when a worker dies and its task is requeued, a merge adopts
+no task spans, and the runner feeds the process-global metrics
+registry.
 """
 
 from __future__ import annotations
@@ -171,12 +171,13 @@ class TestWarmCallSpans:
         assert _delta_view(traced.to_dict()) == _delta_view(plain.to_dict())
 
 
-class TestMergePlacement:
-    """The validate span says where a pooled merge's plan ran.
+class TestMergeInProcess:
+    """A two-worker merge runs in this process, whatever its graph's shape.
 
     An overlapped run validates its pretest's survivors through the same
-    validator as an in-process run, so both legs place the merge alike:
-    its pooled jobs add export (and pretest) tasks, never a merge.
+    validator as an in-process run, so its pooled jobs add export (and
+    pretest) tasks, never a merge task, and the validate span adopts no
+    task spans.
     """
 
     @staticmethod
@@ -193,59 +194,31 @@ class TestMergePlacement:
             pool=pool,
         )
 
-    @staticmethod
-    def _validate_span(result):
-        spans = result.trace["spans"]
-        (validate,) = [s for s in spans if s["name"] == "validate"]
-        tasks = [
-            s
-            for s in spans
-            if s["name"] == "task:merge-partition"
-            and s["parent"] == validate["id"]
-        ]
-        return validate["attrs"], tasks
-
     @pytest.mark.parametrize("overlap", (False, True))
-    def test_one_group_plan_runs_in_process(self, overlap):
-        # Tiny BioSQL is one candidate-graph component: a one-group plan.
-        db = generate_biosql("tiny", seed=7).db
+    @pytest.mark.parametrize("shape", ("one-component", "several-components"))
+    def test_merge_runs_in_process(self, shape, overlap):
+        if shape == "one-component":
+            # Tiny BioSQL is one candidate-graph component.
+            db, sampling_size = generate_biosql("tiny", seed=7).db, 0
+        else:
+            # The sampling pretest splits build_component_db's graph.
+            db, sampling_size = build_component_db(), 2
         with WorkerPool(2) as fleet:
-            traced = self._run(db, fleet, trace=True, overlap=overlap)
-            plain = self._run(db, fleet, trace=False, overlap=overlap)
-            # Only an overlapped run's export tasks wake the fleet.
+            traced = self._run(db, fleet, True, overlap, sampling_size)
+            plain = self._run(db, fleet, False, overlap, sampling_size)
+            # Only an overlapped run's export and pretest wake the fleet.
             assert (fleet.stats.workers_spawned > 0) is overlap
-        attrs, tasks = self._validate_span(traced)
-        assert attrs["placement"] == "in-process"
-        assert attrs["merge_groups"] == 1
-        assert tasks == []
+        spans = traced.trace["spans"]
+        (validate,) = [s for s in spans if s["name"] == "validate"]
+        assert validate["attrs"] == {"validator": "merge-single-pass"}
+        assert not [s for s in spans if s["parent"] == validate["id"]]
         if overlap:
-            assert set(traced.pool_stats["tasks_by_kind"]) == {"spool-export"}
+            pooled = {"spool-export"}
+            if sampling_size:
+                pooled.add("sample-pretest")
+            assert set(traced.pool_stats["tasks_by_kind"]) == pooled
         else:
             assert traced.pool_stats is None
-        assert plain.trace is None
-        assert _pipeline_view(traced.to_dict()) == _pipeline_view(
-            plain.to_dict()
-        )
-
-    @pytest.mark.parametrize("overlap", (False, True))
-    def test_multi_group_plan_runs_one_task_span_per_group(self, overlap):
-        # The sampling pretest splits build_component_db's graph.
-        db = build_component_db()
-        with WorkerPool(2) as fleet:
-            traced = self._run(
-                db, fleet, trace=True, overlap=overlap, sampling_size=2
-            )
-            plain = self._run(
-                db, fleet, trace=False, overlap=overlap, sampling_size=2
-            )
-        attrs, tasks = self._validate_span(traced)
-        assert attrs["placement"] == "pool"
-        assert attrs["merge_groups"] > 1
-        assert len(tasks) == attrs["merge_groups"]
-        assert (
-            traced.pool_stats["tasks_by_kind"]["merge-partition"]
-            == attrs["merge_groups"]
-        )
         assert plain.trace is None
         assert _pipeline_view(traced.to_dict()) == _pipeline_view(
             plain.to_dict()

@@ -17,7 +17,7 @@ pipeline.  Two layers of defence:
   ``pytest -k <seed> tests/parallel/test_overlap_stress.py``.
 
 Plus the fault matrix: a worker killed during the export job, the
-pretest job or the pooled merge after them must requeue and converge
+pretest job or the pooled brute force after them must requeue and converge
 byte-exactly with no orphan trace spans; a crash-looping task must fail
 loudly (never wedge the run) and leave the pool usable.
 """
@@ -186,17 +186,14 @@ class TestOverlapMatrix:
 
 
     @pytest.mark.parametrize("compression", SPOOL_COMPRESSIONS)
-    def test_multi_group_merge_is_planned_from_the_survivors(
+    def test_overlapped_merge_pools_only_export_and_pretest(
         self, compression
     ):
-        """The overlapped merge plans the groups the in-process one plans.
+        """The merge after a pooled pretest runs in this process.
 
-        Under the default pretests ``build_component_db``'s candidate graph
-        is one component until the sampling pretest refutes every
-        cross-cluster pair.  An overlapped run validates its pretest's
-        survivors through the same pooled validator as its in-process
-        twin, so it plans the same groups and sends one ``merge-partition``
-        task per group.
+        The sampling pretest splits ``build_component_db``'s candidate
+        graph into several components; the merge of the survivors still
+        sends no task to the pool.
         """
         db = build_component_db()
 
@@ -213,7 +210,6 @@ class TestOverlapMatrix:
         assert sequential.sampling_refuted > 0
         expected = _stress_view(sequential.to_dict())
         for workers in (2, 4):
-            in_process = discover_inds(db, config(validation_workers=workers))
             overlapped = discover_inds(
                 db, config(validation_workers=workers, overlap=True)
             )
@@ -221,13 +217,10 @@ class TestOverlapMatrix:
                 f"overlapped merge diverges at {workers} workers "
                 f"({compression})"
             )
-            groups = overlapped.validator_stats.extra["merge_groups"]
-            assert groups == in_process.validator_stats.extra["merge_groups"]
-            assert groups > 1
-            assert (
-                overlapped.pool_stats["tasks_by_kind"]["merge-partition"]
-                == groups
-            )
+            assert set(overlapped.pool_stats["tasks_by_kind"]) == {
+                "spool-export",
+                "sample-pretest",
+            }
 
     @pytest.mark.parametrize("workers", (2, 4))
     def test_warm_session_drains_every_phase_on_one_fleet(self, workers):
@@ -531,27 +524,18 @@ class TestOverlapFaults:
         assert _stress_view(result.to_dict()) == expected
 
     def test_worker_death_mid_validation(self, tmp_path, monkeypatch):
-        """Kill a worker in the pooled merge of an overlapped run.
+        """Kill a worker in the pooled brute force of an overlapped run.
 
-        Sampling off + cache hit runs no export or pretest task, and the
-        min- and max-value pretests split ``build_component_db``'s
-        candidate graph, so the merge that validates the survivors plans
-        several groups and reaches the pool: its ``merge-partition`` tasks
-        are the only ones that can touch ``k0_t2.id``.
+        Sampling off + cache hit runs no export or pretest task, so the
+        brute-force chunks that validate the survivors are the only tasks
+        that can touch ``t0.c0``.
         """
-        db = build_component_db()
+        db = build_db()
         cache = tmp_path / "cache"
-        warm = _fault_config(
-            strategy="merge-single-pass",
-            pretests=PretestConfig(
-                cardinality=True, max_value=True, min_value=True
-            ),
-            reuse_spool=True,
-            cache_dir=str(cache),
-        )
+        warm = _fault_config(reuse_spool=True, cache_dir=str(cache))
         discover_inds(db, warm)  # cold run populates the cache
         expected = _stress_view(discover_inds(db, warm).to_dict())  # warm twin
-        monkeypatch.setenv("REPRO_POOL_FAULT_ATTR", "k0_t2.id")
+        monkeypatch.setenv("REPRO_POOL_FAULT_ATTR", "t0.c0")
         monkeypatch.setenv("REPRO_POOL_FAULT_ONCE_DIR", str(tmp_path))
         with WorkerPool(2) as pool:
             result = discover_inds(db, warm, pool=pool)
@@ -559,9 +543,8 @@ class TestOverlapFaults:
         assert (tmp_path / "pool-fault-fired").exists()
         assert result.spool_cache_hit is True
         assert result.overlap["nodes"] == 0
-        groups = result.validator_stats.extra["merge_groups"]
-        assert groups > 1
-        assert result.pool_stats["tasks_by_kind"] == {"merge-partition": groups}
+        assert set(result.pool_stats["tasks_by_kind"]) == {"brute-force"}
+        assert result.pool_stats["tasks_requeued"] >= 1
         assert _stress_view(result.to_dict()) == expected
 
     def test_crash_looping_graph_task_fails_loudly_not_wedged(

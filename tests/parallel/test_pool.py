@@ -18,16 +18,18 @@ import pytest
 
 from repro.core.brute_force import BruteForceValidator
 from repro.core.candidates import Candidate
-from repro.core.runner import DiscoveryConfig, DiscoverySession
+from repro.core.pruning import SamplingPretest
+from repro.core.candidates import PretestConfig
+from repro.core.runner import DiscoveryConfig, DiscoverySession, discover_inds
 from repro.db.schema import AttributeRef
 from repro.errors import DiscoveryError
 from repro.parallel.engine import ProcessPoolValidationEngine
 from repro.parallel.planner import ShardPlanner
 from repro.parallel.pool import WorkerPool
-from repro.parallel.tasks import KIND_BRUTE_FORCE, KIND_MERGE_PARTITION, TaskSpec
+from repro.parallel.tasks import KIND_BRUTE_FORCE, KIND_SAMPLE_PRETEST, TaskSpec
 from repro.storage.sorted_sets import SpoolDirectory
 
-from seeded_dbs import spool_with
+from seeded_dbs import build_db, spool_with
 
 
 def _cand(dep: str, ref: str) -> Candidate:
@@ -263,27 +265,29 @@ class TestPoolLifecycle:
             assert got.stats.comparisons == sequential.stats.comparisons
 
     def test_one_job_may_mix_task_kinds(self, spool, candidates):
-        """Brute-force chunks and merge partitions ride one job together."""
+        """Brute-force chunks and pretest chunks ride one job together."""
         brute = candidates[:4]
-        merge_group = candidates[4:8]
+        pretest = candidates[4:8]
         specs = _brute_specs([tuple(brute)]) + [
             TaskSpec(
-                kind=KIND_MERGE_PARTITION,
-                candidates=tuple(merge_group),
-                payload=(False,),
+                kind=KIND_SAMPLE_PRETEST,
+                candidates=tuple(pretest),
+                payload=(2, 11),
             )
         ]
-        sequential = BruteForceValidator(spool).validate(candidates[:8])
+        sequential = BruteForceValidator(spool).validate(brute)
+        sampler = SamplingPretest(spool, sample_size=2, seed=11)
         with WorkerPool(2) as pool:
             job = pool.run_job(str(spool.root), specs)
         assert job.stats.tasks_by_kind == {
-            "brute-force": 1, "merge-partition": 1,
+            "brute-force": 1, "sample-pretest": 1,
         }
-        decisions = {}
-        for outcome in job.outcomes:
-            decisions.update(outcome.decisions)
-        assert {str(c): ok for c, ok in decisions.items()} == {
+        validated, pretested = sorted(job.outcomes, key=lambda o: o.shard_index)
+        assert {str(c): ok for c, ok in validated.decisions.items()} == {
             str(c): ok for c, ok in sequential.decisions.items()
+        }
+        assert {str(c): ok for c, ok in pretested.decisions.items()} == {
+            str(c): sampler.pretest(c) for c in pretest
         }
 
     def test_warm_handle_invalidated_when_spool_rewritten_in_place(
@@ -408,6 +412,47 @@ class TestChunkPlanning:
         assert planner.plan_chunks([], workers=2) == []
 
 
+class TestPerCallPoolStats:
+    """A run's ``pool_stats`` count the workers its own job spawned.
+
+    A two-worker brute-force run with no lent pool builds a 2-worker pool
+    for its chunks and drains it before returning.
+    """
+
+    CONFIG = DiscoveryConfig(
+        strategy="brute-force",
+        validation_workers=2,
+        pretests=PretestConfig(cardinality=True, max_value=False),
+    )
+
+    def test_per_call_pool_reports_the_workers_it_spawned(self):
+        result = discover_inds(build_db(), self.CONFIG)
+        stats = result.pool_stats
+        assert stats["tasks_by_kind"]["brute-force"] >= 2
+        assert stats["workers_spawned"] == 2
+        assert stats["workers_replaced"] == 0
+
+    def test_a_worker_death_counts_its_replacement(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_POOL_FAULT_ATTR", "t0.c0")
+        monkeypatch.setenv("REPRO_POOL_FAULT_ONCE_DIR", str(tmp_path))
+        result = discover_inds(build_db(), self.CONFIG)
+        assert (tmp_path / "pool-fault-fired").exists()
+        stats = result.pool_stats
+        assert stats["tasks_requeued"] == 1
+        assert stats["workers_replaced"] >= 1
+        assert stats["workers_spawned"] == 2 + stats["workers_replaced"]
+
+    def test_a_warm_pool_reports_no_spawn_after_its_first_job(
+        self, spool, candidates
+    ):
+        with WorkerPool(2) as fleet:
+            engine = ProcessPoolValidationEngine(spool, workers=2, pool=fleet)
+            first = engine.validate(candidates)
+            second = engine.validate(candidates)
+        assert first.pool["workers_spawned"] == 2
+        assert second.pool["workers_spawned"] == 0
+
+
 class TestIdleReaping:
     def test_reap_idle_drains_workers_and_next_job_respawns(self, tmp_path):
         spool = spool_with(tmp_path, {"a": 5, "b": 9, "c": 3})
@@ -454,19 +499,16 @@ class TestIdleReaping:
 
     def test_session_reaps_after_in_process_merges(self, fk_db):
         # A session whose merges run in process must not pin a warm fleet.
-        # fk_db's candidates form one component, so a two-worker merge
-        # plans one group, merges it in process and never starts the
-        # fleet; a two-worker brute-force run then warms it, and the reap
-        # hook right after that discover (threshold 0) drains it again.
+        # A two-worker merge runs in process and never creates the pool;
+        # a two-worker brute-force run then warms it, and the reap hook
+        # right after that discover (threshold 0) drains it again.
         config = DiscoveryConfig(
             strategy="merge-single-pass", validation_workers=2
         )
         with DiscoverySession(config, idle_reap_seconds=0.0) as session:
             merged = session.discover(fk_db)
-            assert merged.validator_stats.extra["merge_groups"] == 1
             assert merged.pool_stats is None
-            pool = session._pool
-            assert pool is None or not pool.started
+            assert session._pool is None
             pinned = DiscoveryConfig(strategy="brute-force", validation_workers=2)
             pooled = session.discover(fk_db, pinned)
             assert pooled.pool_stats["workers_spawned"] == 2

@@ -1,12 +1,9 @@
-"""Chunk and merge-group planning: coverage, balance, determinism."""
+"""Chunk planning and the shared cost packer: coverage, balance, determinism."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.candidates import Candidate
 from repro.db.schema import AttributeRef
-from repro.errors import DiscoveryError
 from repro.parallel.planner import (
     MAX_CHUNK_CANDIDATES,
     ShardPlanner,
@@ -94,80 +91,6 @@ class TestChunkPlanning:
             assert chunk.estimated_cost == sum(
                 planner.candidate_cost(c) for c in chunk.candidates
             )
-
-
-class TestMergeGroupPlanning:
-    """Merge groups: whole components, exact coverage, cost budgeting."""
-
-    def _component_of(self, candidate, groups):
-        for group in groups:
-            if candidate in group.candidates:
-                return group.index
-        raise AssertionError(f"{candidate} landed in no group")
-
-    def test_groups_cover_exactly_once_and_never_split_components(
-        self, tmp_path
-    ):
-        # Two independent components: {a,b,c} chained, {x,y} paired.
-        spool = _spool_with(
-            tmp_path, {"a": 4, "b": 9, "c": 5, "x": 7, "y": 3}
-        )
-        candidates = [
-            _cand("a", "b"), _cand("x", "y"), _cand("c", "b"),
-            _cand("y", "x"), _cand("a", "c"),
-        ]
-        groups = ShardPlanner(spool).plan_merge_groups(candidates, workers=4)
-        seen = [c for group in groups for c in group.candidates]
-        assert sorted(map(str, seen)) == sorted(map(str, candidates))
-        assert len(seen) == len(candidates)
-        # Candidates sharing an attribute always share a group.
-        abc = {_cand("a", "b"), _cand("c", "b"), _cand("a", "c")}
-        xy = {_cand("x", "y"), _cand("y", "x")}
-        assert len({self._component_of(c, groups) for c in abc}) == 1
-        assert len({self._component_of(c, groups) for c in xy}) == 1
-        assert sum(group.components for group in groups) == 2
-
-    def test_transitive_components_stay_whole(self, tmp_path):
-        # a-b and b-c share attribute b: one component despite no a-c edge.
-        spool = _spool_with(tmp_path, {"a": 2, "b": 2, "c": 2})
-        candidates = [_cand("a", "b"), _cand("c", "b")]
-        groups = ShardPlanner(spool).plan_merge_groups(candidates, workers=8)
-        assert len(groups) == 1
-        assert groups[0].components == 1
-
-    def test_small_components_pack_into_budgeted_groups(self, tmp_path):
-        sizes = {f"d{i}": 10 for i in range(8)} | {f"r{i}": 10 for i in range(8)}
-        spool = _spool_with(tmp_path, sizes)
-        candidates = [_cand(f"d{i}", f"r{i}") for i in range(8)]
-        groups = ShardPlanner(spool).plan_merge_groups(candidates, workers=2)
-        # 8 equal components, budget = total/(2*4): one component per group.
-        assert len(groups) == 8
-        assert all(group.components == 1 for group in groups)
-        # Heaviest-first output: costs never increase along the queue.
-        costs = [group.estimated_cost for group in groups]
-        assert costs == sorted(costs, reverse=True)
-
-    def test_group_candidates_keep_original_order(self, tmp_path):
-        spool = _spool_with(tmp_path, {"a": 3, "b": 5, "c": 2})
-        candidates = [_cand("a", "b"), _cand("c", "b"), _cand("b", "a")]
-        (group,) = ShardPlanner(spool).plan_merge_groups(candidates, workers=1)
-        assert list(group.candidates) == candidates
-
-    def test_deterministic_and_deduplicating(self, tmp_path):
-        spool = _spool_with(tmp_path, {"a": 3, "b": 5})
-        candidates = [_cand("a", "b"), _cand("a", "b"), _cand("b", "a")]
-        planner = ShardPlanner(spool)
-        first = planner.plan_merge_groups(candidates, workers=2)
-        second = planner.plan_merge_groups(candidates, workers=2)
-        assert first == second
-        assert sum(len(g.candidates) for g in first) == 2  # duplicate dropped
-
-    def test_empty_and_invalid_inputs(self, tmp_path):
-        spool = _spool_with(tmp_path, {"a": 1})
-        planner = ShardPlanner(spool)
-        assert planner.plan_merge_groups([], workers=2) == []
-        with pytest.raises(DiscoveryError):
-            planner.plan_merge_groups([_cand("a", "a")], workers=0)
 
 
 class TestPackCostGroups:

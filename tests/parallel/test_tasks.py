@@ -1,9 +1,9 @@
 """Unit tests of the typed task model and its worker-side registry.
 
-The end-to-end behaviour of the two built-in kinds is covered by the
+The end-to-end behaviour of the built-in kinds is covered by the
 agreement suite and the pool lifecycle tests; this file pins the registry
-contract (loud unknowns, no silent overwrites, pluggable custom kinds) and
-the ``merge-partition`` payload.
+contract (loud unknowns, no silent overwrites, pluggable custom kinds),
+the export unit and the sampling-pretest payload.
 """
 
 from __future__ import annotations
@@ -14,17 +14,14 @@ import os
 import pytest
 
 from repro.core.candidates import Candidate
-from repro.core.merge_single_pass import MergeSinglePassValidator
 from repro.core.stats import ValidatorStats
 from repro.db.schema import AttributeRef
 from repro.errors import DiscoveryError
 from repro.parallel.pool import WorkerPool
 from repro.parallel.tasks import (
     KIND_BRUTE_FORCE,
-    KIND_MERGE_PARTITION,
     KIND_SAMPLE_PRETEST,
     KIND_SPOOL_EXPORT,
-    PoolTask,
     ShardOutcome,
     TaskSpec,
     register_task_kind,
@@ -55,9 +52,10 @@ class TestRegistry:
     def test_builtin_kinds_are_registered(self):
         kinds = task_kinds()
         assert KIND_BRUTE_FORCE in kinds
-        assert KIND_MERGE_PARTITION in kinds
         assert KIND_SPOOL_EXPORT in kinds
         assert KIND_SAMPLE_PRETEST in kinds
+        # The merge always runs in process: it has no task kind.
+        assert "merge-partition" not in kinds
 
     def test_unknown_kind_is_loud_and_lists_alternatives(self):
         with pytest.raises(DiscoveryError, match="unknown task kind"):
@@ -153,47 +151,6 @@ class TestRegistry:
 
             tasks_module._REGISTRY.pop("test-full-disk", None)
         assert sorted(calls.read_text().split()) == ["0", "1"]
-
-
-class TestMergePartitionPayload:
-    @pytest.mark.parametrize("skip_scan", [False, True])
-    def test_task_is_the_sequential_merge_on_its_group(self, spool, skip_scan):
-        candidates = (_cand("a", "b"), _cand("c", "b"), _cand("b", "a"))
-        task = PoolTask(
-            job_id=0,
-            task_id=3,
-            kind=KIND_MERGE_PARTITION,
-            spool_root=str(spool.root),
-            candidates=candidates,
-            payload=(skip_scan,),
-        )
-        outcome = resolve_task_kind(KIND_MERGE_PARTITION)(spool, task)
-        sequential = MergeSinglePassValidator(
-            spool, skip_scan=skip_scan
-        ).validate(list(candidates))
-        assert outcome.shard_index == 3
-        assert outcome.decisions == sequential.decisions
-        assert outcome.vacuous == sequential.vacuous
-        for counter in ("items_read", "comparisons", "blocks_skipped"):
-            assert getattr(outcome.stats, counter) == getattr(
-                sequential.stats, counter
-            ), counter
-
-    def test_empty_payload_runs_without_skip_scan(self, spool):
-        candidates = (_cand("a", "b"), _cand("c", "b"))
-        task = PoolTask(
-            job_id=0,
-            task_id=0,
-            kind=KIND_MERGE_PARTITION,
-            spool_root=str(spool.root),
-            candidates=candidates,
-        )
-        assert task.payload == ()
-        outcome = resolve_task_kind(KIND_MERGE_PARTITION)(spool, task)
-        sequential = MergeSinglePassValidator(spool).validate(list(candidates))
-        assert outcome.decisions == sequential.decisions
-        assert outcome.stats.items_read == sequential.stats.items_read
-        assert outcome.stats.blocks_skipped == 0
 
 
 class TestSpoolExportUnit:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 
-from repro.core.candidates import Candidate
 from repro.db import Column, Database, DataType, TableSchema
 from repro.db.schema import AttributeRef
 from repro.storage.sorted_sets import SpoolDirectory
@@ -73,7 +72,7 @@ def build_component_db(seeds: tuple[int, ...] = (5, 9)) -> Database:
     attributes across clusters, but the sampling pretest refutes every
     such pair (any sampled dependent value is missing from the other
     cluster).  After sampling, the candidate graph therefore has at least
-    one component per cluster, and a pooled merge plans several groups.
+    one component per cluster.
     With the default two clusters, their rendered value ranges do not
     interleave either (``-`` sorts before every digit), so the min- and
     max-value pretests alone refute every cross-cluster pair of the same
@@ -103,42 +102,6 @@ def _shift(value, dtype: DataType, cluster: int):
     if dtype is DataType.INTEGER:
         return value - 1000 * cluster
     return f"k{cluster}|{value}"
-
-
-def build_component_spool(
-    root,
-    seed: int,
-    components: int = 5,
-    compression: str = "none",
-):
-    """A spool of ``components`` independent attribute clusters.
-
-    Each cluster has one attribute holding a base set and one to three
-    holding random subsets of it, so containment holds for some pairs and
-    fails for others.  All clusters draw from one shared value domain, so
-    the global merge interleaves them.  Candidates are the ordered pairs
-    inside each cluster, shuffled: the candidate graph has exactly
-    ``components`` components.  Returns ``(spool, candidates)``.
-    """
-    rng = random.Random(seed)
-    domain = [f"v{i:04d}" for i in range(400)]
-    spool = SpoolDirectory.create(root, block_size=3, compression=compression)
-    candidates = []
-    for k in range(components):
-        base = rng.sample(domain, rng.randint(8, 120))
-        columns = [base] + [
-            rng.sample(base, rng.randint(1, len(base)))
-            for _ in range(rng.randint(1, 3))
-        ]
-        refs = []
-        for index, values in enumerate(columns):
-            ref = AttributeRef(f"t{k}", f"a{index}")
-            spool.add_values(ref, sorted(values))
-            refs.append(ref)
-        candidates += [Candidate(d, r) for d in refs for r in refs if d != r]
-    rng.shuffle(candidates)
-    spool.save_index()
-    return spool, candidates
 
 
 def build_db(seed: int = 0) -> Database:

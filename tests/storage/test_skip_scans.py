@@ -250,31 +250,6 @@ class TestMergeFrontierSkipScan:
         assert skipping.stats.items_read == plain.stats.items_read
         assert skipping.stats.blocks_skipped == 0
 
-    @pytest.mark.parametrize("workers", (1, 2))
-    def test_partitioned_merge_propagates_skip_scan(self, tmp_path, workers):
-        """Workers run default batch sizes, so the spread must exceed one batch."""
-        from repro.core.merge_single_pass import MergeSinglePassValidator
-        from repro.parallel import PartitionedMergeValidator
-
-        spool = SpoolDirectory.create(tmp_path / "wide", block_size=16)
-        dep = AttributeRef("t", "dep")
-        ref = AttributeRef("t", "ref")
-        spool.add_values(dep, ["00000", "08999"])
-        spool.add_values(ref, [f"{i:05d}" for i in range(0, 9000)])
-        spool.save_index()
-        candidates = [Candidate(dep, ref)]
-        sequential = MergeSinglePassValidator(
-            spool, skip_scan=True
-        ).validate(candidates)
-        assert sequential.stats.blocks_skipped > 0
-        pooled = PartitionedMergeValidator(
-            spool, workers=workers, skip_scan=True
-        ).validate(candidates)
-        assert pooled.decisions == sequential.decisions
-        assert pooled.stats.blocks_skipped == sequential.stats.blocks_skipped
-        assert pooled.stats.items_read == sequential.stats.items_read
-        assert pooled.stats.bytes_read == sequential.stats.bytes_read
-
     def test_discover_inds_merge_skip_scans_end_to_end(self, tmp_path):
         """The config flag reaches the merge engine through the runner."""
         from repro.core.runner import DiscoveryConfig, discover_inds

@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core import DiscoveryConfig, discover_inds
+from repro.datagen import generate_biosql
 from repro.db import Column, Database, DataType, TableSchema
 from repro.db.stats import collect_column_stats
+from repro.errors import SpoolError
 from repro.storage import exporter
 from repro.storage.exporter import export_database
 from repro.storage.sorted_sets import SpoolDirectory
@@ -36,6 +43,22 @@ def _db(rows: int = 20, extra: int | None = None) -> Database:
 
 def _fingerprint(db: Database) -> str:
     return catalog_fingerprint(db.name, collect_column_stats(db))
+
+
+def _evict_all_in_another_process(cache_dir: Path) -> None:
+    """Empty the cache at ``cache_dir`` from a separate interpreter."""
+    subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys; from repro.storage.spool_cache import SpoolCache; "
+            "SpoolCache(sys.argv[1]).evict_all()",
+            str(cache_dir),
+        ],
+        env=dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1])),
+        check=True,
+        timeout=60,
+    )
 
 
 class TestCatalogFingerprint:
@@ -390,6 +413,42 @@ class TestLruEviction:
         assert len(first) + len(rest) == hit.get(ref).count
         cursor.close()
         assert cache.lookup(fingerprint) is None
+
+    def test_another_process_evicting_a_hit_never_changes_the_answer(
+        self, tmp_path, monkeypatch
+    ):
+        """A hit whose entry another process evicts answers right or fails.
+
+        Eviction waits for no reader in another process, and cursors open
+        value files lazily.  So a run that hits an entry which a second
+        process evicts right after the lookup may fail with a
+        ``SpoolError`` naming a value file.  It must never answer
+        differently from a fresh run, and once holds reach across
+        processes it answers.
+        """
+        db = generate_biosql("tiny", seed=0).db
+        config = DiscoveryConfig(
+            reuse_spool=True, cache_dir=str(tmp_path / "cache")
+        )
+        fresh = discover_inds(db, DiscoveryConfig())
+        discover_inds(db, config)  # publishes the entry
+        lookup = SpoolCache.lookup
+        hits = []
+
+        def lookup_then_evict_elsewhere(cache, *args, **kwargs):
+            spool = lookup(cache, *args, **kwargs)
+            hits.append(spool is not None)
+            _evict_all_in_another_process(cache.root)
+            return spool
+
+        monkeypatch.setattr(SpoolCache, "lookup", lookup_then_evict_elsewhere)
+        try:
+            result = discover_inds(db, config)
+        except SpoolError as exc:
+            assert re.search(r"cannot open value file \S+\.valsb", str(exc))
+        else:
+            assert result.satisfied == fresh.satisfied
+        assert hits == [True]
 
     def test_evict_prefix_accepts_the_full_fingerprint(self, tmp_path):
         """The full 64-char digest (longer than the stored 32-char entry

@@ -9,7 +9,9 @@ documentation bug, and the test suite checks it on every run.  Likewise every
 on purpose and are not checked).  External links
 (http/https/mailto) and pure in-page anchors are out of scope: checking them
 needs the network or a markdown-to-anchor renderer, neither of which belongs
-in a hermetic test.
+in a hermetic test.  Finally, no ``docs/`` page or ``src/`` module may
+cite a ROADMAP item by its number, which changes whenever the roadmap is
+rewritten.
 """
 
 from __future__ import annotations
@@ -93,4 +95,48 @@ def test_named_cli_flags_exist(md_file: Path, cli_parsers):
     assert not unknown, (
         f"{md_file.relative_to(REPO_ROOT)} names flags no repro-ind command "
         f"takes: {sorted(unknown)}"
+    )
+
+
+#: A citation of a numbered ROADMAP item ("ROADMAP item 2", "item 9 of
+#: [ROADMAP.md](...)").  Items are renumbered whenever the roadmap is
+#: rewritten, so docs and code describe the work instead.  Whitespace and
+#: comment markers are collapsed first, so a citation wrapped across lines
+#: still matches.
+_ROADMAP_ITEM = re.compile(
+    r"ROADMAP(?:\.md)?(?:\]\([^)]*\))?(?:'s)?\s+items?\s+#?\d"
+    r"|\bitems?\s+#?\d+\s+(?:of|in)\s+(?:the\s+)?\[?ROADMAP"
+)
+
+
+def _collapse(text: str) -> str:
+    """``text`` with each run of whitespace and comment markers as one space."""
+    return re.sub(r"(?:\s|#:?)+", " ", text)
+
+
+def test_roadmap_item_pattern_catches_the_usual_spellings():
+    for raw in (
+        "the HTTP service (ROADMAP item 1)",
+        "ROADMAP.md item 3",
+        "ROADMAP's item 2",
+        "holds are per process (item 9 of [ROADMAP.md](../ROADMAP.md))",
+        "items 4 in the ROADMAP",
+        "ROADMAP\n    #: item 2",
+    ):
+        assert _ROADMAP_ITEM.search(_collapse(raw)), raw
+    assert not _ROADMAP_ITEM.search("open work in [ROADMAP.md](../ROADMAP.md)")
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(REPO_ROOT.glob("docs/**/*.md")) + sorted(REPO_ROOT.glob("src/**/*.py")),
+    ids=lambda p: str(p.relative_to(REPO_ROOT)),
+)
+def test_no_numbered_roadmap_item_is_cited(path: Path):
+    """CHANGES.md, ROADMAP.md and indbench/ may cite items; these may not."""
+    text = _collapse(path.read_text(encoding="utf-8"))
+    cited = [match.group(0) for match in _ROADMAP_ITEM.finditer(text)]
+    assert not cited, (
+        f"{path.relative_to(REPO_ROOT)} cites numbered ROADMAP items, which "
+        f"go stale when the roadmap is renumbered: {cited}"
     )

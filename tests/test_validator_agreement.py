@@ -29,7 +29,7 @@ from repro.core.merge_single_pass import MergeSinglePassValidator
 from repro.core.reference import ReferenceValidator
 from repro.core.runner import DiscoveryConfig, discover_inds
 from repro.core.single_pass import SinglePassValidator
-from repro.parallel import PartitionedMergeValidator, ProcessPoolValidationEngine
+from repro.parallel import ProcessPoolValidationEngine
 from repro.core.sql_approaches import (
     SqlJoinValidator,
     SqlMinusValidator,
@@ -40,9 +40,12 @@ from repro.db.stats import collect_column_stats
 from repro.storage.codec import SPOOL_COMPRESSIONS
 from repro.storage.exporter import export_database
 
-from seeded_dbs import build_component_spool, build_random_db
+from seeded_dbs import build_random_db
 
 SEEDS = tuple(range(10))
+
+#: The merge's I/O counters, which must not depend on ``validation_workers``.
+MERGE_COUNTERS = ("items_read", "comparisons", "files_opened", "blocks_skipped")
 
 
 def _candidates(db: Database):
@@ -127,16 +130,15 @@ class TestExternalStrategiesAgree:
 
 
 class TestParallelAgreement:
-    """The parallel engines replay the sequential decisions exactly.
+    """More workers never change an answer or a counter.
 
-    Every seeded database runs the two parallel-capable strategies at 1, 2
-    and 4 workers against one shared exported spool.  Satisfied and refuted
-    sets must be identical to the sequential validator at every worker
-    count — and so must the summed ``items_read`` and ``comparisons``: for
-    brute force because each candidate's test is independent of where it
-    runs, for the pool-backed merge because its groups are whole
-    candidate-graph components, the one cut that preserves the sequential
-    pass's I/O exactly.
+    Every seeded database runs pooled brute force at 1, 2 and 4 workers
+    against one shared exported spool.  Satisfied and refuted sets must be
+    identical to the sequential validator at every worker count — and so
+    must the summed ``items_read`` and ``comparisons``, because each
+    candidate's test is independent of where it runs.  The merge takes
+    ``validation_workers`` too but always merges in process, so a run at
+    two workers must be the one-worker run and spawn nothing.
     """
 
     WORKER_COUNTS = (1, 2, 4)
@@ -154,34 +156,60 @@ class TestParallelAgreement:
             block_size=3,
             compression=compression,
         )
-        sequential = {
-            "brute-force": BruteForceValidator(spool).validate(candidates),
-            "merge-single-pass": MergeSinglePassValidator(spool).validate(
-                candidates
-            ),
-        }
+        expected = BruteForceValidator(spool).validate(candidates)
         for workers in self.WORKER_COUNTS:
-            engines = {
-                "brute-force": ProcessPoolValidationEngine(spool, workers=workers),
-                "merge-single-pass": PartitionedMergeValidator(
-                    spool, workers=workers
-                ),
-            }
-            for strategy, engine in engines.items():
-                expected = sequential[strategy]
-                got = engine.validate(candidates)
-                assert _decision_key(got.decisions) == _decision_key(
-                    expected.decisions
-                ), f"{strategy} diverges at {workers} workers (seed {seed})"
-                assert got.satisfied == expected.satisfied
-                assert got.stats.satisfied_count == expected.stats.satisfied_count
-                assert got.stats.refuted_count == expected.stats.refuted_count
-                assert got.stats.items_read == expected.stats.items_read, (
-                    f"{strategy} reads diverge at {workers} workers "
-                    f"(seed {seed})"
-                )
-                assert got.stats.comparisons == expected.stats.comparisons
-                assert got.stats.files_opened == expected.stats.files_opened
+            engine = ProcessPoolValidationEngine(spool, workers=workers)
+            got = engine.validate(candidates)
+            assert _decision_key(got.decisions) == _decision_key(
+                expected.decisions
+            ), f"brute force diverges at {workers} workers (seed {seed})"
+            assert got.satisfied == expected.satisfied
+            assert got.stats.satisfied_count == expected.stats.satisfied_count
+            assert got.stats.refuted_count == expected.stats.refuted_count
+            assert got.stats.items_read == expected.stats.items_read, (
+                f"brute force reads diverge at {workers} workers "
+                f"(seed {seed})"
+            )
+            assert got.stats.comparisons == expected.stats.comparisons
+            assert got.stats.files_opened == expected.stats.files_opened
+
+    @pytest.mark.parametrize("skip_scans", (False, True))
+    @pytest.mark.parametrize("compression", SPOOL_COMPRESSIONS)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_merge_at_two_workers_is_the_one_worker_run(
+        self, seed, compression, skip_scans, monkeypatch
+    ):
+        """Lent pool or not, traced or not: no worker, the same counters."""
+        from repro.parallel import WorkerPool
+
+        def no_spawn(pool):
+            raise AssertionError("a merge run spawned a pool worker")
+
+        monkeypatch.setattr(WorkerPool, "_spawn_worker", no_spawn)
+        db = build_random_db(seed)
+
+        def config(workers, trace=False):
+            return DiscoveryConfig(
+                strategy="merge-single-pass",
+                validation_workers=workers,
+                spool_compression=compression,
+                skip_scans=skip_scans,
+                spool_block_size=3,
+                trace=trace,
+            )
+
+        expected = discover_inds(db, config(1))
+        with WorkerPool(2) as fleet:
+            for pool in (None, fleet):
+                for trace in (False, True):
+                    got = discover_inds(db, config(2, trace), pool=pool)
+                    assert got.pool_stats is None
+                    assert got.satisfied == expected.satisfied
+                    for counter in MERGE_COUNTERS:
+                        assert getattr(got.validator_stats, counter) == getattr(
+                            expected.validator_stats, counter
+                        ), (counter, pool is not None, trace)
+            assert not fleet.started
 
     @pytest.mark.parametrize("workers", (2, 4))
     def test_warm_pool_replays_sequential_across_jobs(self, workers, tmp_path):
@@ -222,85 +250,6 @@ class TestParallelAgreement:
             assert pool.stats.jobs == jobs
             assert pool.stats.workers_spawned == workers
             assert pool.stats.spool_handle_reuses > 0
-
-    @pytest.mark.parametrize("workers", (2, 4))
-    def test_warm_pool_merge_replays_sequential_across_jobs(
-        self, workers, tmp_path
-    ):
-        """The pool-backed merge on a warm fleet never drifts either.
-
-        Same shape as the brute-force warm-pool test, but through
-        ``merge-partition`` tasks: one pool serves several seeds twice
-        each, and decisions *and* I/O counters must equal the sequential
-        merge validator every time.  The second pass must find the spool
-        handles the first pass warmed.  A seeded database plans one merge
-        group, which runs in process, so the spools here hold five
-        independent components each and plan several groups.
-        """
-        from repro.parallel import PartitionedMergeValidator, WorkerPool
-
-        with WorkerPool(workers) as pool:
-            for seed in (1, 5):
-                spool, candidates = build_component_spool(
-                    tmp_path / f"spool{seed}", seed
-                )
-                sequential = MergeSinglePassValidator(spool).validate(
-                    candidates
-                )
-                validator = PartitionedMergeValidator(
-                    spool, workers=workers, pool=pool
-                )
-                assert len(validator.plan(candidates)) > 1
-                # workers+1 passes: only the pigeonhole guarantees that
-                # some worker sees the same spool twice (a warm-handle hit).
-                for _ in range(workers + 1):
-                    got = validator.validate(candidates)
-                    assert _decision_key(got.decisions) == _decision_key(
-                        sequential.decisions
-                    ), f"warm merge pool diverges (seed {seed})"
-                    assert got.satisfied == sequential.satisfied
-                    assert got.stats.items_read == sequential.stats.items_read
-                    assert got.stats.comparisons == sequential.stats.comparisons
-                    assert got.pool is not None
-                    assert got.pool["tasks_by_kind"].keys() == {
-                        "merge-partition"
-                    }
-            assert pool.stats.workers_spawned == workers
-            assert pool.stats.spool_handle_reuses > 0
-            assert pool.stats.tasks_by_kind["merge-partition"] > 0
-
-    @pytest.mark.parametrize("compression", SPOOL_COMPRESSIONS)
-    @pytest.mark.parametrize("seed", SEEDS[:5])
-    def test_pooled_merge_groups_agree_on_every_variant(
-        self, seed, compression, tmp_path
-    ):
-        """Multi-group merges replay the sequential pass on every leg.
-
-        The seeded databases above plan one merge group, which runs in
-        process, so their merge legs never reach a worker.  A spool of five
-        independent components plans several groups, each a
-        ``merge-partition`` task on a worker that re-opens the spool from
-        its ``index.json``.
-        """
-        spool, candidates = build_component_spool(
-            tmp_path / "spool", seed, compression=compression
-        )
-        expected = MergeSinglePassValidator(spool).validate(candidates)
-        for workers in (2, 4):
-            validator = PartitionedMergeValidator(spool, workers=workers)
-            groups = validator.plan(candidates)
-            assert len(groups) > 1
-            got = validator.validate(candidates)
-            assert got.pool["tasks_by_kind"] == {
-                "merge-partition": len(groups)
-            }
-            assert _decision_key(got.decisions) == _decision_key(
-                expected.decisions
-            ), f"merge groups diverge at {workers} workers ({compression})"
-            assert got.satisfied == expected.satisfied
-            assert got.stats.items_read == expected.stats.items_read
-            assert got.stats.comparisons == expected.stats.comparisons
-            assert got.stats.files_opened == expected.stats.files_opened
 
     @pytest.mark.parametrize("seed", (1, 5))
     def test_discover_inds_parallel_equals_sequential(self, seed):
