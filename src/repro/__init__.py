@@ -23,8 +23,7 @@ Sub-packages:
 * :mod:`repro.parallel` — the worker pool: sharded brute-force validation,
   pooled export and pretest over a shared read-only spool;
 * :mod:`repro.discovery` — foreign keys, accession numbers, primary relations;
-* :mod:`repro.datagen` — synthetic UniProt/SCOP/PDB-like datasets;
-* :mod:`repro.bench` — the harness regenerating the paper's tables/figures.
+* :mod:`repro.datagen` — synthetic UniProt/SCOP/PDB-like datasets.
 """
 
 from repro.core import (

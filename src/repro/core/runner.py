@@ -132,8 +132,8 @@ class DiscoveryConfig:
       blocks below its probe, and the merge engines seek purely
       referenced cursors past blocks below the dependent frontier —
       decisions stay exact, ``items_read`` may legitimately drop),
-      ``max_open_files`` (blockwise strategy), ``sql_null_safe`` (SQL
-      strategies).
+      ``max_open_files`` (blockwise strategy).  ``sql-notin`` always
+      runs the NULL-safe statement.
     * **Caching** — ``reuse_spool`` (content-addressed spool cache keyed by
       the catalog fingerprint; the run also profiles through the
       process-wide :data:`~repro.db.stats.PROFILE_MEMO`, so only tables
@@ -185,7 +185,6 @@ class DiscoveryConfig:
     cache_max_bytes: int | None = None  # LRU size budget for the spool cache
     max_items_in_memory: int = DEFAULT_RUN_SIZE
     max_open_files: int = 64  # blockwise strategy only
-    sql_null_safe: bool = True
     trace: bool = False  # record a span tree on DiscoveryResult.trace
     incremental: bool = False  # delta-plan against a prior DiscoveryResult
 
@@ -1042,7 +1041,7 @@ def _build_validator(db, cfg, spool, column_stats, pool=None):
     if cfg.strategy == "sql-minus":
         return SqlMinusValidator(db, column_stats)
     if cfg.strategy == "sql-notin":
-        return SqlNotInValidator(db, column_stats, null_safe=cfg.sql_null_safe)
+        return SqlNotInValidator(db, column_stats)
     if cfg.strategy == "reference":
         return ReferenceValidator(db)
     raise DiscoveryError(f"unhandled strategy {cfg.strategy!r}")

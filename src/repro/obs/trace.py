@@ -22,7 +22,7 @@ Serialisation: :meth:`Tracer.to_dict` produces a JSON-safe payload with
 starts normalised to the trace epoch; :func:`chrome_events` converts
 that payload to the Chrome ``chrome://tracing`` event format; and
 :func:`phase_summary` / :func:`coverage` reduce it to the per-phase
-seconds the bench harness and the acceptance gate consume.
+seconds the paper report and the acceptance gate consume.
 
 Everything here imports only the standard library — ``repro.obs`` sits
 below every other layer so any of them may instrument itself freely.
@@ -302,9 +302,9 @@ def _top_level(trace: dict) -> tuple[list[dict], float]:
 def phase_summary(trace: dict) -> dict:
     """Per-phase seconds: top-level span durations summed by name.
 
-    This is the reduction the bench harness attaches to every
-    ``BENCH_*.json`` leg — small enough to diff by eye, faithful enough
-    to decompose a speedup.
+    The paper report records it for each run of its "Parallel brute
+    force" section (``benchmarks/REPORT.md``) — small enough to diff by
+    eye, faithful enough to decompose a speedup.
     """
     summary: dict = {}
     phases, _ = _top_level(trace)

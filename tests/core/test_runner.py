@@ -154,8 +154,7 @@ class TestConfigValidation:
             "spool_block_size", "spool_compression",
             "overlap", "validation_workers", "skip_scans",
             "reuse_spool", "cache_dir", "cache_max_bytes",
-            "max_items_in_memory", "max_open_files", "sql_null_safe",
-            "trace", "incremental",
+            "max_items_in_memory", "max_open_files", "trace", "incremental",
         ]
         for name in ("spool_format", "resolved_mmap_reads", "export_workers"):
             assert isinstance(getattr(DiscoveryConfig, name), property)

@@ -6,7 +6,7 @@ pipeline fault injection, pool lifecycle, overlap stress — imports them
 from this one place (``from seeded_dbs import ...`` resolves because
 pytest puts ``tests/`` on ``sys.path`` when it loads ``tests/conftest.py``;
 a plain module rather than the conftest itself, because ``conftest`` is an
-ambiguous module name once the benchmark suite's conftest is loaded too).
+ambiguous module name once a second suite's conftest is loaded too).
 """
 
 from __future__ import annotations

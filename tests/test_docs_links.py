@@ -9,9 +9,9 @@ documentation bug, and the test suite checks it on every run.  Likewise every
 on purpose and are not checked).  External links
 (http/https/mailto) and pure in-page anchors are out of scope: checking them
 needs the network or a markdown-to-anchor renderer, neither of which belongs
-in a hermetic test.  Finally, no ``docs/`` page or ``src/`` module may
-cite a ROADMAP item by its number, which changes whenever the roadmap is
-rewritten.
+in a hermetic test.  Finally, no ``docs/`` page, ``src/`` module or
+``benchmarks/`` script may cite a ROADMAP item by its number, which
+changes whenever the roadmap is rewritten.
 """
 
 from __future__ import annotations
@@ -129,7 +129,9 @@ def test_roadmap_item_pattern_catches_the_usual_spellings():
 
 @pytest.mark.parametrize(
     "path",
-    sorted(REPO_ROOT.glob("docs/**/*.md")) + sorted(REPO_ROOT.glob("src/**/*.py")),
+    sorted(REPO_ROOT.glob("docs/**/*.md"))
+    + sorted(REPO_ROOT.glob("src/**/*.py"))
+    + sorted(REPO_ROOT.glob("benchmarks/*.py")),
     ids=lambda p: str(p.relative_to(REPO_ROOT)),
 )
 def test_no_numbered_roadmap_item_is_cited(path: Path):

@@ -4,7 +4,7 @@ Not a style linter (no dependency to install): the one rule that matters for
 an API meant to be read — every public module, class, function, method, and
 property in the modules this check covers carries a docstring.  The module
 list is the *touched* public surface (runner, results, cache, pool, engines,
-bench harness, CLI); extend it as modules get their docstring pass.
+CLI); extend it as modules get their docstring pass.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import pytest
 
 #: Modules whose public surface has had its docstring pass.
 DOCUMENTED_MODULES = [
-    "repro.bench.harness",
     "repro.cli",
     "repro.core.brute_force",
     "repro.core.results",

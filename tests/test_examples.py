@@ -25,16 +25,11 @@ def test_examples_directory_has_expected_scripts():
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.name)
 def test_example_runs(script):
-    env_marker = {"REPRO_BENCH_SCALE": "tiny"}
-    import os
-
-    env = dict(os.environ, **env_marker)
     proc = subprocess.run(
         [sys.executable, str(script)],
         capture_output=True,
         text=True,
         timeout=600,
-        env=env,
     )
     assert proc.returncode == 0, (
         f"{script.name} failed:\n{proc.stdout}\n{proc.stderr}"

@@ -24,7 +24,6 @@ from repro.errors import (
 
 PUBLIC_MODULES = [
     "repro",
-    "repro.bench",
     "repro.core",
     "repro.datagen",
     "repro.db",

@@ -1,9 +1,8 @@
-"""Tests for shared helpers and bench reporting."""
+"""Tests for shared helpers."""
 
 import pytest
 
 from repro._util import Stopwatch, chunked, format_bytes, format_count, format_duration
-from repro.bench.reporting import ascii_series, format_table, paper_vs_measured
 
 
 class TestFormatDuration:
@@ -59,33 +58,3 @@ class TestChunked:
         with pytest.raises(ValueError):
             list(chunked([1], 0))
 
-
-class TestReporting:
-    def test_format_table_alignment(self):
-        table = format_table(["name", "count"], [["a", 1000], ["bb", 2]])
-        lines = table.splitlines()
-        assert len(lines) == 4
-        assert "1,000" in table
-
-    def test_format_table_empty_rows(self):
-        table = format_table(["only", "headers"], [])
-        assert "only" in table
-
-    def test_paper_vs_measured(self):
-        block = paper_vs_measured(
-            "Table 1", [("runtime", "15 min", "1.2 s")], note="scaled down"
-        )
-        assert "== Table 1 ==" in block
-        assert "note: scaled down" in block
-
-    def test_ascii_series(self):
-        chart = ascii_series([(10, 100), (20, 200)], label="demo")
-        assert "demo" in chart
-        assert chart.count("#") > 0
-
-    def test_ascii_series_empty(self):
-        assert ascii_series([]) == "(no data)"
-
-    def test_ascii_series_zero_values(self):
-        chart = ascii_series([(1, 0)])
-        assert "0" in chart
