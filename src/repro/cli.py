@@ -83,8 +83,7 @@ def _add_validation_flags(parser: argparse.ArgumentParser) -> None:
         "brute-force and merge-single-pass strategies, and 1 (the default) "
         "runs the plain sequential validator with no processes spawned. "
         "Above 1, brute force validates on a worker pool; merge-single-pass "
-        "still merges in this process, and N sizes only the --overlap "
-        "pool. Decisions are identical at every N",
+        "still merges in this process. Decisions are identical at every N",
     )
     parser.add_argument(
         "--sampling-size",
@@ -94,16 +93,6 @@ def _add_validation_flags(parser: argparse.ArgumentParser) -> None:
         help="pretest each candidate against a K-value random sample of its "
         "dependent attribute before full validation; external strategies "
         "only (default: 0, pretest off)",
-    )
-    parser.add_argument(
-        "--overlap",
-        action="store_true",
-        help="run export, then the sampling pretest, as pool tasks on one "
-        "worker fleet; brute force validates the survivors on the same "
-        "fleet, the merge in this process; "
-        "requires the brute-force or merge-single-pass "
-        "strategy; results are identical to the in-process pipeline "
-        "(default: off)",
     )
     parser.add_argument(
         "--skip-scans",
@@ -171,7 +160,6 @@ def _validation_config_kwargs(args: argparse.Namespace) -> dict:
         "strategy": args.strategy,
         "spool_compression": args.spool_compression,
         "sampling_size": args.sampling_size,
-        "overlap": args.overlap,
         "validation_workers": args.validation_workers,
         "skip_scans": args.skip_scans,
         "reuse_spool": args.reuse_spool,
@@ -691,17 +679,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     continue
                 if line.lower() in ("quit", "exit"):
                     break
-                # The fallback id is namespaced ("line-3", never bare 3) so
-                # it cannot collide with a client-chosen integer id; clients
-                # that pick their own ids own their uniqueness.
                 try:
-                    request = _parse_request(line)
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                    request_id, request = _parse_request(line, ordinal)
+                except _BadRequest as exc:
                     with counters_lock:
                         counters["errors"] += 1
-                    emit({"id": f"line-{ordinal}", "error": f"bad request: {exc}"})
+                    emit({"id": exc.request_id, "error": f"bad request: {exc}"})
                     continue
-                request_id = request.get("id", f"line-{ordinal}")
                 gate.acquire()  # bound in-flight work; backpressure on stdin
                 executor.submit(run_gated, request_id, request)
         except _ServeDrain as drain:
@@ -730,19 +714,53 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_request(line: str) -> dict:
-    """Parse one serve request line; raises on malformed input."""
-    request = json.loads(line)
+class _BadRequest(Exception):
+    """A serve request line that cannot run, and the id to answer it under."""
+
+    def __init__(self, request_id: object, message: str) -> None:
+        super().__init__(message)
+        self.request_id = request_id
+
+
+def _parse_request(line: str, ordinal: int) -> tuple[object, dict]:
+    """Parse the serve request on input line ``ordinal``; returns its id too.
+
+    The id is the request's own, else ``line-<ordinal>``: namespaced
+    ("line-3", never bare 3) so it cannot collide with a client-chosen
+    integer id; clients that pick their own ids own their uniqueness.
+    Raises :class:`_BadRequest` for a line that is not a JSON object, that
+    names no ``directory`` (unless it asks for stats), or whose
+    ``directory``, ``strategy`` or ``candidate_mode`` is not a string or
+    whose ``validation_workers`` is not an integer.
+    """
+    request_id: object = f"line-{ordinal}"
+    try:
+        request = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise _BadRequest(request_id, str(exc)) from None
     if not isinstance(request, dict):
-        raise KeyError("request must be a JSON object")
+        raise _BadRequest(request_id, "request must be a JSON object")
+    request_id = request.get("id", request_id)
     if request.get("kind") == "stats":
-        return request
+        return request_id, request
     if "directory" not in request:
-        raise KeyError(
+        raise _BadRequest(
+            request_id,
             "request must be a JSON object with a 'directory' key "
-            "(or {\"kind\": \"stats\"})"
+            "(or {\"kind\": \"stats\"})",
         )
-    return request
+    for key in ("directory", "strategy", "candidate_mode"):
+        if key in request and not isinstance(request[key], str):
+            raise _BadRequest(
+                request_id, f"{key!r} must be a string, got {request[key]!r}"
+            )
+    workers = request.get("validation_workers", 1)
+    if isinstance(workers, bool) or not isinstance(workers, int):
+        raise _BadRequest(
+            request_id,
+            f"'validation_workers' must be an integer, got {workers!r}",
+        )
+    return request_id, request
 
 
 def _serve_one(session: DiscoverySession, request: dict) -> dict:

@@ -27,9 +27,9 @@ read as per-id columns.  A candidate is then one int, a *pair* packing
 ``(dep_id, ref_id)`` as ``dep_id * count + ref_id``: ascending pairs are
 ascending candidates, and a pair hashes and compares as an int.  The
 runner keeps pairs from generation to the merge;
-:func:`generate_unique_ref_candidates`, :func:`generate_all_pairs_candidates`,
-:func:`apply_pretests` and the per-candidate pretests are thin
-:class:`Candidate` adapters over the same id code.
+:func:`generate_unique_ref_candidates`, :func:`generate_all_pairs_candidates`
+and :func:`apply_pretests` are thin :class:`Candidate` adapters over the
+same id code.
 """
 
 from __future__ import annotations
@@ -200,26 +200,6 @@ def all_pairs(ids: AttributeIds) -> list[int]:
     return out
 
 
-def dependent_attributes(
-    stats: dict[AttributeRef, ColumnStats]
-) -> list[AttributeRef]:
-    """Potentially dependent attributes: non-empty, any type except LOB."""
-    ids = AttributeIds(stats)
-    return [ids.refs[aid] for aid in ids.dependents]
-
-
-def referenced_attributes(
-    stats: dict[AttributeRef, ColumnStats]
-) -> list[AttributeRef]:
-    """Potentially referenced attributes: non-empty unique columns.
-
-    Per the paper every referenced attribute is also a dependent attribute,
-    so LOB columns are excluded here as well.
-    """
-    ids = AttributeIds(stats)
-    return [ids.refs[aid] for aid in ids.referenced]
-
-
 def generate_unique_ref_candidates(
     stats: dict[AttributeRef, ColumnStats]
 ) -> list[Candidate]:
@@ -270,7 +250,12 @@ def _min_value(ids: AttributeIds, pairs: list[int]) -> list[int]:
 
 
 def _datatype(ids: AttributeIds, pairs: list[int]) -> list[int]:
-    """Both attributes in the same coarse type class."""
+    """Both attributes in the same coarse type class.
+
+    Deliberately strict: Sec. 4.1 observes that this pretest is *unsafe*
+    where numbers live in string columns, and the ablation shows the
+    resulting false negatives.
+    """
     classes, n = ids.type_class, ids.count
     return [pair for pair in pairs if classes[pair // n] == classes[pair % n]]
 
@@ -315,50 +300,6 @@ def pretest_pairs(
             survivors = kept
     report.remaining = len(survivors)
     return survivors, report
-
-
-def _survives(rule, candidate: Candidate, stats) -> bool:
-    """One candidate through one rule, over a numbering of its attributes."""
-    ids = AttributeIds(
-        {ref: stats[ref] for ref in (candidate.dependent, candidate.referenced)}
-    )
-    return bool(rule(ids, ids.pairs_of([candidate])))
-
-
-def cardinality_pretest(
-    candidate: Candidate, stats: dict[AttributeRef, ColumnStats]
-) -> bool:
-    """True when the candidate survives: ``|s(dep)| <= |s(ref)|``."""
-    return _survives(_cardinality, candidate, stats)
-
-
-def max_value_pretest(
-    candidate: Candidate, stats: dict[AttributeRef, ColumnStats]
-) -> bool:
-    """True when ``max(s(dep)) <= max(s(ref))`` (rendered, Sec. 4.1).
-
-    An empty side can never satisfy a non-trivial IND test, so it fails.
-    """
-    return _survives(_max_value, candidate, stats)
-
-
-def min_value_pretest(
-    candidate: Candidate, stats: dict[AttributeRef, ColumnStats]
-) -> bool:
-    """True when ``min(s(dep)) >= min(s(ref))`` (Bell & Brockhausen)."""
-    return _survives(_min_value, candidate, stats)
-
-
-def datatype_pretest(
-    candidate: Candidate, stats: dict[AttributeRef, ColumnStats]
-) -> bool:
-    """True when both attributes belong to the same coarse type class.
-
-    Deliberately strict: the Sec. 4.1 observation is that this pretest is
-    *unsafe* in domains where numbers live in string columns.  The ablation
-    benchmark uses it to show the resulting false negatives.
-    """
-    return _survives(_datatype, candidate, stats)
 
 
 def apply_pretests(

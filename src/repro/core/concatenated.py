@@ -19,11 +19,17 @@ stream can be fed straight into the Algorithm-1 merge — no re-sort needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from os.path import commonprefix
 
 from repro.core.brute_force import check_inclusion
 from repro.core.candidates import Candidate
 from repro.errors import ValidatorError
-from repro.storage.cursors import IOStats, ValueCursor
+from repro.storage.cursors import (
+    DEFAULT_BATCH_SIZE,
+    BatchReader,
+    IOStats,
+    ValueCursor,
+)
 from repro.storage.sorted_sets import SpoolDirectory
 
 SEPARATORS = "-_:/| "
@@ -56,19 +62,6 @@ class _StrippingCursor:
         self._inner = inner
         self._prefix = prefix
 
-    def has_next(self) -> bool:
-        return self._inner.has_next()
-
-    def next_value(self) -> str:
-        return self._strip(self._inner.next_value())
-
-    def _strip(self, value: str) -> str:
-        if not value.startswith(self._prefix):
-            raise ValidatorError(
-                f"value {value!r} lacks the expected prefix {self._prefix!r}"
-            )
-        return value[len(self._prefix) :]
-
     def peek_batch(self, max_items: int) -> list[str]:
         """Strip the peeked lookahead, truncating at a non-conforming value.
 
@@ -77,7 +70,7 @@ class _StrippingCursor:
         horizon can legitimately lack it.  The batch is cut just before the
         first such value; only when it is the *next* value to be consumed
         (batch would be empty while the cursor has values) does the error
-        fire — exactly when the per-value path would have raised.
+        fire.
         """
         raw = self._inner.peek_batch(max_items)
         out: list[str] = []
@@ -109,27 +102,24 @@ def detect_common_prefix(
 ) -> str | None:
     """Longest constant prefix (ending at a separator) shared by all values.
 
-    Scans up to ``max_scan`` values (all when ``None``).  Returns ``None``
-    when no separator-terminated constant prefix exists or the set is empty.
+    Scans up to ``max_scan`` values (all when ``None``), reading ahead no
+    further than that, and consumes only the values it scanned.  Returns
+    ``None`` when no separator-terminated constant prefix exists or the
+    set is empty.
     """
+    reader = BatchReader(
+        values, min(max_scan or DEFAULT_BATCH_SIZE, DEFAULT_BATCH_SIZE)
+    )
     prefix: str | None = None
     scanned = 0
-    while values.has_next():
-        value = values.next_value()
+    while reader.has_more():
+        value = reader.next()
         scanned += 1
-        if prefix is None:
-            prefix = value
-        else:
-            limit = min(len(prefix), len(value))
-            i = 0
-            while i < limit and prefix[i] == value[i]:
-                i += 1
-            prefix = prefix[:i]
-        if not prefix:
-            return None
-        if max_scan is not None and scanned >= max_scan:
+        prefix = value if prefix is None else commonprefix((prefix, value))
+        if not prefix or (max_scan is not None and scanned >= max_scan):
             break
-    if prefix is None:
+    reader.flush()
+    if not prefix:
         return None
     # Trim back to the last separator so "PDB-1abc" / "PDB-2xyz" yields
     # "PDB-" rather than the meaningless "PDB-…common letters…".

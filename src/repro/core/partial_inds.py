@@ -16,7 +16,12 @@ from repro._util import Stopwatch
 from repro.core.candidates import Candidate
 from repro.core.stats import ValidatorStats
 from repro.errors import ValidatorError
-from repro.storage.cursors import IOStats, ValueCursor
+from repro.storage.cursors import (
+    DEFAULT_BATCH_SIZE,
+    BatchReader,
+    IOStats,
+    ValueCursor,
+)
 from repro.storage.sorted_sets import SpoolDirectory
 
 
@@ -50,23 +55,29 @@ class PartialIND:
 
 
 def count_containment(
-    dep_cursor: ValueCursor, ref_cursor: ValueCursor
+    dep_cursor: ValueCursor,
+    ref_cursor: ValueCursor,
+    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> tuple[int, int]:
-    """Merge two sorted distinct streams; returns (dep values, matched values)."""
+    """Merge two sorted distinct streams; returns (dep values, matched values).
+
+    Every dependent value is read; referenced values are read only up to
+    the last dependent one.  Both sides refill ``batch_size`` values at a
+    time, so at the spool's block size only blocks holding read values are
+    decoded.
+    """
     dep_count = 0
     matched = 0
-    have_ref = ref_cursor.has_next()
-    ref_value = ref_cursor.next_value() if have_ref else ""
-    while dep_cursor.has_next():
-        dep_value = dep_cursor.next_value()
-        dep_count += 1
-        while have_ref and ref_value < dep_value:
-            if ref_cursor.has_next():
-                ref_value = ref_cursor.next_value()
-            else:
-                have_ref = False
-        if have_ref and ref_value == dep_value:
-            matched += 1
+    refs = BatchReader(ref_cursor, batch_size)
+    ref_value = refs.next() if refs.has_more() else None
+    while batch := dep_cursor.read_batch(batch_size):
+        dep_count += len(batch)
+        for dep_value in batch:
+            while ref_value is not None and ref_value < dep_value:
+                ref_value = refs.next() if refs.has_more() else None
+            if ref_value == dep_value:
+                matched += 1
+    refs.flush()
     return dep_count, matched
 
 
@@ -86,7 +97,9 @@ class PartialINDCalculator:
         dep_cursor = self._spool.open_cursor(candidate.dependent, io)
         ref_cursor = self._spool.open_cursor(candidate.referenced, io)
         try:
-            dep_count, matched = count_containment(dep_cursor, ref_cursor)
+            dep_count, matched = count_containment(
+                dep_cursor, ref_cursor, self._spool.block_size
+            )
         finally:
             dep_cursor.close()
             ref_cursor.close()

@@ -2,11 +2,13 @@
 
 Where spans answer *where did this request's time go*, metrics answer
 *what has this process done so far*: totals across requests
-(``inds_validated_total``, ``pool_tasks_total{kind=...}``), current
-states (``pool_workers``), and latency distributions
-(``validate_seconds``).  The registry is a plain in-memory store with a
-snapshot API — no exposition server, no background thread; ``repro-ind
-serve`` surfaces the snapshot through its ``stats`` request kind.
+(``inds_validated_total``, ``pool_tasks_total{kind=...}``) and latency
+distributions (``validate_seconds``).  Gauges hold a last-written
+value; the registry supports them, but no code in :mod:`repro` sets one,
+so a snapshot's ``gauges`` is empty.  The registry is a plain in-memory
+store with a snapshot API — no exposition server, no background thread;
+``repro-ind serve`` surfaces the snapshot through its ``stats`` request
+kind.
 
 Naming follows the Prometheus conventions the names would be scraped
 under if a network service ever exported them: counters

@@ -98,15 +98,16 @@ class BlockMeta:
 
 
 class BlockFileWriter:
-    """Streams sorted values into a v2 (or v3-compressed) block file.
+    """Writes sorted values into a v2 (or v3-compressed) block file.
 
-    The caller feeds values one at a time with :meth:`write`, or a whole
-    block at a time with :meth:`write_block` (they must already be sorted
-    and distinct — :class:`~repro.storage.sorted_sets.SpoolDirectory`
-    verifies that); the writer packs them into ``block_size``-value blocks
-    and tracks the per-block metadata.  ``compression="zlib"`` deflates every block
-    payload and writes the v3 magic; the default writes a v2 file identical
-    to older builds.  Use as a context manager or call :meth:`close`.
+    Each :meth:`write_block` call writes one block of at most
+    ``block_size`` values, which the caller has already sorted and made
+    distinct (:func:`~repro.storage.sorted_sets.write_value_file` slices
+    and checks them); only the last block of a file may be short.  The
+    writer tracks the per-block metadata.  ``compression="zlib"`` deflates
+    every block payload and writes the v3 magic; the default writes a v2
+    file identical to older builds.  Use as a context manager or call
+    :meth:`close`.
     """
 
     def __init__(
@@ -131,7 +132,6 @@ class BlockFileWriter:
         self.blocks: list[BlockMeta] = []
         self.raw_payload_bytes = 0
         self.stored_payload_bytes = 0
-        self._pending: list[str] = []
         try:
             self._fh: IO[bytes] | None = open(path, "wb")
         except OSError as exc:
@@ -140,39 +140,17 @@ class BlockFileWriter:
             MAGIC_V3_ZLIB if compression == COMPRESSION_ZLIB else MAGIC
         )
 
-    def write(self, value: str) -> None:
-        if self._fh is None:
-            raise SpoolError(f"block writer {self.path} used after close")
-        self._pending.append(value)
-        if len(self._pending) >= self.block_size:
-            self._flush_block()
-
     def write_block(self, values: list[str]) -> None:
-        """Write ``values`` as one whole block (the batched :meth:`write`).
-
-        For callers that already hold ``block_size``-value slices: only
-        the last block of a file may be short, and no single values may
-        be pending, so the file is byte-identical to writing the same
-        values one at a time.
-        """
+        """Write ``values`` as one block; an empty list writes nothing."""
         if self._fh is None:
             raise SpoolError(f"block writer {self.path} used after close")
-        if self._pending or len(values) > self.block_size:
+        if len(values) > self.block_size:
             raise SpoolError(
                 f"block writer {self.path}: a block of {len(values)} values "
-                f"after {len(self._pending)} pending ones breaks the "
-                f"{self.block_size}-value block layout"
+                f"breaks the {self.block_size}-value block layout"
             )
-        self._write_block(values)
-
-    def _flush_block(self) -> None:
-        self._write_block(self._pending)
-        self._pending = []
-
-    def _write_block(self, values: list[str]) -> None:
         if not values:
             return
-        assert self._fh is not None
         payload = encode_block(values)
         raw_len = len(payload)
         if self.compression == COMPRESSION_ZLIB:
@@ -200,7 +178,6 @@ class BlockFileWriter:
 
     def close(self) -> None:
         if self._fh is not None:
-            self._flush_block()
             self._fh.close()
             self._fh = None
 

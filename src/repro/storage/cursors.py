@@ -1,12 +1,11 @@
 """Forward value cursors with item-read accounting and batched reads.
 
-Both external algorithms consume sorted value sets strictly front-to-back.
-The protocol has two layers:
-
-* the classic single-value layer — ``has_next`` / ``next_value`` / ``close``;
-* the batched layer — ``peek_batch(n)`` / ``advance(n)`` / ``read_batch(n)``
-  — which validators use to amortise file reads and decoding over whole
-  blocks while keeping the *logical* item accounting exact.
+Both external algorithms consume sorted value sets strictly front-to-back,
+through one batched protocol: ``peek_batch(n)`` / ``advance(n)`` /
+``read_batch(n)`` / ``close``, with :class:`BatchReader` as the
+value-at-a-time façade for loops that want one value per step.  Reads
+are amortised over whole blocks while the *logical* item accounting stays
+exact.
 
 ``peek_batch`` is pure lookahead: it returns up to ``n`` upcoming values
 without consuming them and without touching :class:`IOStats`.  ``advance(k)``
@@ -57,10 +56,6 @@ class IOStats:
         if self.open_files > 0:
             self.open_files -= 1
 
-    def record_read(self, label: str) -> None:
-        self.items_read += 1
-        self.reads_per_attribute[label] = self.reads_per_attribute.get(label, 0) + 1
-
     def record_read_batch(self, label: str, count: int) -> None:
         """Account ``count`` items read in one batched cursor advance."""
         if count <= 0:
@@ -90,36 +85,9 @@ class IOStats:
         self.bytes_read += raw
         self.bytes_stored += stored
 
-    def merge(self, other: "IOStats") -> None:
-        """Fold another run's counters into this one (block-wise validation).
-
-        ``open_files`` must carry over too: merging a run that still holds
-        open cursors into a fresh ``IOStats`` would otherwise leave
-        ``open_files`` at zero while ``files_opened`` says the files exist,
-        and every later ``record_open`` would under-count the true peak.
-        """
-        self.items_read += other.items_read
-        self.files_opened += other.files_opened
-        self.open_files += other.open_files
-        self.peak_open_files = max(
-            self.peak_open_files, other.peak_open_files, self.open_files
-        )
-        self.blocks_skipped += other.blocks_skipped
-        self.values_skipped += other.values_skipped
-        self.bytes_read += other.bytes_read
-        self.bytes_stored += other.bytes_stored
-        for label, count in other.reads_per_attribute.items():
-            self.reads_per_attribute[label] = (
-                self.reads_per_attribute.get(label, 0) + count
-            )
-
 
 class ValueCursor(Protocol):
     """Forward-only cursor over a sorted set of rendered values."""
-
-    def has_next(self) -> bool: ...
-
-    def next_value(self) -> str: ...
 
     def peek_batch(self, max_items: int) -> list[str]: ...
 
@@ -137,8 +105,8 @@ class BufferedValueCursor:
 
     Subclasses provide :meth:`_load`, which returns the next physical chunk
     of decoded values (an empty list signals end of input).  The base class
-    buffers chunks, serves single-value and batched reads from the buffer,
-    and keeps the :class:`IOStats` accounting tied to *logical* consumption.
+    buffers chunks, serves batched reads from the buffer, and keeps the
+    :class:`IOStats` accounting tied to *logical* consumption.
     """
 
     def __init__(self, stats: IOStats | None, label: str) -> None:
@@ -173,26 +141,6 @@ class BufferedValueCursor:
                 self._buf.extend(chunk)
             else:
                 self._buf = chunk
-
-    # ------------------------------------------------------ classic protocol
-    def has_next(self) -> bool:
-        if self._pos < len(self._buf):
-            return True
-        if self._closed:
-            return False
-        self._fill(1)
-        return self._pos < len(self._buf)
-
-    def next_value(self) -> str:
-        if self._closed:
-            raise SpoolError(f"cursor {self._label} used after close")
-        if not self.has_next():
-            raise SpoolError(f"cursor {self._label} read past end")
-        value = self._buf[self._pos]
-        self._pos += 1
-        if self._stats is not None:
-            self._stats.record_read(self._label)
-        return value
 
     # ------------------------------------------------------ batched protocol
     def peek_batch(self, max_items: int) -> list[str]:
@@ -417,9 +365,10 @@ class BatchReader:
     Serves values from a local list (plain indexing, no per-value cursor
     call) and commits consumed counts back to the cursor lazily — once per
     ``batch_size`` values instead of once per value.  Totals are exact: a
-    value is charged to :class:`IOStats` iff it was handed to the caller, so
-    every validator reports the same ``items_read`` it did with per-value
-    ``next_value`` loops.
+    value is charged to :class:`IOStats` iff it was handed to the caller.
+    Each refill peeks ``batch_size`` values, so over a fresh cursor a
+    ``batch_size`` equal to the spool's block size refills one block at a
+    time and decodes only blocks holding handed-out values.
 
     ``flush`` commits pending consumption without closing (used when the
     caller owns the cursor); ``close`` flushes and closes the cursor.

@@ -5,19 +5,18 @@ database the sorted sets of distinct values of each attribute using SQL" —
 sorting and duplicate elimination happen once per attribute here, and the
 validators then only ever scan sorted files.
 
-Each attribute's sorted list comes from one of three places:
+Each attribute's sorted list comes from one of two places:
 
 * the list the profile already built.  A cold run profiles with a
   :class:`~repro.db.stats.RenderedLists` and passes it to
   :func:`export_into` as ``rendered``, which writes each kept list as it
   is, so the run renders and sorts each column once;
-* the default in-process path (render → sort → spool file, see
-  :func:`_sorted_distinct`), for every attribute without a kept list;
-* an optional SQL path that issues
-  ``SELECT DISTINCT TO_CHAR(col) FROM t WHERE col IS NOT NULL ORDER BY 1``
-  through :mod:`repro.sql`, for parity with the paper's setup.
+* render → sort → spool file (see :func:`_sorted_distinct`), for every
+  attribute without a kept list.
 
-All three produce identical spool files; tests assert this.
+Both produce identical spool files, and so does the paper's extraction
+statement ``SELECT DISTINCT TO_CHAR(col) FROM t WHERE col IS NOT NULL
+ORDER BY 1`` run through :mod:`repro.sql`; tests assert both.
 
 For the *process*-parallel path — export units dispatched as
 ``spool-export`` tasks through :class:`repro.parallel.pool.WorkerPool` —
@@ -167,7 +166,6 @@ def export_database(
     attributes: list[AttributeRef] | None = None,
     max_items_in_memory: int = DEFAULT_RUN_SIZE,
     include_empty: bool = False,
-    use_sql_engine: bool = False,
     spool_format: str = FORMAT_BINARY,
     block_size: int = DEFAULT_BLOCK_SIZE,
     workers: int = 1,
@@ -204,7 +202,6 @@ def export_database(
         attributes=attributes,
         max_items_in_memory=max_items_in_memory,
         include_empty=include_empty,
-        use_sql_engine=use_sql_engine,
     )
     spool.save_index()
     return spool, stats
@@ -216,7 +213,6 @@ def export_into(
     attributes: list[AttributeRef] | None = None,
     max_items_in_memory: int = DEFAULT_RUN_SIZE,
     include_empty: bool = False,
-    use_sql_engine: bool = False,
     rendered: dict[AttributeRef, tuple[int, list[str]]] | None = None,
 ) -> ExportStats:
     """Spool attributes of ``db`` into an *existing* directory.
@@ -256,8 +252,7 @@ def export_into(
             # (Sec. 2); spooling them would be wasted I/O.
             continue
         svf, scanned = _export_one(
-            db, spool, ref, dtype.value, max_items_in_memory, use_sql_engine,
-            rendered,
+            db, spool, ref, dtype.value, max_items_in_memory, rendered
         )
         stats.values_scanned += scanned
         if svf.is_empty and not include_empty:
@@ -281,7 +276,6 @@ def _export_one(
     ref: AttributeRef,
     dtype: str,
     max_items_in_memory: int,
-    use_sql_engine: bool,
     rendered: dict[AttributeRef, tuple[int, list[str]]] | None,
 ) -> tuple[SortedValueFile, int]:
     """Extract, sort and spool a single attribute; return its file and the
@@ -289,36 +283,9 @@ def _export_one(
     kept = None if rendered is None else rendered.pop(ref, None)
     if kept is not None:
         scanned, sorted_values = kept
-    elif use_sql_engine:
-        rendered_values = _extract_via_sql(db, ref)
-        scanned = len(rendered_values)
-        sorted_values = iter(rendered_values)
     else:
         values = db.attribute_values(ref)
         scanned = len(values)
         sorted_values = _sorted_distinct(values, max_items_in_memory)
     svf = spool.add_values(ref, sorted_values, dtype=dtype)
     return svf, scanned
-
-
-def _extract_via_sql(db: Database, ref: AttributeRef) -> list[str]:
-    """Run the paper-style extraction statement through the SQL substrate."""
-    # Imported lazily: repro.sql depends on repro.db, and the default export
-    # path must work without pulling in the SQL front-end.
-    from repro.sql.engine import SqlEngine
-
-    if not _is_sql_identifier(ref.table) or not _is_sql_identifier(ref.column):
-        raise SpoolError(
-            f"attribute {ref} has a name unusable as a SQL identifier; "
-            "use the default export path"
-        )
-    engine = SqlEngine(db)
-    result = engine.execute(
-        f"SELECT DISTINCT TO_CHAR({ref.column}) FROM {ref.table} "
-        f"WHERE {ref.column} IS NOT NULL ORDER BY 1"
-    )
-    return [row[0] for row in result.rows]
-
-
-def _is_sql_identifier(name: str) -> bool:
-    return name.isidentifier()

@@ -657,22 +657,14 @@ class SpoolCache:
             get_registry().inc("spool_cache_retired_total")
         return retired
 
-    def evict(self, fingerprint: str) -> bool:
-        """Drop every entry of this fingerprint; True when anything was removed."""
-        removed = False
-        for entry in self.root.glob(f"{fingerprint[:_ENTRY_NAME_LENGTH]}-*"):
-            self._destroy(entry)
-            removed = True
-        return removed
-
     def evict_prefix(self, prefix: str) -> list[CacheEntryInfo]:
         """Drop every entry whose fingerprint prefix starts with ``prefix``.
 
-        The operator-facing variant of :meth:`evict` — accepts any prefix of
-        the hex fingerprint (as ``repro-ind cache list`` prints it), up to
-        and including the full 64-char digest (entry names store only the
-        first ``_ENTRY_NAME_LENGTH`` characters, so longer prefixes are
-        truncated to that before matching).  Returns the entries removed.
+        Accepts any prefix of the hex fingerprint (as ``repro-ind cache
+        list`` prints it), up to and including the full 64-char digest
+        (entry names store only the first ``_ENTRY_NAME_LENGTH``
+        characters, so longer prefixes are truncated to that before
+        matching).  Returns the entries removed.
         """
         if not prefix:
             raise SpoolError("an empty prefix would evict the whole cache; "

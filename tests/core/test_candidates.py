@@ -3,17 +3,13 @@
 import pytest
 
 from repro.core.candidates import (
+    AttributeIds,
     Candidate,
     PretestConfig,
     apply_pretests,
-    cardinality_pretest,
-    datatype_pretest,
-    dependent_attributes,
     generate_all_pairs_candidates,
     generate_unique_ref_candidates,
-    max_value_pretest,
-    min_value_pretest,
-    referenced_attributes,
+    pretest_pairs,
 )
 from repro.db import Column, Database, DataType, TableSchema
 from repro.db.schema import AttributeRef
@@ -61,21 +57,38 @@ BIG = AttributeRef(T, "big")
 VOID = AttributeRef(T, "void")
 
 
+def dependents(stats) -> list[AttributeRef]:
+    ids = AttributeIds(stats)
+    return [ids.refs[aid] for aid in ids.dependents]
+
+
+def referenced(stats) -> list[AttributeRef]:
+    ids = AttributeIds(stats)
+    return [ids.refs[aid] for aid in ids.referenced]
+
+
+def survives(rule: str, candidate: Candidate, stats) -> bool:
+    """Whether ``candidate`` passes the one pretest ``rule``."""
+    ids = AttributeIds(stats)
+    config = PretestConfig(cardinality=False)
+    setattr(config, rule, True)
+    kept, _ = pretest_pairs(ids, ids.pairs_of([candidate]), config)
+    return bool(kept)
+
+
 class TestAttributeSets:
     def test_dependents_exclude_lob_and_empty(self, stats):
-        deps = dependent_attributes(stats)
+        deps = dependents(stats)
         assert UNIQ in deps and DUP in deps and TEXT in deps
         assert BIG not in deps
         assert VOID not in deps
 
     def test_referenced_are_unique_non_lob(self, stats):
-        refs = referenced_attributes(stats)
+        refs = referenced(stats)
         assert refs == [TEXT, UNIQ]
 
     def test_referenced_subset_of_dependents(self, stats):
-        assert set(referenced_attributes(stats)) <= set(
-            dependent_attributes(stats)
-        )
+        assert set(referenced(stats)) <= set(dependents(stats))
 
 
 class TestGeneration:
@@ -109,24 +122,24 @@ class TestGeneration:
 
 class TestPretests:
     def test_cardinality(self, stats):
-        assert cardinality_pretest(Candidate(DUP, UNIQ), stats)
-        assert not cardinality_pretest(Candidate(UNIQ, DUP), stats)
-        assert cardinality_pretest(Candidate(UNIQ, TEXT), stats)  # equal
+        assert survives("cardinality", Candidate(DUP, UNIQ), stats)
+        assert not survives("cardinality", Candidate(UNIQ, DUP), stats)
+        assert survives("cardinality", Candidate(UNIQ, TEXT), stats)  # equal
 
     def test_max_value_rendered_order(self, stats):
         # max(dup)="2", max(uniq)="9" rendered: "2" <= "9" passes.
-        assert max_value_pretest(Candidate(DUP, UNIQ), stats)
+        assert survives("max_value", Candidate(DUP, UNIQ), stats)
         # max(text)="s9" > max(uniq)="9": fails.
-        assert not max_value_pretest(Candidate(TEXT, UNIQ), stats)
+        assert not survives("max_value", Candidate(TEXT, UNIQ), stats)
 
     def test_min_value(self, stats):
         # min(dup)="0" < min(uniq)="1": dep has a value below every ref value.
-        assert not min_value_pretest(Candidate(DUP, UNIQ), stats)
-        assert min_value_pretest(Candidate(UNIQ, DUP), stats)
+        assert not survives("min_value", Candidate(DUP, UNIQ), stats)
+        assert survives("min_value", Candidate(UNIQ, DUP), stats)
 
     def test_datatype(self, stats):
-        assert datatype_pretest(Candidate(DUP, UNIQ), stats)
-        assert not datatype_pretest(Candidate(DUP, TEXT), stats)
+        assert survives("datatype", Candidate(DUP, UNIQ), stats)
+        assert not survives("datatype", Candidate(DUP, TEXT), stats)
 
     def test_pretest_soundness_no_false_pruning(self, db, stats):
         """Candidates pruned by cardinality/max-value are provably unsatisfied."""
@@ -135,12 +148,9 @@ class TestPretests:
         oracle = ReferenceValidator(db)
         candidates = generate_unique_ref_candidates(stats)
         for candidate in candidates:
-            if not cardinality_pretest(candidate, stats):
-                assert not oracle.validate_one(candidate)
-            if not max_value_pretest(candidate, stats):
-                assert not oracle.validate_one(candidate)
-            if not min_value_pretest(candidate, stats):
-                assert not oracle.validate_one(candidate)
+            for rule in ("cardinality", "max_value", "min_value"):
+                if not survives(rule, candidate, stats):
+                    assert not oracle.validate_one(candidate)
 
 
 class TestApplyPretests:

@@ -1,14 +1,22 @@
 """Tests for prefix-tolerant (concatenated-value) IND detection."""
 
+from functools import partial
+from itertools import permutations
+
 import pytest
+
+from seeded_dbs import build_random_db, prefixed_db, value_at_a_time
 
 from repro.core.candidates import Candidate
 from repro.core.concatenated import (
+    SEPARATORS,
     PrefixedINDFinder,
     detect_common_prefix,
 )
 from repro.db.schema import AttributeRef
-from repro.storage.cursors import MemoryValueCursor
+from repro.errors import ValidatorError
+from repro.storage.cursors import IOStats, MemoryValueCursor
+from repro.storage.exporter import export_database
 from repro.storage.sorted_sets import SpoolDirectory
 
 DEP = AttributeRef("t", "dep")
@@ -131,3 +139,155 @@ class TestPrefixedINDFinder:
         finder = PrefixedINDFinder(s, prefix_scan_limit=2)
         with pytest.raises(ValidatorError, match="lacks the expected prefix"):
             finder.check(Candidate(DEP, REF))
+
+
+# ---------------------------------------------------------- per-value oracle
+#: The seeded random databases and the one with prefixed values.
+DATABASES = {
+    "prefixed": prefixed_db,
+    **{f"seed{seed}": partial(build_random_db, seed) for seed in range(6)},
+}
+
+
+def oracle_prefix(cursor, max_scan=None) -> str | None:
+    """:func:`detect_common_prefix`, reading one value at a time."""
+    prefix = None
+    for scanned, value in enumerate(value_at_a_time(cursor), start=1):
+        if prefix is None:
+            prefix = value
+        else:
+            i = 0
+            while i < min(len(prefix), len(value)) and prefix[i] == value[i]:
+                i += 1
+            prefix = prefix[:i]
+        if not prefix:
+            return None
+        if max_scan is not None and scanned >= max_scan:
+            break
+    if prefix is None:
+        return None
+    cut = max((i for i, ch in enumerate(prefix) if ch in SEPARATORS), default=-1)
+    return prefix[: cut + 1] if cut >= 0 else None
+
+
+def stripped(values, prefix):
+    """``values`` without ``prefix``, raising on the first that lacks it."""
+    for value in values:
+        if not value.startswith(prefix):
+            raise ValidatorError(f"{value!r} lacks {prefix!r}")
+        yield value[len(prefix) :]
+
+
+def oracle_inclusion(dep_values, ref_values) -> bool:
+    """Algorithm 1 over two value-at-a-time streams."""
+    for dep in dep_values:
+        for ref in ref_values:
+            if ref == dep:
+                break
+            if dep < ref:
+                return False
+        else:
+            return False
+    return True
+
+
+def oracle_find_all(spool, candidates, io, scan_limit):
+    """:meth:`PrefixedINDFinder.find_all`, reading one value at a time."""
+    prefixes = {}
+
+    def prefix_of(ref):
+        if ref not in prefixes:
+            cursor = spool.open_cursor(ref)
+            prefixes[ref] = oracle_prefix(cursor, scan_limit)
+            cursor.close()
+        return prefixes[ref]
+
+    def holds(candidate, prefix, side):
+        dep = spool.open_cursor(candidate.dependent, io)
+        ref = spool.open_cursor(candidate.referenced, io)
+        dep_values, ref_values = value_at_a_time(dep), value_at_a_time(ref)
+        if side == "dependent":
+            dep_values = stripped(dep_values, prefix)
+        else:
+            ref_values = stripped(ref_values, prefix)
+        try:
+            return oracle_inclusion(dep_values, ref_values)
+        finally:
+            dep.close()
+            ref.close()
+
+    found = []
+    for candidate in candidates:
+        for side, attribute in (
+            ("dependent", candidate.dependent),
+            ("referenced", candidate.referenced),
+        ):
+            prefix = prefix_of(attribute)
+            if prefix and holds(candidate, prefix, side):
+                found.append((candidate, prefix, side))
+                break
+    return found
+
+
+def consumed(io: IOStats) -> dict:
+    """The counters of the values ``io`` charged and the files it opened.
+
+    The bytes of decoded blocks are left out: the Algorithm-1 merge the
+    finder calls peeks a batch ahead, which a value-at-a-time read does not.
+    """
+    return {
+        "items_read": io.items_read,
+        "reads_per_attribute": io.reads_per_attribute,
+        "files_opened": io.files_opened,
+        "open_files": io.open_files,
+        "peak_open_files": io.peak_open_files,
+    }
+
+
+class TestSec7HelpersAgainstPerValueOracle:
+    """Prefix detection and the finder read what value-at-a-time loops read.
+
+    Over seeded random databases and one with prefixed values, at block
+    sizes that put block boundaries everywhere: the same prefixes and hits,
+    and the same values charged per attribute to the given :class:`IOStats`.
+    """
+
+    @pytest.mark.parametrize("block_size", [1, 3, 1024])
+    @pytest.mark.parametrize("max_scan", [None, 1, 4, 25])
+    @pytest.mark.parametrize("source", sorted(DATABASES))
+    def test_detect_common_prefix(self, tmp_path, source, max_scan, block_size):
+        db = DATABASES[source]()
+        spool, _ = export_database(
+            db, str(tmp_path / "s"), block_size=block_size
+        )
+        for attribute in spool.attributes():
+            got_io, want_io = IOStats(), IOStats()
+            cursor = spool.open_cursor(attribute, got_io)
+            got = detect_common_prefix(cursor, max_scan)
+            cursor.close()
+            cursor = spool.open_cursor(attribute, want_io)
+            want = oracle_prefix(cursor, max_scan)
+            cursor.close()
+            assert got == want, attribute
+            assert consumed(got_io) == consumed(want_io), attribute
+
+    @pytest.mark.parametrize("block_size", [1, 3, 1024])
+    @pytest.mark.parametrize("scan_limit", [2, 1000])
+    @pytest.mark.parametrize("source", sorted(DATABASES))
+    def test_find_all(self, tmp_path, source, scan_limit, block_size):
+        db = DATABASES[source]()
+        spool, _ = export_database(
+            db, str(tmp_path / "s"), block_size=block_size
+        )
+        candidates = [
+            Candidate(dep, ref)
+            for dep, ref in permutations(spool.attributes(), 2)
+        ]
+        want_io = IOStats()
+        want = oracle_find_all(spool, candidates, want_io, scan_limit)
+        got_io = IOStats()
+        hits = PrefixedINDFinder(spool, scan_limit).find_all(candidates, got_io)
+        assert [(h.candidate, h.prefix, h.stripped_side) for h in hits] == want
+        assert consumed(got_io) == consumed(want_io)
+        if source == "prefixed":
+            assert hits

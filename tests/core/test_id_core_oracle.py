@@ -40,15 +40,9 @@ from repro.core.candidates import (
     PretestReport,
     all_pairs,
     apply_pretests,
-    cardinality_pretest,
-    datatype_pretest,
-    dependent_attributes,
     generate_all_pairs_candidates,
     generate_unique_ref_candidates,
-    max_value_pretest,
-    min_value_pretest,
     pretest_pairs,
-    referenced_attributes,
     unique_ref_pairs,
 )
 from repro.core.runner import DiscoveryConfig, discover_inds
@@ -286,22 +280,27 @@ class TestGenerationAndPretests:
     @pytest.mark.parametrize("name", sorted(DATABASES))
     def test_attribute_sets_and_single_candidate_pretests(self, name):
         stats = collect_column_stats(DATABASES[name]())
-        assert dependent_attributes(stats) == oracle_dependent_attributes(stats)
-        assert referenced_attributes(stats) == oracle_referenced_attributes(stats)
-        refs = sorted(stats)
+        ids = AttributeIds(stats)
+        dependents = [ids.refs[aid] for aid in ids.dependents]
+        referenced = [ids.refs[aid] for aid in ids.referenced]
+        assert dependents == oracle_dependent_attributes(stats)
+        assert referenced == oracle_referenced_attributes(stats)
         # Every ordered pair, the trivial ones and empty or LOB sides too.
-        for dep, ref in itertools.product(refs, refs):
-            candidate = Candidate(dep, ref)
-            for rule, oracle in (
-                (cardinality_pretest, oracle_cardinality),
-                (max_value_pretest, oracle_max_value),
-                (min_value_pretest, oracle_min_value),
-                (datatype_pretest, oracle_datatype),
-            ):
-                assert rule(candidate, stats) == oracle(candidate, stats), (
-                    rule.__name__,
-                    str(candidate),
-                )
+        candidates = [
+            Candidate(dep, ref) for dep, ref in itertools.product(ids.refs, ids.refs)
+        ]
+        for rule, oracle in (
+            ("cardinality", oracle_cardinality),
+            ("max_value", oracle_max_value),
+            ("min_value", oracle_min_value),
+            ("datatype", oracle_datatype),
+        ):
+            config = PretestConfig(cardinality=False)
+            setattr(config, rule, True)
+            survivors, _ = pretest_pairs(ids, ids.pairs_of(candidates), config)
+            assert ids.candidates(survivors) == [
+                c for c in candidates if oracle(c, stats)
+            ], rule
 
     def test_duplicates_and_foreign_order_survive_the_adapter(self):
         stats = collect_column_stats(build_random_db(4))

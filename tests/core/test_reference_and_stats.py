@@ -117,8 +117,7 @@ class TestValidatorStats:
         stats = ValidatorStats()
         io = IOStats()
         io.record_open()
-        io.record_read("x")
-        io.record_read("x")
+        io.record_read_batch("x", 2)
         stats.absorb_io(io)
         assert stats.items_read == 2
         assert stats.files_opened == 1

@@ -133,6 +133,45 @@ def build_db(seed: int = 0) -> Database:
     return db
 
 
+def prefixed_db() -> Database:
+    """Values for the Sec. 7 prefix helpers: PDB codes bare and with
+    ``PDB-``, a column whose first 30 values carry ``GO:A:`` and the rest
+    ``ZZ-``, and a column of separator-free values.
+
+    A scan limit below 30 sees ``GO:A:`` as the prefix of ``mixed``; its
+    stripped values stop matching (at ``zz29``) before the first value
+    without the prefix, so the finder refutes instead of raising.
+    """
+    db = Database("prefixed")
+    codes = [f"{i}ab{i % 7}" for i in range(1, 40)]
+    bare = db.create_table(
+        TableSchema("bare", [Column("code", DataType.VARCHAR, unique=True)])
+    )
+    for code in codes:
+        bare.insert({"code": code})
+    tagged = db.create_table(
+        TableSchema(
+            "tagged",
+            [
+                Column("code", DataType.VARCHAR, unique=True),
+                Column("mixed", DataType.VARCHAR),
+                Column("plain", DataType.VARCHAR),
+            ],
+        )
+    )
+    for i, code in enumerate(codes):
+        if i < 29:
+            mixed = f"GO:A:{code}"
+        elif i == 29:
+            mixed = "GO:A:zz29"
+        else:
+            mixed = f"ZZ-{code}"
+        tagged.insert(
+            {"code": f"PDB-{code}", "mixed": mixed, "plain": f"x{i:03d}"}
+        )
+    return db
+
+
 def spool_with(tmp_path, sizes: dict[str, int]) -> SpoolDirectory:
     """A spool with one single-table attribute per entry of ``sizes``."""
     spool = SpoolDirectory.create(tmp_path / "spool")
@@ -141,3 +180,15 @@ def spool_with(tmp_path, sizes: dict[str, int]) -> SpoolDirectory:
         spool.add_values(ref, [f"{name}-{i:06d}" for i in range(count)])
     spool.save_index()
     return spool
+
+
+def value_at_a_time(cursor):
+    """``cursor``'s values one by one, each read only when it is needed.
+
+    One ``peek_batch(1)`` per value decodes a block only when the value
+    before it was the block's last: the reads of a value-at-a-time loop,
+    which the Sec. 7 helpers' oracles replay.
+    """
+    while batch := cursor.peek_batch(1):
+        cursor.advance(1)
+        yield batch[0]

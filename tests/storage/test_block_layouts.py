@@ -121,11 +121,11 @@ class TestScan:
         ] == [(len(frame), frame[0], frame[-1]) for frame in frames]
         io = IOStats()
         cursor = spool.open_cursor(REF, io)
-        got = [cursor.next_value()] + _read_rest(cursor)
+        got = cursor.read_batch(1) + _read_rest(cursor)
         assert got == values
-        assert not cursor.has_next()
-        with pytest.raises(SpoolError, match="read past end"):
-            cursor.next_value()
+        assert cursor.peek_batch(1) == []
+        with pytest.raises(SpoolError, match="cannot advance"):
+            cursor.advance(1)
         cursor.close()
         assert io.items_read == len(values)
         assert io.reads_per_attribute == {"t.a": len(values)}
@@ -182,7 +182,7 @@ class TestSkipScan:
         frames = _frames(values, block_size)
         io = IOStats()
         cursor = spool.open_cursor(REF, io)
-        assert cursor.next_value() == values[0]  # decodes frame 0
+        assert cursor.read_batch(1) == [values[0]]  # decodes frame 0
         middle = frames[1:-1]
         assert cursor.skip_blocks_below(frames[-1][0]) == len(middle)
         expected = frames[0][1:] + (frames[-1] if len(frames) > 1 else [])
@@ -215,7 +215,7 @@ class TestSkipScan:
                 cursor.advance(below)
                 if not batch or below < len(batch):
                     break
-            assert cursor.next_value() == probe
+            assert cursor.read_batch(1) == [probe]
         rest = _read_rest(cursor)
         cursor.close()
         assert rest == values[len(values) - len(rest) :]

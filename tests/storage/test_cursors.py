@@ -15,8 +15,8 @@ from repro.storage.cursors import (
 
 def write_value_file(path, values):
     with BlockFileWriter(str(path), block_size=3) as writer:
-        for value in values:
-            writer.write(value)
+        for start in range(0, len(values), 3):
+            writer.write_block(values[start : start + 3])
     return str(path)
 
 
@@ -35,81 +35,30 @@ class TestIOStats:
 
     def test_reads_per_attribute(self):
         stats = IOStats()
-        stats.record_read("a")
-        stats.record_read("a")
-        stats.record_read("b")
+        stats.record_read_batch("a", 2)
+        stats.record_read_batch("b", 1)
+        stats.record_read_batch("b", 0)
         assert stats.items_read == 3
         assert stats.reads_per_attribute == {"a": 2, "b": 1}
-
-    def test_merge(self):
-        a, b = IOStats(), IOStats()
-        a.record_open()
-        a.record_read("x")
-        b.record_open()
-        b.record_open()
-        b.record_read("x")
-        b.record_read("y")
-        a.merge(b)
-        assert a.items_read == 3
-        assert a.files_opened == 3
-        # Both runs still hold their files: after the merge three files are
-        # genuinely open at once, and the peak must reflect that.
-        assert a.open_files == 3
-        assert a.peak_open_files == 3
-        assert a.reads_per_attribute == {"x": 2, "y": 1}
-
-    def test_merge_carries_open_files_regression(self):
-        """Regression: ``merge`` used to drop ``open_files``.
-
-        A fresh stats object that absorbed a mid-flight run would report
-        ``open_files == 0`` while ``files_opened`` said the cursors existed,
-        and every subsequent ``record_open`` under-counted the true peak —
-        exactly the Sec. 4.2 open-file budget the blockwise validator is
-        built around.
-        """
-        outer, sub = IOStats(), IOStats()
-        sub.record_open()
-        sub.record_open()
-        outer.merge(sub)
-        assert outer.open_files == 2
-        assert outer.peak_open_files == 2
-        # A later open on the merged stats must see the carried-over files.
-        outer.record_open()
-        assert outer.peak_open_files == 3
-        assert outer.files_opened == 3
-
-    def test_merge_of_completed_runs_keeps_peak_max(self):
-        """Completed block runs (all cursors closed) merge peaks by max."""
-        a, b = IOStats(), IOStats()
-        for stats, opens in ((a, 2), (b, 3)):
-            for _ in range(opens):
-                stats.record_open()
-            for _ in range(opens):
-                stats.record_close()
-        a.merge(b)
-        assert a.open_files == 0
-        assert a.peak_open_files == 3
-        assert a.files_opened == 5
 
 
 class TestMemoryValueCursor:
     def test_iteration(self):
         cursor = MemoryValueCursor(["a", "b"])
-        out = []
-        while cursor.has_next():
-            out.append(cursor.next_value())
-        assert out == ["a", "b"]
+        assert cursor.read_batch(1) == ["a"]
+        assert cursor.read_batch(5) == ["b"]
+        assert cursor.read_batch(5) == []
 
     def test_read_past_end(self):
         cursor = MemoryValueCursor([])
-        assert not cursor.has_next()
-        with pytest.raises(SpoolError):
-            cursor.next_value()
+        assert cursor.peek_batch(1) == []
+        with pytest.raises(SpoolError, match="cannot advance"):
+            cursor.advance(1)
 
     def test_counts_reads(self):
         stats = IOStats()
         cursor = MemoryValueCursor(["a", "b"], stats, label="m")
-        cursor.next_value()
+        cursor.read_batch(1)
         assert stats.items_read == 1
         cursor.close()
         assert stats.open_files == 0
@@ -117,8 +66,8 @@ class TestMemoryValueCursor:
     def test_use_after_close(self):
         cursor = MemoryValueCursor(["a"])
         cursor.close()
-        with pytest.raises(SpoolError):
-            cursor.next_value()
+        with pytest.raises(SpoolError, match="after close"):
+            cursor.read_batch(1)
 
     def test_double_close_is_safe(self):
         stats = IOStats()
@@ -132,17 +81,17 @@ class TestBlockValueCursor:
     def test_reads_escaped_values(self, tmp_path):
         path = write_value_file(tmp_path / "v.valsb", ["a\nb", "plain"])
         cursor = BlockValueCursor(path)
-        assert cursor.next_value() == "a\nb"
-        assert cursor.next_value() == "plain"
-        assert not cursor.has_next()
+        assert cursor.read_batch(1) == ["a\nb"]
+        assert cursor.read_batch(1) == ["plain"]
+        assert cursor.peek_batch(1) == []
         cursor.close()
 
     def test_empty_file(self, tmp_path):
         path = write_value_file(tmp_path / "v.valsb", [])
         cursor = BlockValueCursor(path)
-        assert not cursor.has_next()
-        with pytest.raises(SpoolError):
-            cursor.next_value()
+        assert cursor.peek_batch(1) == []
+        with pytest.raises(SpoolError, match="cannot advance"):
+            cursor.advance(1)
         cursor.close()
 
     def test_missing_file(self, tmp_path):
@@ -153,7 +102,7 @@ class TestBlockValueCursor:
         path = write_value_file(tmp_path / "v.valsb", ["x"])
         stats = IOStats()
         cursor = BlockValueCursor(path, stats, label="t.c")
-        cursor.next_value()
+        cursor.read_batch(1)
         cursor.close()
         assert stats.reads_per_attribute == {"t.c": 1}
         assert stats.files_opened == 1
@@ -163,8 +112,8 @@ class TestBlockValueCursor:
         path = write_value_file(tmp_path / "v.valsb", ["x"])
         cursor = BlockValueCursor(path)
         cursor.close()
-        with pytest.raises(SpoolError):
-            cursor.next_value()
+        with pytest.raises(SpoolError, match="after close"):
+            cursor.read_batch(1)
 
 
 def _all_cursor_kinds(tmp_path, values, stats=None):
@@ -214,12 +163,12 @@ class TestBatchedProtocol:
     def test_batched_and_single_reads_interleave(self, tmp_path):
         values = [f"{i}" for i in range(6)]
         for cursor in _all_cursor_kinds(tmp_path, values):
-            assert cursor.next_value() == "0"
+            assert cursor.read_batch(1) == ["0"]
             assert cursor.read_batch(2) == ["1", "2"]
-            assert cursor.next_value() == "3"
+            assert cursor.read_batch(1) == ["3"]
             assert cursor.peek_batch(5) == ["4", "5"]
             assert cursor.read_batch(5) == ["4", "5"]
-            assert not cursor.has_next()
+            assert cursor.peek_batch(1) == []
             cursor.close()
 
     def test_peek_after_close_rejected(self, tmp_path):
@@ -229,7 +178,7 @@ class TestBatchedProtocol:
                 cursor.peek_batch(1)
 
     def test_mixed_accounting_equals_per_value(self, tmp_path):
-        """Batched and per-value consumption must report identical stats."""
+        """Batches of 7 and of 1 must report identical stats."""
         values = [f"{i:03d}" for i in range(25)]
         batched, single = IOStats(), IOStats()
         cursor = MemoryValueCursor(list(values), batched, label="x")
@@ -237,8 +186,8 @@ class TestBatchedProtocol:
             pass
         cursor.close()
         cursor = MemoryValueCursor(list(values), single, label="x")
-        while cursor.has_next():
-            cursor.next_value()
+        while cursor.read_batch(1):
+            pass
         cursor.close()
         assert batched.items_read == single.items_read
         assert batched.reads_per_attribute == single.reads_per_attribute
@@ -275,7 +224,7 @@ class TestBatchReader:
         reader.next()
         reader.flush()
         assert stats.items_read == 1
-        assert cursor.next_value() == "b"  # cursor still usable
+        assert cursor.read_batch(1) == ["b"]  # cursor still usable
         cursor.close()
 
     def test_read_past_end(self):
@@ -293,14 +242,11 @@ class TestCountingCursor:
     def test_wraps_iterator(self):
         stats = IOStats()
         cursor = CountingCursor(iter(["a", "b"]), stats)
-        values = []
-        while cursor.has_next():
-            values.append(cursor.next_value())
-        assert values == ["a", "b"]
+        assert cursor.read_batch(1) + cursor.read_batch(5) == ["a", "b"]
         assert stats.items_read == 2
 
     def test_empty_iterator(self):
         cursor = CountingCursor(iter([]))
-        assert not cursor.has_next()
-        with pytest.raises(SpoolError):
-            cursor.next_value()
+        assert cursor.peek_batch(1) == []
+        with pytest.raises(SpoolError, match="cannot advance"):
+            cursor.advance(1)

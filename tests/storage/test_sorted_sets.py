@@ -174,8 +174,8 @@ class TestCursorIntegration:
         spool.add_values(A, ["a", "b"])
         stats = IOStats()
         cursor = spool.open_cursor(A, stats)
-        while cursor.has_next():
-            cursor.next_value()
+        while cursor.read_batch(1):
+            pass
         cursor.close()
         assert stats.items_read == 2
         assert stats.reads_per_attribute == {"t.a": 2}

@@ -408,7 +408,7 @@ class TestLruEviction:
         # Eviction renames the entry aside before deleting, so the open
         # file descriptor keeps working (POSIX) and a subsequent lookup
         # is a clean miss, never a torn read.
-        assert cache.evict(fingerprint)
+        assert cache.evict_prefix(fingerprint)
         rest = cursor.read_batch(10_000)
         assert len(first) + len(rest) == hit.get(ref).count
         cursor.close()

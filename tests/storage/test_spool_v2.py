@@ -20,28 +20,32 @@ B = AttributeRef("t", "b")
 AWKWARD = sorted(["", "a\nb", "a\\nb", "back\\slash", "nul\x00byte", "z\r"])
 
 
+def _write(path, values, block_size):
+    """A block file of ``values``, one ``write_block`` per block."""
+    with BlockFileWriter(path, block_size=block_size) as writer:
+        for start in range(0, len(values), block_size):
+            writer.write_block(values[start : start + block_size])
+    return writer
+
+
 # --------------------------------------------------------------- block files
 class TestBlockFileRoundTrip:
     @pytest.mark.parametrize("block_size", [1, 2, 3, 1000])
     def test_values_survive(self, tmp_path, block_size):
         path = str(tmp_path / "v.valsb")
         values = [f"v{i:03d}" for i in range(17)]
-        with BlockFileWriter(path, block_size=block_size) as writer:
-            for value in values:
-                writer.write(value)
+        _write(path, values, block_size)
         cursor = BlockValueCursor(path)
         out = []
-        while cursor.has_next():
-            out.append(cursor.next_value())
+        while batch := cursor.read_batch(1):
+            out.extend(batch)
         cursor.close()
         assert out == values
 
     @pytest.mark.parametrize("block_size", [1, 2, 5])
     def test_awkward_values(self, tmp_path, block_size):
         path = str(tmp_path / "v.valsb")
-        with BlockFileWriter(path, block_size=block_size) as writer:
-            for value in AWKWARD:
-                writer.write(value)
+        _write(path, AWKWARD, block_size)
         cursor = BlockValueCursor(path)
         assert cursor.read_batch(100) == AWKWARD
         cursor.close()
@@ -52,16 +56,14 @@ class TestBlockFileRoundTrip:
             pass
         assert writer.count == 0 and writer.blocks == []
         cursor = BlockValueCursor(path)
-        assert not cursor.has_next()
-        with pytest.raises(SpoolError, match="read past end"):
-            cursor.next_value()
+        assert cursor.peek_batch(1) == []
+        with pytest.raises(SpoolError, match="cannot advance"):
+            cursor.advance(1)
         cursor.close()
 
     def test_block_metadata(self, tmp_path):
         path = str(tmp_path / "v.valsb")
-        with BlockFileWriter(path, block_size=2) as writer:
-            for value in ["a", "b", "c", "d", "e"]:
-                writer.write(value)
+        writer = _write(path, ["a", "b", "c", "d", "e"], 2)
         assert [b.count for b in writer.blocks] == [2, 2, 1]
         assert [(b.min_value, b.max_value) for b in writer.blocks] == [
             ("a", "b"), ("c", "d"), ("e", "e"),
@@ -73,9 +75,7 @@ class TestBlockFileRoundTrip:
     def test_batches_straddle_block_boundaries(self, tmp_path):
         path = str(tmp_path / "v.valsb")
         values = [f"{i:02d}" for i in range(20)]
-        with BlockFileWriter(path, block_size=3) as writer:
-            for value in values:
-                writer.write(value)
+        _write(path, values, 3)
         cursor = BlockValueCursor(path)
         # 7-value batches over 3-value blocks: every read crosses a boundary.
         out = []
@@ -90,9 +90,7 @@ class TestBlockFileRoundTrip:
 
     def test_peek_does_not_consume_across_blocks(self, tmp_path):
         path = str(tmp_path / "v.valsb")
-        with BlockFileWriter(path, block_size=2) as writer:
-            for value in ["a", "b", "c", "d", "e"]:
-                writer.write(value)
+        _write(path, ["a", "b", "c", "d", "e"], 2)
         stats = IOStats()
         cursor = BlockValueCursor(path, stats)
         assert cursor.peek_batch(5) == ["a", "b", "c", "d", "e"]
@@ -111,7 +109,13 @@ class TestBlockFileRoundTrip:
         writer = BlockFileWriter(str(tmp_path / "v.valsb"))
         writer.close()
         with pytest.raises(SpoolError, match="after close"):
-            writer.write("x")
+            writer.write_block(["x"])
+
+    def test_writer_rejects_an_oversized_block(self, tmp_path):
+        writer = BlockFileWriter(str(tmp_path / "v.valsb"), block_size=2)
+        with pytest.raises(SpoolError, match="2-value block layout"):
+            writer.write_block(["a", "b", "c"])
+        writer.close()
 
 
 class TestBlockFileCorruption:
@@ -126,20 +130,18 @@ class TestBlockFileCorruption:
         path.write_bytes(MAGIC + b"\x01\x02")
         cursor = BlockValueCursor(str(path))
         with pytest.raises(SpoolError, match="truncated block header"):
-            cursor.has_next()
+            cursor.peek_batch(1)
         cursor.close()
 
     def test_truncated_payload(self, tmp_path):
         path = str(tmp_path / "v.valsb")
-        with BlockFileWriter(path, block_size=10) as writer:
-            for value in ["aaa", "bbb"]:
-                writer.write(value)
+        _write(path, ["aaa", "bbb"], 10)
         data = open(path, "rb").read()
         trimmed = tmp_path / "trimmed.valsb"
         trimmed.write_bytes(data[:-2])
         cursor = BlockValueCursor(str(trimmed))
         with pytest.raises(SpoolError, match="truncated block"):
-            cursor.has_next()
+            cursor.peek_batch(1)
         cursor.close()
 
 
@@ -185,7 +187,7 @@ class TestBinarySpoolDirectory:
         stats = IOStats()
         cursor = spool.open_cursor(A, stats)
         cursor.read_batch(4)
-        cursor.next_value()
+        cursor.read_batch(1)
         cursor.close()
         assert (
             stats.items_read,

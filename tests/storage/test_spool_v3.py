@@ -33,8 +33,8 @@ def _write(path, values, block_size=4):
     with BlockFileWriter(
         str(path), block_size=block_size, compression=COMPRESSION_ZLIB
     ) as writer:
-        for value in values:
-            writer.write(value)
+        for start in range(0, len(values), block_size):
+            writer.write_block(values[start : start + block_size])
     return writer
 
 
@@ -63,7 +63,7 @@ class TestCompressedRoundTrip:
         assert writer.count == 0 and writer.blocks == []
         assert path.read_bytes() == MAGIC_V3_ZLIB
         cursor = BlockValueCursor(str(path))
-        assert not cursor.has_next()
+        assert cursor.peek_batch(1) == []
         cursor.close()
 
     def test_writer_records_raw_and_stored_bytes(self, tmp_path):
@@ -131,7 +131,7 @@ class TestCompressedCorruption:
         trimmed.write_bytes(path.read_bytes()[:-2])
         cursor = BlockValueCursor(str(trimmed))
         with pytest.raises(SpoolError, match="truncated block 0"):
-            cursor.has_next()
+            cursor.peek_batch(1)
         cursor.close()
 
     def test_count_mismatch_after_inflate(self, tmp_path):
@@ -252,7 +252,7 @@ class TestStorageLegs:
         spool = SpoolDirectory.open(root)
         io = IOStats()
         cursor = spool.open_cursor(A, io)
-        values = cursor.read_batch(3) + [cursor.next_value()]
+        values = cursor.read_batch(3) + cursor.read_batch(1)
         values += cursor.read_batch(100)
         cursor.close()
         return values, io

@@ -313,6 +313,47 @@ class TestServe:
         assert "error" in responses[1]
         assert responses[2]["satisfied_count"] > 0
 
+    @pytest.mark.parametrize(
+        "request_doc, message",
+        [
+            ({"directory": 5}, "'directory' must be a string, got 5"),
+            (
+                {"directory": "DUMP", "validation_workers": "2"},
+                "'validation_workers' must be an integer, got '2'",
+            ),
+            (
+                {"directory": "DUMP", "validation_workers": True},
+                "'validation_workers' must be an integer, got True",
+            ),
+            ({"directory": "DUMP", "strategy": 1}, "'strategy' must be a string"),
+            (
+                {"directory": "DUMP", "candidate_mode": None},
+                "'candidate_mode' must be a string",
+            ),
+        ],
+        ids=["directory", "workers-str", "workers-bool", "strategy", "mode"],
+    )
+    def test_mistyped_request_is_a_bad_request_under_its_id(
+        self, biosql_dump, monkeypatch, capsys, request_doc, message
+    ):
+        request_doc = {
+            key: str(biosql_dump) if value == "DUMP" else value
+            for key, value in request_doc.items()
+        }
+        lines = [
+            json.dumps({**request_doc, "id": "typo"}) + "\n",
+            json.dumps(request_doc) + "\n",
+        ]
+        code, responses, err = self._serve(monkeypatch, capsys, lines)
+        assert code == 0
+        by_id = {response["id"]: response for response in responses}
+        assert set(by_id) == {"typo", "line-2"}
+        for response in by_id.values():
+            assert response["error"].startswith("bad request: ")
+            assert message in response["error"]
+        shutdown = _shutdown_stats(err)
+        assert (shutdown["requests"], shutdown["errors"]) == (0, 2)
+
     def test_request_can_override_strategy(
         self, biosql_dump, monkeypatch, capsys
     ):
@@ -678,24 +719,7 @@ class TestCacheCommand:
 
 
 class TestPipelineFlags:
-    """The overlap flag: self-documenting help, end-to-end wiring."""
-
-    def _discover_help(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["discover", "--help"])
-        return " ".join(capsys.readouterr().out.split())
-
-    def test_overlap_flag_documents_its_guarantee(self, capsys):
-        out = self._discover_help(capsys)
-        assert "--overlap" in out
-        assert "--sampling-size" in out
-        assert "identical to the in-process pipeline" in out
-
-    def test_serve_accepts_the_overlap_flag(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["serve", "--help"])
-        out = " ".join(capsys.readouterr().out.split())
-        assert "--overlap" in out
+    """Removed pipeline flags and router surface exit 2; serve idle reaping."""
 
     @pytest.mark.parametrize("command", ("discover", "serve"))
     @pytest.mark.parametrize(
@@ -729,68 +753,6 @@ class TestPipelineFlags:
             main(argv)
         assert excinfo.value.code == 2
         assert args[-1] in capsys.readouterr().err
-
-    def test_discover_runs_the_overlapped_pipeline(self, biosql_dump, capsys):
-        assert main([
-            "discover", str(biosql_dump), "--strategy", "brute-force",
-            "--validation-workers", "2", "--sampling-size", "4",
-            "--overlap",
-        ]) == 0
-        pooled = capsys.readouterr().out
-        assert main([
-            "discover", str(biosql_dump), "--strategy", "brute-force",
-            "--sampling-size", "4",
-        ]) == 0
-        sequential = capsys.readouterr().out
-        # Identical discovery summary and IND list, pooled or not.
-        assert [
-            line for line in pooled.splitlines() if line.startswith("  ")
-        ] == [
-            line for line in sequential.splitlines() if line.startswith("  ")
-        ]
-
-    def test_serve_response_pool_covers_all_task_kinds(
-        self, biosql_dump, monkeypatch, capsys
-    ):
-        import io
-
-        request = json.dumps({"directory": str(biosql_dump), "id": "r1"}) + "\n"
-        monkeypatch.setattr("sys.stdin", io.StringIO(request))
-        assert main([
-            "serve", "--strategy", "brute-force", "--validation-workers", "2",
-            "--sampling-size", "4", "--overlap",
-        ]) == 0
-        captured = capsys.readouterr()
-        response = json.loads(captured.out.splitlines()[0])
-        kinds = response["pool"]["tasks_by_kind"]
-        assert {"spool-export", "sample-pretest", "brute-force"} <= set(kinds)
-        # The shutdown stats object aggregates the same kinds.
-        shutdown = _shutdown_stats(captured.err)
-        assert "spool-export" in shutdown["pool"]["tasks_by_kind"]
-
-    def test_cache_hit_dispatches_no_export(
-        self, biosql_dump, tmp_path, monkeypatch, capsys
-    ):
-        """A reuse-spool hit says so, and it runs no export tasks."""
-        import io
-
-        request = json.dumps({"directory": str(biosql_dump)}) + "\n"
-        monkeypatch.setattr("sys.stdin", io.StringIO(request + request))
-        assert main([
-            "serve", "--strategy", "brute-force", "--validation-workers", "2",
-            "--overlap", "--reuse-spool",
-            "--cache-dir", str(tmp_path / "cache"),
-        ]) == 0
-        responses = [
-            json.loads(line)
-            for line in capsys.readouterr().out.splitlines()
-            if line.strip()
-        ]
-        assert len(responses) == 2
-        assert responses[0]["spool_cache_hit"] is False
-        assert responses[1]["spool_cache_hit"] is True
-        assert "spool-export" in responses[0]["pool"]["tasks_by_kind"]
-        assert "spool-export" not in responses[1]["pool"]["tasks_by_kind"]
 
     def test_serve_idle_reap_drains_fleet_between_requests(
         self, biosql_dump, monkeypatch, capsys

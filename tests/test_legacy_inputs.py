@@ -16,8 +16,9 @@ what older callers pass must never be silently accepted:
 * a ``…-text`` spool-cache entry is never served by ``lookup`` and never
   opened as a ``find_partial`` donor, yet ``repro-ind cache list`` lists it
   and ``cache evict --max-bytes 0`` reclaims it;
-* the removed options are rejected: the two config fields, the two CLI
-  flags on every subcommand that took them, ``mmap_reads=`` on
+* the removed options are rejected: the two config fields, their two CLI
+  flags and ``--overlap`` (whose config field remains) on every
+  subcommand that took them, ``mmap_reads=`` on
   :meth:`SpoolDirectory.open`, any format but ``"binary"`` on the
   ``format=``/``spool_format=`` keywords that remain, and any value but
   ``False`` on the four ``mmap_reads=`` keywords that remain.
@@ -279,8 +280,9 @@ class TestRemovedOptions:
     @pytest.mark.parametrize(
         "option, named",
         [(("--spool-format", "binary"), "--spool-format"),
-         (("--mmap-reads", "on"), "--mmap-reads")],
-        ids=["spool-format", "mmap-reads"],
+         (("--mmap-reads", "on"), "--mmap-reads"),
+         (("--overlap",), "--overlap")],
+        ids=["spool-format", "mmap-reads", "overlap"],
     )
     @pytest.mark.parametrize("command", sorted(VALIDATING_COMMANDS))
     def test_removed_option_exits_2(self, command, option, named, capsys):
