@@ -730,8 +730,9 @@ def _parse_request(line: str, ordinal: int) -> tuple[object, dict]:
     integer id; clients that pick their own ids own their uniqueness.
     Raises :class:`_BadRequest` for a line that is not a JSON object, that
     names no ``directory`` (unless it asks for stats), or whose
-    ``directory``, ``strategy`` or ``candidate_mode`` is not a string or
-    whose ``validation_workers`` is not an integer.
+    ``directory``, ``strategy`` or ``candidate_mode`` is not a string,
+    whose ``validation_workers`` is not an integer or whose ``trace`` is
+    not a boolean.
     """
     request_id: object = f"line-{ordinal}"
     try:
@@ -759,6 +760,11 @@ def _parse_request(line: str, ordinal: int) -> tuple[object, dict]:
         raise _BadRequest(
             request_id,
             f"'validation_workers' must be an integer, got {workers!r}",
+        )
+    trace = request.get("trace", False)
+    if not isinstance(trace, bool):
+        raise _BadRequest(
+            request_id, f"'trace' must be a boolean, got {trace!r}"
         )
     return request_id, request
 

@@ -36,16 +36,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import eq, ge, le
 
-from repro.db.schema import AttributeRef
+from repro.db.schema import REF_ORDER, AttributeRef
 from repro.db.stats import ColumnStats
 from repro.db.types import DataType
 from repro.core.ind import IND
-
-#: Sort key equal to :class:`AttributeRef`'s own order, compared in C.
-_REF_ORDER = attrgetter("table", "column")
-
 
 @dataclass(frozen=True, order=True)
 class Candidate:
@@ -90,7 +86,7 @@ _TYPE_CLASSES: dict[DataType, str] = {
 # ------------------------------------------------------------------ numbering
 def attribute_numbering(refs: Iterable[AttributeRef]) -> list[AttributeRef]:
     """``refs`` in id order: sorted, as :class:`AttributeRef` sorts."""
-    return sorted(refs, key=_REF_ORDER)
+    return sorted(refs, key=REF_ORDER)
 
 
 def decode_pairs(
@@ -218,55 +214,23 @@ def generate_all_pairs_candidates(
 
 
 # -------------------------------------------------------------------- pretests
-# Each rule keeps the pairs that survive it, in order.
-def _cardinality(ids: AttributeIds, pairs: list[int]) -> list[int]:
-    """``|s(dep)| <= |s(ref)|``."""
-    distinct, n = ids.distinct, ids.count
-    return [pair for pair in pairs if distinct[pair // n] <= distinct[pair % n]]
-
-
-def _max_value(ids: AttributeIds, pairs: list[int]) -> list[int]:
-    """``max(s(dep)) <= max(s(ref))``; an empty side never survives."""
-    top, n = ids.max_value, ids.count
-    return [
-        pair
-        for pair in pairs
-        if (dep := top[pair // n]) is not None
-        and (ref := top[pair % n]) is not None
-        and dep <= ref
-    ]
-
-
-def _min_value(ids: AttributeIds, pairs: list[int]) -> list[int]:
-    """``min(s(dep)) >= min(s(ref))``; an empty side never survives."""
-    bottom, n = ids.min_value, ids.count
-    return [
-        pair
-        for pair in pairs
-        if (dep := bottom[pair // n]) is not None
-        and (ref := bottom[pair % n]) is not None
-        and dep >= ref
-    ]
-
-
-def _datatype(ids: AttributeIds, pairs: list[int]) -> list[int]:
-    """Both attributes in the same coarse type class.
-
-    Deliberately strict: Sec. 4.1 observes that this pretest is *unsafe*
-    where numbers live in string columns, and the ablation shows the
-    resulting false negatives.
-    """
-    classes, n = ids.type_class, ids.count
-    return [pair for pair in pairs if classes[pair // n] == classes[pair % n]]
-
-
 #: The pretests in the order the paper applies them:
-#: ``(PretestConfig flag, PretestReport field, rule)``.
+#: ``(PretestConfig flag, PretestReport field, AttributeIds column, test)``.
+#: A pair survives a rule when ``test(column[dep], column[ref])`` holds;
+#: an empty side (a ``None`` extremum) never survives.
+#:
+#: * cardinality: ``|s(dep)| <= |s(ref)|``;
+#: * max-value: ``max(s(dep)) <= max(s(ref))``;
+#: * min-value: ``min(s(dep)) >= min(s(ref))``;
+#: * datatype: both attributes in the same coarse type class.  Deliberately
+#:   strict: Sec. 4.1 observes that this pretest is *unsafe* where numbers
+#:   live in string columns, and the ablation shows the resulting false
+#:   negatives.
 _PRETESTS = (
-    ("cardinality", "removed_by_cardinality", _cardinality),
-    ("max_value", "removed_by_max_value", _max_value),
-    ("min_value", "removed_by_min_value", _min_value),
-    ("datatype", "removed_by_datatype", _datatype),
+    ("cardinality", "removed_by_cardinality", "distinct", le),
+    ("max_value", "removed_by_max_value", "max_value", le),
+    ("min_value", "removed_by_min_value", "min_value", ge),
+    ("datatype", "removed_by_datatype", "type_class", eq),
 )
 
 
@@ -293,9 +257,17 @@ def pretest_pairs(
     cfg = config or PretestConfig()
     report = PretestReport(initial=len(pairs))
     survivors = list(pairs)
-    for flag, removed, rule in _PRETESTS:
+    n = ids.count
+    for flag, removed, column, test in _PRETESTS:
         if getattr(cfg, flag) and survivors:
-            kept = rule(ids, survivors)
+            values = getattr(ids, column)
+            kept = [
+                pair
+                for pair in survivors
+                if (dep := values[pair // n]) is not None
+                and (ref := values[pair % n]) is not None
+                and test(dep, ref)
+            ]
             setattr(report, removed, len(survivors) - len(kept))
             survivors = kept
     report.remaining = len(survivors)

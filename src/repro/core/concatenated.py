@@ -142,9 +142,11 @@ class PrefixedINDFinder:
         self._prefix_scan_limit = prefix_scan_limit
         self._prefix_cache: dict = {}
 
-    def _prefix_of(self, ref) -> str | None:
+    def _prefix_of(self, ref, io: IOStats | None = None) -> str | None:
+        """``ref``'s constant prefix, detected once; ``io`` is charged for
+        the detecting scan, the one time it runs."""
         if ref not in self._prefix_cache:
-            cursor = self._spool.open_cursor(ref)
+            cursor = self._spool.open_cursor(ref, io)
             try:
                 self._prefix_cache[ref] = detect_common_prefix(
                     cursor, self._prefix_scan_limit
@@ -154,12 +156,15 @@ class PrefixedINDFinder:
         return self._prefix_cache[ref]
 
     def check(self, candidate: Candidate, io: IOStats | None = None) -> PrefixedIND | None:
-        """Test both stripping directions; returns the first match or None."""
-        dep_prefix = self._prefix_of(candidate.dependent)
+        """Test both stripping directions; returns the first match or None.
+
+        ``io`` is charged for every value read: the prefix scans and the
+        merges."""
+        dep_prefix = self._prefix_of(candidate.dependent, io)
         if dep_prefix:
             if self._holds_with_strip(candidate, dep_prefix, "dependent", io):
                 return PrefixedIND(candidate, dep_prefix, "dependent")
-        ref_prefix = self._prefix_of(candidate.referenced)
+        ref_prefix = self._prefix_of(candidate.referenced, io)
         if ref_prefix:
             if self._holds_with_strip(candidate, ref_prefix, "referenced", io):
                 return PrefixedIND(candidate, ref_prefix, "referenced")

@@ -15,7 +15,9 @@ Two techniques the paper points to (Sec. 4.1 / Sec. 6) without implementing:
   work): draw a fixed-size random sample of each dependent value set once,
   decode each referenced value set once, and test the sample by set
   containment.  A missing sample value refutes the candidate outright; a
-  surviving candidate still needs the full test.
+  surviving candidate still needs the full test.  An incremental round
+  tests against an unchanged referenced attribute through the block
+  payloads its prior round read, without opening the file.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import random
 
 from repro.core.candidates import Candidate
 from repro.db.schema import AttributeRef
+from repro.storage.codec import PayloadSet
 from repro.storage.cursors import IOStats
 from repro.storage.sorted_sets import SpoolDirectory
 
@@ -111,6 +114,16 @@ class SamplingPretest:
     with reservoirs an earlier instance drew with the same seed and size
     from files with the same values, and those attributes' files are
     never scanned; :attr:`samples` hands every reservoir on.
+
+    ``payloads`` does the same for referenced attributes: it maps each to
+    a :class:`~repro.storage.codec.PayloadSet` an earlier instance read
+    from a file with the same values, and a verdict against such an
+    attribute probes the payloads instead of opening its file.  Given at
+    all (an empty dict will do), the instance also keeps the payloads of
+    every referenced file it reads, and :attr:`payloads` hands them all
+    on; an instance built without it keeps none.  A referenced file the
+    instance reads is still decoded into a ``set``, which answers every
+    later verdict against it faster than a payload search would.
     """
 
     def __init__(
@@ -119,6 +132,7 @@ class SamplingPretest:
         sample_size: int = 10,
         seed: int = 0,
         samples: dict[AttributeRef, list[str]] | None = None,
+        payloads: dict[AttributeRef, PayloadSet] | None = None,
     ) -> None:
         if sample_size < 1:
             raise ValueError(f"sample_size must be >= 1, got {sample_size}")
@@ -126,6 +140,8 @@ class SamplingPretest:
         self._sample_size = sample_size
         self._seed = seed
         self._samples: dict[AttributeRef, list[str]] = dict(samples or {})
+        self._payloads = None if payloads is None else dict(payloads)
+        self._probes: dict[AttributeRef, list[tuple[str, bytes]]] = {}
         self._referenced: dict[AttributeRef, set[str]] = {}
         self.refuted = 0
         self.passed = 0
@@ -163,35 +179,65 @@ class SamplingPretest:
         """Every reservoir this instance holds, seeded or drawn."""
         return self._samples
 
+    @property
+    def payloads(self) -> dict[AttributeRef, PayloadSet] | None:
+        """Every payload set this instance holds, seeded or read; ``None``
+        when it was built without ``payloads``."""
+        return self._payloads
+
     def _referenced_values(
         self, ref: AttributeRef, io: IOStats | None = None
     ) -> set[str]:
         """The attribute's whole value set, decoded once (cached).
 
         ``io`` is charged for the one load — a file open and every value
-        read; later calls for the same attribute are free.
+        read; later calls for the same attribute are free.  An instance
+        that carries payloads keeps the file's payloads too.
         """
         values = self._referenced.get(ref)
         if values is None:
             values = set()
-            cursor = self._spool.open_cursor(ref, io)
+            blocks = None if self._payloads is None else []
+            cursor = self._spool.open_cursor(ref, io, blocks)
             try:
                 while batch := cursor.read_batch(4096):
                     values.update(batch)
             finally:
                 cursor.close()
+            if blocks is not None:
+                self._payloads[ref] = PayloadSet(blocks)
             self._referenced[ref] = values
         return values
 
-    def pretest(self, candidate: Candidate, io: IOStats | None = None) -> bool:
-        """False = refuted by the sample; True = candidate survives."""
-        sample = self.sample(candidate.dependent)
+    def passes(
+        self,
+        dependent: AttributeRef,
+        referenced: AttributeRef,
+        io: IOStats | None = None,
+    ) -> bool:
+        """False = ``dependent ⊆ referenced`` is refuted by the sample;
+        True = the pair survives.  A referenced attribute with a seeded
+        payload set and no decoded set is probed without a file read."""
+        sample = self.sample(dependent)
         if not sample:
             self.passed += 1
             return True
-        ok = self._referenced_values(candidate.referenced, io).issuperset(sample)
+        carried = None
+        if self._payloads is not None and referenced not in self._referenced:
+            carried = self._payloads.get(referenced)
+        if carried is None:
+            ok = self._referenced_values(referenced, io).issuperset(sample)
+        else:
+            probes = self._probes.get(dependent)
+            if probes is None:
+                probes = self._probes[dependent] = PayloadSet.probes(sample)
+            ok = carried.holds_all(probes)
         if ok:
             self.passed += 1
         else:
             self.refuted += 1
         return ok
+
+    def pretest(self, candidate: Candidate, io: IOStats | None = None) -> bool:
+        """False = refuted by the sample; True = candidate survives."""
+        return self.passes(candidate.dependent, candidate.referenced, io)

@@ -11,6 +11,7 @@ from repro.core.stats import ValidatorStats
 
 if TYPE_CHECKING:
     from repro.db.schema import AttributeRef
+    from repro.storage.codec import PayloadSet
     from repro.storage.sorted_sets import SpoolDirectory
 
 
@@ -100,17 +101,35 @@ class DiscoveryResult:
     prior_config_signature: tuple | None = None
     #: What the next incremental round may reuse without reading it again.
     #: Like the carriers above these are not serialised, and they are left
-    #: out of equality and repr too.  ``prior_spool`` is the spool-cache entry this run held (its
-    #: registry is the next round's donor while the entry's ``index.json``
-    #: is unchanged); ``None`` unless the run was incremental with
-    #: ``reuse_spool``.  ``prior_samples`` maps each attribute the sampling
-    #: pretest drew, or took from its prior, to its sorted reservoir, which
-    #: is valid while the attribute's fingerprint is unchanged; ``None`` on
-    #: non-incremental runs.
+    #: out of equality and repr too.
+    #:
+    #: * ``prior_spool`` is the spool-cache entry this run held (its
+    #:   registry is the next round's donor while the entry's
+    #:   ``index.json`` is unchanged); ``None`` unless the run was
+    #:   incremental with ``reuse_spool``.
+    #: * ``prior_samples`` maps each attribute the sampling pretest drew, or
+    #:   took from its prior, to its sorted reservoir.
+    #: * ``prior_payloads`` maps each referenced attribute the sampling
+    #:   pretest read, or took from its prior, to its value file's decoded
+    #:   block payloads (:class:`~repro.storage.codec.PayloadSet`); empty
+    #:   when the run did not sample.
+    #: * ``prior_satisfied_pairs`` is ``satisfied`` as packed pairs over
+    #:   the same numbering as ``prior_sampling_refuted``, so the next
+    #:   planner splits the answer with int set operations.
+    #:
+    #: A reservoir or payload set is valid while its attribute's
+    #: fingerprint is unchanged.  The last three are ``None`` on
+    #: non-incremental runs, and a prior without them gets a full round.
     prior_spool: SpoolDirectory | None = field(
         default=None, compare=False, repr=False
     )
     prior_samples: dict[AttributeRef, list[str]] | None = field(
+        default=None, compare=False, repr=False
+    )
+    prior_payloads: dict[AttributeRef, PayloadSet] | None = field(
+        default=None, compare=False, repr=False
+    )
+    prior_satisfied_pairs: frozenset[int] | None = field(
         default=None, compare=False, repr=False
     )
 

@@ -26,6 +26,7 @@ processes, warm spool handles) and pairs naturally with
 
 from __future__ import annotations
 
+import os
 import shutil
 import tempfile
 import threading
@@ -46,7 +47,7 @@ from repro.core.candidates import (
     pretest_pairs,
     unique_ref_pairs,
 )
-from repro.core.ind import INDSet
+from repro.core.ind import IND, INDSet
 from repro.core.merge_single_pass import MergeSinglePassValidator
 from repro.core.pruning import SamplingPretest, TransitivityPruner
 from repro.core.reference import ReferenceValidator
@@ -155,8 +156,9 @@ class DiscoveryConfig:
       to a full re-run — see ``docs/incremental.md`` for the exactness
       argument.  Like ``reuse_spool``, it profiles through the profile
       memo, and with the spool cache a miss tries the prior's entry first
-      as the donor of unchanged value files and retires it once its own
-      entry is published.  Requires an external
+      as the donor of unchanged value files: it takes that entry whole as
+      its staging directory, or adopts its files and retires it once its
+      own entry is published.  Requires an external
       strategy; incompatible with ``use_transitivity`` (inference order
       spans reused decisions) and ``overlap`` (which exports and pretests
       the whole candidate set).
@@ -415,6 +417,7 @@ def discover_inds(
     sampling_refuted = 0
     refuted_pairs: list[int] = []
     samples: dict = {}
+    payloads: dict | None = None
     inferred_sat = 0
     inferred_unsat = 0
     overlap_pool_stats: dict | None = None
@@ -506,14 +509,17 @@ def discover_inds(
         if not cfg.overlap:
             with maybe_span(tracer, "pretest"), Stopwatch() as clock:
                 if cfg.sampling_size and spool is not None:
-                    # A delta round starts from its prior's reservoirs of
-                    # unchanged attributes; a full round draws every one.
-                    pairs, refuted_pairs, samples = _sampling_pretest(
-                        spool,
-                        cfg,
-                        ids,
-                        pairs,
-                        None if delta_plan is None else delta_plan.kept_samples,
+                    # A delta round starts from its prior's reservoirs and
+                    # payload sets of unchanged attributes; a full round
+                    # reads every one.  Only incremental runs keep payloads.
+                    kept_samples = kept_payloads = None
+                    if delta_plan is not None:
+                        kept_samples = delta_plan.kept_samples
+                        kept_payloads = delta_plan.kept_payloads
+                    pairs, refuted_pairs, samples, payloads = (
+                        _sampling_pretest(
+                            spool, cfg, ids, pairs, kept_samples, kept_payloads
+                        )
                     )
                     sampling_refuted = len(refuted_pairs)
             pretest_seconds = clock.elapsed
@@ -571,11 +577,13 @@ def discover_inds(
     if delta_plan is not None and delta_plan.mode == "delta":
         satisfied = delta_plan.reused_satisfied.union(satisfied)
         sampling_refuted += len(delta_plan.reused_refuted_pairs)
-    prior_refuted = None
+    prior_refuted = prior_satisfied = None
     if cfg.incremental:
         prior_refuted = frozenset(refuted_pairs)
+        prior_satisfied = _satisfied_pairs(validation, ids)
         if delta_plan is not None and delta_plan.mode == "delta":
             prior_refuted |= delta_plan.reused_refuted_pairs
+            prior_satisfied |= delta_plan.reused_satisfied_pairs
 
     registry = get_registry()
     registry.inc("discoveries_total")
@@ -629,6 +637,8 @@ def discover_inds(
         ),
         prior_spool=spool if cfg.incremental and cfg.reuse_spool else None,
         prior_samples=samples if cfg.incremental else None,
+        prior_payloads=(payloads or {}) if cfg.incremental else None,
+        prior_satisfied_pairs=prior_satisfied,
     )
 
 
@@ -660,16 +670,21 @@ class _DeltaPlan:
     """What the delta planner decided: who re-validates, who re-derives.
 
     Pairs pack attribute ids of the run's
-    :class:`~repro.core.candidates.AttributeIds`.  ``kept_samples`` holds
-    the prior's sampling reservoirs of attributes whose fingerprint did
-    not change; a full-mode plan keeps none.
+    :class:`~repro.core.candidates.AttributeIds`.  ``reused_satisfied``
+    holds the prior's satisfied INDs that stay in the answer, and
+    ``reused_satisfied_pairs`` the same as pairs.  ``kept_samples`` and
+    ``kept_payloads`` hold the prior's sampling reservoirs and referenced
+    payload sets of attributes whose fingerprint did not change; a
+    full-mode plan keeps none.
     """
 
     doc: dict
     affected: list[int] = field(default_factory=list)
     reused_satisfied: INDSet = field(default_factory=INDSet)
+    reused_satisfied_pairs: frozenset[int] = frozenset()
     reused_refuted_pairs: frozenset[int] = frozenset()
     kept_samples: dict = field(default_factory=dict)
+    kept_payloads: dict = field(default_factory=dict)
 
     @property
     def mode(self) -> str:
@@ -704,8 +719,8 @@ def _plan_delta(
     "changed"; a renamed column shows up as one disappearance plus one
     appearance, both changed, exactly as correctness requires (its pairs
     must re-validate under the new identity).  The prior's decisions are
-    read through ``AttributeRef`` too, so a prior numbered over a
-    different attribute set is remapped, never read by stale ids.
+    carried as packed pairs over its own numbering, so a prior numbered
+    over a different attribute set is remapped, never read by stale ids.
     """
     reason = None
     if prior is None:
@@ -716,6 +731,8 @@ def _plan_delta(
         prior.prior_fingerprints is None
         or prior.prior_sampling_refuted is None
         or prior.prior_config_signature is None
+        or prior.prior_satisfied_pairs is None
+        or prior.prior_payloads is None
     ):
         reason = "prior-incomplete"
     elif prior.prior_config_signature != _config_signature(cfg):
@@ -732,83 +749,79 @@ def _plan_delta(
     }
     dropped = before.keys() - fingerprints.keys()
     index, n = ids.index, ids.count
-    dirty = [False] * n
-    for ref in changed:
-        dirty[index[ref]] = True
-    affected = []
-    unaffected = []
-    for pair in pairs:
-        if dirty[pair // n] or dirty[pair % n]:
-            affected.append(pair)
-        else:
-            unaffected.append(pair)
-    # The prior's satisfied INDs over unaffected pairs stay in the answer;
-    # every other one is stale.
-    keep = set(unaffected)
-    satisfied = set()
-    stale = INDSet()
-    for ind in prior.satisfied:
-        dep = index.get(ind.dependent)
-        ref = index.get(ind.referenced)
-        pair = None if dep is None or ref is None else dep * n + ref
-        if pair in keep:
-            satisfied.add(pair)
-        else:
-            stale.add(ind)
+    # The pairs touching a changed attribute: its row and its column of
+    # the id grid, intersected with the candidate pairs.
+    keep = set(pairs)
+    touched = set()
+    for aid in map(index.__getitem__, changed):
+        touched.update(keep.intersection(range(aid * n, aid * n + n)))
+        touched.update(keep.intersection(range(aid, n * n, n)))
+    affected = [pair for pair in pairs if pair in touched] if touched else []
+    keep -= touched
+    satisfied = prior.prior_satisfied_pairs
+    refuted = prior.prior_sampling_refuted
     # Equal key counts and nothing dropped: the same attribute set, so the
-    # prior's refuted pairs are already numbered like this run's.
-    refuted = _prior_refuted(prior, ids, bool(dropped) or len(before) != n)
+    # prior's pairs are already numbered like this run's.
+    if dropped or len(before) != n:
+        old = attribute_numbering(before)
+        new_of_old = [index.get(ref) for ref in old]
+        moved = _renumbered(satisfied, new_of_old, n)
+        reused = frozenset(pair for pair in moved.values() if pair in keep)
+        stale = [pair for pair in satisfied if moved.get(pair) not in keep]
+        refuted = frozenset(_renumbered(refuted, new_of_old, n).values())
+    else:
+        old = ids.refs
+        reused = satisfied & keep
+        stale = satisfied - reused
+    # The prior's satisfied INDs over unaffected pairs stay in the answer;
+    # only the stale ones are built, to take them out.
+    m = len(old)
+    stale_inds = INDSet(IND(old[pair // m], old[pair % m]) for pair in stale)
     # A reused pair that is neither satisfied nor refuted was validated
     # unsatisfied in the prior; staying absent from both *is* its decision.
-    kept_refuted = frozenset(
-        pair for pair in unaffected if pair not in satisfied and pair in refuted
-    )
-    # A reservoir is a pure function of the seed and size (both in the
-    # config signature) and the attribute's values, which an unchanged
-    # fingerprint vouches for.
-    kept_samples = {
-        ref: sample
-        for ref, sample in (prior.prior_samples or {}).items()
-        if ref in fingerprints and ref not in changed
-    }
+    kept_refuted = (refuted & keep) - reused
+    # A reservoir or payload set is a pure function of the attribute's
+    # values, which an unchanged fingerprint vouches for (and, for a
+    # reservoir, of the seed and size, both in the config signature).
+    unchanged = fingerprints.keys() - changed
     return _DeltaPlan(
         doc={
             "mode": "delta",
             "attributes_changed": len(changed) + len(dropped),
             "candidates_revalidated": len(affected),
-            "decisions_reused": len(unaffected),
+            "decisions_reused": len(pairs) - len(affected),
         },
         affected=affected,
-        reused_satisfied=prior.satisfied.difference(stale),
+        reused_satisfied=prior.satisfied.difference(stale_inds),
+        reused_satisfied_pairs=reused,
         reused_refuted_pairs=kept_refuted,
-        kept_samples=kept_samples,
+        kept_samples=_kept(prior.prior_samples or {}, unchanged),
+        kept_payloads=_kept(prior.prior_payloads, unchanged),
     )
 
 
-def _prior_refuted(
-    prior: DiscoveryResult, ids: AttributeIds, renumbered: bool
-) -> frozenset[int]:
-    """The prior's sampling-refuted pairs, in ``ids``' numbering.
+def _kept(carried: dict, unchanged) -> dict:
+    """The entries of ``carried`` whose attribute is in ``unchanged``."""
+    return {ref: value for ref, value in carried.items() if ref in unchanged}
 
-    The carrier packs the prior's own numbering: its sorted
-    ``prior_fingerprints`` keys, the attributes that run profiled.  When
-    ``renumbered`` says this run's attribute set differs, each pair is
-    decoded through that numbering and re-encoded through this one; a pair
-    that lost an attribute is dropped.
+
+def _renumbered(
+    pairs: frozenset[int], new_of_old: list[int | None], n: int
+) -> dict[int, int]:
+    """Each of a prior's ``pairs`` mapped to this run's numbering.
+
+    ``new_of_old`` gives this run's id of each of the prior's attribute
+    ids (``None`` for an attribute that is gone); a pair that lost an
+    attribute is left out.
     """
-    refuted = prior.prior_sampling_refuted
-    if not renumbered or not refuted:
-        return refuted
-    old = attribute_numbering(prior.prior_fingerprints)
-    m = len(old)
-    index, n = ids.index, ids.count
-    kept = set()
-    for pair in refuted:
-        dep = index.get(old[pair // m])
-        ref = index.get(old[pair % m])
+    m = len(new_of_old)
+    moved = {}
+    for pair in pairs:
+        dep = new_of_old[pair // m]
+        ref = new_of_old[pair % m]
         if dep is not None and ref is not None:
-            kept.add(dep * n + ref)
-    return frozenset(kept)
+            moved[pair] = dep * n + ref
+    return moved
 
 
 class _RunSpool:
@@ -826,15 +839,21 @@ class _RunSpool:
     ``fingerprints`` (the per-attribute content map an incremental run
     diffed) arms partial reuse on a miss: a donor entry of the same
     database and spool configuration lends the unchanged attributes' value
-    files (hardlinked into staging), so only the changed columns
-    re-export.  ``prior`` is an incremental run's prior result.  The
-    entry its round used (the root of its ``prior_spool``, else its
-    ``spool_path``) is the donor tried first, before any scan of the
-    cache; a held registry donates from memory while its entry's index is
-    unchanged.  When the prior is of the same database, :meth:`publish`
-    retires that entry once the new one is live
-    (:meth:`~repro.storage.spool_cache.SpoolCache.retire`), so an
-    incremental chain keeps one live entry.
+    files, so only the changed columns re-export.  ``prior`` is an
+    incremental run's prior result.  The entry its round used (the root
+    of its ``prior_spool``, else its ``spool_path``) is the donor tried
+    first, before any scan of the cache; a held registry donates from
+    memory while its entry's index is unchanged.  When the prior is of
+    the same database, that entry is the one to retire: a donor that is
+    it is taken whole as the staging directory
+    (:meth:`~repro.storage.spool_cache.SpoolCache.take`) unless a run
+    holds it, and otherwise :meth:`publish` retires it once the new entry
+    is live (:meth:`~repro.storage.spool_cache.SpoolCache.retire`).  Any
+    other donor's files are hardlinked into a fresh staging directory.
+    Either way an incremental chain keeps one live entry.  A run that
+    fails after a take removes the staging directory, and with it the
+    prior's entry, so the chain's next round rebuilds from what the cache
+    still holds.
 
     A cache run holds its entry slot
     (:meth:`~repro.storage.spool_cache.SpoolCache.hold`) from before the
@@ -876,6 +895,8 @@ class _RunSpool:
         self._fingerprint: str | None = None
         self._temp_root: str | Path | None = None
         self._hold: str | None = None
+        #: Whether the run took the entry to retire as its staging directory.
+        self._took = False
 
     def open(self, needed, tracer=None) -> SpoolDirectory:
         """Open the spool that holds, or will hold, ``needed``.
@@ -923,11 +944,16 @@ class _RunSpool:
             self._spool = cached
             return cached
         self._cache = cache
+        if self._fingerprints is not None:
+            self._reuse_donor(cache, needed, tracer)
+        else:
+            self._stage(cache)
+        return self._spool
+
+    def _stage(self, cache: SpoolCache) -> None:
+        """Open an empty private staging directory as the run's spool."""
         self._temp_root = cache.prepare(self._fingerprint)
         self._spool = self._create(self._temp_root)
-        if self._fingerprints is not None:
-            self._adopt_donor(cache, needed, tracer)
-        return self._spool
 
     def _create(self, root) -> SpoolDirectory:
         cfg = self._cfg
@@ -937,8 +963,14 @@ class _RunSpool:
             compression=cfg.spool_compression,
         )
 
-    def _adopt_donor(self, cache: SpoolCache, needed, tracer) -> None:
-        """Hardlink a donor entry's unchanged value files into staging."""
+    def _reuse_donor(self, cache: SpoolCache, needed, tracer) -> None:
+        """Stage the run's spool from a donor entry's unchanged value files.
+
+        A donor that is the entry to retire is taken whole
+        (:meth:`~repro.storage.spool_cache.SpoolCache.take`) unless a run
+        holds it; any other donor's files are hardlinked into a fresh
+        staging directory.
+        """
         cfg = self._cfg
         with maybe_span(tracer, "donor-lookup") as donor_span:
             donor = cache.find_partial(
@@ -950,9 +982,23 @@ class _RunSpool:
                 compression=cfg.spool_compression,
                 prior=self._prior_spool,
             )
-            adopted = []
-            if donor is not None:
-                adopted = SpoolCache.adopt(self._spool, *donor)
+            reused = []
+            if donor is not None and self._is_retiree(donor[0].root):
+                target = cache.entry_path(
+                    self._fingerprint,
+                    cfg.spool_block_size,
+                    cfg.spool_compression,
+                )
+                taken = cache.take(donor[0].root, *donor, successor=target)
+                if taken is not None:
+                    self._spool = taken
+                    self._temp_root = taken.root
+                    self._took = True
+                    reused = donor[1]
+            if not self._took:
+                self._stage(cache)
+                if donor is not None:
+                    reused = SpoolCache.adopt(self._spool, *donor)
             if donor_span is not None:
                 source = None
                 if donor is not None:
@@ -964,7 +1010,13 @@ class _RunSpool:
                     source = "prior" if from_prior else "scan"
                 donor_span.attrs["donor"] = source
                 donor_span.attrs["entries_opened"] = cache.donor_entries_opened
-                donor_span.attrs["files_reused"] = len(adopted)
+                donor_span.attrs["files_reused"] = len(reused)
+
+    def _is_retiree(self, root) -> bool:
+        """Whether ``root`` is the entry a publish would retire."""
+        return self._retiree is not None and os.path.realpath(
+            root
+        ) == os.path.realpath(self._retiree)
 
     def publish(self, tracer=None) -> SpoolDirectory:
         """Move a filled cache-miss spool into the cache; return the spool.
@@ -987,8 +1039,9 @@ class _RunSpool:
                     database=self._db.name,
                     fingerprints=stamps,
                 )
-                retired = self._retiree is not None and self._cache.retire(
-                    self._retiree, self._spool.root
+                retired = self._took or (
+                    self._retiree is not None
+                    and self._cache.retire(self._retiree, self._spool.root)
                 )
                 if publish_span is not None:
                     publish_span.attrs["retired"] = retired
@@ -1047,27 +1100,47 @@ def _build_validator(db, cfg, spool, column_stats, pool=None):
     raise DiscoveryError(f"unhandled strategy {cfg.strategy!r}")
 
 
-def _sampling_pretest(spool, cfg, ids, pairs, samples=None):
+def _sampling_pretest(spool, cfg, ids, pairs, samples=None, payloads=None):
     """Drop pairs the sampling pretest refutes; they are refuted INDs.
 
-    ``samples`` seeds the sampler with reservoirs it need not draw again.
-    Returns the survivors, the refuted pairs and every reservoir the
-    sampler then holds.
+    ``samples`` and ``payloads`` seed the sampler with reservoirs it need
+    not draw again and referenced payload sets it need not read; given
+    ``payloads``, the sampler also keeps the payloads it reads.  Returns
+    the survivors, the refuted pairs, and every reservoir and payload set
+    the sampler then holds.
     """
     sampler = SamplingPretest(
         spool,
         sample_size=cfg.sampling_size,
         seed=cfg.sampling_seed,
         samples=samples,
+        payloads=payloads,
     )
     survivors: list[int] = []
     refuted: list[int] = []
-    for pair, candidate in zip(pairs, ids.candidates(pairs)):
-        if sampler.pretest(candidate):
+    refs, n = ids.refs, ids.count
+    passes = sampler.passes
+    for pair in pairs:
+        if passes(refs[pair // n], refs[pair % n]):
             survivors.append(pair)
         else:
             refuted.append(pair)
-    return survivors, refuted, sampler.samples
+    return survivors, refuted, sampler.samples, sampler.payloads
+
+
+def _satisfied_pairs(
+    validation: ValidationResult | PairValidation, ids: AttributeIds
+) -> frozenset[int]:
+    """The validated satisfied INDs as pairs over ``ids``' numbering."""
+    if isinstance(validation, PairValidation):
+        return frozenset(
+            pair for pair, ok in validation.decisions.items() if ok
+        )
+    index, n = ids.index, ids.count
+    return frozenset(
+        index[ind.dependent] * n + index[ind.referenced]
+        for ind in validation.satisfied
+    )
 
 
 def _validate(

@@ -31,6 +31,8 @@ around each payload (:func:`compress_payload` / :func:`decompress_payload`)
 from __future__ import annotations
 
 import zlib
+from bisect import bisect_left
+from collections.abc import Iterable
 from typing import Any
 
 from repro.errors import SpoolError
@@ -188,6 +190,49 @@ def decode_block(payload: bytes, count: int) -> list[str]:
     if "\\" not in text:
         return lines
     return [unescape_line(line) if "\\" in line else line for line in lines]
+
+
+class PayloadSet:
+    r"""A sorted value set held as its value file's decoded block payloads.
+
+    Built from ``(max_value, payload)`` per block, in file order, as a
+    :class:`~repro.storage.cursors.BlockValueCursor` collects them; the
+    payloads of a compressed file are the inflated ones.  Membership
+    bisects the block maxima for the one block whose range can hold the
+    value, then searches that block's payload for the value's escaped
+    encoding between two separators.  Escaping keeps ``\n`` out of every
+    encoded value, so such a match is exactly one whole value, and the
+    answer is the one ``value in set(values)`` gives.  The payloads take
+    a fraction of the memory of the decoded set, but a probe costs a
+    substring search instead of a hash lookup.
+    """
+
+    __slots__ = ("_maxima", "_payloads")
+
+    def __init__(self, blocks: Iterable[tuple[str, bytes]]) -> None:
+        self._maxima: list[str] = []
+        self._payloads: list[bytes] = []
+        for max_value, payload in blocks:
+            self._maxima.append(max_value)
+            self._payloads.append(b"".join((b"\n", payload, b"\n")))
+
+    @staticmethod
+    def probes(values: Iterable[str]) -> list[tuple[str, bytes]]:
+        """``values`` with the needles :meth:`holds_all` searches for."""
+        return [
+            (value, b"\n%b\n" % escape_line(value).encode("utf-8"))
+            for value in values
+        ]
+
+    def holds_all(self, probes: list[tuple[str, bytes]]) -> bool:
+        """Whether every value of ``probes`` (see :meth:`probes`) is held."""
+        maxima, payloads = self._maxima, self._payloads
+        end = len(maxima)
+        for value, needle in probes:
+            block = bisect_left(maxima, value)
+            if block == end or needle not in payloads[block]:
+                return False
+        return True
 
 
 def compress_payload(payload: bytes) -> bytes:

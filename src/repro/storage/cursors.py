@@ -221,6 +221,10 @@ class BlockValueCursor(BufferedValueCursor):
     last block its index records — raises :class:`SpoolError` naming the
     file and the block ordinal, on a read and on a skip alike.
 
+    ``payloads``, a list, collects ``(max_value, payload)`` for every block
+    the cursor decodes, the payload inflated, which is what a
+    :class:`~repro.storage.codec.PayloadSet` is built from.
+
     When the caller hands over the per-block metadata recorded in the spool
     index (``blocks``), the cursor can *skip-scan*: :meth:`skip_blocks_below`
     seeks past whole frames whose recorded max value is below a sought value
@@ -234,9 +238,11 @@ class BlockValueCursor(BufferedValueCursor):
         stats: IOStats | None = None,
         label: str | None = None,
         blocks: tuple[BlockMeta, ...] | None = None,
+        payloads: list[tuple[str, bytes]] | None = None,
     ) -> None:
         self._path = path
         self._blocks = blocks
+        self._payloads = payloads
         self._next_block = 0  # index of the next on-disk frame to read
         try:
             self._fh: IO[bytes] = open(path, "rb")
@@ -289,6 +295,8 @@ class BlockValueCursor(BufferedValueCursor):
             ) from exc
         if self._stats is not None:
             self._stats.record_bytes(len(payload), stored)
+        if self._payloads is not None:
+            self._payloads.append((values[-1], payload))
         self._next_block += 1
         return values
 

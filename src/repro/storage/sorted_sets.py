@@ -33,12 +33,12 @@ import threading
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from contextlib import suppress
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import islice
 from operator import lt
 from pathlib import Path
 
-from repro.db.schema import AttributeRef
+from repro.db.schema import REF_ORDER, AttributeRef
 from repro.errors import SpoolError
 from repro.storage.blockio import DEFAULT_BLOCK_SIZE, BlockFileWriter, BlockMeta
 from repro.storage.codec import COMPRESSION_NONE, SPOOL_COMPRESSIONS
@@ -46,6 +46,8 @@ from repro.storage.cursors import BlockValueCursor, IOStats
 
 _INDEX_FILE = "index.json"
 _SAFE_NAME = re.compile(r"[^A-Za-z0-9_.-]")
+#: The indentation of an attribute entry inside ``index.json``'s array.
+_ENTRY_INDENT = "    "
 
 #: The spool format every index names, and the index schema versions.
 FORMAT_BINARY = "binary"
@@ -67,6 +69,15 @@ def _identity(st: os.stat_result) -> tuple[int, ...]:
     set it.
     """
     return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+
+
+def value_file_name(ref: AttributeRef, suffix: int = 1) -> str:
+    """The name a spool gives ``ref``'s value file: ``table__column`` with
+    unsafe characters replaced, and ``__<suffix>`` after a name clash."""
+    base = _SAFE_NAME.sub("_", f"{ref.table}__{ref.column}")
+    if suffix > 1:
+        base = f"{base}__{suffix}"
+    return f"{base}{_EXTENSION}"
 
 
 def check_format(format: str) -> None:
@@ -200,9 +211,67 @@ class SortedValueFile:
     def is_empty(self) -> bool:
         return self.count == 0
 
-    def open_cursor(self, stats: IOStats | None = None) -> BlockValueCursor:
+    def index_entry(self) -> dict:
+        """This file's entry in the ``attributes`` array of ``index.json``."""
+        return {
+            "table": self.ref.table,
+            "column": self.ref.column,
+            "file": os.path.basename(self.path),
+            "count": self.count,
+            "min": self.min_value,
+            "max": self.max_value,
+            "dtype": self.dtype,
+            "blocks": [block.to_doc() for block in self.blocks],
+        }
+
+    def index_text(self) -> str:
+        """:meth:`index_entry` as ``json.dumps(doc, indent=2)`` writes it
+        inside the index's ``attributes`` array, memoised on the record.
+
+        json escapes a newline inside a string, so every newline of the
+        entry's own indented text is a line break, and indenting each one
+        nests the entry two levels deep.  Every field of the record is
+        frozen, so the text is computed once; :meth:`relocated` hands it on
+        while the file name stays.
+        """
+        text = self.__dict__.get("_index_text")
+        if text is None:
+            text = json.dumps(self.index_entry(), indent=2).replace(
+                "\n", "\n" + _ENTRY_INDENT
+            )
+            object.__setattr__(self, "_index_text", text)
+        return text
+
+    def relocated(self, path: str) -> "SortedValueFile":
+        """This record with its file at ``path``; the memoised index text
+        carries over when the file name does not change."""
+        moved = self._at(path)
+        if os.path.basename(path) != os.path.basename(self.path):
+            moved.__dict__.pop("_index_text", None)
+        return moved
+
+    def _at(self, path: str) -> "SortedValueFile":
+        """A copy of the instance dict, every field and the memo, with
+        ``path`` in place of the file's path."""
+        moved = object.__new__(SortedValueFile)
+        state = moved.__dict__
+        state.update(self.__dict__)
+        state["path"] = path
+        return moved
+
+    def open_cursor(
+        self,
+        stats: IOStats | None = None,
+        payloads: list[tuple[str, bytes]] | None = None,
+    ) -> BlockValueCursor:
+        """A cursor over the file; ``payloads`` collects its decoded
+        blocks (see :class:`~repro.storage.cursors.BlockValueCursor`)."""
         return BlockValueCursor(
-            self.path, stats=stats, label=self.ref.qualified, blocks=self.blocks
+            self.path,
+            stats=stats,
+            label=self.ref.qualified,
+            blocks=self.blocks,
+            payloads=payloads,
         )
 
     def values(self) -> list[str]:
@@ -464,9 +533,23 @@ class SpoolDirectory:
                 k: self.attribute_fingerprints[k]
                 for k in sorted(self.attribute_fingerprints)
             }
-        doc["attributes"] = [
-            self._entry(ref, svf) for ref, svf in sorted(self._files.items())
-        ]
+        # The text is json.dumps(doc, indent=2) with "attributes" last,
+        # each attribute's entry text memoised on its record.
+        parts = [json.dumps(doc, indent=2)[: -len("\n}")]]
+        parts.append(',\n  "attributes": ')
+        files = self._files
+        if files:
+            parts.append(f"[\n{_ENTRY_INDENT}")
+            parts.append(
+                f",\n{_ENTRY_INDENT}".join(
+                    files[ref].index_text()
+                    for ref in sorted(files, key=REF_ORDER)
+                )
+            )
+            parts.append("\n  ]")
+        else:
+            parts.append("[]")
+        parts.append("\n}")
         # Write-then-rename: a reader (or a crash) can never observe a
         # truncated index — it either sees the previous one or the new one.
         # The rename sets the file's ctime, so the identity is taken after.
@@ -474,7 +557,7 @@ class SpoolDirectory:
         index_path = os.path.join(self.root, _INDEX_FILE)
         try:
             with open(tmp_path, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(doc, indent=2))
+                fh.write("".join(parts))
             os.replace(tmp_path, index_path)
         except OSError as exc:
             with suppress(FileNotFoundError):
@@ -500,14 +583,17 @@ class SpoolDirectory:
             return False
         return _identity(st) == self._index_identity
 
-    def moved_to(self, root: str | Path) -> "SpoolDirectory":
+    def moved_to(
+        self, root: str | Path, refs: Iterable[AttributeRef] | None = None
+    ) -> "SpoolDirectory":
         """This registry as it reads once its directory is renamed to ``root``.
 
         Each file keeps its name, and its recorded path moves to ``root``.
         The index identity carries over, because renaming a directory
         leaves the inodes of its files alone.  Lets a caller that renamed a
         finished spool keep using its registry instead of parsing the
-        index again.
+        index again.  ``refs`` keeps only those attributes' records; the
+        index on disk then no longer describes the registry.
         """
         moved = SpoolDirectory(
             Path(root), block_size=self.block_size, compression=self.compression
@@ -515,36 +601,25 @@ class SpoolDirectory:
         moved.catalog_hash = self.catalog_hash
         moved.database_name = self.database_name
         moved.attribute_fingerprints = self.attribute_fingerprints
-        base = os.fspath(root)
+        base = os.path.join(os.fspath(root), "")
+        names = []
         with self._lock:
-            for ref in sorted(self._files):
+            for ref in self._files if refs is None else refs:
                 svf = self._files[ref]
                 name = os.path.basename(svf.path)
-                moved._files[ref] = replace(svf, path=os.path.join(base, name))
-                moved._used_names[name] += 1
-        moved._index_identity = self._index_identity
+                moved._files[ref] = svf._at(base + name)  # the name stays
+                names.append(name)
+        moved._used_names.update(names)
+        if refs is None:
+            moved._index_identity = self._index_identity
         return moved
 
-    @staticmethod
-    def _entry(ref: AttributeRef, svf: SortedValueFile) -> dict:
-        return {
-            "table": ref.table,
-            "column": ref.column,
-            "file": os.path.basename(svf.path),
-            "count": svf.count,
-            "min": svf.min_value,
-            "max": svf.max_value,
-            "dtype": svf.dtype,
-            "blocks": [block.to_doc() for block in svf.blocks],
-        }
-
     def _file_name(self, ref: AttributeRef) -> str:
-        base = _SAFE_NAME.sub("_", f"{ref.table}__{ref.column}")
-        candidate = f"{base}{_EXTENSION}"
+        candidate = value_file_name(ref)
         suffix = 1
         while candidate in self._used_names:
             suffix += 1
-            candidate = f"{base}__{suffix}{_EXTENSION}"
+            candidate = value_file_name(ref, suffix)
         return candidate
 
     def discard(self, ref: AttributeRef) -> None:
@@ -575,9 +650,12 @@ class SpoolDirectory:
         return sorted(self._files)
 
     def open_cursor(
-        self, ref: AttributeRef, stats: IOStats | None = None
+        self,
+        ref: AttributeRef,
+        stats: IOStats | None = None,
+        payloads: list[tuple[str, bytes]] | None = None,
     ) -> BlockValueCursor:
-        return self.get(ref).open_cursor(stats)
+        return self.get(ref).open_cursor(stats, payloads)
 
     def total_values(self) -> int:
         return sum(f.count for f in self._files.values())

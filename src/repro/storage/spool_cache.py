@@ -53,9 +53,12 @@ guard an entry only against retirement, and only within one process.
 **Retirement.**  An incremental chain keeps one live entry: once a round
 has published its entry, :meth:`SpoolCache.retire` removes the entry its
 prior round used, the same way eviction does.  Files the new entry adopted
-are hardlinks, so they stay on disk.  An entry that a run in this process
-holds (:meth:`SpoolCache.hold`) is left alone; readers in other processes
-are as unguarded as under eviction.
+are hardlinks, so they stay on disk.  A round whose donor is that entry
+usually takes it whole instead (:meth:`SpoolCache.take`): the entry is
+renamed to the round's staging directory, which ends in the same state
+for one rename.  An entry that a run in this process holds
+(:meth:`SpoolCache.hold`) is neither retired nor taken; readers in other
+processes are as unguarded as under eviction.
 
 **Completeness.**  Every listed *entry* is complete by construction —
 publication is one atomic rename of a finished, fingerprint-stamped staging
@@ -84,6 +87,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from repro.db.schema import REF_ORDER
 from repro.errors import FingerprintError, SpoolError
 from repro.obs.metrics import get_registry
 from repro.storage.blockio import DEFAULT_BLOCK_SIZE
@@ -93,6 +97,7 @@ from repro.storage.sorted_sets import (
     SpoolDirectory,
     check_format,
     check_mmap_reads,
+    value_file_name,
 )
 
 if TYPE_CHECKING:  # repro.db imports repro.storage; keep the cycle type-only
@@ -109,6 +114,35 @@ _ENTRY_NAME_LENGTH = 32
 #: takes, so an entry held before its lookup is never retired under it.
 _HELD: Counter[str] = Counter()
 _HELD_LOCK = threading.Lock()
+
+#: The registry :meth:`SpoolCache.lookup` last served or
+#: :meth:`SpoolCache.publish` wrote for each entry path.  A hit serves it
+#: while its ``index.json`` is the file it describes
+#: (:meth:`~repro.storage.sorted_sets.SpoolDirectory.index_is_current`);
+#: destroying, retiring or taking the entry drops it.  It holds at most
+#: ``_OPENED_LIMIT`` entries, dropping the oldest, so entries another
+#: process removes cannot make it grow.  16 lets a ``serve`` session that
+#: cycles over up to 16 entries hit each from memory (``serve-warm``
+#: cycles over 3, an incremental chain keeps 1 live); a registry of the
+#: 265-attribute ``openmms-cold`` input, entry texts included, takes about
+#: 0.5 MiB, so the memo stays under 8 MiB.
+_OPENED: dict[str, SpoolDirectory] = {}
+_OPENED_LIMIT = 16
+_OPENED_LOCK = threading.Lock()
+
+
+def _remember(entry: Path, spool: SpoolDirectory) -> None:
+    key = os.fspath(entry)
+    with _OPENED_LOCK:
+        _OPENED.pop(key, None)
+        _OPENED[key] = spool
+        if len(_OPENED) > _OPENED_LIMIT:
+            del _OPENED[next(iter(_OPENED))]
+
+
+def _forget(entry: Path) -> None:
+    with _OPENED_LOCK:
+        _OPENED.pop(os.fspath(entry), None)
 
 
 @dataclass(frozen=True)
@@ -186,11 +220,14 @@ def _content_entry(st: ColumnStats) -> dict:
     }
 
 
-def _canonical_digest(payload) -> str:
-    canonical = json.dumps(
+def _canonical_text(payload) -> str:
+    return json.dumps(
         payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False
     )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _canonical_digest(payload) -> str:
+    return hashlib.sha256(_canonical_text(payload).encode("utf-8")).hexdigest()
 
 
 #: Each statistics object's :func:`attribute_fingerprint`, weakly keyed.
@@ -233,6 +270,31 @@ def attribute_fingerprints(
     }
 
 
+#: Each statistics object's canonical text in the catalog payload
+#: (:func:`_catalog_entry`), weakly keyed like ``_DIGESTS``.
+_CATALOG_TEXTS: weakref.WeakKeyDictionary[ColumnStats, str] = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _catalog_entry(ref: AttributeRef, st: ColumnStats) -> str:
+    """One attribute's canonical JSON in the catalog payload: its identity
+    and :func:`_content_entry`, keys sorted.
+
+    Memoised per statistics object when ``ref`` is the object's own
+    ``ref``, which a profile's map always keys it by.
+    """
+    own = ref is st.ref or ref == st.ref
+    text = _CATALOG_TEXTS.get(st) if own else None
+    if text is None:
+        text = _canonical_text(
+            {"table": ref.table, "column": ref.column, **_content_entry(st)}
+        )
+        if own:
+            _CATALOG_TEXTS[st] = text
+    return text
+
+
 def catalog_fingerprint(
     database_name: str, column_stats: dict[AttributeRef, ColumnStats]
 ) -> str:
@@ -253,16 +315,19 @@ def catalog_fingerprint(
     and the database name — so the whole-catalog hash moves exactly when
     the fingerprint *map* (keys or values) moves, while staying
     byte-identical to the pre-per-column builds: existing cache entries
-    keep hitting.
+    keep hitting.  The canonical text is that of the payload
+    ``{"database": ..., "attributes": [...]}``, assembled from each
+    attribute's memoised text (:func:`_catalog_entry`).
     """
-    payload = {
-        "database": database_name,
-        "attributes": [
-            {"table": ref.table, "column": ref.column, **_content_entry(st)}
-            for ref, st in sorted(column_stats.items())
-        ],
-    }
-    return _canonical_digest(payload)
+    entries = ",".join(
+        _catalog_entry(ref, column_stats[ref])
+        for ref in sorted(column_stats, key=REF_ORDER)
+    )
+    canonical = (
+        f'{{"attributes":[{entries}],'
+        f'"database":{_canonical_text(database_name)}}}'
+    )
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 class SpoolCache:
@@ -347,23 +412,36 @@ class SpoolCache:
         entry is simply replaced when the caller publishes its rebuild.
         ``spool_format`` accepts only ``"binary"`` and ``mmap_reads`` only
         ``False``.
+
+        The registry a hit returns is memoised per entry path, and a later
+        hit serves it while the entry's ``index.json`` is still the file
+        it was read from (one ``os.stat``; see
+        :meth:`~repro.storage.sorted_sets.SpoolDirectory.index_is_current`),
+        so only the first hit parses the index.  A registry is shared by
+        the runs that hit it and is only ever read.
         """
         check_format(spool_format)
         check_mmap_reads(mmap_reads)
         entry = self.entry_path(fingerprint, block_size, compression)
         registry = get_registry()
-        if not (entry / "index.json").exists():
-            registry.inc("spool_cache_misses_total")
-            return None
-        try:
-            spool = SpoolDirectory.open(entry)
-        except (SpoolError, OSError, ValueError, KeyError, TypeError):
-            # SpoolError: missing files / bad version; ValueError covers
-            # corrupt JSON (JSONDecodeError); KeyError/TypeError a malformed
-            # document.  All mean the same thing: not a trustworthy entry.
-            self._destroy(entry)
-            registry.inc("spool_cache_misses_total")
-            return None
+        with _OPENED_LOCK:
+            spool = _OPENED.get(os.fspath(entry))
+        if spool is None or not spool.index_is_current():
+            if not (entry / "index.json").exists():
+                _forget(entry)
+                registry.inc("spool_cache_misses_total")
+                return None
+            try:
+                spool = SpoolDirectory.open(entry)
+            except (SpoolError, OSError, ValueError, KeyError, TypeError):
+                # SpoolError: missing files / bad version; ValueError covers
+                # corrupt JSON (JSONDecodeError); KeyError/TypeError a
+                # malformed document.  All mean the same thing: not a
+                # trustworthy entry.
+                self._destroy(entry)
+                registry.inc("spool_cache_misses_total")
+                return None
+            _remember(entry, spool)
         if (
             spool.catalog_hash != fingerprint
             or spool.compression != compression
@@ -524,8 +602,6 @@ class SpoolCache:
         adopted — a donor file that vanished mid-adoption (concurrent
         eviction) is silently skipped and simply re-exported by the caller.
         """
-        from dataclasses import replace
-
         adopted: list[AttributeRef] = []
         root = os.fspath(staging.root)
         for ref in refs:
@@ -539,7 +615,7 @@ class SpoolCache:
             except OSError:
                 staging.release(ref)
                 continue
-            staging.register(replace(svf, path=destination))
+            staging.register(svf.relocated(destination))
             adopted.append(ref)
         if adopted:
             get_registry().inc(
@@ -593,6 +669,7 @@ class SpoolCache:
         if entry.exists():
             doomed = self._grave()
             entry.rename(doomed)
+            _forget(entry)
         won = True
         try:
             staging.rename(entry)
@@ -607,8 +684,11 @@ class SpoolCache:
         if self.max_bytes is not None:
             self.enforce_budget(protect=(entry,))
         if won:
-            return spool.moved_to(entry)
-        return SpoolDirectory.open(entry)
+            published = spool.moved_to(entry)
+        else:
+            published = SpoolDirectory.open(entry)
+        _remember(entry, published)
+        return published
 
     @staticmethod
     def hold(entry: str | Path) -> str:
@@ -645,17 +725,75 @@ class SpoolCache:
         was removed.
         """
         entry = Path(entry)
-        if (
-            entry.name == successor.name
-            or entry.name[_ENTRY_NAME_LENGTH:]
-            != successor.name[_ENTRY_NAME_LENGTH:]
-            or os.path.realpath(entry.parent) != os.path.realpath(self.root)
-        ):
+        if not self._may_retire(entry, successor):
             return False
         retired = self._destroy(entry, unless_held=True)
         if retired:
             get_registry().inc("spool_cache_retired_total")
         return retired
+
+    def _may_retire(self, entry: Path, successor: Path) -> bool:
+        """Whether ``successor`` supersedes ``entry``: an entry directly
+        under this cache's root, with ``successor``'s spool configuration
+        (the name after the fingerprint prefix), that is not ``successor``
+        itself.  :meth:`retire` and :meth:`take` both ask."""
+        return (
+            entry.name != successor.name
+            and entry.name[_ENTRY_NAME_LENGTH:]
+            == successor.name[_ENTRY_NAME_LENGTH:]
+            and os.path.realpath(entry.parent) == os.path.realpath(self.root)
+        )
+
+    def take(
+        self,
+        entry: str | Path,
+        donor: SpoolDirectory,
+        refs: list[AttributeRef],
+        successor: Path,
+    ) -> SpoolDirectory | None:
+        """Take ``entry`` whole as the staging directory of ``successor``.
+
+        What :meth:`adopt` into a fresh staging directory followed by
+        :meth:`retire` of ``entry`` leaves, for the price of one rename:
+        the entry is renamed to a new ``.staging-*`` directory, and every
+        file in it but ``refs``' value files is removed.  ``donor`` is the
+        entry's registry; the returned registry is re-rooted at the
+        staging directory and holds ``refs`` only, so the caller exports
+        the rest and :meth:`publish` moves it into ``successor``'s slot.
+        The entry goes only when :meth:`retire` would let it
+        (:meth:`_may_retire`, and the hold check and rename of
+        :meth:`_take_offline`).  It also stays when one of ``refs``' files
+        is not named as a fresh staging directory would name it, so the
+        published entry is the one adoption publishes.  Counted as a
+        retirement and as ``len(refs)`` reused files.  Returns ``None``
+        when the entry stays; the caller then adopts.
+        """
+        entry = Path(entry)
+        if not self._may_retire(entry, successor) or any(
+            os.path.basename(donor.get(ref).path) != value_file_name(ref)
+            for ref in refs
+        ):
+            return None
+        staging = self.root / (
+            f".staging-{successor.name[:_ENTRY_NAME_LENGTH]}-"
+            f"{os.urandom(6).hex()}"
+        )
+        if not self._take_offline(entry, staging, unless_held=True):
+            return None
+        spool = donor.moved_to(staging, refs)
+        kept = {os.path.basename(spool.get(ref).path) for ref in refs}
+        for name in os.listdir(staging):
+            if name not in kept:
+                path = os.path.join(staging, name)
+                if os.path.isdir(path):
+                    shutil.rmtree(path, ignore_errors=True)
+                else:
+                    os.unlink(path)
+        registry = get_registry()
+        registry.inc("spool_cache_retired_total")
+        if refs:
+            registry.inc("spool_cache_files_reused_total", len(refs))
+        return spool
 
     def evict_prefix(self, prefix: str) -> list[CacheEntryInfo]:
         """Drop every entry whose fingerprint prefix starts with ``prefix``.
@@ -833,21 +971,35 @@ class SpoolCache:
 
         Renaming first means no reader can ever open a half-deleted
         directory; rmtree then works on a path nobody resolves.  With
-        ``unless_held`` an entry a run in this process holds stays; the
-        check and the rename run under the lock :meth:`hold` takes.
-        Returns whether this call took the entry offline.
+        ``unless_held`` an entry a run in this process holds stays
+        (:meth:`_take_offline`).  Returns whether this call took the entry
+        offline.
         """
         if not entry.exists():
             return False
         grave = self._grave()
+        if not self._take_offline(entry, grave, unless_held):
+            return False
+        shutil.rmtree(grave, ignore_errors=True)
+        return True
+
+    @staticmethod
+    def _take_offline(entry: Path, target: Path, unless_held: bool) -> bool:
+        """Rename ``entry`` to ``target`` and forget its memoised registry.
+
+        With ``unless_held`` an entry a run in this process holds stays;
+        the check and the rename run under the lock :meth:`hold` takes, so
+        a hold either comes first and keeps the entry or comes after and
+        finds it gone.  Returns whether this call renamed the entry.
+        """
         with _HELD_LOCK:
             if unless_held and _HELD[os.path.realpath(entry)]:
                 return False
             try:
-                entry.rename(grave)
+                entry.rename(target)
             except OSError:
                 return False  # a concurrent destroyer got it first
-        shutil.rmtree(grave, ignore_errors=True)
+        _forget(entry)
         return True
 
     def _grave(self) -> Path:

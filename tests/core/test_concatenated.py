@@ -197,7 +197,7 @@ def oracle_find_all(spool, candidates, io, scan_limit):
 
     def prefix_of(ref):
         if ref not in prefixes:
-            cursor = spool.open_cursor(ref)
+            cursor = spool.open_cursor(ref, io)
             prefixes[ref] = oracle_prefix(cursor, scan_limit)
             cursor.close()
         return prefixes[ref]
@@ -289,5 +289,8 @@ class TestSec7HelpersAgainstPerValueOracle:
         hits = PrefixedINDFinder(spool, scan_limit).find_all(candidates, got_io)
         assert [(h.candidate, h.prefix, h.stripped_side) for h in hits] == want
         assert consumed(got_io) == consumed(want_io)
+        # The prefix scans are charged too: one open per attribute at least.
+        assert got_io.files_opened >= len(spool.attributes())
+        assert got_io.items_read > 0
         if source == "prefixed":
             assert hits

@@ -9,6 +9,8 @@ accounting in ``to_dict()``.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from seeded_dbs import build_db
@@ -73,6 +75,16 @@ class TestFallbackReasons:
         assert result.delta == {"mode": "full", "reason": "prior-incomplete"}
 
     @pytest.mark.parametrize(
+        "carrier", ["prior_payloads", "prior_satisfied_pairs"]
+    )
+    def test_a_prior_without_a_new_carrier_is_incomplete(self, carrier):
+        db = build_db()
+        prior = replace(discover_inds(db, _config()), **{carrier: None})
+        result = discover_inds(db, _config(), prior=prior)
+        assert result.delta == {"mode": "full", "reason": "prior-incomplete"}
+        assert result.satisfied == prior.satisfied
+
+    @pytest.mark.parametrize(
         "override",
         [
             {"sampling_size": 3},
@@ -134,8 +146,24 @@ class TestDeltaAccounting:
             "prior_fingerprints",
             "prior_sampling_refuted",
             "prior_config_signature",
+            "prior_payloads",
+            "prior_satisfied_pairs",
         ):
             assert key not in doc
+
+    def test_carried_state_stays_out_of_equality_and_repr(self):
+        db = build_db()
+        result = discover_inds(db, _config())
+        assert result.prior_payloads and result.prior_satisfied_pairs
+        bare = replace(
+            result,
+            prior_payloads=None,
+            prior_satisfied_pairs=None,
+            prior_samples=None,
+        )
+        assert bare == result
+        assert repr(bare) == repr(result)
+        assert "prior_payloads" not in repr(result)
 
 
 class TestSessionPriorThreading:

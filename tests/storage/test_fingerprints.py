@@ -261,3 +261,43 @@ class TestDigestMemo:
         ref = AttributeRef("memo_probe_b", "w")
         assert after[ref] == before[ref]
         assert after != before
+
+
+class TestCatalogTextMemo:
+    """The catalog hash is assembled from per-statistics canonical texts."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equal_to_the_legacy_hash_under_any_key(self, seed):
+        stats = collect_column_stats(build_random_db(seed))
+        name = "datenbank-ü-\U0001F600"
+        assert catalog_fingerprint(name, stats) == (
+            _legacy_catalog_fingerprint(name, stats)
+        )
+        # Keys that are not the statistics' own refs take the unmemoised
+        # path and still give the legacy hash of the map as keyed.
+        renamed = {
+            AttributeRef(f"x_{ref.table}", ref.column): st
+            for ref, st in stats.items()
+        }
+        assert catalog_fingerprint(name, renamed) == (
+            _legacy_catalog_fingerprint(name, renamed)
+        )
+        assert catalog_fingerprint(name, renamed) != catalog_fingerprint(
+            name, stats
+        )
+
+    def test_a_second_hash_encodes_only_the_database_name(self, monkeypatch):
+        db = _single_column_db("memo_text", "memo_text_t", "c", VALUES)
+        stats = collect_column_stats(db)
+        encoded = []
+        real = spool_cache._canonical_text
+
+        def spy(payload):
+            encoded.append(payload)
+            return real(payload)
+
+        monkeypatch.setattr(spool_cache, "_canonical_text", spy)
+        first = catalog_fingerprint(db.name, stats)
+        assert len(encoded) == 2  # the attribute and the name
+        assert catalog_fingerprint(db.name, stats) == first
+        assert encoded[2:] == [db.name]

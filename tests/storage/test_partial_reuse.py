@@ -529,6 +529,46 @@ class TestOneLiveEntryPerChain:
         assert elsewhere.entries() == [Path(foreign.root)]
         assert cache.list_orphans() == []
 
+    def test_take_checks_names_roots_holds_and_file_names(self, tmp_path):
+        """:meth:`SpoolCache.take` goes only where :meth:`retire` would,
+        and only when every kept file has the name adoption would give."""
+        cache = SpoolCache(tmp_path / "cache")
+        old, _, _ = _publish_entry(cache, build_db(0))
+        new, _, _ = _publish_entry(cache, _mutated())
+        other_block, _, _ = _publish_entry(cache, build_db(1), block_size=8)
+        elsewhere = SpoolCache(tmp_path / "elsewhere")
+        foreign, _, _ = _publish_entry(elsewhere, build_db(0))
+        successor = Path(new.root)
+        refs = old.attributes()[:3]
+        assert cache.take(new.root, new, refs, successor) is None
+        other = cache.take(other_block.root, other_block, refs, successor)
+        assert other is None
+        assert cache.take(foreign.root, foreign, refs, successor) is None
+        clashing = old.moved_to(old.root)
+        renamed = clashing.get(refs[0]).relocated(
+            os.path.join(old.root, "t0__id__2.valsb")
+        )
+        clashing._files[refs[0]] = renamed
+        assert cache.take(old.root, clashing, refs, successor) is None
+        key = SpoolCache.hold(old.root)
+        try:
+            assert cache.take(old.root, old, refs, successor) is None
+        finally:
+            SpoolCache.release(key)
+        assert Path(old.root).is_dir()
+        values = {ref: old.get(ref).values() for ref in refs}
+        before = _retired_total()
+        taken = cache.take(str(old.root), old, refs, successor)
+        assert taken is not None
+        assert not Path(old.root).exists()
+        assert _retired_total() - before == 1
+        assert taken.attributes() == sorted(refs)
+        assert sorted(os.listdir(taken.root)) == sorted(
+            os.path.basename(taken.get(ref).path) for ref in refs
+        )
+        assert {ref: taken.get(ref).values() for ref in refs} == values
+        assert [o.kind for o in cache.list_orphans()] == ["staging"]
+
     def test_holds_and_retirement_race_safely(self, tmp_path):
         """Readers hold, check and read an entry that one thread keeps
         re-publishing and retiring: an entry seen under a hold stays

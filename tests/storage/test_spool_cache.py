@@ -19,8 +19,13 @@ from repro.db.stats import collect_column_stats
 from repro.errors import SpoolError
 from repro.storage import exporter
 from repro.storage.exporter import export_database
+from repro.storage import spool_cache
 from repro.storage.sorted_sets import SpoolDirectory
-from repro.storage.spool_cache import SpoolCache, catalog_fingerprint
+from repro.storage.spool_cache import (
+    SpoolCache,
+    attribute_fingerprints,
+    catalog_fingerprint,
+)
 
 
 def _db(rows: int = 20, extra: int | None = None) -> Database:
@@ -240,6 +245,129 @@ class TestSpoolCache:
         assert not staging.exists()
         assert Path(published.root) == cache.entry_path(fingerprint)
         assert published.database_name == "theirs"  # read from disk
+
+
+def _count_index_reads(monkeypatch) -> list[str]:
+    """Record every ``index.json`` the process opens from here on."""
+    opened: list[str] = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        if os.fspath(file).endswith("index.json"):
+            opened.append(os.fspath(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    return opened
+
+
+class TestLookupMemo:
+    """A hit serves the registry it memoised while the index is current."""
+
+    def _entry(self, tmp_path):
+        db = _db()
+        fingerprint = _fingerprint(db)
+        cache = SpoolCache(tmp_path / "cache")
+        spool, _ = export_database(db, str(cache.prepare(fingerprint)))
+        cache.publish(fingerprint, spool)
+        return cache, fingerprint
+
+    def test_a_second_hit_does_not_open_the_index(self, tmp_path, monkeypatch):
+        cache, fingerprint = self._entry(tmp_path)
+        spool_cache._OPENED.clear()  # as in a process that did not publish
+        first = cache.lookup(fingerprint)
+        opened = _count_index_reads(monkeypatch)
+        # A new cache object over the same root, as each run builds one.
+        second = SpoolCache(tmp_path / "cache").lookup(fingerprint)
+        monkeypatch.undo()
+        assert opened == []
+        assert second is first
+
+    def test_a_published_entry_hits_without_opening_the_index(
+        self, tmp_path, monkeypatch
+    ):
+        cache, fingerprint = self._entry(tmp_path)
+        opened = _count_index_reads(monkeypatch)
+        hit = cache.lookup(fingerprint)
+        monkeypatch.undo()
+        assert hit is not None and opened == []
+
+    @pytest.mark.parametrize("how", ["in-place", "by-rename"])
+    def test_a_rewritten_index_is_read_again(self, tmp_path, monkeypatch, how):
+        """Same size and a pinned mtime: only the ctime (in place) or the
+        inode (a rename) shows the rewrite, and either re-reads."""
+        cache, fingerprint = self._entry(tmp_path)
+        first = cache.lookup(fingerprint)
+        index = cache.entry_path(fingerprint) / "index.json"
+        before = os.stat(index)
+        data = index.read_bytes()
+        if how == "in-place":
+            index.write_bytes(data)
+        else:
+            (index.parent / "index.json.new").write_bytes(data)
+            os.replace(index.parent / "index.json.new", index)
+        os.utime(index, ns=(before.st_atime_ns, before.st_mtime_ns))
+        opened = _count_index_reads(monkeypatch)
+        second = cache.lookup(fingerprint)
+        monkeypatch.undo()
+        assert opened == [os.fspath(index)]
+        assert second is not first
+        assert second.attributes() == first.attributes()
+        assert cache.lookup(fingerprint) is second  # memoised again
+
+    def test_destroying_retiring_or_taking_an_entry_drops_it(self, tmp_path):
+        db = _db()
+        cache = SpoolCache(tmp_path / "cache")
+        entries = []
+        for extra in (100, 101, 102, 103):
+            edited = _db(extra=extra)
+            fingerprint = _fingerprint(edited)
+            stats = collect_column_stats(edited)
+            spool, _ = export_database(edited, str(cache.prepare(fingerprint)))
+            entries.append(
+                cache.publish(
+                    fingerprint,
+                    spool,
+                    database=db.name,
+                    fingerprints=attribute_fingerprints(stats),
+                )
+            )
+        memoised = lambda: {Path(key) for key in spool_cache._OPENED}
+        roots = [Path(entry.root) for entry in entries]
+        assert set(roots) <= memoised()
+        assert cache.evict_prefix(roots[0].name.split("-")[0])
+        assert cache.retire(roots[1], roots[3])
+        refs = entries[2].attributes()
+        taken = cache.take(roots[2], entries[2], refs, roots[3])
+        assert taken is not None and not roots[2].exists()
+        assert memoised() & set(roots) == {roots[3]}
+
+    def test_the_oldest_entry_drops_out_and_is_read_again(
+        self, tmp_path, monkeypatch
+    ):
+        """Past ``_OPENED_LIMIT`` entries the memo forgets the oldest; a
+        hit on it parses its index again and memoises it anew."""
+        monkeypatch.setattr(spool_cache, "_OPENED", {})
+        cache = SpoolCache(tmp_path / "cache")
+        fingerprints = []
+        for extra in range(spool_cache._OPENED_LIMIT + 1):
+            edited = _db(extra=100 + extra)
+            fingerprint = _fingerprint(edited)
+            spool, _ = export_database(edited, str(cache.prepare(fingerprint)))
+            cache.publish(fingerprint, spool)
+            fingerprints.append(fingerprint)
+        oldest = cache.entry_path(fingerprints[0])
+        memoised = [Path(key) for key in spool_cache._OPENED]
+        assert len(memoised) == spool_cache._OPENED_LIMIT
+        assert oldest not in memoised
+        assert memoised[-1] == cache.entry_path(fingerprints[-1])
+        opened = _count_index_reads(monkeypatch)
+        hit = cache.lookup(fingerprints[0])
+        again = cache.lookup(fingerprints[0])
+        assert hit is not None and again is hit
+        assert opened == [os.fspath(oldest / "index.json")]
+        assert next(reversed(spool_cache._OPENED)) == os.fspath(oldest)
+        assert len(spool_cache._OPENED) == spool_cache._OPENED_LIMIT
 
 
 class TestDiscoverIndsReuse:

@@ -330,8 +330,19 @@ class TestServe:
                 {"directory": "DUMP", "candidate_mode": None},
                 "'candidate_mode' must be a string",
             ),
+            (
+                {"directory": "DUMP", "trace": "false"},
+                "'trace' must be a boolean, got 'false'",
+            ),
         ],
-        ids=["directory", "workers-str", "workers-bool", "strategy", "mode"],
+        ids=[
+            "directory",
+            "workers-str",
+            "workers-bool",
+            "strategy",
+            "mode",
+            "trace-str",
+        ],
     )
     def test_mistyped_request_is_a_bad_request_under_its_id(
         self, biosql_dump, monkeypatch, capsys, request_doc, message
@@ -439,6 +450,23 @@ class TestServe:
         assert trace["trace_id"] == responses[0]["trace_id"]
         names = {span["name"] for span in trace["spans"]}
         assert "discover" in names and "validate" in names
+
+    def test_request_can_opt_out_of_the_full_trace(
+        self, biosql_dump, monkeypatch, capsys
+    ):
+        lines = [
+            json.dumps(
+                {"directory": str(biosql_dump), "id": "t0", "trace": False}
+            )
+            + "\n",
+        ]
+        code, responses, _ = self._serve(monkeypatch, capsys, lines)
+        assert code == 0
+        (response,) = responses
+        assert response["id"] == "t0"
+        assert "error" not in response
+        assert "trace" not in response
+        assert isinstance(response["trace_id"], str)
 
 
 class TestTraceDump:
